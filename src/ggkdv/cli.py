@@ -8,20 +8,20 @@ Commands (console script ``gg``):
                        states plus a decay fit, reporting pass/fail per check
   gg sweep <config> --axis k=0.25,0.5,1.0
                        rerun the experiment over a parameter grid, fitting
-                       the energy decay rate at every point concurrently
+                       the energy decay rate at every point in turn
 
-Exit codes: 0 success, 2 configuration or coefficient error, 3 blow-up,
-4 verification failure. GG_THREADS caps sweep parallelism.
+All three march through one pipeline, `run_experiment`. Exit codes, the same
+for every command: 0 success, 2 configuration or coefficient error, 3 blow-up,
+4 verification failure.
 """
 from __future__ import annotations
 
 import argparse
+from dataclasses import dataclass
 import importlib.resources
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import jsonschema
 import numpy as np
@@ -29,15 +29,16 @@ import numpy as np
 from .config import (ConfigError, ExperimentConfig, apply_overrides,
                      atomic_write_text, build_initial_state, load_config)
 from .functionals import functional_record
-from .integrator import BlowUpError, default_dt, evolve
+from .integrator import BlowUpError, DiagnosticSeries, default_dt, evolve
 from .model import (CoefficientError, check_coefficients,
                     validate_coefficients)
 from .spectral import make_grid
-from .verification import (EXACT_IDENTITY_IDS, check_poincare_holder,
-                           fit_decay_rate, product_bound_violations,
-                           random_smooth_field, random_smooth_state,
-                           residual_general_n, residual_h1, residual_h2,
-                           residual_l2, scale_state)
+from .verification import (APPROX_IDENTITY_IDS, EXACT_IDENTITY_IDS,
+                           check_poincare_holder, fit_decay_rate,
+                           product_bound_violations, random_smooth_field,
+                           random_smooth_state, residual_general_n,
+                           residual_h1, residual_h2, residual_l2,
+                           scale_state)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -49,6 +50,11 @@ EXACT_RESIDUAL_TOL = 1e-8
 # residual (cubic dropped terms over a quadratic normalizer), +/- 25%.
 APPROX_RATIO_WINDOW = (0.25, 0.75)
 POINCARE_EXPONENTS = (1.0, 2.0, 4.0, math.inf)
+ZERO_MEAN_CHECKS = ("H1", "H2")  # their identities assume M = N = 0
+
+
+class CheckFailure(Exception):
+    """A command ran to the end but a check it certifies failed."""
 
 
 def _fmt(value) -> str:
@@ -135,15 +141,16 @@ def render_energy_svg(path: str, t, energy) -> bool:
     return True
 
 
-def _grid_dict(grid) -> dict:
-    return {"n_points": grid.n_points, "n_modes": grid.n_modes,
-            "dealias_cutoff": grid.dealias_cutoff}
-
-
-def _coeff_dict(c) -> dict:
-    out = c.to_coefficient_set().to_dict()
-    out["branch"] = c.branch
-    return out
+def _summary(command: str, status: str, cfg: ExperimentConfig,
+             **rest) -> dict:
+    c = validate_coefficients(cfg.coefficients)
+    coefficients = c.to_coefficient_set().to_dict()
+    coefficients["branch"] = c.branch
+    grid = make_grid(cfg.n_points)
+    return {"schema_version": 1, "command": command, "status": status,
+            "grid": {"n_points": grid.n_points, "n_modes": grid.n_modes,
+                     "dealias_cutoff": grid.dealias_cutoff},
+            "coefficients": coefficients, **rest}
 
 
 def _fit_dict(fit) -> dict:
@@ -153,72 +160,81 @@ def _fit_dict(fit) -> dict:
             "n_points": fit.n_points}
 
 
-def _requested_exact_ids(cfg: ExperimentConfig, means_zero: bool
-                         ) -> tuple[list, list]:
-    """(identity ids to track, check names skipped because means != 0)."""
-    ids, skipped = [], []
-    if "L2" in cfg.checks:
-        ids.append("L2")
-    if "GEN_N" in cfg.checks:
-        ids.extend(f"GEN_N({n})" for n in range(cfg.n_max + 1))
-    for name, group in (("H1", ("H1_MAIN", "H1_SUB(4.2)", "H1_SUB(4.3)",
-                                "H1_SUB(4.4)", "H1_SUB(4.5)")),
-                        ("H2", ("H2_SUB(5.2)", "H2_SUB(5.3)"))):
-        if name in cfg.checks:
-            if means_zero:
-                ids.extend(group)
-            else:
-                skipped.append(name)
-    return ids, skipped
+def _group(ids, check: str) -> list:
+    """The ids among `ids` that a check name stands for (H1 -> H1_MAIN, ...)."""
+    return [i for i in ids if i == check or i.startswith(check + "_")]
 
 
-def _exact_reports(state, c, ids: list) -> dict:
-    """IdentityReport for each requested exact identity at one state."""
+def _exact_ids(cfg: ExperimentConfig) -> list:
+    """Exact identity ids behind the configured checks, in a fixed order."""
+    ids = []
+    for check in ("L2", "GEN_N", "H1", "H2"):
+        if check not in cfg.checks:
+            continue
+        if check == "GEN_N":
+            ids.extend(f"GEN_N({n})" for n in range(cfg.n_max + 1))
+        else:
+            ids.extend(_group(EXACT_IDENTITY_IDS, check))
+    return ids
+
+
+def _reports(state, c, ids) -> dict:
+    """IdentityReport for each of `ids` at one state."""
     out = {}
-    if "L2" in ids:
-        out["L2"] = residual_l2(state, c)
+    for check, battery in (("H1", residual_h1), ("H2", residual_h2)):
+        if _group(ids, check):
+            out.update(battery(state, c))
     for identity_id in ids:
-        if identity_id.startswith("GEN_N("):
-            n = int(identity_id[6:-1])
-            out[identity_id] = residual_general_n(state, c, n)
-    if any(i.startswith("H1") for i in ids):
-        reports = residual_h1(state, c)
-        for identity_id in ids:
-            if identity_id.startswith("H1"):
-                out[identity_id] = reports[identity_id]
-    if any(i.startswith("H2") for i in ids):
-        reports = residual_h2(state, c)
-        for identity_id in ids:
-            if identity_id.startswith("H2"):
-                out[identity_id] = reports[identity_id]
-    return out
+        if identity_id == "L2":
+            out[identity_id] = residual_l2(state, c)
+        elif identity_id.startswith("GEN_N("):
+            out[identity_id] = residual_general_n(state, c,
+                                                  int(identity_id[6:-1]))
+    return {identity_id: out[identity_id] for identity_id in ids}
 
 
-def _resolve_stepping(cfg: ExperimentConfig, grid, c) -> tuple[float, int]:
-    """(dt, stride): an explicit dt is honored, a default one is rounded so
-    that whole steps and whole strides tile [0, t_final] exactly."""
+def _resolve_dt(cfg: ExperimentConfig, grid, c) -> float:
+    """An explicit dt is honored, a default one is rounded so that whole
+    steps and whole strides tile [0, t_final] exactly."""
     if cfg.dt is not None:
-        return cfg.dt, cfg.stride
+        return cfg.dt
     guess = default_dt(grid, c)
     n_steps = max(cfg.stride, int(math.ceil(cfg.t_final / guess)))
     n_steps = ((n_steps + cfg.stride - 1) // cfg.stride) * cfg.stride
-    return cfg.t_final / n_steps, cfg.stride
+    return cfg.t_final / n_steps
 
 
-def cmd_run(cfg: ExperimentConfig) -> int:
-    try:
-        c = validate_coefficients(cfg.coefficients)
-    except CoefficientError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+@dataclass(frozen=True)
+class RunResult:
+    """One march of a configured experiment and what was measured on it."""
+
+    series: DiagnosticSeries  # functional_record columns, then per tracked
+                              # identity its defect::<id> and norm::<id>
+    residuals: dict   # tracked identity id -> run-level relative residual
+    skipped: list     # ZERO_MEAN_CHECKS dropped: the initial means are not 0
+    fits: dict        # quantity id -> DecayFit over the fit window
+    fit_errors: dict  # quantity id -> why its fit failed
+
+    def record_names(self) -> list:
+        return [name for name in self.series.columns if "::" not in name]
+
+
+def run_experiment(cfg: ExperimentConfig, identity_ids=()) -> RunResult:
+    """Validate, build grid and initial state, march, and fit decay rates,
+    tracking the given exact identities along the trajectory.
+
+    Raises CoefficientError for an inadmissible coefficient set and
+    BlowUpError when the state first becomes non-finite.
+    """
+    c = validate_coefficients(cfg.coefficients)
     grid = make_grid(cfg.n_points)
     state = build_initial_state(cfg, grid)
-    means_zero = state.mean_u == 0.0 and state.mean_v == 0.0
-    exact_ids, skipped = _requested_exact_ids(cfg, means_zero)
-
-    record_names = list(functional_record(state, c, cfg.n_max)
-                        .as_columns().keys())
-
+    skipped = []
+    if state.mean_u != 0.0 or state.mean_v != 0.0:
+        skipped = [check for check in ZERO_MEAN_CHECKS
+                   if _group(identity_ids, check)]
+        identity_ids = [i for i in identity_ids
+                        if not i.startswith(ZERO_MEAN_CHECKS)]
     def record_observer(st):
         return functional_record(st, c, cfg.n_max).as_columns()
 
@@ -229,73 +245,65 @@ def cmd_run(cfg: ExperimentConfig) -> int:
         # ratio is 0/0 noise; the run-level residual divides the worst defect
         # by the run's own scale instead.
         row = {}
-        for key, rep in _exact_reports(st, c, exact_ids).items():
+        for key, rep in _reports(st, c, identity_ids).items():
             row[f"defect::{key}"] = abs(rep.lhs - rep.rhs)
             row[f"norm::{key}"] = rep.normalizer
         return row
 
     observers = [record_observer]
-    if exact_ids:
+    if identity_ids:
         observers.append(residual_observer)
+    series = evolve(state, c, cfg.t_final, _resolve_dt(cfg, grid, c),
+                    observers=observers, stride=cfg.stride)
 
-    try:
-        dt, stride = _resolve_stepping(cfg, grid, c)
-        series = evolve(state, c, cfg.t_final, dt, observers=observers,
-                        stride=stride)
-    except BlowUpError as exc:
-        summary = {
-            "schema_version": 1, "command": "run", "status": "blow_up",
-            "grid": _grid_dict(grid), "coefficients": _coeff_dict(c),
-            "run": None, "energy": None, "blow_up_time": exc.time,
-        }
-        write_summary(cfg.summary_path, summary)
-        print(f"blow-up: first non-finite state at t = {exc.time:.6g}",
-              file=sys.stderr)
-        return EXIT_BLOWUP
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    if cfg.csv_path is not None:
-        write_csv(cfg.csv_path, record_names, series.columns)
-        print(f"wrote {cfg.csv_path}")
-
-    residual_max = {}
-    for i in exact_ids:
+    residuals = {}
+    for i in identity_ids:
         defect = float(np.max(series.columns[f"defect::{i}"]))
         norm = float(np.max(series.columns[f"norm::{i}"]))
-        residual_max[i] = defect / max(norm, 1e-30)
-    offenders = [i for i, r in residual_max.items()
-                 if r > EXACT_RESIDUAL_TOL]
-
-    fits = []
-    window = cfg.resolved_fit_window()
+        residuals[i] = defect / max(norm, 1e-30)
+    fits, fit_errors = {}, {}
     for name in ["energy"] + [f"seminorm_sq_{n}"
                               for n in range(1, cfg.n_max + 1)]:
         try:
-            fits.append(fit_decay_rate(series, name, window,
-                                       target_rate=-2.0 * c.k))
-        except ValueError:
-            pass  # zero data or window too sparse: fits are informational
+            fits[name] = fit_decay_rate(series, name,
+                                        cfg.resolved_fit_window(),
+                                        target_rate=-2.0 * c.k)
+        except ValueError as exc:  # zero data or window too sparse
+            fit_errors[name] = str(exc)
+    return RunResult(series=series, residuals=residuals, skipped=skipped,
+                     fits=fits, fit_errors=fit_errors)
 
+
+def cmd_run(cfg: ExperimentConfig) -> None:
+    try:
+        result = run_experiment(cfg, _exact_ids(cfg))
+    except BlowUpError as exc:
+        write_summary(cfg.summary_path, _summary(
+            "run", "blow_up", cfg, run=None, energy=None,
+            blow_up_time=exc.time))
+        raise
+    series, meta = result.series, result.series.meta
+    if cfg.csv_path is not None:
+        write_csv(cfg.csv_path, result.record_names(), series.columns)
+        print(f"wrote {cfg.csv_path}")
+
+    offenders = [i for i, r in result.residuals.items()
+                 if r > EXACT_RESIDUAL_TOL]
     energy_col = series.columns["energy"]
-    summary = {
-        "schema_version": 1, "command": "run",
-        "status": "ok" if not offenders else "identity_failure",
-        "grid": _grid_dict(grid), "coefficients": _coeff_dict(c),
-        "run": {"dt": dt, "t_final": cfg.t_final, "stride": stride,
-                "n_steps": series.meta["n_steps"],
-                "n_observations": len(series.t),
-                "max_mean_drift": series.meta["max_mean_drift"]},
-        "energy": {"initial": float(energy_col[0]),
-                   "final": float(energy_col[-1])},
-        "identity_residuals": residual_max,
-        "decay_fits": [_fit_dict(f) for f in fits],
-        "blow_up_time": None,
-    }
-    if skipped:
+    summary = _summary(
+        "run", "ok" if not offenders else "identity_failure", cfg,
+        run={"dt": meta["dt"], "t_final": cfg.t_final,
+             "stride": meta["stride"], "n_steps": meta["n_steps"],
+             "n_observations": len(series.t),
+             "max_mean_drift": meta["max_mean_drift"]},
+        energy={"initial": float(energy_col[0]),
+                "final": float(energy_col[-1])},
+        identity_residuals=result.residuals,
+        decay_fits=[_fit_dict(f) for f in result.fits.values()],
+        blow_up_time=None)
+    if result.skipped:
         summary["failures"] = [f"{name}: skipped (identities require "
-                               "zero-mean data)" for name in skipped]
+                               "zero-mean data)" for name in result.skipped]
     write_summary(cfg.summary_path, summary)
     if cfg.summary_path is not None:
         print(f"wrote {cfg.summary_path}")
@@ -304,24 +312,18 @@ def cmd_run(cfg: ExperimentConfig) -> int:
             print(f"wrote {cfg.plot_path}")
 
     if offenders:
-        for identity_id in offenders:
-            print(f"identity failure: {identity_id} relative residual "
-                  f"{residual_max[identity_id]:.3e} > {EXACT_RESIDUAL_TOL}",
-                  file=sys.stderr)
-        return EXIT_VERIFY
-    return EXIT_OK
+        raise CheckFailure("\n".join(
+            f"identity failure: {i} relative residual "
+            f"{result.residuals[i]:.3e} > {EXACT_RESIDUAL_TOL}"
+            for i in offenders))
 
 
 def _median(values: list) -> float:
     return float(np.median(np.asarray(values, dtype=float)))
 
 
-def cmd_verify(cfg: ExperimentConfig) -> int:
-    try:
-        c = validate_coefficients(cfg.coefficients)
-    except CoefficientError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def cmd_verify(cfg: ExperimentConfig) -> None:
+    c = validate_coefficients(cfg.coefficients)
     grid = make_grid(cfg.n_points)
     vs = cfg.verify
     states = [random_smooth_state(grid, seed=vs.seed + i,
@@ -335,41 +337,24 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
                        "value": None if value is None else float(value),
                        "threshold": threshold, "detail": detail})
 
-    def add_exact(check_id, residuals):
-        worst = max(residuals)
-        add(check_id, worst <= EXACT_RESIDUAL_TOL, worst,
-            EXACT_RESIDUAL_TOL, f"max over {len(residuals)} states")
-
-    if "L2" in cfg.checks:
-        add_exact("L2", [residual_l2(s, c).relative_residual
-                         for s in states])
-    if "GEN_N" in cfg.checks:
-        for n in range(cfg.n_max + 1):
-            add_exact(f"GEN_N({n})",
-                      [residual_general_n(s, c, n).relative_residual
-                       for s in states])
-    if "H1" in cfg.checks:
-        per_state = [residual_h1(s, c) for s in states]
-        for identity_id in ("H1_MAIN", "H1_SUB(4.2)", "H1_SUB(4.3)",
-                            "H1_SUB(4.4)", "H1_SUB(4.5)"):
-            add_exact(identity_id,
-                      [r[identity_id].relative_residual for r in per_state])
-    if "H2" in cfg.checks:
-        full = [residual_h2(s, c) for s in states]
-        half = [residual_h2(scale_state(s, 0.5), c) for s in states]
-        for identity_id in ("H2_SUB(5.2)", "H2_SUB(5.3)"):
-            add_exact(identity_id,
-                      [r[identity_id].relative_residual for r in full])
-        for identity_id in ("H2_MAIN", "H2_SUB(5.4)", "H2_SUB(5.5)",
-                            "H2_SUB(5.6)"):
-            ratios = [h[identity_id].relative_residual
-                      / max(f[identity_id].relative_residual, 1e-300)
-                      for f, h in zip(full, half)]
-            med = _median(ratios)
-            lo, hi = APPROX_RATIO_WINDOW
+    exact = _exact_ids(cfg)
+    approx = (_group(APPROX_IDENTITY_IDS, "H2") if "H2" in cfg.checks
+              else [])
+    full = [_reports(s, c, exact + approx) for s in states]
+    for identity_id in exact:
+        worst = max(r[identity_id].relative_residual for r in full)
+        add(identity_id, worst <= EXACT_RESIDUAL_TOL, worst,
+            EXACT_RESIDUAL_TOL, f"max over {len(full)} states")
+    if approx:
+        half = [_reports(scale_state(s, 0.5), c, approx) for s in states]
+        lo, hi = APPROX_RATIO_WINDOW
+        for identity_id in approx:
+            med = _median([h[identity_id].relative_residual
+                           / max(f[identity_id].relative_residual, 1e-300)
+                           for f, h in zip(full, half)])
             add(f"{identity_id} scaling", lo <= med <= hi, med, None,
                 f"median residual ratio under amplitude halving over "
-                f"{len(ratios)} states; want within [{lo}, {hi}]")
+                f"{len(half)} states; want within [{lo}, {hi}]")
     if "POINCARE" in cfg.checks:
         rng = np.random.default_rng(vs.seed)
         bad = 0
@@ -394,37 +379,29 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
 
     fits = []
     if "DECAY" in cfg.checks:
-        state = build_initial_state(cfg, grid)
         try:
-            dt, stride = _resolve_stepping(cfg, grid, c)
-            series = evolve(state, c, cfg.t_final, dt,
-                            observers=[lambda st: functional_record(
-                                st, c, cfg.n_max).as_columns()],
-                            stride=stride)
-            fit = fit_decay_rate(series, "energy", cfg.resolved_fit_window(),
-                                 target_rate=-2.0 * c.k)
-            fits.append(fit)
-            ok = (fit.fitted_rate <= -2.0 * 0.95 * c.k
-                  and fit.r_squared >= 0.99)
-            add("DECAY", ok, fit.fitted_rate, -2.0 * 0.95 * c.k,
-                f"energy rate over window {fit.window}, "
-                f"r^2 = {fit.r_squared:.6f}")
+            result = run_experiment(cfg)
         except BlowUpError as exc:
             add("DECAY", False, None, None,
                 f"blow-up at t = {exc.time:.6g}")
-        except ValueError as exc:
-            add("DECAY", False, None, None, f"fit failed: {exc}")
+        else:
+            fit = result.fits.get("energy")
+            if fit is None:
+                add("DECAY", False, None, None,
+                    f"fit failed: {result.fit_errors['energy']}")
+            else:
+                fits.append(fit)
+                ok = (fit.fitted_rate <= -2.0 * 0.95 * c.k
+                      and fit.r_squared >= 0.99)
+                add("DECAY", ok, fit.fitted_rate, -2.0 * 0.95 * c.k,
+                    f"energy rate over window {fit.window}, "
+                    f"r^2 = {fit.r_squared:.6f}")
 
     failures = [entry["check_id"] for entry in checks if not entry["passed"]]
-    summary = {
-        "schema_version": 1, "command": "verify",
-        "status": "ok" if not failures else "check_failure",
-        "grid": _grid_dict(grid), "coefficients": _coeff_dict(c),
-        "checks": checks,
-        "decay_fits": [_fit_dict(f) for f in fits],
-        "failures": failures,
-    }
-    write_summary(cfg.summary_path, summary)
+    write_summary(cfg.summary_path, _summary(
+        "verify", "ok" if not failures else "check_failure", cfg,
+        checks=checks, decay_fits=[_fit_dict(f) for f in fits],
+        failures=failures))
     for entry in checks:
         tag = "PASS" if entry["passed"] else "FAIL"
         value = "" if entry["value"] is None else f"  {entry['value']:.3e}"
@@ -432,9 +409,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     if cfg.summary_path is not None:
         print(f"wrote {cfg.summary_path}")
     if failures:
-        print("verification failed: " + ", ".join(failures), file=sys.stderr)
-        return EXIT_VERIFY
-    return EXIT_OK
+        raise CheckFailure("verification failed: " + ", ".join(failures))
 
 
 def _parse_axes(axis_args: list) -> list:
@@ -449,9 +424,10 @@ def _parse_axes(axis_args: list) -> list:
             parsed = [float(v) for v in values.split(",")]
         except ValueError:
             raise ConfigError(f"non-numeric value in axis {spec!r}") from None
-        if not parsed:
-            raise ConfigError(f"axis {spec!r} lists no values")
         axes.append((name, parsed))
+    if not axes:
+        raise ConfigError("empty sweep spec: pass at least one "
+                          "--axis name=v1,v2,...")
     return axes
 
 
@@ -462,60 +438,34 @@ def _sweep_points(axes: list) -> list:
     return points
 
 
-def _thread_cap(n_points: int) -> int:
-    cap = os.cpu_count() or 1
-    env = os.environ.get("GG_THREADS")
-    if env:
-        try:
-            cap = max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, min(cap, n_points))
-
-
-def cmd_sweep(cfg: ExperimentConfig, axis_args: list) -> int:
-    try:
-        axes = _parse_axes(axis_args)
-        if not axes:
-            raise ConfigError("empty sweep spec: pass at least one "
-                              "--axis name=v1,v2,...")
-        points = _sweep_points(axes)
-        configs = [apply_overrides(cfg, point) for point in points]
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def cmd_sweep(cfg: ExperimentConfig, axis_args: list) -> None:
+    axes = _parse_axes(axis_args)
+    points = _sweep_points(axes)
+    configs = [apply_overrides(cfg, point) for point in points]
+    validate_coefficients(cfg.coefficients)  # the summary reports this set
     for point, point_cfg in zip(points, configs):
         bad = check_coefficients(point_cfg.coefficients)
         if bad:
             names = ", ".join(v.constraint for v in bad)
-            print(f"error: sweep point {point} violates: {names}",
-                  file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError(f"sweep point {point} violates: {names}")
 
-    def run_point(point_cfg: ExperimentConfig) -> dict:
-        c = validate_coefficients(point_cfg.coefficients)
-        grid = make_grid(point_cfg.n_points)
-        state = build_initial_state(point_cfg, grid)
+    rows, blow_ups = [], []
+    for point_cfg in configs:
         row = {"status": "ok", "fitted_rate": None, "r_squared": None,
-               "target_rate": -2.0 * c.k, "blow_up_time": None}
+               "target_rate": -2.0 * point_cfg.coefficients.k,
+               "blow_up_time": None}
         try:
-            dt, stride = _resolve_stepping(point_cfg, grid, c)
-            series = evolve(state, c, point_cfg.t_final, dt,
-                            observers=[lambda st: functional_record(
-                                st, c, point_cfg.n_max).as_columns()],
-                            stride=stride)
-            fit = fit_decay_rate(series, "energy",
-                                 point_cfg.resolved_fit_window(),
-                                 target_rate=-2.0 * c.k)
-            row.update(fitted_rate=fit.fitted_rate, r_squared=fit.r_squared)
+            fit = run_experiment(point_cfg).fits.get("energy")
         except BlowUpError as exc:
+            blow_ups.append(exc)
             row.update(status="blow_up", blow_up_time=exc.time)
-        except ValueError:
-            row.update(status="fit_failed")
-        return row
-
-    with ThreadPoolExecutor(max_workers=_thread_cap(len(points))) as pool:
-        rows = list(pool.map(run_point, configs))
+        else:
+            if fit is None:
+                row.update(status="fit_failed")
+            else:
+                row.update(fitted_rate=fit.fitted_rate,
+                           r_squared=fit.r_squared)
+        rows.append(row)
 
     axis_names = [name for name, _ in axes]
     if cfg.csv_path is not None:
@@ -531,19 +481,13 @@ def cmd_sweep(cfg: ExperimentConfig, axis_args: list) -> int:
         atomic_write_text(cfg.csv_path, "\n".join(lines) + "\n")
         print(f"wrote {cfg.csv_path}")
 
-    base_coeffs = validate_coefficients(cfg.coefficients)
-    statuses = [row["status"] for row in rows]
-    summary = {
-        "schema_version": 1, "command": "sweep",
-        "status": ("ok" if all(s == "ok" for s in statuses)
-                   else "blow_up" if "blow_up" in statuses
-                   else "check_failure"),
-        "grid": _grid_dict(make_grid(cfg.n_points)),
-        "coefficients": _coeff_dict(base_coeffs),
-        "points": [{"point": point, **row}
-                   for point, row in zip(points, rows)],
-    }
-    write_summary(cfg.summary_path, summary)
+    failed = [point for point, row in zip(points, rows)
+              if row["status"] != "ok"]
+    status = ("ok" if not failed else "blow_up" if blow_ups
+              else "check_failure")
+    write_summary(cfg.summary_path, _summary(
+        "sweep", status, cfg,
+        points=[{"point": point, **row} for point, row in zip(points, rows)]))
     if cfg.summary_path is not None:
         print(f"wrote {cfg.summary_path}")
     for point, row in zip(points, rows):
@@ -551,11 +495,10 @@ def cmd_sweep(cfg: ExperimentConfig, axis_args: list) -> int:
                 else f"  rate {row['fitted_rate']:+.6f} "
                      f"(target {row['target_rate']:+.6f})")
         print(f"{row['status']:>10}  {point}{rate}")
-    if "blow_up" in statuses:
-        return EXIT_BLOWUP
-    if any(s != "ok" for s in statuses):
-        return EXIT_VERIFY
-    return EXIT_OK
+    if blow_ups:
+        raise blow_ups[0]
+    if failed:
+        raise CheckFailure(f"decay fit failed at sweep points {failed}")
 
 
 def main(argv=None) -> int:
@@ -573,16 +516,26 @@ def main(argv=None) -> int:
                            metavar="NAME=V1,V2,...",
                            help="sweep axis; repeatable")
     args = parser.parse_args(argv)
+    # The one place where outcomes become exit codes.
     try:
         cfg = load_config(args.config)
-    except (ConfigError, OSError) as exc:
+        if args.command == "run":
+            cmd_run(cfg)
+        elif args.command == "verify":
+            cmd_verify(cfg)
+        else:
+            cmd_sweep(cfg, args.axis)
+    except (ConfigError, CoefficientError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.command == "run":
-        return cmd_run(cfg)
-    if args.command == "verify":
-        return cmd_verify(cfg)
-    return cmd_sweep(cfg, args.axis)
+    except BlowUpError as exc:
+        print(f"blow-up: first non-finite state at t = {exc.time:.6g}",
+              file=sys.stderr)
+        return EXIT_BLOWUP
+    except CheckFailure as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_VERIFY
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -7,9 +7,11 @@ keys are rejected so committed fixtures cannot drift silently.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
+import math
 import os
 import tempfile
+import typing
 
 import numpy as np
 import yaml
@@ -66,8 +68,8 @@ class ExperimentConfig:
     t_final: float = 10.0
     stride: int = 1
     n_max: int = 4
-    fit_window: tuple | None = None  # None -> (t_final/2, t_final)
-    checks: tuple = DEFAULT_CHECKS
+    fit_window: tuple[float, float] | None = None  # None -> trailing half
+    checks: tuple[str, ...] = DEFAULT_CHECKS
     csv_path: str | None = None
     summary_path: str | None = None
     plot_path: str | None = None
@@ -79,8 +81,8 @@ class ExperimentConfig:
         return (self.t_final / 2.0, self.t_final)
 
 
-def _require_keys(mapping: dict, allowed: tuple, where: str) -> None:
-    unknown = sorted(set(mapping) - set(allowed))
+def _require_keys(mapping: dict, allowed, where: str) -> None:
+    unknown = sorted(set(mapping) - set(allowed), key=str)
     if unknown:
         raise ConfigError(f"unknown keys {unknown} in {where}; "
                           f"allowed: {sorted(allowed)}")
@@ -95,120 +97,162 @@ def _section(raw: dict, name: str) -> dict:
     return value
 
 
-def _build(cls, mapping: dict, where: str):
-    names = tuple(f.name for f in fields(cls))
-    _require_keys(mapping, names, where)
-    try:
-        return cls(**mapping)
-    except TypeError as exc:
-        raise ConfigError(f"bad {where}: {exc}") from None
+def _as_float(value, where: str) -> float:
+    """A finite float from an int, a float or numeric text (PyYAML reads
+    `1e-6` as a string); bools, NaN and infinities are rejected."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            out = float(value)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if math.isfinite(out):
+                return out
+    raise ConfigError(f"{where} must be a finite number, got {value!r}")
+
+
+def _as_int(value, where: str) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    number = _as_float(value, where)
+    if not number.is_integer():
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(number)
+
+
+def _as_str(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, got {value!r}")
+    return value
+
+
+_SCALARS = {float: _as_float, int: _as_int, str: _as_str}
+
+
+def _check_value(value, hint, where: str):
+    """`value` checked against a dataclass field's type hint: float, int,
+    str, a homogeneous tuple of one of these, or any of them `| None`."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return None
+        hint = args[0]
+        args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        return tuple(_check_value(item, args[0], where) for item in value)
+    return _SCALARS[hint](value, where)
+
+
+def _build(default, mapping: dict, where: str):
+    """`default` with the keys of `mapping` replaced, each checked against
+    the type of the dataclass field it names."""
+    hints = typing.get_type_hints(type(default))
+    _require_keys(mapping, hints, where)
+    return replace(default, **{key: _check_value(value, hints[key],
+                                                 f"{where}.{key}")
+                               for key, value in mapping.items()})
+
+
+# The YAML layout, written once: each section with {key: ExperimentConfig
+# field}, or None where the section is the field of the same name (a
+# dataclass section such as `coefficients`, or the `checks` list).
+LAYOUT = (
+    ("grid", {"n_points": "n_points"}),
+    ("coefficients", None),
+    ("initial", None),
+    ("run", {"dt": "dt", "t_final": "t_final", "stride": "stride",
+             "n_max": "n_max", "fit_window": "fit_window"}),
+    ("checks", None),
+    ("output", {"csv": "csv_path", "summary": "summary_path",
+                "plot": "plot_path"}),
+    ("verify", None),
+)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
-    _require_keys(raw, ("grid", "coefficients", "initial", "run", "checks",
-                        "output", "verify"), "config root")
-
-    grid_sec = _section(raw, "grid")
-    _require_keys(grid_sec, ("n_points",), "grid")
-    n_points = grid_sec.get("n_points", 256)
-    if not isinstance(n_points, int) or n_points < 8 or n_points % 2:
-        raise ConfigError(f"grid.n_points must be an even integer >= 8, "
-                          f"got {n_points!r}")
-
-    coeffs = _build(CoefficientSet, _section(raw, "coefficients"),
-                    "coefficients")
-    initial = _build(InitialSpec, _section(raw, "initial"), "initial")
-    if initial.preset not in PRESETS:
-        raise ConfigError(f"unknown preset {initial.preset!r}; "
-                          f"choose from {PRESETS}")
-
-    run_sec = _section(raw, "run")
-    _require_keys(run_sec, ("dt", "t_final", "stride", "n_max", "fit_window"),
-                  "run")
-    fit_window = run_sec.get("fit_window")
-    if fit_window is not None:
-        fit_window = tuple(float(x) for x in fit_window)
-        if len(fit_window) != 2 or not fit_window[0] < fit_window[1]:
-            raise ConfigError(f"run.fit_window must be [t0, t1] with t0 < t1, "
-                              f"got {fit_window}")
-
-    checks = raw.get("checks", list(DEFAULT_CHECKS))
-    if not isinstance(checks, list) or not all(isinstance(c, str)
-                                               for c in checks):
-        raise ConfigError("checks must be a list of check names")
-    unknown = sorted(set(checks) - set(DEFAULT_CHECKS))
-    if unknown:
-        raise ConfigError(f"unknown checks {unknown}; "
-                          f"allowed: {sorted(DEFAULT_CHECKS)}")
-
-    out_sec = _section(raw, "output")
-    _require_keys(out_sec, ("csv", "summary", "plot"), "output")
-
-    verify = _build(VerifySpec, _section(raw, "verify"), "verify")
-
-    cfg = ExperimentConfig(
-        n_points=n_points,
-        coefficients=coeffs,
-        initial=initial,
-        dt=None if run_sec.get("dt") is None else float(run_sec["dt"]),
-        t_final=float(run_sec.get("t_final", 10.0)),
-        stride=int(run_sec.get("stride", 1)),
-        n_max=int(run_sec.get("n_max", 4)),
-        fit_window=fit_window,
-        checks=tuple(checks),
-        csv_path=out_sec.get("csv"),
-        summary_path=out_sec.get("summary"),
-        plot_path=out_sec.get("plot"),
-        verify=verify)
-
-    if cfg.dt is not None and cfg.dt <= 0.0:
-        raise ConfigError(f"run.dt must be positive, got {cfg.dt}")
-    if cfg.t_final <= 0.0:
-        raise ConfigError(f"run.t_final must be positive, got {cfg.t_final}")
-    if cfg.stride < 1:
-        raise ConfigError(f"run.stride must be >= 1, got {cfg.stride}")
-    if not 0 <= cfg.n_max <= 8:
-        raise ConfigError(f"run.n_max must be in [0, 8], got {cfg.n_max}")
+    _require_keys(raw, [name for name, _ in LAYOUT], "config root")
+    default = ExperimentConfig()
+    hints = typing.get_type_hints(ExperimentConfig)
+    values = {}
+    for name, keys in LAYOUT:
+        if keys is not None:
+            section = _section(raw, name)
+            _require_keys(section, keys, name)
+            values.update({keys[key]: _check_value(value, hints[keys[key]],
+                                                   f"{name}.{key}")
+                           for key, value in section.items()})
+        elif is_dataclass(getattr(default, name)):
+            values[name] = _build(getattr(default, name),
+                                  _section(raw, name), name)
+        elif name in raw:
+            values[name] = _check_value(raw[name], hints[name], name)
+    cfg = replace(default, **values)
+    _check_ranges(cfg)
     return cfg
 
 
+def _check_ranges(cfg: ExperimentConfig) -> None:
+    def require(ok: bool, message: str) -> None:
+        if not ok:
+            raise ConfigError(message)
+
+    require(cfg.n_points >= 8 and cfg.n_points % 2 == 0,
+            f"grid.n_points must be an even integer >= 8, got {cfg.n_points}")
+    require(cfg.initial.preset in PRESETS,
+            f"unknown preset {cfg.initial.preset!r}; choose from {PRESETS}")
+    require(cfg.dt is None or cfg.dt > 0.0,
+            f"run.dt must be positive, got {cfg.dt}")
+    require(cfg.t_final > 0.0,
+            f"run.t_final must be positive, got {cfg.t_final}")
+    require(cfg.stride >= 1, f"run.stride must be >= 1, got {cfg.stride}")
+    require(0 <= cfg.n_max <= 8,
+            f"run.n_max must be in [0, 8], got {cfg.n_max}")
+    window = cfg.fit_window
+    require(window is None or (len(window) == 2 and window[0] < window[1]),
+            f"run.fit_window must be [t0, t1] with t0 < t1, got {window}")
+    unknown = sorted(set(cfg.checks) - set(DEFAULT_CHECKS))
+    require(not unknown, f"unknown checks {unknown}; "
+                         f"allowed: {sorted(DEFAULT_CHECKS)}")
+    if cfg.dt is not None:
+        # the integrator's own test, checked here so every command exits 2
+        ratio = cfg.t_final / cfg.dt
+        n_steps = round(ratio) if math.isfinite(ratio) else 0
+        require(n_steps >= 1
+                and abs(n_steps * cfg.dt - cfg.t_final)
+                <= 1e-9 * max(1.0, cfg.t_final)
+                and n_steps % cfg.stride == 0,
+                f"run.dt = {cfg.dt} does not divide run.t_final = "
+                f"{cfg.t_final} into whole strides (run.stride = {cfg.stride})")
+    for where, spec in (("initial", cfg.initial), ("verify", cfg.verify)):
+        require(spec.kmax >= 1, f"{where}.kmax must be >= 1, got {spec.kmax}")
+        require(spec.seed >= 0, f"{where}.seed must be >= 0, got {spec.seed}")
+    vs = cfg.verify
+    require(vs.n_states >= 1,
+            f"verify.n_states must be >= 1, got {vs.n_states}")
+    require(vs.poincare_fields >= 0 and vs.product_fields >= 0,
+            "verify.poincare_fields and verify.product_fields must be >= 0, "
+            f"got {vs.poincare_fields} and {vs.product_fields}")
+
+
+def _plain(value):
+    """YAML has no tuples: sequences are saved as lists."""
+    return list(value) if isinstance(value, tuple) else value
+
+
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "grid": {"n_points": cfg.n_points},
-        "coefficients": cfg.coefficients.to_dict(),
-        "initial": {
-            "preset": cfg.initial.preset,
-            "amplitude": cfg.initial.amplitude,
-            "seed": cfg.initial.seed,
-            "kmax": cfg.initial.kmax,
-            "mean_u": cfg.initial.mean_u,
-            "mean_v": cfg.initial.mean_v,
-        },
-        "run": {
-            "dt": cfg.dt,
-            "t_final": cfg.t_final,
-            "stride": cfg.stride,
-            "n_max": cfg.n_max,
-            "fit_window": (None if cfg.fit_window is None
-                           else list(cfg.fit_window)),
-        },
-        "checks": list(cfg.checks),
-        "output": {
-            "csv": cfg.csv_path,
-            "summary": cfg.summary_path,
-            "plot": cfg.plot_path,
-        },
-        "verify": {
-            "n_states": cfg.verify.n_states,
-            "amplitude": cfg.verify.amplitude,
-            "seed": cfg.verify.seed,
-            "kmax": cfg.verify.kmax,
-            "poincare_fields": cfg.verify.poincare_fields,
-            "product_fields": cfg.verify.product_fields,
-        },
-    }
+    out = {}
+    for name, keys in LAYOUT:
+        if keys is not None:
+            out[name] = {key: _plain(getattr(cfg, attr))
+                         for key, attr in keys.items()}
+        else:
+            value = getattr(cfg, name)
+            out[name] = asdict(value) if is_dataclass(value) else _plain(value)
+    return out
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -283,16 +327,19 @@ def build_initial_state(cfg: ExperimentConfig,
     return state
 
 
+SWEEP_AXES = {"a1": "coefficients", "a2": "coefficients",
+              "a3": "coefficients", "k": "coefficients",
+              "amplitude": "initial"}
+
+
 def apply_overrides(cfg: ExperimentConfig, point: dict) -> ExperimentConfig:
     """New config with sweep-axis values substituted (k, a3, amplitude)."""
-    coeffs = cfg.coefficients
-    initial = cfg.initial
     for name, value in point.items():
-        if name in ("k", "a3", "a1", "a2"):
-            coeffs = replace(coeffs, **{name: float(value)})
-        elif name == "amplitude":
-            initial = replace(initial, amplitude=float(value))
-        else:
+        if name not in SWEEP_AXES:
             raise ConfigError(f"unknown sweep axis {name!r}; "
-                              f"allowed: a1, a2, a3, k, amplitude")
-    return replace(cfg, coefficients=coeffs, initial=initial)
+                              f"allowed: {', '.join(SWEEP_AXES)}")
+        section = SWEEP_AXES[name]
+        value = _as_float(value, f"sweep axis {name}")
+        cfg = replace(cfg, **{section: replace(getattr(cfg, section),
+                                               **{name: value})})
+    return cfg

@@ -14,6 +14,7 @@ with a1^2 + a2^2 = a1 + a2, or 0 < |a3| < 1 with a1 = a2 = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
+import math
 
 import numpy as np
 
@@ -62,6 +63,11 @@ class CoefficientError(ValueError):
 def check_coefficients(c: CoefficientSet) -> list[Violation]:
     """All constraint violations, empty when the set is admissible."""
     bad = []
+    values = asdict(c)
+    if not all(math.isfinite(v) for v in values.values()):
+        # NaN fails no `abs(...) > tol` test below, so it is named here
+        bad.append(Violation("finite", f"coefficients must be finite, "
+                                       f"got {values}"))
     if abs(c.r) > CONSTRAINT_TOL:
         bad.append(Violation("r_zero", f"transport coefficient r must be 0, got {c.r}"))
     if abs(c.b1 - 1.0) > CONSTRAINT_TOL:

@@ -102,16 +102,6 @@ def from_samples(grid: GridSpec, samples: np.ndarray) -> SpectralField:
     return SpectralField(grid, np.fft.rfft(samples) / grid.n_points)
 
 
-def from_modes(grid: GridSpec, modes: dict) -> SpectralField:
-    """Build a field from {mode index: coefficient}; conjugates are implied."""
-    c = np.zeros(grid.n_coeffs, dtype=np.complex128)
-    for kappa, value in modes.items():
-        if not 0 <= kappa <= grid.n_modes:
-            raise ValueError(f"mode {kappa} outside [0, {grid.n_modes}]")
-        c[kappa] = value
-    return SpectralField(grid, c)
-
-
 def derivative(f: SpectralField, order: int = 1) -> SpectralField:
     if order < 0:
         raise ValueError("derivative order must be >= 0")

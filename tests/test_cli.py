@@ -1,8 +1,10 @@
 """Config round-trips, CLI artifacts, exit codes, and sweep behavior."""
+from dataclasses import replace
 import json
-import os
+import math
 import xml.etree.ElementTree as ET
 
+from hypothesis import given, settings, strategies as st
 import jsonschema
 import pytest
 import yaml
@@ -78,12 +80,54 @@ class TestConfigRoundTrip:
         (lambda d: d["run"].update(fit_window=[3.0, 1.0]), "fit_window"),
         (lambda d: d.update(checks=["L2", "NOPE"]), "unknown checks"),
         (lambda d: d["coefficients"].update(zz=1.0), "in coefficients"),
+        (lambda d: d["run"].update(dt="abc"), "run.dt must be a finite"),
+        (lambda d: d["coefficients"].update(a1="abc"), "coefficients.a1"),
+        (lambda d: d["run"].update(fit_window="abc"), "must be a list"),
+        (lambda d: d["run"].update(fit_window=[1.0, "x"]),
+         "run.fit_window must be a finite"),
+        (lambda d: d["run"].update(t_final=math.inf), "run.t_final"),
+        (lambda d: d["coefficients"].update(k=math.nan), "coefficients.k"),
+        (lambda d: d["initial"].update(amplitude=True), "initial.amplitude"),
+        (lambda d: d["run"].update(stride=2.5), "stride must be an integer"),
+        (lambda d: d["run"].update(n_max=2.7), "n_max must be an integer"),
+        (lambda d: d["initial"].update(preset=3), "must be a string"),
+        (lambda d: d["output"].update(csv=5), "output.csv"),
+        (lambda d: d["verify"].update(n_states=0), "n_states must be >= 1"),
+        (lambda d: d["initial"].update(kmax=-3), "kmax must be >= 1"),
+        (lambda d: d["verify"].update(seed=-1), "seed must be >= 0"),
+        (lambda d: d["verify"].update(product_fields=-1),
+         "product_fields must be >= 0"),
+        (lambda d: d["run"].update(dt=0.3), "does not divide"),
     ])
     def test_malformed_configs_rejected(self, tmp_path, mutate, message):
         raw = base_config_dict(tmp_path)
         mutate(raw)
         with pytest.raises(ConfigError, match=message):
             config_from_dict(raw)
+
+    def test_numeric_text_and_integral_values_accepted(self, tmp_path):
+        raw = base_config_dict(tmp_path)
+        raw["initial"]["amplitude"] = "1e-6"  # how PyYAML reads `1e-6`
+        raw["coefficients"]["k"] = 2
+        raw["run"]["stride"] = 10.0
+        cfg = config_from_dict(raw)
+        assert cfg.initial.amplitude == 1e-6
+        assert cfg.coefficients.k == 2.0
+        assert cfg.stride == 10 and isinstance(cfg.stride, int)
+
+    def test_yaml_exponent_without_dot_loads_as_float(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("initial:\n  amplitude: 1e-6\n")
+        assert load_config(str(path)).initial.amplitude == 1e-6
+
+    def test_coefficients_section_optional(self, tmp_path):
+        raw = base_config_dict(tmp_path)
+        del raw["coefficients"]
+        assert (config_from_dict(raw).coefficients
+                == ExperimentConfig().coefficients)
+        raw["coefficients"] = {"k": 0.5}
+        assert (config_from_dict(raw).coefficients
+                == replace(ExperimentConfig().coefficients, k=0.5))
 
     def test_sweep_overrides(self, tmp_path):
         cfg = config_from_dict(base_config_dict(tmp_path))
@@ -93,6 +137,46 @@ class TestConfigRoundTrip:
         assert swept.coefficients.a3 == cfg.coefficients.a3
         with pytest.raises(ConfigError, match="unknown sweep axis"):
             apply_overrides(cfg, {"n_points": 64})
+
+
+def _json_like():
+    scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+               | st.text(max_size=6)
+               | st.sampled_from(["1e-6", "0.5", "nan", "-inf", "7"]))
+    return st.recursive(
+        scalars, lambda inner: (st.lists(inner, max_size=3)
+                                | st.dictionaries(st.text(max_size=6), inner,
+                                                  max_size=3)),
+        max_leaves=6)
+
+
+@st.composite
+def _known_key_configs(draw):
+    """Mappings over the config's own sections and keys, each value either
+    the default or arbitrary JSON-like data."""
+    raw = {}
+    for name, section in config_to_dict(ExperimentConfig()).items():
+        if not draw(st.booleans()):
+            continue
+        if isinstance(section, dict) and draw(st.integers(0, 3)):
+            keys = draw(st.lists(st.sampled_from(sorted(section)),
+                                 unique=True))
+            raw[name] = {key: draw(st.just(section[key]) | _json_like())
+                         for key in keys}
+        else:
+            raw[name] = draw(st.just(section) | _json_like())
+    return raw
+
+
+@settings(max_examples=200, deadline=None)
+@given(_known_key_configs())
+def test_config_from_dict_yields_config_or_config_error(raw):
+    try:
+        cfg = config_from_dict(raw)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ExperimentConfig)
+    assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
 class TestInitialPresets:
@@ -280,8 +364,7 @@ class TestSweepCommand:
         raw["checks"] = ["L2"]
         return write_config(tmp_path, raw)
 
-    def test_rates_track_k(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GG_THREADS", "2")
+    def test_rates_track_k(self, tmp_path):
         path = self.sweep_config(tmp_path)
         assert cli.main(["sweep", path, "--axis", "k=0.25,0.5,1.0"]) == 0
         lines = (tmp_path / "diag.csv").read_text().strip().split("\n")
@@ -328,13 +411,107 @@ class TestSweepCommand:
         assert cli.main(["sweep", path, "--axis", "k=0.5,0.0"]) == 2
         assert "k_positive" in capsys.readouterr().err
 
-    def test_thread_cap_parsing(self, monkeypatch):
-        monkeypatch.setenv("GG_THREADS", "7")
-        assert cli._thread_cap(100) == 7
-        monkeypatch.setenv("GG_THREADS", "not-a-number")
-        assert cli._thread_cap(2) <= 2
-        monkeypatch.delenv("GG_THREADS")
-        assert cli._thread_cap(1) == 1
+
+def _broken_l2(state, c):
+    return IdentityReport(identity_id="L2", lhs=1.0, rhs=0.0,
+                          terms={"x": 0.0}, normalizer=1.0,
+                          relative_residual=1.0)
+
+
+COMMAND_ARGS = {"run": [], "verify": [], "sweep": ["--axis", "k=0.5"]}
+
+
+def gg(command, path, *extra):
+    return cli.main([command, path, *COMMAND_ARGS[command], *extra])
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+class TestExitCodes:
+    """One meaning per exit code in every subcommand: 2 for a bad config or
+    coefficient set (named on stderr, no traceback), 3 for a blow-up, 4 for a
+    check that ran and failed."""
+
+    @pytest.mark.parametrize("section, key, value, named", [
+        ("run", "dt", "abc", "run.dt"),
+        ("coefficients", "a1", "abc", "coefficients.a1"),
+        ("run", "fit_window", "abc", "run.fit_window"),
+        ("run", "t_final", math.inf, "run.t_final"),
+        ("coefficients", "a1", math.nan, "coefficients.a1"),
+        ("run", "stride", 2.5, "run.stride"),
+        ("run", "n_max", 2.7, "run.n_max"),
+        ("verify", "n_states", 0, "verify.n_states"),
+        ("initial", "kmax", -3, "initial.kmax"),
+        ("verify", "poincare_fields", -1, "verify.poincare_fields"),
+        ("run", "dt", 0.3, "does not divide"),
+        ("coefficients", "a3", 1.0, "a3_magnitude"),
+    ])
+    def test_bad_config_exit_2(self, tmp_path, capsys, command, section, key,
+                               value, named):
+        raw = base_config_dict(tmp_path)
+        raw[section][key] = value
+        assert gg(command, write_config(tmp_path, raw)) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_missing_config_exit_2(self, tmp_path, capsys, command):
+        assert gg(command, str(tmp_path / "nope.yaml")) == 2
+        assert "nope.yaml" in capsys.readouterr().err
+
+    def test_blow_up(self, tmp_path, capsys, command):
+        raw = base_config_dict(tmp_path, dt=10.0, t_final=100.0, stride=1)
+        raw["initial"]["amplitude"] = 500.0
+        raw["checks"] = ["DECAY"] if command == "verify" else []
+        path = write_config(tmp_path, raw)
+        code = gg(command, path)
+        captured = capsys.readouterr()
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        jsonschema.validate(summary, cli.load_summary_schema())
+        if command == "verify":  # a blow-up inside a check fails the check
+            assert code == 4
+            assert "FAIL  DECAY" in captured.out
+            assert "blow-up" in summary["checks"][0]["detail"]
+        else:
+            assert code == 3
+            assert "blow-up" in captured.err
+            assert summary["status"] == "blow_up"
+
+    def test_failed_check_exit_4(self, tmp_path, monkeypatch, capsys,
+                                 command):
+        raw = base_config_dict(tmp_path)
+        if command == "sweep":
+            raw["initial"]["amplitude"] = 0.0  # no energy to fit a rate to
+        else:
+            monkeypatch.setattr(cli, "residual_l2", _broken_l2)
+        assert gg(command, write_config(tmp_path, raw)) == 4
+        err = capsys.readouterr().err
+        assert ("L2" in err if command != "sweep" else "fit failed" in err)
+        assert "Traceback" not in err
+
+
+class TestSweepAxisValues:
+    @pytest.mark.parametrize("axis, named", [
+        ("a1=nan", "sweep axis a1"),
+        ("k=inf", "sweep axis k"),
+        ("amplitude=nan", "sweep axis amplitude"),
+        ("k=0.5,-inf", "sweep axis k"),
+    ])
+    def test_non_finite_axis_exit_2(self, tmp_path, capsys, axis, named):
+        path = write_config(tmp_path, base_config_dict(tmp_path))
+        assert cli.main(["sweep", path, "--axis", axis]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "finite" in err
+        assert not (tmp_path / "diag.csv").exists()
+
+    def test_inadmissible_base_exit_2_before_any_point(self, tmp_path,
+                                                       capsys):
+        # the summary reports the base set, so it must pass the gate too
+        raw = base_config_dict(tmp_path)
+        raw["coefficients"]["k"] = 0.0
+        path = write_config(tmp_path, raw)
+        assert cli.main(["sweep", path, "--axis", "k=0.5"]) == 2
+        assert "k_positive" in capsys.readouterr().err
+        assert not (tmp_path / "diag.csv").exists()
 
 
 class TestSchema:

@@ -35,6 +35,17 @@ class TestCoefficientGate:
             model.validate_coefficients(CoefficientSet(**coeffs))
         assert constraint in {v.constraint for v in err.value.violations}
 
+    @pytest.mark.parametrize("coeffs", [
+        dict(a1=float("nan"), a2=1, a3=0.5, k=1),
+        dict(a1=1, a2=1, a3=0.5, k=float("inf")),
+        dict(a1=1, a2=1, a3=float("-inf"), k=1),
+        dict(a1=1, a2=1, a3=0.5, k=1, r=float("nan")),
+    ])
+    def test_non_finite_coefficients_rejected(self, coeffs):
+        # abs(nan) > tol is False, so NaN slips past every other constraint
+        bad = model.check_coefficients(CoefficientSet(**coeffs))
+        assert "finite" in {v.constraint for v in bad}
+
     def test_near_miss_within_tolerance_accepted(self):
         model.validate_coefficients(
             CoefficientSet(a1=1, a2=1 + 1e-13, a3=0.5, k=1))
