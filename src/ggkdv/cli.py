@@ -8,7 +8,8 @@ Commands (console script ``gg``):
                        states plus a decay fit, reporting pass/fail per check
   gg sweep <config> --axis k=0.25,0.5,1.0
                        rerun the experiment over a parameter grid, fitting
-                       the energy decay rate at every point in turn
+                       the energy decay rate at every point; points that
+                       share a resolved dt march together as one ensemble
 
 All three march through one pipeline, `run_experiment`. Exit codes, the same
 for every command: 0 success, 2 configuration or coefficient error, 3 blow-up,
@@ -22,6 +23,7 @@ import importlib.resources
 import json
 import math
 import sys
+from typing import NamedTuple
 
 import jsonschema
 import numpy as np
@@ -30,8 +32,8 @@ from .config import (ConfigError, ExperimentConfig, apply_overrides,
                      atomic_write_text, build_initial_state, load_config)
 from .functionals import functional_record
 from .integrator import BlowUpError, DiagnosticSeries, default_dt, evolve
-from .model import (CoefficientError, check_coefficients,
-                    validate_coefficients)
+from .model import (CoefficientError, SimState, ValidatedCoefficients,
+                    check_coefficients, validate_coefficients)
 from .spectral import make_grid
 from .verification import (APPROX_IDENTITY_IDS, EXACT_IDENTITY_IDS,
                            check_poincare_holder, fit_decay_rate,
@@ -219,69 +221,102 @@ class RunResult:
         return [name for name in self.series.columns if "::" not in name]
 
 
-def run_experiment(cfg: ExperimentConfig, identity_ids=()) -> RunResult:
-    """Validate, build grid and initial state, march, and fit decay rates,
-    tracking the given exact identities along the trajectory.
+class _Point(NamedTuple):
+    """One config, ready to march."""
 
-    Raises CoefficientError for an inadmissible coefficient set and
-    BlowUpError when the state first becomes non-finite.
-    """
+    cfg: ExperimentConfig
+    c: ValidatedCoefficients
+    state: SimState
+    identity_ids: list  # exact identities tracked along the trajectory
+    skipped: list       # ZERO_MEAN_CHECKS dropped: the initial means are not 0
+    dt: float
+
+
+def _prepare(cfg: ExperimentConfig, identity_ids) -> _Point:
     c = validate_coefficients(cfg.coefficients)
     grid = make_grid(cfg.n_points)
     state = build_initial_state(cfg, grid)
-    skipped = []
+    ids, skipped = list(identity_ids), []
     if state.mean_u != 0.0 or state.mean_v != 0.0:
-        skipped = [check for check in ZERO_MEAN_CHECKS
-                   if _group(identity_ids, check)]
-        identity_ids = [i for i in identity_ids
-                        if not i.startswith(ZERO_MEAN_CHECKS)]
-    def record_observer(st):
-        return functional_record(st, c, cfg.n_max).as_columns()
+        skipped = [check for check in ZERO_MEAN_CHECKS if _group(ids, check)]
+        ids = [i for i in ids if not i.startswith(ZERO_MEAN_CHECKS)]
+    return _Point(cfg, c, state, ids, skipped, _resolve_dt(cfg, grid, c))
 
-    def residual_observer(st):
-        # Defect and normalizer are aggregated separately over the run: at
-        # isolated degenerate states (e.g. a pure mode at t = 0) both sides
-        # of a cross-term identity vanish to round-off, so the instantaneous
-        # ratio is 0/0 noise; the run-level residual divides the worst defect
-        # by the run's own scale instead.
-        row = {}
-        for key, rep in _reports(st, c, identity_ids).items():
-            row[f"defect::{key}"] = abs(rep.lhs - rep.rhs)
-            row[f"norm::{key}"] = rep.normalizer
-        return row
 
-    observers = [record_observer]
-    if identity_ids:
-        observers.append(residual_observer)
-    series = evolve(state, c, cfg.t_final, _resolve_dt(cfg, grid, c),
-                    observers=observers, stride=cfg.stride)
+def run_experiment(cfgs, identity_ids=()) -> list:
+    """Validate, build grid and initial state, march, and fit decay rates for
+    each config, tracking the given exact identities along each trajectory.
 
+    Configs that share grid, span, stride and resolved dt march as one
+    ensemble; each gets bitwise the numbers of a lone march. Returns, per
+    config in order, its RunResult or the BlowUpError naming the time at
+    which its state first became non-finite. Raises CoefficientError for an
+    inadmissible coefficient set.
+    """
+    points = [_prepare(cfg, identity_ids) for cfg in cfgs]
+    groups = {}
+    for index, p in enumerate(points):
+        key = (p.cfg.n_points, p.cfg.t_final, p.cfg.stride, p.dt)
+        groups.setdefault(key, []).append(index)
+    outcomes = [None] * len(points)
+    for (_, t_final, stride, dt), members in groups.items():
+        group = [points[index] for index in members]
+
+        def record_observer(i, st):
+            p = group[i]
+            return functional_record(st, p.c, p.cfg.n_max).as_columns()
+
+        def residual_observer(i, st):
+            # Defect and normalizer are aggregated separately over the run:
+            # at isolated degenerate states (e.g. a pure mode at t = 0) both
+            # sides of a cross-term identity vanish to round-off, so the
+            # instantaneous ratio is 0/0 noise; the run-level residual
+            # divides the worst defect by the run's own scale instead.
+            row = {}
+            for key, rep in _reports(st, group[i].c,
+                                     group[i].identity_ids).items():
+                row[f"defect::{key}"] = abs(rep.lhs - rep.rhs)
+                row[f"norm::{key}"] = rep.normalizer
+            return row
+
+        observers = [record_observer]
+        if any(p.identity_ids for p in group):
+            observers.append(residual_observer)
+        run = evolve([p.state for p in group], [p.c for p in group],
+                     t_final, dt, observers=observers, stride=stride)
+        for index, p, series in zip(members, group, run.members):
+            outcomes[index] = (series if isinstance(series, BlowUpError)
+                               else _measure(p, series))
+    return outcomes
+
+
+def _measure(p: _Point, series: DiagnosticSeries) -> RunResult:
+    """Run-level identity residuals and decay fits of one marched point."""
     residuals = {}
-    for i in identity_ids:
+    for i in p.identity_ids:
         defect = float(np.max(series.columns[f"defect::{i}"]))
         norm = float(np.max(series.columns[f"norm::{i}"]))
         residuals[i] = defect / max(norm, 1e-30)
     fits, fit_errors = {}, {}
     for name in ["energy"] + [f"seminorm_sq_{n}"
-                              for n in range(1, cfg.n_max + 1)]:
+                              for n in range(1, p.cfg.n_max + 1)]:
         try:
             fits[name] = fit_decay_rate(series, name,
-                                        cfg.resolved_fit_window(),
-                                        target_rate=-2.0 * c.k)
+                                        p.cfg.resolved_fit_window(),
+                                        target_rate=-2.0 * p.c.k)
         except ValueError as exc:  # zero data or window too sparse
             fit_errors[name] = str(exc)
-    return RunResult(series=series, residuals=residuals, skipped=skipped,
+    return RunResult(series=series, residuals=residuals, skipped=p.skipped,
                      fits=fits, fit_errors=fit_errors)
 
 
 def cmd_run(cfg: ExperimentConfig) -> None:
-    try:
-        result = run_experiment(cfg, _exact_ids(cfg))
-    except BlowUpError as exc:
+    result = run_experiment([cfg], _exact_ids(cfg))[0]
+    if isinstance(result, BlowUpError):
         write_summary(cfg.summary_path, _summary(
             "run", "blow_up", cfg, run=None, energy=None,
-            blow_up_time=exc.time))
-        raise
+            blow_up_time=result.time))
+        raise result
     series, meta = result.series, result.series.meta
     if cfg.csv_path is not None:
         write_csv(cfg.csv_path, result.record_names(), series.columns)
@@ -379,11 +414,10 @@ def cmd_verify(cfg: ExperimentConfig) -> None:
 
     fits = []
     if "DECAY" in cfg.checks:
-        try:
-            result = run_experiment(cfg)
-        except BlowUpError as exc:
+        result = run_experiment([cfg])[0]
+        if isinstance(result, BlowUpError):
             add("DECAY", False, None, None,
-                f"blow-up at t = {exc.time:.6g}")
+                f"blow-up at t = {result.time:.6g}")
         else:
             fit = result.fits.get("energy")
             if fit is None:
@@ -450,16 +484,15 @@ def cmd_sweep(cfg: ExperimentConfig, axis_args: list) -> None:
             raise ConfigError(f"sweep point {point} violates: {names}")
 
     rows, blow_ups = [], []
-    for point_cfg in configs:
+    for point_cfg, result in zip(configs, run_experiment(configs)):
         row = {"status": "ok", "fitted_rate": None, "r_squared": None,
                "target_rate": -2.0 * point_cfg.coefficients.k,
                "blow_up_time": None}
-        try:
-            fit = run_experiment(point_cfg).fits.get("energy")
-        except BlowUpError as exc:
-            blow_ups.append(exc)
-            row.update(status="blow_up", blow_up_time=exc.time)
+        if isinstance(result, BlowUpError):
+            blow_ups.append(result)
+            row.update(status="blow_up", blow_up_time=result.time)
         else:
+            fit = result.fits.get("energy")
             if fit is None:
                 row.update(status="fit_failed")
             else:

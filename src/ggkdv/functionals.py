@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SimState, ValidatedCoefficients
-from .spectral import TWO_PI, derivative, inner, integral_of_product
+from .spectral import (TWO_PI, _parseval_weights, derivative, inner,
+                       integral_of_product)
 
 
 def energy(state: SimState, c: ValidatedCoefficients) -> float:
@@ -28,9 +29,7 @@ def hs_seminorm_sq(state: SimState, n: int) -> float:
     if n < 0:
         raise ValueError("derivative order must be >= 0")
     grid = state.grid
-    w = np.full(grid.n_coeffs, 2.0)
-    w[0] = 1.0
-    w[-1] = 1.0
+    w = _parseval_weights(grid.n_coeffs)
     omega2n = (TWO_PI * grid.wavenumbers()) ** (2 * n)
     mag = (np.abs(state.u.coeffs) ** 2 + np.abs(state.v.coeffs) ** 2)
     return float(np.sum(w * omega2n * mag))

@@ -8,10 +8,19 @@ sidesteps the cancellation in the small-|z| limit; with 32 points the trapezoid
 rule on an entire function is exact to machine precision. The mean-advection
 terms are folded into the nonlinear remainder, so tables depend only on
 (grid, a3, k, dt).
+
+`evolve` marches an ensemble: P members that share grid, dt, span and stride,
+each with its own coefficients and means. The state carries a leading member
+axis, (P, 2, n_coeffs) in the eigenbasis, and so do the stacked tables. Each
+stage makes one batched irfft and one batched rfft for the whole ensemble;
+numpy's batched real transforms give every row bitwise what a single
+transform gives, so each member's numbers are bitwise those of its lone
+march. A member that turns non-finite leaves the ensemble with its own
+BlowUpError; the others march on unchanged.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,13 +61,6 @@ def contour_phi_means(z0: np.ndarray, n_points: int = 32) -> tuple:
     return q, w1, w2, w3
 
 
-def phi1_contour(z: complex, n_points: int = 32) -> complex:
-    """(e^z - 1)/z by the same contour-mean trick; exposed for testing."""
-    theta = 2.0 * np.pi * (np.arange(n_points) + 0.5) / n_points
-    zz = z + np.exp(1j * theta)
-    return complex(np.mean((np.exp(zz) - 1.0) / zz))
-
-
 @dataclass(frozen=True)
 class EtdTables:
     """Precomputed exponential coefficients; valid for one (grid, a3, k, dt)."""
@@ -73,11 +75,6 @@ class EtdTables:
     w1: np.ndarray        # final-combination weights
     w2: np.ndarray
     w3: np.ndarray
-
-    def matches(self, grid: GridSpec, c: ValidatedCoefficients,
-                dt: float) -> bool:
-        return (self.grid == grid and self.a3 == c.a3 and self.k == c.k
-                and self.dt == dt)
 
 
 def build_tables(grid: GridSpec, c: ValidatedCoefficients, dt: float,
@@ -97,53 +94,73 @@ def default_dt(grid: GridSpec, c: ValidatedCoefficients) -> float:
     return 0.4 / ((1.0 + abs(c.a3)) * 2.0 * np.pi * grid.n_modes)
 
 
-def _to_eigen(u_hat: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
-    return np.stack([u_hat + v_hat, u_hat - v_hat]) / SQRT2
+def _rotate(x: np.ndarray) -> np.ndarray:
+    """(x0 + x1, x0 - x1) / sqrt 2 over axis -2: (u, v) <-> (w+, w-).
 
-
-def _from_eigen(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return (w[0] + w[1]) / SQRT2, (w[0] - w[1]) / SQRT2
-
-
-def _step_arrays(w: np.ndarray, tables: EtdTables, c: ValidatedCoefficients,
-                 mean_u: float, mean_v: float, grid: GridSpec,
-                 linear_only: bool = False) -> np.ndarray:
-    if linear_only:
-        out = tables.exp_full * w
-        out[:, 0] = 0.0
-        return out
-
-    def nl(stage: np.ndarray) -> np.ndarray:
-        u_hat, v_hat = _from_eigen(stage)
-        nu, nv = nonlinear_remainder(u_hat, v_hat, mean_u, mean_v, c, grid)
-        return _to_eigen(nu, nv)
-
-    n0 = nl(w)
-    a = tables.exp_half * w + tables.q * n0
-    na = nl(a)
-    b = tables.exp_half * w + tables.q * na
-    nb = nl(b)
-    cc = tables.exp_half * a + tables.q * (2.0 * nb - n0)
-    nc = nl(cc)
-    out = (tables.exp_full * w + tables.w1 * n0
-           + 2.0 * tables.w2 * (na + nb) + tables.w3 * nc)
-    out[:, 0] = 0.0  # means are conserved exactly; pin against drift
+    The eigenbasis transform is its own inverse, so this one map goes both
+    ways.
+    """
+    out = np.empty_like(x)
+    np.add(x[..., 0, :], x[..., 1, :], out=out[..., 0, :])
+    np.subtract(x[..., 0, :], x[..., 1, :], out=out[..., 1, :])
+    out /= SQRT2
     return out
 
 
-def step(state: SimState, tables: EtdTables, c: ValidatedCoefficients,
-         linear_only: bool = False) -> SimState:
-    """One ETDRK4 step of length tables.dt."""
-    if not tables.matches(state.grid, c, tables.dt):
-        raise ValueError("tables were built for a different grid or coefficients")
-    w = _to_eigen(state.u.coeffs, state.v.coeffs)
-    w_new = _step_arrays(w, tables, c, state.mean_u, state.mean_v, state.grid,
-                         linear_only)
-    u_hat, v_hat = _from_eigen(w_new)
-    return SimState(u=SpectralField(state.grid, u_hat),
-                    v=SpectralField(state.grid, v_hat),
-                    t=state.t + tables.dt,
-                    mean_u=state.mean_u, mean_v=state.mean_v)
+@dataclass(frozen=True)
+class _Ensemble:
+    """Per-member tables, means and couplings, stacked on a leading axis."""
+
+    grid: GridSpec
+    means: np.ndarray      # (P, 2): M, N
+    couplings: np.ndarray  # (P, 2): a1, a2
+    exp_full: np.ndarray   # (P, 2, n_coeffs), as in EtdTables
+    exp_half: np.ndarray
+    q: np.ndarray
+    w1: np.ndarray
+    w2x2: np.ndarray       # 2 w2, the factor the final combination applies
+    w3: np.ndarray
+
+    @classmethod
+    def stack(cls, states: list, coeffs: list, dt: float) -> "_Ensemble":
+        grid = states[0].grid
+        tables = [build_tables(grid, c, dt) for c in coeffs]
+        return cls(grid,
+                   np.array([[st.mean_u, st.mean_v] for st in states]),
+                   np.array([[c.a1, c.a2] for c in coeffs]),
+                   *(np.stack([getattr(tb, name) for tb in tables])
+                     for name in ("exp_full", "exp_half", "q", "w1")),
+                   np.stack([2.0 * tb.w2 for tb in tables]),
+                   np.stack([tb.w3 for tb in tables]))
+
+    def take(self, keep: np.ndarray) -> "_Ensemble":
+        """The members selected by the boolean mask `keep`."""
+        return _Ensemble(self.grid, *(getattr(self, f.name)[keep]
+                                      for f in fields(self)[1:]))
+
+    def nonlinear(self, w: np.ndarray) -> np.ndarray:
+        uv = _rotate(w)
+        return _rotate(nonlinear_remainder(uv, self.means, self.couplings,
+                                           self.grid))
+
+    def step(self, w: np.ndarray, linear_only: bool = False) -> np.ndarray:
+        """One ETDRK4 step of the (P, 2, n_coeffs) eigenbasis state."""
+        if linear_only:
+            out = self.exp_full * w
+            out[..., 0] = 0.0
+            return out
+        n0 = self.nonlinear(w)
+        half = self.exp_half * w
+        a = half + self.q * n0
+        na = self.nonlinear(a)
+        b = half + self.q * na
+        nb = self.nonlinear(b)
+        c = self.exp_half * a + self.q * (2.0 * nb - n0)
+        nc = self.nonlinear(c)
+        out = (self.exp_full * w + self.w1 * n0 + self.w2x2 * (na + nb)
+               + self.w3 * nc)
+        out[..., 0] = 0.0  # means are conserved exactly; pin against drift
+        return out
 
 
 @dataclass
@@ -158,17 +175,42 @@ class DiagnosticSeries:
         return self.columns[name]
 
 
-def evolve(state: SimState, c: ValidatedCoefficients, t_final: float,
-           dt: float, observers=(), stride: int = 1,
-           tables: EtdTables | None = None,
-           linear_only: bool = False) -> DiagnosticSeries:
-    """March to t_final, sampling observers every `stride` steps.
+@dataclass
+class EnsembleRun:
+    """What `evolve` returns: per member, in input order, its DiagnosticSeries
+    or the BlowUpError that ended it; meta["n_steps"] counts member-steps."""
 
-    Each observer maps a SimState to a dict of named floats; rows are merged in
-    observer order. Raises BlowUpError naming the first time at which the state
-    is non-finite. The final state is returned in meta["final_state"].
+    members: list
+    meta: dict
+
+    def __getitem__(self, index: int) -> DiagnosticSeries:
+        """Member `index`'s series; raises its BlowUpError if it blew up."""
+        member = self.members[index]
+        if isinstance(member, BlowUpError):
+            raise member
+        return member
+
+
+def evolve(states, coeffs, t_final: float, dt: float, observers=(),
+           stride: int = 1, linear_only: bool = False) -> EnsembleRun:
+    """March an ensemble of states to t_final, sampling observers every
+    `stride` steps.
+
+    Member i is states[i] under coeffs[i]; all members share grid, start
+    time, dt, span and stride. Each observer is called as obs(i, state) and
+    returns a dict of named floats; a member's rows merge them in observer
+    order. A member whose state first turns non-finite leaves the ensemble
+    with a BlowUpError naming that time; the others march on unchanged.
+    Each member's final state is in its series' meta["final_state"].
     """
-    span = t_final - state.t
+    states, coeffs = list(states), list(coeffs)
+    if not states or len(states) != len(coeffs):
+        raise ValueError("need one coefficient set per state, and at least "
+                         "one state")
+    grid, t0 = states[0].grid, states[0].t
+    if any(st.grid != grid or st.t != t0 for st in states):
+        raise ValueError("ensemble members must share grid and start time")
+    span = t_final - t0
     if span <= 0.0:
         raise ValueError("t_final must exceed the state's current time")
     n_steps = int(round(span / dt))
@@ -176,55 +218,65 @@ def evolve(state: SimState, c: ValidatedCoefficients, t_final: float,
         raise ValueError(f"dt = {dt} does not divide the span {span}")
     if stride < 1 or n_steps % stride != 0:
         raise ValueError(f"stride {stride} does not divide {n_steps} steps")
-    if tables is None:
-        tables = build_tables(state.grid, c, dt)
-    elif not tables.matches(state.grid, c, dt):
-        raise ValueError("tables were built for a different grid, "
-                         "coefficients, or dt")
 
-    grid = state.grid
-    current = SimState(u=truncate(state.u), v=truncate(state.v), t=state.t,
-                       mean_u=state.mean_u, mean_v=state.mean_v)
+    ensemble = _Ensemble.stack(states, coeffs, dt)
+    n_members = len(states)
+    times = [[] for _ in range(n_members)]
+    rows = [[] for _ in range(n_members)]
+    drift_max = [0.0] * n_members
+    current = [SimState(u=truncate(st.u), v=truncate(st.v), t=t0,
+                        mean_u=st.mean_u, mean_v=st.mean_v) for st in states]
+    outcome = [None] * n_members
+    member_steps = 0
 
-    times = []
-    rows = []
-    max_mean_drift = 0.0
-
-    def observe(st: SimState):
-        nonlocal max_mean_drift
+    def observe(i: int, st: SimState):
         drift = max(abs(st.u.coeffs[0]), abs(st.v.coeffs[0]))
-        max_mean_drift = max(max_mean_drift, drift)
+        drift_max[i] = max(drift_max[i], drift)
         if drift > 1e-14:
             raise RuntimeError(f"mean drifted to {drift:.3e} at t = {st.t}")
         row = {}
         for obs in observers:
-            row.update(obs(st))
-        times.append(st.t)
-        rows.append(row)
+            row.update(obs(i, st))
+        times[i].append(st.t)
+        rows[i].append(row)
 
-    observe(current)
-    w = _to_eigen(current.u.coeffs, current.v.coeffs)
-    for i in range(1, n_steps + 1):
+    for i, st in enumerate(current):
+        observe(i, st)
+    live = np.arange(n_members)  # member index of each row of w
+    w = _rotate(np.stack([np.stack([st.u.coeffs, st.v.coeffs])
+                          for st in current]))
+    for step in range(1, n_steps + 1):
         # overflow is diagnosed via the finiteness check, not warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            w = _step_arrays(w, tables, c, current.mean_u, current.mean_v,
-                             grid, linear_only)
-        t_now = state.t + i * dt
+            w = ensemble.step(w, linear_only)
+        member_steps += live.size
+        t_now = t0 + step * dt
         if not np.all(np.isfinite(w)):
-            raise BlowUpError(t_now)
-        if i % stride == 0:
-            u_hat, v_hat = _from_eigen(w)
-            current = SimState(u=SpectralField(grid, u_hat),
-                               v=SpectralField(grid, v_hat), t=t_now,
-                               mean_u=current.mean_u, mean_v=current.mean_v)
-            observe(current)
+            finite = np.isfinite(w).all(axis=(1, 2))
+            for i in live[~finite].tolist():
+                outcome[i] = BlowUpError(t_now)
+            live, w = live[finite], w[finite]
+            if not live.size:
+                break
+            ensemble = ensemble.take(finite)
+        if step % stride == 0:
+            uv = _rotate(w)
+            for row, i in enumerate(live.tolist()):
+                current[i] = SimState(u=SpectralField(grid, uv[row, 0]),
+                                      v=SpectralField(grid, uv[row, 1]),
+                                      t=t_now, mean_u=current[i].mean_u,
+                                      mean_v=current[i].mean_v)
+                observe(i, current[i])
 
-    keys = list(rows[0].keys()) if rows else []
-    columns = {key: np.array([row[key] for row in rows]) for key in keys}
-    return DiagnosticSeries(
-        t=np.array(times), columns=columns,
-        meta={"final_state": current, "dt": dt, "stride": stride,
-              "n_steps": n_steps, "max_mean_drift": max_mean_drift})
+    for i in live.tolist():
+        keys = list(rows[i][0].keys())
+        outcome[i] = DiagnosticSeries(
+            t=np.array(times[i]),
+            columns={key: np.array([row[key] for row in rows[i]])
+                     for key in keys},
+            meta={"final_state": current[i], "dt": dt, "stride": stride,
+                  "n_steps": n_steps, "max_mean_drift": drift_max[i]})
+    return EnsembleRun(members=outcome, meta={"n_steps": member_steps})
 
 
 def linear_exact_solution(initial: SimState, c: ValidatedCoefficients,
@@ -233,8 +285,9 @@ def linear_exact_solution(initial: SimState, c: ValidatedCoefficients,
     if t < 0.0:
         raise ValueError("elapsed time must be >= 0")
     lam = linear_rates(initial.grid, c)
-    w = _to_eigen(initial.u.coeffs, initial.v.coeffs) * np.exp(lam * t)
-    u_hat, v_hat = _from_eigen(w)
+    w = (_rotate(np.stack([initial.u.coeffs, initial.v.coeffs]))
+         * np.exp(lam * t))
+    u_hat, v_hat = _rotate(w)
     return SimState(u=SpectralField(initial.grid, u_hat),
                     v=SpectralField(initial.grid, v_hat),
                     t=initial.t + t,

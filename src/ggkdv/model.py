@@ -14,6 +14,7 @@ with a1^2 + a2^2 = a1 + a2, or 0 < |a3| < 1 with a1 = a2 = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
+import functools
 import math
 
 import numpy as np
@@ -37,10 +38,6 @@ class CoefficientSet:
 
     def to_dict(self) -> dict:
         return {key: float(val) for key, val in asdict(self).items()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CoefficientSet":
-        return cls(**{key: float(val) for key, val in data.items()})
 
 
 @dataclass(frozen=True)
@@ -161,37 +158,55 @@ def _require_validated(c) -> None:
                         "(or ValidatedCoefficients.assume_valid)")
 
 
-def nonlinear_remainder(u_hat: np.ndarray, v_hat: np.ndarray,
-                        mean_u: float, mean_v: float,
-                        c: ValidatedCoefficients,
-                        grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=8)
+def _dealiased_ddx(grid: GridSpec) -> np.ndarray:
+    """-i omega, the symbol of -d/dx, on the modes the dealiasing keeps."""
+    symbol = -1j * (TWO_PI * np.arange(grid.n_coeffs))
+    symbol = symbol[:grid.dealias_cutoff + 1].copy()
+    symbol.flags.writeable = False
+    return symbol
+
+
+def nonlinear_remainder(fields: np.ndarray, means: np.ndarray,
+                        couplings: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Everything in the rhs except the stiff diagonal linear part.
 
-    Works on raw rfft coefficient arrays (hot path of the time stepper). The
-    mean-advection terms ride along here so that the exponential tables depend
-    only on (grid, a3, k, dt). Every term is a pure x-derivative, so mode 0 of
-    the output is exactly zero in floating point.
+    Works on raw rfft coefficient arrays (hot path of the time stepper), with
+    any leading axes: `fields` is (..., 2, n_coeffs) holding (u_hat, v_hat),
+    `means` (..., 2) holding (M, N) and `couplings` (..., 2) holding (a1, a2).
+    Returns (nu, nv) stacked the same way. One irfft of both fields and one
+    rfft of the three products uu, vv, uv serve every leading index, and each
+    index gets bitwise the numbers it would get alone. The mean-advection
+    terms ride along here so that the exponential tables depend only on
+    (grid, a3, k, dt). Every term is a pure x-derivative, so mode 0 of the
+    output is exactly zero in floating point; modes above the dealiasing
+    cutoff are exactly zero too.
+
+    Every complex product keeps the operand order of the per-state reference
+    (tests/etd_reference.py): numpy's SIMD complex multiply fuses one of its
+    two partial products, so a * b and b * a can differ in the last bit.
     """
     n = grid.n_points
-    u_phys = np.fft.irfft(u_hat * n, n=n)
-    v_phys = np.fft.irfft(v_hat * n, n=n)
-    uu = np.fft.rfft(u_phys * u_phys) / n
-    vv = np.fft.rfft(v_phys * v_phys) / n
-    uv = np.fft.rfft(u_phys * v_phys) / n
+    kept = grid.dealias_cutoff + 1
+    phys = np.fft.irfft(fields * n, n=n)
+    products = np.concatenate(
+        (phys * phys, phys[..., :1, :] * phys[..., 1:, :]), axis=-2)
+    spec = np.fft.rfft(products)[..., :kept] / n  # uu, vv, uv
 
-    combo_u = (0.5 * uu + mean_u * u_hat
-               + c.a1 * (0.5 * vv + mean_v * v_hat)
-               + c.a2 * (uv + mean_v * u_hat + mean_u * v_hat))
-    combo_v = (0.5 * vv + mean_v * v_hat
-               + c.a2 * (0.5 * uu + mean_u * u_hat)
-               + c.a1 * (uv + mean_v * u_hat + mean_u * v_hat))
+    f = fields[..., :kept]
+    means = np.asarray(means)[..., None]
+    couplings = np.asarray(couplings)[..., None]
+    # own = (0.5 uu + M u, 0.5 vv + N v); cross = uv + N u + M v
+    own = 0.5 * spec[..., :2, :] + means * f
+    cross = (spec[..., 2, :] + means[..., 1, :] * f[..., 0, :]
+             + means[..., 0, :] * f[..., 1, :])
+    # (own_u + a1 own_v + a2 cross, own_v + a2 own_u + a1 cross)
+    combo = own + couplings * own[..., ::-1, :]
+    combo += couplings[..., ::-1, :] * cross[..., None, :]
 
-    omega = TWO_PI * np.arange(grid.n_coeffs)
-    nu = -1j * omega * combo_u
-    nv = -1j * omega * combo_v
-    nu[grid.dealias_cutoff + 1:] = 0.0
-    nv[grid.dealias_cutoff + 1:] = 0.0
-    return nu, nv
+    out = np.zeros(fields.shape, dtype=np.complex128)
+    np.multiply(_dealiased_ddx(grid), combo, out=out[..., :kept])
+    return out
 
 
 def linear_rates(grid: GridSpec, c: ValidatedCoefficients) -> np.ndarray:
@@ -217,8 +232,9 @@ def rhs(state: SimState, c: ValidatedCoefficients
     grid = state.grid
     u_hat = truncate(state.u).coeffs
     v_hat = truncate(state.v).coeffs
-    nu, nv = nonlinear_remainder(u_hat, v_hat, state.mean_u, state.mean_v,
-                                 c, grid)
+    nu, nv = nonlinear_remainder(np.stack([u_hat, v_hat]),
+                                 np.array([state.mean_u, state.mean_v]),
+                                 np.array([c.a1, c.a2]), grid)
     omega = TWO_PI * np.arange(grid.n_coeffs)
     disp = (1j * omega) ** 3
     damp = np.full(grid.n_coeffs, c.k)

@@ -36,9 +36,9 @@ def test_criterion_1_energy_decay_law():
         n_points=128, coefficients=COUPLED,
         initial=InitialSpec(preset="single-mode", amplitude=0.1))
     start = time.perf_counter()
-    series = evolve(build_initial_state(cfg), c, 2.0, 5e-4, stride=40,
-                    observers=[lambda s: {
-                        "energy": functional_record(s, c, 0).energy}])
+    series = evolve([build_initial_state(cfg)], [c], 2.0, 5e-4, stride=40,
+                    observers=[lambda _, s: {
+                        "energy": functional_record(s, c, 0).energy}])[0]
     runtime = time.perf_counter() - start
     t = np.asarray(series.t)
     energy = np.asarray(series.columns["energy"])
@@ -59,7 +59,8 @@ def test_criterion_2_mean_conservation():
         cfg = ExperimentConfig(n_points=128, coefficients=coeffs,
                                initial=InitialSpec(preset=preset,
                                                    amplitude=amplitude))
-        series = evolve(build_initial_state(cfg), c, 1.0, 1e-3, stride=100)
+        series = evolve([build_initial_state(cfg)], [c], 1.0, 1e-3,
+                        stride=100)[0]
         worst = max(worst, series.meta["max_mean_drift"])
         final = series.meta["final_state"]
         worst = max(worst, abs(final.u.coeffs[0]), abs(final.v.coeffs[0]))
@@ -75,7 +76,7 @@ def test_criterion_2_mean_conservation():
                      t=0.0, mean_u=0.0, mean_v=0.0)
     c = validate_coefficients(COUPLED)
     with pytest.raises(RuntimeError, match="mean drifted"):
-        evolve(state, c, 0.1, 0.01)
+        evolve([state], [c], 0.1, 0.01)
 
     passed = worst <= 1e-14
     _report(2, "zero mode pinned at zero", passed,
@@ -94,7 +95,7 @@ def test_criterion_3_linearized_oracle():
                       else CoefficientSet(a1=1.0, a2=1.0, a3=a3, k=k))
             c = validate_coefficients(coeffs)
             s0 = random_smooth_state(grid, seed=5, amplitude=0.5, kmax=8)
-            series = evolve(s0, c, 1.0, 2.0 ** -10, linear_only=True)
+            series = evolve([s0], [c], 1.0, 2.0 ** -10, linear_only=True)[0]
             num = series.meta["final_state"]
             ref = linear_exact_solution(s0, c, 1.0)
             diff = np.concatenate([num.u.coeffs - ref.u.coeffs,
@@ -168,9 +169,9 @@ def test_criterion_6_seminorm_decay_rates():
     c = validate_coefficients(CoefficientSet(a1=1.0, a2=1.0, a3=0.5, k=0.5))
     grid = make_grid(64)
     state = random_smooth_state(grid, seed=7, amplitude=0.5, kmax=8)
-    series = evolve(state, c, 10.0, 2e-3, stride=100,
-                    observers=[lambda s: functional_record(s, c, 3)
-                               .as_columns()])
+    series = evolve([state], [c], 10.0, 2e-3, stride=100,
+                    observers=[lambda _, s: functional_record(s, c, 3)
+                               .as_columns()])[0]
     fits = [fit_decay_rate(series, f"seminorm_sq_{n}", (5.0, 10.0),
                            target_rate=-1.0) for n in (1, 2, 3)]
     passed = all(f.fitted_rate <= -2.0 * 0.95 * c.k and f.r_squared >= 0.999
@@ -218,7 +219,7 @@ def test_criterion_8_etdrk4_temporal_order():
     state = random_smooth_state(grid, seed=2, amplitude=0.3, kmax=2)
 
     def final_at(dt):
-        return evolve(state, c, 1.0, dt).meta["final_state"]
+        return evolve([state], [c], 1.0, dt)[0].meta["final_state"]
 
     ref = final_at(1.0 / 32768)
     dts, errs = [], []

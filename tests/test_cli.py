@@ -411,6 +411,49 @@ class TestSweepCommand:
         assert cli.main(["sweep", path, "--axis", "k=0.5,0.0"]) == 2
         assert "k_positive" in capsys.readouterr().err
 
+    @pytest.fixture
+    def ensemble_sizes(self, monkeypatch):
+        """Member counts of each evolve call the CLI makes."""
+        sizes = []
+        evolve = cli.evolve
+
+        def counting_evolve(states, *args, **kwargs):
+            sizes.append(len(states))
+            return evolve(states, *args, **kwargs)
+        monkeypatch.setattr(cli, "evolve", counting_evolve)
+        return sizes
+
+    def sweep_rows(self, tmp_path, raw, axis):
+        """(CSV data rows, exit code) of one sweep."""
+        code = cli.main(["sweep", write_config(tmp_path, raw), "--axis", axis])
+        return (tmp_path / "diag.csv").read_text().split("\n")[1:-1], code
+
+    def test_blow_up_point_leaves_other_rows_unchanged(self, tmp_path,
+                                                       ensemble_sizes):
+        raw = base_config_dict(tmp_path, dt=0.01, t_final=2.0, stride=20)
+        rows, code = self.sweep_rows(tmp_path, raw, "amplitude=0.1,500,0.2")
+        assert code == 3  # after every point has run
+        assert ensemble_sizes == [3]  # an explicit dt: one ensemble
+        assert rows[1].endswith(",blow_up")
+        for value, row in (("0.1", rows[0]), ("0.2", rows[2])):
+            alone, alone_code = self.sweep_rows(tmp_path, raw,
+                                                f"amplitude={value}")
+            assert alone_code == 0
+            assert alone == [row]
+
+    def test_default_dt_groups_match_lone_points(self, tmp_path,
+                                                 ensemble_sizes):
+        # the default dt depends on |a3|: a3 = +-0.5 share one ensemble
+        raw = base_config_dict(tmp_path, t_final=0.5, stride=10)
+        del raw["run"]["dt"]
+        rows, code = self.sweep_rows(tmp_path, raw, "a3=0.25,0.5,-0.5")
+        assert code == 0
+        assert ensemble_sizes == [1, 2]
+        for value, row in zip(("0.25", "0.5", "-0.5"), rows):
+            alone, alone_code = self.sweep_rows(tmp_path, raw, f"a3={value}")
+            assert alone_code == 0
+            assert alone == [row]
+
 
 def _broken_l2(state, c):
     return IdentityReport(identity_id="L2", lhs=1.0, rhs=0.0,

@@ -1,12 +1,15 @@
 """Time stepper: phi-coefficient accuracy, convergence, and run mechanics."""
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 from ggkdv import functionals as fn, integrator as ti, model, spectral as sp
+from ggkdv.verification import random_smooth_state
 
 from conftest import make_sine_state
+from etd_reference import reference_march
 
 
 def random_state(grid, seed=5, amp=0.5, kmax=6):
@@ -26,15 +29,19 @@ def random_state(grid, seed=5, amp=0.5, kmax=6):
 
 
 class TestPhiCoefficients:
+    # phi1 by the contour mean: q(z0) of (e^{z/2} - 1)/z is phi1(z0/2) / 2
     def test_phi1_contour_matches_taylor_near_zero(self):
         z = 1e-8j
-        taylor = sum(z ** m / math.factorial(m + 1) for m in range(64))
-        assert abs(ti.phi1_contour(z) - taylor) < 1e-12
+        taylor = sum((z / 2) ** m / math.factorial(m + 1)
+                     for m in range(64)) / 2
+        q = ti.contour_phi_means(np.array([z]))[0][0]
+        assert abs(q - taylor) < 1e-12
 
     def test_phi1_contour_matches_direct_formula_away_from_zero(self):
         for z in (3.0 + 2.0j, -5.0 + 40.0j, 0.5j):
-            direct = (np.exp(z) - 1.0) / z
-            assert abs(ti.phi1_contour(z) - direct) < 1e-12 * max(1, abs(direct))
+            direct = (np.exp(z / 2) - 1.0) / (z / 2) / 2
+            q = ti.contour_phi_means(np.array([z]))[0][0]
+            assert abs(q - direct) < 1e-12 * max(1, abs(direct))
 
     def test_tables_mode_zero_limits(self, grid64, coeffs_coupled):
         dt = 0.01
@@ -70,8 +77,8 @@ class TestLinearEvolution:
     def test_one_linear_step_is_exact_exponential(self, grid64, coeffs_coupled):
         st = random_state(grid64)
         dt = 1e-3
-        tb = ti.build_tables(grid64, coeffs_coupled, dt)
-        stepped = ti.step(st, tb, coeffs_coupled, linear_only=True)
+        stepped = ti.evolve([st], [coeffs_coupled], dt, dt,
+                            linear_only=True)[0].meta["final_state"]
         exact = ti.linear_exact_solution(st, coeffs_coupled, dt)
         np.testing.assert_allclose(stepped.u.coeffs, exact.u.coeffs, atol=1e-15)
         np.testing.assert_allclose(stepped.v.coeffs, exact.v.coeffs, atol=1e-15)
@@ -129,7 +136,7 @@ class TestNonlinearAccuracy:
         grid = sp.make_grid(32)
         st = random_state(grid, seed=2, amp=0.5, kmax=3)
         t_final = 0.005
-        series = ti.evolve(st, coeffs_coupled, t_final, dt=1e-5)
+        series = ti.evolve([st], [coeffs_coupled], t_final, dt=1e-5)[0]
         etd = series.meta["final_state"]
         ref = rk4_reference(st, coeffs_coupled, t_final, dt=2e-6)
         err = np.max(np.abs(etd.u.coeffs - ref.u.coeffs))
@@ -142,12 +149,10 @@ class TestNonlinearAccuracy:
         st = random_state(grid, seed=7, amp=0.5, kmax=4)
 
         def defect(dt):
-            tb = ti.build_tables(grid, coeffs_coupled, dt)
-            coarse = ti.step(st, tb, coeffs_coupled)
-            fine = st
-            tb_fine = ti.build_tables(grid, coeffs_coupled, dt / 64)
-            for _ in range(64):
-                fine = ti.step(fine, tb_fine, coeffs_coupled)
+            coarse = ti.evolve([st], [coeffs_coupled], dt,
+                               dt)[0].meta["final_state"]
+            fine = ti.evolve([st], [coeffs_coupled], dt,
+                             dt / 64)[0].meta["final_state"]
             return np.max(np.abs(coarse.u.coeffs - fine.u.coeffs))
 
         d1, d2 = defect(4e-5), defect(2e-5)
@@ -158,8 +163,9 @@ class TestNonlinearAccuracy:
 class TestEvolveMechanics:
     def test_observer_sampling_and_stride(self, grid64, coeffs_coupled):
         st = make_sine_state(grid64, amp=0.1)
-        series = ti.evolve(st, coeffs_coupled, 0.1, dt=1e-3, stride=20,
-                           observers=[lambda s: {"e": fn.energy(s, coeffs_coupled)}])
+        series = ti.evolve([st], [coeffs_coupled], 0.1, dt=1e-3, stride=20,
+                           observers=[lambda _, s: {
+                               "e": fn.energy(s, coeffs_coupled)}])[0]
         assert len(series.t) == 6  # t = 0 plus 5 interior observations
         np.testing.assert_allclose(np.diff(series.t), 0.02, atol=1e-12)
         # (1/2)(int (0.1 sin)^2 + int (0.1 cos)^2) = 0.1^2 / 2
@@ -167,7 +173,7 @@ class TestEvolveMechanics:
 
     def test_mean_mode_never_drifts(self, grid64, coeffs_coupled):
         st = make_sine_state(grid64, amp=0.8, mean_u=0.5, mean_v=-0.25)
-        series = ti.evolve(st, coeffs_coupled, 0.2, dt=1e-3, stride=10)
+        series = ti.evolve([st], [coeffs_coupled], 0.2, dt=1e-3, stride=10)[0]
         assert series.meta["max_mean_drift"] == 0.0
         final = series.meta["final_state"]
         assert final.u.coeffs[0] == 0.0
@@ -175,9 +181,9 @@ class TestEvolveMechanics:
 
     def test_determinism(self, grid64, coeffs_coupled):
         st = random_state(grid64, seed=3)
-        obs = [lambda s: {"e": fn.energy(s, coeffs_coupled)}]
-        s1 = ti.evolve(st, coeffs_coupled, 0.05, dt=1e-3, observers=obs)
-        s2 = ti.evolve(st, coeffs_coupled, 0.05, dt=1e-3, observers=obs)
+        obs = [lambda _, s: {"e": fn.energy(s, coeffs_coupled)}]
+        s1 = ti.evolve([st], [coeffs_coupled], 0.05, dt=1e-3, observers=obs)[0]
+        s2 = ti.evolve([st], [coeffs_coupled], 0.05, dt=1e-3, observers=obs)[0]
         np.testing.assert_array_equal(s1["e"], s2["e"])
         np.testing.assert_array_equal(
             s1.meta["final_state"].u.coeffs, s2.meta["final_state"].u.coeffs)
@@ -187,24 +193,15 @@ class TestEvolveMechanics:
         # coefficients overflow to non-finite values within a few steps
         st = make_sine_state(grid64, amp=500.0)
         with pytest.raises(ti.BlowUpError) as err:
-            ti.evolve(st, coeffs_coupled, 100.0, dt=10.0)
+            ti.evolve([st], [coeffs_coupled], 100.0, dt=10.0)[0]
         assert 0 < err.value.time <= 100.0
 
     def test_step_divisibility_enforced(self, grid64, coeffs_coupled):
         st = make_sine_state(grid64)
         with pytest.raises(ValueError):
-            ti.evolve(st, coeffs_coupled, 0.05, dt=0.002, stride=7)
+            ti.evolve([st], [coeffs_coupled], 0.05, dt=0.002, stride=7)
         with pytest.raises(ValueError):
-            ti.evolve(st, coeffs_coupled, 0.0011, dt=1e-3)
-
-    def test_table_mismatch_rejected(self, grid64, coeffs_coupled,
-                                     coeffs_uncoupled):
-        st = make_sine_state(grid64)
-        tb = ti.build_tables(grid64, coeffs_coupled, 1e-3)
-        with pytest.raises(ValueError):
-            ti.step(st, tb, coeffs_uncoupled)
-        with pytest.raises(ValueError):
-            ti.evolve(st, coeffs_coupled, 0.1, dt=2e-3, tables=tb)
+            ti.evolve([st], [coeffs_coupled], 0.0011, dt=1e-3)
 
 
 class TestDecayLaw:
@@ -212,9 +209,130 @@ class TestDecayLaw:
         # the dealiased nonlinearity is L2-orthogonal to the state, so the
         # quadratic decay law holds to time-discretization error only
         st = random_state(grid128, seed=1, amp=0.3, kmax=8)
-        obs = [lambda s: {"l2": fn.hs_seminorm_sq(s, 0)}]
-        series = ti.evolve(st, coeffs_coupled, 0.5, dt=1e-4, stride=500,
-                           observers=obs)
+        obs = [lambda _, s: {"l2": fn.hs_seminorm_sq(s, 0)}]
+        series = ti.evolve([st], [coeffs_coupled], 0.5, dt=1e-4, stride=500,
+                           observers=obs)[0]
         initial = series["l2"][0]
         expect = initial * np.exp(-2 * coeffs_coupled.k * series.t)
         assert np.max(np.abs(series["l2"] - expect)) <= 1e-7 * initial
+
+
+def light_observer(c):
+    def observe(s):
+        return {"t": s.t, "energy": fn.energy(s, c),
+                "h1": fn.hs_seminorm_sq(s, 1)}
+    return observe
+
+
+def assert_member_matches_reference(run, i, state, c, t_final, dt,
+                                    stride=1):
+    """Member i of a batched run is bitwise its lone serial march."""
+    try:
+        times, rows, final = reference_march(state, c, t_final, dt,
+                                             light_observer(c), stride)
+    except ti.BlowUpError as err:
+        assert isinstance(run.members[i], ti.BlowUpError)
+        assert run.members[i].time == err.time
+        return
+    series = run[i]
+    np.testing.assert_array_equal(series.t, times)
+    for key in rows[0]:
+        np.testing.assert_array_equal(series[key], [r[key] for r in rows])
+    got = series.meta["final_state"]
+    np.testing.assert_array_equal(got.u.coeffs, final.u.coeffs)
+    np.testing.assert_array_equal(got.v.coeffs, final.v.coeffs)
+
+
+@st.composite
+def ensemble_member(draw, grid):
+    k = draw(st.floats(0.1, 2.0))
+    if draw(st.booleans()):
+        # a1 = a2 = 1 branch, 0 < |a3| < 1
+        a3 = draw(st.floats(0.05, 0.9)) * draw(st.sampled_from((-1.0, 1.0)))
+        coeffs = model.CoefficientSet(a1=1.0, a2=1.0, a3=a3, k=k)
+    else:
+        # a3 = 0 branch: (a1, a2) on the circle a1^2 + a2^2 = a1 + a2
+        theta = draw(st.floats(0.0, 2.0 * math.pi))
+        coeffs = model.CoefficientSet(a1=0.5 + math.cos(theta) / math.sqrt(2),
+                                      a2=0.5 + math.sin(theta) / math.sqrt(2),
+                                      a3=0.0, k=k)
+    state = random_smooth_state(grid, seed=draw(st.integers(0, 10 ** 6)),
+                                amplitude=draw(st.floats(0.01, 1.0)), kmax=8)
+    if draw(st.booleans()):
+        state = model.SimState(u=state.u, v=state.v, t=0.0,
+                               mean_u=draw(st.floats(-1.0, 1.0)),
+                               mean_v=draw(st.floats(-1.0, 1.0)))
+    return state, model.validate_coefficients(coeffs)
+
+
+@st.composite
+def ensembles(draw):
+    grid = sp.make_grid(draw(st.sampled_from((16, 32, 64))))
+    return draw(st.lists(ensemble_member(grid), min_size=1, max_size=4))
+
+
+class TestEnsembleOracle:
+    """The batched march against the serial reference, member by member."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(ensembles())
+    def test_batched_equals_serial_bitwise(self, members):
+        states = [m[0] for m in members]
+        coeffs = [m[1] for m in members]
+        dt, stride, t_final = 1e-3, 4, 12e-3
+        run = ti.evolve(states, coeffs, t_final, dt, stride=stride,
+                        observers=[lambda i, s: light_observer(coeffs[i])(s)])
+        for i, (state, c) in enumerate(members):
+            assert_member_matches_reference(run, i, state, c, t_final, dt,
+                                            stride)
+
+    @pytest.mark.parametrize("n_members", [1, 3, 5])
+    def test_one_step_is_one_fft_pair_per_stage(self, monkeypatch, grid64,
+                                                coeffs_coupled, n_members):
+        states = [random_smooth_state(grid64, seed=i, amplitude=0.3)
+                  for i in range(n_members)]
+        calls = {"rfft": 0, "irfft": 0}
+        for name in calls:
+            original = getattr(np.fft, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        ti.evolve(states, [coeffs_coupled] * n_members, 1e-3, 1e-3)
+        assert calls == {"rfft": 4, "irfft": 4}
+
+    def test_blown_up_member_leaves_the_others_unchanged(self, grid64,
+                                                        coeffs_coupled):
+        calm = random_smooth_state(grid64, seed=1, amplitude=0.3)
+        wild = make_sine_state(grid64, amp=500.0)
+        other = model.validate_coefficients(
+            model.CoefficientSet(a1=1.0, a2=0.0, a3=0.0, k=0.5))
+        members = [(calm, coeffs_coupled), (wild, coeffs_coupled),
+                   (calm, other)]
+        dt, t_final = 1e-3, 0.05
+        run = ti.evolve([m[0] for m in members], [m[1] for m in members],
+                        t_final, dt, stride=5,
+                        observers=[lambda i, s: light_observer(
+                            members[i][1])(s)])
+        assert isinstance(run.members[1], ti.BlowUpError)
+        with pytest.raises(ti.BlowUpError):
+            run[1]
+        alone = ti.evolve([wild], [coeffs_coupled], t_final, dt)
+        assert run.members[1].time == alone.members[0].time < t_final
+        for i, (state, c) in enumerate(members):
+            assert_member_matches_reference(run, i, state, c, t_final, dt, 5)
+
+    def test_members_must_share_grid_and_start(self, grid64, coeffs_coupled):
+        a = make_sine_state(grid64)
+        b = make_sine_state(sp.make_grid(32))
+        with pytest.raises(ValueError):
+            ti.evolve([a, b], [coeffs_coupled] * 2, 0.01, 1e-3)
+        with pytest.raises(ValueError):
+            ti.evolve([a], [coeffs_coupled] * 2, 0.01, 1e-3)
+
+    def test_steps_meta_counts_member_steps(self, grid64, coeffs_coupled):
+        states = [make_sine_state(grid64)] * 3
+        run = ti.evolve(states, [coeffs_coupled] * 3, 0.01, 1e-3)
+        assert run.meta["n_steps"] == 30
+        assert all(run[i].meta["n_steps"] == 10 for i in range(3))

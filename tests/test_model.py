@@ -57,7 +57,7 @@ class TestCoefficientGate:
 
     def test_roundtrip_dict(self):
         c = CoefficientSet(a1=1, a2=0, a3=0.0, k=0.25)
-        assert CoefficientSet.from_dict(c.to_dict()) == c
+        assert CoefficientSet(**c.to_dict()) == c
 
 
 class TestReduceMean:
