@@ -36,11 +36,10 @@ from .model import (CoefficientError, SimState, ValidatedCoefficients,
                     check_coefficients, validate_coefficients)
 from .spectral import make_grid
 from .verification import (APPROX_IDENTITY_IDS, EXACT_IDENTITY_IDS,
-                           check_poincare_holder, fit_decay_rate,
+                           fit_decay_rate, identity_reports,
+                           poincare_holder_violations,
                            product_bound_violations, random_smooth_field,
-                           random_smooth_state, residual_general_n,
-                           residual_h1, residual_h2, residual_l2,
-                           scale_state)
+                           random_smooth_state, scale_state)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -180,21 +179,6 @@ def _exact_ids(cfg: ExperimentConfig) -> list:
     return ids
 
 
-def _reports(state, c, ids) -> dict:
-    """IdentityReport for each of `ids` at one state."""
-    out = {}
-    for check, battery in (("H1", residual_h1), ("H2", residual_h2)):
-        if _group(ids, check):
-            out.update(battery(state, c))
-    for identity_id in ids:
-        if identity_id == "L2":
-            out[identity_id] = residual_l2(state, c)
-        elif identity_id.startswith("GEN_N("):
-            out[identity_id] = residual_general_n(state, c,
-                                                  int(identity_id[6:-1]))
-    return {identity_id: out[identity_id] for identity_id in ids}
-
-
 def _resolve_dt(cfg: ExperimentConfig, grid, c) -> float:
     """An explicit dt is honored, a default one is rounded so that whole
     steps and whole strides tile [0, t_final] exactly."""
@@ -273,8 +257,8 @@ def run_experiment(cfgs, identity_ids=()) -> list:
             # instantaneous ratio is 0/0 noise; the run-level residual
             # divides the worst defect by the run's own scale instead.
             row = {}
-            for key, rep in _reports(st, group[i].c,
-                                     group[i].identity_ids).items():
+            for key, rep in identity_reports(st, group[i].c,
+                                             group[i].identity_ids).items():
                 row[f"defect::{key}"] = abs(rep.lhs - rep.rhs)
                 row[f"norm::{key}"] = rep.normalizer
             return row
@@ -375,13 +359,14 @@ def cmd_verify(cfg: ExperimentConfig) -> None:
     exact = _exact_ids(cfg)
     approx = (_group(APPROX_IDENTITY_IDS, "H2") if "H2" in cfg.checks
               else [])
-    full = [_reports(s, c, exact + approx) for s in states]
+    full = [identity_reports(s, c, exact + approx) for s in states]
     for identity_id in exact:
         worst = max(r[identity_id].relative_residual for r in full)
         add(identity_id, worst <= EXACT_RESIDUAL_TOL, worst,
             EXACT_RESIDUAL_TOL, f"max over {len(full)} states")
     if approx:
-        half = [_reports(scale_state(s, 0.5), c, approx) for s in states]
+        half = [identity_reports(scale_state(s, 0.5), c, approx)
+                for s in states]
         lo, hi = APPROX_RATIO_WINDOW
         for identity_id in approx:
             med = _median([h[identity_id].relative_residual
@@ -395,10 +380,7 @@ def cmd_verify(cfg: ExperimentConfig) -> None:
         bad = 0
         for _ in range(vs.poincare_fields):
             f = random_smooth_field(grid, rng, kmax=vs.kmax)
-            for p in POINCARE_EXPONENTS:
-                for q in POINCARE_EXPONENTS:
-                    if not check_poincare_holder(f, p, q):
-                        bad += 1
+            bad += len(poincare_holder_violations(f, POINCARE_EXPONENTS))
         add("POINCARE", bad == 0, bad, 0,
             f"{vs.poincare_fields} fields x "
             f"{len(POINCARE_EXPONENTS) ** 2} (p, q) pairs")

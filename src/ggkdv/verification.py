@@ -8,6 +8,15 @@ by alias-free padded quadrature. Exact identities must agree to rounding error;
 approximate ones (valid modulo higher-order terms in the solution size) must
 show residuals that shrink linearly with the amplitude.
 
+All identities of one state share one `StateCalculus`: the right-hand side is
+evaluated once, each derived field is sampled once per padded grid, and each
+integral is computed once per ordered factor tuple, bitwise equal to
+`integral_of_product`. The two routes of an identity never share an integral:
+every left-side product holds a time derivative, no right-side product does.
+`identity_reports` is the battery's one entry point. The Poincare and
+product-bound sweeps likewise sample each field once; `check_poincare_holder`
+and `check_product_bound` check one pair or tuple at a time.
+
 Identity ids:
     L2              exact L2 decay law (quadratic functional, any means)
     GEN_N(n)        exact derivative-energy identity at order n >= 0
@@ -20,14 +29,15 @@ Identity ids:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import SimState, ValidatedCoefficients, rhs
-from .spectral import (SpectralField, derivative, integral_of_product,
-                       padded_samples, _next_pow2)
+from .spectral import (SpectralField, derivative, inner, integral,
+                       integral_of_product, padded_samples, _next_pow2)
 
 NORMALIZER_FLOOR = 1e-30
 
@@ -73,30 +83,59 @@ def mono(coeff: float, *tags: str) -> tuple:
     return coeff, tuple(_factor(t) for t in tags)
 
 
-class _StateCalculus:
-    """Cached derivative fields of one state and of its time derivative."""
+class StateCalculus:
+    """The functional calculus of one state, each piece computed once.
+
+    A key names one derived field: (ddt, letter, order) is the order-th
+    spatial derivative of u or v (ddt False) or of its time derivative from
+    the model's right-hand side (ddt True). The right-hand side is evaluated
+    once; each keyed field and its band, its padded samples per grid size m,
+    and each integral per ordered key tuple are cached. Integrals follow the
+    rule of `integral_of_product`, so they equal it bitwise. Every `ddt` key
+    tuple holds a time-derivative factor and no `value` tuple does, so the
+    two routes of an identity never share a cached integral.
+    """
 
     def __init__(self, state: SimState, c: ValidatedCoefficients):
+        self.state, self.c = state, c
         du, dv = rhs(state, c)
-        self._base = {"u": state.u, "v": state.v}
-        self._dbase = {"u": du, "v": dv}
+        self._sources = {(False, "u"): state.u, (False, "v"): state.v,
+                         (True, "u"): du, (True, "v"): dv}
         self._fields: dict = {}
-        self._dfields: dict = {}
+        self._samples: dict = {}
+        self._integrals: dict = {}
 
-    def field(self, factor) -> SpectralField:
-        if factor not in self._fields:
-            letter, order = factor
-            self._fields[factor] = derivative(self._base[letter], order)
-        return self._fields[factor]
+    def _field(self, key) -> tuple[SpectralField, int]:
+        if key not in self._fields:
+            ddt, letter, order = key
+            f = derivative(self._sources[ddt, letter], order)
+            self._fields[key] = f, f.band()
+        return self._fields[key]
 
-    def dfield(self, factor) -> SpectralField:
-        if factor not in self._dfields:
-            letter, order = factor
-            self._dfields[factor] = derivative(self._dbase[letter], order)
-        return self._dfields[factor]
+    def _padded(self, key, m: int) -> np.ndarray:
+        if (key, m) not in self._samples:
+            self._samples[key, m] = padded_samples(self._field(key)[0], m)
+        return self._samples[key, m]
+
+    def integral(self, keys: tuple) -> float:
+        """Integral over [0, 1) of the product of the keyed fields."""
+        if keys not in self._integrals:
+            if len(keys) == 1:
+                value = integral(self._field(keys[0])[0])
+            elif len(keys) == 2:
+                value = inner(self._field(keys[0])[0], self._field(keys[1])[0])
+            else:
+                bands = [self._field(key)[1] for key in keys]
+                m = _next_pow2(max(sum(bands) + 1, 2 * max(bands) + 2, 8))
+                prod = self._padded(keys[0], m)
+                for key in keys[1:]:
+                    prod = prod * self._padded(key, m)
+                value = float(np.mean(prod))
+            self._integrals[keys] = value
+        return self._integrals[keys]
 
     def value(self, monomials) -> float:
-        return sum(coeff * integral_of_product(*(self.field(f) for f in factors))
+        return sum(coeff * self.integral(tuple((False, *f) for f in factors))
                    for coeff, factors in monomials)
 
     def ddt(self, monomials) -> float:
@@ -104,9 +143,8 @@ class _StateCalculus:
         total = 0.0
         for coeff, factors in monomials:
             for i in range(len(factors)):
-                fields = [self.field(f) for f in factors]
-                fields[i] = self.dfield(factors[i])
-                total += coeff * integral_of_product(*fields)
+                total += coeff * self.integral(
+                    tuple((j == i, *f) for j, f in enumerate(factors)))
         return total
 
 
@@ -118,9 +156,9 @@ def _require_zero_means(state: SimState) -> None:
 
 # -- exact identities --------------------------------------------------------
 
-def residual_l2(state: SimState, c: ValidatedCoefficients) -> IdentityReport:
+def residual_l2(calc: StateCalculus) -> IdentityReport:
     """(int u^2 + v^2)' = -2k int u^2 + v^2, exact for any means."""
-    calc = _StateCalculus(state, c)
+    c = calc.c
     f0 = [mono(1.0, "u", "u"), mono(1.0, "v", "v")]
     lhs = calc.ddt(f0)
     terms = {"damping": -2.0 * c.k * calc.value(f0)}
@@ -152,12 +190,11 @@ def _gen_n_monomials(n: int, c: ValidatedCoefficients):
     return self_interaction, a1_coupling, a2_coupling
 
 
-def residual_general_n(state: SimState, c: ValidatedCoefficients,
-                       n: int) -> IdentityReport:
+def residual_general_n(calc: StateCalculus, n: int) -> IdentityReport:
     """Exact identity for (int u_n^2 + v_n^2)'; holds for any means."""
     if n < 0:
         raise ValueError("derivative order must be >= 0")
-    calc = _StateCalculus(state, c)
+    c = calc.c
     fn = [mono(1.0, f"u{n}", f"u{n}"), mono(1.0, f"v{n}", f"v{n}")]
     lhs = calc.ddt(fn)
     self_int, a1_terms, a2_terms = _gen_n_monomials(n, c)
@@ -170,20 +207,19 @@ def residual_general_n(state: SimState, c: ValidatedCoefficients,
     return _make_report(f"GEN_N({n})", lhs, terms)
 
 
-def approx_residual_general_n(state: SimState, c: ValidatedCoefficients,
-                              n: int) -> IdentityReport:
+def approx_residual_general_n(calc: StateCalculus, n: int) -> IdentityReport:
     """Damping-only truncation; the residual is the dropped cubic part."""
-    calc = _StateCalculus(state, c)
+    c = calc.c
     fn = [mono(1.0, f"u{n}", f"u{n}"), mono(1.0, f"v{n}", f"v{n}")]
     lhs = calc.ddt(fn)
     terms = {"damping": -2.0 * c.k * calc.value(fn)}
     return _make_report(f"GEN_N_APPROX({n})", lhs, terms)
 
 
-def residual_h1(state: SimState, c: ValidatedCoefficients) -> dict:
+def residual_h1(calc: StateCalculus) -> dict:
     """The H1 Lyapunov identity and its four sub-identities (all exact)."""
-    _require_zero_means(state)
-    calc = _StateCalculus(state, c)
+    _require_zero_means(calc.state)
+    c = calc.c
     a1, a2, a3, k = c.a1, c.a2, c.a3, c.k
     reports = {}
 
@@ -248,15 +284,15 @@ def residual_h1(state: SimState, c: ValidatedCoefficients) -> dict:
     return reports
 
 
-def residual_h2(state: SimState, c: ValidatedCoefficients) -> dict:
+def residual_h2(calc: StateCalculus) -> dict:
     """The H2 Lyapunov identity and sub-identities.
 
     5.2 and 5.3 are exact. The main identity 5.1 and the cubic-functional
     identities 5.4-5.6 hold modulo higher-order terms in the solution size:
     their relative residuals must scale linearly with the state amplitude.
     """
-    _require_zero_means(state)
-    calc = _StateCalculus(state, c)
+    _require_zero_means(calc.state)
+    c = calc.c
     a1, a2, a3, k = c.a1, c.a2, c.a3, c.k
     reports = {}
 
@@ -340,6 +376,25 @@ def residual_h2(state: SimState, c: ValidatedCoefficients) -> dict:
     return reports
 
 
+def identity_reports(state: SimState, c: ValidatedCoefficients,
+                     ids) -> dict:
+    """IdentityReport for each of `ids` at one state, all from one calculus."""
+    calc = StateCalculus(state, c)
+    out = {}
+    for prefix, battery in (("H1_", residual_h1), ("H2_", residual_h2)):
+        if any(i.startswith(prefix) for i in ids):
+            out.update(battery(calc))
+    for identity_id in ids:
+        if identity_id == "L2":
+            out[identity_id] = residual_l2(calc)
+        elif identity_id.startswith("GEN_N("):
+            out[identity_id] = residual_general_n(calc, int(identity_id[6:-1]))
+        elif identity_id.startswith("GEN_N_APPROX("):
+            out[identity_id] = approx_residual_general_n(
+                calc, int(identity_id[13:-1]))
+    return {identity_id: out[identity_id] for identity_id in ids}
+
+
 # -- seeded states and amplitude scaling -------------------------------------
 
 def random_smooth_field(grid, rng, kmax: int = 8) -> SpectralField:
@@ -378,16 +433,25 @@ def scaling_ratios(report_fn, state: SimState, n_halvings: int = 2) -> list:
 
 # -- inequalities ------------------------------------------------------------
 
-def lp_norm(f: SpectralField, p, oversample: int = 4) -> float:
-    """L^p norm of the trig interpolant on an oversampled grid (p >= 1 or inf)."""
+def _abs_samples(f: SpectralField, oversample: int = 4) -> np.ndarray:
+    """|f| on the oversampled grid the L^p norms are taken on."""
     m = _next_pow2(max(oversample * f.grid.n_points, 2 * f.band() + 2))
-    s = np.abs(padded_samples(f, m))
+    return np.abs(padded_samples(f, m))
+
+
+def _norm_of_abs(s: np.ndarray, p) -> float:
+    """Discrete L^p norm of nonnegative samples (p >= 1 or inf)."""
     if p == math.inf:
         return float(np.max(s))
     p = float(p)
     if p < 1.0:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     return float(np.mean(s ** p) ** (1.0 / p))
+
+
+def lp_norm(f: SpectralField, p, oversample: int = 4) -> float:
+    """L^p norm of the trig interpolant on an oversampled grid (p >= 1 or inf)."""
+    return _norm_of_abs(_abs_samples(f, oversample), p)
 
 
 def check_poincare_holder(f: SpectralField, p, q,
@@ -400,6 +464,27 @@ def check_poincare_holder(f: SpectralField, p, q,
     if p <= q:
         ok = ok and lp_norm(f, p) <= lp_norm(f, q) + slack
     return ok
+
+
+def poincare_holder_violations(f: SpectralField, exponents,
+                               slack: float = 1e-10) -> list:
+    """The (p, q) pairs over `exponents` that fail `check_poincare_holder`,
+    with the samples of f, of its mean-free part and of f_x taken once and
+    each of their norms once per exponent."""
+    mean_free = SpectralField(f.grid,
+                              np.concatenate([[0.0], f.coeffs[1:]]))
+    mf, dx, full = ({p: _norm_of_abs(s, p) for p in exponents}
+                    for s in (_abs_samples(mean_free),
+                              _abs_samples(derivative(f)), _abs_samples(f)))
+    bad = []
+    for p in exponents:
+        for q in exponents:
+            ok = mf[p] <= dx[q] + slack
+            if p <= q:
+                ok = ok and full[p] <= full[q] + slack
+            if not ok:
+                bad.append((p, q))
+    return bad
 
 
 class HypothesisError(ValueError):
@@ -462,11 +547,24 @@ def admissible_exponent_tuples(n: int, d_max: int = 4):
             yield alphas, betas
 
 
+@functools.lru_cache(maxsize=None)
+def _exponent_table(n: int, d_max: int) -> tuple:
+    """The admissible tuples of one n, their degrees, and their exponents as
+    an (n_tuples, 2(n + 1)) array with columns alpha_0, beta_0, alpha_1, ..."""
+    tuples = tuple(admissible_exponent_tuples(n, d_max))
+    degrees = tuple(sum(a) + sum(b) for a, b in tuples)
+    exponents = np.array([[e for pair in zip(a, b) for e in pair]
+                          for a, b in tuples]).reshape(-1, 2 * (n + 1))
+    exponents.flags.writeable = False  # shared by every later call
+    return tuples, degrees, exponents
+
+
 def product_bound_violations(u: SpectralField, v: SpectralField,
                              n_values=(1, 2, 3), d_max: int = 4,
                              slack: float = 1e-10) -> list:
-    """Sweep every admissible tuple; returns the violating ones (fast path
-    with cached oversampled derivative samples)."""
+    """Sweep every admissible tuple; returns the violating ones. The
+    derivative samples are taken once, and each n's tuples are multiplied
+    out as one array, factor by factor in the order u_0, v_0, u_1, ..."""
     n_top = max(n_values)
     band = max(u.band(), v.band(), 1)
     m = _next_pow2(max(d_max * band + 1, 2 * band + 2, 8))
@@ -474,21 +572,21 @@ def product_bound_violations(u: SpectralField, v: SpectralField,
     dv = [padded_samples(derivative(v, j), m) for j in range(n_top + 1)]
     s = [float(np.mean(du[j] ** 2) + np.mean(dv[j] ** 2))
          for j in range(n_top + 1)]
+    factors = [f for j in range(n_top + 1) for f in (du[j], dv[j])]
 
     bad = []
     for n in n_values:
-        for alphas, betas in admissible_exponent_tuples(n, d_max):
-            prod = np.ones(m)
-            for j in range(n + 1):
-                if alphas[j]:
-                    prod = prod * du[j] ** alphas[j]
-                if betas[j]:
-                    prod = prod * dv[j] ** betas[j]
-            lhs = abs(float(np.mean(prod)))
-            d = sum(alphas) + sum(betas)
+        tuples, degrees, exponents = _exponent_table(n, d_max)
+        prod = np.ones((len(tuples), m))
+        for column, samples in zip(exponents.T, factors):
+            for e in np.unique(column[column > 0]):
+                rows = column == e
+                prod[rows] = prod[rows] * samples ** int(e)
+        lhs = np.abs(np.mean(prod, axis=1))
+        for (alphas, betas), d, value in zip(tuples, degrees, lhs):
             bound = s[n] * s[n - 1] ** ((d - 2) / 2.0)
-            if lhs > bound + slack * max(1.0, bound):
-                bad.append((n, alphas, betas, lhs, bound))
+            if value > bound + slack * max(1.0, bound):
+                bad.append((n, alphas, betas, float(value), bound))
     return bad
 
 

@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 import yaml
 
-from ggkdv import cli
+from ggkdv import cli, verification
 from ggkdv.config import (ConfigError, ExperimentConfig, InitialSpec,
                           VerifySpec, apply_overrides, build_initial_state,
                           config_from_dict, config_to_dict, load_config,
@@ -285,11 +285,11 @@ class TestRunCommand:
         assert 0.0 < summary["blow_up_time"] <= 100.0
 
     def test_identity_failure_exit_4(self, tmp_path, monkeypatch, capsys):
-        def broken_l2(state, c):
+        def broken_l2(calc):
             return IdentityReport(identity_id="L2", lhs=1.0, rhs=0.0,
                                   terms={"x": 0.0}, normalizer=1.0,
                                   relative_residual=1.0)
-        monkeypatch.setattr(cli, "residual_l2", broken_l2)
+        monkeypatch.setattr(verification, "residual_l2", broken_l2)
         path = write_config(tmp_path, base_config_dict(tmp_path))
         assert cli.main(["run", path]) == 4
         assert "L2" in capsys.readouterr().err
@@ -340,11 +340,11 @@ class TestVerifyCommand:
 
     def test_failed_check_exit_4_names_identity(self, tmp_path, monkeypatch,
                                                 capsys):
-        def broken_l2(state, c):
+        def broken_l2(calc):
             return IdentityReport(identity_id="L2", lhs=1.0, rhs=0.0,
                                   terms={"x": 0.0}, normalizer=1.0,
                                   relative_residual=1.0)
-        monkeypatch.setattr(cli, "residual_l2", broken_l2)
+        monkeypatch.setattr(verification, "residual_l2", broken_l2)
         raw = base_config_dict(tmp_path)
         raw["checks"] = ["L2"]
         path = write_config(tmp_path, raw)
@@ -455,7 +455,7 @@ class TestSweepCommand:
             assert alone == [row]
 
 
-def _broken_l2(state, c):
+def _broken_l2(calc):
     return IdentityReport(identity_id="L2", lhs=1.0, rhs=0.0,
                           terms={"x": 0.0}, normalizer=1.0,
                           relative_residual=1.0)
@@ -525,7 +525,7 @@ class TestExitCodes:
         if command == "sweep":
             raw["initial"]["amplitude"] = 0.0  # no energy to fit a rate to
         else:
-            monkeypatch.setattr(cli, "residual_l2", _broken_l2)
+            monkeypatch.setattr(verification, "residual_l2", _broken_l2)
         assert gg(command, write_config(tmp_path, raw)) == 4
         err = capsys.readouterr().err
         assert ("L2" in err if command != "sweep" else "fit failed" in err)

@@ -1,4 +1,5 @@
-"""The shipped configs load, and every config or script the README names exists."""
+"""The shipped configs load, every config or script the README names exists,
+and the README's Python API example runs."""
 import json
 from pathlib import Path
 import re
@@ -30,6 +31,14 @@ def test_readme_paths_exist():
                            readme))
     assert named
     assert sorted(p for p in named if not (ROOT / p).exists()) == []
+
+
+def test_readme_python_api_block_runs(capsys):
+    readme = (ROOT / "README.md").read_text("utf-8")
+    section = readme.split("## Python API", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md (Python API)", "exec"), {})
+    assert capsys.readouterr().out.strip()
 
 
 def test_sweep_linear_rates_are_exact(tmp_path):

@@ -1,33 +1,45 @@
 """Identity battery, inequality sweeps, and decay-rate fitting."""
+from collections import Counter
+import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ggkdv.integrator import DiagnosticSeries
+from ggkdv import cli, verification
+from ggkdv.config import build_initial_state, load_config
+from ggkdv.integrator import DiagnosticSeries, evolve
 from ggkdv.model import (CoefficientSet, SimState, ValidatedCoefficients,
-                         validate_coefficients)
-from ggkdv.spectral import make_grid, shift, zeros
+                         rhs, validate_coefficients)
+from ggkdv.spectral import (derivative, integral_of_product, make_grid, shift,
+                            zeros)
 from ggkdv.verification import (APPROX_IDENTITY_IDS, EXACT_IDENTITY_IDS,
-                                HypothesisError, admissible_exponent_tuples,
+                                HypothesisError, StateCalculus,
+                                admissible_exponent_tuples,
                                 approx_residual_general_n,
                                 check_poincare_holder, check_product_bound,
-                                fit_decay_rate, lp_norm,
+                                fit_decay_rate, identity_reports, lp_norm,
+                                poincare_holder_violations,
                                 product_bound_violations, random_smooth_field,
                                 random_smooth_state, residual_general_n,
                                 residual_h1, residual_h2, residual_l2,
                                 scale_state, scaling_ratios)
+import product_bound_reference
 
 EXACT_TOL = 1e-9
+ROOT = Path(__file__).resolve().parents[1]
+POINCARE_EXPONENTS = (1.0, 2.0, 4.0, math.inf)
 
 
 def all_exact_reports(state, c):
-    reports = {"L2": residual_l2(state, c)}
+    calc = StateCalculus(state, c)
+    reports = {"L2": residual_l2(calc)}
     for n in range(5):
-        reports[f"GEN_N({n})"] = residual_general_n(state, c, n)
-    reports.update(residual_h1(state, c))
-    reports.update(residual_h2(state, c))
+        reports[f"GEN_N({n})"] = residual_general_n(calc, n)
+    reports.update(residual_h1(calc))
+    reports.update(residual_h2(calc))
     return reports
 
 
@@ -58,21 +70,21 @@ class TestExactIdentityBattery:
         state = SimState(u=state.u, v=state.v, t=0.0, mean_u=0.8,
                          mean_v=-0.3)
         for n in range(4):
-            rep = residual_general_n(state, coeffs_coupled, n)
+            rep = residual_general_n(StateCalculus(state, coeffs_coupled), n)
             assert rep.relative_residual <= EXACT_TOL
 
     def test_h1_h2_reject_nonzero_means(self, grid64, coeffs_coupled):
         state = random_smooth_state(grid64, seed=5, amplitude=0.5)
         state = SimState(u=state.u, v=state.v, t=0.0, mean_u=0.8, mean_v=0.0)
         with pytest.raises(ValueError, match="zero means"):
-            residual_h1(state, coeffs_coupled)
+            residual_h1(StateCalculus(state, coeffs_coupled))
         with pytest.raises(ValueError, match="zero means"):
-            residual_h2(state, coeffs_coupled)
+            residual_h2(StateCalculus(state, coeffs_coupled))
 
     def test_negative_order_rejected(self, grid64, coeffs_coupled):
         state = random_smooth_state(grid64, seed=0, amplitude=0.5)
         with pytest.raises(ValueError):
-            residual_general_n(state, coeffs_coupled, -1)
+            residual_general_n(StateCalculus(state, coeffs_coupled), -1)
 
     def test_residuals_translation_invariant(self, grid64, coeffs_coupled):
         state = random_smooth_state(grid64, seed=9, amplitude=0.6)
@@ -92,10 +104,10 @@ class TestExactIdentityBattery:
         state = random_smooth_state(grid64, seed=4, amplitude=0.2)
         small = scale_state(state, 0.5)
         for st_ in (state, small):
-            rep = residual_l2(st_, coeffs_coupled)
+            rep = residual_l2(StateCalculus(st_, coeffs_coupled))
             assert rep.relative_residual <= EXACT_TOL
-        big, little = (residual_l2(state, coeffs_coupled).lhs,
-                       residual_l2(small, coeffs_coupled).lhs)
+        big, little = (residual_l2(StateCalculus(state, coeffs_coupled)).lhs,
+                       residual_l2(StateCalculus(small, coeffs_coupled)).lhs)
         assert little == pytest.approx(big / 4.0, rel=1e-12)
 
     @settings(max_examples=10, deadline=None)
@@ -116,8 +128,89 @@ class TestExactIdentityBattery:
         c = ValidatedCoefficients.assume_valid(
             CoefficientSet(a1=0.3, a2=0.7, a3=0.4, k=1.0))
         state = random_smooth_state(grid64, seed=3, amplitude=0.5)
-        for identity_id, rep in residual_h1(state, c).items():
+        for identity_id, rep in residual_h1(StateCalculus(state, c)).items():
             assert rep.relative_residual <= EXACT_TOL, identity_id
+
+
+COUPLED = validate_coefficients(CoefficientSet(a1=1.0, a2=1.0, a3=0.5,
+                                               k=1.0))
+
+
+@functools.lru_cache(maxsize=None)
+def seeded_or_marched_state(n_points, seed, marched):
+    """A seeded state (band 8), or the same state after 20 steps, whose
+    nonlinear term has filled every mode up to the dealiasing cutoff."""
+    grid = make_grid(n_points)
+    state = random_smooth_state(grid, seed=seed, amplitude=0.5)
+    if marched:
+        state = evolve([state], [COUPLED], 0.02, 1e-3)[0].meta["final_state"]
+        assert state.u.band() == state.v.band() == grid.dealias_cutoff
+    return state
+
+
+key_strategy = st.tuples(st.booleans(), st.sampled_from("uv"),
+                         st.integers(min_value=0, max_value=3))
+
+
+class TestStateCalculus:
+    @settings(max_examples=50, deadline=None)
+    @given(n_points=st.sampled_from([32, 64, 128]),
+           seed=st.integers(min_value=0, max_value=3),
+           marched=st.booleans(),
+           products=st.lists(st.lists(key_strategy, min_size=1, max_size=4)
+                             .map(tuple), min_size=1, max_size=8))
+    def test_integrals_equal_integral_of_product_bitwise(
+            self, n_points, seed, marched, products):
+        state = seeded_or_marched_state(n_points, seed, marched)
+        du, dv = rhs(state, COUPLED)
+        sources = {(False, "u"): state.u, (False, "v"): state.v,
+                   (True, "u"): du, (True, "v"): dv}
+        calc = StateCalculus(state, COUPLED)
+        for keys in products:
+            expected = integral_of_product(
+                *(derivative(sources[ddt, letter], order)
+                  for ddt, letter, order in keys))
+            assert calc.integral(keys) == expected, keys
+            assert calc.integral(keys) == expected, keys  # from the memo
+
+    def test_battery_calls_rhs_once_and_resamples_nothing_twice(
+            self, monkeypatch):
+        cfg = load_config(str(ROOT / "configs/decay.yaml"))
+        c = validate_coefficients(cfg.coefficients)
+        state = evolve([build_initial_state(cfg)], [c], 0.2,
+                       cfg.dt)[0].meta["final_state"]
+        rhs_calls, resamples = [], Counter()
+        real_rhs, real_padded = verification.rhs, verification.padded_samples
+
+        def counting_rhs(st_, c_):
+            rhs_calls.append(st_.t)
+            return real_rhs(st_, c_)
+
+        def counting_padded(f, m):
+            resamples[id(f), m] += 1  # cached fields live as long as calc
+            return real_padded(f, m)
+
+        def forbidden(*fields):
+            raise AssertionError("the battery bypasses integral_of_product")
+
+        monkeypatch.setattr(verification, "rhs", counting_rhs)
+        monkeypatch.setattr(verification, "padded_samples", counting_padded)
+        monkeypatch.setattr(verification, "integral_of_product", forbidden)
+        ids = cli._exact_ids(cfg)
+        reports = identity_reports(state, c, ids)
+        assert list(reports) == ids
+        assert len(rhs_calls) == 1
+        assert resamples and max(resamples.values()) == 1
+
+    def test_reports_equal_lone_batteries(self, grid64, coeffs_coupled):
+        state = random_smooth_state(grid64, seed=3, amplitude=0.5)
+        ids = list(EXACT_IDENTITY_IDS + APPROX_IDENTITY_IDS)
+        shared = identity_reports(state, coeffs_coupled, ids)
+        lone = all_exact_reports(state, coeffs_coupled)
+        lone.update(residual_h2(StateCalculus(state, coeffs_coupled)))
+        lone["GEN_N_APPROX(3)"] = approx_residual_general_n(
+            StateCalculus(state, coeffs_coupled), 3)
+        assert shared == {i: lone[i] for i in ids}
 
 
 class TestApproximateIdentityScaling:
@@ -126,7 +219,8 @@ class TestApproximateIdentityScaling:
                                                  k=4.0))
         state = random_smooth_state(grid64, seed=0, amplitude=0.2)
         ratios = scaling_ratios(
-            lambda s: residual_h2(s, c)["H2_MAIN"], state, n_halvings=2)
+            lambda s: residual_h2(StateCalculus(s, c))["H2_MAIN"], state,
+            n_halvings=2)
         for ratio in ratios:
             assert 0.35 <= ratio <= 0.65, ratios
 
@@ -135,7 +229,7 @@ class TestApproximateIdentityScaling:
                                                  k=4.0))
         state = random_smooth_state(grid64, seed=0, amplitude=0.2)
         ratios = scaling_ratios(
-            lambda s: approx_residual_general_n(s, c, 3), state,
+            lambda s: approx_residual_general_n(StateCalculus(s, c), 3), state,
             n_halvings=2)
         for ratio in ratios:
             assert 0.35 <= ratio <= 0.65, ratios
@@ -174,6 +268,22 @@ class TestPoincareHolder:
         f = random_smooth_field(grid, rng, kmax=8)
         assert check_poincare_holder(f, p, q)
 
+    @settings(max_examples=25, deadline=None)
+    @given(n_points=st.sampled_from([32, 64, 256]),
+           seed=st.integers(min_value=0, max_value=10_000),
+           kmax=st.integers(min_value=1, max_value=10),
+           slack=st.sampled_from([1e-10, 0.0, -0.5]))
+    def test_sweep_verdicts_equal_pairwise_checks(self, n_points, seed, kmax,
+                                                  slack):
+        # A negative slack makes some pairs fail, so both verdicts show.
+        rng = np.random.default_rng(seed)
+        f = random_smooth_field(make_grid(n_points), rng, kmax=kmax)
+        expected = [(p, q) for p in POINCARE_EXPONENTS
+                    for q in POINCARE_EXPONENTS
+                    if not check_poincare_holder(f, p, q, slack=slack)]
+        assert poincare_holder_violations(f, POINCARE_EXPONENTS,
+                                          slack=slack) == expected
+
 
 def make_sine(grid):
     from ggkdv.spectral import from_samples
@@ -210,6 +320,23 @@ class TestProductBound:
         u = random_smooth_field(grid64, rng, kmax=8)
         v = random_smooth_field(grid64, rng, kmax=8)
         assert product_bound_violations(u, v) == []
+
+    @settings(max_examples=25, deadline=None)
+    @given(n_points=st.sampled_from([32, 64, 256]),
+           seed=st.integers(min_value=0, max_value=10_000),
+           kmax=st.integers(min_value=1, max_value=10),
+           n_values=st.sampled_from([(1,), (2, 3), (1, 2, 3), (3, 1)]),
+           d_max=st.integers(min_value=2, max_value=4))
+    def test_sweep_sides_equal_per_tuple_reference_bitwise(
+            self, n_points, seed, kmax, n_values, d_max):
+        # slack = -inf reports every tuple with its left and right side.
+        rng = np.random.default_rng(seed)
+        u = random_smooth_field(make_grid(n_points), rng, kmax=kmax)
+        v = random_smooth_field(make_grid(n_points), rng, kmax=kmax)
+        for slack in (-math.inf, 1e-10):
+            assert (product_bound_violations(u, v, n_values, d_max, slack)
+                    == product_bound_reference.product_bound_violations(
+                        u, v, n_values, d_max, slack))
 
 
 class TestDecayFit:
