@@ -22,7 +22,7 @@ class GridSpec:
 
     n_points: int
     n_modes: int         # Nyquist index n_points // 2
-    dealias_cutoff: int  # highest mode kept by pointwise_product
+    dealias_cutoff: int  # highest mode kept by truncate and the nonlinear term
 
     @property
     def n_coeffs(self) -> int:
@@ -132,16 +132,6 @@ def inner(f: SpectralField, g: SpectralField) -> float:
     _require_same_grid(f, g)
     w = _parseval_weights(f.grid.n_coeffs)
     return float(np.sum(w * (f.coeffs * np.conj(g.coeffs)).real))
-
-
-def pointwise_product(f: SpectralField, g: SpectralField) -> SpectralField:
-    """Collocation product, truncated at the dealiasing cutoff."""
-    _require_same_grid(f, g)
-    n = f.grid.n_points
-    prod = f.samples() * g.samples()
-    c = np.fft.rfft(prod) / n
-    c[f.grid.dealias_cutoff + 1:] = 0.0
-    return SpectralField(f.grid, c)
 
 
 def truncate(f: SpectralField, cutoff: int | None = None) -> SpectralField:

@@ -1,7 +1,17 @@
+import functools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ggkdv import model, spectral as sp
+from ggkdv.config import build_initial_state, load_config
+from ggkdv.integrator import evolve
+from ggkdv.verification import random_smooth_state
+
+ROOT = Path(__file__).resolve().parents[1]
+COUPLED = model.validate_coefficients(
+    model.CoefficientSet(a1=1.0, a2=1.0, a3=0.5, k=1.0))
 
 
 @pytest.fixture
@@ -33,3 +43,26 @@ def make_sine_state(grid, amp=0.1, mean_u=0.0, mean_v=0.0):
     phi = sp.from_samples(grid, mean_u + amp * np.sin(2 * np.pi * x))
     psi = sp.from_samples(grid, mean_v + amp * np.cos(2 * np.pi * x))
     return model.reduce_mean(phi, psi)
+
+
+@functools.lru_cache(maxsize=None)
+def seeded_or_marched_state(n_points, seed, marched):
+    """A seeded state (band 8), or the same state after 20 steps, whose
+    nonlinear term has filled every mode up to the dealiasing cutoff."""
+    grid = sp.make_grid(n_points)
+    state = random_smooth_state(grid, seed=seed, amplitude=0.5)
+    if marched:
+        state = evolve([state], [COUPLED], 0.02, 1e-3)[0].meta["final_state"]
+        assert state.u.band() == state.v.band() == grid.dealias_cutoff
+    return state
+
+
+@functools.lru_cache(maxsize=None)
+def decay_marched_state():
+    """The config of `gg run configs/decay.yaml`, its coefficients, and its
+    initial state marched to t = 0.2."""
+    cfg = load_config(str(ROOT / "configs/decay.yaml"))
+    c = model.validate_coefficients(cfg.coefficients)
+    state = evolve([build_initial_state(cfg)], [c], 0.2,
+                   cfg.dt)[0].meta["final_state"]
+    return cfg, c, state

@@ -1,11 +1,30 @@
 """Functionals: oracles, scaling, coercivity, translation invariance."""
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ggkdv import functionals as fn, model, spectral as sp
 from ggkdv.model import CoefficientSet
 
-from conftest import make_sine_state
+from conftest import (decay_marched_state, make_sine_state,
+                      seeded_or_marched_state)
+import functionals_reference
+
+EPS = np.finfo(float).eps
+# g1 and g2 (and h2 off the admissible branches) are summed monomial by
+# monomial, where the reference groups them by hand: the two agree to within
+# REGROUP_ULPS * eps * sum over monomials of |coefficient * integral|.
+REGROUP_ULPS = 4.0
+BRANCHES = {
+    "coupled": model.validate_coefficients(
+        CoefficientSet(a1=1.0, a2=1.0, a3=0.5, k=1.0)),
+    "uncoupled": model.validate_coefficients(
+        CoefficientSet(a1=1.0, a2=0.0, a3=0.0, k=1.0)),
+    "extended": model.ValidatedCoefficients.assume_valid(
+        CoefficientSet(a1=0.3, a2=0.7, a3=0.4, k=1.0)),
+}
 
 
 def rich_state(grid, amp=1.0, seed=11):
@@ -59,7 +78,8 @@ class TestLyapunovH1:
         st = model.reduce_mean(
             sp.from_samples(grid128, A * np.sin(2 * np.pi * x)),
             sp.zeros(grid128))
-        f1, g1 = fn.lyapunov_h1(st, coeffs_coupled)
+        rec = fn.functional_record(st, coeffs_coupled)
+        f1, g1 = rec.f1, rec.g1
         assert f1 == pytest.approx(0.5 * A ** 2 * (2 * np.pi) ** 2, rel=1e-12)
         assert g1 == pytest.approx(0.0, abs=1e-15)
 
@@ -71,12 +91,12 @@ class TestLyapunovH1:
         c = coeffs_coupled
         expect = float(np.mean(-(u ** 3 + v ** 3) / 3
                                - c.a1 * u * v ** 2 - c.a2 * u ** 2 * v))
-        _, g1 = fn.lyapunov_h1(st, c)
+        g1 = fn.functional_record(st, c).g1
         assert g1 == pytest.approx(expect, rel=1e-12)
 
     def test_f1_coercive_between_sobolev_bounds(self, grid128, coeffs_coupled):
         st = rich_state(grid128)
-        f1, _ = fn.lyapunov_h1(st, coeffs_coupled)
+        f1 = fn.functional_record(st, coeffs_coupled).f1
         s1 = fn.hs_seminorm_sq(st, 1)
         a3 = abs(coeffs_coupled.a3)
         assert (1 - a3) * s1 - 1e-12 <= f1 <= (1 + a3) * s1 + 1e-12
@@ -85,7 +105,7 @@ class TestLyapunovH1:
 class TestLyapunovH2:
     def test_f2_matches_seminorm_when_uncoupled(self, grid128, coeffs_uncoupled):
         st = rich_state(grid128)
-        f2, _, _ = fn.lyapunov_h2(st, coeffs_uncoupled)
+        f2 = fn.functional_record(st, coeffs_uncoupled).f2
         assert f2 == pytest.approx(fn.hs_seminorm_sq(st, 2), rel=1e-13)
 
     def test_g2_dense_quadrature_oracle(self, grid128, coeffs_coupled):
@@ -100,20 +120,20 @@ class TestLyapunovH2:
             u1 ** 2 * u + v1 ** 2 * v
             + c.a1 * (2 * u1 * v1 * v + v1 ** 2 * u)
             + c.a2 * (2 * u1 * v1 * u + u1 ** 2 * v))))
-        _, g2, _ = fn.lyapunov_h2(st, c)
+        g2 = fn.functional_record(st, c).g2
         assert g2 == pytest.approx(expect, rel=1e-12)
 
     def test_h2_vanishes_on_both_admissible_branches(
             self, grid128, coeffs_coupled, coeffs_uncoupled):
         st = rich_state(grid128)
-        assert fn.lyapunov_h2(st, coeffs_coupled)[2] == 0.0
-        assert fn.lyapunov_h2(st, coeffs_uncoupled)[2] == 0.0
+        assert fn.functional_record(st, coeffs_coupled).h2 == 0.0
+        assert fn.functional_record(st, coeffs_uncoupled).h2 == 0.0
 
     def test_h2_nonzero_outside_the_certified_regime(self, grid128):
         c = model.ValidatedCoefficients.assume_valid(
             CoefficientSet(a1=0.3, a2=0.7, a3=0.4, k=1.0))
         st = rich_state(grid128)
-        assert abs(fn.lyapunov_h2(st, c)[2]) > 1e-6
+        assert abs(fn.functional_record(st, c).h2) > 1e-6
 
 
 class TestStructure:
@@ -121,14 +141,11 @@ class TestStructure:
             self, grid128, coeffs_coupled):
         c = coeffs_coupled
         big, small = rich_state(grid128, amp=1.0), rich_state(grid128, amp=0.5)
-        f1b, g1b = fn.lyapunov_h1(big, c)
-        f1s, g1s = fn.lyapunov_h1(small, c)
-        assert f1b / f1s == pytest.approx(4.0, rel=1e-12)
-        assert g1b / g1s == pytest.approx(8.0, rel=1e-10)
-        f2b, g2b, _ = fn.lyapunov_h2(big, c)
-        f2s, g2s, _ = fn.lyapunov_h2(small, c)
-        assert f2b / f2s == pytest.approx(4.0, rel=1e-12)
-        assert g2b / g2s == pytest.approx(8.0, rel=1e-10)
+        rb, rs = fn.functional_record(big, c), fn.functional_record(small, c)
+        assert rb.f1 / rs.f1 == pytest.approx(4.0, rel=1e-12)
+        assert rb.g1 / rs.g1 == pytest.approx(8.0, rel=1e-10)
+        assert rb.f2 / rs.f2 == pytest.approx(4.0, rel=1e-12)
+        assert rb.g2 / rs.g2 == pytest.approx(8.0, rel=1e-10)
 
     def test_translation_invariance(self, grid128, coeffs_coupled):
         st = rich_state(grid128)
@@ -146,3 +163,50 @@ class TestStructure:
         assert list(rec.as_columns()) == [
             "t", "energy", "seminorm_sq_0", "seminorm_sq_1", "seminorm_sq_2",
             "f1", "g1", "f2", "g2", "h2"]
+
+
+class TestRecordAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(n_points=st.sampled_from([32, 64, 128]),
+           seed=st.integers(min_value=0, max_value=3),
+           marched=st.booleans(),
+           branch=st.sampled_from(sorted(BRANCHES)))
+    def test_record_equals_hand_grouped_functionals(self, n_points, seed,
+                                                   marched, branch):
+        state = seeded_or_marched_state(n_points, seed, marched)
+        c = BRANCHES[branch]
+        rec = fn.functional_record(state, c)
+        f1, g1 = functionals_reference.lyapunov_h1(state, c)
+        f2, g2, h2 = functionals_reference.lyapunov_h2(state, c)
+        assert rec.f1 == f1
+        assert rec.f2 == f2
+        regrouped = {"g1": g1, "g2": g2}
+        if branch == "extended":
+            regrouped["h2"] = h2
+        else:
+            assert rec.h2 == h2 == 0.0
+        calc = fn.StateCalculus(state, c)
+        for name, expected in regrouped.items():
+            scale = sum(abs(calc.value([m]))
+                        for m in fn.lyapunov_monomials(c)[name])
+            assert abs(getattr(rec, name) - expected) <= (
+                REGROUP_ULPS * EPS * scale), name
+
+    def test_record_calls_no_rhs_and_resamples_nothing_twice(
+            self, monkeypatch):
+        cfg, c, state = decay_marched_state()
+        expected = fn.functional_record(state, c, cfg.n_max)
+        resamples = Counter()
+        real_padded = fn.padded_samples
+
+        def forbidden_rhs(*args):
+            raise AssertionError("a record needs no time derivative")
+
+        def counting_padded(f, m):
+            resamples[id(f), m] += 1  # cached fields live as long as calc
+            return real_padded(f, m)
+
+        monkeypatch.setattr(fn, "rhs", forbidden_rhs)
+        monkeypatch.setattr(fn, "padded_samples", counting_padded)
+        assert fn.functional_record(state, c, cfg.n_max) == expected
+        assert resamples and max(resamples.values()) == 1

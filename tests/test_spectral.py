@@ -102,8 +102,6 @@ class TestCalculus:
     def test_integral_of_squared_sine_is_half(self):
         g = sp.make_grid(64)
         f = sin_field(g)
-        assert sp.integral(sp.pointwise_product(f, f)) == pytest.approx(0.5,
-                                                                        abs=1e-14)
         assert sp.inner(f, f) == pytest.approx(0.5, abs=1e-14)
 
     def test_shift_translates_samples(self):
@@ -115,39 +113,6 @@ class TestCalculus:
 
 
 class TestProducts:
-    def test_sin_times_cos_is_half_sin_double(self):
-        g = sp.make_grid(64)
-        p = sp.pointwise_product(sin_field(g), cos_field(g))
-        expect = sin_field(g, kappa=2, amp=0.5)
-        np.testing.assert_allclose(p.coeffs, expect.coeffs, atol=1e-15)
-
-    def test_product_at_cutoff_drops_the_aliased_mode(self):
-        # cos(2 pi c x)^2 = 1/2 + cos(2 pi (2c) x)/2; mode 2c is beyond the
-        # cutoff and must be removed, leaving exactly the constant part.
-        g = sp.make_grid(128)
-        c = g.dealias_cutoff
-        f = cos_field(g, kappa=c)
-        p = sp.pointwise_product(f, f)
-        assert p.coeffs[0] == pytest.approx(0.5, abs=1e-15)
-        # aliased image (mode n - 2c = 44 here) is truncated exactly; the
-        # rest is FFT roundoff
-        assert np.all(p.coeffs[c + 1:] == 0.0)
-        assert np.max(np.abs(p.coeffs[1:])) < 1e-14
-
-    def test_product_of_band_limited_fields_is_exact_below_cutoff(self):
-        g = sp.make_grid(128)
-        f = random_band_field(g, seed=1, kmax=8)
-        h = random_band_field(g, seed=2, kmax=8)
-        p = sp.pointwise_product(f, h)
-        # brute-force convolution oracle
-        full_f = np.concatenate([np.conj(f.coeffs[:0:-1]), f.coeffs])
-        full_h = np.concatenate([np.conj(h.coeffs[:0:-1]), h.coeffs])
-        conv = np.convolve(full_f, full_h)
-        center = len(conv) // 2
-        for kappa in range(17):
-            assert p.coeffs[kappa] == pytest.approx(conv[center + kappa],
-                                                    abs=1e-14)
-
     def test_integral_of_product_matches_dense_quadrature(self):
         g = sp.make_grid(128)
         fs = [random_band_field(g, seed=s, kmax=8) for s in (1, 2, 3)]
@@ -168,8 +133,6 @@ class TestProducts:
     def test_grid_mismatch_rejected(self):
         f = sin_field(sp.make_grid(32))
         h = sin_field(sp.make_grid(64))
-        with pytest.raises(ValueError):
-            sp.pointwise_product(f, h)
         with pytest.raises(ValueError):
             f + h
 

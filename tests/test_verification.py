@@ -1,23 +1,20 @@
 """Identity battery, inequality sweeps, and decay-rate fitting."""
 from collections import Counter
-import functools
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ggkdv import cli, verification
-from ggkdv.config import build_initial_state, load_config
-from ggkdv.integrator import DiagnosticSeries, evolve
+from ggkdv import cli, functionals, verification
+from ggkdv.functionals import StateCalculus
+from ggkdv.integrator import DiagnosticSeries
 from ggkdv.model import (CoefficientSet, SimState, ValidatedCoefficients,
                          rhs, validate_coefficients)
 from ggkdv.spectral import (derivative, integral_of_product, make_grid, shift,
                             zeros)
 from ggkdv.verification import (APPROX_IDENTITY_IDS, EXACT_IDENTITY_IDS,
-                                HypothesisError, StateCalculus,
-                                admissible_exponent_tuples,
+                                HypothesisError, admissible_exponent_tuples,
                                 approx_residual_general_n,
                                 check_poincare_holder, check_product_bound,
                                 fit_decay_rate, identity_reports, lp_norm,
@@ -26,11 +23,16 @@ from ggkdv.verification import (APPROX_IDENTITY_IDS, EXACT_IDENTITY_IDS,
                                 random_smooth_state, residual_general_n,
                                 residual_h1, residual_h2, residual_l2,
                                 scale_state, scaling_ratios)
+from conftest import COUPLED, decay_marched_state, seeded_or_marched_state
 import product_bound_reference
 
 EXACT_TOL = 1e-9
-ROOT = Path(__file__).resolve().parents[1]
 POINCARE_EXPONENTS = (1.0, 2.0, 4.0, math.inf)
+
+
+def bits(values: dict) -> dict:
+    """Each float's exact bit pattern, so that -0.0 differs from 0.0."""
+    return {key: float(value).hex() for key, value in values.items()}
 
 
 def all_exact_reports(state, c):
@@ -132,22 +134,6 @@ class TestExactIdentityBattery:
             assert rep.relative_residual <= EXACT_TOL, identity_id
 
 
-COUPLED = validate_coefficients(CoefficientSet(a1=1.0, a2=1.0, a3=0.5,
-                                               k=1.0))
-
-
-@functools.lru_cache(maxsize=None)
-def seeded_or_marched_state(n_points, seed, marched):
-    """A seeded state (band 8), or the same state after 20 steps, whose
-    nonlinear term has filled every mode up to the dealiasing cutoff."""
-    grid = make_grid(n_points)
-    state = random_smooth_state(grid, seed=seed, amplitude=0.5)
-    if marched:
-        state = evolve([state], [COUPLED], 0.02, 1e-3)[0].meta["final_state"]
-        assert state.u.band() == state.v.band() == grid.dealias_cutoff
-    return state
-
-
 key_strategy = st.tuples(st.booleans(), st.sampled_from("uv"),
                          st.integers(min_value=0, max_value=3))
 
@@ -175,12 +161,9 @@ class TestStateCalculus:
 
     def test_battery_calls_rhs_once_and_resamples_nothing_twice(
             self, monkeypatch):
-        cfg = load_config(str(ROOT / "configs/decay.yaml"))
-        c = validate_coefficients(cfg.coefficients)
-        state = evolve([build_initial_state(cfg)], [c], 0.2,
-                       cfg.dt)[0].meta["final_state"]
+        cfg, c, state = decay_marched_state()
         rhs_calls, resamples = [], Counter()
-        real_rhs, real_padded = verification.rhs, verification.padded_samples
+        real_rhs, real_padded = functionals.rhs, functionals.padded_samples
 
         def counting_rhs(st_, c_):
             rhs_calls.append(st_.t)
@@ -193,14 +176,61 @@ class TestStateCalculus:
         def forbidden(*fields):
             raise AssertionError("the battery bypasses integral_of_product")
 
-        monkeypatch.setattr(verification, "rhs", counting_rhs)
-        monkeypatch.setattr(verification, "padded_samples", counting_padded)
+        monkeypatch.setattr(functionals, "rhs", counting_rhs)
+        monkeypatch.setattr(functionals, "padded_samples", counting_padded)
         monkeypatch.setattr(verification, "integral_of_product", forbidden)
         ids = cli._exact_ids(cfg)
         reports = identity_reports(state, c, ids)
         assert list(reports) == ids
         assert len(rhs_calls) == 1
         assert resamples and max(resamples.values()) == 1
+
+    def test_untracked_reports_are_not_evaluated(self, monkeypatch):
+        # gg run tracks H2_SUB(5.2) and 5.3 only; H2_MAIN and 5.4-5.6 must
+        # leave nothing in the memo.
+        cfg, c, state = decay_marched_state()
+        calcs = []
+
+        class RecordingCalculus(StateCalculus):
+            def __init__(self, *args):
+                super().__init__(*args)
+                calcs.append(self)
+
+        monkeypatch.setattr(verification, "StateCalculus", RecordingCalculus)
+        ids = cli._exact_ids(cfg)
+        untracked = [i for i in APPROX_IDENTITY_IDS if i.startswith("H2_")]
+        identity_reports(state, c, ids)
+        tracked = calcs[-1]
+        alone = set()
+        for identity_id in ids:
+            identity_reports(state, c, [identity_id])
+            alone |= set(calcs[-1]._integrals)
+        identity_reports(state, c, ids + untracked)
+        everything = calcs[-1]
+        assert set(tracked._integrals) == alone
+        assert set(tracked._integrals) < set(everything._integrals)
+        assert (len(tracked._integrals), len(everything._integrals)) == (127, 145)
+        assert (len(tracked._samples), len(everything._samples)) == (16, 18)
+
+    @pytest.mark.parametrize("coeffs", [
+        CoefficientSet(a1=1.0, a2=1.0, a3=0.5, k=0.75),
+        CoefficientSet(a1=1.0, a2=0.0, a3=0.0, k=0.75),
+        CoefficientSet(a1=0.3, a2=0.7, a3=0.4, k=0.75)],
+        ids=["coupled", "uncoupled", "extended"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_main_identities_take_the_record_functionals(self, grid64, coeffs,
+                                                         seed):
+        # f1, g1, f2, g2 and h2 are written once: the H1_MAIN and H2_MAIN
+        # terms are the record's columns times the same factors, bitwise.
+        c = ValidatedCoefficients.assume_valid(coeffs)
+        state = random_smooth_state(grid64, seed=seed, amplitude=0.5)
+        rec = functionals.functional_record(state, c)
+        calc = StateCalculus(state, c)
+        h1, h2 = residual_h1(calc)["H1_MAIN"], residual_h2(calc)["H2_MAIN"]
+        assert bits(h1.terms) == bits({"-2k f1": -2 * c.k * rec.f1,
+                                       "-3k g1": -3 * c.k * rec.g1})
+        assert bits(h2.terms) == bits({"-2k f2": -2 * c.k * rec.f2,
+                                       "h2": rec.h2})
 
     def test_reports_equal_lone_batteries(self, grid64, coeffs_coupled):
         state = random_smooth_state(grid64, seed=3, amplitude=0.5)
