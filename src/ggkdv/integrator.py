@@ -9,14 +9,22 @@ rule on an entire function is exact to machine precision. The mean-advection
 terms are folded into the nonlinear remainder, so tables depend only on
 (grid, a3, k, dt).
 
+The march never leaves the eigenbasis: `model.nonlinear_remainder` forms the
+flux from the products of w+ and w- and mixes it with the per-member
+matrices of `model.eigen_mixing`, and every table that weighs it carries the
+-i omega of its derivative. The state holds only the kept modes
+0..dealias_cutoff, since the dealiased nonlinear term is zero above the
+cutoff and so is the truncated initial state; observers get it rotated back
+to (u, v) and padded to the full rfft length.
+
 `evolve` marches an ensemble: P members that share grid, dt, span and stride,
 each with its own coefficients and means. The state carries a leading member
-axis, (P, 2, n_coeffs) in the eigenbasis, and so do the stacked tables. Each
-stage makes one batched irfft and one batched rfft for the whole ensemble;
-numpy's batched real transforms give every row bitwise what a single
-transform gives, so each member's numbers are bitwise those of its lone
-march. A member that turns non-finite leaves the ensemble with its own
-BlowUpError; the others march on unchanged.
+axis, (P, 2, kept), and so do the stacked tables. Each stage makes one
+batched irfft and one batched rfft for the whole ensemble; numpy's batched
+real transforms give every row bitwise what a single transform gives, so
+each member's numbers are bitwise those of its lone march. A member that
+turns non-finite leaves the ensemble with its own BlowUpError; the others
+march on unchanged.
 """
 from __future__ import annotations
 
@@ -24,11 +32,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .model import (SimState, ValidatedCoefficients, linear_rates,
-                    nonlinear_remainder)
+from .model import (SimState, ValidatedCoefficients, _dealiased_ddx, _rotate,
+                    eigen_mixing, linear_rates, nonlinear_remainder)
 from .spectral import GridSpec, SpectralField, truncate
-
-SQRT2 = np.sqrt(2.0)
 
 
 class BlowUpError(RuntimeError):
@@ -65,10 +71,6 @@ def contour_phi_means(z0: np.ndarray, n_points: int = 32) -> tuple:
 class EtdTables:
     """Precomputed exponential coefficients; valid for one (grid, a3, k, dt)."""
 
-    grid: GridSpec
-    a3: float
-    k: float
-    dt: float
     exp_full: np.ndarray  # (2, n_coeffs) e^{lambda dt}
     exp_half: np.ndarray  # (2, n_coeffs) e^{lambda dt / 2}
     q: np.ndarray         # stage weight, dt phi1(lambda dt / 2) / 2
@@ -84,8 +86,7 @@ def build_tables(grid: GridSpec, c: ValidatedCoefficients, dt: float,
     lam = linear_rates(grid, c)
     z0 = lam * dt
     q, w1, w2, w3 = contour_phi_means(z0, n_contour)
-    return EtdTables(grid=grid, a3=c.a3, k=c.k, dt=dt,
-                     exp_full=np.exp(z0), exp_half=np.exp(z0 / 2.0),
+    return EtdTables(exp_full=np.exp(z0), exp_half=np.exp(z0 / 2.0),
                      q=dt * q, w1=dt * w1, w2=dt * w2, w3=dt * w3)
 
 
@@ -94,44 +95,41 @@ def default_dt(grid: GridSpec, c: ValidatedCoefficients) -> float:
     return 0.4 / ((1.0 + abs(c.a3)) * 2.0 * np.pi * grid.n_modes)
 
 
-def _rotate(x: np.ndarray) -> np.ndarray:
-    """(x0 + x1, x0 - x1) / sqrt 2 over axis -2: (u, v) <-> (w+, w-).
-
-    The eigenbasis transform is its own inverse, so this one map goes both
-    ways.
-    """
-    out = np.empty_like(x)
-    np.add(x[..., 0, :], x[..., 1, :], out=out[..., 0, :])
-    np.subtract(x[..., 0, :], x[..., 1, :], out=out[..., 1, :])
-    out /= SQRT2
-    return out
-
-
 @dataclass(frozen=True)
 class _Ensemble:
-    """Per-member tables, means and couplings, stacked on a leading axis."""
+    """Per-member mixing matrices and tables, stacked on a leading axis.
+
+    Everything lives on the kept modes 0..dealias_cutoff. The tables that
+    weigh the nonlinear term carry its -i omega, so that `nonlinear` is the
+    bare flux of `nonlinear_remainder`.
+    """
 
     grid: GridSpec
-    means: np.ndarray      # (P, 2): M, N
-    couplings: np.ndarray  # (P, 2): a1, a2
-    exp_full: np.ndarray   # (P, 2, n_coeffs), as in EtdTables
+    mix_q: np.ndarray      # (P, 2, 3) and (P, 2, 2), from eigen_mixing
+    mix_l: np.ndarray
+    exp_full: np.ndarray   # (P, 2, kept), as in EtdTables
     exp_half: np.ndarray
-    q: np.ndarray
-    w1: np.ndarray
-    w2x2: np.ndarray       # 2 w2, the factor the final combination applies
+    q: np.ndarray          # q, w1, 2 w2 and w3, each times -i omega;
+    w1: np.ndarray         # 2 w2 is the factor the final combination
+    w2x2: np.ndarray       # applies
     w3: np.ndarray
 
     @classmethod
     def stack(cls, states: list, coeffs: list, dt: float) -> "_Ensemble":
         grid = states[0].grid
+        kept = grid.dealias_cutoff + 1
+        ddx = _dealiased_ddx(grid)
         tables = [build_tables(grid, c, dt) for c in coeffs]
-        return cls(grid,
-                   np.array([[st.mean_u, st.mean_v] for st in states]),
-                   np.array([[c.a1, c.a2] for c in coeffs]),
-                   *(np.stack([getattr(tb, name) for tb in tables])
-                     for name in ("exp_full", "exp_half", "q", "w1")),
-                   np.stack([2.0 * tb.w2 for tb in tables]),
-                   np.stack([tb.w3 for tb in tables]))
+        mixing = [eigen_mixing(st, c) for st, c in zip(states, coeffs)]
+
+        def stacked(name: str, factor=1.0) -> np.ndarray:
+            return factor * np.stack([getattr(tb, name)[:, :kept]
+                                      for tb in tables])
+        return cls(grid, np.stack([q for q, _ in mixing]),
+                   np.stack([lin for _, lin in mixing]),
+                   stacked("exp_full"), stacked("exp_half"), stacked("q", ddx),
+                   stacked("w1", ddx), stacked("w2", 2.0 * ddx),
+                   stacked("w3", ddx))
 
     def take(self, keep: np.ndarray) -> "_Ensemble":
         """The members selected by the boolean mask `keep`."""
@@ -139,12 +137,10 @@ class _Ensemble:
                                       for f in fields(self)[1:]))
 
     def nonlinear(self, w: np.ndarray) -> np.ndarray:
-        uv = _rotate(w)
-        return _rotate(nonlinear_remainder(uv, self.means, self.couplings,
-                                           self.grid))
+        return nonlinear_remainder(w, self.mix_q, self.mix_l, self.grid)
 
     def step(self, w: np.ndarray, linear_only: bool = False) -> np.ndarray:
-        """One ETDRK4 step of the (P, 2, n_coeffs) eigenbasis state."""
+        """One ETDRK4 step of the (P, 2, kept) eigenbasis state."""
         if linear_only:
             out = self.exp_full * w
             out[..., 0] = 0.0
@@ -243,15 +239,19 @@ def evolve(states, coeffs, t_final: float, dt: float, observers=(),
     for i, st in enumerate(current):
         observe(i, st)
     live = np.arange(n_members)  # member index of each row of w
-    w = _rotate(np.stack([np.stack([st.u.coeffs, st.v.coeffs])
+    kept = grid.dealias_cutoff + 1
+    w = _rotate(np.stack([np.stack([st.u.coeffs[:kept], st.v.coeffs[:kept]])
                           for st in current]))
     for step in range(1, n_steps + 1):
         # overflow is diagnosed via the finiteness check, not warnings
         with np.errstate(over="ignore", invalid="ignore"):
             w = ensemble.step(w, linear_only)
+            # a finite sum proves every entry finite; only a non-finite one
+            # (an overflow of finite entries included) needs the exact test
+            suspect = not np.isfinite(w.sum())
         member_steps += live.size
         t_now = t0 + step * dt
-        if not np.all(np.isfinite(w)):
+        if suspect:
             finite = np.isfinite(w).all(axis=(1, 2))
             for i in live[~finite].tolist():
                 outcome[i] = BlowUpError(t_now)
@@ -260,7 +260,8 @@ def evolve(states, coeffs, t_final: float, dt: float, observers=(),
                 break
             ensemble = ensemble.take(finite)
         if step % stride == 0:
-            uv = _rotate(w)
+            uv = np.zeros((live.size, 2, grid.n_coeffs), dtype=np.complex128)
+            uv[..., :kept] = _rotate(w)
             for row, i in enumerate(live.tolist()):
                 current[i] = SimState(u=SpectralField(grid, uv[row, 0]),
                                       v=SpectralField(grid, uv[row, 1]),
@@ -277,18 +278,3 @@ def evolve(states, coeffs, t_final: float, dt: float, observers=(),
             meta={"final_state": current[i], "dt": dt, "stride": stride,
                   "n_steps": n_steps, "max_mean_drift": drift_max[i]})
     return EnsembleRun(members=outcome, meta={"n_steps": member_steps})
-
-
-def linear_exact_solution(initial: SimState, c: ValidatedCoefficients,
-                          t: float) -> SimState:
-    """Closed-form solution of the linear part after elapsed time t >= 0."""
-    if t < 0.0:
-        raise ValueError("elapsed time must be >= 0")
-    lam = linear_rates(initial.grid, c)
-    w = (_rotate(np.stack([initial.u.coeffs, initial.v.coeffs]))
-         * np.exp(lam * t))
-    u_hat, v_hat = _rotate(w)
-    return SimState(u=SpectralField(initial.grid, u_hat),
-                    v=SpectralField(initial.grid, v_hat),
-                    t=initial.t + t,
-                    mean_u=initial.mean_u, mean_v=initial.mean_v)

@@ -10,6 +10,13 @@ with damping k (u - mean u), k (v - mean v) in the unreduced system, so mode 0
 feels no damping and the means are conserved. The coefficient gate enforces the
 regime in which the decay theory holds: r = 0, b1 = b2 = 1, and either a3 = 0
 with a1^2 + a2^2 = a1 + a2, or 0 < |a3| < 1 with a1 = a2 = 1.
+
+The linear part is diagonal in the eigenbasis w+- = (u +- v)/sqrt(2), and
+`_rotate` is that transform, both ways. The nonlinear terms are -d/dx of a
+flux quadratic in (u, v); written in the eigenbasis it is a fixed mix of
+the products of w+ and w- plus a mean-advection term linear in w+-, the
+matrices Q and L of `eigen_mixing`. `nonlinear_remainder` evaluates it there
+on the dealiased modes, for the time stepper and for `rhs` alike.
 """
 from __future__ import annotations
 
@@ -22,6 +29,7 @@ import numpy as np
 from .spectral import GridSpec, SpectralField, TWO_PI, truncate
 
 CONSTRAINT_TOL = 1e-12
+SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -161,52 +169,72 @@ def _require_validated(c) -> None:
 @functools.lru_cache(maxsize=8)
 def _dealiased_ddx(grid: GridSpec) -> np.ndarray:
     """-i omega, the symbol of -d/dx, on the modes the dealiasing keeps."""
-    symbol = -1j * (TWO_PI * np.arange(grid.n_coeffs))
-    symbol = symbol[:grid.dealias_cutoff + 1].copy()
+    symbol = -1j * (TWO_PI * np.arange(grid.dealias_cutoff + 1))
     symbol.flags.writeable = False
     return symbol
 
 
-def nonlinear_remainder(fields: np.ndarray, means: np.ndarray,
-                        couplings: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Everything in the rhs except the stiff diagonal linear part.
+def _rotate(x: np.ndarray) -> np.ndarray:
+    """(x0 + x1, x0 - x1) / sqrt 2 over axis -2: (u, v) <-> (w+, w-).
 
-    Works on raw rfft coefficient arrays (hot path of the time stepper), with
-    any leading axes: `fields` is (..., 2, n_coeffs) holding (u_hat, v_hat),
-    `means` (..., 2) holding (M, N) and `couplings` (..., 2) holding (a1, a2).
-    Returns (nu, nv) stacked the same way. One irfft of both fields and one
-    rfft of the three products uu, vv, uv serve every leading index, and each
-    index gets bitwise the numbers it would get alone. The mean-advection
-    terms ride along here so that the exponential tables depend only on
-    (grid, a3, k, dt). Every term is a pure x-derivative, so mode 0 of the
-    output is exactly zero in floating point; modes above the dealiasing
-    cutoff are exactly zero too.
-
-    Every complex product keeps the operand order of the per-state reference
-    (tests/etd_reference.py): numpy's SIMD complex multiply fuses one of its
-    two partial products, so a * b and b * a can differ in the last bit.
+    The eigenbasis transform is its own inverse, so this one map goes both
+    ways.
     """
-    n = grid.n_points
-    kept = grid.dealias_cutoff + 1
-    phys = np.fft.irfft(fields * n, n=n)
+    out = np.empty_like(x)
+    np.add(x[..., 0, :], x[..., 1, :], out=out[..., 0, :])
+    np.subtract(x[..., 0, :], x[..., 1, :], out=out[..., 1, :])
+    out /= SQRT2
+    return out
+
+
+# _rotate as a matrix, and (uu, vv, uv) in terms of (pp, mm, pm) when
+# u = (p + m)/sqrt 2 and v = (p - m)/sqrt 2
+_ROTATION = np.array([[1.0, 1.0], [1.0, -1.0]]) / SQRT2
+_PRODUCTS = np.array([[0.5, 0.5, 1.0], [0.5, 0.5, -1.0], [0.5, -0.5, 0.0]])
+
+
+def eigen_mixing(state: SimState, c: ValidatedCoefficients
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices Q (2, 3) and L (2, 2) that `nonlinear_remainder` applies.
+
+    In (u, v), with means M, N, the nonlinear terms are -d/dx of the flux
+
+        F_u = uu/2 + a1 vv/2 + a2 uv + (M + a2 N) u + (a1 N + a2 M) v
+        F_v = vv/2 + a2 uu/2 + a1 uv + (a2 M + a1 N) u + (N + a1 M) v
+
+    Rotated into the eigenbasis, with p = w+ and m = w- in physical space,
+    the flux is Q (pp, mm, pm) + L (w+, w-).
+    """
+    a1, a2, m, n = c.a1, c.a2, state.mean_u, state.mean_v
+    quadratic = np.array([[0.5, 0.5 * a1, a2], [0.5 * a2, 0.5, a1]])
+    linear = np.array([[m + a2 * n, a1 * n + a2 * m],
+                       [a2 * m + a1 * n, n + a1 * m]])
+    # complex, so that multiplying spectra by them needs no cast per call
+    return ((_ROTATION @ quadratic @ _PRODUCTS).astype(np.complex128),
+            (_ROTATION @ linear @ _ROTATION).astype(np.complex128))
+
+
+def nonlinear_remainder(w: np.ndarray, mix_q: np.ndarray, mix_l: np.ndarray,
+                        grid: GridSpec) -> np.ndarray:
+    """Flux of everything in the rhs except the stiff diagonal linear part.
+
+    Works in the eigenbasis on the kept modes 0..dealias_cutoff (hot path of
+    the time stepper), with any leading axes: `w` is (..., 2, kept) holding
+    (w+_hat, w-_hat), `mix_q` (..., 2, 3) and `mix_l` (..., 2, 2) are the
+    matrices of `eigen_mixing`. Returns the flux F_hat, shaped like `w`; the
+    nonlinear remainder itself is -i omega F_hat, zero above the cutoff.
+    The stepper folds -i omega into its tables, and `rhs` applies it.
+
+    One irfft of both fields and one rfft of the three products pp, mm, pm
+    serve every leading index, and each index gets bitwise the numbers it
+    would get alone. The mean-advection terms ride along in `mix_l` so that
+    the exponential tables depend only on (grid, a3, k, dt).
+    """
+    phys = np.fft.irfft(w, n=grid.n_points, norm="forward")  # p, m
     products = np.concatenate(
         (phys * phys, phys[..., :1, :] * phys[..., 1:, :]), axis=-2)
-    spec = np.fft.rfft(products)[..., :kept] / n  # uu, vv, uv
-
-    f = fields[..., :kept]
-    means = np.asarray(means)[..., None]
-    couplings = np.asarray(couplings)[..., None]
-    # own = (0.5 uu + M u, 0.5 vv + N v); cross = uv + N u + M v
-    own = 0.5 * spec[..., :2, :] + means * f
-    cross = (spec[..., 2, :] + means[..., 1, :] * f[..., 0, :]
-             + means[..., 0, :] * f[..., 1, :])
-    # (own_u + a1 own_v + a2 cross, own_v + a2 own_u + a1 cross)
-    combo = own + couplings * own[..., ::-1, :]
-    combo += couplings[..., ::-1, :] * cross[..., None, :]
-
-    out = np.zeros(fields.shape, dtype=np.complex128)
-    np.multiply(_dealiased_ddx(grid), combo, out=out[..., :kept])
-    return out
+    spec = np.fft.rfft(products, norm="forward")[..., :w.shape[-1]]
+    return mix_q @ spec + mix_l @ w
 
 
 def linear_rates(grid: GridSpec, c: ValidatedCoefficients) -> np.ndarray:
@@ -230,11 +258,14 @@ def rhs(state: SimState, c: ValidatedCoefficients
     if abs(state.u.coeffs[0]) > 1e-12 or abs(state.v.coeffs[0]) > 1e-12:
         raise ValueError("state is not in reduced (zero-mean) form")
     grid = state.grid
+    kept = grid.dealias_cutoff + 1
     u_hat = truncate(state.u).coeffs
     v_hat = truncate(state.v).coeffs
-    nu, nv = nonlinear_remainder(np.stack([u_hat, v_hat]),
-                                 np.array([state.mean_u, state.mean_v]),
-                                 np.array([c.a1, c.a2]), grid)
+    flux = nonlinear_remainder(_rotate(np.stack([u_hat, v_hat])[:, :kept]),
+                               *eigen_mixing(state, c), grid)
+    nonlinear = np.zeros((2, grid.n_coeffs), dtype=np.complex128)
+    nonlinear[:, :kept] = _rotate(_dealiased_ddx(grid) * flux)
+    nu, nv = nonlinear
     omega = TWO_PI * np.arange(grid.n_coeffs)
     disp = (1j * omega) ** 3
     damp = np.full(grid.n_coeffs, c.k)
@@ -242,27 +273,3 @@ def rhs(state: SimState, c: ValidatedCoefficients
     du = nu - disp * (u_hat + c.a3 * v_hat) - damp * u_hat
     dv = nv - disp * (v_hat + c.a3 * u_hat) - damp * v_hat
     return SpectralField(grid, du), SpectralField(grid, dv)
-
-
-@dataclass(frozen=True)
-class LinearSymbol:
-    """2x2 symbol of the linearized, mean-free system at one wavenumber."""
-
-    kappa: int
-    matrix: np.ndarray        # (2, 2) complex
-    eigenvalues: np.ndarray   # (2,), plus branch first
-    eigenvectors: np.ndarray  # (2, 2), columns match eigenvalues
-
-
-def linear_symbol(c: ValidatedCoefficients, kappa: int) -> LinearSymbol:
-    _require_validated(c)
-    i_omega3 = (1j * TWO_PI * kappa) ** 3
-    damp = c.k if kappa != 0 else 0.0
-    matrix = -np.array([[i_omega3 + damp, c.a3 * i_omega3],
-                        [c.a3 * i_omega3, i_omega3 + damp]])
-    eigenvalues = np.array([-i_omega3 * (1.0 + c.a3) - damp,
-                            -i_omega3 * (1.0 - c.a3) - damp])
-    s = 1.0 / np.sqrt(2.0)
-    eigenvectors = np.array([[s, s], [s, -s]], dtype=np.complex128)
-    return LinearSymbol(kappa=kappa, matrix=matrix,
-                        eigenvalues=eigenvalues, eigenvectors=eigenvectors)

@@ -11,7 +11,7 @@ import pytest
 
 from ggkdv.config import ExperimentConfig, InitialSpec, build_initial_state
 from ggkdv.functionals import functional_record
-from ggkdv.integrator import evolve, linear_exact_solution
+from ggkdv.integrator import evolve
 from ggkdv.model import (CoefficientError, CoefficientSet, SimState,
                          check_coefficients, validate_coefficients)
 from ggkdv.spectral import SpectralField, make_grid
@@ -20,6 +20,8 @@ from ggkdv.verification import (StateCalculus, approx_residual_general_n,
                                 product_bound_violations, random_smooth_field,
                                 random_smooth_state, residual_general_n,
                                 residual_h1, residual_h2, scaling_ratios)
+
+from linear_reference import linear_exact_solution
 
 COUPLED = CoefficientSet(a1=1.0, a2=1.0, a3=0.5, k=1.0)
 UNCOUPLED = CoefficientSet(a1=1.0, a2=0.0, a3=0.0, k=1.0)

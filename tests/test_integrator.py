@@ -10,6 +10,7 @@ from ggkdv.verification import random_smooth_state
 
 from conftest import make_sine_state
 from etd_reference import reference_march
+from linear_reference import linear_exact_solution
 
 
 def random_state(grid, seed=5, amp=0.5, kmax=6):
@@ -79,26 +80,26 @@ class TestLinearEvolution:
         dt = 1e-3
         stepped = ti.evolve([st], [coeffs_coupled], dt, dt,
                             linear_only=True)[0].meta["final_state"]
-        exact = ti.linear_exact_solution(st, coeffs_coupled, dt)
+        exact = linear_exact_solution(st, coeffs_coupled, dt)
         np.testing.assert_allclose(stepped.u.coeffs, exact.u.coeffs, atol=1e-15)
         np.testing.assert_allclose(stepped.v.coeffs, exact.v.coeffs, atol=1e-15)
 
     def test_exact_solution_identity_and_semigroup(self, grid64, coeffs_coupled):
         st = random_state(grid64, seed=9)
-        same = ti.linear_exact_solution(st, coeffs_coupled, 0.0)
+        same = linear_exact_solution(st, coeffs_coupled, 0.0)
         # only the eigenbasis round trip (one factor of 1/sqrt 2) costs ulps
         np.testing.assert_allclose(same.u.coeffs, st.u.coeffs, atol=1e-15)
-        two_hops = ti.linear_exact_solution(
-            ti.linear_exact_solution(st, coeffs_coupled, 0.3),
+        two_hops = linear_exact_solution(
+            linear_exact_solution(st, coeffs_coupled, 0.3),
             coeffs_coupled, 0.7)
-        one_hop = ti.linear_exact_solution(st, coeffs_coupled, 1.0)
+        one_hop = linear_exact_solution(st, coeffs_coupled, 1.0)
         # tolerance reflects phase roundoff: |lambda| t ~ 1e5 radians
         np.testing.assert_allclose(two_hops.u.coeffs, one_hop.u.coeffs,
                                    atol=1e-11)
 
     def test_linear_decay_rate_is_exactly_k(self, grid64, coeffs_coupled):
         st = make_sine_state(grid64, amp=1.0)
-        sol = ti.linear_exact_solution(st, coeffs_coupled, 2.0)
+        sol = linear_exact_solution(st, coeffs_coupled, 2.0)
         expect = np.exp(-2 * coeffs_coupled.k * 2.0) * fn.hs_seminorm_sq(st, 0)
         assert fn.hs_seminorm_sq(sol, 0) == pytest.approx(expect, rel=1e-12)
 
@@ -224,23 +225,60 @@ def light_observer(c):
     return observe
 
 
-def assert_member_matches_reference(run, i, state, c, t_final, dt,
+def state_observer(c):
+    """light_observer's columns plus the observed coefficients (u, v)."""
+    def observe(s):
+        return {**light_observer(c)(s),
+                "uv": np.concatenate([s.u.coeffs, s.v.coeffs])}
+    return observe
+
+
+def assert_member_equals_lone_march(run, i, state, c, t_final, dt,
                                     stride=1):
-    """Member i of a batched run is bitwise its lone serial march."""
+    """Member i of a batched run is bitwise its lone march."""
+    alone = ti.evolve([state], [c], t_final, dt, stride=stride,
+                      observers=[lambda _, s: state_observer(c)(s)])
+    got, want = run.members[i], alone.members[0]
+    if isinstance(want, ti.BlowUpError):
+        assert isinstance(got, ti.BlowUpError)
+        assert got.time == want.time
+        return
+    assert isinstance(got, ti.DiagnosticSeries)
+    np.testing.assert_array_equal(got.t, want.t)
+    for key in want.columns:
+        np.testing.assert_array_equal(got[key], want[key])
+    for field in ("u", "v"):
+        np.testing.assert_array_equal(
+            getattr(got.meta["final_state"], field).coeffs,
+            getattr(want.meta["final_state"], field).coeffs)
+
+
+# The stepper forms the nonlinear term in the eigenbasis from (pp, mm, pm)
+# where the serial reference forms it in (u, v) from (uu, vv, uv), so the two
+# round differently. Observed coefficients may differ by at most
+# REFERENCE_ULPS * eps * max|w| * n_steps, where max|w| is the largest
+# coefficient the reference observes and n_steps the steps marched so far.
+# The largest ratio seen over 600 random members of `ensembles()` was 0.33.
+REFERENCE_ULPS = 4.0
+
+
+def assert_member_near_reference(run, i, state, c, t_final, dt, stride=1):
+    """Member i of a batched run stays within the stated bound of the
+    serial reference march, observing at the same times."""
     try:
-        times, rows, final = reference_march(state, c, t_final, dt,
-                                             light_observer(c), stride)
+        times, rows, _ = reference_march(state, c, t_final, dt,
+                                         state_observer(c), stride)
     except ti.BlowUpError as err:
         assert isinstance(run.members[i], ti.BlowUpError)
         assert run.members[i].time == err.time
         return
     series = run[i]
     np.testing.assert_array_equal(series.t, times)
-    for key in rows[0]:
-        np.testing.assert_array_equal(series[key], [r[key] for r in rows])
-    got = series.meta["final_state"]
-    np.testing.assert_array_equal(got.u.coeffs, final.u.coeffs)
-    np.testing.assert_array_equal(got.v.coeffs, final.v.coeffs)
+    want = np.array([r["uv"] for r in rows])
+    n_steps = stride * np.arange(len(rows))[:, None]
+    bound = (REFERENCE_ULPS * np.finfo(float).eps * np.max(np.abs(want))
+             * n_steps)
+    assert np.all(np.abs(series["uv"] - want) <= bound)
 
 
 @st.composite
@@ -266,25 +304,53 @@ def ensemble_member(draw, grid):
 
 
 @st.composite
-def ensembles(draw):
-    grid = sp.make_grid(draw(st.sampled_from((16, 32, 64))))
-    return draw(st.lists(ensemble_member(grid), min_size=1, max_size=4))
+def ensembles(draw, sizes=(16, 32, 64), max_members=4):
+    grid = sp.make_grid(draw(st.sampled_from(sizes)))
+    return draw(st.lists(ensemble_member(grid), min_size=1,
+                         max_size=max_members))
 
 
 class TestEnsembleOracle:
-    """The batched march against the serial reference, member by member."""
+    """The batched march against lone marches and the serial reference."""
 
-    @settings(max_examples=50, deadline=None)
-    @given(ensembles())
-    def test_batched_equals_serial_bitwise(self, members):
+    @settings(max_examples=40, deadline=None)
+    @given(ensembles(sizes=(16, 32, 64, 128, 256), max_members=5))
+    def test_members_equal_lone_marches_bitwise(self, members):
         states = [m[0] for m in members]
         coeffs = [m[1] for m in members]
         dt, stride, t_final = 1e-3, 4, 12e-3
         run = ti.evolve(states, coeffs, t_final, dt, stride=stride,
-                        observers=[lambda i, s: light_observer(coeffs[i])(s)])
+                        observers=[lambda i, s: state_observer(coeffs[i])(s)])
         for i, (state, c) in enumerate(members):
-            assert_member_matches_reference(run, i, state, c, t_final, dt,
+            assert_member_equals_lone_march(run, i, state, c, t_final, dt,
                                             stride)
+
+    @settings(max_examples=50, deadline=None)
+    @given(ensembles())
+    def test_batched_matches_serial_reference_within_bound(self, members):
+        states = [m[0] for m in members]
+        coeffs = [m[1] for m in members]
+        dt, stride, t_final = 1e-3, 4, 12e-3
+        run = ti.evolve(states, coeffs, t_final, dt, stride=stride,
+                        observers=[lambda i, s: state_observer(coeffs[i])(s)])
+        for i, (state, c) in enumerate(members):
+            assert_member_near_reference(run, i, state, c, t_final, dt,
+                                         stride)
+
+    @settings(max_examples=25, deadline=None)
+    @given(ensembles(sizes=(16, 32, 64, 128, 256), max_members=3))
+    def test_observed_modes_zero_at_mean_and_above_cutoff(self, members):
+        kept = members[0][0].grid.dealias_cutoff + 1
+        seen = []
+        run = ti.evolve([m[0] for m in members], [m[1] for m in members],
+                        12e-3, 1e-3, stride=3,
+                        observers=[lambda _, s: seen.append(s) or {}])
+        assert not any(isinstance(m, ti.BlowUpError) for m in run.members)
+        assert len(seen) == 5 * len(members)
+        for s in seen:
+            for coeffs in (s.u.coeffs, s.v.coeffs):
+                assert coeffs[0] == 0.0
+                assert not np.any(coeffs[kept:])
 
     @pytest.mark.parametrize("n_members", [1, 3, 5])
     def test_one_step_is_one_fft_pair_per_stage(self, monkeypatch, grid64,
@@ -313,7 +379,7 @@ class TestEnsembleOracle:
         dt, t_final = 1e-3, 0.05
         run = ti.evolve([m[0] for m in members], [m[1] for m in members],
                         t_final, dt, stride=5,
-                        observers=[lambda i, s: light_observer(
+                        observers=[lambda i, s: state_observer(
                             members[i][1])(s)])
         assert isinstance(run.members[1], ti.BlowUpError)
         with pytest.raises(ti.BlowUpError):
@@ -321,7 +387,8 @@ class TestEnsembleOracle:
         alone = ti.evolve([wild], [coeffs_coupled], t_final, dt)
         assert run.members[1].time == alone.members[0].time < t_final
         for i, (state, c) in enumerate(members):
-            assert_member_matches_reference(run, i, state, c, t_final, dt, 5)
+            assert_member_equals_lone_march(run, i, state, c, t_final, dt, 5)
+            assert_member_near_reference(run, i, state, c, t_final, dt, 5)
 
     def test_members_must_share_grid_and_start(self, grid64, coeffs_coupled):
         a = make_sine_state(grid64)

@@ -1,11 +1,18 @@
-"""Coefficient gate, mean reduction, right-hand side, linear symbol."""
+"""Coefficient gate, mean reduction, right-hand side, linear symbol,
+eigenbasis nonlinear term."""
+import math
+
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 from ggkdv import model, spectral as sp
 from ggkdv.model import CoefficientSet, CoefficientError
+from ggkdv.verification import random_smooth_state
 
 from conftest import make_sine_state
+import etd_reference
+from linear_reference import linear_symbol
 
 
 class TestCoefficientGate:
@@ -163,30 +170,92 @@ class TestRhs:
 class TestLinearSymbol:
     @pytest.mark.parametrize("kappa", [0, 1, 5, 32])
     def test_eigendecomposition_reconstructs_matrix(self, coeffs_coupled, kappa):
-        sym = model.linear_symbol(coeffs_coupled, kappa)
+        sym = linear_symbol(coeffs_coupled, kappa)
         P = sym.eigenvectors
         rebuilt = P @ np.diag(sym.eigenvalues) @ np.linalg.inv(P)
         scale = max(1.0, np.max(np.abs(sym.matrix)))
         assert np.max(np.abs(rebuilt - sym.matrix)) <= 1e-13 * scale
 
     def test_eigenpairs_satisfy_definition(self, coeffs_coupled):
-        sym = model.linear_symbol(coeffs_coupled, 3)
+        sym = linear_symbol(coeffs_coupled, 3)
         for lam, vec in zip(sym.eigenvalues, sym.eigenvectors.T):
             resid = sym.matrix @ vec - lam * vec
             assert np.max(np.abs(resid)) <= 1e-12 * abs(lam)
 
     def test_mode_zero_is_undamped(self, coeffs_coupled):
-        sym = model.linear_symbol(coeffs_coupled, 0)
+        sym = linear_symbol(coeffs_coupled, 0)
         assert np.all(sym.matrix == 0.0)
         assert np.all(sym.eigenvalues == 0.0)
 
     def test_rates_match_symbol_eigenvalues(self, grid64, coeffs_coupled):
         rates = model.linear_rates(grid64, coeffs_coupled)
         for kappa in (0, 1, 7, 20):
-            sym = model.linear_symbol(coeffs_coupled, kappa)
+            sym = linear_symbol(coeffs_coupled, kappa)
             assert rates[0, kappa] == pytest.approx(sym.eigenvalues[0])
             assert rates[1, kappa] == pytest.approx(sym.eigenvalues[1])
 
     def test_damping_shifts_real_part_only(self, coeffs_coupled):
-        sym = model.linear_symbol(coeffs_coupled, 4)
+        sym = linear_symbol(coeffs_coupled, 4)
         assert np.all(sym.eigenvalues.real == pytest.approx(-coeffs_coupled.k))
+
+
+@st.composite
+def term_cases(draw):
+    """A state with nonzero means on a grid of 16-256 points, and
+    coefficients on either admissible branch."""
+    grid = sp.make_grid(draw(st.sampled_from((16, 32, 64, 128, 256))))
+    if draw(st.booleans()):
+        # a1 = a2 = 1 branch, 0 < |a3| < 1
+        a3 = draw(st.floats(0.05, 0.9)) * draw(st.sampled_from((-1.0, 1.0)))
+        coeffs = CoefficientSet(a1=1.0, a2=1.0, a3=a3, k=1.0)
+    else:
+        # a3 = 0 branch: (a1, a2) on the circle a1^2 + a2^2 = a1 + a2
+        theta = draw(st.floats(0.0, 2.0 * math.pi))
+        coeffs = CoefficientSet(a1=0.5 + math.cos(theta) / math.sqrt(2),
+                                a2=0.5 + math.sin(theta) / math.sqrt(2),
+                                a3=0.0, k=1.0)
+    state = random_smooth_state(
+        grid, seed=draw(st.integers(0, 10 ** 6)),
+        amplitude=draw(st.floats(1e-3, 10.0)),
+        kmax=draw(st.integers(1, grid.dealias_cutoff)))
+    mean_u, mean_v = (draw(st.floats(0.01, 3.0))
+                      * draw(st.sampled_from((-1.0, 1.0))) for _ in range(2))
+    state = model.SimState(u=state.u, v=state.v, t=0.0,
+                           mean_u=mean_u, mean_v=mean_v)
+    return state, model.validate_coefficients(coeffs)
+
+
+class TestNonlinearRemainder:
+    """The eigenbasis flux against the (u, v) term of the serial reference."""
+
+    # Every flux term is a product of two of u, v, M, N, so with
+    # S = max|u| + max|v| on the grid no term exceeds S (S + |M| + |N|) by
+    # more than the couplings' size; -i omega scales it by at most the
+    # cutoff's omega. The stated bound is TERM_ULPS times eps times that;
+    # the largest ratio seen over 2000 random cases was 0.27.
+    TERM_ULPS = 2.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(term_cases())
+    def test_eigenbasis_term_matches_uv_reference(self, case):
+        state, c = case
+        grid = state.grid
+        kept = grid.dealias_cutoff + 1
+        nu, nv = etd_reference.nonlinear_remainder(
+            state.u.coeffs, state.v.coeffs, state.mean_u, state.mean_v, c,
+            grid)
+        w = model._rotate(np.stack([state.u.coeffs, state.v.coeffs])[:, :kept])
+        flux = model.nonlinear_remainder(w, *model.eigen_mixing(state, c),
+                                         grid)
+        omega = sp.TWO_PI * np.arange(kept)
+        got = model._rotate(-1j * omega * flux)
+        size = (np.max(np.abs(state.u.samples()))
+                + np.max(np.abs(state.v.samples())))
+        scale = (np.finfo(float).eps * omega[-1] * size
+                 * (size + abs(state.mean_u) + abs(state.mean_v)))
+        assert np.all(np.abs(got - np.stack([nu, nv])[:, :kept])
+                      <= self.TERM_ULPS * scale)
+        # the reference is exactly zero above the cutoff, where the
+        # eigenbasis flux has no modes at all
+        assert not np.any(nu[kept:]) and not np.any(nv[kept:])
+
