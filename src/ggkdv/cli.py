@@ -30,13 +30,13 @@ import numpy as np
 
 from .config import (ConfigError, ExperimentConfig, apply_overrides,
                      atomic_write_text, build_initial_state, load_config)
-from .functionals import functional_record
+from .functionals import energy
 from .integrator import BlowUpError, DiagnosticSeries, default_dt, evolve
 from .model import (CoefficientError, SimState, ValidatedCoefficients,
                     check_coefficients, validate_coefficients)
 from .spectral import make_grid
 from .verification import (APPROX_IDENTITY_IDS, EXACT_IDENTITY_IDS,
-                           fit_decay_rate, identity_reports,
+                           fit_decay_rate, identity_reports, observe,
                            poincare_holder_violations,
                            product_bound_violations, random_smooth_field,
                            random_smooth_state, scale_state)
@@ -144,14 +144,26 @@ def render_energy_svg(path: str, t, energy) -> bool:
 
 def _summary(command: str, status: str, cfg: ExperimentConfig,
              **rest) -> dict:
-    c = validate_coefficients(cfg.coefficients)
-    coefficients = c.to_coefficient_set().to_dict()
-    coefficients["branch"] = c.branch
+    coefficients = cfg.coefficients.to_dict()
+    coefficients["branch"] = validate_coefficients(cfg.coefficients).branch
     grid = make_grid(cfg.n_points)
     return {"schema_version": 1, "command": command, "status": status,
             "grid": {"n_points": grid.n_points, "n_modes": grid.n_modes,
                      "dealias_cutoff": grid.dealias_cutoff},
             "coefficients": coefficients, **rest}
+
+
+def _check_summary_owner(cfg: ExperimentConfig, command: str) -> None:
+    """Refuse, before anything runs, to replace another command's summary:
+    the CSV and plot beside it would be left half replaced or stale."""
+    try:
+        with open(cfg.summary_path, encoding="utf-8") as fh:
+            owner = json.load(fh).get("command")
+    except (TypeError, OSError, ValueError, AttributeError):
+        return  # no path, no file, or not a summary
+    if owner is not None and owner != command:
+        raise ConfigError(f"{cfg.summary_path} holds a `gg {owner}` summary; "
+                          f"give `gg {command}` its own output paths")
 
 
 def _fit_dict(fit) -> dict:
@@ -227,15 +239,16 @@ def _prepare(cfg: ExperimentConfig, identity_ids) -> _Point:
     return _Point(cfg, c, state, ids, skipped, _resolve_dt(cfg, grid, c))
 
 
-def run_experiment(cfgs, identity_ids=()) -> list:
+def run_experiment(cfgs, identity_ids=(), record=True) -> list:
     """Validate, build grid and initial state, march, and fit decay rates for
     each config, tracking the given exact identities along each trajectory.
 
-    Configs that share grid, span, stride and resolved dt march as one
-    ensemble; each gets bitwise the numbers of a lone march. Returns, per
-    config in order, its RunResult or the BlowUpError naming the time at
-    which its state first became non-finite. Raises CoefficientError for an
-    inadmissible coefficient set.
+    With `record` False only t and the energy are observed, and only the
+    energy decay rate is fitted. Configs that share grid, span, stride and
+    resolved dt march as one ensemble; each gets bitwise the numbers of a
+    lone march. Returns, per config in order, its RunResult or the
+    BlowUpError naming the time at which its state first became non-finite.
+    Raises CoefficientError for an inadmissible coefficient set.
     """
     points = [_prepare(cfg, identity_ids) for cfg in cfgs]
     groups = {}
@@ -246,35 +259,32 @@ def run_experiment(cfgs, identity_ids=()) -> list:
     for (_, t_final, stride, dt), members in groups.items():
         group = [points[index] for index in members]
 
-        def record_observer(i, st):
+        def observer(i, st):
             p = group[i]
-            return functional_record(st, p.c, p.cfg.n_max).as_columns()
-
-        def residual_observer(i, st):
+            if not record:
+                return {"t": st.t, "energy": energy(st, p.c)}
+            rec, reports = observe(st, p.c, p.identity_ids, p.cfg.n_max)
+            row = rec.as_columns()
             # Defect and normalizer are aggregated separately over the run:
             # at isolated degenerate states (e.g. a pure mode at t = 0) both
             # sides of a cross-term identity vanish to round-off, so the
             # instantaneous ratio is 0/0 noise; the run-level residual
             # divides the worst defect by the run's own scale instead.
-            row = {}
-            for key, rep in identity_reports(st, group[i].c,
-                                             group[i].identity_ids).items():
+            for key, rep in reports.items():
                 row[f"defect::{key}"] = abs(rep.lhs - rep.rhs)
                 row[f"norm::{key}"] = rep.normalizer
             return row
 
-        observers = [record_observer]
-        if any(p.identity_ids for p in group):
-            observers.append(residual_observer)
         run = evolve([p.state for p in group], [p.c for p in group],
-                     t_final, dt, observers=observers, stride=stride)
+                     t_final, dt, observers=[observer], stride=stride)
         for index, p, series in zip(members, group, run.members):
             outcomes[index] = (series if isinstance(series, BlowUpError)
-                               else _measure(p, series))
+                               else _measure(p, series, record))
     return outcomes
 
 
-def _measure(p: _Point, series: DiagnosticSeries) -> RunResult:
+def _measure(p: _Point, series: DiagnosticSeries,
+             record: bool) -> RunResult:
     """Run-level identity residuals and decay fits of one marched point."""
     residuals = {}
     for i in p.identity_ids:
@@ -282,8 +292,8 @@ def _measure(p: _Point, series: DiagnosticSeries) -> RunResult:
         norm = float(np.max(series.columns[f"norm::{i}"]))
         residuals[i] = defect / max(norm, 1e-30)
     fits, fit_errors = {}, {}
-    for name in ["energy"] + [f"seminorm_sq_{n}"
-                              for n in range(1, p.cfg.n_max + 1)]:
+    seminorms = range(1, p.cfg.n_max + 1) if record else ()
+    for name in ["energy"] + [f"seminorm_sq_{n}" for n in seminorms]:
         try:
             fits[name] = fit_decay_rate(series, name,
                                         p.cfg.resolved_fit_window(),
@@ -396,7 +406,7 @@ def cmd_verify(cfg: ExperimentConfig) -> None:
 
     fits = []
     if "DECAY" in cfg.checks:
-        result = run_experiment([cfg])[0]
+        result = run_experiment([cfg], record=False)[0]
         if isinstance(result, BlowUpError):
             add("DECAY", False, None, None,
                 f"blow-up at t = {result.time:.6g}")
@@ -466,7 +476,8 @@ def cmd_sweep(cfg: ExperimentConfig, axis_args: list) -> None:
             raise ConfigError(f"sweep point {point} violates: {names}")
 
     rows, blow_ups = [], []
-    for point_cfg, result in zip(configs, run_experiment(configs)):
+    results = run_experiment(configs, record=False)
+    for point_cfg, result in zip(configs, results):
         row = {"status": "ok", "fitted_rate": None, "r_squared": None,
                "target_rate": -2.0 * point_cfg.coefficients.k,
                "blow_up_time": None}
@@ -534,6 +545,7 @@ def main(argv=None) -> int:
     # The one place where outcomes become exit codes.
     try:
         cfg = load_config(args.config)
+        _check_summary_owner(cfg, args.command)
         if args.command == "run":
             cmd_run(cfg)
         elif args.command == "verify":

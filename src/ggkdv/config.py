@@ -2,12 +2,13 @@
 
 The file is the unit of reproducibility: everything a run needs (grid,
 coefficients, initial condition, stepping, which checks to evaluate, output
-paths) lives in it, it round-trips losslessly through load/save, and unknown
-keys are rejected so committed fixtures cannot drift silently.
+paths) lives in it, and unknown keys are rejected so committed fixtures
+cannot drift silently. `LAYOUT` maps the YAML sections to the config's
+fields.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from dataclasses import dataclass, field, is_dataclass, replace
 import math
 import os
 import tempfile
@@ -238,23 +239,6 @@ def _check_ranges(cfg: ExperimentConfig) -> None:
             f"got {vs.poincare_fields} and {vs.product_fields}")
 
 
-def _plain(value):
-    """YAML has no tuples: sequences are saved as lists."""
-    return list(value) if isinstance(value, tuple) else value
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    out = {}
-    for name, keys in LAYOUT:
-        if keys is not None:
-            out[name] = {key: _plain(getattr(cfg, attr))
-                         for key, attr in keys.items()}
-        else:
-            value = getattr(cfg, name)
-            out[name] = asdict(value) if is_dataclass(value) else _plain(value)
-    return out
-
-
 def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -264,11 +248,6 @@ def load_config(path: str) -> ExperimentConfig:
     if raw is None:
         raw = {}
     return config_from_dict(raw)
-
-
-def save_config(cfg: ExperimentConfig, path: str) -> None:
-    atomic_write_text(path, yaml.safe_dump(config_to_dict(cfg),
-                                           sort_keys=False))
 
 
 def atomic_write_text(path: str, text: str) -> None:

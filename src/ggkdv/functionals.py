@@ -8,9 +8,13 @@ higher-order terms, and h2 vanishes identically on both admissible coefficient
 branches.
 
 f1, g1, f2, g2 and h2 are written once, as monomial lists
-(`lyapunov_monomials`). `functional_record` evaluates them through a
-`StateCalculus`, and the identity battery in `verification` builds H1_MAIN and
-H2_MAIN from the same lists.
+(`lyapunov_monomials`). `functional_record` evaluates them through an
+`IntegralPlan`, and the identity battery in `verification` builds H1_MAIN and
+H2_MAIN from the same lists. A plan is compiled once per coefficient set: the
+distinct ordered factor tuples become integer index tables over the derived
+fields, and each state is then a few batched numpy calls, bitwise equal to
+integrating every product alone with `integral_of_product` and adding up
+each sum in Python, left to right.
 """
 from __future__ import annotations
 
@@ -20,8 +24,7 @@ import functools
 import numpy as np
 
 from .model import SimState, ValidatedCoefficients, rhs
-from .spectral import (TWO_PI, SpectralField, _next_pow2, _parseval_weights,
-                       derivative, inner, integral, padded_samples)
+from .spectral import TWO_PI, GridSpec, _parseval_weights, inner
 
 
 def energy(state: SimState, c: ValidatedCoefficients) -> float:
@@ -56,71 +59,143 @@ def mono(coeff: float, *tags: str) -> tuple:
     return coeff, tuple(_factor(t) for t in tags)
 
 
-class StateCalculus:
-    """The functional calculus of one state, each piece computed once.
+def value_sum(monomials) -> tuple:
+    """A functional as (coefficient, keys) terms, keys the ordered tuple of
+    the factors whose product is integrated. A key (ddt, letter, order) is
+    the order-th spatial derivative of u or v, or of its time derivative
+    from the model's right-hand side when ddt is True."""
+    return tuple((coeff, tuple((False, *f) for f in factors))
+                 for coeff, factors in monomials)
 
-    A key names one derived field: (ddt, letter, order) is the order-th
-    spatial derivative of u or v (ddt False) or of its time derivative from
-    the model's right-hand side (ddt True). The right-hand side is evaluated
-    at the first time-derivative key, so values alone never call it; each
-    keyed field and its band, its padded samples per grid size m, and each
-    integral per ordered key tuple are cached. Integrals follow the rule of
-    `integral_of_product`, so they equal it bitwise. Every `ddt` key tuple
-    holds a time-derivative factor and no `value` tuple does, so the two
-    routes of an identity never share a cached integral.
+
+def ddt_sum(monomials) -> tuple:
+    """d/dt of a functional, one product-rule slot at a time: every key
+    tuple holds a time-derivative factor."""
+    return tuple((coeff, tuple((j == i, *f) for j, f in enumerate(factors)))
+                 for coeff, factors in monomials for i in range(len(factors)))
+
+
+@functools.lru_cache(maxsize=8)
+def _derivative_symbols(grid: GridSpec, max_order: int) -> np.ndarray:
+    """(i omega)^order for order 0..max_order, as `derivative` forms it."""
+    omega = TWO_PI * grid.wavenumbers()
+    return np.stack([(1j * omega) ** order for order in range(max_order + 1)])
+
+
+def sample_rows(coeffs: np.ndarray, bands: np.ndarray, m: int) -> np.ndarray:
+    """`padded_samples` of each row of `coeffs`, with its band, on m points."""
+    width = min(m // 2 + 1, coeffs.shape[1])
+    padded = np.zeros((len(coeffs), m // 2 + 1), dtype=np.complex128)
+    padded[:, :width] = np.where(
+        np.arange(width) <= bands[:, None], coeffs[:, :width], 0.0)
+    return np.fft.irfft(padded * m, n=m)
+
+
+class IntegralPlan:
+    """Sums of integrals of field products, compiled to index tables.
+
+    Built once from a sequence of sums of (coefficient, keys) terms; the
+    distinct key tuples are its `integrals`, their keys its `fields`. Per
+    state, `values` derives each field once (calling the right-hand side
+    only if a time-derivative key is present) and evaluates each integral by
+    the rule of `integral_of_product`, bitwise equal to it: all pairings as
+    one weighted row sum; longer products with one batched resampling per
+    padded size m, then one gather, left-to-right product and row mean per
+    (m, arity). `evaluate` adds up each sum column by column, left to right
+    from 0.0, so bitwise as Python's `sum` of its terms.
     """
 
-    def __init__(self, state: SimState, c: ValidatedCoefficients):
-        self.state, self.c = state, c
-        self._sources = {(False, "u"): state.u, (False, "v"): state.v}
-        self._fields: dict = {}
-        self._samples: dict = {}
-        self._integrals: dict = {}
+    def __init__(self, sums):
+        sums = [tuple(terms) for terms in sums]
+        index = {}
+        for terms in sums:
+            for _, keys in terms:
+                index.setdefault(keys, len(index))
+        self.integrals = tuple(index)
+        self.fields = tuple(sorted({key for keys in index for key in keys}))
+        self.needs_rhs = any(ddt for ddt, _, _ in self.fields)
+        self._source = np.array([2 * ddt + (letter == "v")
+                                 for ddt, letter, _ in self.fields], dtype=int)
+        self._order = np.array([order for _, _, order in self.fields],
+                               dtype=int)
+        column = {key: i for i, key in enumerate(self.fields)}
+        by_arity = {}  # rows of (integral index, field of each factor)
+        for keys, i in index.items():
+            by_arity.setdefault(len(keys), []).append(
+                [i] + [column[key] for key in keys])
+        self._tables = [np.array(rows) for _, rows in sorted(by_arity.items())]
+        width = max(map(len, sums), default=0)
+        # padding terms read a 0.0 placed after the last integral
+        self._coeffs = np.array([[coeff for coeff, _ in terms]
+                                 + [0.0] * (width - len(terms))
+                                 for terms in sums]).reshape(len(sums), width)
+        self._terms = np.array([[index[keys] for _, keys in terms]
+                                + [len(index)] * (width - len(terms))
+                                for terms in sums],
+                               dtype=int).reshape(len(sums), width)
 
-    def _field(self, key) -> tuple[SpectralField, int]:
-        if key not in self._fields:
-            ddt, letter, order = key
-            if (ddt, letter) not in self._sources:
-                du, dv = rhs(self.state, self.c)
-                self._sources.update({(True, "u"): du, (True, "v"): dv})
-            f = derivative(self._sources[ddt, letter], order)
-            self._fields[key] = f, f.band()
-        return self._fields[key]
+    def _derived(self, state: SimState, c: ValidatedCoefficients
+                 ) -> np.ndarray:
+        """(n_fields, n_coeffs) coefficients of every keyed field."""
+        sources = [state.u.coeffs, state.v.coeffs]
+        if self.needs_rhs:
+            sources += [f.coeffs for f in rhs(state, c)]
+        fields = np.stack(sources)[self._source]
+        rows = self._order > 0
+        if rows.any():
+            symbols = _derivative_symbols(state.grid, int(self._order.max()))
+            fields[rows] = fields[rows] * symbols[self._order[rows]]
+            # odd derivative of a real field has no consistent Nyquist content
+            fields[self._order % 2 == 1, -1] = 0.0
+        return fields
 
-    def _padded(self, key, m: int) -> np.ndarray:
-        if (key, m) not in self._samples:
-            self._samples[key, m] = padded_samples(self._field(key)[0], m)
-        return self._samples[key, m]
-
-    def integral(self, keys: tuple) -> float:
-        """Integral over [0, 1) of the product of the keyed fields."""
-        if keys not in self._integrals:
-            if len(keys) == 1:
-                value = integral(self._field(keys[0])[0])
-            elif len(keys) == 2:
-                value = inner(self._field(keys[0])[0], self._field(keys[1])[0])
+    def values(self, state: SimState, c: ValidatedCoefficients
+               ) -> np.ndarray:
+        """Every integral of the plan at one state, in `integrals` order."""
+        fields = self._derived(state, c)
+        n_coeffs = fields.shape[1]
+        nonzero = fields != 0
+        bands = np.where(nonzero.any(axis=1),
+                         n_coeffs - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
+        out = np.zeros(len(self.integrals))
+        products = []  # (m, integral indices, field table)
+        for rows in self._tables:
+            index, table = rows[:, 0], rows[:, 1:]
+            if table.shape[1] == 1:
+                out[index] = fields[table[:, 0], 0].real
+            elif table.shape[1] == 2:
+                pairs = fields[table[:, 0]] * np.conj(fields[table[:, 1]])
+                out[index] = np.sum(_parseval_weights(n_coeffs) * pairs.real,
+                                    axis=1)
             else:
-                bands = [self._field(key)[1] for key in keys]
-                m = _next_pow2(max(sum(bands) + 1, 2 * max(bands) + 2, 8))
-                prod = self._padded(keys[0], m)
-                for key in keys[1:]:
-                    prod = prod * self._padded(key, m)
-                value = float(np.mean(prod))
-            self._integrals[keys] = value
-        return self._integrals[keys]
+                b = bands[table]
+                size = np.maximum(np.maximum(b.sum(axis=1) + 1,
+                                             2 * b.max(axis=1) + 2), 8)
+                m_of = 1 << np.frexp(size - 1)[1]  # next power of two
+                products += [(m, index[m_of == m], table[m_of == m])
+                             for m in np.unique(m_of).tolist()]
+        for m in sorted({m for m, _, _ in products}):
+            group = [(index, table) for size, index, table in products
+                     if size == m]
+            rows = np.unique(np.concatenate([t.ravel() for _, t in group]))
+            where = np.zeros(len(self.fields), dtype=int)
+            where[rows] = np.arange(len(rows))
+            sampled = sample_rows(fields[rows], bands[rows], m)
+            for index, table in group:
+                local = where[table]
+                prod = sampled[local[:, 0]]
+                for col in range(1, local.shape[1]):
+                    prod = prod * sampled[local[:, col]]
+                out[index] = np.mean(prod, axis=1)
+        return out
 
-    def value(self, monomials) -> float:
-        return sum(coeff * self.integral(tuple((False, *f) for f in factors))
-                   for coeff, factors in monomials)
-
-    def ddt(self, monomials) -> float:
-        """d/dt of an integral functional, one product-rule slot at a time."""
-        total = 0.0
-        for coeff, factors in monomials:
-            for i in range(len(factors)):
-                total += coeff * self.integral(
-                    tuple((j == i, *f) for j, f in enumerate(factors)))
-        return total
+    def evaluate(self, state: SimState, c: ValidatedCoefficients) -> list:
+        """Every sum of the plan at one state, as floats in input order."""
+        values = np.append(self.values(state, c), 0.0)
+        total = np.zeros(len(self._terms))
+        for column in (self._coeffs * values[self._terms]).T:
+            total += column
+        return total.tolist()
 
 
 @functools.lru_cache(maxsize=None)
@@ -171,12 +246,17 @@ class FunctionalRecord:
         return cols
 
 
+@functools.lru_cache(maxsize=None)
+def _record_plan(c: ValidatedCoefficients) -> IntegralPlan:
+    return IntegralPlan(value_sum(m) for m in lyapunov_monomials(c).values())
+
+
 def functional_record(state: SimState, c: ValidatedCoefficients,
-                      n_max: int = 4) -> FunctionalRecord:
-    calc = StateCalculus(state, c)
+                      n_max: int = 4, lyapunov=None) -> FunctionalRecord:
+    """The record of one state. `lyapunov` takes f1, g1, f2, g2 and h2 when
+    the caller's plan has evaluated them already."""
+    if lyapunov is None:
+        lyapunov = _record_plan(c).evaluate(state, c)
     return FunctionalRecord(
-        t=state.t,
-        energy=energy(state, c),
-        seminorm_sq=tuple(hs_seminorm_sq(state, n) for n in range(n_max + 1)),
-        **{name: calc.value(monomials)
-           for name, monomials in lyapunov_monomials(c).items()})
+        state.t, energy(state, c),
+        tuple(hs_seminorm_sq(state, n) for n in range(n_max + 1)), *lyapunov)

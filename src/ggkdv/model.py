@@ -109,10 +109,6 @@ class ValidatedCoefficients:
     b2: float
     branch: str  # "a3=0" or "a1=a2=1" (or "extended" via assume_valid)
 
-    def to_coefficient_set(self) -> CoefficientSet:
-        return CoefficientSet(a1=self.a1, a2=self.a2, a3=self.a3, k=self.k,
-                              r=self.r, b1=self.b1, b2=self.b2)
-
     @classmethod
     def assume_valid(cls, c: CoefficientSet,
                      branch: str = "extended") -> "ValidatedCoefficients":

@@ -143,12 +143,6 @@ def truncate(f: SpectralField, cutoff: int | None = None) -> SpectralField:
     return SpectralField(f.grid, c)
 
 
-def shift(f: SpectralField, s: float) -> SpectralField:
-    """Translate: shift(f, s)(x) = f(x + s)."""
-    phase = np.exp(1j * TWO_PI * f.grid.wavenumbers() * s)
-    return SpectralField(f.grid, f.coeffs * phase)
-
-
 def _next_pow2(m: int) -> int:
     return 1 << (m - 1).bit_length()
 

@@ -8,18 +8,20 @@ by alias-free padded quadrature. Exact identities must agree to rounding error;
 approximate ones (valid modulo higher-order terms in the solution size) must
 show residuals that shrink linearly with the amplitude.
 
-All identities of one state share one `StateCalculus` (from `functionals`):
-the right-hand side is evaluated once, each derived field is sampled once per
+Each identity's monomial lists are built once per coefficient set; H1_MAIN
+and H2_MAIN take f1, g1, f2, g2 and h2 from `functionals.lyapunov_monomials`,
+the lists the CSV columns are evaluated from. `observation_plan` compiles the
+identities one command tracks, with the record's f1..h2 when it is asked for,
+into one `functionals.IntegralPlan`, once per coefficient set: per state the
+right-hand side is evaluated once, each derived field is sampled once per
 padded grid, and each integral is computed once per ordered factor tuple,
 bitwise equal to `integral_of_product`. The two routes of an identity never
 share an integral: every left-side product holds a time derivative, no
-right-side product does. Each identity's monomial lists are built once per
-coefficient set; H1_MAIN and H2_MAIN take f1, g1, f2, g2 and h2 from
-`functionals.lyapunov_monomials`, the lists the CSV columns are evaluated from.
-`identity_reports` is the battery's one entry point and evaluates only the
-identities it is asked for. The Poincare and product-bound sweeps likewise
-sample each field once; `check_poincare_holder` and `check_product_bound`
-check one pair or tuple at a time.
+right-side product does; value integrals are shared between the record and
+the right sides. `identity_reports` (the battery) and `observe` (a run's
+record plus its tracked identities) are the entry points, and evaluate only
+the identities they are asked for. The Poincare and product-bound sweeps
+likewise sample each field once; `check_poincare_holder` checks one pair.
 
 Identity ids:
     L2              exact L2 decay law (quadratic functional, any means)
@@ -40,10 +42,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .functionals import StateCalculus, lyapunov_monomials, mono
+from .functionals import (FunctionalRecord, IntegralPlan, ddt_sum,
+                          functional_record, lyapunov_monomials, mono,
+                          value_sum)
 from .model import SimState, ValidatedCoefficients
-from .spectral import (SpectralField, derivative, integral_of_product,
-                       padded_samples, _next_pow2)
+from .spectral import SpectralField, derivative, padded_samples, _next_pow2
 
 NORMALIZER_FLOOR = 1e-30
 
@@ -80,32 +83,6 @@ class _Identity(NamedTuple):
     functional: tuple
     terms: dict
     scale_by: tuple = ()
-
-
-def _report(calc: StateCalculus, identity_id: str,
-            identity: _Identity) -> IdentityReport:
-    lhs = calc.ddt(identity.functional)
-    terms = {label: (term.factor * calc.value(term.monomials)
-                     if isinstance(term, _Damped) else calc.value(term))
-             for label, term in identity.terms.items()}
-    total = sum(terms.values())
-    reference = 2 * calc.c.k * sum(abs(calc.value(m))
-                                   for m in identity.scale_by)
-    normalizer = max(abs(lhs) + sum(abs(v) for v in terms.values())
-                     + reference, NORMALIZER_FLOOR)
-    return IdentityReport(identity_id=identity_id, lhs=lhs, rhs=total,
-                          terms=terms, normalizer=normalizer,
-                          relative_residual=abs(lhs - total) / normalizer)
-
-
-def _battery(calc: StateCalculus, identities: dict, ids) -> dict:
-    """The zero-mean identities named in `ids` (all when None)."""
-    state = calc.state
-    if state.mean_u != 0.0 or state.mean_v != 0.0:
-        raise ValueError("identity requires zero means; got "
-                         f"M = {state.mean_u}, N = {state.mean_v}")
-    return {identity_id: _report(calc, identity_id, identities[identity_id])
-            for identity_id in (identities if ids is None else ids)}
 
 
 # -- exact identities --------------------------------------------------------
@@ -146,24 +123,6 @@ def _gen_n_identity(n: int, c: ValidatedCoefficients) -> _Identity:
 def _damping_only(identity: _Identity) -> _Identity:
     return _Identity(identity.functional,
                      {"damping": identity.terms["damping"]})
-
-
-def residual_l2(calc: StateCalculus) -> IdentityReport:
-    """(int u^2 + v^2)' = -2k int u^2 + v^2, exact for any means."""
-    return _report(calc, "L2", _damping_only(_gen_n_identity(0, calc.c)))
-
-
-def residual_general_n(calc: StateCalculus, n: int) -> IdentityReport:
-    """Exact identity for (int u_n^2 + v_n^2)'; holds for any means."""
-    if n < 0:
-        raise ValueError("derivative order must be >= 0")
-    return _report(calc, f"GEN_N({n})", _gen_n_identity(n, calc.c))
-
-
-def approx_residual_general_n(calc: StateCalculus, n: int) -> IdentityReport:
-    """Damping-only truncation; the residual is the dropped cubic part."""
-    return _report(calc, f"GEN_N_APPROX({n})",
-                   _damping_only(_gen_n_identity(n, calc.c)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -218,12 +177,6 @@ def _h1_identities(c: ValidatedCoefficients) -> dict:
                       mono(-3 * a2 * a3, "u1", "v1", "v1"),
                       mono(-a2 * a3, "u1", "u1", "u1")]}),
     }
-
-
-def residual_h1(calc: StateCalculus, ids=None) -> dict:
-    """The H1 Lyapunov identity and its four sub-identities (all exact), or
-    those of them named in `ids`."""
-    return _battery(calc, _h1_identities(calc.c), ids)
 
 
 @functools.lru_cache(maxsize=None)
@@ -290,35 +243,148 @@ def _h2_identities(c: ValidatedCoefficients) -> dict:
     }
 
 
-def residual_h2(calc: StateCalculus, ids=None) -> dict:
-    """The H2 Lyapunov identity and sub-identities, or those named in `ids`.
+def _identity(identity_id: str, c: ValidatedCoefficients) -> _Identity:
+    if identity_id == "L2":
+        return _damping_only(_gen_n_identity(0, c))
+    if identity_id.startswith("GEN_N_APPROX("):
+        return _damping_only(_gen_n_identity(int(identity_id[13:-1]), c))
+    if identity_id.startswith("GEN_N("):
+        n = int(identity_id[6:-1])
+        if n < 0:
+            raise ValueError("derivative order must be >= 0")
+        return _gen_n_identity(n, c)
+    family = _h1_identities if identity_id.startswith("H1_") else _h2_identities
+    return family(c)[identity_id]
 
-    5.2 and 5.3 are exact. The main identity 5.1 and the cubic-functional
-    identities 5.4-5.6 hold modulo higher-order terms in the solution size:
-    their relative residuals must scale linearly with the state amplitude.
-    """
-    return _battery(calc, _h2_identities(calc.c), ids)
+
+# -- the compiled battery ----------------------------------------------------
+
+class ObservationPlan(NamedTuple):
+    """What one state is observed for, compiled once per coefficient set."""
+
+    c: ValidatedCoefficients
+    sums: IntegralPlan
+    columns: tuple     # sum indices of f1..h2 when recorded, else ()
+    identities: dict   # id -> (left-side sum index, right-hand terms as
+                       # (label, `_Damped` factor or None, sum index),
+                       # sum indices of the `scale_by` lists)
 
 
-def identity_reports(state: SimState, c: ValidatedCoefficients,
-                     ids) -> dict:
-    """IdentityReport for each of `ids` at one state, all from one calculus;
-    only the requested identities are evaluated."""
-    calc = StateCalculus(state, c)
+@functools.lru_cache(maxsize=None)
+def observation_plan(c: ValidatedCoefficients, ids: tuple,
+                     record: bool = False) -> ObservationPlan:
+    """The record's f1..h2 (when `record`) and the sides of the identities
+    `ids`, as one plan. Equal sums are compiled once; left sides are
+    `ddt_sum`s and right sides `value_sum`s, so they share no integral."""
+    sums = {}
+
+    def add(terms: tuple) -> int:
+        return sums.setdefault(terms, len(sums))
+
+    columns = tuple(add(value_sum(m)) for m in
+                    (lyapunov_monomials(c).values() if record else ()))
+    identities = {}
+    for identity_id in ids:
+        identity = _identity(identity_id, c)
+        terms = tuple(
+            (label, term.factor, add(value_sum(term.monomials)))
+            if isinstance(term, _Damped)
+            else (label, None, add(value_sum(term)))
+            for label, term in identity.terms.items())
+        identities[identity_id] = (
+            add(ddt_sum(identity.functional)), terms,
+            tuple(add(value_sum(m)) for m in identity.scale_by))
+    return ObservationPlan(c, IntegralPlan(sums), columns, identities)
+
+
+class Observation(NamedTuple):
+    """One state's evaluated plan."""
+
+    plan: ObservationPlan
+    state: SimState
+    sums: list
+
+    def report(self, identity_id: str) -> IdentityReport:
+        lhs, terms, scale_by = self.plan.identities[identity_id]
+        sums = self.sums
+        lhs = sums[lhs]
+        terms = {label: sums[i] if factor is None else factor * sums[i]
+                 for label, factor, i in terms}
+        total = sum(terms.values())
+        reference = 2 * self.plan.c.k * sum(abs(sums[i]) for i in scale_by)
+        normalizer = max(abs(lhs) + sum(abs(v) for v in terms.values())
+                         + reference, NORMALIZER_FLOOR)
+        return IdentityReport(identity_id=identity_id, lhs=lhs, rhs=total,
+                              terms=terms, normalizer=normalizer,
+                              relative_residual=abs(lhs - total) / normalizer)
+
+
+# The battery assembles its reports family by family, through these.
+
+def residual_l2(obs: Observation) -> IdentityReport:
+    """(int u^2 + v^2)' = -2k int u^2 + v^2, exact for any means."""
+    return obs.report("L2")
+
+
+def residual_general_n(obs: Observation, n: int) -> IdentityReport:
+    """Exact identity for (int u_n^2 + v_n^2)'; holds for any means."""
+    return obs.report(f"GEN_N({n})")
+
+
+def residual_h1(obs: Observation, ids) -> dict:
+    """The H1 identities named in `ids`; they require zero means."""
+    return _battery(obs, ids)
+
+
+def residual_h2(obs: Observation, ids) -> dict:
+    """The H2 identities named in `ids`; they require zero means."""
+    return _battery(obs, ids)
+
+
+def _battery(obs: Observation, ids) -> dict:
+    state = obs.state
+    if state.mean_u != 0.0 or state.mean_v != 0.0:
+        raise ValueError("identity requires zero means; got "
+                         f"M = {state.mean_u}, N = {state.mean_v}")
+    return {identity_id: obs.report(identity_id) for identity_id in ids}
+
+
+def _reports(obs: Observation, ids) -> dict:
     out = {}
     for prefix, battery in (("H1_", residual_h1), ("H2_", residual_h2)):
         wanted = [i for i in ids if i.startswith(prefix)]
         if wanted:
-            out.update(battery(calc, wanted))
+            out.update(battery(obs, wanted))
     for identity_id in ids:
         if identity_id == "L2":
-            out[identity_id] = residual_l2(calc)
+            out[identity_id] = residual_l2(obs)
         elif identity_id.startswith("GEN_N("):
-            out[identity_id] = residual_general_n(calc, int(identity_id[6:-1]))
-        elif identity_id.startswith("GEN_N_APPROX("):
-            out[identity_id] = approx_residual_general_n(
-                calc, int(identity_id[13:-1]))
+            out[identity_id] = residual_general_n(obs, int(identity_id[6:-1]))
+        elif identity_id not in out:
+            out[identity_id] = obs.report(identity_id)
     return {identity_id: out[identity_id] for identity_id in ids}
+
+
+def _evaluate(state: SimState, c: ValidatedCoefficients, ids,
+              record: bool) -> Observation:
+    plan = observation_plan(c, tuple(ids), record)
+    return Observation(plan, state, plan.sums.evaluate(state, c))
+
+
+def identity_reports(state: SimState, c: ValidatedCoefficients,
+                     ids) -> dict:
+    """IdentityReport for each of `ids` at one state, from one evaluation
+    of their compiled plan; only the requested identities are evaluated."""
+    return _reports(_evaluate(state, c, ids, False), ids)
+
+
+def observe(state: SimState, c: ValidatedCoefficients, ids,
+            n_max: int) -> tuple[FunctionalRecord, dict]:
+    """The record of one state and the reports of the identities `ids`,
+    from one evaluation of one plan: the two share their value integrals."""
+    obs = _evaluate(state, c, ids, True)
+    lyapunov = [obs.sums[i] for i in obs.plan.columns]
+    return functional_record(state, c, n_max, lyapunov), _reports(obs, ids)
 
 
 # -- seeded states and amplitude scaling -------------------------------------
@@ -350,13 +416,6 @@ def scale_state(state: SimState, factor: float) -> SimState:
                     mean_u=factor * state.mean_u, mean_v=factor * state.mean_v)
 
 
-def scaling_ratios(report_fn, state: SimState, n_halvings: int = 2) -> list:
-    """relative_residual(eps/2) / relative_residual(eps), per halving."""
-    rels = [report_fn(scale_state(state, 0.5 ** i)).relative_residual
-            for i in range(n_halvings + 1)]
-    return [rels[i + 1] / rels[i] for i in range(n_halvings)]
-
-
 # -- inequalities ------------------------------------------------------------
 
 def _abs_samples(f: SpectralField, oversample: int = 4) -> np.ndarray:
@@ -375,20 +434,17 @@ def _norm_of_abs(s: np.ndarray, p) -> float:
     return float(np.mean(s ** p) ** (1.0 / p))
 
 
-def lp_norm(f: SpectralField, p, oversample: int = 4) -> float:
-    """L^p norm of the trig interpolant on an oversampled grid (p >= 1 or inf)."""
-    return _norm_of_abs(_abs_samples(f, oversample), p)
-
-
 def check_poincare_holder(f: SpectralField, p, q,
                           slack: float = 1e-10) -> bool:
     """Mean-free Poincare bound ||f - [f]||_p <= ||f_x||_q for any p, q >= 1,
     plus L^p monotonicity ||f||_p <= ||f||_q whenever p <= q."""
     mean_free = SpectralField(f.grid,
                               np.concatenate([[0.0], f.coeffs[1:]]))
-    ok = lp_norm(mean_free, p) <= lp_norm(derivative(f), q) + slack
+    def norm(g, r):
+        return _norm_of_abs(_abs_samples(g), r)
+    ok = norm(mean_free, p) <= norm(derivative(f), q) + slack
     if p <= q:
-        ok = ok and lp_norm(f, p) <= lp_norm(f, q) + slack
+        ok = ok and norm(f, p) <= norm(f, q) + slack
     return ok
 
 
@@ -411,44 +467,6 @@ def poincare_holder_violations(f: SpectralField, exponents,
             if not ok:
                 bad.append((p, q))
     return bad
-
-
-class HypothesisError(ValueError):
-    """Exponent tuple outside the product bound's hypotheses."""
-
-
-def _check_exponents(alphas, betas) -> int:
-    if len(alphas) != len(betas) or len(alphas) < 2:
-        raise HypothesisError("need exponent lists over orders 0..n with n >= 1")
-    if any(a < 0 for a in alphas) or any(b < 0 for b in betas):
-        raise HypothesisError("exponents must be nonnegative")
-    d = sum(alphas) + sum(betas)
-    if d < 2:
-        raise HypothesisError(f"total degree must be >= 2, got {d}")
-    top = 2 * (alphas[-1] + betas[-1]) + alphas[-2] + betas[-2]
-    if top > 4:
-        raise HypothesisError(
-            f"2(a_n + b_n) + a_(n-1) + b_(n-1) must be <= 4, got {top}")
-    return d
-
-
-def check_product_bound(u: SpectralField, v: SpectralField, alphas, betas,
-                        slack: float = 1e-10) -> bool:
-    """|int prod u_m^alpha_m v_m^beta_m| <= S_n S_(n-1)^((d-2)/2) where
-    S_m = int u_m^2 + v_m^2, for admissible exponents (raises otherwise)."""
-    d = _check_exponents(alphas, betas)
-    n = len(alphas) - 1
-    factors = []
-    for m in range(n + 1):
-        factors.extend([derivative(u, m)] * alphas[m])
-        factors.extend([derivative(v, m)] * betas[m])
-    lhs = abs(integral_of_product(*factors))
-    un, vn = derivative(u, n), derivative(v, n)
-    um, vm = derivative(u, n - 1), derivative(v, n - 1)
-    s_n = integral_of_product(un, un) + integral_of_product(vn, vn)
-    s_m = integral_of_product(um, um) + integral_of_product(vm, vm)
-    bound = s_n * s_m ** ((d - 2) / 2.0)
-    return lhs <= bound + slack * max(1.0, bound)
 
 
 def admissible_exponent_tuples(n: int, d_max: int = 4):

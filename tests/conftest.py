@@ -1,11 +1,14 @@
+from dataclasses import asdict, is_dataclass
 import functools
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from ggkdv import model, spectral as sp
-from ggkdv.config import build_initial_state, load_config
+from ggkdv.config import (LAYOUT, atomic_write_text, build_initial_state,
+                          load_config)
 from ggkdv.integrator import evolve
 from ggkdv.verification import random_smooth_state
 
@@ -66,3 +69,26 @@ def decay_marched_state():
     state = evolve([build_initial_state(cfg)], [c], 0.2,
                    cfg.dt)[0].meta["final_state"]
     return cfg, c, state
+
+
+def _plain(value):
+    """YAML has no tuples: sequences are saved as lists."""
+    return list(value) if isinstance(value, tuple) else value
+
+
+def config_to_dict(cfg) -> dict:
+    """The YAML mapping of a config, inverse of `config.config_from_dict`."""
+    out = {}
+    for name, keys in LAYOUT:
+        if keys is not None:
+            out[name] = {key: _plain(getattr(cfg, attr))
+                         for key, attr in keys.items()}
+        else:
+            value = getattr(cfg, name)
+            out[name] = asdict(value) if is_dataclass(value) else _plain(value)
+    return out
+
+
+def save_config(cfg, path: str) -> None:
+    atomic_write_text(path, yaml.safe_dump(config_to_dict(cfg),
+                                           sort_keys=False))

@@ -1,14 +1,53 @@
-"""Per-tuple product-bound sweep: oracle of the batched sweep.
+"""Per-tuple product bound: oracle of the batched sweep.
 
-This is `product_bound_violations` as it was before the tuples of one order
-were multiplied out as one array: one product and one mean per admissible
-tuple. `verification.product_bound_violations` must reproduce its left and
-right sides bitwise.
+`product_bound_violations` is the sweep as it was before the tuples of one
+order were multiplied out as one array: one product and one mean per
+admissible tuple. `verification.product_bound_violations` must reproduce its
+left and right sides bitwise. `check_product_bound` checks one tuple, and
+rejects exponents outside the bound's hypotheses.
 """
 import numpy as np
 
-from ggkdv.spectral import _next_pow2, derivative, padded_samples
+from ggkdv.spectral import (_next_pow2, derivative, integral_of_product,
+                            padded_samples)
 from ggkdv.verification import admissible_exponent_tuples
+
+
+class HypothesisError(ValueError):
+    """Exponent tuple outside the product bound's hypotheses."""
+
+
+def _check_exponents(alphas, betas) -> int:
+    if len(alphas) != len(betas) or len(alphas) < 2:
+        raise HypothesisError("need exponent lists over orders 0..n with n >= 1")
+    if any(a < 0 for a in alphas) or any(b < 0 for b in betas):
+        raise HypothesisError("exponents must be nonnegative")
+    d = sum(alphas) + sum(betas)
+    if d < 2:
+        raise HypothesisError(f"total degree must be >= 2, got {d}")
+    top = 2 * (alphas[-1] + betas[-1]) + alphas[-2] + betas[-2]
+    if top > 4:
+        raise HypothesisError(
+            f"2(a_n + b_n) + a_(n-1) + b_(n-1) must be <= 4, got {top}")
+    return d
+
+
+def check_product_bound(u, v, alphas, betas, slack: float = 1e-10) -> bool:
+    """|int prod u_m^alpha_m v_m^beta_m| <= S_n S_(n-1)^((d-2)/2) where
+    S_m = int u_m^2 + v_m^2, for admissible exponents (raises otherwise)."""
+    d = _check_exponents(alphas, betas)
+    n = len(alphas) - 1
+    factors = []
+    for m in range(n + 1):
+        factors.extend([derivative(u, m)] * alphas[m])
+        factors.extend([derivative(v, m)] * betas[m])
+    lhs = abs(integral_of_product(*factors))
+    un, vn = derivative(u, n), derivative(v, n)
+    um, vm = derivative(u, n - 1), derivative(v, n - 1)
+    s_n = integral_of_product(un, un) + integral_of_product(vn, vn)
+    s_m = integral_of_product(um, um) + integral_of_product(vm, vm)
+    bound = s_n * s_m ** ((d - 2) / 2.0)
+    return lhs <= bound + slack * max(1.0, bound)
 
 
 def product_bound_violations(u, v, n_values=(1, 2, 3), d_max=4,

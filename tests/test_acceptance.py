@@ -15,12 +15,12 @@ from ggkdv.integrator import evolve
 from ggkdv.model import (CoefficientError, CoefficientSet, SimState,
                          check_coefficients, validate_coefficients)
 from ggkdv.spectral import SpectralField, make_grid
-from ggkdv.verification import (StateCalculus, approx_residual_general_n,
-                                fit_decay_rate, poincare_holder_violations,
+from ggkdv.verification import (fit_decay_rate, identity_reports,
+                                poincare_holder_violations,
                                 product_bound_violations, random_smooth_field,
-                                random_smooth_state, residual_general_n,
-                                residual_h1, residual_h2, scaling_ratios)
+                                random_smooth_state)
 
+from calculus_reference import scaling_ratios
 from linear_reference import linear_exact_solution
 
 COUPLED = CoefficientSet(a1=1.0, a2=1.0, a3=0.5, k=1.0)
@@ -124,13 +124,9 @@ def test_criterion_4_exact_identity_battery():
         for seed in range(50):
             state = random_smooth_state(grid, seed=seed, amplitude=0.1,
                                         kmax=8)
-            calc = StateCalculus(state, c)
-            reports = {f"GEN_N({n})": residual_general_n(calc, n)
-                       for n in range(5)}
-            h1 = residual_h1(calc)
-            h2 = residual_h2(calc)
-            reports.update({i: h1[i] for i in h1_ids})
-            reports.update({i: h2[i] for i in h2_ids})
+            reports = identity_reports(
+                state, c, [f"GEN_N({n})" for n in range(5)] + list(h1_ids)
+                + list(h2_ids))
             for identity_id, rep in reports.items():
                 if rep.relative_residual > worst:
                     worst = rep.relative_residual
@@ -147,9 +143,8 @@ def test_criterion_5_approximate_identity_scaling():
     c = validate_coefficients(CoefficientSet(a1=1.0, a2=1.0, a3=0.5, k=4.0))
     grid = make_grid(64)
     report_fns = {
-        "H2_MAIN": lambda s: residual_h2(StateCalculus(s, c))["H2_MAIN"],
-        "GEN_N_APPROX(3)": lambda s: approx_residual_general_n(
-            StateCalculus(s, c), 3),
+        name: lambda s, name=name: identity_reports(s, c, [name])[name]
+        for name in ("H2_MAIN", "GEN_N_APPROX(3)")
     }
     lo, hi = 0.35, 0.65
     out_of_window, all_ratios = [], []

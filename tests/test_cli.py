@@ -12,11 +12,11 @@ import yaml
 from ggkdv import cli, verification
 from ggkdv.config import (ConfigError, ExperimentConfig, InitialSpec,
                           VerifySpec, apply_overrides, build_initial_state,
-                          config_from_dict, config_to_dict, load_config,
-                          save_config)
+                          config_from_dict, load_config)
 from ggkdv.model import CoefficientSet
 from ggkdv.spectral import make_grid
 from ggkdv.verification import IdentityReport
+from conftest import config_to_dict, save_config
 
 
 def base_config_dict(tmp_path, **run_overrides):
@@ -565,3 +565,49 @@ class TestSchema:
     def test_summary_missing_required_fails(self):
         with pytest.raises(jsonschema.ValidationError):
             cli.validate_summary({"schema_version": 1, "command": "run"})
+
+
+class TestSharedOutputs:
+    def test_sweep_refuses_a_runs_summary_and_leaves_its_outputs(
+            self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config_dict(tmp_path))
+        assert cli.main(["run", path]) == 0
+        outputs = [tmp_path / name
+                   for name in ("diag.csv", "summary.json", "energy.svg")]
+        before = [f.read_bytes() for f in outputs]
+        capsys.readouterr()
+        assert cli.main(["sweep", path, "--axis", "k=0.5"]) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "summary.json") in err and "gg run" in err
+        assert [f.read_bytes() for f in outputs] == before
+        assert cli.main(["verify", path]) == 2
+        assert [f.read_bytes() for f in outputs] == before
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+    def test_same_command_reruns(self, tmp_path, command):
+        path = write_config(tmp_path, base_config_dict(tmp_path))
+        assert gg(command, path) == 0
+        assert gg(command, path) == 0
+
+
+class TestEnergyOnlyObservation:
+    @pytest.mark.parametrize("ks", [(0.5,), (0.25, 0.5, 1.0)],
+                             ids=["lone", "ensemble"])
+    def test_energy_and_fit_equal_the_full_record_bitwise(self, tmp_path, ks):
+        raw = base_config_dict(tmp_path, dt=0.01, t_final=2.0, stride=20)
+        raw["initial"] = {"preset": "random-smooth", "amplitude": 0.5,
+                          "seed": 3}
+        cfg = config_from_dict(raw)
+        cfgs = [apply_overrides(cfg, {"k": k}) for k in ks]
+        full = cli.run_experiment(cfgs, cli._exact_ids(cfg))
+        lean = cli.run_experiment(cfgs, record=False)
+        for whole, energy_only in zip(full, lean):
+            series = energy_only.series
+            assert list(series.columns) == ["t", "energy"]
+            assert series.t.tobytes() == whole.series.t.tobytes()
+            assert (series["energy"].tobytes()
+                    == whole.series["energy"].tobytes())
+            assert list(energy_only.fits) == ["energy"]
+            assert repr(energy_only.fits["energy"]) == repr(
+                whole.fits["energy"])
+            assert energy_only.residuals == {}

@@ -1,6 +1,4 @@
 """Functionals: oracles, scaling, coercivity, translation invariance."""
-from collections import Counter
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +8,9 @@ from ggkdv.model import CoefficientSet
 
 from conftest import (decay_marched_state, make_sine_state,
                       seeded_or_marched_state)
+from calculus_reference import StateCalculus
 import functionals_reference
+from spectral_reference import shift
 
 EPS = np.finfo(float).eps
 # g1 and g2 (and h2 off the admissible branches) are summed monomial by
@@ -149,7 +149,7 @@ class TestStructure:
 
     def test_translation_invariance(self, grid128, coeffs_coupled):
         st = rich_state(grid128)
-        moved = model.SimState(u=sp.shift(st.u, 0.3), v=sp.shift(st.v, 0.3),
+        moved = model.SimState(u=shift(st.u, 0.3), v=shift(st.v, 0.3),
                                t=st.t, mean_u=st.mean_u, mean_v=st.mean_v)
         rec = fn.functional_record(st, coeffs_coupled)
         rec_moved = fn.functional_record(moved, coeffs_coupled)
@@ -185,7 +185,7 @@ class TestRecordAgainstReference:
             regrouped["h2"] = h2
         else:
             assert rec.h2 == h2 == 0.0
-        calc = fn.StateCalculus(state, c)
+        calc = StateCalculus(state, c)
         for name, expected in regrouped.items():
             scale = sum(abs(calc.value([m]))
                         for m in fn.lyapunov_monomials(c)[name])
@@ -196,17 +196,20 @@ class TestRecordAgainstReference:
             self, monkeypatch):
         cfg, c, state = decay_marched_state()
         expected = fn.functional_record(state, c, cfg.n_max)
-        resamples = Counter()
-        real_padded = fn.padded_samples
+        batches = []
+        real_rows = fn.sample_rows
 
         def forbidden_rhs(*args):
             raise AssertionError("a record needs no time derivative")
 
-        def counting_padded(f, m):
-            resamples[id(f), m] += 1  # cached fields live as long as calc
-            return real_padded(f, m)
+        def counting_rows(coeffs, bands, m):
+            batches.append((m, [row.tobytes() for row in coeffs]))
+            return real_rows(coeffs, bands, m)
 
         monkeypatch.setattr(fn, "rhs", forbidden_rhs)
-        monkeypatch.setattr(fn, "padded_samples", counting_padded)
+        monkeypatch.setattr(fn, "sample_rows", counting_rows)
         assert fn.functional_record(state, c, cfg.n_max) == expected
-        assert resamples and max(resamples.values()) == 1
+        sizes = [m for m, _ in batches]
+        assert batches and len(sizes) == len(set(sizes))
+        for m, rows in batches:  # no (field, m) sampled twice
+            assert len(rows) == len(set(rows)), m

@@ -1,30 +1,30 @@
 """Identity battery, inequality sweeps, and decay-rate fitting."""
-from collections import Counter
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ggkdv import cli, functionals, verification
-from ggkdv.functionals import StateCalculus
+from ggkdv import cli, functionals, spectral, verification
 from ggkdv.integrator import DiagnosticSeries
 from ggkdv.model import (CoefficientSet, SimState, ValidatedCoefficients,
                          rhs, validate_coefficients)
-from ggkdv.spectral import (derivative, integral_of_product, make_grid, shift,
-                            zeros)
+from ggkdv.spectral import derivative, integral_of_product, make_grid, zeros
 from ggkdv.verification import (APPROX_IDENTITY_IDS, EXACT_IDENTITY_IDS,
-                                HypothesisError, admissible_exponent_tuples,
-                                approx_residual_general_n,
-                                check_poincare_holder, check_product_bound,
-                                fit_decay_rate, identity_reports, lp_norm,
+                                admissible_exponent_tuples,
+                                check_poincare_holder, fit_decay_rate,
+                                identity_reports, observation_plan,
                                 poincare_holder_violations,
                                 product_bound_violations, random_smooth_field,
-                                random_smooth_state, residual_general_n,
-                                residual_h1, residual_h2, residual_l2,
-                                scale_state, scaling_ratios)
+                                random_smooth_state, scale_state)
+from calculus_reference import (StateCalculus, approx_residual_general_n,
+                                residual_general_n, residual_h1, residual_h2,
+                                residual_l2, scaling_ratios)
 from conftest import COUPLED, decay_marched_state, seeded_or_marched_state
+import calculus_reference
 import product_bound_reference
+from product_bound_reference import HypothesisError, check_product_bound
+from spectral_reference import lp_norm, shift
 
 EXACT_TOL = 1e-9
 POINCARE_EXPONENTS = (1.0, 2.0, 4.0, math.inf)
@@ -162,55 +162,61 @@ class TestStateCalculus:
     def test_battery_calls_rhs_once_and_resamples_nothing_twice(
             self, monkeypatch):
         cfg, c, state = decay_marched_state()
-        rhs_calls, resamples = [], Counter()
-        real_rhs, real_padded = functionals.rhs, functionals.padded_samples
+        rhs_calls, batches = [], []
+        real_rhs, real_rows = functionals.rhs, functionals.sample_rows
 
         def counting_rhs(st_, c_):
             rhs_calls.append(st_.t)
             return real_rhs(st_, c_)
 
-        def counting_padded(f, m):
-            resamples[id(f), m] += 1  # cached fields live as long as calc
-            return real_padded(f, m)
+        def counting_rows(coeffs, bands, m):
+            batches.append((m, [row.tobytes() for row in coeffs]))
+            return real_rows(coeffs, bands, m)
 
-        def forbidden(*fields):
-            raise AssertionError("the battery bypasses integral_of_product")
+        def forbidden(*args):
+            raise AssertionError("the battery samples and integrates only "
+                                 "through its compiled plan")
 
         monkeypatch.setattr(functionals, "rhs", counting_rhs)
-        monkeypatch.setattr(functionals, "padded_samples", counting_padded)
-        monkeypatch.setattr(verification, "integral_of_product", forbidden)
+        monkeypatch.setattr(functionals, "sample_rows", counting_rows)
+        monkeypatch.setattr(spectral, "integral_of_product", forbidden)
+        monkeypatch.setattr(spectral, "padded_samples", forbidden)
         ids = cli._exact_ids(cfg)
         reports = identity_reports(state, c, ids)
         assert list(reports) == ids
         assert len(rhs_calls) == 1
-        assert resamples and max(resamples.values()) == 1
+        sizes = [m for m, _ in batches]
+        assert batches and len(sizes) == len(set(sizes))
+        for m, rows in batches:  # no (field, m) sampled twice
+            assert len(rows) == len(set(rows)), m
 
     def test_untracked_reports_are_not_evaluated(self, monkeypatch):
         # gg run tracks H2_SUB(5.2) and 5.3 only; H2_MAIN and 5.4-5.6 must
-        # leave nothing in the memo.
+        # add nothing to its plan.
         cfg, c, state = decay_marched_state()
-        calcs = []
-
-        class RecordingCalculus(StateCalculus):
-            def __init__(self, *args):
-                super().__init__(*args)
-                calcs.append(self)
-
-        monkeypatch.setattr(verification, "StateCalculus", RecordingCalculus)
         ids = cli._exact_ids(cfg)
         untracked = [i for i in APPROX_IDENTITY_IDS if i.startswith("H2_")]
-        identity_reports(state, c, ids)
-        tracked = calcs[-1]
-        alone = set()
-        for identity_id in ids:
-            identity_reports(state, c, [identity_id])
-            alone |= set(calcs[-1]._integrals)
-        identity_reports(state, c, ids + untracked)
-        everything = calcs[-1]
-        assert set(tracked._integrals) == alone
-        assert set(tracked._integrals) < set(everything._integrals)
-        assert (len(tracked._integrals), len(everything._integrals)) == (127, 145)
-        assert (len(tracked._samples), len(everything._samples)) == (16, 18)
+
+        def integrals(identity_ids):
+            return set(observation_plan(c, tuple(identity_ids))
+                       .sums.integrals)
+
+        sampled = []
+        real_rows = functionals.sample_rows
+        monkeypatch.setattr(functionals, "sample_rows",
+                            lambda coeffs, bands, m: sampled.append(
+                                len(coeffs)) or real_rows(coeffs, bands, m))
+
+        def n_sampled(identity_ids):
+            sampled.clear()
+            identity_reports(state, c, identity_ids)
+            return sum(sampled)
+
+        tracked, everything = integrals(ids), integrals(ids + untracked)
+        assert tracked == set().union(*(integrals([i]) for i in ids))
+        assert tracked < everything
+        assert (len(tracked), len(everything)) == (127, 145)
+        assert (n_sampled(ids), n_sampled(ids + untracked)) == (16, 18)
 
     @pytest.mark.parametrize("coeffs", [
         CoefficientSet(a1=1.0, a2=1.0, a3=0.5, k=0.75),
@@ -241,6 +247,76 @@ class TestStateCalculus:
         lone["GEN_N_APPROX(3)"] = approx_residual_general_n(
             StateCalculus(state, coeffs_coupled), 3)
         assert shared == {i: lone[i] for i in ids}
+
+
+ALL_IDS = list(EXACT_IDENTITY_IDS + APPROX_IDENTITY_IDS)
+BRANCHES = {
+    "coupled": COUPLED,
+    "uncoupled": validate_coefficients(
+        CoefficientSet(a1=1.0, a2=0.0, a3=0.0, k=1.0)),
+    "extended": ValidatedCoefficients.assume_valid(
+        CoefficientSet(a1=0.3, a2=0.7, a3=0.4, k=0.75)),
+}
+
+
+def report_bits(rep) -> tuple:
+    return (rep.identity_id, float(rep.lhs).hex(), float(rep.rhs).hex(),
+            list(rep.terms), bits(rep.terms), float(rep.normalizer).hex(),
+            float(rep.relative_residual).hex())
+
+
+class TestObservationPlan:
+    @settings(max_examples=40, deadline=None)
+    @given(n_points=st.sampled_from([32, 64, 128, 256]),
+           seed=st.integers(min_value=0, max_value=3),
+           marched=st.booleans(),
+           branch=st.sampled_from(sorted(BRANCHES)),
+           n_max=st.integers(min_value=0, max_value=4))
+    def test_plan_equals_calculus_oracle_bitwise(self, n_points, seed,
+                                                 marched, branch, n_max):
+        # Every compiled integral, report field and record column is the
+        # oracle's, bit for bit (signed zeros included).
+        state = seeded_or_marched_state(n_points, seed, marched)
+        c = BRANCHES[branch]
+        calc = StateCalculus(state, c)
+        plan = observation_plan(c, tuple(ALL_IDS), True)
+        values = plan.sums.values(state, c)
+        for i, keys in enumerate(plan.sums.integrals):
+            assert float(values[i]).hex() == calc.integral(keys).hex(), keys
+
+        oracle = calculus_reference.reports(state, c, ALL_IDS)
+        expected = [report_bits(oracle[i]) for i in ALL_IDS]
+        shipped = identity_reports(state, c, ALL_IDS)
+        assert list(shipped) == ALL_IDS
+        assert [report_bits(shipped[i]) for i in ALL_IDS] == expected
+
+        lyapunov = {name: calc.value(monomials) for name, monomials
+                    in functionals.lyapunov_monomials(c).items()}
+        record, observed = verification.observe(state, c, ALL_IDS, n_max)
+        assert record == functionals.functional_record(state, c, n_max)
+        assert bits({name: getattr(record, name) for name in lyapunov}) == \
+            bits(lyapunov)
+        assert [report_bits(observed[i]) for i in ALL_IDS] == expected
+
+    def test_observation_calls_rhs_once(self, monkeypatch):
+        cfg, c, state = decay_marched_state()
+        rhs_calls = []
+        real_rhs = functionals.rhs
+        monkeypatch.setattr(functionals, "rhs", lambda st_, c_: (
+            rhs_calls.append(st_.t) or real_rhs(st_, c_)))
+        verification.observe(state, c, cli._exact_ids(cfg), cfg.n_max)
+        assert len(rhs_calls) == 1
+        assert not observation_plan(c, (), True).sums.needs_rhs
+
+    def test_zero_mean_identities_reject_nonzero_means(self, grid64):
+        state = random_smooth_state(grid64, seed=5, amplitude=0.5)
+        state = SimState(u=state.u, v=state.v, t=0.0, mean_u=0.8, mean_v=0.0)
+        for ids in (["H1_MAIN"], ["L2", "H2_SUB(5.2)"]):
+            with pytest.raises(ValueError, match="zero means"):
+                identity_reports(state, COUPLED, ids)
+        with pytest.raises(ValueError, match="zero means"):
+            verification.observe(state, COUPLED, ["H1_SUB(4.2)"], 2)
+        assert identity_reports(state, COUPLED, ["L2", "GEN_N(2)"])
 
 
 class TestApproximateIdentityScaling:
