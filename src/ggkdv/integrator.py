@@ -10,9 +10,9 @@ terms are folded into the nonlinear remainder, so tables depend only on
 (grid, a3, k, dt).
 
 The march never leaves the eigenbasis: `model.nonlinear_remainder` forms the
-flux from the products of w+ and w- and mixes it with the per-member
-matrices of `model.eigen_mixing`, and every table that weighs it carries the
--i omega of its derivative. The state holds only the kept modes
+flux from the products of w+ and w- and mixes it in physical space with the
+per-member matrix of `model.eigen_mixing`; every table that weighs it carries
+the -i omega of its derivative. The state holds only the kept modes
 0..dealias_cutoff, since the dealiased nonlinear term is zero above the
 cutoff and so is the truncated initial state; observers get it rotated back
 to (u, v) and padded to the full rfft length.
@@ -97,7 +97,7 @@ def default_dt(grid: GridSpec, c: ValidatedCoefficients) -> float:
 
 @dataclass(frozen=True)
 class _Ensemble:
-    """Per-member mixing matrices and tables, stacked on a leading axis.
+    """Per-member mixing matrix and tables, stacked on a leading axis.
 
     Everything lives on the kept modes 0..dealias_cutoff. The tables that
     weigh the nonlinear term carry its -i omega, so that `nonlinear` is the
@@ -105,8 +105,7 @@ class _Ensemble:
     """
 
     grid: GridSpec
-    mix_q: np.ndarray      # (P, 2, 3) and (P, 2, 2), from eigen_mixing
-    mix_l: np.ndarray
+    mix: np.ndarray        # (P, 2, 5), [Q | L] from eigen_mixing
     exp_full: np.ndarray   # (P, 2, kept), as in EtdTables
     exp_half: np.ndarray
     q: np.ndarray          # q, w1, 2 w2 and w3, each times -i omega;
@@ -120,13 +119,12 @@ class _Ensemble:
         kept = grid.dealias_cutoff + 1
         ddx = _dealiased_ddx(grid)
         tables = [build_tables(grid, c, dt) for c in coeffs]
-        mixing = [eigen_mixing(st, c) for st, c in zip(states, coeffs)]
 
         def stacked(name: str, factor=1.0) -> np.ndarray:
             return factor * np.stack([getattr(tb, name)[:, :kept]
                                       for tb in tables])
-        return cls(grid, np.stack([q for q, _ in mixing]),
-                   np.stack([lin for _, lin in mixing]),
+        return cls(grid, np.stack([eigen_mixing(st, c)
+                                   for st, c in zip(states, coeffs)]),
                    stacked("exp_full"), stacked("exp_half"), stacked("q", ddx),
                    stacked("w1", ddx), stacked("w2", 2.0 * ddx),
                    stacked("w3", ddx))
@@ -137,7 +135,7 @@ class _Ensemble:
                                       for f in fields(self)[1:]))
 
     def nonlinear(self, w: np.ndarray) -> np.ndarray:
-        return nonlinear_remainder(w, self.mix_q, self.mix_l, self.grid)
+        return nonlinear_remainder(w, self.mix, self.grid)
 
     def step(self, w: np.ndarray, linear_only: bool = False) -> np.ndarray:
         """One ETDRK4 step of the (P, 2, kept) eigenbasis state."""

@@ -15,8 +15,9 @@ The linear part is diagonal in the eigenbasis w+- = (u +- v)/sqrt(2), and
 `_rotate` is that transform, both ways. The nonlinear terms are -d/dx of a
 flux quadratic in (u, v); written in the eigenbasis it is a fixed mix of
 the products of w+ and w- plus a mean-advection term linear in w+-, the
-matrices Q and L of `eigen_mixing`. `nonlinear_remainder` evaluates it there
-on the dealiased modes, for the time stepper and for `rhs` alike.
+one real matrix [Q | L] of `eigen_mixing`, applied in physical space.
+`nonlinear_remainder` evaluates it on the dealiased modes, for the time
+stepper and for `rhs` alike.
 """
 from __future__ import annotations
 
@@ -189,9 +190,8 @@ _ROTATION = np.array([[1.0, 1.0], [1.0, -1.0]]) / SQRT2
 _PRODUCTS = np.array([[0.5, 0.5, 1.0], [0.5, 0.5, -1.0], [0.5, -0.5, 0.0]])
 
 
-def eigen_mixing(state: SimState, c: ValidatedCoefficients
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """The matrices Q (2, 3) and L (2, 2) that `nonlinear_remainder` applies.
+def eigen_mixing(state: SimState, c: ValidatedCoefficients) -> np.ndarray:
+    """The real (2, 5) matrix [Q | L] that `nonlinear_remainder` applies.
 
     In (u, v), with means M, N, the nonlinear terms are -d/dx of the flux
 
@@ -199,38 +199,40 @@ def eigen_mixing(state: SimState, c: ValidatedCoefficients
         F_v = vv/2 + a2 uu/2 + a1 uv + (a2 M + a1 N) u + (N + a1 M) v
 
     Rotated into the eigenbasis, with p = w+ and m = w- in physical space,
-    the flux is Q (pp, mm, pm) + L (w+, w-).
+    the flux is Q (pp, mm, pm) + L (p, m).
     """
     a1, a2, m, n = c.a1, c.a2, state.mean_u, state.mean_v
     quadratic = np.array([[0.5, 0.5 * a1, a2], [0.5 * a2, 0.5, a1]])
     linear = np.array([[m + a2 * n, a1 * n + a2 * m],
                        [a2 * m + a1 * n, n + a1 * m]])
-    # complex, so that multiplying spectra by them needs no cast per call
-    return ((_ROTATION @ quadratic @ _PRODUCTS).astype(np.complex128),
-            (_ROTATION @ linear @ _ROTATION).astype(np.complex128))
+    return np.hstack((_ROTATION @ quadratic @ _PRODUCTS,
+                      _ROTATION @ linear @ _ROTATION))
 
 
-def nonlinear_remainder(w: np.ndarray, mix_q: np.ndarray, mix_l: np.ndarray,
+def nonlinear_remainder(w: np.ndarray, mix: np.ndarray,
                         grid: GridSpec) -> np.ndarray:
     """Flux of everything in the rhs except the stiff diagonal linear part.
 
     Works in the eigenbasis on the kept modes 0..dealias_cutoff (hot path of
     the time stepper), with any leading axes: `w` is (..., 2, kept) holding
-    (w+_hat, w-_hat), `mix_q` (..., 2, 3) and `mix_l` (..., 2, 2) are the
-    matrices of `eigen_mixing`. Returns the flux F_hat, shaped like `w`; the
-    nonlinear remainder itself is -i omega F_hat, zero above the cutoff.
-    The stepper folds -i omega into its tables, and `rhs` applies it.
+    (w+_hat, w-_hat), `mix` (..., 2, 5) is the [Q | L] of `eigen_mixing`.
+    Returns the flux F_hat, shaped like `w`; the nonlinear remainder itself
+    is -i omega F_hat, zero above the cutoff. The stepper folds -i omega
+    into its tables, and `rhs` applies it.
 
-    One irfft of both fields and one rfft of the three products pp, mm, pm
-    serve every leading index, and each index gets bitwise the numbers it
-    would get alone. The mean-advection terms ride along in `mix_l` so that
-    the exponential tables depend only on (grid, a3, k, dt).
+    One irfft of both fields fills rows 3-4 of a (..., 5, n) buffer with p
+    and m, rows 0-2 get pp, mm and pm, and one real matmul by `mix` mixes
+    the whole flux in physical space before one rfft of its two rows. Each
+    leading index gets bitwise the numbers it would get alone. The
+    mean-advection terms ride along in L so that the exponential tables
+    depend only on (grid, a3, k, dt).
     """
-    phys = np.fft.irfft(w, n=grid.n_points, norm="forward")  # p, m
-    products = np.concatenate(
-        (phys * phys, phys[..., :1, :] * phys[..., 1:, :]), axis=-2)
-    spec = np.fft.rfft(products, norm="forward")[..., :w.shape[-1]]
-    return mix_q @ spec + mix_l @ w
+    buf = np.empty(w.shape[:-2] + (5, grid.n_points))
+    phys = buf[..., 3:, :]
+    np.fft.irfft(w, n=grid.n_points, norm="forward", out=phys)
+    np.multiply(phys, phys, out=buf[..., :2, :])
+    np.multiply(buf[..., 3, :], buf[..., 4, :], out=buf[..., 2, :])
+    return np.fft.rfft(mix @ buf, norm="forward")[..., :w.shape[-1]]
 
 
 def linear_rates(grid: GridSpec, c: ValidatedCoefficients) -> np.ndarray:
@@ -258,7 +260,7 @@ def rhs(state: SimState, c: ValidatedCoefficients
     u_hat = truncate(state.u).coeffs
     v_hat = truncate(state.v).coeffs
     flux = nonlinear_remainder(_rotate(np.stack([u_hat, v_hat])[:, :kept]),
-                               *eigen_mixing(state, c), grid)
+                               eigen_mixing(state, c), grid)
     nonlinear = np.zeros((2, grid.n_coeffs), dtype=np.complex128)
     nonlinear[:, :kept] = _rotate(_dealiased_ddx(grid) * flux)
     nu, nv = nonlinear

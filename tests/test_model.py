@@ -245,7 +245,7 @@ class TestNonlinearRemainder:
             state.u.coeffs, state.v.coeffs, state.mean_u, state.mean_v, c,
             grid)
         w = model._rotate(np.stack([state.u.coeffs, state.v.coeffs])[:, :kept])
-        flux = model.nonlinear_remainder(w, *model.eigen_mixing(state, c),
+        flux = model.nonlinear_remainder(w, model.eigen_mixing(state, c),
                                          grid)
         omega = sp.TWO_PI * np.arange(kept)
         got = model._rotate(-1j * omega * flux)
