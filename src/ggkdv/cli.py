@@ -59,6 +59,9 @@ class CheckFailure(Exception):
 
 
 def _fmt(value) -> str:
+    """A CSV cell: 17 significant digits, text as is, None as blank."""
+    if value is None or isinstance(value, str):
+        return value or ""
     return format(float(value), ".17g")
 
 
@@ -493,18 +496,12 @@ def cmd_sweep(cfg: ExperimentConfig, axis_args: list) -> None:
                            r_squared=fit.r_squared)
         rows.append(row)
 
-    axis_names = [name for name, _ in axes]
     if cfg.csv_path is not None:
-        names = axis_names + ["fitted_rate", "target_rate", "r_squared",
-                              "status"]
-        lines = [",".join(names)]
-        for point, row in zip(points, rows):
-            cells = [_fmt(point[a]) for a in axis_names]
-            for key in ("fitted_rate", "target_rate", "r_squared"):
-                cells.append("" if row[key] is None else _fmt(row[key]))
-            cells.append(row["status"])
-            lines.append(",".join(cells))
-        atomic_write_text(cfg.csv_path, "\n".join(lines) + "\n")
+        names = [name for name, _ in axes] + ["fitted_rate", "target_rate",
+                                              "r_squared", "status"]
+        cells = [{**point, **row} for point, row in zip(points, rows)]
+        write_csv(cfg.csv_path, names,
+                  {name: [cell[name] for cell in cells] for name in names})
         print(f"wrote {cfg.csv_path}")
 
     failed = [point for point, row in zip(points, rows)
