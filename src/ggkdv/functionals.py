@@ -173,11 +173,14 @@ class IntegralPlan:
                                              2 * b.max(axis=1) + 2), 8)
                 m_of = 1 << np.frexp(size - 1)[1]  # next power of two
                 products += [(m, index[m_of == m], table[m_of == m])
-                             for m in np.unique(m_of).tolist()]
+                             for m in sorted(set(m_of.tolist()))]
         for m in sorted({m for m, _, _ in products}):
             group = [(index, table) for size, index, table in products
                      if size == m]
-            rows = np.unique(np.concatenate([t.ravel() for _, t in group]))
+            used = np.zeros(len(self.fields), dtype=bool)
+            for _, table in group:
+                used[table] = True
+            rows = np.flatnonzero(used)
             where = np.zeros(len(self.fields), dtype=int)
             where[rows] = np.arange(len(rows))
             sampled = sample_rows(fields[rows], bands[rows], m)
@@ -185,7 +188,7 @@ class IntegralPlan:
                 local = where[table]
                 prod = sampled[local[:, 0]]
                 for col in range(1, local.shape[1]):
-                    prod = prod * sampled[local[:, col]]
+                    prod *= sampled[local[:, col]]
                 out[index] = np.mean(prod, axis=1)
         return out
 
