@@ -24,7 +24,7 @@ import functools
 import numpy as np
 
 from .model import SimState, ValidatedCoefficients, rhs
-from .spectral import TWO_PI, GridSpec, _parseval_weights, inner
+from .spectral import TWO_PI, _parseval_weights, derivative, inner
 
 
 def energy(state: SimState, c: ValidatedCoefficients) -> float:
@@ -75,13 +75,6 @@ def ddt_sum(monomials) -> tuple:
                  for coeff, factors in monomials for i in range(len(factors)))
 
 
-@functools.lru_cache(maxsize=8)
-def _derivative_symbols(grid: GridSpec, max_order: int) -> np.ndarray:
-    """(i omega)^order for order 0..max_order, as `derivative` forms it."""
-    omega = TWO_PI * grid.wavenumbers()
-    return np.stack([(1j * omega) ** order for order in range(max_order + 1)])
-
-
 def sample_rows(coeffs: np.ndarray, bands: np.ndarray, m: int) -> np.ndarray:
     """`padded_samples` of each row of `coeffs`, with its band, on m points."""
     width = min(m // 2 + 1, coeffs.shape[1])
@@ -114,10 +107,6 @@ class IntegralPlan:
         self.integrals = tuple(index)
         self.fields = tuple(sorted({key for keys in index for key in keys}))
         self.needs_rhs = any(ddt for ddt, _, _ in self.fields)
-        self._source = np.array([2 * ddt + (letter == "v")
-                                 for ddt, letter, _ in self.fields], dtype=int)
-        self._order = np.array([order for _, _, order in self.fields],
-                               dtype=int)
         column = {key: i for i, key in enumerate(self.fields)}
         by_arity = {}  # rows of (integral index, field of each factor)
         for keys, i in index.items():
@@ -137,17 +126,12 @@ class IntegralPlan:
     def _derived(self, state: SimState, c: ValidatedCoefficients
                  ) -> np.ndarray:
         """(n_fields, n_coeffs) coefficients of every keyed field."""
-        sources = [state.u.coeffs, state.v.coeffs]
+        sources = {(False, "u"): state.u, (False, "v"): state.v}
         if self.needs_rhs:
-            sources += [f.coeffs for f in rhs(state, c)]
-        fields = np.stack(sources)[self._source]
-        rows = self._order > 0
-        if rows.any():
-            symbols = _derivative_symbols(state.grid, int(self._order.max()))
-            fields[rows] = fields[rows] * symbols[self._order[rows]]
-            # odd derivative of a real field has no consistent Nyquist content
-            fields[self._order % 2 == 1, -1] = 0.0
-        return fields
+            sources[True, "u"], sources[True, "v"] = rhs(state, c)
+        return np.array([derivative(sources[ddt, letter], order).coeffs
+                         for ddt, letter, order in self.fields]
+                        ).reshape(len(self.fields), state.grid.n_coeffs)
 
     def values(self, state: SimState, c: ValidatedCoefficients
                ) -> np.ndarray:
