@@ -159,11 +159,14 @@ def _summary(command: str, status: str, cfg: ExperimentConfig,
 def _check_summary_owner(cfg: ExperimentConfig, command: str) -> None:
     """Refuse, before anything runs, to replace another command's summary:
     the CSV and plot beside it would be left half replaced or stale."""
+    if cfg.summary_path is None:
+        return
     try:
         with open(cfg.summary_path, encoding="utf-8") as fh:
-            owner = json.load(fh).get("command")
-    except (TypeError, OSError, ValueError, AttributeError):
-        return  # no path, no file, or not a summary
+            summary = json.load(fh)
+    except (OSError, ValueError):
+        return  # no file yet, or not JSON
+    owner = summary.get("command") if isinstance(summary, dict) else None
     if owner is not None and owner != command:
         raise ConfigError(f"{cfg.summary_path} holds a `gg {owner}` summary; "
                           f"give `gg {command}` its own output paths")

@@ -294,7 +294,7 @@ def observation_plan(c: ValidatedCoefficients, ids: tuple,
         identities[identity_id] = (
             add(ddt_sum(identity.functional)), terms,
             tuple(add(value_sum(m)) for m in identity.scale_by))
-    return ObservationPlan(c, IntegralPlan(sums), columns, identities)
+    return ObservationPlan(c, IntegralPlan(list(sums)), columns, identities)
 
 
 class Observation(NamedTuple):
@@ -438,10 +438,11 @@ def check_poincare_holder(f: SpectralField, p, q,
                           slack: float = 1e-10) -> bool:
     """Mean-free Poincare bound ||f - [f]||_p <= ||f_x||_q for any p, q >= 1,
     plus L^p monotonicity ||f||_p <= ||f||_q whenever p <= q."""
-    mean_free = SpectralField(f.grid,
-                              np.concatenate([[0.0], f.coeffs[1:]]))
     def norm(g, r):
         return _norm_of_abs(_abs_samples(g), r)
+
+    mean_free = SpectralField(f.grid,
+                              np.concatenate([[0.0], f.coeffs[1:]]))
     ok = norm(mean_free, p) <= norm(derivative(f), q) + slack
     if p <= q:
         ok = ok and norm(f, p) <= norm(f, q) + slack
