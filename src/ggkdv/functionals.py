@@ -8,13 +8,9 @@ higher-order terms, and h2 vanishes identically on both admissible coefficient
 branches.
 
 f1, g1, f2, g2 and h2 are written once, as monomial lists
-(`lyapunov_monomials`). `functional_record` evaluates them through an
-`IntegralPlan`, and the identity battery in `verification` builds H1_MAIN and
-H2_MAIN from the same lists. A plan is compiled once per coefficient set: the
-distinct ordered factor tuples become integer index tables over the derived
-fields, and each state is then a few batched numpy calls, bitwise equal to
-integrating every product alone with `integral_of_product` and adding up
-each sum in Python, left to right.
+(`lyapunov_monomials`), which H1_MAIN and H2_MAIN in `verification` reuse.
+`verification.observe` evaluates them in one `IntegralPlan` with the tracked
+identities and hands the values to `functional_record`.
 """
 from __future__ import annotations
 
@@ -95,15 +91,20 @@ class IntegralPlan:
     one weighted row sum; longer products with one batched resampling per
     padded size m, then one gather, left-to-right product and row mean per
     (m, arity). `evaluate` adds up each sum column by column, left to right
-    from 0.0, so bitwise as Python's `sum` of its terms.
+    from 0.0, as a `total += term` loop over its terms would.
     """
 
     def __init__(self, sums):
         sums = [tuple(terms) for terms in sums]
+        width = max(map(len, sums), default=0)
+        self._coeffs = np.zeros((len(sums), width))
+        # padding terms read index -1, a 0.0 appended after the integrals
+        self._terms = np.full((len(sums), width), -1)
         index = {}
-        for terms in sums:
-            for _, keys in terms:
-                index.setdefault(keys, len(index))
+        for row, terms in enumerate(sums):
+            for col, (coeff, keys) in enumerate(terms):
+                self._coeffs[row, col] = coeff
+                self._terms[row, col] = index.setdefault(keys, len(index))
         self.integrals = tuple(index)
         self.fields = tuple(sorted({key for keys in index for key in keys}))
         self.needs_rhs = any(ddt for ddt, _, _ in self.fields)
@@ -113,15 +114,6 @@ class IntegralPlan:
             by_arity.setdefault(len(keys), []).append(
                 [i] + [column[key] for key in keys])
         self._tables = [np.array(rows) for _, rows in sorted(by_arity.items())]
-        width = max(map(len, sums), default=0)
-        # padding terms read a 0.0 placed after the last integral
-        self._coeffs = np.array([[coeff for coeff, _ in terms]
-                                 + [0.0] * (width - len(terms))
-                                 for terms in sums]).reshape(len(sums), width)
-        self._terms = np.array([[index[keys] for _, keys in terms]
-                                + [len(index)] * (width - len(terms))
-                                for terms in sums],
-                               dtype=int).reshape(len(sums), width)
 
     def _derived(self, state: SimState, c: ValidatedCoefficients
                  ) -> np.ndarray:
@@ -142,7 +134,7 @@ class IntegralPlan:
         bands = np.where(nonzero.any(axis=1),
                          n_coeffs - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
         out = np.zeros(len(self.integrals))
-        products = []  # (m, integral indices, field table)
+        products = {}  # m -> [(integral indices, field table)]
         for rows in self._tables:
             index, table = rows[:, 0], rows[:, 1:]
             if table.shape[1] == 1:
@@ -156,23 +148,18 @@ class IntegralPlan:
                 size = np.maximum(np.maximum(b.sum(axis=1) + 1,
                                              2 * b.max(axis=1) + 2), 8)
                 m_of = 1 << np.frexp(size - 1)[1]  # next power of two
-                products += [(m, index[m_of == m], table[m_of == m])
-                             for m in sorted(set(m_of.tolist()))]
-        for m in sorted({m for m, _, _ in products}):
-            group = [(index, table) for size, index, table in products
-                     if size == m]
-            used = np.zeros(len(self.fields), dtype=bool)
-            for _, table in group:
-                used[table] = True
-            rows = np.flatnonzero(used)
-            where = np.zeros(len(self.fields), dtype=int)
-            where[rows] = np.arange(len(rows))
-            sampled = sample_rows(fields[rows], bands[rows], m)
+                for m in set(m_of.tolist()):
+                    products.setdefault(m, []).append(
+                        (index[m_of == m], table[m_of == m]))
+        for m, group in sorted(products.items()):
+            rows = sorted(set().union(*(table.ravel().tolist()
+                                        for _, table in group)))
+            sampled = np.empty((len(fields), m))  # rows not in `rows` unread
+            sampled[rows] = sample_rows(fields[rows], bands[rows], m)
             for index, table in group:
-                local = where[table]
-                prod = sampled[local[:, 0]]
-                for col in range(1, local.shape[1]):
-                    prod *= sampled[local[:, col]]
+                prod = sampled[table[:, 0]]
+                for col in range(1, table.shape[1]):
+                    prod *= sampled[table[:, col]]
                 out[index] = np.mean(prod, axis=1)
         return out
 
@@ -233,17 +220,10 @@ class FunctionalRecord:
         return cols
 
 
-@functools.lru_cache(maxsize=None)
-def _record_plan(c: ValidatedCoefficients) -> IntegralPlan:
-    return IntegralPlan(value_sum(m) for m in lyapunov_monomials(c).values())
-
-
 def functional_record(state: SimState, c: ValidatedCoefficients,
-                      n_max: int = 4, lyapunov=None) -> FunctionalRecord:
-    """The record of one state. `lyapunov` takes f1, g1, f2, g2 and h2 when
-    the caller's plan has evaluated them already."""
-    if lyapunov is None:
-        lyapunov = _record_plan(c).evaluate(state, c)
+                      n_max: int, lyapunov) -> FunctionalRecord:
+    """The record of one state, with f1, g1, f2, g2 and h2 (`lyapunov`) as
+    evaluated by the caller's plan; see `verification.observe`."""
     return FunctionalRecord(
         state.t, energy(state, c),
         tuple(hs_seminorm_sq(state, n) for n in range(n_max + 1)), *lyapunov)

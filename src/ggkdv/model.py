@@ -229,7 +229,7 @@ def nonlinear_remainder(w: np.ndarray, mix: np.ndarray,
     """
     buf = np.empty(w.shape[:-2] + (5, grid.n_points))
     phys = buf[..., 3:, :]
-    np.fft.irfft(w, n=grid.n_points, norm="forward", out=phys)
+    phys[...] = np.fft.irfft(w, n=grid.n_points, norm="forward")
     np.multiply(phys, phys, out=buf[..., :2, :])
     np.multiply(buf[..., 3, :], buf[..., 4, :], out=buf[..., 2, :])
     return np.fft.rfft(mix @ buf, norm="forward")[..., :w.shape[-1]]

@@ -73,8 +73,11 @@ class StateCalculus:
         return self._integrals[keys]
 
     def value(self, monomials) -> float:
-        return sum(coeff * self.integral(tuple((False, *f) for f in factors))
-                   for coeff, factors in monomials)
+        """An integral functional, its terms added left to right from 0.0."""
+        total = 0.0
+        for coeff, factors in monomials:
+            total += coeff * self.integral(tuple((False, *f) for f in factors))
+        return total
 
     def ddt(self, monomials) -> float:
         """d/dt of an integral functional, one product-rule slot at a time."""

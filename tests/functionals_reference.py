@@ -1,8 +1,7 @@
 """The hand-grouped Lyapunov functionals, kept as the test oracle.
 
-`functionals.functional_record` evaluates f1, g1, f2, g2 and h2 from the
-monomial lists of `functionals.lyapunov_monomials`, the lists the H1/H2
-identities use. These are the earlier direct sums of `integral_of_product`
+The record's f1, g1, f2, g2 and h2 are evaluated from the monomial lists of
+`functionals.lyapunov_monomials`, the lists the H1/H2 identities use. These are the earlier direct sums of `integral_of_product`
 terms, grouped by hand; f1, f2 and h2 on the admissible branches come out
 bitwise equal, g1 and g2 (and h2 off the branches) only to rounding, since
 their sums are grouped differently.

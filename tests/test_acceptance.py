@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 
 from ggkdv.config import ExperimentConfig, InitialSpec, build_initial_state
-from ggkdv.functionals import functional_record
 from ggkdv.integrator import evolve
 from ggkdv.model import (CoefficientError, CoefficientSet, SimState,
                          check_coefficients, validate_coefficients)
 from ggkdv.spectral import SpectralField, make_grid
-from ggkdv.verification import (fit_decay_rate, identity_reports,
+from ggkdv.verification import (fit_decay_rate, identity_reports, observe,
                                 poincare_holder_violations,
                                 product_bound_violations, random_smooth_field,
                                 random_smooth_state)
@@ -40,7 +39,7 @@ def test_criterion_1_energy_decay_law():
     start = time.perf_counter()
     series = evolve([build_initial_state(cfg)], [c], 2.0, 5e-4, stride=40,
                     observers=[lambda _, s: {
-                        "energy": functional_record(s, c, 0).energy}])[0]
+                        "energy": observe(s, c, (), 0)[0].energy}])[0]
     runtime = time.perf_counter() - start
     t = np.asarray(series.t)
     energy = np.asarray(series.columns["energy"])
@@ -169,7 +168,7 @@ def test_criterion_6_seminorm_decay_rates():
     grid = make_grid(64)
     state = random_smooth_state(grid, seed=7, amplitude=0.5, kmax=8)
     series = evolve([state], [c], 10.0, 2e-3, stride=100,
-                    observers=[lambda _, s: functional_record(s, c, 3)
+                    observers=[lambda _, s: observe(s, c, (), 3)[0]
                                .as_columns()])[0]
     fits = [fit_decay_rate(series, f"seminorm_sq_{n}", (5.0, 10.0),
                            target_rate=-1.0) for n in (1, 2, 3)]

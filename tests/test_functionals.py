@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from ggkdv import functionals as fn, model, spectral as sp
 from ggkdv.model import CoefficientSet
+from ggkdv.verification import observe
 
 from conftest import (decay_marched_state, make_sine_state,
                       seeded_or_marched_state)
@@ -25,6 +26,11 @@ BRANCHES = {
     "extended": model.ValidatedCoefficients.assume_valid(
         CoefficientSet(a1=0.3, a2=0.7, a3=0.4, k=1.0)),
 }
+
+
+def record(state, c, n_max=4):
+    """The record of one state, as `gg run` observes it."""
+    return observe(state, c, (), n_max)[0]
 
 
 def rich_state(grid, amp=1.0, seed=11):
@@ -78,7 +84,7 @@ class TestLyapunovH1:
         st = model.reduce_mean(
             sp.from_samples(grid128, A * np.sin(2 * np.pi * x)),
             sp.zeros(grid128))
-        rec = fn.functional_record(st, coeffs_coupled)
+        rec = record(st, coeffs_coupled)
         f1, g1 = rec.f1, rec.g1
         assert f1 == pytest.approx(0.5 * A ** 2 * (2 * np.pi) ** 2, rel=1e-12)
         assert g1 == pytest.approx(0.0, abs=1e-15)
@@ -91,12 +97,12 @@ class TestLyapunovH1:
         c = coeffs_coupled
         expect = float(np.mean(-(u ** 3 + v ** 3) / 3
                                - c.a1 * u * v ** 2 - c.a2 * u ** 2 * v))
-        g1 = fn.functional_record(st, c).g1
+        g1 = record(st, c).g1
         assert g1 == pytest.approx(expect, rel=1e-12)
 
     def test_f1_coercive_between_sobolev_bounds(self, grid128, coeffs_coupled):
         st = rich_state(grid128)
-        f1 = fn.functional_record(st, coeffs_coupled).f1
+        f1 = record(st, coeffs_coupled).f1
         s1 = fn.hs_seminorm_sq(st, 1)
         a3 = abs(coeffs_coupled.a3)
         assert (1 - a3) * s1 - 1e-12 <= f1 <= (1 + a3) * s1 + 1e-12
@@ -105,7 +111,7 @@ class TestLyapunovH1:
 class TestLyapunovH2:
     def test_f2_matches_seminorm_when_uncoupled(self, grid128, coeffs_uncoupled):
         st = rich_state(grid128)
-        f2 = fn.functional_record(st, coeffs_uncoupled).f2
+        f2 = record(st, coeffs_uncoupled).f2
         assert f2 == pytest.approx(fn.hs_seminorm_sq(st, 2), rel=1e-13)
 
     def test_g2_dense_quadrature_oracle(self, grid128, coeffs_coupled):
@@ -120,20 +126,20 @@ class TestLyapunovH2:
             u1 ** 2 * u + v1 ** 2 * v
             + c.a1 * (2 * u1 * v1 * v + v1 ** 2 * u)
             + c.a2 * (2 * u1 * v1 * u + u1 ** 2 * v))))
-        g2 = fn.functional_record(st, c).g2
+        g2 = record(st, c).g2
         assert g2 == pytest.approx(expect, rel=1e-12)
 
     def test_h2_vanishes_on_both_admissible_branches(
             self, grid128, coeffs_coupled, coeffs_uncoupled):
         st = rich_state(grid128)
-        assert fn.functional_record(st, coeffs_coupled).h2 == 0.0
-        assert fn.functional_record(st, coeffs_uncoupled).h2 == 0.0
+        assert record(st, coeffs_coupled).h2 == 0.0
+        assert record(st, coeffs_uncoupled).h2 == 0.0
 
     def test_h2_nonzero_outside_the_certified_regime(self, grid128):
         c = model.ValidatedCoefficients.assume_valid(
             CoefficientSet(a1=0.3, a2=0.7, a3=0.4, k=1.0))
         st = rich_state(grid128)
-        assert abs(fn.functional_record(st, c).h2) > 1e-6
+        assert abs(record(st, c).h2) > 1e-6
 
 
 class TestStructure:
@@ -141,7 +147,7 @@ class TestStructure:
             self, grid128, coeffs_coupled):
         c = coeffs_coupled
         big, small = rich_state(grid128, amp=1.0), rich_state(grid128, amp=0.5)
-        rb, rs = fn.functional_record(big, c), fn.functional_record(small, c)
+        rb, rs = record(big, c), record(small, c)
         assert rb.f1 / rs.f1 == pytest.approx(4.0, rel=1e-12)
         assert rb.g1 / rs.g1 == pytest.approx(8.0, rel=1e-10)
         assert rb.f2 / rs.f2 == pytest.approx(4.0, rel=1e-12)
@@ -151,14 +157,14 @@ class TestStructure:
         st = rich_state(grid128)
         moved = model.SimState(u=shift(st.u, 0.3), v=shift(st.v, 0.3),
                                t=st.t, mean_u=st.mean_u, mean_v=st.mean_v)
-        rec = fn.functional_record(st, coeffs_coupled)
-        rec_moved = fn.functional_record(moved, coeffs_coupled)
+        rec = record(st, coeffs_coupled)
+        rec_moved = record(moved, coeffs_coupled)
         for key, val in rec.as_columns().items():
             assert rec_moved.as_columns()[key] == pytest.approx(
                 val, rel=1e-10, abs=1e-12), key
 
     def test_record_column_order(self, grid64, coeffs_coupled):
-        rec = fn.functional_record(make_sine_state(grid64), coeffs_coupled,
+        rec = record(make_sine_state(grid64), coeffs_coupled,
                                    n_max=2)
         assert list(rec.as_columns()) == [
             "t", "energy", "seminorm_sq_0", "seminorm_sq_1", "seminorm_sq_2",
@@ -175,7 +181,7 @@ class TestRecordAgainstReference:
                                                    marched, branch):
         state = seeded_or_marched_state(n_points, seed, marched)
         c = BRANCHES[branch]
-        rec = fn.functional_record(state, c)
+        rec = record(state, c)
         f1, g1 = functionals_reference.lyapunov_h1(state, c)
         f2, g2, h2 = functionals_reference.lyapunov_h2(state, c)
         assert rec.f1 == f1
@@ -195,7 +201,7 @@ class TestRecordAgainstReference:
     def test_record_calls_no_rhs_and_resamples_nothing_twice(
             self, monkeypatch):
         cfg, c, state = decay_marched_state()
-        expected = fn.functional_record(state, c, cfg.n_max)
+        expected = record(state, c, cfg.n_max)
         batches = []
         real_rows = fn.sample_rows
 
@@ -208,7 +214,7 @@ class TestRecordAgainstReference:
 
         monkeypatch.setattr(fn, "rhs", forbidden_rhs)
         monkeypatch.setattr(fn, "sample_rows", counting_rows)
-        assert fn.functional_record(state, c, cfg.n_max) == expected
+        assert record(state, c, cfg.n_max) == expected
         sizes = [m for m, _ in batches]
         assert batches and len(sizes) == len(set(sizes))
         for m, rows in batches:  # no (field, m) sampled twice

@@ -230,7 +230,7 @@ class TestStateCalculus:
         # terms are the record's columns times the same factors, bitwise.
         c = ValidatedCoefficients.assume_valid(coeffs)
         state = random_smooth_state(grid64, seed=seed, amplitude=0.5)
-        rec = functionals.functional_record(state, c)
+        rec = verification.observe(state, c, (), 4)[0]
         calc = StateCalculus(state, c)
         h1, h2 = residual_h1(calc)["H1_MAIN"], residual_h2(calc)["H2_MAIN"]
         assert bits(h1.terms) == bits({"-2k f1": -2 * c.k * rec.f1,
@@ -293,7 +293,7 @@ class TestObservationPlan:
         lyapunov = {name: calc.value(monomials) for name, monomials
                     in functionals.lyapunov_monomials(c).items()}
         record, observed = verification.observe(state, c, ALL_IDS, n_max)
-        assert record == functionals.functional_record(state, c, n_max)
+        assert record == verification.observe(state, c, (), n_max)[0]
         assert bits({name: getattr(record, name) for name in lyapunov}) == \
             bits(lyapunov)
         assert [report_bits(observed[i]) for i in ALL_IDS] == expected
