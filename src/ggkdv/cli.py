@@ -30,7 +30,6 @@ import numpy as np
 
 from .config import (ConfigError, ExperimentConfig, apply_overrides,
                      atomic_write_text, build_initial_state, load_config)
-from .functionals import energy
 from .integrator import BlowUpError, DiagnosticSeries, default_dt, evolve
 from .model import (CoefficientError, SimState, ValidatedCoefficients,
                     check_coefficients, validate_coefficients)
@@ -212,7 +211,7 @@ def _resolve_dt(cfg: ExperimentConfig, grid, c) -> float:
 class RunResult:
     """One march of a configured experiment and what was measured on it."""
 
-    series: DiagnosticSeries  # functional_record columns, then per tracked
+    series: DiagnosticSeries  # t, functional_record columns, then per tracked
                               # identity its defect::<id> and norm::<id>
     residuals: dict   # tracked identity id -> run-level relative residual
     skipped: list     # ZERO_MEAN_CHECKS dropped: the initial means are not 0
@@ -257,6 +256,7 @@ def run_experiment(cfgs, identity_ids=(), record=True) -> list:
     Raises CoefficientError for an inadmissible coefficient set.
     """
     points = [_prepare(cfg, identity_ids) for cfg in cfgs]
+    columns = None if record else ("energy",)
     groups = {}
     for index, p in enumerate(points):
         key = (p.cfg.n_points, p.cfg.t_final, p.cfg.stride, p.dt)
@@ -267,10 +267,8 @@ def run_experiment(cfgs, identity_ids=(), record=True) -> list:
 
         def observer(i, st):
             p = group[i]
-            if not record:
-                return {"t": st.t, "energy": energy(st, p.c)}
-            rec, reports = observe(st, p.c, p.identity_ids, p.cfg.n_max)
-            row = rec.as_columns()
+            row, reports = observe(st, p.c, p.identity_ids, p.cfg.n_max,
+                                   columns)
             # Defect and normalizer are aggregated separately over the run:
             # at isolated degenerate states (e.g. a pure mode at t = 0) both
             # sides of a cross-term identity vanish to round-off, so the
@@ -285,21 +283,21 @@ def run_experiment(cfgs, identity_ids=(), record=True) -> list:
                      t_final, dt, observers=[observer], stride=stride)
         for index, p, series in zip(members, group, run.members):
             outcomes[index] = (series if isinstance(series, BlowUpError)
-                               else _measure(p, series, record))
+                               else _measure(p, series))
     return outcomes
 
 
-def _measure(p: _Point, series: DiagnosticSeries,
-             record: bool) -> RunResult:
-    """Run-level identity residuals and decay fits of one marched point."""
+def _measure(p: _Point, series: DiagnosticSeries) -> RunResult:
+    """Run-level identity residuals and decay fits of one marched point: the
+    energy and each seminorm of order 1 and up that the series holds."""
     residuals = {}
     for i in p.identity_ids:
         defect = float(np.max(series.columns[f"defect::{i}"]))
         norm = float(np.max(series.columns[f"norm::{i}"]))
         residuals[i] = defect / max(norm, 1e-30)
     fits, fit_errors = {}, {}
-    seminorms = range(1, p.cfg.n_max + 1) if record else ()
-    for name in ["energy"] + [f"seminorm_sq_{n}" for n in seminorms]:
+    seminorms = [f"seminorm_sq_{n}" for n in range(1, p.cfg.n_max + 1)]
+    for name in ["energy"] + [s for s in seminorms if s in series.columns]:
         try:
             fits[name] = fit_decay_rate(series, name,
                                         p.cfg.resolved_fit_window(),

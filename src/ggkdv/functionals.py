@@ -1,43 +1,29 @@
-"""Energies, Sobolev seminorms, the Lyapunov functionals and their calculus.
+"""The CSV record and the Lyapunov functionals as monomial lists, and the
+plan that integrates them.
 
-All quantities are exact integrals of the trig interpolants: quadratic ones via
-the coefficient pairing, cubic ones via alias-free padded quadrature. The H1
-Lyapunov pair (f1, g1) satisfies (f1 + g1)' = -2k f1 - 3k g1 along zero-mean
-solutions; the H2 triple (f2, g2, h2) satisfies (f2 + g2)' ~= -2k f2 + h2 up to
-higher-order terms, and h2 vanishes identically on both admissible coefficient
-branches.
+Every record column is a monomial list (`functional_record`): the energy
+(1/2) int b2 u^2 + b1 v^2, the seminorms int (d^n u)^2 + (d^n v)^2, and the
+Lyapunov functionals. All integrals are exact integrals of the trig
+interpolants: quadratic ones via the coefficient pairing, cubic ones via
+alias-free padded quadrature. The H1 Lyapunov pair (f1, g1) satisfies
+(f1 + g1)' = -2k f1 - 3k g1 along zero-mean solutions; the H2 triple
+(f2, g2, h2) satisfies (f2 + g2)' ~= -2k f2 + h2 up to higher-order terms,
+and h2 vanishes identically on both admissible coefficient branches.
 
-f1, g1, f2, g2 and h2 are written once, as monomial lists
-(`lyapunov_monomials`), which H1_MAIN and H2_MAIN in `verification` reuse.
-`verification.observe` evaluates them in one `IntegralPlan` with the tracked
-identities and hands the values to `functional_record`.
+The identities in `verification` reuse these lists: GEN_N(n), H1_SUB(4.2)
+and H2_SUB(5.2) take the seminorms as their functionals, H1_MAIN and
+H2_MAIN take f1, g1, f2, g2 and h2. `verification.observe` evaluates the
+record columns it is asked for in one `IntegralPlan` with the tracked
+identities.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 import functools
 
 import numpy as np
 
 from .model import SimState, ValidatedCoefficients, rhs
-from .spectral import TWO_PI, _parseval_weights, derivative, inner
-
-
-def energy(state: SimState, c: ValidatedCoefficients) -> float:
-    """Weighted L2 energy (1/2) int b2 u^2 + b1 v^2."""
-    return 0.5 * (c.b2 * inner(state.u, state.u)
-                  + c.b1 * inner(state.v, state.v))
-
-
-def hs_seminorm_sq(state: SimState, n: int) -> float:
-    """int (d^n u)^2 + (d^n v)^2, computed modewise."""
-    if n < 0:
-        raise ValueError("derivative order must be >= 0")
-    grid = state.grid
-    w = _parseval_weights(grid.n_coeffs)
-    omega2n = (TWO_PI * grid.wavenumbers()) ** (2 * n)
-    mag = (np.abs(state.u.coeffs) ** 2 + np.abs(state.v.coeffs) ** 2)
-    return float(np.sum(w * omega2n * mag))
+from .spectral import _parseval_weights, derivative
 
 
 # -- monomial calculus -------------------------------------------------------
@@ -84,14 +70,15 @@ class IntegralPlan:
     """Sums of integrals of field products, compiled to index tables.
 
     Built once from a sequence of sums of (coefficient, keys) terms; the
-    distinct key tuples are its `integrals`, their keys its `fields`. Per
-    state, `values` derives each field once (calling the right-hand side
-    only if a time-derivative key is present) and evaluates each integral by
-    the rule of `integral_of_product`, bitwise equal to it: all pairings as
-    one weighted row sum; longer products with one batched resampling per
-    padded size m, then one gather, left-to-right product and row mean per
-    (m, arity). `evaluate` adds up each sum column by column, left to right
-    from 0.0, as a `total += term` loop over its terms would.
+    distinct key tuples (two or more keys each) are its `integrals`, their
+    keys its `fields`. Per state, `values` derives each field once (calling
+    the right-hand side only if a time-derivative key is present) and
+    evaluates each integral by the rule of `integral_of_product`, bitwise
+    equal to it: all pairings as one weighted row sum; longer products with
+    one batched resampling per padded size m, then one gather, left-to-right
+    product and row mean per (m, arity). `evaluate` adds up each sum column
+    by column, left to right from 0.0, as a `total += term` loop over its
+    terms would.
     """
 
     def __init__(self, sums):
@@ -137,9 +124,7 @@ class IntegralPlan:
         products = {}  # m -> [(integral indices, field table)]
         for rows in self._tables:
             index, table = rows[:, 0], rows[:, 1:]
-            if table.shape[1] == 1:
-                out[index] = fields[table[:, 0], 0].real
-            elif table.shape[1] == 2:
+            if table.shape[1] == 2:
                 pairs = fields[table[:, 0]] * np.conj(fields[table[:, 1]])
                 out[index] = np.sum(_parseval_weights(n_coeffs) * pairs.real,
                                     axis=1)
@@ -199,31 +184,15 @@ def lyapunov_monomials(c: ValidatedCoefficients) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class FunctionalRecord:
-    """All standard diagnostics of one state, in CSV column order."""
-
-    t: float
-    energy: float
-    seminorm_sq: tuple  # (int u^2+v^2, int u1^2+v1^2, ..., up to n_max)
-    f1: float
-    g1: float
-    f2: float
-    g2: float
-    h2: float
-
-    def as_columns(self) -> dict:
-        cols = {"t": self.t, "energy": self.energy}
-        for n, val in enumerate(self.seminorm_sq):
-            cols[f"seminorm_sq_{n}"] = val
-        cols.update(f1=self.f1, g1=self.g1, f2=self.f2, g2=self.g2, h2=self.h2)
-        return cols
+def seminorm_monomials(n: int) -> tuple:
+    """int (d^n u)^2 + (d^n v)^2 as a monomial list."""
+    return mono(1.0, f"u{n}", f"u{n}"), mono(1.0, f"v{n}", f"v{n}")
 
 
-def functional_record(state: SimState, c: ValidatedCoefficients,
-                      n_max: int, lyapunov) -> FunctionalRecord:
-    """The record of one state, with f1, g1, f2, g2 and h2 (`lyapunov`) as
-    evaluated by the caller's plan; see `verification.observe`."""
-    return FunctionalRecord(
-        state.t, energy(state, c),
-        tuple(hs_seminorm_sq(state, n) for n in range(n_max + 1)), *lyapunov)
+def functional_record(c: ValidatedCoefficients, n_max: int) -> dict:
+    """The CSV columns after t, in order, as monomial lists: the energy,
+    the seminorms of orders 0..n_max, then f1, g1, f2, g2 and h2."""
+    return {"energy": (mono(0.5 * c.b2, "u", "u"), mono(0.5 * c.b1, "v", "v")),
+            **{f"seminorm_sq_{n}": seminorm_monomials(n)
+               for n in range(n_max + 1)},
+            **lyapunov_monomials(c)}

@@ -79,13 +79,13 @@ class EtdTables:
     w3: np.ndarray
 
 
-def build_tables(grid: GridSpec, c: ValidatedCoefficients, dt: float,
-                 n_contour: int = 32) -> EtdTables:
+def build_tables(grid: GridSpec, c: ValidatedCoefficients,
+                 dt: float) -> EtdTables:
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     lam = linear_rates(grid, c)
     z0 = lam * dt
-    q, w1, w2, w3 = contour_phi_means(z0, n_contour)
+    q, w1, w2, w3 = contour_phi_means(z0)
     return EtdTables(exp_full=np.exp(z0), exp_half=np.exp(z0 / 2.0),
                      q=dt * q, w1=dt * w1, w2=dt * w2, w3=dt * w3)
 

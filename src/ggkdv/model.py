@@ -108,14 +108,7 @@ class ValidatedCoefficients:
     r: float
     b1: float
     b2: float
-    branch: str  # "a3=0" or "a1=a2=1" (or "extended" via assume_valid)
-
-    @classmethod
-    def assume_valid(cls, c: CoefficientSet,
-                     branch: str = "extended") -> "ValidatedCoefficients":
-        """Bypass the gate; for studies outside the certified regime."""
-        return cls(a1=c.a1, a2=c.a2, a3=c.a3, k=c.k, r=c.r, b1=c.b1, b2=c.b2,
-                   branch=branch)
+    branch: str  # "a3=0" or "a1=a2=1"
 
 
 def validate_coefficients(c: CoefficientSet) -> ValidatedCoefficients:
@@ -159,8 +152,7 @@ def reduce_mean(phi: SpectralField, psi: SpectralField,
 
 def _require_validated(c) -> None:
     if not isinstance(c, ValidatedCoefficients):
-        raise TypeError("coefficients must pass validate_coefficients "
-                        "(or ValidatedCoefficients.assume_valid)")
+        raise TypeError("coefficients must pass validate_coefficients")
 
 
 @functools.lru_cache(maxsize=8)

@@ -134,12 +134,10 @@ def inner(f: SpectralField, g: SpectralField) -> float:
     return float(np.sum(w * (f.coeffs * np.conj(g.coeffs)).real))
 
 
-def truncate(f: SpectralField, cutoff: int | None = None) -> SpectralField:
-    """Zero every mode above the cutoff (defaults to the grid's)."""
-    if cutoff is None:
-        cutoff = f.grid.dealias_cutoff
+def truncate(f: SpectralField) -> SpectralField:
+    """Zero every mode above the grid's dealiasing cutoff."""
     c = f.coeffs.copy()
-    c[cutoff + 1:] = 0.0
+    c[f.grid.dealias_cutoff + 1:] = 0.0
     return SpectralField(f.grid, c)
 
 

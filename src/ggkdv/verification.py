@@ -8,16 +8,17 @@ by alias-free padded quadrature. Exact identities must agree to rounding error;
 approximate ones (valid modulo higher-order terms in the solution size) must
 show residuals that shrink linearly with the amplitude.
 
-Each identity's monomial lists are built once per coefficient set; H1_MAIN
-and H2_MAIN take f1, g1, f2, g2 and h2 from `functionals.lyapunov_monomials`,
-the lists the CSV record is evaluated from. `observation_plan` compiles the
-identities a command asks for, plus the record's f1..h2 for `observe`, into
-one `functionals.IntegralPlan`: per state the right-hand side is evaluated
-once and each integral once, bitwise equal to `integral_of_product`. Every
-left-side product holds a time derivative and no right-side product does, so
-the two routes of an identity share no integral; the record shares its value
-integrals with the right sides. The Poincare and product-bound sweeps
-likewise sample each field once.
+Each identity's monomial lists are built once per coefficient set, from the
+lists the CSV record is evaluated from (`functionals.functional_record`):
+GEN_N(n), H1_SUB(4.2) and H2_SUB(5.2) take the seminorms as their
+functionals, H1_MAIN and H2_MAIN take f1, g1, f2, g2 and h2.
+`observation_plan` compiles the identities a command asks for, plus the
+record columns `observe` is asked for, into one `functionals.IntegralPlan`:
+per state the right-hand side is evaluated once and each integral once,
+bitwise equal to `integral_of_product`. Every left-side product holds a time
+derivative and no right-side product does, so the two routes of an identity
+share no integral; the record shares its value integrals with the right
+sides. The Poincare and product-bound sweeps likewise sample each field once.
 
 Identity ids:
     L2              exact L2 decay law (quadratic functional, any means)
@@ -38,8 +39,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .functionals import (FunctionalRecord, IntegralPlan, ddt_sum,
-                          functional_record, lyapunov_monomials, mono,
+from .functionals import (IntegralPlan, ddt_sum, functional_record,
+                          lyapunov_monomials, mono, seminorm_monomials,
                           value_sum)
 from .model import SimState, ValidatedCoefficients
 from .spectral import SpectralField, derivative, padded_samples, _next_pow2
@@ -89,7 +90,7 @@ class _Identity(NamedTuple):
 @functools.lru_cache(maxsize=None)
 def _gen_n_identity(n: int, c: ValidatedCoefficients) -> _Identity:
     """The order-n derivative-energy identity."""
-    fn = (mono(1.0, f"u{n}", f"u{n}"), mono(1.0, f"v{n}", f"v{n}"))
+    fn = seminorm_monomials(n)
     self_interaction = []
     for j in range(n + 1):
         w = -2.0 * math.comb(n, j)
@@ -125,7 +126,7 @@ def _damping_only(identity: _Identity) -> _Identity:
 def _h1_identities(c: ValidatedCoefficients) -> dict:
     a1, a2, a3, k = c.a1, c.a2, c.a3, c.k
     f1, g1 = (lyapunov_monomials(c)[name] for name in ("f1", "g1"))
-    grad = (mono(1.0, "u1", "u1"), mono(1.0, "v1", "v1"))
+    grad = seminorm_monomials(1)
     cross = (mono(1.0, "u1", "v1"),)
     cubes = (mono(1.0, "u", "u", "u"), mono(1.0, "v", "v", "v"))
     mixed = (mono(a1, "u", "v", "v"), mono(a2, "u", "u", "v"))
@@ -179,7 +180,7 @@ def _h1_identities(c: ValidatedCoefficients) -> dict:
 def _h2_identities(c: ValidatedCoefficients) -> dict:
     a1, a2, a3, k = c.a1, c.a2, c.a3, c.k
     f2, g2, h2 = (lyapunov_monomials(c)[name] for name in ("f2", "g2", "h2"))
-    curv = (mono(1.0, "u2", "u2"), mono(1.0, "v2", "v2"))
+    curv = seminorm_monomials(2)
     cross2 = (mono(1.0, "u2", "v2"),)
     # "Approximate" means accurate relative to the quadratic leading part,
     # so that scale enters the truncations' normalizers.
@@ -260,25 +261,27 @@ class ObservationPlan(NamedTuple):
 
     c: ValidatedCoefficients
     sums: IntegralPlan
-    columns: tuple     # sum indices of f1..h2 when recorded, else ()
+    columns: tuple     # (record column, sum index) of each observed column
     identities: dict   # id -> (left-side sum index, right-hand terms as
                        # (label, `_Damped` factor or None, sum index),
                        # sum indices of the `scale_by` lists)
 
 
 @functools.lru_cache(maxsize=None)
-def observation_plan(c: ValidatedCoefficients, ids: tuple,
-                     record: bool = False) -> ObservationPlan:
-    """The record's f1..h2 (when `record`) and the sides of the identities
-    `ids`, as one plan. Equal sums are compiled once; left sides are
-    `ddt_sum`s and right sides `value_sum`s, so they share no integral."""
+def observation_plan(c: ValidatedCoefficients, ids: tuple, n_max: int = 0,
+                     columns: tuple | None = ()) -> ObservationPlan:
+    """The `columns` of `functional_record(c, n_max)` (all of them when None)
+    and the sides of the identities `ids`, as one plan. Equal sums are
+    compiled once; left sides are `ddt_sum`s and right sides `value_sum`s,
+    so they share no integral."""
     sums = {}
 
     def add(terms: tuple) -> int:
         return sums.setdefault(terms, len(sums))
 
-    columns = tuple(add(value_sum(m)) for m in
-                    (lyapunov_monomials(c).values() if record else ()))
+    record = functional_record(c, n_max)
+    columns = tuple((name, add(value_sum(record[name])))
+                    for name in (record if columns is None else columns))
     identities = {}
     for identity_id in ids:
         identity = _identity(identity_id, c)
@@ -347,15 +350,15 @@ def _report(obs: Observation, identity_id: str) -> IdentityReport:
     return family(obs, identity_id)
 
 
-def _observe(state: SimState, c: ValidatedCoefficients, ids,
-             record: bool) -> tuple[Observation, dict]:
-    """One evaluation of the plan of `ids` and the reports of `ids`; the H1
-    and H2 identities require zero means."""
+def _observe(state: SimState, c: ValidatedCoefficients, ids, n_max: int,
+             columns) -> tuple[Observation, dict]:
+    """One evaluation of the plan of `ids` and `columns` and the reports of
+    `ids`; the H1 and H2 identities require zero means."""
     if (any(i.startswith(("H1_", "H2_")) for i in ids)
             and (state.mean_u != 0.0 or state.mean_v != 0.0)):
         raise ValueError("identity requires zero means; got "
                          f"M = {state.mean_u}, N = {state.mean_v}")
-    plan = observation_plan(c, tuple(ids), record)
+    plan = observation_plan(c, tuple(ids), n_max, columns)
     obs = Observation(plan, plan.sums.evaluate(state, c))
     return obs, {i: _report(obs, i) for i in ids}
 
@@ -364,16 +367,18 @@ def identity_reports(state: SimState, c: ValidatedCoefficients,
                      ids) -> dict:
     """IdentityReport for each of `ids` at one state, from one evaluation
     of their compiled plan; only the requested identities are evaluated."""
-    return _observe(state, c, ids, False)[1]
+    return _observe(state, c, ids, 0, ())[1]
 
 
-def observe(state: SimState, c: ValidatedCoefficients, ids,
-            n_max: int) -> tuple[FunctionalRecord, dict]:
-    """The record of one state and the reports of the identities `ids`,
-    from one evaluation of one plan: the two share their value integrals."""
-    obs, reports = _observe(state, c, ids, True)
-    lyapunov = [obs.sums[i] for i in obs.plan.columns]
-    return functional_record(state, c, n_max, lyapunov), reports
+def observe(state: SimState, c: ValidatedCoefficients, ids, n_max: int,
+            columns: tuple | None = None) -> tuple[dict, dict]:
+    """The record row {"t": t, column: value} of one state, over the
+    `columns` of `functional_record(c, n_max)` (all of them when None), and
+    the reports of the identities `ids`, from one evaluation of one plan:
+    the two share their value integrals."""
+    obs, reports = _observe(state, c, ids, n_max, columns)
+    return {"t": state.t, **{name: obs.sums[i]
+                             for name, i in obs.plan.columns}}, reports
 
 
 # -- seeded states and amplitude scaling -------------------------------------

@@ -1,15 +1,39 @@
-"""The hand-grouped Lyapunov functionals, kept as the test oracle.
+"""The record's functionals computed by hand, kept as the test oracle.
 
-The record's f1, g1, f2, g2 and h2 are evaluated from the monomial lists of
-`functionals.lyapunov_monomials`, the lists the H1/H2 identities use. These are the earlier direct sums of `integral_of_product`
-terms, grouped by hand; f1, f2 and h2 on the admissible branches come out
-bitwise equal, g1 and g2 (and h2 off the branches) only to rounding, since
-their sums are grouped differently.
+Every record column is evaluated from the monomial lists of
+`functionals.functional_record`, the lists the identities use. These are
+the earlier direct routes. `energy` is the coefficient pairing, bitwise the
+record's energy. `hs_seminorm_sq` weighs |u|^2 + |v|^2 by Parseval weights
+and (2 pi kappa)^(2n) in one sum, so the record's seminorms match it only
+to rounding. f1..h2 are direct sums of `integral_of_product` terms, grouped
+by hand; f1, f2 and h2 on the admissible branches come out bitwise equal,
+g1 and g2 (and h2 off the branches) only to rounding, since their sums are
+grouped differently.
 """
 from __future__ import annotations
 
+import numpy as np
+
 from ggkdv.model import SimState, ValidatedCoefficients
-from ggkdv.spectral import derivative, inner, integral_of_product
+from ggkdv.spectral import (TWO_PI, _parseval_weights, derivative, inner,
+                            integral_of_product)
+
+
+def energy(state: SimState, c: ValidatedCoefficients) -> float:
+    """Weighted L2 energy (1/2) int b2 u^2 + b1 v^2."""
+    return 0.5 * (c.b2 * inner(state.u, state.u)
+                  + c.b1 * inner(state.v, state.v))
+
+
+def hs_seminorm_sq(state: SimState, n: int) -> float:
+    """int (d^n u)^2 + (d^n v)^2, computed modewise."""
+    if n < 0:
+        raise ValueError("derivative order must be >= 0")
+    grid = state.grid
+    w = _parseval_weights(grid.n_coeffs)
+    omega2n = (TWO_PI * grid.wavenumbers()) ** (2 * n)
+    mag = (np.abs(state.u.coeffs) ** 2 + np.abs(state.v.coeffs) ** 2)
+    return float(np.sum(w * omega2n * mag))
 
 
 def lyapunov_h1(state: SimState, c: ValidatedCoefficients

@@ -39,7 +39,7 @@ def test_criterion_1_energy_decay_law():
     start = time.perf_counter()
     series = evolve([build_initial_state(cfg)], [c], 2.0, 5e-4, stride=40,
                     observers=[lambda _, s: {
-                        "energy": observe(s, c, (), 0)[0].energy}])[0]
+                        "energy": observe(s, c, (), 0)[0]["energy"]}])[0]
     runtime = time.perf_counter() - start
     t = np.asarray(series.t)
     energy = np.asarray(series.columns["energy"])
@@ -168,8 +168,7 @@ def test_criterion_6_seminorm_decay_rates():
     grid = make_grid(64)
     state = random_smooth_state(grid, seed=7, amplitude=0.5, kmax=8)
     series = evolve([state], [c], 10.0, 2e-3, stride=100,
-                    observers=[lambda _, s: observe(s, c, (), 3)[0]
-                               .as_columns()])[0]
+                    observers=[lambda _, s: observe(s, c, (), 3)[0]])[0]
     fits = [fit_decay_rate(series, f"seminorm_sq_{n}", (5.0, 10.0),
                            target_rate=-1.0) for n in (1, 2, 3)]
     passed = all(f.fitted_rate <= -2.0 * 0.95 * c.k and f.r_squared >= 0.999

@@ -5,11 +5,12 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from ggkdv import functionals as fn, integrator as ti, model, spectral as sp
+from ggkdv import integrator as ti, model, spectral as sp
 from ggkdv.verification import random_smooth_state
 
 from conftest import make_sine_state
 from etd_reference import reference_march
+import functionals_reference as fn
 from linear_reference import linear_exact_solution
 
 

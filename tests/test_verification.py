@@ -127,8 +127,9 @@ class TestExactIdentityBattery:
         # The H1 identities are algebraic in (a1, a2, a3): they hold even for
         # coefficient sets outside the validated branches, via the documented
         # escape hatch.
-        c = ValidatedCoefficients.assume_valid(
-            CoefficientSet(a1=0.3, a2=0.7, a3=0.4, k=1.0))
+        c = ValidatedCoefficients(
+            **CoefficientSet(a1=0.3, a2=0.7, a3=0.4, k=1.0).to_dict(),
+            branch="extended")
         state = random_smooth_state(grid64, seed=3, amplitude=0.5)
         for identity_id, rep in residual_h1(StateCalculus(state, c)).items():
             assert rep.relative_residual <= EXACT_TOL, identity_id
@@ -228,15 +229,15 @@ class TestStateCalculus:
                                                          seed):
         # f1, g1, f2, g2 and h2 are written once: the H1_MAIN and H2_MAIN
         # terms are the record's columns times the same factors, bitwise.
-        c = ValidatedCoefficients.assume_valid(coeffs)
+        c = ValidatedCoefficients(**coeffs.to_dict(), branch="extended")
         state = random_smooth_state(grid64, seed=seed, amplitude=0.5)
         rec = verification.observe(state, c, (), 4)[0]
         calc = StateCalculus(state, c)
         h1, h2 = residual_h1(calc)["H1_MAIN"], residual_h2(calc)["H2_MAIN"]
-        assert bits(h1.terms) == bits({"-2k f1": -2 * c.k * rec.f1,
-                                       "-3k g1": -3 * c.k * rec.g1})
-        assert bits(h2.terms) == bits({"-2k f2": -2 * c.k * rec.f2,
-                                       "h2": rec.h2})
+        assert bits(h1.terms) == bits({"-2k f1": -2 * c.k * rec["f1"],
+                                       "-3k g1": -3 * c.k * rec["g1"]})
+        assert bits(h2.terms) == bits({"-2k f2": -2 * c.k * rec["f2"],
+                                       "h2": rec["h2"]})
 
     def test_reports_equal_lone_batteries(self, grid64, coeffs_coupled):
         state = random_smooth_state(grid64, seed=3, amplitude=0.5)
@@ -254,8 +255,9 @@ BRANCHES = {
     "coupled": COUPLED,
     "uncoupled": validate_coefficients(
         CoefficientSet(a1=1.0, a2=0.0, a3=0.0, k=1.0)),
-    "extended": ValidatedCoefficients.assume_valid(
-        CoefficientSet(a1=0.3, a2=0.7, a3=0.4, k=0.75)),
+    "extended": ValidatedCoefficients(
+        **CoefficientSet(a1=0.3, a2=0.7, a3=0.4, k=0.75).to_dict(),
+        branch="extended"),
 }
 
 
@@ -279,7 +281,7 @@ class TestObservationPlan:
         state = seeded_or_marched_state(n_points, seed, marched)
         c = BRANCHES[branch]
         calc = StateCalculus(state, c)
-        plan = observation_plan(c, tuple(ALL_IDS), True)
+        plan = observation_plan(c, tuple(ALL_IDS), n_max, None)
         values = plan.sums.values(state, c)
         for i, keys in enumerate(plan.sums.integrals):
             assert float(values[i]).hex() == calc.integral(keys).hex(), keys
@@ -290,12 +292,13 @@ class TestObservationPlan:
         assert list(shipped) == ALL_IDS
         assert [report_bits(shipped[i]) for i in ALL_IDS] == expected
 
-        lyapunov = {name: calc.value(monomials) for name, monomials
-                    in functionals.lyapunov_monomials(c).items()}
+        columns = {name: calc.value(monomials) for name, monomials
+                   in functionals.functional_record(c, n_max).items()}
         record, observed = verification.observe(state, c, ALL_IDS, n_max)
         assert record == verification.observe(state, c, (), n_max)[0]
-        assert bits({name: getattr(record, name) for name in lyapunov}) == \
-            bits(lyapunov)
+        assert list(record) == ["t", *columns]
+        assert bits({name: record[name] for name in columns}) == \
+            bits(columns)
         assert [report_bits(observed[i]) for i in ALL_IDS] == expected
 
     def test_observation_calls_rhs_once(self, monkeypatch):
@@ -306,7 +309,7 @@ class TestObservationPlan:
             rhs_calls.append(st_.t) or real_rhs(st_, c_)))
         verification.observe(state, c, cli._exact_ids(cfg), cfg.n_max)
         assert len(rhs_calls) == 1
-        assert not observation_plan(c, (), True).sums.needs_rhs
+        assert not observation_plan(c, (), cfg.n_max, None).sums.needs_rhs
 
     def test_zero_mean_identities_reject_nonzero_means(self, grid64):
         state = random_smooth_state(grid64, seed=5, amplitude=0.5)
