@@ -334,9 +334,12 @@ def cmd_run(cfg: ExperimentConfig) -> None:
         identity_residuals=result.residuals,
         decay_fits=[_fit_dict(f) for f in result.fits.values()],
         blow_up_time=None)
-    if result.skipped:
-        summary["failures"] = [f"{name}: skipped (identities require "
-                               "zero-mean data)" for name in result.skipped]
+    failures = [f"{name}: skipped (identities require zero-mean data)"
+                for name in result.skipped]
+    failures += [f"{name}: fit failed ({why})"
+                 for name, why in result.fit_errors.items()]
+    if failures:
+        summary["failures"] = failures
     write_summary(cfg.summary_path, summary)
     if cfg.summary_path is not None:
         print(f"wrote {cfg.summary_path}")
@@ -454,6 +457,8 @@ def _parse_axes(axis_args: list) -> list:
             parsed = [float(v) for v in values.split(",")]
         except ValueError:
             raise ConfigError(f"non-numeric value in axis {spec!r}") from None
+        if name in dict(axes):
+            raise ConfigError(f"sweep axis {name} given twice")
         axes.append((name, parsed))
     if not axes:
         raise ConfigError("empty sweep spec: pass at least one "

@@ -2,7 +2,7 @@
 
 The stiff part is diagonalized once: in the variables w+ = (u+v)/sqrt(2),
 w- = (u-v)/sqrt(2) the linear symbol is diagonal with rates
-i (2 pi kappa)^3 (1 +/- a3) - k. The four phi-type coefficient tables are
+i (2 pi kappa)^3 (1 +/- a3) - k. The four phi-type coefficients are
 evaluated as contour means over a unit circle around each (complex) rate, which
 sidesteps the cancellation in the small-|z| limit; with 32 points the trapezoid
 rule on an entire function is exact to machine precision. The mean-advection
@@ -11,30 +11,32 @@ terms are folded into the nonlinear remainder, so tables depend only on
 
 The march never leaves the eigenbasis: `model.nonlinear_remainder` forms the
 flux from the products of w+ and w- and mixes it in physical space with the
-per-member matrix of `model.eigen_mixing`; every table that weighs it carries
-the -i omega of its derivative. The state holds only the kept modes
-0..dealias_cutoff, since the dealiased nonlinear term is zero above the
-cutoff and so is the truncated initial state; observers get it rotated back
-to (u, v) and padded to the full rfft length.
+per-member matrix of `model.eigen_mixing`. State and tables hold only the kept
+modes 0..dealias_cutoff, since the dealiased nonlinear term is zero above the
+cutoff and so is the truncated initial state; observers get the state rotated
+back to (u, v) and padded to the full rfft length. The tables fold in the
+-i omega of the flux's derivative, and the 2 the final combination puts on w2.
 
 `evolve` marches an ensemble: P members that share grid, dt, span and stride,
-each with its own coefficients and means. The state carries a leading member
-axis, (P, 2, kept), and so do the stacked tables. Each stage makes one
-batched irfft and one batched rfft for the whole ensemble; numpy's batched
-real transforms give every row bitwise what a single transform gives, so
-each member's numbers are bitwise those of its lone march. A member that
+each with its own coefficients and means. The state carries a member axis,
+(P, 2, kept), and so do the tables, stacked to (6, P, 2, kept). Each stage
+makes one batched irfft and one batched rfft for the whole ensemble; numpy's
+batched real transforms give every row bitwise what a single transform gives,
+so each member's numbers are bitwise those of its lone march. A member that
 turns non-finite leaves the ensemble with its own BlowUpError; the others
 march on unchanged.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (SimState, ValidatedCoefficients, _dealiased_ddx, _rotate,
                     eigen_mixing, linear_rates, nonlinear_remainder)
 from .spectral import GridSpec, SpectralField, truncate
+
+N_CONTOUR = 32  # trapezoid points on each circle of `contour_phi_means`
 
 
 class BlowUpError(RuntimeError):
@@ -45,7 +47,7 @@ class BlowUpError(RuntimeError):
         super().__init__(f"solution blew up: non-finite state at t = {time:.6g}")
 
 
-def contour_phi_means(z0: np.ndarray, n_points: int = 32) -> tuple:
+def contour_phi_means(z0: np.ndarray) -> tuple:
     """ETDRK4 coefficient kernels averaged over unit circles around z0.
 
     Returns (q, w1, w2, w3) where, with z = z0 + circle,
@@ -56,7 +58,7 @@ def contour_phi_means(z0: np.ndarray, n_points: int = 32) -> tuple:
     The full circle is required: the rates are genuinely complex, so there is
     no conjugate symmetry to exploit.
     """
-    theta = 2.0 * np.pi * (np.arange(n_points) + 0.5) / n_points
+    theta = 2.0 * np.pi * (np.arange(N_CONTOUR) + 0.5) / N_CONTOUR
     circle = np.exp(1j * theta)
     z = np.asarray(z0, dtype=np.complex128)[..., None] + circle
     ez = np.exp(z)
@@ -67,27 +69,21 @@ def contour_phi_means(z0: np.ndarray, n_points: int = 32) -> tuple:
     return q, w1, w2, w3
 
 
-@dataclass(frozen=True)
-class EtdTables:
-    """Precomputed exponential coefficients; valid for one (grid, a3, k, dt)."""
-
-    exp_full: np.ndarray  # (2, n_coeffs) e^{lambda dt}
-    exp_half: np.ndarray  # (2, n_coeffs) e^{lambda dt / 2}
-    q: np.ndarray         # stage weight, dt phi1(lambda dt / 2) / 2
-    w1: np.ndarray        # final-combination weights
-    w2: np.ndarray
-    w3: np.ndarray
-
-
 def build_tables(grid: GridSpec, c: ValidatedCoefficients,
-                 dt: float) -> EtdTables:
+                 dt: float) -> np.ndarray:
+    """The (6, 2, kept) tables one ETDRK4 step multiplies with, z0 = lambda dt.
+
+    Rows: e^{z0}, e^{z0 / 2}, then the weights q, w1, 2 w2 and w3 of
+    `contour_phi_means`, each times dt and the -i omega of the flux.
+    """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    lam = linear_rates(grid, c)
-    z0 = lam * dt
+    z0 = linear_rates(grid, c)[:, :grid.dealias_cutoff + 1] * dt
+    ddx = _dealiased_ddx(grid)
     q, w1, w2, w3 = contour_phi_means(z0)
-    return EtdTables(exp_full=np.exp(z0), exp_half=np.exp(z0 / 2.0),
-                     q=dt * q, w1=dt * w1, w2=dt * w2, w3=dt * w3)
+    return np.stack([np.exp(z0), np.exp(z0 / 2.0), ddx * (dt * q),
+                     ddx * (dt * w1), (2.0 * ddx) * (dt * w2),
+                     ddx * (dt * w3)])
 
 
 def default_dt(grid: GridSpec, c: ValidatedCoefficients) -> float:
@@ -95,66 +91,24 @@ def default_dt(grid: GridSpec, c: ValidatedCoefficients) -> float:
     return 0.4 / ((1.0 + abs(c.a3)) * 2.0 * np.pi * grid.n_modes)
 
 
-@dataclass(frozen=True)
-class _Ensemble:
-    """Per-member mixing matrix and tables, stacked on a leading axis.
-
-    Everything lives on the kept modes 0..dealias_cutoff. The tables that
-    weigh the nonlinear term carry its -i omega, so that `nonlinear` is the
-    bare flux of `nonlinear_remainder`.
-    """
-
-    grid: GridSpec
-    mix: np.ndarray        # (P, 2, 5), [Q | L] from eigen_mixing
-    exp_full: np.ndarray   # (P, 2, kept), as in EtdTables
-    exp_half: np.ndarray
-    q: np.ndarray          # q, w1, 2 w2 and w3, each times -i omega;
-    w1: np.ndarray         # 2 w2 is the factor the final combination
-    w2x2: np.ndarray       # applies
-    w3: np.ndarray
-
-    @classmethod
-    def stack(cls, states: list, coeffs: list, dt: float) -> "_Ensemble":
-        grid = states[0].grid
-        kept = grid.dealias_cutoff + 1
-        ddx = _dealiased_ddx(grid)
-        tables = [build_tables(grid, c, dt) for c in coeffs]
-
-        def stacked(name: str, factor=1.0) -> np.ndarray:
-            return factor * np.stack([getattr(tb, name)[:, :kept]
-                                      for tb in tables])
-        return cls(grid, np.stack([eigen_mixing(st, c)
-                                   for st, c in zip(states, coeffs)]),
-                   stacked("exp_full"), stacked("exp_half"), stacked("q", ddx),
-                   stacked("w1", ddx), stacked("w2", 2.0 * ddx),
-                   stacked("w3", ddx))
-
-    def take(self, keep: np.ndarray) -> "_Ensemble":
-        """The members selected by the boolean mask `keep`."""
-        return _Ensemble(self.grid, *(getattr(self, f.name)[keep]
-                                      for f in fields(self)[1:]))
-
-    def nonlinear(self, w: np.ndarray) -> np.ndarray:
-        return nonlinear_remainder(w, self.mix, self.grid)
-
-    def step(self, w: np.ndarray, linear_only: bool = False) -> np.ndarray:
-        """One ETDRK4 step of the (P, 2, kept) eigenbasis state."""
-        if linear_only:
-            out = self.exp_full * w
-            out[..., 0] = 0.0
-            return out
-        n0 = self.nonlinear(w)
-        half = self.exp_half * w
-        a = half + self.q * n0
-        na = self.nonlinear(a)
-        b = half + self.q * na
-        nb = self.nonlinear(b)
-        c = self.exp_half * a + self.q * (2.0 * nb - n0)
-        nc = self.nonlinear(c)
-        out = (self.exp_full * w + self.w1 * n0 + self.w2x2 * (na + nb)
-               + self.w3 * nc)
-        out[..., 0] = 0.0  # means are conserved exactly; pin against drift
-        return out
+def _step(w: np.ndarray, tables: np.ndarray, mix: np.ndarray,
+          grid: GridSpec, linear_only: bool = False) -> np.ndarray:
+    """One ETDRK4 step of the (P, 2, kept) eigenbasis state, under the
+    stacked (6, P, 2, kept) tables and (P, 2, 5) mixing matrices."""
+    exp_full, exp_half, q, w1, w2x2, w3 = tables
+    out = exp_full * w
+    if not linear_only:
+        n0 = nonlinear_remainder(w, mix, grid)
+        half = exp_half * w
+        a = half + q * n0
+        na = nonlinear_remainder(a, mix, grid)
+        b = half + q * na
+        nb = nonlinear_remainder(b, mix, grid)
+        c = exp_half * a + q * (2.0 * nb - n0)
+        nc = nonlinear_remainder(c, mix, grid)
+        out = out + w1 * n0 + w2x2 * (na + nb) + w3 * nc
+    out[..., 0] = 0.0  # means are conserved exactly; pin against drift
+    return out
 
 
 @dataclass
@@ -213,7 +167,8 @@ def evolve(states, coeffs, t_final: float, dt: float, observers=(),
     if stride < 1 or n_steps % stride != 0:
         raise ValueError(f"stride {stride} does not divide {n_steps} steps")
 
-    ensemble = _Ensemble.stack(states, coeffs, dt)
+    tables = np.stack([build_tables(grid, c, dt) for c in coeffs], axis=1)
+    mix = np.stack([eigen_mixing(st, c) for st, c in zip(states, coeffs)])
     n_members = len(states)
     times = [[] for _ in range(n_members)]
     rows = [[] for _ in range(n_members)]
@@ -243,7 +198,7 @@ def evolve(states, coeffs, t_final: float, dt: float, observers=(),
     for step in range(1, n_steps + 1):
         # overflow is diagnosed via the finiteness check, not warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            w = ensemble.step(w, linear_only)
+            w = _step(w, tables, mix, grid, linear_only)
             # a finite sum proves every entry finite; only a non-finite one
             # (an overflow of finite entries included) needs the exact test
             suspect = not np.isfinite(w.sum())
@@ -256,7 +211,7 @@ def evolve(states, coeffs, t_final: float, dt: float, observers=(),
             live, w = live[finite], w[finite]
             if not live.size:
                 break
-            ensemble = ensemble.take(finite)
+            tables, mix = tables[:, finite], mix[finite]
         if step % stride == 0:
             uv = np.zeros((live.size, 2, grid.n_coeffs), dtype=np.complex128)
             uv[..., :kept] = _rotate(w)

@@ -1,17 +1,37 @@
 """Serial ETDRK4 march, one state at a time: oracle of the batched stepper.
 
-This is the stepper as it was before the ensemble axis: per-state arrays, a
-nonlinear term with five separate FFTs, and an eigenbasis round trip at every
-stage. `integrator.evolve` must reproduce its numbers bitwise, member by
-member.
+This is the stepper as it was before the ensemble axis: per-state arrays,
+full-length tables without the -i omega folded in, a nonlinear term with five
+separate FFTs, and an eigenbasis round trip at every stage. `integrator.evolve`
+must reproduce its numbers member by member, within the bound its test states.
 """
+from typing import NamedTuple
+
 import numpy as np
 
-from ggkdv.integrator import BlowUpError, build_tables
-from ggkdv.model import SimState
+from ggkdv.integrator import BlowUpError, contour_phi_means
+from ggkdv.model import SimState, linear_rates
 from ggkdv.spectral import TWO_PI, SpectralField, truncate
 
 SQRT2 = np.sqrt(2.0)
+
+
+class ReferenceTables(NamedTuple):
+    """ETDRK4 coefficients over all stored modes, each (2, n_coeffs)."""
+
+    exp_full: np.ndarray  # e^{lambda dt}
+    exp_half: np.ndarray  # e^{lambda dt / 2}
+    q: np.ndarray         # stage weight, dt phi1(lambda dt / 2) / 2
+    w1: np.ndarray        # final-combination weights
+    w2: np.ndarray
+    w3: np.ndarray
+
+
+def reference_tables(grid, c, dt):
+    z0 = linear_rates(grid, c) * dt
+    q, w1, w2, w3 = contour_phi_means(z0)
+    return ReferenceTables(np.exp(z0), np.exp(z0 / 2.0), dt * q, dt * w1,
+                           dt * w2, dt * w3)
 
 
 def nonlinear_remainder(u_hat, v_hat, mean_u, mean_v, c, grid):
@@ -76,7 +96,7 @@ def reference_march(state, c, t_final, dt, observer=None, stride=1,
     `observer` maps a SimState to a dict, like one member's observers.
     """
     n_steps = int(round((t_final - state.t) / dt))
-    tables = build_tables(state.grid, c, dt)
+    tables = reference_tables(state.grid, c, dt)
     grid = state.grid
     current = SimState(u=truncate(state.u), v=truncate(state.v), t=state.t,
                        mean_u=state.mean_u, mean_v=state.mean_v)

@@ -252,6 +252,19 @@ class TestRunCommand:
             assert all(v == 0.0 for v in cells[1:])
         assert not (tmp_path / "energy.svg").exists()
 
+    def test_failed_fits_are_named_in_failures(self, tmp_path):
+        # the fits are information, not a gate: still status ok and exit 0
+        raw = base_config_dict(tmp_path)
+        raw["initial"]["amplitude"] = 0.0
+        path = write_config(tmp_path, raw)
+        assert cli.main(["run", path]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        jsonschema.validate(summary, cli.load_summary_schema())
+        assert summary["status"] == "ok" and summary["decay_fits"] == []
+        assert [f.partition(":")[0] for f in summary["failures"]] == [
+            "energy", "seminorm_sq_1", "seminorm_sq_2"]
+        assert all("fit failed (" in f for f in summary["failures"])
+
     def test_invalid_coefficients_exit_2(self, tmp_path, capsys):
         raw = base_config_dict(tmp_path)
         raw["coefficients"]["a3"] = 1.0
@@ -544,6 +557,13 @@ class TestSweepAxisValues:
         assert cli.main(["sweep", path, "--axis", axis]) == 2
         err = capsys.readouterr().err
         assert named in err and "finite" in err
+        assert not (tmp_path / "diag.csv").exists()
+
+    def test_repeated_axis_exit_2_before_any_point(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config_dict(tmp_path))
+        assert cli.main(["sweep", path, "--axis", "k=0.25",
+                         "--axis", "k=1.0"]) == 2
+        assert "sweep axis k given twice" in capsys.readouterr().err
         assert not (tmp_path / "diag.csv").exists()
 
     def test_inadmissible_base_exit_2_before_any_point(self, tmp_path,

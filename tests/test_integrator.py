@@ -8,8 +8,8 @@ import pytest
 from ggkdv import integrator as ti, model, spectral as sp
 from ggkdv.verification import random_smooth_state
 
-from conftest import make_sine_state
-from etd_reference import reference_march
+from conftest import COUPLED, make_sine_state
+from etd_reference import reference_march, reference_tables
 import functionals_reference as fn
 from linear_reference import linear_exact_solution
 
@@ -47,7 +47,7 @@ class TestPhiCoefficients:
 
     def test_tables_mode_zero_limits(self, grid64, coeffs_coupled):
         dt = 0.01
-        tb = ti.build_tables(grid64, coeffs_coupled, dt)
+        tb = reference_tables(grid64, coeffs_coupled, dt)
         assert tb.exp_full[:, 0] == pytest.approx(1.0, abs=1e-14)
         assert tb.exp_half[:, 0] == pytest.approx(1.0, abs=1e-14)
         assert tb.q[:, 0] == pytest.approx(dt / 2, abs=1e-15)
@@ -59,7 +59,7 @@ class TestPhiCoefficients:
         # series q ~ (dt/2) phi1(z/2), w1 ~ dt (1/6 + z/6 + ...), etc.
         grid = sp.make_grid(8)
         dt = 1e-5
-        tb = ti.build_tables(grid, coeffs_coupled, dt)
+        tb = reference_tables(grid, coeffs_coupled, dt)
         lam = model.linear_rates(grid, coeffs_coupled)
         z = lam * dt
 
@@ -69,6 +69,27 @@ class TestPhiCoefficients:
         phi1 = lambda zz: sum(zz ** m / math.factorial(m + 1) for m in range(20))
         q_expect = dt / 2 * series(lambda zz: phi1(zz / 2))
         np.testing.assert_allclose(tb.q, q_expect, rtol=0, atol=1e-14 * dt)
+
+    @given(uncoupled=st.booleans(), n_points=st.sampled_from([8, 64, 256]),
+           dt=st.sampled_from([1e-5, 2e-3, 0.05]))
+    @settings(max_examples=20, deadline=None)
+    def test_tables_are_reference_rows_on_kept_modes(self, uncoupled,
+                                                     n_points, dt):
+        # each row is the oracle's, sliced to the kept modes and times the
+        # -i omega of the flux derivative (2 (-i omega) for w2)
+        c = (model.validate_coefficients(model.CoefficientSet(
+            a1=1.0, a2=0.0, a3=0.0, k=1.0)) if uncoupled else COUPLED)
+        grid = sp.make_grid(n_points)
+        ref = reference_tables(grid, c, dt)
+        kept = grid.dealias_cutoff + 1
+        ddx = -1j * (sp.TWO_PI * np.arange(kept))
+        want = [ref.exp_full[:, :kept], ref.exp_half[:, :kept],
+                ddx * ref.q[:, :kept], ddx * ref.w1[:, :kept],
+                (2.0 * ddx) * ref.w2[:, :kept], ddx * ref.w3[:, :kept]]
+        got = ti.build_tables(grid, c, dt)
+        assert got.shape == (6, 2, kept)
+        for row, expect in zip(got, want):
+            np.testing.assert_array_equal(row, expect)
 
     def test_rejects_nonpositive_dt(self, grid64, coeffs_coupled):
         with pytest.raises(ValueError):
