@@ -11,17 +11,19 @@ Commands (console script ``gg``):
                        the energy decay rate at every point; points that
                        share a resolved dt march together as one ensemble
 
-All three march through one pipeline, `run_experiment`. Exit codes, the same
-for every command: 0 success, 2 configuration or coefficient error, 3 blow-up,
-4 verification failure.
+All three march through one pipeline, `run_experiment`. Each returns its
+summary's `status`, with the stderr text that explains any status but ok, and
+`main` maps the status to the exit code through `EXIT_CODES`: 0 success,
+3 blow-up, 4 verification failure. A bad config or coefficient set exits 2.
 """
 from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass
-import importlib.resources
+import functools
 import json
 import math
+import os
 import sys
 from typing import NamedTuple
 
@@ -40,10 +42,11 @@ from .verification import (APPROX_IDENTITY_IDS, EXACT_IDENTITY_IDS,
                            product_bound_violations, random_smooth_field,
                            random_smooth_state, scale_state)
 
-EXIT_OK = 0
+# summary status -> exit code; the schema's `status` enum names the keys
+EXIT_CODES = {"ok": 0, "blow_up": 3, "identity_failure": 4,
+              "check_failure": 4}
 EXIT_CONFIG = 2
-EXIT_BLOWUP = 3
-EXIT_VERIFY = 4
+BLOW_UP_TEXT = "blow-up: first non-finite state at t = {:.6g}"
 
 EXACT_RESIDUAL_TOL = 1e-8
 # An amplitude halving must roughly halve an approximate identity's relative
@@ -51,10 +54,6 @@ EXACT_RESIDUAL_TOL = 1e-8
 APPROX_RATIO_WINDOW = (0.25, 0.75)
 POINCARE_EXPONENTS = (1.0, 2.0, 4.0, math.inf)
 ZERO_MEAN_CHECKS = ("H1", "H2")  # their identities assume M = N = 0
-
-
-class CheckFailure(Exception):
-    """A command ran to the end but a check it certifies failed."""
 
 
 def _fmt(value) -> str:
@@ -65,19 +64,23 @@ def _fmt(value) -> str:
 
 
 def load_summary_schema() -> dict:
-    text = (importlib.resources.files("ggkdv")
-            .joinpath("schemas/summary.schema.json").read_text("utf-8"))
-    return json.loads(text)
+    with open(os.path.join(os.path.dirname(__file__), "schemas",
+                           "summary.schema.json"), encoding="utf-8") as fh:
+        return json.load(fh)
 
 
-def validate_summary(summary: dict) -> None:
-    jsonschema.validate(summary, load_summary_schema())
+@functools.lru_cache(maxsize=None)
+def _summary_validator() -> jsonschema.Draft7Validator:
+    # built on first use: a missing schema is an OSError, not an import error
+    return jsonschema.Draft7Validator(load_summary_schema())
 
 
 def write_summary(path: str | None, summary: dict) -> None:
-    validate_summary(summary)
+    """Validate the summary against the schema; write it if given a path."""
+    _summary_validator().validate(summary)
     if path is not None:
         atomic_write_text(path, json.dumps(summary, indent=2) + "\n")
+        print(f"wrote {path}")
 
 
 def write_csv(path: str, names: list, columns: dict) -> None:
@@ -86,14 +89,15 @@ def write_csv(path: str, names: list, columns: dict) -> None:
     for i in range(n_rows):
         lines.append(",".join(_fmt(columns[name][i]) for name in names))
     atomic_write_text(path, "\n".join(lines) + "\n")
+    print(f"wrote {path}")
 
 
-def render_energy_svg(path: str, t, energy) -> bool:
+def render_energy_svg(path: str, t, energy) -> None:
     """Log10-energy line plot, written as a self-contained SVG document."""
     points = [(float(tt), math.log10(float(e)))
               for tt, e in zip(t, energy) if e > 0.0]
     if len(points) < 2:
-        return False
+        return
     width, height = 640, 400
     left, right, top, bottom = 70, 620, 30, 360
     xs = [p[0] for p in points]
@@ -141,7 +145,7 @@ def render_energy_svg(path: str, t, energy) -> bool:
                  'stroke-width="1.5"/>')
     parts.append("</svg>")
     atomic_write_text(path, "\n".join(parts) + "\n")
-    return True
+    print(f"wrote {path}")
 
 
 def _summary(command: str, status: str, cfg: ExperimentConfig,
@@ -308,23 +312,23 @@ def _measure(p: _Point, series: DiagnosticSeries) -> RunResult:
                      fits=fits, fit_errors=fit_errors)
 
 
-def cmd_run(cfg: ExperimentConfig) -> None:
+def cmd_run(cfg: ExperimentConfig) -> tuple:
     result = run_experiment([cfg], _exact_ids(cfg))[0]
     if isinstance(result, BlowUpError):
         write_summary(cfg.summary_path, _summary(
             "run", "blow_up", cfg, run=None, energy=None,
             blow_up_time=result.time))
-        raise result
+        return "blow_up", BLOW_UP_TEXT.format(result.time)
     series, meta = result.series, result.series.meta
     if cfg.csv_path is not None:
         write_csv(cfg.csv_path, result.record_names(), series.columns)
-        print(f"wrote {cfg.csv_path}")
 
     offenders = [i for i, r in result.residuals.items()
                  if r > EXACT_RESIDUAL_TOL]
+    status = "ok" if not offenders else "identity_failure"
     energy_col = series.columns["energy"]
     summary = _summary(
-        "run", "ok" if not offenders else "identity_failure", cfg,
+        "run", status, cfg,
         run={"dt": meta["dt"], "t_final": cfg.t_final,
              "stride": meta["stride"], "n_steps": meta["n_steps"],
              "n_observations": len(series.t),
@@ -341,24 +345,22 @@ def cmd_run(cfg: ExperimentConfig) -> None:
     if failures:
         summary["failures"] = failures
     write_summary(cfg.summary_path, summary)
-    if cfg.summary_path is not None:
-        print(f"wrote {cfg.summary_path}")
     if cfg.plot_path is not None:
-        if render_energy_svg(cfg.plot_path, series.t, energy_col):
-            print(f"wrote {cfg.plot_path}")
-
-    if offenders:
-        raise CheckFailure("\n".join(
-            f"identity failure: {i} relative residual "
-            f"{result.residuals[i]:.3e} > {EXACT_RESIDUAL_TOL}"
-            for i in offenders))
+        render_energy_svg(cfg.plot_path, series.t, energy_col)
+    return status, "\n".join(
+        f"identity failure: {i} relative residual "
+        f"{result.residuals[i]:.3e} > {EXACT_RESIDUAL_TOL}" for i in offenders)
 
 
 def _median(values: list) -> float:
-    return float(np.median(np.asarray(values, dtype=float)))
+    """np.median's float, without the numpy.ma import of its first call."""
+    ordered, mid = sorted(values), len(values) // 2
+    if len(values) % 2:
+        return float(ordered[mid])
+    return (ordered[mid - 1] + ordered[mid]) / 2
 
 
-def cmd_verify(cfg: ExperimentConfig) -> None:
+def cmd_verify(cfg: ExperimentConfig) -> tuple:
     c = validate_coefficients(cfg.coefficients)
     grid = make_grid(cfg.n_points)
     vs = cfg.verify
@@ -430,19 +432,17 @@ def cmd_verify(cfg: ExperimentConfig) -> None:
                     f"energy rate over window {fit.window}, "
                     f"r^2 = {fit.r_squared:.6f}")
 
-    failures = [entry["check_id"] for entry in checks if not entry["passed"]]
-    write_summary(cfg.summary_path, _summary(
-        "verify", "ok" if not failures else "check_failure", cfg,
-        checks=checks, decay_fits=[_fit_dict(f) for f in fits],
-        failures=failures))
     for entry in checks:
         tag = "PASS" if entry["passed"] else "FAIL"
         value = "" if entry["value"] is None else f"  {entry['value']:.3e}"
         print(f"{tag}  {entry['check_id']}{value}")
-    if cfg.summary_path is not None:
-        print(f"wrote {cfg.summary_path}")
-    if failures:
-        raise CheckFailure("verification failed: " + ", ".join(failures))
+    failures = [entry["check_id"] for entry in checks if not entry["passed"]]
+    status = "ok" if not failures else "check_failure"
+    write_summary(cfg.summary_path, _summary(
+        "verify", status, cfg, checks=checks,
+        decay_fits=[_fit_dict(f) for f in fits], failures=failures))
+    return status, ("verification failed: " + ", ".join(failures)
+                    if failures else "")
 
 
 def _parse_axes(axis_args: list) -> list:
@@ -473,7 +473,7 @@ def _sweep_points(axes: list) -> list:
     return points
 
 
-def cmd_sweep(cfg: ExperimentConfig, axis_args: list) -> None:
+def cmd_sweep(cfg: ExperimentConfig, axis_args: list) -> tuple:
     axes = _parse_axes(axis_args)
     points = _sweep_points(axes)
     configs = [apply_overrides(cfg, point) for point in points]
@@ -508,7 +508,6 @@ def cmd_sweep(cfg: ExperimentConfig, axis_args: list) -> None:
         cells = [{**point, **row} for point, row in zip(points, rows)]
         write_csv(cfg.csv_path, names,
                   {name: [cell[name] for cell in cells] for name in names})
-        print(f"wrote {cfg.csv_path}")
 
     failed = [point for point, row in zip(points, rows)
               if row["status"] != "ok"]
@@ -517,17 +516,15 @@ def cmd_sweep(cfg: ExperimentConfig, axis_args: list) -> None:
     write_summary(cfg.summary_path, _summary(
         "sweep", status, cfg,
         points=[{"point": point, **row} for point, row in zip(points, rows)]))
-    if cfg.summary_path is not None:
-        print(f"wrote {cfg.summary_path}")
     for point, row in zip(points, rows):
         rate = ("" if row["fitted_rate"] is None
                 else f"  rate {row['fitted_rate']:+.6f} "
                      f"(target {row['target_rate']:+.6f})")
         print(f"{row['status']:>10}  {point}{rate}")
     if blow_ups:
-        raise blow_ups[0]
-    if failed:
-        raise CheckFailure(f"decay fit failed at sweep points {failed}")
+        return status, BLOW_UP_TEXT.format(blow_ups[0].time)
+    return status, (f"decay fit failed at sweep points {failed}"
+                    if failed else "")
 
 
 def main(argv=None) -> int:
@@ -550,22 +547,17 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         _check_summary_owner(cfg, args.command)
         if args.command == "run":
-            cmd_run(cfg)
+            status, message = cmd_run(cfg)
         elif args.command == "verify":
-            cmd_verify(cfg)
+            status, message = cmd_verify(cfg)
         else:
-            cmd_sweep(cfg, args.axis)
+            status, message = cmd_sweep(cfg, args.axis)
     except (ConfigError, CoefficientError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except BlowUpError as exc:
-        print(f"blow-up: first non-finite state at t = {exc.time:.6g}",
-              file=sys.stderr)
-        return EXIT_BLOWUP
-    except CheckFailure as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_VERIFY
-    return EXIT_OK
+    if message:
+        print(message, file=sys.stderr)
+    return EXIT_CODES[status]
 
 
 if __name__ == "__main__":

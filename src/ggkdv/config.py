@@ -24,6 +24,7 @@ PRESETS = ("single-mode", "random-smooth", "two-soliton-like")
 
 DEFAULT_CHECKS = ("L2", "GEN_N", "H1", "H2", "POINCARE", "PRODUCT_BOUND",
                   "DECAY")
+MAX_N_POINTS = 65536  # a larger grid is refused, not left to fail in numpy
 
 
 class ConfigError(ValueError):
@@ -201,8 +202,9 @@ def _check_ranges(cfg: ExperimentConfig) -> None:
         if not ok:
             raise ConfigError(message)
 
-    require(cfg.n_points >= 8 and cfg.n_points % 2 == 0,
-            f"grid.n_points must be an even integer >= 8, got {cfg.n_points}")
+    require(8 <= cfg.n_points <= MAX_N_POINTS and cfg.n_points % 2 == 0,
+            f"grid.n_points must be an even integer in [8, {MAX_N_POINTS}], "
+            f"got {cfg.n_points}")
     require(cfg.initial.preset in PRESETS,
             f"unknown preset {cfg.initial.preset!r}; choose from {PRESETS}")
     require(cfg.dt is None or cfg.dt > 0.0,

@@ -117,9 +117,10 @@ class IntegralPlan:
         """Every integral of the plan at one state, in `integrals` order."""
         fields = self._derived(state, c)
         n_coeffs = fields.shape[1]
-        nonzero = fields != 0
-        bands = np.where(nonzero.any(axis=1),
-                         n_coeffs - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
+        if self._tables and self._tables[-1].shape[1] > 3:  # any 3+ factors
+            nonzero = fields != 0
+            bands = np.where(nonzero.any(axis=1), n_coeffs - 1
+                             - np.argmax(nonzero[:, ::-1], axis=1), 0)
         out = np.zeros(len(self.integrals))
         products = {}  # m -> [(integral indices, field table)]
         for rows in self._tables:

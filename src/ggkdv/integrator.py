@@ -91,10 +91,10 @@ def default_dt(grid: GridSpec, c: ValidatedCoefficients) -> float:
     return 0.4 / ((1.0 + abs(c.a3)) * 2.0 * np.pi * grid.n_modes)
 
 
-def _step(w: np.ndarray, tables: np.ndarray, mix: np.ndarray,
+def _step(w: np.ndarray, tables, mix: np.ndarray,
           grid: GridSpec, linear_only: bool = False) -> np.ndarray:
-    """One ETDRK4 step of the (P, 2, kept) eigenbasis state, under the
-    stacked (6, P, 2, kept) tables and (P, 2, 5) mixing matrices."""
+    """One ETDRK4 step of the (P, 2, kept) eigenbasis state, under the six
+    (P, 2, kept) table rows and the (P, 2, 5) mixing matrices."""
     exp_full, exp_half, q, w1, w2x2, w3 = tables
     out = exp_full * w
     if not linear_only:
@@ -167,7 +167,9 @@ def evolve(states, coeffs, t_final: float, dt: float, observers=(),
     if stride < 1 or n_steps % stride != 0:
         raise ValueError(f"stride {stride} does not divide {n_steps} steps")
 
-    tables = np.stack([build_tables(grid, c, dt) for c in coeffs], axis=1)
+    # unpacked once into its six rows, not on every step
+    tables = tuple(np.stack([build_tables(grid, c, dt) for c in coeffs],
+                            axis=1))
     mix = np.stack([eigen_mixing(st, c) for st, c in zip(states, coeffs)])
     n_members = len(states)
     times = [[] for _ in range(n_members)]
@@ -211,7 +213,7 @@ def evolve(states, coeffs, t_final: float, dt: float, observers=(),
             live, w = live[finite], w[finite]
             if not live.size:
                 break
-            tables, mix = tables[:, finite], mix[finite]
+            tables, mix = tuple(row[finite] for row in tables), mix[finite]
         if step % stride == 0:
             uv = np.zeros((live.size, 2, grid.n_coeffs), dtype=np.complex128)
             uv[..., :kept] = _rotate(w)

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .spectral import GridSpec, SpectralField, TWO_PI, truncate
+from .spectral import GridSpec, SpectralField, TWO_PI
 
 CONSTRAINT_TOL = 1e-12
 SQRT2 = np.sqrt(2.0)
@@ -248,18 +248,13 @@ def rhs(state: SimState, c: ValidatedCoefficients
     if abs(state.u.coeffs[0]) > 1e-12 or abs(state.v.coeffs[0]) > 1e-12:
         raise ValueError("state is not in reduced (zero-mean) form")
     grid = state.grid
-    kept = grid.dealias_cutoff + 1
-    u_hat = truncate(state.u).coeffs
-    v_hat = truncate(state.v).coeffs
-    flux = nonlinear_remainder(_rotate(np.stack([u_hat, v_hat])[:, :kept]),
-                               eigen_mixing(state, c), grid)
-    nonlinear = np.zeros((2, grid.n_coeffs), dtype=np.complex128)
-    nonlinear[:, :kept] = _rotate(_dealiased_ddx(grid) * flux)
-    nu, nv = nonlinear
-    omega = TWO_PI * np.arange(grid.n_coeffs)
-    disp = (1j * omega) ** 3
-    damp = np.full(grid.n_coeffs, c.k)
+    kept = grid.dealias_cutoff + 1  # rhs of the truncated state: 0 above
+    uv = np.stack([state.u.coeffs[:kept], state.v.coeffs[:kept]])
+    flux = nonlinear_remainder(_rotate(uv), eigen_mixing(state, c), grid)
+    disp = (1j * (TWO_PI * np.arange(kept))) ** 3
+    damp = np.full(kept, c.k)
     damp[0] = 0.0
-    du = nu - disp * (u_hat + c.a3 * v_hat) - damp * u_hat
-    dv = nv - disp * (v_hat + c.a3 * u_hat) - damp * v_hat
-    return SpectralField(grid, du), SpectralField(grid, dv)
+    out = np.zeros((2, grid.n_coeffs), dtype=np.complex128)
+    out[:, :kept] = (_rotate(_dealiased_ddx(grid) * flux)
+                     - disp * (uv + c.a3 * uv[::-1]) - damp * uv)
+    return SpectralField(grid, out[0]), SpectralField(grid, out[1])

@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 
 from hypothesis import given, settings, strategies as st
 import jsonschema
+import numpy as np
 import pytest
 import yaml
 
@@ -500,6 +501,7 @@ class TestExitCodes:
         ("verify", "poincare_fields", -1, "verify.poincare_fields"),
         ("run", "dt", 0.3, "does not divide"),
         ("coefficients", "a3", 1.0, "a3_magnitude"),
+        ("grid", "n_points", 1e30, "grid.n_points"),
     ])
     def test_bad_config_exit_2(self, tmp_path, capsys, command, section, key,
                                value, named):
@@ -523,6 +525,8 @@ class TestExitCodes:
         captured = capsys.readouterr()
         summary = json.loads((tmp_path / "summary.json").read_text())
         jsonschema.validate(summary, cli.load_summary_schema())
+        assert code == cli.EXIT_CODES[summary["status"]]
+        assert f"wrote {tmp_path / 'summary.json'}" in captured.out
         if command == "verify":  # a blow-up inside a check fails the check
             assert code == 4
             assert "FAIL  DECAY" in captured.out
@@ -539,7 +543,10 @@ class TestExitCodes:
             raw["initial"]["amplitude"] = 0.0  # no energy to fit a rate to
         else:
             monkeypatch.setattr(verification, "residual_l2", _broken_l2)
-        assert gg(command, write_config(tmp_path, raw)) == 4
+        code = gg(command, write_config(tmp_path, raw))
+        assert code == 4
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert code == cli.EXIT_CODES[summary["status"]]
         err = capsys.readouterr().err
         assert ("L2" in err if command != "sweep" else "fit failed" in err)
         assert "Traceback" not in err
@@ -584,7 +591,25 @@ class TestSchema:
 
     def test_summary_missing_required_fails(self):
         with pytest.raises(jsonschema.ValidationError):
-            cli.validate_summary({"schema_version": 1, "command": "run"})
+            cli.write_summary(None, {"schema_version": 1, "command": "run"})
+
+    def test_exit_codes_cover_exactly_the_summary_statuses(self):
+        statuses = cli.load_summary_schema()["properties"]["status"]["enum"]
+        assert sorted(cli.EXIT_CODES) == sorted(statuses)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=40))
+def test_median_is_np_median_bitwise(values):
+    with np.errstate(over="ignore"):  # both overflow alike, to inf
+        ref = float(np.median(values))
+    ours = cli._median(values)
+    assert ours == ref
+    # a zero median's sign comes from np.median's own summation; the
+    # amplitude-halving ratios it takes are never -0.0
+    if ref != 0.0:
+        assert np.float64(ours).tobytes() == np.float64(ref).tobytes()
 
 
 class TestSharedOutputs:
