@@ -19,11 +19,13 @@ summary's `status`, with the stderr text that explains any status but ok, and
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass
+import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
+from statistics import median
 import sys
 from typing import NamedTuple
 
@@ -92,12 +94,12 @@ def write_csv(path: str, names: list, columns: dict) -> None:
     print(f"wrote {path}")
 
 
-def render_energy_svg(path: str, t, energy) -> None:
-    """Log10-energy line plot, written as a self-contained SVG document."""
+def render_energy_svg(path: str, t, energy) -> bool:
+    """Log10-energy line plot as an SVG document; False if none is drawn."""
     points = [(float(tt), math.log10(float(e)))
               for tt, e in zip(t, energy) if e > 0.0]
     if len(points) < 2:
-        return
+        return False
     width, height = 640, 400
     left, right, top, bottom = 70, 620, 30, 360
     xs = [p[0] for p in points]
@@ -146,6 +148,14 @@ def render_energy_svg(path: str, t, energy) -> None:
     parts.append("</svg>")
     atomic_write_text(path, "\n".join(parts) + "\n")
     print(f"wrote {path}")
+    return True
+
+
+def _remove_stale(path: str | None) -> None:
+    """Remove an earlier file at an output path this run does not rewrite."""
+    if path is not None and os.path.exists(path):
+        os.remove(path)
+        print(f"removed {path}")
 
 
 def _summary(command: str, status: str, cfg: ExperimentConfig,
@@ -176,10 +186,8 @@ def _check_summary_owner(cfg: ExperimentConfig, command: str) -> None:
 
 
 def _fit_dict(fit) -> dict:
-    return {"quantity_id": fit.quantity_id, "window": list(fit.window),
-            "fitted_rate": fit.fitted_rate, "intercept": fit.intercept,
-            "target_rate": fit.target_rate, "r_squared": fit.r_squared,
-            "n_points": fit.n_points}
+    # the schema's `array` type rejects a tuple
+    return {**dataclasses.asdict(fit), "window": list(fit.window)}
 
 
 def _group(ids, check: str) -> list:
@@ -211,19 +219,15 @@ def _resolve_dt(cfg: ExperimentConfig, grid, c) -> float:
     return cfg.t_final / n_steps
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunResult:
     """One march of a configured experiment and what was measured on it."""
 
-    series: DiagnosticSeries  # t, functional_record columns, then per tracked
-                              # identity its defect::<id> and norm::<id>
+    series: DiagnosticSeries  # t, then the functional_record columns
     residuals: dict   # tracked identity id -> run-level relative residual
     skipped: list     # ZERO_MEAN_CHECKS dropped: the initial means are not 0
     fits: dict        # quantity id -> DecayFit over the fit window
     fit_errors: dict  # quantity id -> why its fit failed
-
-    def record_names(self) -> list:
-        return [name for name in self.series.columns if "::" not in name]
 
 
 class _Point(NamedTuple):
@@ -266,6 +270,12 @@ def run_experiment(cfgs, identity_ids=(), record=True) -> list:
         key = (p.cfg.n_points, p.cfg.t_final, p.cfg.stride, p.dt)
         groups.setdefault(key, []).append(index)
     outcomes = [None] * len(points)
+    # Per point and identity, the defect and the normalizer of each state,
+    # aggregated separately over the run: at isolated degenerate states
+    # (e.g. a pure mode at t = 0) both sides of a cross-term identity vanish
+    # to round-off, so the instantaneous ratio is 0/0 noise; the run-level
+    # residual divides the worst defect by the run's own scale instead.
+    sides = [{i: ([], []) for i in p.identity_ids} for p in points]
     for (_, t_final, stride, dt), members in groups.items():
         group = [points[index] for index in members]
 
@@ -273,32 +283,24 @@ def run_experiment(cfgs, identity_ids=(), record=True) -> list:
             p = group[i]
             row, reports = observe(st, p.c, p.identity_ids, p.cfg.n_max,
                                    columns)
-            # Defect and normalizer are aggregated separately over the run:
-            # at isolated degenerate states (e.g. a pure mode at t = 0) both
-            # sides of a cross-term identity vanish to round-off, so the
-            # instantaneous ratio is 0/0 noise; the run-level residual
-            # divides the worst defect by the run's own scale instead.
             for key, rep in reports.items():
-                row[f"defect::{key}"] = abs(rep.lhs - rep.rhs)
-                row[f"norm::{key}"] = rep.normalizer
+                sides[members[i]][key][0].append(abs(rep.lhs - rep.rhs))
+                sides[members[i]][key][1].append(rep.normalizer)
             return row
 
         run = evolve([p.state for p in group], [p.c for p in group],
                      t_final, dt, observers=[observer], stride=stride)
-        for index, p, series in zip(members, group, run.members):
-            outcomes[index] = (series if isinstance(series, BlowUpError)
-                               else _measure(p, series))
+        for index, out in zip(members, run.members):
+            outcomes[index] = (out if isinstance(out, BlowUpError)
+                               else _measure(points[index], out, sides[index]))
     return outcomes
 
 
-def _measure(p: _Point, series: DiagnosticSeries) -> RunResult:
+def _measure(p: _Point, series: DiagnosticSeries, sides: dict) -> RunResult:
     """Run-level identity residuals and decay fits of one marched point: the
     energy and each seminorm of order 1 and up that the series holds."""
-    residuals = {}
-    for i in p.identity_ids:
-        defect = float(np.max(series.columns[f"defect::{i}"]))
-        norm = float(np.max(series.columns[f"norm::{i}"]))
-        residuals[i] = defect / max(norm, 1e-30)
+    residuals = {i: float(np.max(defects)) / max(float(np.max(norms)), 1e-30)
+                 for i, (defects, norms) in sides.items()}
     fits, fit_errors = {}, {}
     seminorms = [f"seminorm_sq_{n}" for n in range(1, p.cfg.n_max + 1)]
     for name in ["energy"] + [s for s in seminorms if s in series.columns]:
@@ -315,13 +317,15 @@ def _measure(p: _Point, series: DiagnosticSeries) -> RunResult:
 def cmd_run(cfg: ExperimentConfig) -> tuple:
     result = run_experiment([cfg], _exact_ids(cfg))[0]
     if isinstance(result, BlowUpError):
+        _remove_stale(cfg.csv_path)
+        _remove_stale(cfg.plot_path)
         write_summary(cfg.summary_path, _summary(
             "run", "blow_up", cfg, run=None, energy=None,
             blow_up_time=result.time))
         return "blow_up", BLOW_UP_TEXT.format(result.time)
     series, meta = result.series, result.series.meta
     if cfg.csv_path is not None:
-        write_csv(cfg.csv_path, result.record_names(), series.columns)
+        write_csv(cfg.csv_path, list(series.columns), series.columns)
 
     offenders = [i for i, r in result.residuals.items()
                  if r > EXACT_RESIDUAL_TOL]
@@ -345,19 +349,12 @@ def cmd_run(cfg: ExperimentConfig) -> tuple:
     if failures:
         summary["failures"] = failures
     write_summary(cfg.summary_path, summary)
-    if cfg.plot_path is not None:
-        render_energy_svg(cfg.plot_path, series.t, energy_col)
+    if (cfg.plot_path is not None
+            and not render_energy_svg(cfg.plot_path, series.t, energy_col)):
+        _remove_stale(cfg.plot_path)
     return status, "\n".join(
         f"identity failure: {i} relative residual "
         f"{result.residuals[i]:.3e} > {EXACT_RESIDUAL_TOL}" for i in offenders)
-
-
-def _median(values: list) -> float:
-    """np.median's float, without the numpy.ma import of its first call."""
-    ordered, mid = sorted(values), len(values) // 2
-    if len(values) % 2:
-        return float(ordered[mid])
-    return (ordered[mid - 1] + ordered[mid]) / 2
 
 
 def cmd_verify(cfg: ExperimentConfig) -> tuple:
@@ -388,9 +385,10 @@ def cmd_verify(cfg: ExperimentConfig) -> tuple:
                 for s in states]
         lo, hi = APPROX_RATIO_WINDOW
         for identity_id in approx:
-            med = _median([h[identity_id].relative_residual
-                           / max(f[identity_id].relative_residual, 1e-300)
-                           for f, h in zip(full, half)])
+            # the float np.median gives, without its numpy.ma import
+            med = median([h[identity_id].relative_residual
+                          / max(f[identity_id].relative_residual, 1e-300)
+                          for f, h in zip(full, half)])
             add(f"{identity_id} scaling", lo <= med <= hi, med, None,
                 f"median residual ratio under amplitude halving over "
                 f"{len(half)} states; want within [{lo}, {hi}]")
@@ -445,8 +443,9 @@ def cmd_verify(cfg: ExperimentConfig) -> tuple:
                     if failures else "")
 
 
-def _parse_axes(axis_args: list) -> list:
-    axes = []
+def _parse_axes(axis_args: list) -> dict:
+    """Each axis name -> its values, in the order given."""
+    axes = {}
     for spec in axis_args:
         name, _, values = spec.partition("=")
         name = name.strip()
@@ -457,25 +456,19 @@ def _parse_axes(axis_args: list) -> list:
             parsed = [float(v) for v in values.split(",")]
         except ValueError:
             raise ConfigError(f"non-numeric value in axis {spec!r}") from None
-        if name in dict(axes):
+        if name in axes:
             raise ConfigError(f"sweep axis {name} given twice")
-        axes.append((name, parsed))
+        axes[name] = parsed
     if not axes:
         raise ConfigError("empty sweep spec: pass at least one "
                           "--axis name=v1,v2,...")
     return axes
 
 
-def _sweep_points(axes: list) -> list:
-    points = [{}]
-    for name, values in axes:
-        points = [{**p, name: v} for p in points for v in values]
-    return points
-
-
 def cmd_sweep(cfg: ExperimentConfig, axis_args: list) -> tuple:
     axes = _parse_axes(axis_args)
-    points = _sweep_points(axes)
+    points = [dict(zip(axes, values))  # the first axis outermost
+              for values in itertools.product(*axes.values())]
     configs = [apply_overrides(cfg, point) for point in points]
     validate_coefficients(cfg.coefficients)  # the summary reports this set
     for point, point_cfg in zip(points, configs):
@@ -503,8 +496,8 @@ def cmd_sweep(cfg: ExperimentConfig, axis_args: list) -> tuple:
         rows.append(row)
 
     if cfg.csv_path is not None:
-        names = [name for name, _ in axes] + ["fitted_rate", "target_rate",
-                                              "r_squared", "status"]
+        names = list(axes) + ["fitted_rate", "target_rate", "r_squared",
+                              "status"]
         cells = [{**point, **row} for point, row in zip(points, rows)]
         write_csv(cfg.csv_path, names,
                   {name: [cell[name] for cell in cells] for name in names})

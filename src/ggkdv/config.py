@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, is_dataclass, replace
 import math
 import os
-import tempfile
 import typing
 
 import numpy as np
@@ -256,7 +255,9 @@ def atomic_write_text(path: str, text: str) -> None:
     """Write-then-rename so readers never observe a partial file."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    # O_EXCL: the name is this call's own; 0o666 less the umask, as open()
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -23,7 +23,7 @@ import functools
 import numpy as np
 
 from .model import SimState, ValidatedCoefficients, rhs
-from .spectral import _parseval_weights, derivative
+from .spectral import _parseval_weights, derivative, sample_rows
 
 
 # -- monomial calculus -------------------------------------------------------
@@ -55,15 +55,6 @@ def ddt_sum(monomials) -> tuple:
     tuple holds a time-derivative factor."""
     return tuple((coeff, tuple((j == i, *f) for j, f in enumerate(factors)))
                  for coeff, factors in monomials for i in range(len(factors)))
-
-
-def sample_rows(coeffs: np.ndarray, bands: np.ndarray, m: int) -> np.ndarray:
-    """`padded_samples` of each row of `coeffs`, with its band, on m points."""
-    width = min(m // 2 + 1, coeffs.shape[1])
-    padded = np.zeros((len(coeffs), m // 2 + 1), dtype=np.complex128)
-    padded[:, :width] = np.where(
-        np.arange(width) <= bands[:, None], coeffs[:, :width], 0.0)
-    return np.fft.irfft(padded * m, n=m)
 
 
 class IntegralPlan:

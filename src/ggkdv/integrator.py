@@ -92,21 +92,19 @@ def default_dt(grid: GridSpec, c: ValidatedCoefficients) -> float:
 
 
 def _step(w: np.ndarray, tables, mix: np.ndarray,
-          grid: GridSpec, linear_only: bool = False) -> np.ndarray:
+          grid: GridSpec) -> np.ndarray:
     """One ETDRK4 step of the (P, 2, kept) eigenbasis state, under the six
     (P, 2, kept) table rows and the (P, 2, 5) mixing matrices."""
     exp_full, exp_half, q, w1, w2x2, w3 = tables
-    out = exp_full * w
-    if not linear_only:
-        n0 = nonlinear_remainder(w, mix, grid)
-        half = exp_half * w
-        a = half + q * n0
-        na = nonlinear_remainder(a, mix, grid)
-        b = half + q * na
-        nb = nonlinear_remainder(b, mix, grid)
-        c = exp_half * a + q * (2.0 * nb - n0)
-        nc = nonlinear_remainder(c, mix, grid)
-        out = out + w1 * n0 + w2x2 * (na + nb) + w3 * nc
+    n0 = nonlinear_remainder(w, mix, grid)
+    half = exp_half * w
+    a = half + q * n0
+    na = nonlinear_remainder(a, mix, grid)
+    b = half + q * na
+    nb = nonlinear_remainder(b, mix, grid)
+    c = exp_half * a + q * (2.0 * nb - n0)
+    nc = nonlinear_remainder(c, mix, grid)
+    out = exp_full * w + w1 * n0 + w2x2 * (na + nb) + w3 * nc
     out[..., 0] = 0.0  # means are conserved exactly; pin against drift
     return out
 
@@ -140,7 +138,7 @@ class EnsembleRun:
 
 
 def evolve(states, coeffs, t_final: float, dt: float, observers=(),
-           stride: int = 1, linear_only: bool = False) -> EnsembleRun:
+           stride: int = 1) -> EnsembleRun:
     """March an ensemble of states to t_final, sampling observers every
     `stride` steps.
 
@@ -200,7 +198,7 @@ def evolve(states, coeffs, t_final: float, dt: float, observers=(),
     for step in range(1, n_steps + 1):
         # overflow is diagnosed via the finiteness check, not warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            w = _step(w, tables, mix, grid, linear_only)
+            w = _step(w, tables, mix, grid)
             # a finite sum proves every entry finite; only a non-finite one
             # (an overflow of finite entries included) needs the exact test
             suspect = not np.isfinite(w.sum())

@@ -90,10 +90,6 @@ def _require_same_grid(f: SpectralField, g: SpectralField) -> None:
         raise ValueError("fields live on different grids")
 
 
-def zeros(grid: GridSpec) -> SpectralField:
-    return SpectralField(grid, np.zeros(grid.n_coeffs, dtype=np.complex128))
-
-
 def from_samples(grid: GridSpec, samples: np.ndarray) -> SpectralField:
     samples = np.asarray(samples, dtype=np.float64)
     if samples.shape != (grid.n_points,):
@@ -145,14 +141,20 @@ def _next_pow2(m: int) -> int:
     return 1 << (m - 1).bit_length()
 
 
+def sample_rows(coeffs: np.ndarray, bands: np.ndarray, m: int) -> np.ndarray:
+    """Each row of `coeffs`, zeroed above its band, sampled on m points."""
+    width = min(m // 2 + 1, coeffs.shape[1])
+    padded = np.zeros((len(coeffs), m // 2 + 1), dtype=np.complex128)
+    padded[:, :width] = np.where(
+        np.arange(width) <= bands[:, None], coeffs[:, :width], 0.0)
+    return np.fft.irfft(padded * m, n=m)
+
+
 def padded_samples(f: SpectralField, m: int) -> np.ndarray:
     """Values of the trig interpolant on a finer uniform grid of m points."""
     if m < 2 * f.band() + 2 and f.band() > 0:
         raise ValueError("target grid too coarse for this field's band")
-    c = np.zeros(m // 2 + 1, dtype=np.complex128)
-    b = f.band()
-    c[:b + 1] = f.coeffs[:b + 1]
-    return np.fft.irfft(c * m, n=m)
+    return sample_rows(f.coeffs[None], np.array([f.band()]), m)[0]
 
 
 def integral_of_product(*fields: SpectralField) -> float:

@@ -43,7 +43,7 @@ from .functionals import (IntegralPlan, ddt_sum, functional_record,
                           lyapunov_monomials, mono, seminorm_monomials,
                           value_sum)
 from .model import SimState, ValidatedCoefficients
-from .spectral import SpectralField, derivative, padded_samples, _next_pow2
+from .spectral import SpectralField, derivative, sample_rows, _next_pow2
 
 NORMALIZER_FLOOR = 1e-30
 
@@ -332,12 +332,12 @@ def residual_general_n(obs: Observation, identity_id: str) -> IdentityReport:
 
 
 def residual_h1(obs: Observation, identity_id: str) -> IdentityReport:
-    """An H1 identity; `_observe` has checked the zero means it needs."""
+    """An H1 identity; `observe` has checked the zero means it needs."""
     return obs.report(identity_id)
 
 
 def residual_h2(obs: Observation, identity_id: str) -> IdentityReport:
-    """An H2 identity; `_observe` has checked the zero means it needs."""
+    """An H2 identity; `observe` has checked the zero means it needs."""
     return obs.report(identity_id)
 
 
@@ -350,35 +350,27 @@ def _report(obs: Observation, identity_id: str) -> IdentityReport:
     return family(obs, identity_id)
 
 
-def _observe(state: SimState, c: ValidatedCoefficients, ids, n_max: int,
-             columns) -> tuple[Observation, dict]:
-    """One evaluation of the plan of `ids` and `columns` and the reports of
-    `ids`; the H1 and H2 identities require zero means."""
-    if (any(i.startswith(("H1_", "H2_")) for i in ids)
-            and (state.mean_u != 0.0 or state.mean_v != 0.0)):
-        raise ValueError("identity requires zero means; got "
-                         f"M = {state.mean_u}, N = {state.mean_v}")
-    plan = observation_plan(c, tuple(ids), n_max, columns)
-    obs = Observation(plan, plan.sums.evaluate(state, c))
-    return obs, {i: _report(obs, i) for i in ids}
-
-
 def identity_reports(state: SimState, c: ValidatedCoefficients,
                      ids) -> dict:
     """IdentityReport for each of `ids` at one state, from one evaluation
     of their compiled plan; only the requested identities are evaluated."""
-    return _observe(state, c, ids, 0, ())[1]
+    return observe(state, c, ids, 0, ())[1]
 
 
 def observe(state: SimState, c: ValidatedCoefficients, ids, n_max: int,
             columns: tuple | None = None) -> tuple[dict, dict]:
     """The record row {"t": t, column: value} of one state, over the
     `columns` of `functional_record(c, n_max)` (all of them when None), and
-    the reports of the identities `ids`, from one evaluation of one plan:
-    the two share their value integrals."""
-    obs, reports = _observe(state, c, ids, n_max, columns)
-    return {"t": state.t, **{name: obs.sums[i]
-                             for name, i in obs.plan.columns}}, reports
+    the reports of the identities `ids` (H1 and H2 ones need zero means),
+    from one evaluation of one plan: the two share their value integrals."""
+    if (any(i.startswith(("H1_", "H2_")) for i in ids)
+            and (state.mean_u != 0.0 or state.mean_v != 0.0)):
+        raise ValueError("identity requires zero means; got "
+                         f"M = {state.mean_u}, N = {state.mean_v}")
+    plan = observation_plan(c, tuple(ids), n_max, columns)
+    obs = Observation(plan, plan.sums.evaluate(state, c))
+    return ({"t": state.t, **{name: obs.sums[i] for name, i in plan.columns}},
+            {i: _report(obs, i) for i in ids})
 
 
 # -- seeded states and amplitude scaling -------------------------------------
@@ -412,10 +404,15 @@ def scale_state(state: SimState, factor: float) -> SimState:
 
 # -- inequalities ------------------------------------------------------------
 
-def _abs_samples(f: SpectralField, oversample: int = 4) -> np.ndarray:
-    """|f| on the oversampled grid the L^p norms are taken on."""
-    m = _next_pow2(max(oversample * f.grid.n_points, 2 * f.band() + 2))
-    return np.abs(padded_samples(f, m))
+def _samples(fields, m: int) -> np.ndarray:
+    """Each field's `padded_samples` on m points, one row per field."""
+    return sample_rows(np.array([f.coeffs for f in fields]),
+                       np.array([f.band() for f in fields]), m)
+
+
+def _abs_samples(*fields: SpectralField) -> np.ndarray:
+    """|f| of each field, one row each, on the grid the L^p norms use."""
+    return np.abs(_samples(fields, _next_pow2(4 * fields[0].grid.n_points)))
 
 
 def _norm_of_abs(s: np.ndarray, p) -> float:
@@ -433,7 +430,7 @@ def check_poincare_holder(f: SpectralField, p, q,
     """Mean-free Poincare bound ||f - [f]||_p <= ||f_x||_q for any p, q >= 1,
     plus L^p monotonicity ||f||_p <= ||f||_q whenever p <= q."""
     def norm(g, r):
-        return _norm_of_abs(_abs_samples(g), r)
+        return _norm_of_abs(_abs_samples(g)[0], r)
 
     mean_free = SpectralField(f.grid,
                               np.concatenate([[0.0], f.coeffs[1:]]))
@@ -446,13 +443,12 @@ def check_poincare_holder(f: SpectralField, p, q,
 def poincare_holder_violations(f: SpectralField, exponents,
                                slack: float = 1e-10) -> list:
     """The (p, q) pairs over `exponents` that fail `check_poincare_holder`,
-    with the samples of f, of its mean-free part and of f_x taken once and
-    each of their norms once per exponent."""
+    with the samples of f, of its mean-free part and of f_x taken in one
+    resampling and each of their norms once per exponent."""
     mean_free = SpectralField(f.grid,
                               np.concatenate([[0.0], f.coeffs[1:]]))
     mf, dx, full = ({p: _norm_of_abs(s, p) for p in exponents}
-                    for s in (_abs_samples(mean_free),
-                              _abs_samples(derivative(f)), _abs_samples(f)))
+                    for s in _abs_samples(mean_free, derivative(f), f))
     bad = []
     for p in exponents:
         for q in exponents:
@@ -502,16 +498,15 @@ def product_bound_violations(u: SpectralField, v: SpectralField,
                              n_values=(1, 2, 3), d_max: int = 4,
                              slack: float = 1e-10) -> list:
     """Sweep every admissible tuple; returns the violating ones. The
-    derivative samples are taken once, and each n's tuples are multiplied
+    derivatives are sampled in one call, and each n's tuples multiplied
     out as one array, factor by factor in the order u_0, v_0, u_1, ..."""
     n_top = max(n_values)
     band = max(u.band(), v.band(), 1)
     m = _next_pow2(max(d_max * band + 1, 2 * band + 2, 8))
-    du = [padded_samples(derivative(u, j), m) for j in range(n_top + 1)]
-    dv = [padded_samples(derivative(v, j), m) for j in range(n_top + 1)]
-    s = [float(np.mean(du[j] ** 2) + np.mean(dv[j] ** 2))
-         for j in range(n_top + 1)]
-    factors = [f for j in range(n_top + 1) for f in (du[j], dv[j])]
+    factors = _samples([derivative(f, j) for j in range(n_top + 1)
+                        for f in (u, v)], m)
+    s = [float(np.mean(du ** 2) + np.mean(dv ** 2))
+         for du, dv in zip(factors[0::2], factors[1::2])]
 
     bad = []
     for n in n_values:

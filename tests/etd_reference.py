@@ -65,12 +65,7 @@ def from_eigen(w):
     return (w[0] + w[1]) / SQRT2, (w[0] - w[1]) / SQRT2
 
 
-def step_arrays(w, tables, c, mean_u, mean_v, grid, linear_only=False):
-    if linear_only:
-        out = tables.exp_full * w
-        out[:, 0] = 0.0
-        return out
-
+def step_arrays(w, tables, c, mean_u, mean_v, grid):
     def nl(stage):
         u_hat, v_hat = from_eigen(stage)
         nu, nv = nonlinear_remainder(u_hat, v_hat, mean_u, mean_v, c, grid)
@@ -89,8 +84,7 @@ def step_arrays(w, tables, c, mean_u, mean_v, grid, linear_only=False):
     return out
 
 
-def reference_march(state, c, t_final, dt, observer=None, stride=1,
-                    linear_only=False):
+def reference_march(state, c, t_final, dt, observer=None, stride=1):
     """(times, observer rows, final state), or raises BlowUpError.
 
     `observer` maps a SimState to a dict, like one member's observers.
@@ -104,8 +98,7 @@ def reference_march(state, c, t_final, dt, observer=None, stride=1,
     w = to_eigen(current.u.coeffs, current.v.coeffs)
     for i in range(1, n_steps + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            w = step_arrays(w, tables, c, current.mean_u, current.mean_v,
-                            grid, linear_only)
+            w = step_arrays(w, tables, c, current.mean_u, current.mean_v, grid)
         t_now = state.t + i * dt
         if not np.all(np.isfinite(w)):
             raise BlowUpError(t_now)

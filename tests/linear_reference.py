@@ -2,8 +2,8 @@
 
 `linear_symbol` is the 2x2 symbol at one wavenumber with its eigenpairs,
 checked against `model.linear_rates`; `linear_exact_solution` marches the
-linear part exactly in the eigenbasis, which `evolve(..., linear_only=True)`
-must reproduce.
+linear part exactly in the eigenbasis, which `evolve` must reproduce when
+the nonlinear flux is replaced by zero.
 """
 from dataclasses import dataclass
 

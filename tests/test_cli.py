@@ -2,6 +2,8 @@
 from dataclasses import replace
 import json
 import math
+import os
+import statistics
 import xml.etree.ElementTree as ET
 
 from hypothesis import given, settings, strategies as st
@@ -12,12 +14,13 @@ import yaml
 
 from ggkdv import cli, verification
 from ggkdv.config import (ConfigError, ExperimentConfig, InitialSpec,
-                          VerifySpec, apply_overrides, build_initial_state,
-                          config_from_dict, load_config)
+                          VerifySpec, apply_overrides, atomic_write_text,
+                          build_initial_state, config_from_dict, load_config)
+from ggkdv.integrator import evolve
 from ggkdv.model import CoefficientSet
 from ggkdv.spectral import make_grid
-from ggkdv.verification import IdentityReport
-from conftest import config_to_dict, save_config
+from ggkdv.verification import IdentityReport, observe
+from conftest import ROOT, config_to_dict, save_config
 
 
 def base_config_dict(tmp_path, **run_overrides):
@@ -309,6 +312,56 @@ class TestRunCommand:
         assert "L2" in capsys.readouterr().err
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["status"] == "identity_failure"
+
+    def test_residuals_are_the_run_maxima_of_defect_and_normalizer(self):
+        # the old route: per tracked identity, the max over the observed
+        # states of |lhs - rhs| and of the normalizer, taken from `observe`
+        cfg = replace(load_config(str(ROOT / "configs/decay.yaml")),
+                      t_final=0.2, stride=10)
+        ids = cli._exact_ids(cfg)
+        p = cli._prepare(cfg, ids)
+        states = []
+        evolve([p.state], [p.c], cfg.t_final, p.dt, stride=cfg.stride,
+               observers=[lambda i, st: states.append(st) or {}])
+        reports = [observe(st, p.c, ids, cfg.n_max)[1] for st in states]
+        got = cli.run_experiment([cfg], ids)[0].residuals
+        assert len(states) == 11 and list(got) == ids
+        for i in ids:
+            defect = float(np.max([abs(r[i].lhs - r[i].rhs) for r in reports]))
+            norm = float(np.max([r[i].normalizer for r in reports]))
+            assert got[i].hex() == (defect / max(norm, 1e-30)).hex(), i
+
+    @staticmethod
+    def _run_at(tmp_path, amplitude):
+        """`gg run` of one configuration at the given initial amplitude."""
+        raw = base_config_dict(tmp_path)
+        raw["coefficients"]["k"] = 0.5
+        raw["initial"] = {"preset": "random-smooth", "amplitude": amplitude,
+                          "seed": 7, "kmax": 8}
+        return cli.main(["run", write_config(tmp_path, raw)])
+
+    def test_a_skipped_plot_removes_the_earlier_one(self, tmp_path, capsys):
+        svg = tmp_path / "energy.svg"
+        assert self._run_at(tmp_path, 0.5) == 0 and svg.exists()
+        capsys.readouterr()
+        assert self._run_at(tmp_path, 0.0) == 0
+        assert not svg.exists()
+        out = capsys.readouterr().out
+        assert f"removed {svg}" in out
+        assert f"wrote {tmp_path / 'diag.csv'}" in out
+
+    def test_a_blow_up_removes_the_earlier_csv_and_plot(self, tmp_path,
+                                                        capsys):
+        assert self._run_at(tmp_path, 0.5) == 0
+        capsys.readouterr()
+        assert self._run_at(tmp_path, 300.0) == 3
+        out = capsys.readouterr().out
+        for name in ("diag.csv", "energy.svg"):
+            assert not (tmp_path / name).exists()
+            assert f"removed {tmp_path / name}" in out
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["status"] == "blow_up"
+        assert summary["blow_up_time"] == pytest.approx(0.03)
 
     def test_nonzero_mean_run_skips_h_batteries(self, tmp_path):
         raw = base_config_dict(tmp_path)
@@ -602,14 +655,56 @@ class TestSchema:
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                 min_size=1, max_size=40))
 def test_median_is_np_median_bitwise(values):
+    # the verify summary's scaling medians are statistics.median's
     with np.errstate(over="ignore"):  # both overflow alike, to inf
         ref = float(np.median(values))
-    ours = cli._median(values)
+    ours = statistics.median(values)
     assert ours == ref
     # a zero median's sign comes from np.median's own summation; the
     # amplitude-halving ratios it takes are never -0.0
     if ref != 0.0:
         assert np.float64(ours).tobytes() == np.float64(ref).tobytes()
+
+
+class TestAtomicWrite:
+    @pytest.fixture(autouse=True)
+    def umask_022(self):
+        old = os.umask(0o022)
+        yield
+        os.umask(old)
+
+    @staticmethod
+    def mode(path):
+        return os.stat(path).st_mode & 0o7777
+
+    def test_a_new_file_takes_the_mode_open_gives(self, tmp_path):
+        with open(tmp_path / "plain.txt", "w") as fh:
+            fh.write("x")
+        atomic_write_text(str(tmp_path / "out.txt"), "x")
+        assert self.mode(tmp_path / "out.txt") == self.mode(
+            tmp_path / "plain.txt")
+        assert sorted(os.listdir(tmp_path)) == ["out.txt", "plain.txt"]
+
+    def test_a_rewrite_of_a_0644_file_takes_the_mode_open_gives(self,
+                                                                 tmp_path):
+        for name in ("plain.txt", "out.txt"):
+            (tmp_path / name).write_text("old")
+            (tmp_path / name).chmod(0o644)
+        with open(tmp_path / "plain.txt", "w") as fh:
+            fh.write("new")
+        atomic_write_text(str(tmp_path / "out.txt"), "new")
+        assert (tmp_path / "out.txt").read_text() == "new"
+        assert self.mode(tmp_path / "out.txt") == self.mode(
+            tmp_path / "plain.txt") == 0o644
+
+    def test_a_failed_rename_leaves_the_directory_as_it_was(self, tmp_path):
+        (tmp_path / "target").mkdir()
+        (tmp_path / "target" / "keep").write_text("kept")
+        (tmp_path / "other.tmp").write_text("not ours")
+        with pytest.raises(OSError):
+            atomic_write_text(str(tmp_path / "target"), "x")
+        assert sorted(os.listdir(tmp_path)) == ["other.tmp", "target"]
+        assert (tmp_path / "target" / "keep").read_text() == "kept"
 
 
 class TestSharedOutputs:

@@ -12,7 +12,7 @@ from conftest import (decay_marched_state, make_sine_state,
 from calculus_reference import StateCalculus
 import functionals_reference
 from functionals_reference import energy, hs_seminorm_sq
-from spectral_reference import shift
+from spectral_reference import shift, zeros
 
 EPS = np.finfo(float).eps
 # g1 and g2 (and h2 off the admissible branches) are summed monomial by
@@ -65,7 +65,7 @@ class TestEnergyAndSeminorms:
         x = grid128.nodes()
         st = model.reduce_mean(
             sp.from_samples(grid128, A * np.sin(2 * np.pi * x)),
-            sp.zeros(grid128))
+            zeros(grid128))
         for n in range(5):
             expect = 0.5 * A ** 2 * (2 * np.pi) ** (2 * n)
             assert hs_seminorm_sq(st, n) == pytest.approx(expect, rel=1e-12)
@@ -89,7 +89,7 @@ class TestLyapunovH1:
         x = grid128.nodes()
         st = model.reduce_mean(
             sp.from_samples(grid128, A * np.sin(2 * np.pi * x)),
-            sp.zeros(grid128))
+            zeros(grid128))
         rec = record(st, coeffs_coupled)
         f1, g1 = rec["f1"], rec["g1"]
         assert f1 == pytest.approx(0.5 * A ** 2 * (2 * np.pi) ** 2, rel=1e-12)

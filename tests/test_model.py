@@ -13,6 +13,7 @@ from ggkdv.verification import random_smooth_state
 from conftest import make_sine_state
 import etd_reference
 from linear_reference import linear_symbol
+from spectral_reference import zeros
 
 
 class TestCoefficientGate:
@@ -97,7 +98,7 @@ class TestRhs:
         c = coeffs_coupled
         x = grid128.nodes()
         st = model.reduce_mean(sp.from_samples(grid128, np.sin(2 * np.pi * x)),
-                               sp.zeros(grid128))
+                               zeros(grid128))
         du, dv = model.rhs(st, c)
         expect_du = (-np.pi * np.sin(4 * np.pi * x)
                      + (2 * np.pi) ** 3 * np.cos(2 * np.pi * x)
@@ -142,7 +143,7 @@ class TestRhs:
     def test_non_reduced_state_rejected(self, grid64, coeffs_coupled):
         x = grid64.nodes()
         phi = sp.from_samples(grid64, 0.5 + np.sin(2 * np.pi * x))
-        st = model.SimState(u=phi, v=sp.zeros(grid64), t=0.0,
+        st = model.SimState(u=phi, v=zeros(grid64), t=0.0,
                             mean_u=0.0, mean_v=0.0)
         with pytest.raises(ValueError):
             model.rhs(st, coeffs_coupled)

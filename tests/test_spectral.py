@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ggkdv import spectral as sp
-from spectral_reference import shift
+from spectral_reference import padded_samples, shift
 
 
 def sin_field(grid, kappa=1, amp=1.0):
@@ -186,3 +186,30 @@ def test_truncation_is_projection(seed):
     assert np.all(t.coeffs[:g.dealias_cutoff + 1]
                   == f.coeffs[:g.dealias_cutoff + 1])
     assert np.all(sp.truncate(t).coeffs == t.coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.sampled_from([8, 16, 32, 64, 128]),
+       n_rows=st.integers(1, 8), seed=field_seed)
+def test_sample_rows_equal_the_one_field_resampling_bitwise(data, n, n_rows,
+                                                            seed):
+    # every row of the batched resampler, and padded_samples, is bitwise the
+    # one-field zero-pad-and-irfft, for any band the target grid can hold
+    g = sp.make_grid(n)
+    m = data.draw(st.integers(8, 4 * n), label="m")
+    top = min(g.n_coeffs - 1, (m - 2) // 2)
+    rng = np.random.default_rng(seed)
+    fields = []
+    for band in data.draw(st.lists(st.integers(0, top), min_size=n_rows,
+                                   max_size=n_rows), label="bands"):
+        c = np.zeros(g.n_coeffs, dtype=np.complex128)
+        c[:band + 1] = (rng.standard_normal(band + 1)
+                        + 1j * rng.standard_normal(band + 1))
+        fields.append(sp.SpectralField(g, c))
+    rows = sp.sample_rows(np.array([f.coeffs for f in fields]),
+                          np.array([f.band() for f in fields]), m)
+    assert rows.shape == (n_rows, m)
+    for f, row in zip(fields, rows):
+        want = padded_samples(f, m).tobytes()
+        assert row.tobytes() == want
+        assert sp.padded_samples(f, m).tobytes() == want

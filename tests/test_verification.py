@@ -9,7 +9,7 @@ from ggkdv import cli, functionals, spectral, verification
 from ggkdv.integrator import DiagnosticSeries
 from ggkdv.model import (CoefficientSet, SimState, ValidatedCoefficients,
                          rhs, validate_coefficients)
-from ggkdv.spectral import derivative, integral_of_product, make_grid, zeros
+from ggkdv.spectral import derivative, integral_of_product, make_grid
 from ggkdv.verification import (APPROX_IDENTITY_IDS, EXACT_IDENTITY_IDS,
                                 admissible_exponent_tuples,
                                 check_poincare_holder, fit_decay_rate,
@@ -24,7 +24,7 @@ from conftest import COUPLED, decay_marched_state, seeded_or_marched_state
 import calculus_reference
 import product_bound_reference
 from product_bound_reference import HypothesisError, check_product_bound
-from spectral_reference import lp_norm, shift
+from spectral_reference import lp_norm, shift, zeros
 
 EXACT_TOL = 1e-9
 POINCARE_EXPONENTS = (1.0, 2.0, 4.0, math.inf)
