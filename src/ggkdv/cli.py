@@ -36,13 +36,13 @@ from .config import (ConfigError, ExperimentConfig, apply_overrides,
                      atomic_write_text, build_initial_state, load_config)
 from .integrator import BlowUpError, DiagnosticSeries, default_dt, evolve
 from .model import (CoefficientError, SimState, ValidatedCoefficients,
-                    check_coefficients, validate_coefficients)
+                    check_coefficients, random_smooth_field,
+                    random_smooth_state, scale_state, validate_coefficients)
 from .spectral import make_grid
-from .verification import (APPROX_IDENTITY_IDS, EXACT_IDENTITY_IDS,
+from .verification import (ZERO_MEAN_CHECKS, check_identities,
                            fit_decay_rate, identity_reports, observe,
                            poincare_holder_violations,
-                           product_bound_violations, random_smooth_field,
-                           random_smooth_state, scale_state)
+                           product_bound_violations)
 
 # summary status -> exit code; the schema's `status` enum names the keys
 EXIT_CODES = {"ok": 0, "blow_up": 3, "identity_failure": 4,
@@ -55,7 +55,6 @@ EXACT_RESIDUAL_TOL = 1e-8
 # residual (cubic dropped terms over a quadratic normalizer), +/- 25%.
 APPROX_RATIO_WINDOW = (0.25, 0.75)
 POINCARE_EXPONENTS = (1.0, 2.0, 4.0, math.inf)
-ZERO_MEAN_CHECKS = ("H1", "H2")  # their identities assume M = N = 0
 
 
 def _fmt(value) -> str:
@@ -65,16 +64,12 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def load_summary_schema() -> dict:
-    with open(os.path.join(os.path.dirname(__file__), "schemas",
-                           "summary.schema.json"), encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 @functools.lru_cache(maxsize=None)
 def _summary_validator() -> jsonschema.Draft7Validator:
     # built on first use: a missing schema is an OSError, not an import error
-    return jsonschema.Draft7Validator(load_summary_schema())
+    with open(os.path.join(os.path.dirname(__file__), "schemas",
+                           "summary.schema.json"), encoding="utf-8") as fh:
+        return jsonschema.Draft7Validator(json.load(fh))
 
 
 def write_summary(path: str | None, summary: dict) -> None:
@@ -190,31 +185,16 @@ def _fit_dict(fit) -> dict:
     return {**dataclasses.asdict(fit), "window": list(fit.window)}
 
 
-def _group(ids, check: str) -> list:
-    """The ids among `ids` that a check name stands for (H1 -> H1_MAIN, ...)."""
-    return [i for i in ids if i == check or i.startswith(check + "_")]
-
-
-def _exact_ids(cfg: ExperimentConfig) -> list:
-    """Exact identity ids behind the configured checks, in a fixed order."""
-    ids = []
-    for check in ("L2", "GEN_N", "H1", "H2"):
-        if check not in cfg.checks:
-            continue
-        if check == "GEN_N":
-            ids.extend(f"GEN_N({n})" for n in range(cfg.n_max + 1))
-        else:
-            ids.extend(_group(EXACT_IDENTITY_IDS, check))
-    return ids
-
-
 def _resolve_dt(cfg: ExperimentConfig, grid, c) -> float:
     """An explicit dt is honored, a default one is rounded so that whole
     steps and whole strides tile [0, t_final] exactly."""
     if cfg.dt is not None:
         return cfg.dt
-    guess = default_dt(grid, c)
-    n_steps = max(cfg.stride, int(math.ceil(cfg.t_final / guess)))
+    ratio = cfg.t_final / default_dt(grid, c)
+    if not math.isfinite(ratio):
+        raise ConfigError(f"run.t_final = {cfg.t_final} is too long for the "
+                          "default dt: its step count overflows")
+    n_steps = max(cfg.stride, int(math.ceil(ratio)))
     n_steps = ((n_steps + cfg.stride - 1) // cfg.stride) * cfg.stride
     return cfg.t_final / n_steps
 
@@ -241,29 +221,29 @@ class _Point(NamedTuple):
     dt: float
 
 
-def _prepare(cfg: ExperimentConfig, identity_ids) -> _Point:
+def _prepare(cfg: ExperimentConfig, record: bool) -> _Point:
     c = validate_coefficients(cfg.coefficients)
-    grid = make_grid(cfg.n_points)
-    state = build_initial_state(cfg, grid)
-    ids, skipped = list(identity_ids), []
+    state = build_initial_state(cfg)
+    checks, skipped = (cfg.checks if record else ()), []
     if state.mean_u != 0.0 or state.mean_v != 0.0:
-        skipped = [check for check in ZERO_MEAN_CHECKS if _group(ids, check)]
-        ids = [i for i in ids if not i.startswith(ZERO_MEAN_CHECKS)]
-    return _Point(cfg, c, state, ids, skipped, _resolve_dt(cfg, grid, c))
+        skipped = [check for check in ZERO_MEAN_CHECKS if check in checks]
+        checks = [check for check in checks if check not in ZERO_MEAN_CHECKS]
+    return _Point(cfg, c, state, check_identities(checks, cfg.n_max)[0],
+                  skipped, _resolve_dt(cfg, state.grid, c))
 
 
-def run_experiment(cfgs, identity_ids=(), record=True) -> list:
+def run_experiment(cfgs, record=True) -> list:
     """Validate, build grid and initial state, march, and fit decay rates for
-    each config, tracking the given exact identities along each trajectory.
+    each config, tracking the exact identities of its checks on its march.
 
-    With `record` False only t and the energy are observed, and only the
-    energy decay rate is fitted. Configs that share grid, span, stride and
-    resolved dt march as one ensemble; each gets bitwise the numbers of a
-    lone march. Returns, per config in order, its RunResult or the
-    BlowUpError naming the time at which its state first became non-finite.
-    Raises CoefficientError for an inadmissible coefficient set.
+    With `record` False only t and the energy are observed (no identity),
+    and only the energy decay rate is fitted. Configs that share grid, span,
+    stride and resolved dt march as one ensemble; each gets bitwise the
+    numbers of a lone march. Returns, per config in order, its RunResult or
+    the BlowUpError naming the time at which its state first became
+    non-finite. Raises CoefficientError for an inadmissible coefficient set.
     """
-    points = [_prepare(cfg, identity_ids) for cfg in cfgs]
+    points = [_prepare(cfg, record) for cfg in cfgs]
     columns = None if record else ("energy",)
     groups = {}
     for index, p in enumerate(points):
@@ -315,7 +295,7 @@ def _measure(p: _Point, series: DiagnosticSeries, sides: dict) -> RunResult:
 
 
 def cmd_run(cfg: ExperimentConfig) -> tuple:
-    result = run_experiment([cfg], _exact_ids(cfg))[0]
+    result = run_experiment([cfg])[0]
     if isinstance(result, BlowUpError):
         _remove_stale(cfg.csv_path)
         _remove_stale(cfg.plot_path)
@@ -372,9 +352,7 @@ def cmd_verify(cfg: ExperimentConfig) -> tuple:
                        "value": None if value is None else float(value),
                        "threshold": threshold, "detail": detail})
 
-    exact = _exact_ids(cfg)
-    approx = (_group(APPROX_IDENTITY_IDS, "H2") if "H2" in cfg.checks
-              else [])
+    exact, approx = check_identities(cfg.checks, cfg.n_max)
     full = [identity_reports(s, c, exact + approx) for s in states]
     for identity_id in exact:
         worst = max(r[identity_id].relative_residual for r in full)

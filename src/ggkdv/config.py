@@ -16,8 +16,9 @@ import typing
 import numpy as np
 import yaml
 
-from .model import CoefficientSet, SimState, reduce_mean
-from .spectral import GridSpec, SpectralField, from_samples, make_grid
+from .model import (CoefficientSet, SimState, random_smooth_state,
+                    reduce_mean)
+from .spectral import SpectralField, from_samples, make_grid
 
 PRESETS = ("single-mode", "random-smooth", "two-soliton-like")
 
@@ -232,6 +233,13 @@ def _check_ranges(cfg: ExperimentConfig) -> None:
     for where, spec in (("initial", cfg.initial), ("verify", cfg.verify)):
         require(spec.kmax >= 1, f"{where}.kmax must be >= 1, got {spec.kmax}")
         require(spec.seed >= 0, f"{where}.seed must be >= 0, got {spec.seed}")
+    named = {}  # each output file -> the first key that names it
+    for key, path in (("csv", cfg.csv_path), ("summary", cfg.summary_path),
+                      ("plot", cfg.plot_path)):
+        if path is not None:
+            first = named.setdefault(os.path.abspath(path), key)
+            require(first == key, f"output.{first} and output.{key} name "
+                                  f"one file, {path}; give each its own path")
     vs = cfg.verify
     require(vs.n_states >= 1,
             f"verify.n_states must be >= 1, got {vs.n_states}")
@@ -240,10 +248,28 @@ def _check_ranges(cfg: ExperimentConfig) -> None:
             f"got {vs.poincare_fields} and {vs.product_fields}")
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """A SafeLoader that refuses a mapping key given twice, at any depth;
+    a merge key (<<) may still override what it merges."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = []  # a list: an unhashable key is left to SafeLoader's error
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found duplicate key {key!r}", key_node.start_mark)
+            seen.append(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"could not parse {path}: {exc}") from None
     if raw is None:
@@ -277,9 +303,8 @@ def _periodized_sech2(x: np.ndarray, center: float, width: float
     return out
 
 
-def build_initial_state(cfg: ExperimentConfig,
-                        grid: GridSpec | None = None) -> SimState:
-    grid = make_grid(cfg.n_points) if grid is None else grid
+def build_initial_state(cfg: ExperimentConfig) -> SimState:
+    grid = make_grid(cfg.n_points)
     spec = cfg.initial
 
     def exactly_zero_mean(samples):
@@ -295,7 +320,6 @@ def build_initial_state(cfg: ExperimentConfig,
         v = exactly_zero_mean(spec.amplitude * np.cos(2.0 * np.pi * x))
         state = SimState(u=u, v=v, t=0.0, mean_u=0.0, mean_v=0.0)
     elif spec.preset == "random-smooth":
-        from .verification import random_smooth_state
         state = random_smooth_state(grid, seed=spec.seed,
                                     amplitude=spec.amplitude, kmax=spec.kmax)
     else:  # two-soliton-like

@@ -12,9 +12,9 @@ and h2 vanishes identically on both admissible coefficient branches.
 
 The identities in `verification` reuse these lists: GEN_N(n), H1_SUB(4.2)
 and H2_SUB(5.2) take the seminorms as their functionals, H1_MAIN and
-H2_MAIN take f1, g1, f2, g2 and h2. `verification.observe` evaluates the
-record columns it is asked for in one `IntegralPlan` with the tracked
-identities.
+H2_MAIN take f1, g1, f2, g2 and h2. `verification.observation_plan` compiles
+them with the record columns `observe` is asked for into one cached
+`IntegralPlan`; the lists are built only while a plan compiles.
 """
 from __future__ import annotations
 
@@ -149,9 +149,8 @@ class IntegralPlan:
         return total.tolist()
 
 
-@functools.lru_cache(maxsize=None)
 def lyapunov_monomials(c: ValidatedCoefficients) -> dict:
-    """f1, g1, f2, g2 and h2 as monomial lists, built once per coefficient set.
+    """f1, g1, f2, g2 and h2 as monomial lists.
 
     f1 and f2 are quadratic in first and second derivatives, g1 and g2 cubic;
     h2 is the cubic remainder of the H2 identity.

@@ -135,9 +135,8 @@ class SimState:
         return self.u.grid
 
 
-def reduce_mean(phi: SpectralField, psi: SpectralField,
-                t: float = 0.0) -> SimState:
-    """Split off the means: u = phi - [phi], v = psi - [psi]."""
+def reduce_mean(phi: SpectralField, psi: SpectralField) -> SimState:
+    """Split off the means at t = 0: u = phi - [phi], v = psi - [psi]."""
     if phi.grid != psi.grid:
         raise ValueError("fields live on different grids")
     mean_u = float(phi.coeffs[0].real)
@@ -147,7 +146,34 @@ def reduce_mean(phi: SpectralField, psi: SpectralField,
     cu[0] = 0.0
     cv[0] = 0.0
     return SimState(u=SpectralField(phi.grid, cu), v=SpectralField(psi.grid, cv),
-                    t=t, mean_u=mean_u, mean_v=mean_v)
+                    t=0.0, mean_u=mean_u, mean_v=mean_v)
+
+
+def random_smooth_field(grid, rng, kmax: int = 8) -> SpectralField:
+    """Zero-mean field with e^{-kappa} spectrum up to kmax, random phases."""
+    c = np.zeros(grid.n_coeffs, dtype=np.complex128)
+    kmax = min(kmax, grid.dealias_cutoff)
+    kappa = np.arange(1, kmax + 1)
+    c[1:kmax + 1] = (np.exp(-kappa.astype(float))
+                     * (rng.standard_normal(kmax)
+                        + 1j * rng.standard_normal(kmax)))
+    return SpectralField(grid, c)
+
+
+def random_smooth_state(grid, seed: int, amplitude: float = 1.0,
+                        kmax: int = 8) -> SimState:
+    """Seeded zero-mean state pair, jointly normalized to sup amplitude."""
+    rng = np.random.default_rng(seed)
+    u = random_smooth_field(grid, rng, kmax)
+    v = random_smooth_field(grid, rng, kmax)
+    peak = max(np.max(np.abs(u.samples())), np.max(np.abs(v.samples())))
+    scale = amplitude / peak
+    return SimState(u=scale * u, v=scale * v, t=0.0, mean_u=0.0, mean_v=0.0)
+
+
+def scale_state(state: SimState, factor: float) -> SimState:
+    return SimState(u=factor * state.u, v=factor * state.v, t=state.t,
+                    mean_u=factor * state.mean_u, mean_v=factor * state.mean_v)
 
 
 def _require_validated(c) -> None:

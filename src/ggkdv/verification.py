@@ -8,13 +8,13 @@ by alias-free padded quadrature. Exact identities must agree to rounding error;
 approximate ones (valid modulo higher-order terms in the solution size) must
 show residuals that shrink linearly with the amplitude.
 
-Each identity's monomial lists are built once per coefficient set, from the
-lists the CSV record is evaluated from (`functionals.functional_record`):
-GEN_N(n), H1_SUB(4.2) and H2_SUB(5.2) take the seminorms as their
-functionals, H1_MAIN and H2_MAIN take f1, g1, f2, g2 and h2.
-`observation_plan` compiles the identities a command asks for, plus the
-record columns `observe` is asked for, into one `functionals.IntegralPlan`:
-per state the right-hand side is evaluated once and each integral once,
+Each identity's monomial lists are built from the lists the CSV record is
+evaluated from (`functionals.functional_record`): GEN_N(n), H1_SUB(4.2) and
+H2_SUB(5.2) take the seminorms as their functionals, H1_MAIN and H2_MAIN take
+f1, g1, f2, g2 and h2. `observation_plan` compiles the identities a command
+asks for, plus the record columns `observe` is asked for, into one cached
+`functionals.IntegralPlan`, so the lists are built only while a plan compiles.
+Per state the right-hand side is evaluated once and each integral once,
 bitwise equal to `integral_of_product`. Every left-side product holds a time
 derivative and no right-side product does, so the two routes of an identity
 share no integral; the record shares its value integrals with the right
@@ -53,6 +53,22 @@ EXACT_IDENTITY_IDS = ("L2", "GEN_N(0)", "GEN_N(1)", "GEN_N(2)", "GEN_N(3)",
                       "H2_SUB(5.3)")
 APPROX_IDENTITY_IDS = ("H2_MAIN", "H2_SUB(5.4)", "H2_SUB(5.5)", "H2_SUB(5.6)",
                        "GEN_N_APPROX(3)")
+ZERO_MEAN_CHECKS = ("H1", "H2")  # their identities assume M = N = 0
+
+
+def check_identities(checks, n_max: int) -> tuple[list, list]:
+    """The exact and the approximate identity ids behind the named checks,
+    in the order L2, GEN_N(0..n_max), H1, H2; L2, H1 and H2 stand for the
+    ids they prefix (H1 -> H1_MAIN, H1_SUB(4.2), ...)."""
+    exact = []
+    for check in ("L2", "GEN_N", "H1", "H2"):
+        if check == "GEN_N" and check in checks:
+            exact += [f"GEN_N({n})" for n in range(n_max + 1)]
+        elif check in checks:
+            exact += [i for i in EXACT_IDENTITY_IDS if i.startswith(check)]
+    approx = ([i for i in APPROX_IDENTITY_IDS if i.startswith("H2")]
+              if "H2" in checks else [])
+    return exact, approx
 
 
 @dataclass(frozen=True)
@@ -83,11 +99,7 @@ class _Identity(NamedTuple):
 
 
 # -- exact identities --------------------------------------------------------
-#
-# Each identity's monomial lists depend only on the coefficients, so they are
-# built once per coefficient set.
 
-@functools.lru_cache(maxsize=None)
 def _gen_n_identity(n: int, c: ValidatedCoefficients) -> _Identity:
     """The order-n derivative-energy identity."""
     fn = seminorm_monomials(n)
@@ -122,7 +134,6 @@ def _damping_only(identity: _Identity) -> _Identity:
                      {"damping": identity.terms["damping"]})
 
 
-@functools.lru_cache(maxsize=None)
 def _h1_identities(c: ValidatedCoefficients) -> dict:
     a1, a2, a3, k = c.a1, c.a2, c.a3, c.k
     f1, g1 = (lyapunov_monomials(c)[name] for name in ("f1", "g1"))
@@ -176,7 +187,6 @@ def _h1_identities(c: ValidatedCoefficients) -> dict:
     }
 
 
-@functools.lru_cache(maxsize=None)
 def _h2_identities(c: ValidatedCoefficients) -> dict:
     a1, a2, a3, k = c.a1, c.a2, c.a3, c.k
     f2, g2, h2 = (lyapunov_monomials(c)[name] for name in ("f2", "g2", "h2"))
@@ -363,7 +373,7 @@ def observe(state: SimState, c: ValidatedCoefficients, ids, n_max: int,
     `columns` of `functional_record(c, n_max)` (all of them when None), and
     the reports of the identities `ids` (H1 and H2 ones need zero means),
     from one evaluation of one plan: the two share their value integrals."""
-    if (any(i.startswith(("H1_", "H2_")) for i in ids)
+    if (any(i.startswith(ZERO_MEAN_CHECKS) for i in ids)
             and (state.mean_u != 0.0 or state.mean_v != 0.0)):
         raise ValueError("identity requires zero means; got "
                          f"M = {state.mean_u}, N = {state.mean_v}")
@@ -371,35 +381,6 @@ def observe(state: SimState, c: ValidatedCoefficients, ids, n_max: int,
     obs = Observation(plan, plan.sums.evaluate(state, c))
     return ({"t": state.t, **{name: obs.sums[i] for name, i in plan.columns}},
             {i: _report(obs, i) for i in ids})
-
-
-# -- seeded states and amplitude scaling -------------------------------------
-
-def random_smooth_field(grid, rng, kmax: int = 8) -> SpectralField:
-    """Zero-mean field with e^{-kappa} spectrum up to kmax, random phases."""
-    c = np.zeros(grid.n_coeffs, dtype=np.complex128)
-    kmax = min(kmax, grid.dealias_cutoff)
-    kappa = np.arange(1, kmax + 1)
-    c[1:kmax + 1] = (np.exp(-kappa.astype(float))
-                     * (rng.standard_normal(kmax)
-                        + 1j * rng.standard_normal(kmax)))
-    return SpectralField(grid, c)
-
-
-def random_smooth_state(grid, seed: int, amplitude: float = 1.0,
-                        kmax: int = 8) -> SimState:
-    """Seeded zero-mean state pair, jointly normalized to sup amplitude."""
-    rng = np.random.default_rng(seed)
-    u = random_smooth_field(grid, rng, kmax)
-    v = random_smooth_field(grid, rng, kmax)
-    peak = max(np.max(np.abs(u.samples())), np.max(np.abs(v.samples())))
-    scale = amplitude / peak
-    return SimState(u=scale * u, v=scale * v, t=0.0, mean_u=0.0, mean_v=0.0)
-
-
-def scale_state(state: SimState, factor: float) -> SimState:
-    return SimState(u=factor * state.u, v=factor * state.v, t=state.t,
-                    mean_u=factor * state.mean_u, mean_v=factor * state.mean_v)
 
 
 # -- inequalities ------------------------------------------------------------

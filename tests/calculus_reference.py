@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ggkdv.model import SimState, ValidatedCoefficients, rhs
+from ggkdv.model import SimState, ValidatedCoefficients, rhs, scale_state
 from ggkdv.spectral import (SpectralField, _next_pow2, derivative, inner,
                             integral, padded_samples)
 from ggkdv.verification import (NORMALIZER_FLOOR, IdentityReport, _Damped,
                                 _Identity, _damping_only, _gen_n_identity,
-                                _h1_identities, _h2_identities, scale_state)
+                                _h1_identities, _h2_identities)
 
 
 class StateCalculus:

@@ -10,7 +10,7 @@ from ggkdv import model, spectral as sp
 from ggkdv.config import (LAYOUT, atomic_write_text, build_initial_state,
                           load_config)
 from ggkdv.integrator import evolve
-from ggkdv.verification import random_smooth_state
+from ggkdv.model import random_smooth_state
 
 ROOT = Path(__file__).resolve().parents[1]
 COUPLED = model.validate_coefficients(

@@ -13,12 +13,12 @@ from ggkdv import integrator
 from ggkdv.config import ExperimentConfig, InitialSpec, build_initial_state
 from ggkdv.integrator import evolve
 from ggkdv.model import (CoefficientError, CoefficientSet, SimState,
-                         check_coefficients, validate_coefficients)
+                         check_coefficients, random_smooth_field,
+                         random_smooth_state, validate_coefficients)
 from ggkdv.spectral import SpectralField, make_grid
 from ggkdv.verification import (fit_decay_rate, identity_reports, observe,
                                 poincare_holder_violations,
-                                product_bound_violations, random_smooth_field,
-                                random_smooth_state)
+                                product_bound_violations)
 
 from calculus_reference import scaling_ratios
 from linear_reference import linear_exact_solution

@@ -124,6 +124,24 @@ class TestConfigRoundTrip:
         path.write_text("initial:\n  amplitude: 1e-6\n")
         assert load_config(str(path)).initial.amplitude == 1e-6
 
+    def test_merge_keys_may_override_what_they_merge(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("initial: &shared {amplitude: 0.2, seed: 3, kmax: 5}\n"
+                        "verify: {<<: *shared, seed: 4}\n")
+        vs = load_config(str(path)).verify
+        assert (vs.amplitude, vs.seed, vs.kmax) == (0.2, 4, 5)
+
+    def test_unhashable_key_keeps_pyyaml_error(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("? [a, b]\n: 1\n")
+        with pytest.raises(ConfigError, match="found unhashable key"):
+            load_config(str(path))
+
+    def test_shipped_configs_load_as_safe_load_reads_them(self):
+        for path in sorted((ROOT / "configs").glob("*.yaml")):
+            assert load_config(str(path)) == config_from_dict(
+                yaml.safe_load(path.read_text())), path.name
+
     def test_coefficients_section_optional(self, tmp_path):
         raw = base_config_dict(tmp_path)
         del raw["coefficients"]
@@ -223,7 +241,7 @@ class TestRunCommand:
         assert len(csv_lines) == 1 + 6  # t = 0.0, 0.1, ..., 0.5
 
         summary = json.loads((tmp_path / "summary.json").read_text())
-        jsonschema.validate(summary, cli.load_summary_schema())
+        jsonschema.validate(summary, cli._summary_validator().schema)
         assert summary["status"] == "ok"
         assert summary["command"] == "run"
         assert set(summary["identity_residuals"]) == {
@@ -263,7 +281,7 @@ class TestRunCommand:
         path = write_config(tmp_path, raw)
         assert cli.main(["run", path]) == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
-        jsonschema.validate(summary, cli.load_summary_schema())
+        jsonschema.validate(summary, cli._summary_validator().schema)
         assert summary["status"] == "ok" and summary["decay_fits"] == []
         assert [f.partition(":")[0] for f in summary["failures"]] == [
             "energy", "seminorm_sq_1", "seminorm_sq_2"]
@@ -297,7 +315,7 @@ class TestRunCommand:
         assert cli.main(["run", path]) == 3
         assert "blow-up" in capsys.readouterr().err
         summary = json.loads((tmp_path / "summary.json").read_text())
-        jsonschema.validate(summary, cli.load_summary_schema())
+        jsonschema.validate(summary, cli._summary_validator().schema)
         assert summary["status"] == "blow_up"
         assert 0.0 < summary["blow_up_time"] <= 100.0
 
@@ -318,13 +336,13 @@ class TestRunCommand:
         # states of |lhs - rhs| and of the normalizer, taken from `observe`
         cfg = replace(load_config(str(ROOT / "configs/decay.yaml")),
                       t_final=0.2, stride=10)
-        ids = cli._exact_ids(cfg)
-        p = cli._prepare(cfg, ids)
+        ids = verification.check_identities(cfg.checks, cfg.n_max)[0]
+        p = cli._prepare(cfg, True)
         states = []
         evolve([p.state], [p.c], cfg.t_final, p.dt, stride=cfg.stride,
                observers=[lambda i, st: states.append(st) or {}])
         reports = [observe(st, p.c, ids, cfg.n_max)[1] for st in states]
-        got = cli.run_experiment([cfg], ids)[0].residuals
+        got = cli.run_experiment([cfg])[0].residuals
         assert len(states) == 11 and list(got) == ids
         for i in ids:
             defect = float(np.max([abs(r[i].lhs - r[i].rhs) for r in reports]))
@@ -386,7 +404,7 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "PASS  L2" in out and "PASS  DECAY" in out
         summary = json.loads((tmp_path / "summary.json").read_text())
-        jsonschema.validate(summary, cli.load_summary_schema())
+        jsonschema.validate(summary, cli._summary_validator().schema)
         assert summary["status"] == "ok"
         assert summary["failures"] == []
 
@@ -446,7 +464,7 @@ class TestSweepCommand:
         for k, rate in zip(ks, rates):
             assert rate == pytest.approx(-2.0 * k, abs=1e-3)
         summary = json.loads((tmp_path / "summary.json").read_text())
-        jsonschema.validate(summary, cli.load_summary_schema())
+        jsonschema.validate(summary, cli._summary_validator().schema)
         assert summary["status"] == "ok"
         assert len(summary["points"]) == 3
 
@@ -565,6 +583,42 @@ class TestExitCodes:
         assert named in err and "Traceback" not in err
         assert not (tmp_path / "summary.json").exists()
 
+    def test_default_dt_step_count_overflow_exit_2(self, tmp_path, capsys,
+                                                   command):
+        raw = base_config_dict(tmp_path)
+        raw["grid"]["n_points"] = 16
+        raw["run"] = {"t_final": 1e308}  # no dt: the default rule picks it
+        raw["checks"] = ["L2", "DECAY"]
+        assert gg(command, write_config(tmp_path, raw)) == 2
+        err = capsys.readouterr().err
+        assert "run.t_final" in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == ["config.yaml"]
+
+    @pytest.mark.parametrize("text, key, line", [
+        ("run: {t_final: 1.0}\ngrid: {n_points: 16}\nrun: {t_final: 0.2}\n",
+         "'run'", 3),
+        ("grid: {n_points: 16}\ncoefficients:\n  k: 1.0\n  a3: 0.5\n"
+         "  k: 2.0\n", "'k'", 5),
+    ], ids=["top-level", "nested"])
+    def test_duplicate_yaml_key_exit_2(self, tmp_path, capsys, command, text,
+                                       key, line):
+        path = tmp_path / "dup.yaml"
+        path.write_text(text)
+        assert gg(command, str(path)) == 2
+        err = capsys.readouterr().err
+        assert f"found duplicate key {key}" in err and f"line {line}," in err
+        assert "could not parse" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("other", ["summary", "plot"])
+    def test_outputs_naming_one_file_exit_2(self, tmp_path, capsys, command,
+                                            other):
+        raw = base_config_dict(tmp_path)
+        raw["output"][other] = os.path.join(str(tmp_path), ".", "diag.csv")
+        assert gg(command, write_config(tmp_path, raw)) == 2
+        err = capsys.readouterr().err
+        assert "output.csv" in err and f"output.{other}" in err
+        assert os.listdir(tmp_path) == ["config.yaml"]
+
     def test_missing_config_exit_2(self, tmp_path, capsys, command):
         assert gg(command, str(tmp_path / "nope.yaml")) == 2
         assert "nope.yaml" in capsys.readouterr().err
@@ -577,7 +631,7 @@ class TestExitCodes:
         code = gg(command, path)
         captured = capsys.readouterr()
         summary = json.loads((tmp_path / "summary.json").read_text())
-        jsonschema.validate(summary, cli.load_summary_schema())
+        jsonschema.validate(summary, cli._summary_validator().schema)
         assert code == cli.EXIT_CODES[summary["status"]]
         assert f"wrote {tmp_path / 'summary.json'}" in captured.out
         if command == "verify":  # a blow-up inside a check fails the check
@@ -639,7 +693,7 @@ class TestSweepAxisValues:
 
 class TestSchema:
     def test_shipped_schema_is_valid_draft7(self):
-        schema = cli.load_summary_schema()
+        schema = cli._summary_validator().schema
         jsonschema.Draft7Validator.check_schema(schema)
 
     def test_summary_missing_required_fails(self):
@@ -647,7 +701,8 @@ class TestSchema:
             cli.write_summary(None, {"schema_version": 1, "command": "run"})
 
     def test_exit_codes_cover_exactly_the_summary_statuses(self):
-        statuses = cli.load_summary_schema()["properties"]["status"]["enum"]
+        schema = cli._summary_validator().schema
+        statuses = schema["properties"]["status"]["enum"]
         assert sorted(cli.EXIT_CODES) == sorted(statuses)
 
 
@@ -739,7 +794,7 @@ class TestEnergyOnlyObservation:
                           "seed": 3}
         cfg = config_from_dict(raw)
         cfgs = [apply_overrides(cfg, {"k": k}) for k in ks]
-        full = cli.run_experiment(cfgs, cli._exact_ids(cfg))
+        full = cli.run_experiment(cfgs)
         lean = cli.run_experiment(cfgs, record=False)
         for whole, energy_only in zip(full, lean):
             series = energy_only.series

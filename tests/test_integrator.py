@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ggkdv import integrator as ti, model, spectral as sp
-from ggkdv.verification import random_smooth_state
+from ggkdv.model import random_smooth_state
 
 from conftest import COUPLED, make_sine_state
 from etd_reference import reference_march, reference_tables

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from ggkdv import model, spectral as sp
-from ggkdv.model import CoefficientSet, CoefficientError
-from ggkdv.verification import random_smooth_state
+from ggkdv.model import (CoefficientSet, CoefficientError,
+                         random_smooth_state)
 
 from conftest import make_sine_state
 import etd_reference

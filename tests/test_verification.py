@@ -5,22 +5,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ggkdv import cli, functionals, spectral, verification
+from ggkdv import functionals, spectral, verification
+from ggkdv.config import load_config
 from ggkdv.integrator import DiagnosticSeries
 from ggkdv.model import (CoefficientSet, SimState, ValidatedCoefficients,
-                         rhs, validate_coefficients)
+                         random_smooth_field, random_smooth_state, rhs,
+                         scale_state, validate_coefficients)
 from ggkdv.spectral import derivative, integral_of_product, make_grid
 from ggkdv.verification import (APPROX_IDENTITY_IDS, EXACT_IDENTITY_IDS,
                                 admissible_exponent_tuples,
                                 check_poincare_holder, fit_decay_rate,
                                 identity_reports, observation_plan,
                                 poincare_holder_violations,
-                                product_bound_violations, random_smooth_field,
-                                random_smooth_state, scale_state)
+                                product_bound_violations)
 from calculus_reference import (StateCalculus, approx_residual_general_n,
                                 residual_general_n, residual_h1, residual_h2,
                                 residual_l2, scaling_ratios)
-from conftest import COUPLED, decay_marched_state, seeded_or_marched_state
+from conftest import (COUPLED, ROOT, decay_marched_state,
+                      seeded_or_marched_state)
 import calculus_reference
 import product_bound_reference
 from product_bound_reference import HypothesisError, check_product_bound
@@ -182,7 +184,7 @@ class TestStateCalculus:
         monkeypatch.setattr(functionals, "sample_rows", counting_rows)
         monkeypatch.setattr(spectral, "integral_of_product", forbidden)
         monkeypatch.setattr(spectral, "padded_samples", forbidden)
-        ids = cli._exact_ids(cfg)
+        ids = verification.check_identities(cfg.checks, cfg.n_max)[0]
         reports = identity_reports(state, c, ids)
         assert list(reports) == ids
         assert len(rhs_calls) == 1
@@ -195,7 +197,7 @@ class TestStateCalculus:
         # gg run tracks H2_SUB(5.2) and 5.3 only; H2_MAIN and 5.4-5.6 must
         # add nothing to its plan.
         cfg, c, state = decay_marched_state()
-        ids = cli._exact_ids(cfg)
+        ids = verification.check_identities(cfg.checks, cfg.n_max)[0]
         untracked = [i for i in APPROX_IDENTITY_IDS if i.startswith("H2_")]
 
         def integrals(identity_ids):
@@ -307,7 +309,9 @@ class TestObservationPlan:
         real_rhs = functionals.rhs
         monkeypatch.setattr(functionals, "rhs", lambda st_, c_: (
             rhs_calls.append(st_.t) or real_rhs(st_, c_)))
-        verification.observe(state, c, cli._exact_ids(cfg), cfg.n_max)
+        verification.observe(
+            state, c, verification.check_identities(cfg.checks, cfg.n_max)[0],
+            cfg.n_max)
         assert len(rhs_calls) == 1
         assert not observation_plan(c, (), cfg.n_max, None).sums.needs_rhs
 
@@ -320,6 +324,65 @@ class TestObservationPlan:
         with pytest.raises(ValueError, match="zero means"):
             verification.observe(state, COUPLED, ["H1_SUB(4.2)"], 2)
         assert identity_reports(state, COUPLED, ["L2", "GEN_N(2)"])
+
+
+def _group(ids, check):
+    """The ids among `ids` that a check name stands for (H1 -> H1_MAIN, ...),
+    by the earlier command-line route."""
+    return [i for i in ids if i == check or i.startswith(check + "_")]
+
+
+def _exact_ids(checks, n_max):
+    """Exact identity ids behind the checks, by the earlier route."""
+    ids = []
+    for check in ("L2", "GEN_N", "H1", "H2"):
+        if check not in checks:
+            continue
+        if check == "GEN_N":
+            ids.extend(f"GEN_N({n})" for n in range(n_max + 1))
+        else:
+            ids.extend(_group(EXACT_IDENTITY_IDS, check))
+    return ids
+
+
+class TestCheckIdentities:
+    SUBSETS = [[name for bit, name in enumerate(("L2", "GEN_N", "H1", "H2"))
+                if mask >> bit & 1] for mask in range(16)]
+
+    @pytest.mark.parametrize("n_max", range(9))
+    def test_exact_ids_equal_the_earlier_route(self, n_max):
+        for checks in self.SUBSETS:
+            # other checks name no identity, and the order given is moot
+            named = list(reversed(checks)) + ["POINCARE", "DECAY"]
+            exact, _ = verification.check_identities(named, n_max)
+            assert exact == _exact_ids(checks, n_max), (checks, n_max)
+
+    def test_approx_ids_are_the_h2_ones_exactly_when_h2_is_named(self):
+        h2 = _group(APPROX_IDENTITY_IDS, "H2")
+        assert h2 == ["H2_MAIN", "H2_SUB(5.4)", "H2_SUB(5.5)", "H2_SUB(5.6)"]
+        for checks in self.SUBSETS:
+            for n_max in range(9):
+                _, approx = verification.check_identities(checks, n_max)
+                assert approx == (h2 if "H2" in checks else []), checks
+
+    def test_verify_config_ids(self):
+        cfg = load_config(str(ROOT / "configs/verify.yaml"))
+        exact, approx = verification.check_identities(cfg.checks, cfg.n_max)
+        assert exact == ["L2", *(f"GEN_N({n})" for n in range(5)), "H1_MAIN",
+                         *(f"H1_SUB(4.{j})" for j in range(2, 6)),
+                         "H2_SUB(5.2)", "H2_SUB(5.3)"]
+        assert approx == ["H2_MAIN", *(f"H2_SUB(5.{j})" for j in (4, 5, 6))]
+
+    def test_observe_guards_the_ids_of_the_zero_mean_checks(self, grid64):
+        state = random_smooth_state(grid64, seed=5, amplitude=0.5)
+        state = SimState(u=state.u, v=state.v, t=0.0, mean_u=0.0, mean_v=0.3)
+        assert verification.ZERO_MEAN_CHECKS == ("H1", "H2")
+        for i in EXACT_IDENTITY_IDS + APPROX_IDENTITY_IDS:
+            if _group([i], "H1") or _group([i], "H2"):
+                with pytest.raises(ValueError, match="zero means"):
+                    identity_reports(state, COUPLED, [i])
+            else:
+                assert list(identity_reports(state, COUPLED, [i])) == [i]
 
 
 class TestApproximateIdentityScaling:
