@@ -340,6 +340,8 @@ def cmd_run(cfg: ExperimentConfig) -> tuple:
 def cmd_verify(cfg: ExperimentConfig) -> tuple:
     c = validate_coefficients(cfg.coefficients)
     grid = make_grid(cfg.n_points)
+    if "DECAY" in cfg.checks:
+        _resolve_dt(cfg, grid, c)  # a refused run section exits 2 up front
     vs = cfg.verify
     states = [random_smooth_state(grid, seed=vs.seed + i,
                                   amplitude=vs.amplitude, kmax=vs.kmax)

@@ -11,8 +11,12 @@ terms are folded into the nonlinear remainder, so tables depend only on
 
 The march never leaves the eigenbasis: `model.nonlinear_remainder` forms the
 flux from the products of w+ and w- and mixes it in physical space with the
-per-member matrix of `model.eigen_mixing`. State and tables hold only the kept
-modes 0..dealias_cutoff, since the dealiased nonlinear term is zero above the
+per-member matrix of `model.eigen_mixing`. On grids of up to
+`model.MATMUL_MAX_POINTS` points it moves between modes and grid by the two
+real matrices of `model.flux_transforms`, which `evolve` builds once per
+march beside its tables and drops when the march ends; larger grids use a
+pocketfft irfft/rfft pair. State and tables hold only the kept modes
+0..dealias_cutoff, since the dealiased nonlinear term is zero above the
 cutoff and so is the truncated initial state; observers get the state rotated
 back to (u, v) and padded to the full rfft length. The tables fold in the
 -i omega of the flux's derivative, and the 2 the final combination puts on w2.
@@ -20,11 +24,12 @@ back to (u, v) and padded to the full rfft length. The tables fold in the
 `evolve` marches an ensemble: P members that share grid, dt, span and stride,
 each with its own coefficients and means. The state carries a member axis,
 (P, 2, kept), and so do the tables, stacked to (6, P, 2, kept). Each stage
-makes one batched irfft and one batched rfft for the whole ensemble; numpy's
-batched real transforms give every row bitwise what a single transform gives,
-so each member's numbers are bitwise those of its lone march. A member that
-turns non-finite leaves the ensemble with its own BlowUpError; the others
-march on unchanged.
+makes one batched synthesis (irfft or matmul) and one batched analysis (rfft
+or matmul) for the whole ensemble; numpy's batched real transforms, and its
+stacked matmuls, one matrix product per member, give every member bitwise
+what a lone call gives, so each member's numbers are bitwise those of its
+lone march. A member that turns non-finite leaves the ensemble with its own
+BlowUpError; the others march on unchanged.
 """
 from __future__ import annotations
 
@@ -33,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (SimState, ValidatedCoefficients, _dealiased_ddx, _rotate,
-                    eigen_mixing, linear_rates, nonlinear_remainder)
+                    eigen_mixing, flux_transforms, linear_rates,
+                    nonlinear_remainder)
 from .spectral import GridSpec, SpectralField, truncate
 
 N_CONTOUR = 32  # trapezoid points on each circle of `contour_phi_means`
@@ -91,19 +97,20 @@ def default_dt(grid: GridSpec, c: ValidatedCoefficients) -> float:
     return 0.4 / ((1.0 + abs(c.a3)) * 2.0 * np.pi * grid.n_modes)
 
 
-def _step(w: np.ndarray, tables, mix: np.ndarray,
-          grid: GridSpec) -> np.ndarray:
+def _step(w: np.ndarray, tables, mix: np.ndarray, grid: GridSpec,
+          transforms) -> np.ndarray:
     """One ETDRK4 step of the (P, 2, kept) eigenbasis state, under the six
-    (P, 2, kept) table rows and the (P, 2, 5) mixing matrices."""
+    (P, 2, kept) table rows, the (P, 2, 5) mixing matrices and the
+    `flux_transforms` of the grid."""
     exp_full, exp_half, q, w1, w2x2, w3 = tables
-    n0 = nonlinear_remainder(w, mix, grid)
+    n0 = nonlinear_remainder(w, mix, grid, transforms)
     half = exp_half * w
     a = half + q * n0
-    na = nonlinear_remainder(a, mix, grid)
+    na = nonlinear_remainder(a, mix, grid, transforms)
     b = half + q * na
-    nb = nonlinear_remainder(b, mix, grid)
+    nb = nonlinear_remainder(b, mix, grid, transforms)
     c = exp_half * a + q * (2.0 * nb - n0)
-    nc = nonlinear_remainder(c, mix, grid)
+    nc = nonlinear_remainder(c, mix, grid, transforms)
     out = exp_full * w + w1 * n0 + w2x2 * (na + nb) + w3 * nc
     out[..., 0] = 0.0  # means are conserved exactly; pin against drift
     return out
@@ -169,6 +176,7 @@ def evolve(states, coeffs, t_final: float, dt: float, observers=(),
     tables = tuple(np.stack([build_tables(grid, c, dt) for c in coeffs],
                             axis=1))
     mix = np.stack([eigen_mixing(st, c) for st, c in zip(states, coeffs)])
+    transforms = flux_transforms(grid)
     n_members = len(states)
     times = [[] for _ in range(n_members)]
     rows = [[] for _ in range(n_members)]
@@ -198,7 +206,7 @@ def evolve(states, coeffs, t_final: float, dt: float, observers=(),
     for step in range(1, n_steps + 1):
         # overflow is diagnosed via the finiteness check, not warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            w = _step(w, tables, mix, grid)
+            w = _step(w, tables, mix, grid, transforms)
             # a finite sum proves every entry finite; only a non-finite one
             # (an overflow of finite entries included) needs the exact test
             suspect = not np.isfinite(w.sum())

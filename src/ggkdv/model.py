@@ -17,7 +17,11 @@ flux quadratic in (u, v); written in the eigenbasis it is a fixed mix of
 the products of w+ and w- plus a mean-advection term linear in w+-, the
 one real matrix [Q | L] of `eigen_mixing`, applied in physical space.
 `nonlinear_remainder` evaluates it on the dealiased modes, for the time
-stepper and for `rhs` alike.
+stepper and for `rhs` alike. It moves between modes and grid by one of two
+routes: a pocketfft irfft/rfft pair, or, given the matrices of
+`flux_transforms`, two small real matmuls. The stepper takes the matmul
+route on grids of up to MATMUL_MAX_POINTS points, where numpy's fixed cost
+per FFT call dominates; `rhs` always takes the FFT route.
 """
 from __future__ import annotations
 
@@ -31,6 +35,9 @@ from .spectral import GridSpec, SpectralField, TWO_PI
 
 CONSTRAINT_TOL = 1e-12
 SQRT2 = np.sqrt(2.0)
+# Largest grid the stepper transforms by matmul: at 256 points the two
+# matmuls are no faster than the FFT pair, and at 512 about 5x slower.
+MATMUL_MAX_POINTS = 128
 
 
 @dataclass(frozen=True)
@@ -227,8 +234,34 @@ def eigen_mixing(state: SimState, c: ValidatedCoefficients) -> np.ndarray:
                       _ROTATION @ linear @ _ROTATION))
 
 
-def nonlinear_remainder(w: np.ndarray, mix: np.ndarray,
-                        grid: GridSpec) -> np.ndarray:
+def flux_transforms(grid: GridSpec):
+    """The real matrices of `nonlinear_remainder`'s matmul route, or None
+    above MATMUL_MAX_POINTS points.
+
+    `synth` (2 kept, n) maps the kept modes, as interleaved (re, im) pairs,
+    to the n grid values, which is irfft with norm="forward"; `anal`
+    (n, 2 kept) maps grid values back to those pairs, which is rfft with
+    norm="forward". The angles 2 pi ((kappa j) mod n) / n are reduced before
+    cos and sin, so each entry is as accurate as the sample it stands for.
+    """
+    n = grid.n_points
+    if n > MATMUL_MAX_POINTS:
+        return None
+    kept = grid.dealias_cutoff + 1
+    theta = (TWO_PI / n) * (np.outer(np.arange(kept), np.arange(n)) % n)
+    cos, sin = np.cos(theta), np.sin(theta)
+    synth = np.empty((kept, 2, n))
+    synth[:, 0] = 2.0 * cos  # a mode and its conjugate
+    synth[:, 1] = -2.0 * sin
+    synth[0, 0], synth[0, 1] = 1.0, 0.0  # the mean: no conjugate, no im
+    anal = np.empty((n, kept, 2))
+    anal[..., 0] = cos.T / n
+    anal[..., 1] = -sin.T / n
+    return synth.reshape(2 * kept, n), anal.reshape(n, 2 * kept)
+
+
+def nonlinear_remainder(w: np.ndarray, mix: np.ndarray, grid: GridSpec,
+                        transforms=None) -> np.ndarray:
     """Flux of everything in the rhs except the stiff diagonal linear part.
 
     Works in the eigenbasis on the kept modes 0..dealias_cutoff (hot path of
@@ -238,19 +271,29 @@ def nonlinear_remainder(w: np.ndarray, mix: np.ndarray,
     is -i omega F_hat, zero above the cutoff. The stepper folds -i omega
     into its tables, and `rhs` applies it.
 
-    One irfft of both fields fills rows 3-4 of a (..., 5, n) buffer with p
-    and m, rows 0-2 get pp, mm and pm, and one real matmul by `mix` mixes
-    the whole flux in physical space before one rfft of its two rows. Each
-    leading index gets bitwise the numbers it would get alone. The
-    mean-advection terms ride along in L so that the exponential tables
+    Rows 3-4 of a (..., 5, n) buffer get p and m, rows 0-2 get pp, mm and
+    pm, and one real matmul by `mix` mixes the whole flux in physical space.
+    With `transforms` None, one batched irfft fills p and m and one batched
+    rfft takes the flux's two rows back. With the (synth, anal) pair of
+    `flux_transforms`, which needs `w` contiguous along its last axis, p and
+    m are `w` viewed as reals times synth, and the flux is the mixed rows
+    times anal viewed as complex: two matmuls in place of two FFT calls,
+    which agree with them to round-off of order eps n max|flux|. On either
+    route each leading index gets bitwise the numbers it would get alone.
+    The mean-advection terms ride along in L so that the exponential tables
     depend only on (grid, a3, k, dt).
     """
     buf = np.empty(w.shape[:-2] + (5, grid.n_points))
     phys = buf[..., 3:, :]
-    phys[...] = np.fft.irfft(w, n=grid.n_points, norm="forward")
+    if transforms is None:
+        phys[...] = np.fft.irfft(w, n=grid.n_points, norm="forward")
+    else:
+        np.matmul(w.view(np.float64), transforms[0], out=phys)
     np.multiply(phys, phys, out=buf[..., :2, :])
     np.multiply(buf[..., 3, :], buf[..., 4, :], out=buf[..., 2, :])
-    return np.fft.rfft(mix @ buf, norm="forward")[..., :w.shape[-1]]
+    if transforms is None:
+        return np.fft.rfft(mix @ buf, norm="forward")[..., :w.shape[-1]]
+    return ((mix @ buf) @ transforms[1]).view(np.complex128)
 
 
 def linear_rates(grid: GridSpec, c: ValidatedCoefficients) -> np.ndarray:

@@ -423,6 +423,22 @@ class TestVerifyCommand:
         assert cli.main(["verify", path]) == 2
         assert "k_positive" in capsys.readouterr().err
 
+    def test_refused_default_dt_exits_2_before_any_battery(self, tmp_path,
+                                                           monkeypatch,
+                                                           capsys):
+        for battery in ("identity_reports", "poincare_holder_violations",
+                        "product_bound_violations"):
+            monkeypatch.setattr(cli, battery, pytest.fail)
+        raw = base_config_dict(tmp_path)
+        raw["run"] = {"t_final": 1e308}  # no dt: the default rule picks it
+        raw["checks"] = ["L2", "H2", "POINCARE", "PRODUCT_BOUND", "DECAY"]
+        assert cli.main(["verify", write_config(tmp_path, raw)]) == 2
+        err = capsys.readouterr().err
+        assert ("run.t_final = 1e+308 is too long for the default dt: its "
+                "step count overflows") in err
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == ["config.yaml"]
+
     def test_failed_check_exit_4_names_identity(self, tmp_path, monkeypatch,
                                                 capsys):
         def broken_l2(calc):

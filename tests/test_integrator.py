@@ -101,7 +101,7 @@ class TestLinearEvolution:
                                                   monkeypatch):
         # a zero flux leaves the linear part of the step alone
         monkeypatch.setattr(ti, "nonlinear_remainder",
-                            lambda w, mix, grid: np.zeros_like(w))
+                            lambda w, mix, grid, transforms: np.zeros_like(w))
         st = random_state(grid64)
         dt = 1e-3
         stepped = ti.evolve([st], [coeffs_coupled], dt,
@@ -307,6 +307,18 @@ def assert_member_near_reference(run, i, state, c, t_final, dt, stride=1):
     assert np.all(np.abs(series["uv"] - want) <= bound)
 
 
+def assert_ensemble_near_reference(members):
+    """Each member of a batched march stays within the stated bound of its
+    serial reference march."""
+    states = [m[0] for m in members]
+    coeffs = [m[1] for m in members]
+    dt, stride, t_final = 1e-3, 4, 12e-3
+    run = ti.evolve(states, coeffs, t_final, dt, stride=stride,
+                    observers=[lambda i, s: state_observer(coeffs[i])(s)])
+    for i, (state, c) in enumerate(members):
+        assert_member_near_reference(run, i, state, c, t_final, dt, stride)
+
+
 @st.composite
 def ensemble_member(draw, grid):
     k = draw(st.floats(0.1, 2.0))
@@ -336,6 +348,19 @@ def ensembles(draw, sizes=(16, 32, 64), max_members=4):
                          max_size=max_members))
 
 
+def count_fft_calls(monkeypatch) -> dict:
+    """Counts of numpy's rfft and irfft calls from here on."""
+    calls = {"rfft": 0, "irfft": 0}
+    for name in calls:
+        original = getattr(np.fft, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
 class TestEnsembleOracle:
     """The batched march against lone marches and the serial reference."""
 
@@ -354,14 +379,13 @@ class TestEnsembleOracle:
     @settings(max_examples=50, deadline=None)
     @given(ensembles())
     def test_batched_matches_serial_reference_within_bound(self, members):
-        states = [m[0] for m in members]
-        coeffs = [m[1] for m in members]
-        dt, stride, t_final = 1e-3, 4, 12e-3
-        run = ti.evolve(states, coeffs, t_final, dt, stride=stride,
-                        observers=[lambda i, s: state_observer(coeffs[i])(s)])
-        for i, (state, c) in enumerate(members):
-            assert_member_near_reference(run, i, state, c, t_final, dt,
-                                         stride)
+        assert_ensemble_near_reference(members)
+
+    @settings(max_examples=10, deadline=None)
+    @given(ensembles(sizes=(model.MATMUL_MAX_POINTS + 2, 256)))
+    def test_fft_route_matches_serial_reference_within_bound(self, members):
+        # grids above the matmul route's threshold
+        assert_ensemble_near_reference(members)
 
     @settings(max_examples=25, deadline=None)
     @given(ensembles(sizes=(16, 32, 64, 128, 256), max_members=3))
@@ -379,20 +403,37 @@ class TestEnsembleOracle:
                 assert not np.any(coeffs[kept:])
 
     @pytest.mark.parametrize("n_members", [1, 3, 5])
-    def test_one_step_is_one_fft_pair_per_stage(self, monkeypatch, grid64,
+    def test_one_step_is_one_fft_pair_per_stage(self, monkeypatch,
                                                 coeffs_coupled, n_members):
-        states = [random_smooth_state(grid64, seed=i, amplitude=0.3)
+        # the smallest grid above the matmul route's threshold
+        grid = sp.make_grid(model.MATMUL_MAX_POINTS + 2)
+        states = [random_smooth_state(grid, seed=i, amplitude=0.3)
                   for i in range(n_members)]
-        calls = {"rfft": 0, "irfft": 0}
-        for name in calls:
-            original = getattr(np.fft, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-            monkeypatch.setattr(np.fft, name, counted)
+        calls = count_fft_calls(monkeypatch)
         ti.evolve(states, [coeffs_coupled] * n_members, 1e-3, 1e-3)
         assert calls == {"rfft": 4, "irfft": 4}
+
+    @pytest.mark.parametrize("n_members", [1, 3, 5])
+    def test_one_step_is_one_matmul_pair_per_stage_on_small_grids(
+            self, monkeypatch, grid64, coeffs_coupled, n_members):
+        states = [random_smooth_state(grid64, seed=i, amplitude=0.3)
+                  for i in range(n_members)]
+        calls = count_fft_calls(monkeypatch)
+        calls.update(synth=0, anal=0)
+
+        def counted(matrix, name):
+            class Counted(np.ndarray):
+                def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                    calls[name] += ufunc is np.matmul
+                    return getattr(ufunc, method)(
+                        *(np.asarray(x) for x in inputs), **kwargs)
+            return matrix.view(Counted)
+
+        monkeypatch.setattr(ti, "flux_transforms", lambda grid: tuple(
+            counted(matrix, name) for matrix, name
+            in zip(model.flux_transforms(grid), ("synth", "anal"))))
+        ti.evolve(states, [coeffs_coupled] * n_members, 1e-3, 1e-3)
+        assert calls == {"rfft": 0, "irfft": 0, "synth": 4, "anal": 4}
 
     def test_blown_up_member_leaves_the_others_unchanged(self, grid64,
                                                         coeffs_coupled):
