@@ -15,20 +15,25 @@ per-member matrix of `model.eigen_mixing`. On grids of up to
 `model.MATMUL_MAX_POINTS` points it moves between modes and grid by the two
 real matrices of `model.flux_transforms`, which `evolve` builds once per
 march beside its tables and drops when the march ends; larger grids use a
-pocketfft irfft/rfft pair. State and tables hold only the kept modes
-0..dealias_cutoff, since the dealiased nonlinear term is zero above the
-cutoff and so is the truncated initial state; observers get the state rotated
-back to (u, v) and padded to the full rfft length. The tables fold in the
--i omega of the flux's derivative, and the 2 the final combination puts on w2.
+pocketfft irfft/rfft pair, and so do ensembles past `model.MATMUL_MAX_LOAD`,
+since the matmuls' cost grows as members times n^2. State and tables hold
+only the kept modes 0..dealias_cutoff, since the dealiased nonlinear term
+is zero above the cutoff and so is the truncated initial state; observers
+get the state rotated back to (u, v) and padded to the full rfft length.
+The tables fold in the -i omega of the flux's derivative, and the 2 the
+final combination puts on w2.
 
 `evolve` marches an ensemble: P members that share grid, dt, span and stride,
 each with its own coefficients and means. The state carries a member axis,
 (P, 2, kept), and so do the tables, stacked to (6, P, 2, kept). Each stage
 makes one batched synthesis (irfft or matmul) and one batched analysis (rfft
-or matmul) for the whole ensemble; numpy's batched real transforms, and its
+or matmul) for the whole march; numpy's batched real transforms, and its
 stacked matmuls, one matrix product per member, give every member bitwise
 what a lone call gives, so each member's numbers are bitwise those of its
-lone march. A member that turns non-finite leaves the ensemble with its own
+lone march on the same route. On grids of up to MATMUL_MAX_POINTS points an
+ensemble past MATMUL_MAX_LOAD takes the FFT pair where its members alone
+would take the matmuls, so there they match their lone marches to
+round-off. A member that turns non-finite leaves the ensemble with its own
 BlowUpError; the others march on unchanged.
 """
 from __future__ import annotations
@@ -101,7 +106,7 @@ def _step(w: np.ndarray, tables, mix: np.ndarray, grid: GridSpec,
           transforms) -> np.ndarray:
     """One ETDRK4 step of the (P, 2, kept) eigenbasis state, under the six
     (P, 2, kept) table rows, the (P, 2, 5) mixing matrices and the
-    `flux_transforms` of the grid."""
+    `flux_transforms` of the grid (None for the FFT route)."""
     exp_full, exp_half, q, w1, w2x2, w3 = tables
     n0 = nonlinear_remainder(w, mix, grid, transforms)
     half = exp_half * w
@@ -176,7 +181,7 @@ def evolve(states, coeffs, t_final: float, dt: float, observers=(),
     tables = tuple(np.stack([build_tables(grid, c, dt) for c in coeffs],
                             axis=1))
     mix = np.stack([eigen_mixing(st, c) for st, c in zip(states, coeffs)])
-    transforms = flux_transforms(grid)
+    transforms = flux_transforms(grid, len(states))
     n_members = len(states)
     times = [[] for _ in range(n_members)]
     rows = [[] for _ in range(n_members)]

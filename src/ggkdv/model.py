@@ -21,7 +21,8 @@ stepper and for `rhs` alike. It moves between modes and grid by one of two
 routes: a pocketfft irfft/rfft pair, or, given the matrices of
 `flux_transforms`, two small real matmuls. The stepper takes the matmul
 route on grids of up to MATMUL_MAX_POINTS points, where numpy's fixed cost
-per FFT call dominates; `rhs` always takes the FFT route.
+per FFT call dominates, for ensembles whose members times n^2 stays within
+MATMUL_MAX_LOAD; `rhs` always takes the FFT route.
 """
 from __future__ import annotations
 
@@ -38,6 +39,12 @@ SQRT2 = np.sqrt(2.0)
 # Largest grid the stepper transforms by matmul: at 256 points the two
 # matmuls are no faster than the FFT pair, and at 512 about 5x slower.
 MATMUL_MAX_POINTS = 128
+# Largest members * n^2 the stepper transforms by matmul. Per member the
+# matmuls cost about n^2 where the FFT pair costs n log n on top of a fixed
+# per-call overhead, so larger ensembles take the FFT pair: a 200-step march
+# at 128 points broke even between 10 and 16 members, while at 64 and 32
+# points the matmuls were still ahead at 48 and 128 members.
+MATMUL_MAX_LOAD = 8 * MATMUL_MAX_POINTS ** 2
 
 
 @dataclass(frozen=True)
@@ -234,9 +241,10 @@ def eigen_mixing(state: SimState, c: ValidatedCoefficients) -> np.ndarray:
                       _ROTATION @ linear @ _ROTATION))
 
 
-def flux_transforms(grid: GridSpec):
-    """The real matrices of `nonlinear_remainder`'s matmul route, or None
-    above MATMUL_MAX_POINTS points.
+def flux_transforms(grid: GridSpec, n_members: int = 1):
+    """The real matrices of `nonlinear_remainder`'s matmul route for an
+    ensemble of `n_members` on `grid`, or None above MATMUL_MAX_POINTS
+    points or when n_members * n^2 exceeds MATMUL_MAX_LOAD.
 
     `synth` (2 kept, n) maps the kept modes, as interleaved (re, im) pairs,
     to the n grid values, which is irfft with norm="forward"; `anal`
@@ -245,7 +253,7 @@ def flux_transforms(grid: GridSpec):
     cos and sin, so each entry is as accurate as the sample it stands for.
     """
     n = grid.n_points
-    if n > MATMUL_MAX_POINTS:
+    if n > MATMUL_MAX_POINTS or n_members * n * n > MATMUL_MAX_LOAD:
         return None
     kept = grid.dealias_cutoff + 1
     theta = (TWO_PI / n) * (np.outer(np.arange(kept), np.arange(n)) % n)

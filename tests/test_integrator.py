@@ -429,11 +429,45 @@ class TestEnsembleOracle:
                         *(np.asarray(x) for x in inputs), **kwargs)
             return matrix.view(Counted)
 
-        monkeypatch.setattr(ti, "flux_transforms", lambda grid: tuple(
-            counted(matrix, name) for matrix, name
-            in zip(model.flux_transforms(grid), ("synth", "anal"))))
+        monkeypatch.setattr(
+            ti, "flux_transforms", lambda grid, n_members: tuple(
+                counted(matrix, name) for matrix, name in zip(
+                    model.flux_transforms(grid, n_members),
+                    ("synth", "anal"))))
         ti.evolve(states, [coeffs_coupled] * n_members, 1e-3, 1e-3)
         assert calls == {"rfft": 0, "irfft": 0, "synth": 4, "anal": 4}
+
+    @pytest.mark.parametrize("n_points", [64, model.MATMUL_MAX_POINTS])
+    def test_ensemble_past_the_matmul_load_is_one_fft_pair_per_stage(
+            self, monkeypatch, coeffs_coupled, n_points):
+        grid = sp.make_grid(n_points)
+        n_members = model.MATMUL_MAX_LOAD // n_points ** 2 + 1
+        states = [random_smooth_state(grid, seed=i, amplitude=0.3)
+                  for i in range(n_members)]
+        calls = count_fft_calls(monkeypatch)
+        ti.evolve(states, [coeffs_coupled] * n_members, 1e-3, 1e-3)
+        assert calls == {"rfft": 4, "irfft": 4}
+
+    def test_members_past_the_matmul_load_equal_lone_fft_marches_bitwise(
+            self, monkeypatch, coeffs_coupled, coeffs_uncoupled):
+        grid = sp.make_grid(model.MATMUL_MAX_POINTS)
+        n_members = model.MATMUL_MAX_LOAD // grid.n_points ** 2 + 1
+        members = [(random_smooth_state(grid, seed=i, amplitude=0.3),
+                    (coeffs_coupled, coeffs_uncoupled)[i % 2])
+                   for i in range(n_members)]
+        states = [m[0] for m in members]
+        coeffs = [m[1] for m in members]
+        dt, stride, t_final = 1e-3, 4, 12e-3
+        run = ti.evolve(states, coeffs, t_final, dt, stride=stride,
+                        observers=[lambda i, s: state_observer(coeffs[i])(s)])
+        # a lone member would take the matmul route; turned off, it takes
+        # the ensemble's FFT route
+        monkeypatch.setattr(model, "MATMUL_MAX_POINTS", 0)
+        for i, (state, c) in enumerate(members):
+            assert_member_equals_lone_march(run, i, state, c, t_final, dt,
+                                            stride)
+            assert_member_near_reference(run, i, state, c, t_final, dt,
+                                         stride)
 
     def test_blown_up_member_leaves_the_others_unchanged(self, grid64,
                                                         coeffs_coupled):

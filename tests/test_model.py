@@ -333,3 +333,10 @@ class TestFluxTransforms:
             sp.make_grid(model.MATMUL_MAX_POINTS)) is not None
         assert model.flux_transforms(
             sp.make_grid(model.MATMUL_MAX_POINTS + 2)) is None
+
+    @pytest.mark.parametrize("n_points", [32, 64, model.MATMUL_MAX_POINTS])
+    def test_no_matrices_above_the_ensemble_load(self, n_points):
+        grid = sp.make_grid(n_points)
+        n_members = model.MATMUL_MAX_LOAD // n_points ** 2
+        assert model.flux_transforms(grid, n_members) is not None
+        assert model.flux_transforms(grid, n_members + 1) is None
