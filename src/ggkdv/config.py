@@ -4,7 +4,9 @@ The file is the unit of reproducibility: everything a run needs (grid,
 coefficients, initial condition, stepping, which checks to evaluate, output
 paths) lives in it, and unknown keys are rejected so committed fixtures
 cannot drift silently. `LAYOUT` maps the YAML sections to the config's
-fields.
+fields. An explicit `run.dt` is tested by `integrator.step_count`, the one
+tiling rule, which `evolve` applies too; it and the output paths are checked
+here, so a bad one exits 2 before anything runs.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ import typing
 import numpy as np
 import yaml
 
+from .integrator import step_count
 from .model import (CoefficientSet, SimState, random_smooth_state,
                     reduce_mean)
 from .spectral import SpectralField, from_samples, make_grid
@@ -221,25 +224,33 @@ def _check_ranges(cfg: ExperimentConfig) -> None:
     require(not unknown, f"unknown checks {unknown}; "
                          f"allowed: {sorted(DEFAULT_CHECKS)}")
     if cfg.dt is not None:
-        # the integrator's own test, checked here so every command exits 2
-        ratio = cfg.t_final / cfg.dt
-        n_steps = round(ratio) if math.isfinite(ratio) else 0
-        require(n_steps >= 1
-                and abs(n_steps * cfg.dt - cfg.t_final)
-                <= 1e-9 * max(1.0, cfg.t_final)
-                and n_steps % cfg.stride == 0,
-                f"run.dt = {cfg.dt} does not divide run.t_final = "
-                f"{cfg.t_final} into whole strides (run.stride = {cfg.stride})")
+        try:  # the integrator's own test, so that every command exits 2
+            step_count(cfg.t_final, cfg.dt, cfg.stride)
+        except ValueError:
+            raise ConfigError(f"run.dt = {cfg.dt} does not divide "
+                              f"run.t_final = {cfg.t_final} into whole "
+                              f"strides (run.stride = {cfg.stride})") from None
     for where, spec in (("initial", cfg.initial), ("verify", cfg.verify)):
         require(spec.kmax >= 1, f"{where}.kmax must be >= 1, got {spec.kmax}")
         require(spec.seed >= 0, f"{where}.seed must be >= 0, got {spec.seed}")
     named = {}  # each output file -> the first key that names it
     for key, path in (("csv", cfg.csv_path), ("summary", cfg.summary_path),
                       ("plot", cfg.plot_path)):
-        if path is not None:
-            first = named.setdefault(os.path.abspath(path), key)
-            require(first == key, f"output.{first} and output.{key} name "
-                                  f"one file, {path}; give each its own path")
+        if path is None:
+            continue
+        require(os.path.basename(path) != "" and "\0" not in path,
+                f"output.{key} = {path!r} names no file")
+        require(not os.path.isdir(path),
+                f"output.{key} = {path} is a directory; name a file")
+        # not abspath: it would fold "file/.." away before the OS sees it
+        above = os.path.dirname(os.path.join(os.getcwd(), path))
+        while not os.path.exists(above):
+            above = os.path.dirname(above)
+        require(os.path.isdir(above), f"output.{key} = {path} lies below "
+                                      f"{above}, which is not a directory")
+        first = named.setdefault(os.path.abspath(path), key)
+        require(first == key, f"output.{first} and output.{key} name "
+                              f"one file, {path}; give each its own path")
     vs = cfg.verify
     require(vs.n_states >= 1,
             f"verify.n_states must be >= 1, got {vs.n_states}")
@@ -279,7 +290,8 @@ def load_config(path: str) -> ExperimentConfig:
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write-then-rename so readers never observe a partial file."""
-    directory = os.path.dirname(os.path.abspath(path))
+    # not abspath: "new/../x" needs `new` made before the rename resolves it
+    directory = os.path.dirname(os.path.join(os.getcwd(), path))
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
     # O_EXCL: the name is this call's own; 0o666 less the umask, as open()

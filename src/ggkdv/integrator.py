@@ -35,6 +35,9 @@ ensemble past MATMUL_MAX_LOAD takes the FFT pair where its members alone
 would take the matmuls, so there they match their lone marches to
 round-off. A member that turns non-finite leaves the ensemble with its own
 BlowUpError; the others march on unchanged.
+
+`step_count` is the one rule by which dt and stride tile a span: `evolve`
+applies it to every march, and the config loader to `run.dt`.
 """
 from __future__ import annotations
 
@@ -102,6 +105,17 @@ def default_dt(grid: GridSpec, c: ValidatedCoefficients) -> float:
     return 0.4 / ((1.0 + abs(c.a3)) * 2.0 * np.pi * grid.n_modes)
 
 
+def step_count(span: float, dt: float, stride: int) -> int:
+    """Steps of dt that tile span in whole strides; ValueError otherwise."""
+    ratio = span / dt if dt > 0.0 else np.nan
+    n_steps = int(round(ratio)) if np.isfinite(ratio) else 0
+    if (n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(1.0, span)
+            or stride < 1 or n_steps % stride):
+        raise ValueError(f"dt = {dt} and stride = {stride} do not tile the "
+                         f"span {span} into whole strides")
+    return n_steps
+
+
 def _step(w: np.ndarray, tables, mix: np.ndarray, grid: GridSpec,
           transforms) -> np.ndarray:
     """One ETDRK4 step of the (P, 2, kept) eigenbasis state, under the six
@@ -160,6 +174,7 @@ def evolve(states, coeffs, t_final: float, dt: float, observers=(),
     order. A member whose state first turns non-finite leaves the ensemble
     with a BlowUpError naming that time; the others march on unchanged.
     Each member's final state is in its series' meta["final_state"].
+    Raises ValueError when dt and stride do not tile the span (`step_count`).
     """
     states, coeffs = list(states), list(coeffs)
     if not states or len(states) != len(coeffs):
@@ -168,14 +183,7 @@ def evolve(states, coeffs, t_final: float, dt: float, observers=(),
     grid, t0 = states[0].grid, states[0].t
     if any(st.grid != grid or st.t != t0 for st in states):
         raise ValueError("ensemble members must share grid and start time")
-    span = t_final - t0
-    if span <= 0.0:
-        raise ValueError("t_final must exceed the state's current time")
-    n_steps = int(round(span / dt))
-    if abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(span)):
-        raise ValueError(f"dt = {dt} does not divide the span {span}")
-    if stride < 1 or n_steps % stride != 0:
-        raise ValueError(f"stride {stride} does not divide {n_steps} steps")
+    n_steps = step_count(t_final - t0, dt, stride)
 
     # unpacked once into its six rows, not on every step
     tables = tuple(np.stack([build_tables(grid, c, dt) for c in coeffs],

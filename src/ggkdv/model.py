@@ -112,26 +112,21 @@ def check_coefficients(c: CoefficientSet) -> list[Violation]:
 
 
 @dataclass(frozen=True)
-class ValidatedCoefficients:
-    """Coefficient set that passed the gate, tagged with its branch."""
+class ValidatedCoefficients(CoefficientSet):
+    """A CoefficientSet that passed the gate. Tests build sets outside the
+    gate as `ValidatedCoefficients(**CoefficientSet(...).to_dict())`; such
+    a set reports branch "a1=a2=1" whenever a3 != 0."""
 
-    a1: float
-    a2: float
-    a3: float
-    k: float
-    r: float
-    b1: float
-    b2: float
-    branch: str  # "a3=0" or "a1=a2=1"
+    @property
+    def branch(self) -> str:
+        return "a3=0" if self.a3 == 0.0 else "a1=a2=1"
 
 
 def validate_coefficients(c: CoefficientSet) -> ValidatedCoefficients:
     bad = check_coefficients(c)
     if bad:
         raise CoefficientError(bad)
-    branch = "a3=0" if c.a3 == 0.0 else "a1=a2=1"
-    return ValidatedCoefficients(a1=c.a1, a2=c.a2, a3=c.a3, k=c.k, r=c.r,
-                                 b1=c.b1, b2=c.b2, branch=branch)
+    return ValidatedCoefficients(**asdict(c))
 
 
 @dataclass(frozen=True)

@@ -635,6 +635,35 @@ class TestExitCodes:
         assert "output.csv" in err and f"output.{other}" in err
         assert os.listdir(tmp_path) == ["config.yaml"]
 
+    @pytest.mark.parametrize("case", ["empty", "nul byte", "trailing slash",
+                                      "directory", "below a file",
+                                      "through a file"])
+    @pytest.mark.parametrize("key", ["csv", "summary", "plot"])
+    def test_unwritable_output_path_exit_2_before_anything_runs(
+            self, tmp_path, capsys, monkeypatch, command, key, case):
+        def no_march(*args, **kwargs):
+            raise AssertionError("evolve was called")
+
+        monkeypatch.setattr(cli, "evolve", no_march)
+        (tmp_path / "taken").mkdir()
+        (tmp_path / "plain").write_text("kept")
+        raw = base_config_dict(tmp_path)
+        raw["output"][key] = {"empty": "", "nul byte": "a\0b",
+                              "trailing slash": str(tmp_path / "fresh") + "/",
+                              "directory": str(tmp_path / "taken"),
+                              "below a file": str(tmp_path / "plain" / "x"),
+                              "through a file": os.path.join(
+                                  str(tmp_path), "plain", "..", "x")}[case]
+        assert gg(command, write_config(tmp_path, raw)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no PASS line, no `wrote <path>`
+        assert f"output.{key}" in captured.err
+        assert "Traceback" not in captured.err
+        assert sorted(os.listdir(tmp_path)) == ["config.yaml", "plain",
+                                                "taken"]
+        assert os.listdir(tmp_path / "taken") == []
+        assert (tmp_path / "plain").read_text() == "kept"
+
     def test_missing_config_exit_2(self, tmp_path, capsys, command):
         assert gg(command, str(tmp_path / "nope.yaml")) == 2
         assert "nope.yaml" in capsys.readouterr().err
@@ -747,6 +776,11 @@ class TestAtomicWrite:
     @staticmethod
     def mode(path):
         return os.stat(path).st_mode & 0o7777
+
+    def test_a_path_through_a_new_directory_is_written(self, tmp_path):
+        atomic_write_text(os.path.join(str(tmp_path), "new", "..", "x"), "x")
+        assert (tmp_path / "x").read_text() == "x"
+        assert sorted(os.listdir(tmp_path)) == ["new", "x"]
 
     def test_a_new_file_takes_the_mode_open_gives(self, tmp_path):
         with open(tmp_path / "plain.txt", "w") as fh:

@@ -29,8 +29,7 @@ BRANCHES = {
     "uncoupled": model.validate_coefficients(
         CoefficientSet(a1=1.0, a2=0.0, a3=0.0, k=1.0)),
     "extended": model.ValidatedCoefficients(
-        **CoefficientSet(a1=0.3, a2=0.7, a3=0.4, k=1.0).to_dict(),
-        branch="extended"),
+        **CoefficientSet(a1=0.3, a2=0.7, a3=0.4, k=1.0).to_dict()),
 }
 
 
@@ -143,8 +142,7 @@ class TestLyapunovH2:
 
     def test_h2_nonzero_outside_the_certified_regime(self, grid128):
         c = model.ValidatedCoefficients(
-            **CoefficientSet(a1=0.3, a2=0.7, a3=0.4, k=1.0).to_dict(),
-            branch="extended")
+            **CoefficientSet(a1=0.3, a2=0.7, a3=0.4, k=1.0).to_dict())
         st = rich_state(grid128)
         assert abs(record(st, c)["h2"]) > 1e-6
 

@@ -1,7 +1,7 @@
 """Time stepper: phi-coefficient accuracy, convergence, and run mechanics."""
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -12,6 +12,7 @@ from conftest import COUPLED, make_sine_state
 from etd_reference import reference_march, reference_tables
 import functionals_reference as fn
 from linear_reference import linear_exact_solution
+from step_grid_reference import loader_step_count
 
 
 def random_state(grid, seed=5, amp=0.5, kmax=6):
@@ -229,6 +230,65 @@ class TestEvolveMechanics:
             ti.evolve([st], [coeffs_coupled], 0.05, dt=0.002, stride=7)
         with pytest.raises(ValueError):
             ti.evolve([st], [coeffs_coupled], 0.0011, dt=1e-3)
+
+
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def step_grids(draw):
+    """(t_final, dt, stride): free draws, whole multiples of dt (often of
+    whole strides), and multiples nudged by up to 1e-8 relative."""
+    dt, stride = draw(POSITIVE), draw(st.integers(1, 1000))
+    how = draw(st.sampled_from(["free", "tiled", "nudged"]))
+    if how == "free":
+        return draw(POSITIVE), dt, stride
+    n_steps = draw(st.integers(1, 10 ** 6))
+    if draw(st.booleans()):
+        n_steps *= stride
+    t_final = n_steps * dt
+    if how == "nudged":
+        t_final *= 1.0 + draw(st.floats(-1e-8, 1e-8))
+    assume(0.0 < t_final < math.inf)
+    return t_final, dt, stride
+
+
+class TestStepCount:
+    """`step_count` is the one tiling rule; the loader's old arithmetic,
+    kept in `step_grid_reference`, is its oracle."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(step_grids())
+    @example((1.0, 1e-320, 1))  # the ratio overflows
+    @example((1e308, 1e-10, 1))
+    @example((5e-324, 5e-324, 1))
+    @example((0.05, 0.002, 7))
+    @example((0.5, 0.01, 10))
+    def test_accepts_and_refuses_as_the_loader_did(self, grid):
+        t_final, dt, stride = grid
+        want = loader_step_count(t_final, dt, stride)
+        try:
+            got = ti.step_count(t_final, dt, stride)
+        except ValueError:
+            got = None
+        assert got == want
+
+    @pytest.mark.parametrize("stride", [0, -3])
+    def test_refuses_a_stride_below_one(self, stride):
+        with pytest.raises(ValueError):
+            ti.step_count(1.0, 0.1, stride)
+
+    @pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -1e-3, 1e-320])
+    def test_evolve_refuses_a_dt_that_does_not_tile(self, grid64,
+                                                    coeffs_coupled, dt):
+        st_ = make_sine_state(grid64)
+        with pytest.raises(ValueError):
+            ti.evolve([st_], [coeffs_coupled], 0.01, dt=dt)
+
+    def test_evolve_refuses_a_zero_span(self, grid64, coeffs_coupled):
+        st_ = make_sine_state(grid64)
+        with pytest.raises(ValueError):
+            ti.evolve([st_], [coeffs_coupled], st_.t, dt=1e-3)
 
 
 class TestDecayLaw:

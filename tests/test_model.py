@@ -1,12 +1,13 @@
 """Coefficient gate, mean reduction, right-hand side, linear symbol,
 eigenbasis nonlinear term."""
+import dataclasses
 import math
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from ggkdv import model, spectral as sp
+from ggkdv import model, spectral as sp, verification
 from ggkdv.model import (CoefficientSet, CoefficientError,
                          random_smooth_state)
 
@@ -66,6 +67,29 @@ class TestCoefficientGate:
     def test_roundtrip_dict(self):
         c = CoefficientSet(a1=1, a2=0, a3=0.0, k=0.25)
         assert CoefficientSet(**c.to_dict()) == c
+
+
+BRANCH_SETS = [CoefficientSet(a1=1, a2=1, a3=0.5, k=1),
+               CoefficientSet(a1=1, a2=0, a3=0.0, k=2)]
+
+
+class TestOneCoefficientFieldList:
+    def test_validated_set_has_the_fields_of_the_raw_set(self):
+        assert (dataclasses.fields(model.ValidatedCoefficients)
+                == dataclasses.fields(CoefficientSet))
+
+    @pytest.mark.parametrize("c", BRANCH_SETS, ids=["a1=a2=1", "a3=0"])
+    def test_validation_keeps_every_value(self, c):
+        assert model.validate_coefficients(c).to_dict() == c.to_dict()
+
+    @pytest.mark.parametrize("c", BRANCH_SETS, ids=["a1=a2=1", "a3=0"])
+    def test_an_equal_set_hits_the_cached_plan(self, c):
+        plan = verification.observation_plan(
+            model.validate_coefficients(c), ("L2",), 1)
+        size = verification.observation_plan.cache_info().currsize
+        again = model.validate_coefficients(CoefficientSet(**c.to_dict()))
+        assert verification.observation_plan(again, ("L2",), 1) is plan
+        assert verification.observation_plan.cache_info().currsize == size
 
 
 class TestReduceMean:

@@ -130,8 +130,7 @@ class TestExactIdentityBattery:
         # coefficient sets outside the validated branches, via the documented
         # escape hatch.
         c = ValidatedCoefficients(
-            **CoefficientSet(a1=0.3, a2=0.7, a3=0.4, k=1.0).to_dict(),
-            branch="extended")
+            **CoefficientSet(a1=0.3, a2=0.7, a3=0.4, k=1.0).to_dict())
         state = random_smooth_state(grid64, seed=3, amplitude=0.5)
         for identity_id, rep in residual_h1(StateCalculus(state, c)).items():
             assert rep.relative_residual <= EXACT_TOL, identity_id
@@ -231,7 +230,7 @@ class TestStateCalculus:
                                                          seed):
         # f1, g1, f2, g2 and h2 are written once: the H1_MAIN and H2_MAIN
         # terms are the record's columns times the same factors, bitwise.
-        c = ValidatedCoefficients(**coeffs.to_dict(), branch="extended")
+        c = ValidatedCoefficients(**coeffs.to_dict())
         state = random_smooth_state(grid64, seed=seed, amplitude=0.5)
         rec = verification.observe(state, c, (), 4)[0]
         calc = StateCalculus(state, c)
@@ -258,8 +257,7 @@ BRANCHES = {
     "uncoupled": validate_coefficients(
         CoefficientSet(a1=1.0, a2=0.0, a3=0.0, k=1.0)),
     "extended": ValidatedCoefficients(
-        **CoefficientSet(a1=0.3, a2=0.7, a3=0.4, k=0.75).to_dict(),
-        branch="extended"),
+        **CoefficientSet(a1=0.3, a2=0.7, a3=0.4, k=0.75).to_dict()),
 }
 
 
