@@ -239,12 +239,9 @@ def run_experiment(cfgs, record=True) -> list:
     With `record` False only t and the energy are observed (no identity),
     and only the energy decay rate is fitted. Configs that share grid, span,
     stride and resolved dt march as one ensemble; each gets bitwise the
-    numbers of a lone march, except in an ensemble past
-    `model.MATMUL_MAX_LOAD` on a small grid, which takes the FFT route where
-    a lone march takes the matmuls and so matches it to round-off. Returns,
-    per config in order, its RunResult or the BlowUpError naming the time at
-    which its state first became non-finite. Raises CoefficientError for an
-    inadmissible coefficient set.
+    numbers of a lone march. Returns, per config in order, its RunResult or
+    the BlowUpError naming the time at which its state first became
+    non-finite. Raises CoefficientError for an inadmissible coefficient set.
     """
     points = [_prepare(cfg, record) for cfg in cfgs]
     columns = None if record else ("energy",)

@@ -220,6 +220,9 @@ def _check_ranges(cfg: ExperimentConfig) -> None:
     window = cfg.fit_window
     require(window is None or (len(window) == 2 and window[0] < window[1]),
             f"run.fit_window must be [t0, t1] with t0 < t1, got {window}")
+    require(window is None or (window[0] < cfg.t_final and window[1] > 0.0),
+            f"run.fit_window = {window} does not overlap the run "
+            f"(0, {cfg.t_final})")
     unknown = sorted(set(cfg.checks) - set(DEFAULT_CHECKS))
     require(not unknown, f"unknown checks {unknown}; "
                          f"allowed: {sorted(DEFAULT_CHECKS)}")

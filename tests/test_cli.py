@@ -287,6 +287,16 @@ class TestRunCommand:
             "energy", "seminorm_sq_1", "seminorm_sq_2"]
         assert all("fit failed (" in f for f in summary["failures"])
 
+    def test_sparse_fit_window_is_named_in_failures(self, tmp_path):
+        # the window overlaps the run but holds one observation, t = 0.5
+        raw = base_config_dict(tmp_path, fit_window=[0.45, 10.0])
+        assert cli.main(["run", write_config(tmp_path, raw)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["status"] == "ok" and summary["decay_fits"] == []
+        assert [f.partition(":")[0] for f in summary["failures"]] == [
+            "energy", "seminorm_sq_1", "seminorm_sq_2"]
+        assert all("fewer than 3" in f for f in summary["failures"])
+
     def test_invalid_coefficients_exit_2(self, tmp_path, capsys):
         raw = base_config_dict(tmp_path)
         raw["coefficients"]["a3"] = 1.0
@@ -555,6 +565,23 @@ class TestSweepCommand:
             assert alone_code == 0
             assert alone == [row]
 
+    def test_a_sweep_past_eight_points_at_128_matches_lone_points(
+            self, tmp_path, ensemble_sizes):
+        # 12 members at 128 points: a load of 12 x 128^2, which is past
+        # where a route chosen by load would leave the matmuls
+        raw = base_config_dict(tmp_path, dt=0.01, t_final=0.5, stride=10)
+        raw["grid"]["n_points"] = 128
+        raw["initial"] = {"preset": "random-smooth", "amplitude": 0.5,
+                          "seed": 7}
+        ks = [str(0.25 * i) for i in range(1, 13)]
+        rows, code = self.sweep_rows(tmp_path, raw, "k=" + ",".join(ks))
+        assert code == 0
+        assert ensemble_sizes == [12]
+        for k, row in zip(ks, rows):
+            alone, alone_code = self.sweep_rows(tmp_path, raw, f"k={k}")
+            assert alone_code == 0
+            assert alone == [row]
+
 
 def _broken_l2(calc):
     return IdentityReport(identity_id="L2", lhs=1.0, rhs=0.0,
@@ -589,6 +616,8 @@ class TestExitCodes:
         ("run", "dt", 0.3, "does not divide"),
         ("coefficients", "a3", 1.0, "a3_magnitude"),
         ("grid", "n_points", 1e30, "grid.n_points"),
+        ("run", "fit_window", [5.0, 10.0], "run.fit_window"),
+        ("run", "fit_window", [-1.0, 0.0], "run.fit_window"),
     ])
     def test_bad_config_exit_2(self, tmp_path, capsys, command, section, key,
                                value, named):
@@ -734,6 +763,28 @@ class TestSweepAxisValues:
         assert cli.main(["sweep", path, "--axis", "k=0.5"]) == 2
         assert "k_positive" in capsys.readouterr().err
         assert not (tmp_path / "diag.csv").exists()
+
+
+class TestHugeCoefficients:
+    """Coefficient sets whose squares overflow a float: refused by name."""
+
+    @pytest.mark.parametrize("command, coefficients, axis, named", [
+        ("run", {"a1": 1e200}, [], "a1_a2_quadratic"),
+        ("sweep", {}, ["--axis", "a1=1e308"],
+         "sweep point {'a1': 1e+308} violates: a1_a2_quadratic"),
+        # the squares are inf, and the quadratic defect inf - inf = NaN
+        ("run", {"a1": 1e308, "a2": 1e308, "a3": 0.0}, [],
+         "a1_a2_quadratic"),
+    ])
+    def test_exit_2_naming_the_constraint(self, tmp_path, capsys, command,
+                                          coefficients, axis, named):
+        raw = base_config_dict(tmp_path)
+        raw["coefficients"].update(coefficients)
+        path = write_config(tmp_path, raw)
+        assert cli.main([command, path, *axis]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
 
 
 class TestSchema:

@@ -490,28 +490,30 @@ class TestEnsembleOracle:
             return matrix.view(Counted)
 
         monkeypatch.setattr(
-            ti, "flux_transforms", lambda grid, n_members: tuple(
+            ti, "flux_transforms", lambda grid: tuple(
                 counted(matrix, name) for matrix, name in zip(
-                    model.flux_transforms(grid, n_members),
-                    ("synth", "anal"))))
+                    model.flux_transforms(grid), ("synth", "anal"))))
         ti.evolve(states, [coeffs_coupled] * n_members, 1e-3, 1e-3)
         assert calls == {"rfft": 0, "irfft": 0, "synth": 4, "anal": 4}
 
-    @pytest.mark.parametrize("n_points", [64, model.MATMUL_MAX_POINTS])
-    def test_ensemble_past_the_matmul_load_is_one_fft_pair_per_stage(
-            self, monkeypatch, coeffs_coupled, n_points):
+    # Ensembles whose members times n^2 exceeds 8 x 128^2, where a route
+    # chosen by load would leave the matmuls: the grid alone picks it.
+    LARGE_ENSEMBLES = [(64, 33), (model.MATMUL_MAX_POINTS, 9)]
+
+    @pytest.mark.parametrize("n_points, n_members", LARGE_ENSEMBLES)
+    def test_large_ensemble_on_a_small_grid_makes_no_fft_call(
+            self, monkeypatch, coeffs_coupled, n_points, n_members):
         grid = sp.make_grid(n_points)
-        n_members = model.MATMUL_MAX_LOAD // n_points ** 2 + 1
         states = [random_smooth_state(grid, seed=i, amplitude=0.3)
                   for i in range(n_members)]
         calls = count_fft_calls(monkeypatch)
         ti.evolve(states, [coeffs_coupled] * n_members, 1e-3, 1e-3)
-        assert calls == {"rfft": 4, "irfft": 4}
+        assert calls == {"rfft": 0, "irfft": 0}
 
-    def test_members_past_the_matmul_load_equal_lone_fft_marches_bitwise(
-            self, monkeypatch, coeffs_coupled, coeffs_uncoupled):
-        grid = sp.make_grid(model.MATMUL_MAX_POINTS)
-        n_members = model.MATMUL_MAX_LOAD // grid.n_points ** 2 + 1
+    @pytest.mark.parametrize("n_points, n_members", LARGE_ENSEMBLES)
+    def test_large_ensemble_members_equal_lone_marches_bitwise(
+            self, coeffs_coupled, coeffs_uncoupled, n_points, n_members):
+        grid = sp.make_grid(n_points)
         members = [(random_smooth_state(grid, seed=i, amplitude=0.3),
                     (coeffs_coupled, coeffs_uncoupled)[i % 2])
                    for i in range(n_members)]
@@ -520,9 +522,6 @@ class TestEnsembleOracle:
         dt, stride, t_final = 1e-3, 4, 12e-3
         run = ti.evolve(states, coeffs, t_final, dt, stride=stride,
                         observers=[lambda i, s: state_observer(coeffs[i])(s)])
-        # a lone member would take the matmul route; turned off, it takes
-        # the ensemble's FFT route
-        monkeypatch.setattr(model, "MATMUL_MAX_POINTS", 0)
         for i, (state, c) in enumerate(members):
             assert_member_equals_lone_march(run, i, state, c, t_final, dt,
                                             stride)

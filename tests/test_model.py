@@ -3,7 +3,7 @@ eigenbasis nonlinear term."""
 import dataclasses
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -54,6 +54,29 @@ class TestCoefficientGate:
         # abs(nan) > tol is False, so NaN slips past every other constraint
         bad = model.check_coefficients(CoefficientSet(**coeffs))
         assert "finite" in {v.constraint for v in bad}
+
+    # every float, NaN and +-inf among them, and the values of the two
+    # branches, so that some drawn sets pass
+    ANY_VALUE = st.floats() | st.sampled_from([0.0, 1.0, 0.5, -0.5])
+
+    @settings(max_examples=300, deadline=None)
+    @given(a1=ANY_VALUE, a2=ANY_VALUE, a3=ANY_VALUE, k=ANY_VALUE)
+    @example(a1=1e200, a2=1.0, a3=0.5, k=1.0)  # a1 ** 2 overflowed
+    @example(a1=1e308, a2=1.0, a3=0.5, k=1.0)
+    @example(a1=1e308, a2=1e308, a3=0.0, k=1.0)  # quad = inf - inf = NaN
+    def test_gate_refuses_by_name_or_passes_an_admissible_set(self, a1, a2,
+                                                              a3, k):
+        c = CoefficientSet(a1=a1, a2=a2, a3=a3, k=k)
+        bad = model.check_coefficients(c)
+        try:
+            model.validate_coefficients(c)
+        except CoefficientError as err:
+            assert bad and err.violations == bad
+            return
+        assert not bad
+        quad = a1 * a1 + a2 * a2 - (a1 + a2)
+        assert math.isfinite(quad) and abs(quad) <= model.CONSTRAINT_TOL
+        assert k > 0.0 and abs(a3) < 1.0
 
     def test_near_miss_within_tolerance_accepted(self):
         model.validate_coefficients(
@@ -357,10 +380,3 @@ class TestFluxTransforms:
             sp.make_grid(model.MATMUL_MAX_POINTS)) is not None
         assert model.flux_transforms(
             sp.make_grid(model.MATMUL_MAX_POINTS + 2)) is None
-
-    @pytest.mark.parametrize("n_points", [32, 64, model.MATMUL_MAX_POINTS])
-    def test_no_matrices_above_the_ensemble_load(self, n_points):
-        grid = sp.make_grid(n_points)
-        n_members = model.MATMUL_MAX_LOAD // n_points ** 2
-        assert model.flux_transforms(grid, n_members) is not None
-        assert model.flux_transforms(grid, n_members + 1) is None
