@@ -76,15 +76,14 @@ def write_summary(path: str | None, summary: dict) -> None:
     """Validate the summary against the schema; write it if given a path."""
     _summary_validator().validate(summary)
     if path is not None:
-        atomic_write_text(path, json.dumps(summary, indent=2) + "\n")
+        atomic_write_text(path, json.dumps(summary, indent=2,
+                                           allow_nan=False) + "\n")
         print(f"wrote {path}")
 
 
 def write_csv(path: str, names: list, columns: dict) -> None:
-    n_rows = len(columns[names[0]])
-    lines = [",".join(names)]
-    for i in range(n_rows):
-        lines.append(",".join(_fmt(columns[name][i]) for name in names))
+    rows = zip(*(columns[name] for name in names))
+    lines = [",".join(names)] + [",".join(map(_fmt, row)) for row in rows]
     atomic_write_text(path, "\n".join(lines) + "\n")
     print(f"wrote {path}")
 
@@ -307,8 +306,8 @@ def cmd_run(cfg: ExperimentConfig) -> tuple:
     if cfg.csv_path is not None:
         write_csv(cfg.csv_path, list(series.columns), series.columns)
 
-    offenders = [i for i, r in result.residuals.items()
-                 if r > EXACT_RESIDUAL_TOL]
+    offenders = {i: r for i, r in result.residuals.items()
+                 if not r <= EXACT_RESIDUAL_TOL}  # NaN included
     status = "ok" if not offenders else "identity_failure"
     energy_col = series.columns["energy"]
     summary = _summary(
@@ -319,7 +318,8 @@ def cmd_run(cfg: ExperimentConfig) -> tuple:
              "max_mean_drift": meta["max_mean_drift"]},
         energy={"initial": float(energy_col[0]),
                 "final": float(energy_col[-1])},
-        identity_residuals=result.residuals,
+        identity_residuals={i: r if math.isfinite(r) else None
+                            for i, r in result.residuals.items()},
         decay_fits=[_fit_dict(f) for f in result.fits.values()],
         blow_up_time=None)
     failures = [f"{name}: skipped (identities require zero-mean data)"
@@ -333,8 +333,9 @@ def cmd_run(cfg: ExperimentConfig) -> tuple:
             and not render_energy_svg(cfg.plot_path, series.t, energy_col)):
         _remove_stale(cfg.plot_path)
     return status, "\n".join(
-        f"identity failure: {i} relative residual "
-        f"{result.residuals[i]:.3e} > {EXACT_RESIDUAL_TOL}" for i in offenders)
+        f"identity failure: {i} relative residual {r:.3e} "
+        + (f"> {EXACT_RESIDUAL_TOL}" if math.isfinite(r) else "is not finite")
+        for i, r in offenders.items())
 
 
 def cmd_verify(cfg: ExperimentConfig) -> tuple:
@@ -350,6 +351,9 @@ def cmd_verify(cfg: ExperimentConfig) -> tuple:
     checks = []
 
     def add(check_id, passed, value=None, threshold=None, detail=None):
+        if value is not None and not math.isfinite(value):
+            passed, detail = False, f"{value} is not finite; {detail}"
+            value = None
         checks.append({"check_id": check_id, "passed": bool(passed),
                        "value": None if value is None else float(value),
                        "threshold": threshold, "detail": detail})
@@ -357,7 +361,8 @@ def cmd_verify(cfg: ExperimentConfig) -> tuple:
     exact, approx = check_identities(cfg.checks, cfg.n_max)
     full = [identity_reports(s, c, exact + approx) for s in states]
     for identity_id in exact:
-        worst = max(r[identity_id].relative_residual for r in full)
+        # np.max, not max, so that a NaN anywhere reaches `add`
+        worst = float(np.max([r[identity_id].relative_residual for r in full]))
         add(identity_id, worst <= EXACT_RESIDUAL_TOL, worst,
             EXACT_RESIDUAL_TOL, f"max over {len(full)} states")
     if approx:
@@ -365,10 +370,11 @@ def cmd_verify(cfg: ExperimentConfig) -> tuple:
                 for s in states]
         lo, hi = APPROX_RATIO_WINDOW
         for identity_id in approx:
-            # the float np.median gives, without its numpy.ma import
-            med = median([h[identity_id].relative_residual
-                          / max(f[identity_id].relative_residual, 1e-300)
-                          for f, h in zip(full, half)])
+            ratios = [h[identity_id].relative_residual
+                      / max(f[identity_id].relative_residual, 1e-300)
+                      for f, h in zip(full, half)]
+            # np.median's float, NaN included, without its numpy.ma import
+            med = math.nan if any(map(math.isnan, ratios)) else median(ratios)
             add(f"{identity_id} scaling", lo <= med <= hi, med, None,
                 f"median residual ratio under amplitude halving over "
                 f"{len(half)} states; want within [{lo}, {hi}]")

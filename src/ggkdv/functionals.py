@@ -69,7 +69,8 @@ class IntegralPlan:
     one batched resampling per padded size m, then one gather, left-to-right
     product and row mean per (m, arity). `evaluate` adds up each sum column
     by column, left to right from 0.0, as a `total += term` loop over its
-    terms would.
+    terms would; overflow gives inf or NaN sums, without a warning. A plan
+    without a time-derivative key never calls `rhs` or reads coefficients.
     """
 
     def __init__(self, sums):
@@ -142,10 +143,11 @@ class IntegralPlan:
 
     def evaluate(self, state: SimState, c: ValidatedCoefficients) -> list:
         """Every sum of the plan at one state, as floats in input order."""
-        values = np.append(self.values(state, c), 0.0)
-        total = np.zeros(len(self._terms))
-        for column in (self._coeffs * values[self._terms]).T:
-            total += column
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.append(self.values(state, c), 0.0)
+            total = np.zeros(len(self._terms))
+            for column in (self._coeffs * values[self._terms]).T:
+                total += column
         return total.tolist()
 
 

@@ -42,9 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (SimState, ValidatedCoefficients, _dealiased_ddx, _rotate,
-                    eigen_mixing, flux_transforms, linear_rates,
-                    nonlinear_remainder)
+from .model import (CoefficientError, SimState, ValidatedCoefficients,
+                    Violation, _dealiased_ddx, _rotate, eigen_mixing,
+                    flux_transforms, linear_rates, nonlinear_remainder)
 from .spectral import GridSpec, SpectralField, truncate
 
 N_CONTOUR = 32  # trapezoid points on each circle of `contour_phi_means`
@@ -91,10 +91,15 @@ def build_tables(grid: GridSpec, c: ValidatedCoefficients,
         raise ValueError(f"dt must be positive, got {dt}")
     z0 = linear_rates(grid, c)[:, :grid.dealias_cutoff + 1] * dt
     ddx = _dealiased_ddx(grid)
-    q, w1, w2, w3 = contour_phi_means(z0)
-    return np.stack([np.exp(z0), np.exp(z0 / 2.0), ddx * (dt * q),
-                     ddx * (dt * w1), (2.0 * ddx) * (dt * w2),
-                     ddx * (dt * w3)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        q, w1, w2, w3 = contour_phi_means(z0)
+        tables = np.stack([np.exp(z0), np.exp(z0 / 2.0), ddx * (dt * q),
+                           ddx * (dt * w1), (2.0 * ddx) * (dt * w2),
+                           ddx * (dt * w3)])
+    if not np.isfinite(tables).all():  # k dt past about 1e152
+        raise CoefficientError([Violation("finite_tables", (
+            f"k = {c.k} with dt = {dt} overflows the ETDRK4 tables"))])
+    return tables
 
 
 def default_dt(grid: GridSpec, c: ValidatedCoefficients) -> float:

@@ -18,7 +18,8 @@ Per state the right-hand side is evaluated once and each integral once,
 bitwise equal to `integral_of_product`. Every left-side product holds a time
 derivative and no right-side product does, so the two routes of an identity
 share no integral; the record shares its value integrals with the right
-sides. The Poincare and product-bound sweeps likewise sample each field once.
+sides. The product-bound sweep is one more cached plan, evaluated once per
+field pair; the Poincare sweep samples each field once.
 
 Identity ids:
     L2              exact L2 decay law (quadratic functional, any means)
@@ -385,15 +386,11 @@ def observe(state: SimState, c: ValidatedCoefficients, ids, n_max: int,
 
 # -- inequalities ------------------------------------------------------------
 
-def _samples(fields, m: int) -> np.ndarray:
-    """Each field's `padded_samples` on m points, one row per field."""
-    return sample_rows(np.array([f.coeffs for f in fields]),
-                       np.array([f.band() for f in fields]), m)
-
-
 def _abs_samples(*fields: SpectralField) -> np.ndarray:
     """|f| of each field, one row each, on the grid the L^p norms use."""
-    return np.abs(_samples(fields, _next_pow2(4 * fields[0].grid.n_points)))
+    return np.abs(sample_rows(np.array([f.coeffs for f in fields]),
+                              np.array([f.band() for f in fields]),
+                              _next_pow2(4 * fields[0].grid.n_points)))
 
 
 def _norm_of_abs(s: np.ndarray, p) -> float:
@@ -464,44 +461,34 @@ def admissible_exponent_tuples(n: int, d_max: int = 4):
 
 
 @functools.lru_cache(maxsize=None)
-def _exponent_table(n: int, d_max: int) -> tuple:
-    """The admissible tuples of one n, their degrees, and their exponents as
-    an (n_tuples, 2(n + 1)) array with columns alpha_0, beta_0, alpha_1, ..."""
-    tuples = tuple(admissible_exponent_tuples(n, d_max))
-    degrees = tuple(sum(a) + sum(b) for a, b in tuples)
-    exponents = np.array([[e for pair in zip(a, b) for e in pair]
-                          for a, b in tuples]).reshape(-1, 2 * (n + 1))
-    exponents.flags.writeable = False  # shared by every later call
-    return tuples, degrees, exponents
+def _product_bound_plan(n_values: tuple, d_max: int) -> tuple:
+    """The seminorms of orders 0..max(n_values), then one integral per
+    admissible tuple of each n, its factors u_0^alpha_0 v_0^beta_0 u_1 ...
+    in that order, as one plan; and each tuple as (n, alphas, betas, d)."""
+    sums = [value_sum(seminorm_monomials(j)) for j in range(max(n_values) + 1)]
+    cases = []
+    for n in n_values:
+        for alphas, betas in admissible_exponent_tuples(n, d_max):
+            sums.append(value_sum([(1.0, tuple(
+                f for j in range(n + 1)
+                for f in [("u", j)] * alphas[j] + [("v", j)] * betas[j]))]))
+            cases.append((n, alphas, betas, sum(alphas) + sum(betas)))
+    return IntegralPlan(sums), tuple(cases)
 
 
 def product_bound_violations(u: SpectralField, v: SpectralField,
                              n_values=(1, 2, 3), d_max: int = 4,
                              slack: float = 1e-10) -> list:
-    """Sweep every admissible tuple; returns the violating ones. The
-    derivatives are sampled in one call, and each n's tuples multiplied
-    out as one array, factor by factor in the order u_0, v_0, u_1, ..."""
-    n_top = max(n_values)
-    band = max(u.band(), v.band(), 1)
-    m = _next_pow2(max(d_max * band + 1, 2 * band + 2, 8))
-    factors = _samples([derivative(f, j) for j in range(n_top + 1)
-                        for f in (u, v)], m)
-    s = [float(np.mean(du ** 2) + np.mean(dv ** 2))
-         for du, dv in zip(factors[0::2], factors[1::2])]
-
+    """Sweep every admissible tuple; returns the violating ones. The sides
+    come from one evaluation of one cached plan per (n_values, d_max), each
+    bitwise what `integral_of_product` gives for that tuple."""
+    plan, cases = _product_bound_plan(tuple(n_values), d_max)
+    s = plan.evaluate(SimState(u, v, 0.0, 0.0, 0.0), None)
     bad = []
-    for n in n_values:
-        tuples, degrees, exponents = _exponent_table(n, d_max)
-        prod = np.ones((len(tuples), m))
-        for column, samples in zip(exponents.T, factors):
-            for e in np.unique(column[column > 0]):
-                rows = column == e
-                prod[rows] = prod[rows] * samples ** int(e)
-        lhs = np.abs(np.mean(prod, axis=1))
-        for (alphas, betas), d, value in zip(tuples, degrees, lhs):
-            bound = s[n] * s[n - 1] ** ((d - 2) / 2.0)
-            if value > bound + slack * max(1.0, bound):
-                bad.append((n, alphas, betas, float(value), bound))
+    for (n, alphas, betas, d), value in zip(cases, s[len(s) - len(cases):]):
+        bound = s[n] * s[n - 1] ** ((d - 2) / 2.0)
+        if abs(value) > bound + slack * max(1.0, bound):
+            bad.append((n, alphas, betas, abs(value), bound))
     return bad
 
 

@@ -1,10 +1,12 @@
-"""Per-tuple product bound: oracle of the batched sweep.
+"""Per-tuple product bound: oracles of the plan-based sweep.
 
-`product_bound_violations` is the sweep as it was before the tuples of one
-order were multiplied out as one array: one product and one mean per
-admissible tuple. `verification.product_bound_violations` must reproduce its
-left and right sides bitwise. `check_product_bound` checks one tuple, and
-rejects exponents outside the bound's hypotheses.
+`product_bound_sides` gives one tuple's two sides from `integral_of_product`,
+one padded size per product; `verification.product_bound_violations` must
+reproduce them bitwise. `check_product_bound` checks one tuple through them,
+and rejects exponents outside the bound's hypotheses.
+`product_bound_violations` is the sweep that the plan replaced: every product
+on one padded size m for the pair, one product and one mean per admissible
+tuple. It agrees with the plan to round-off, not bitwise.
 """
 import numpy as np
 
@@ -32,8 +34,8 @@ def _check_exponents(alphas, betas) -> int:
     return d
 
 
-def check_product_bound(u, v, alphas, betas, slack: float = 1e-10) -> bool:
-    """|int prod u_m^alpha_m v_m^beta_m| <= S_n S_(n-1)^((d-2)/2) where
+def product_bound_sides(u, v, alphas, betas) -> tuple:
+    """(|int prod u_m^alpha_m v_m^beta_m|, S_n S_(n-1)^((d-2)/2)) where
     S_m = int u_m^2 + v_m^2, for admissible exponents (raises otherwise)."""
     d = _check_exponents(alphas, betas)
     n = len(alphas) - 1
@@ -46,7 +48,12 @@ def check_product_bound(u, v, alphas, betas, slack: float = 1e-10) -> bool:
     um, vm = derivative(u, n - 1), derivative(v, n - 1)
     s_n = integral_of_product(un, un) + integral_of_product(vn, vn)
     s_m = integral_of_product(um, um) + integral_of_product(vm, vm)
-    bound = s_n * s_m ** ((d - 2) / 2.0)
+    return lhs, s_n * s_m ** ((d - 2) / 2.0)
+
+
+def check_product_bound(u, v, alphas, betas, slack: float = 1e-10) -> bool:
+    """The product bound for one admissible tuple (raises otherwise)."""
+    lhs, bound = product_bound_sides(u, v, alphas, betas)
     return lhs <= bound + slack * max(1.0, bound)
 
 

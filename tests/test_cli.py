@@ -4,6 +4,7 @@ import json
 import math
 import os
 import statistics
+import warnings
 import xml.etree.ElementTree as ET
 
 from hypothesis import given, settings, strategies as st
@@ -785,6 +786,115 @@ class TestHugeCoefficients:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
+
+
+def load_finite_json(path):
+    """The JSON at path, refusing the bare NaN and Infinity that Python's
+    json module writes and reads but JSON does not allow."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def gg_quietly(capsys, *argv):
+    """Exit code and stderr of `gg *argv`, with any Python warning raised
+    as an error; stderr must hold no warning and no traceback."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(list(argv))
+    err = capsys.readouterr().err
+    assert "Warning" not in err and "Traceback" not in err
+    return code, err
+
+
+class TestOverflowingInputs:
+    """Inputs whose numbers overflow a float: a failed check or a refusal
+    by name, valid JSON, and no numpy warning on stderr."""
+
+    @pytest.mark.parametrize("amplitude, n_null", [(1e80, 7), (1e200, 12)])
+    def test_verify_fails_each_non_finite_value_as_null(
+            self, tmp_path, capsys, amplitude, n_null):
+        raw = base_config_dict(tmp_path)
+        raw["grid"]["n_points"] = 64
+        raw["checks"] = ["L2", "H1", "H2"]
+        raw["verify"].update(n_states=3, amplitude=amplitude, kmax=8)
+        code, _ = gg_quietly(capsys, "verify", write_config(tmp_path, raw))
+        assert code == 4
+        checks = load_finite_json(tmp_path / "summary.json")["checks"]
+        null = [check for check in checks if check["value"] is None]
+        assert len(null) == n_null
+        for check in null:
+            assert not check["passed"] and "not finite" in check["detail"]
+
+    @pytest.mark.parametrize("amplitude, n_states, check_id", [
+        # one state's residual is NaN, the other seven's near 1e-15
+        (10 ** 76.65, 8, "H1_SUB(4.4)"),
+        # the halving ratios are [NaN, 1.0, NaN]
+        (10 ** 76.25, 3, "H2_MAIN scaling"),
+    ])
+    def test_one_non_finite_state_fails_its_check(
+            self, tmp_path, capsys, amplitude, n_states, check_id):
+        raw = base_config_dict(tmp_path)
+        raw["grid"]["n_points"] = 64
+        raw["checks"] = ["L2", "H1", "H2"]
+        raw["verify"].update(n_states=n_states, amplitude=amplitude, kmax=8)
+        code, _ = gg_quietly(capsys, "verify", write_config(tmp_path, raw))
+        assert code == 4
+        checks = load_finite_json(tmp_path / "summary.json")["checks"]
+        check, = [c for c in checks if c["check_id"] == check_id]
+        assert check["value"] is None and not check["passed"]
+
+    def test_run_blow_up_from_a_huge_state(self, tmp_path, capsys):
+        raw = base_config_dict(tmp_path)
+        raw["initial"] = {"preset": "random-smooth", "amplitude": 1e80,
+                          "seed": 7}
+        raw["checks"] = ["L2", "GEN_N", "H1", "H2"]
+        code, err = gg_quietly(capsys, "run", write_config(tmp_path, raw))
+        assert code == 3 and "blow-up" in err
+        summary = load_finite_json(tmp_path / "summary.json")
+        assert summary["status"] == "blow_up"
+
+    def test_run_names_a_non_finite_residual_as_null(self, tmp_path,
+                                                     capsys):
+        # One vanishing step keeps a huge state finite, while its quartic
+        # H1 integrals overflow: a NaN residual is an identity failure.
+        raw = base_config_dict(tmp_path, dt=1e-100, t_final=1e-100,
+                               stride=1)
+        raw["initial"] = {"preset": "random-smooth", "amplitude": 1e77,
+                          "seed": 7}
+        raw["checks"] = ["L2", "H1"]
+        code, err = gg_quietly(capsys, "run", write_config(tmp_path, raw))
+        assert code == 4
+        summary = load_finite_json(tmp_path / "summary.json")
+        assert summary["status"] == "identity_failure"
+        null = [i for i, r in summary["identity_residuals"].items()
+                if r is None]
+        assert null and all(f"{i} relative residual nan is not finite"
+                            in err for i in null)
+        jsonschema.validate(summary, cli._summary_validator().schema)
+
+    @pytest.mark.parametrize("command, k, axis", [
+        ("run", 1e300, []), ("run", 1e155, []),
+        ("verify", 1e300, []), ("sweep", 1.0, ["--axis", "k=0.5,1e300"]),
+    ])
+    def test_huge_damping_exit_2_naming_k_and_dt(self, tmp_path, capsys,
+                                                 command, k, axis):
+        raw = base_config_dict(tmp_path)
+        raw["coefficients"]["k"] = k
+        raw["checks"] = ["L2", "DECAY"] if command == "verify" else ["L2"]
+        code, err = gg_quietly(capsys, command, write_config(tmp_path, raw),
+                               *axis)
+        assert code == 2
+        assert "finite_tables" in err and "k = 1e+" in err
+        assert "dt = 0.01" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
+
+    def test_large_damping_below_the_overflow_runs(self, tmp_path, capsys):
+        raw = base_config_dict(tmp_path)
+        raw["coefficients"]["k"] = 1e150
+        code, _ = gg_quietly(capsys, "run", write_config(tmp_path, raw))
+        assert code == 0
+        load_finite_json(tmp_path / "summary.json")
 
 
 class TestSchema:

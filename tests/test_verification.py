@@ -25,7 +25,8 @@ from conftest import (COUPLED, ROOT, decay_marched_state,
                       seeded_or_marched_state)
 import calculus_reference
 import product_bound_reference
-from product_bound_reference import HypothesisError, check_product_bound
+from product_bound_reference import (HypothesisError, check_product_bound,
+                                     product_bound_sides)
 from spectral_reference import lp_norm, shift, zeros
 
 EXACT_TOL = 1e-9
@@ -503,10 +504,24 @@ class TestProductBound:
         rng = np.random.default_rng(seed)
         u = random_smooth_field(make_grid(n_points), rng, kmax=kmax)
         v = random_smooth_field(make_grid(n_points), rng, kmax=kmax)
-        for slack in (-math.inf, 1e-10):
-            assert (product_bound_violations(u, v, n_values, d_max, slack)
-                    == product_bound_reference.product_bound_violations(
-                        u, v, n_values, d_max, slack))
+        swept = product_bound_violations(u, v, n_values, d_max, -math.inf)
+        assert swept == [
+            (n, alphas, betas,
+             *product_bound_sides(u, v, alphas, betas))
+            for n in n_values
+            for alphas, betas in admissible_exponent_tuples(n, d_max)]
+        # The replaced sweep forms every product on one padded size per
+        # pair, so it agrees to round-off: at most 3.4 eps max(1, bound)
+        # was seen over 3000 random pairs; the test allows 8.
+        single_m = product_bound_reference.product_bound_violations(
+            u, v, n_values, d_max, -math.inf)
+        assert [case[:3] for case in single_m] == [case[:3] for case in swept]
+        for (*_, lhs, bound), (*_, lhs_m, bound_m) in zip(swept, single_m):
+            tol = 8 * np.finfo(float).eps * max(1.0, bound)
+            assert abs(lhs - lhs_m) <= tol and abs(bound - bound_m) <= tol
+        assert (product_bound_violations(u, v, n_values, d_max, 1e-10)
+                == product_bound_reference.product_bound_violations(
+                    u, v, n_values, d_max, 1e-10))
 
 
 class TestDecayFit:
