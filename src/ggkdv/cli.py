@@ -34,7 +34,7 @@ import numpy as np
 
 from .config import (ConfigError, ExperimentConfig, apply_overrides,
                      atomic_write_text, build_initial_state, load_config)
-from .integrator import BlowUpError, DiagnosticSeries, default_dt, evolve
+from .integrator import BlowUpError, DiagnosticSeries, evolve
 from .model import (CoefficientError, SimState, ValidatedCoefficients,
                     check_coefficients, random_smooth_field,
                     random_smooth_state, scale_state, validate_coefficients)
@@ -184,20 +184,6 @@ def _fit_dict(fit) -> dict:
     return {**dataclasses.asdict(fit), "window": list(fit.window)}
 
 
-def _resolve_dt(cfg: ExperimentConfig, grid, c) -> float:
-    """An explicit dt is honored, a default one is rounded so that whole
-    steps and whole strides tile [0, t_final] exactly."""
-    if cfg.dt is not None:
-        return cfg.dt
-    ratio = cfg.t_final / default_dt(grid, c)
-    if not math.isfinite(ratio):
-        raise ConfigError(f"run.t_final = {cfg.t_final} is too long for the "
-                          "default dt: its step count overflows")
-    n_steps = max(cfg.stride, int(math.ceil(ratio)))
-    n_steps = ((n_steps + cfg.stride - 1) // cfg.stride) * cfg.stride
-    return cfg.t_final / n_steps
-
-
 @dataclasses.dataclass(frozen=True)
 class RunResult:
     """One march of a configured experiment and what was measured on it."""
@@ -228,7 +214,7 @@ def _prepare(cfg: ExperimentConfig, record: bool) -> _Point:
         skipped = [check for check in ZERO_MEAN_CHECKS if check in checks]
         checks = [check for check in checks if check not in ZERO_MEAN_CHECKS]
     return _Point(cfg, c, state, check_identities(checks, cfg.n_max)[0],
-                  skipped, _resolve_dt(cfg, state.grid, c))
+                  skipped, cfg.resolved_dt())
 
 
 def run_experiment(cfgs, record=True) -> list:
@@ -342,7 +328,7 @@ def cmd_verify(cfg: ExperimentConfig) -> tuple:
     c = validate_coefficients(cfg.coefficients)
     grid = make_grid(cfg.n_points)
     if "DECAY" in cfg.checks:
-        _resolve_dt(cfg, grid, c)  # a refused run section exits 2 up front
+        cfg.resolved_dt()  # a refused run section exits 2 up front
     vs = cfg.verify
     states = [random_smooth_state(grid, seed=vs.seed + i,
                                   amplitude=vs.amplitude, kmax=vs.kmax)

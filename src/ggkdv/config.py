@@ -4,9 +4,10 @@ The file is the unit of reproducibility: everything a run needs (grid,
 coefficients, initial condition, stepping, which checks to evaluate, output
 paths) lives in it, and unknown keys are rejected so committed fixtures
 cannot drift silently. `LAYOUT` maps the YAML sections to the config's
-fields. An explicit `run.dt` is tested by `integrator.step_count`, the one
-tiling rule, which `evolve` applies too; it and the output paths are checked
-here, so a bad one exits 2 before anything runs.
+fields. `ExperimentConfig.resolved_dt` picks the step of a run and passes it
+through `integrator.step_count`, which `evolve` applies too. The loader checks
+an explicit `run.dt` (the default waits for the coefficient gate) and the
+output paths, so a bad one exits 2 before anything runs.
 """
 from __future__ import annotations
 
@@ -69,7 +70,7 @@ class ExperimentConfig:
     coefficients: CoefficientSet = field(
         default_factory=lambda: CoefficientSet(a1=1.0, a2=1.0, a3=0.5, k=1.0))
     initial: InitialSpec = field(default_factory=InitialSpec)
-    dt: float | None = None  # None -> integrator default_dt rule
+    dt: float | None = None  # None -> the default step of resolved_dt
     t_final: float = 10.0
     stride: int = 1
     n_max: int = 4
@@ -84,6 +85,28 @@ class ExperimentConfig:
         if self.fit_window is not None:
             return self.fit_window
         return (self.t_final / 2.0, self.t_final)
+
+    def resolved_dt(self) -> float:
+        """`dt`, or else the advective step 0.4 / ((1 + |a3|) 2 pi n_modes)
+        shortened so that whole strides tile [0, t_final]; either way a step
+        that `integrator.step_count` accepts, else ConfigError."""
+        dt = self.dt
+        try:
+            if dt is None:  # math.ceil raises OverflowError on an inf ratio
+                scale = (1.0 + abs(self.coefficients.a3)) * 2.0 * math.pi
+                ratio = self.t_final / (0.4 / (scale * (self.n_points // 2)))
+                n_steps = max(self.stride, math.ceil(ratio))
+                dt = self.t_final / (-(-n_steps // self.stride) * self.stride)
+            step_count(self.t_final, dt, self.stride)
+        except (ValueError, OverflowError):
+            if self.dt is None:
+                raise ConfigError(f"run.t_final = {self.t_final} is too long "
+                                  "for the default dt: its step count "
+                                  "overflows") from None
+            raise ConfigError(f"run.dt = {dt} does not divide run.t_final = "
+                              f"{self.t_final} into whole strides "
+                              f"(run.stride = {self.stride})") from None
+        return dt
 
 
 def _require_keys(mapping: dict, allowed, where: str) -> None:
@@ -226,13 +249,8 @@ def _check_ranges(cfg: ExperimentConfig) -> None:
     unknown = sorted(set(cfg.checks) - set(DEFAULT_CHECKS))
     require(not unknown, f"unknown checks {unknown}; "
                          f"allowed: {sorted(DEFAULT_CHECKS)}")
-    if cfg.dt is not None:
-        try:  # the integrator's own test, so that every command exits 2
-            step_count(cfg.t_final, cfg.dt, cfg.stride)
-        except ValueError:
-            raise ConfigError(f"run.dt = {cfg.dt} does not divide "
-                              f"run.t_final = {cfg.t_final} into whole "
-                              f"strides (run.stride = {cfg.stride})") from None
+    if cfg.dt is not None:  # the default step waits for the coefficient gate
+        cfg.resolved_dt()
     for where, spec in (("initial", cfg.initial), ("verify", cfg.verify)):
         require(spec.kmax >= 1, f"{where}.kmax must be >= 1, got {spec.kmax}")
         require(spec.seed >= 0, f"{where}.seed must be >= 0, got {spec.seed}")

@@ -34,7 +34,8 @@ lone march. A member that turns non-finite leaves the ensemble with its own
 BlowUpError; the others march on unchanged.
 
 `step_count` is the one rule by which dt and stride tile a span: `evolve`
-applies it to every march, and the config loader to `run.dt`.
+applies it to every march, and `config.ExperimentConfig.resolved_dt` to the
+step of every run.
 """
 from __future__ import annotations
 
@@ -102,15 +103,11 @@ def build_tables(grid: GridSpec, c: ValidatedCoefficients,
     return tables
 
 
-def default_dt(grid: GridSpec, c: ValidatedCoefficients) -> float:
-    """Advective-scale default step; the stiff part is handled exactly."""
-    return 0.4 / ((1.0 + abs(c.a3)) * 2.0 * np.pi * grid.n_modes)
-
-
 def step_count(span: float, dt: float, stride: int) -> int:
-    """Steps of dt that tile span in whole strides; ValueError otherwise."""
+    """Steps of dt that tile span in whole strides, fewer than 2**53 (past
+    which round(span / dt) cannot tell counts apart); ValueError otherwise."""
     ratio = span / dt if dt > 0.0 else np.nan
-    n_steps = int(round(ratio)) if np.isfinite(ratio) else 0
+    n_steps = int(round(ratio)) if 0.0 < ratio < 2.0 ** 53 else 0
     if (n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(1.0, span)
             or stride < 1 or n_steps % stride):
         raise ValueError(f"dt = {dt} and stride = {stride} do not tile the "

@@ -81,9 +81,6 @@ class SpectralField:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "SpectralField":
-        return SpectralField(self.grid, -self.coeffs)
-
 
 def _require_same_grid(f: SpectralField, g: SpectralField) -> None:
     if f.grid != g.grid:

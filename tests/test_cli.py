@@ -7,7 +7,7 @@ import statistics
 import warnings
 import xml.etree.ElementTree as ET
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import jsonschema
 import numpy as np
 import pytest
@@ -17,11 +17,12 @@ from ggkdv import cli, verification
 from ggkdv.config import (ConfigError, ExperimentConfig, InitialSpec,
                           VerifySpec, apply_overrides, atomic_write_text,
                           build_initial_state, config_from_dict, load_config)
-from ggkdv.integrator import evolve
+from ggkdv.integrator import evolve, step_count
 from ggkdv.model import CoefficientSet
 from ggkdv.spectral import make_grid
 from ggkdv.verification import IdentityReport, observe
 from conftest import ROOT, config_to_dict, save_config
+from step_grid_reference import default_step, loader_step_count
 
 
 def base_config_dict(tmp_path, **run_overrides):
@@ -200,6 +201,39 @@ def test_config_from_dict_yields_config_or_config_error(raw):
         return
     assert isinstance(cfg, ExperimentConfig)
     assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(t_final=st.floats(0.0, 1e308, exclude_min=True),
+       dt=st.none() | st.floats(0.0, exclude_min=True, allow_infinity=False),
+       stride=st.integers(1, 10 ** 18),
+       n_points=st.integers(4, 32768).map(lambda half: 2 * half),
+       a3=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+@example(t_final=1e20, dt=None, stride=10, n_points=32, a3=0.5)
+@example(t_final=1e308, dt=None, stride=1, n_points=16, a3=0.5)
+@example(t_final=0.2, dt=None, stride=10 ** 18, n_points=32, a3=0.5)
+@example(t_final=1e14, dt=None, stride=1, n_points=32, a3=0.5)
+@example(t_final=1e6, dt=1e-10, stride=1, n_points=32, a3=0.5)
+@example(t_final=10.0, dt=None, stride=100, n_points=128, a3=0.5)
+def test_resolved_dt_tiles_the_run_or_names_the_key(t_final, dt, stride,
+                                                    n_points, a3):
+    """A step that tiles [0, t_final] in whole strides, fewer than 2**53 of
+    them, and bitwise the old default arithmetic; or a ConfigError naming
+    the key at fault."""
+    cfg = ExperimentConfig(n_points=n_points, coefficients=CoefficientSet(
+        a1=1.0, a2=1.0, a3=a3, k=1.0), dt=dt, t_final=t_final, stride=stride)
+    want = dt if dt is not None else default_step(t_final, stride, n_points,
+                                                  a3)
+    count = loader_step_count(t_final, want, stride) if want else None
+    try:
+        got = cfg.resolved_dt()
+    except ConfigError as exc:
+        key = "run.dt = " if dt is not None else "run.t_final = "
+        assert str(exc).startswith(key)
+        assert count is None or count >= 2 ** 53
+        return
+    assert got == want
+    assert step_count(t_final, got, stride) == count < 2 ** 53
 
 
 class TestInitialPresets:
@@ -615,6 +649,7 @@ class TestExitCodes:
         ("initial", "kmax", -3, "initial.kmax"),
         ("verify", "poincare_fields", -1, "verify.poincare_fields"),
         ("run", "dt", 0.3, "does not divide"),
+        ("run", "dt", 5e-17, "run.dt"),  # 1e16 steps: a march never ending
         ("coefficients", "a3", 1.0, "a3_magnitude"),
         ("grid", "n_points", 1e30, "grid.n_points"),
         ("run", "fit_window", [5.0, 10.0], "run.fit_window"),
@@ -629,15 +664,37 @@ class TestExitCodes:
         assert named in err and "Traceback" not in err
         assert not (tmp_path / "summary.json").exists()
 
+    @pytest.mark.parametrize("n_points, run", [
+        (16, {"t_final": 1e308}),  # the ratio overflows
+        (32, {"t_final": 1e20, "stride": 10}),  # 3.8e22 steps
+        # counts past 2**53 that the old tiling test accepted: marches
+        # that never ended
+        (32, {"t_final": 0.2, "stride": 10 ** 18}),  # 1e18 steps
+        (32, {"t_final": 1e14, "stride": 1}),  # 3.8e16 steps
+    ], ids=["1e308", "1e20", "stride-1e18", "t_final-1e14"])
     def test_default_dt_step_count_overflow_exit_2(self, tmp_path, capsys,
-                                                   command):
+                                                   command, n_points, run):
         raw = base_config_dict(tmp_path)
-        raw["grid"]["n_points"] = 16
-        raw["run"] = {"t_final": 1e308}  # no dt: the default rule picks it
+        raw["grid"]["n_points"] = n_points
+        raw["run"] = run  # no dt: the default rule picks it
         raw["checks"] = ["L2", "DECAY"]
         assert gg(command, write_config(tmp_path, raw)) == 2
         err = capsys.readouterr().err
         assert "run.t_final" in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == ["config.yaml"]
+
+    def test_coefficient_gate_precedes_the_default_dt(self, tmp_path,
+                                                      capsys, command):
+        # the default step of a3 = 1e300 would take 5e301 steps: the gate
+        # names a3 before the step is resolved
+        raw = base_config_dict(tmp_path)
+        raw["coefficients"]["a3"] = 1e300
+        raw["run"] = {"t_final": 0.2, "stride": 10}
+        raw["checks"] = ["L2", "DECAY"]
+        assert gg(command, write_config(tmp_path, raw)) == 2
+        err = capsys.readouterr().err
+        assert "a3_magnitude" in err and "run.t_final" not in err
+        assert "Traceback" not in err
         assert os.listdir(tmp_path) == ["config.yaml"]
 
     @pytest.mark.parametrize("text, key, line", [

@@ -255,7 +255,7 @@ def step_grids(draw):
 
 class TestStepCount:
     """`step_count` is the one tiling rule; the loader's old arithmetic,
-    kept in `step_grid_reference`, is its oracle."""
+    kept in `step_grid_reference`, is its oracle below 2**53 steps."""
 
     @settings(max_examples=500, deadline=None)
     @given(step_grids())
@@ -264,9 +264,17 @@ class TestStepCount:
     @example((5e-324, 5e-324, 1))
     @example((0.05, 0.002, 7))
     @example((0.5, 0.01, 10))
+    # marches the loader's arithmetic accepted and never ended: the default
+    # steps at N = 32, a3 = 0.5 of a 0.2 span in strides of 10**18 and of a
+    # 1e14 span, and an explicit 1e-10 over 1e6
+    @example((0.2, 2.0000000000000002e-19, 10 ** 18))
+    @example((1e14, 0.0026525823848649226, 1))
+    @example((1e6, 1e-10, 1))
     def test_accepts_and_refuses_as_the_loader_did(self, grid):
         t_final, dt, stride = grid
         want = loader_step_count(t_final, dt, stride)
+        if want is not None and want >= 2 ** 53:
+            want = None  # round(t_final / dt) cannot tell counts apart
         try:
             got = ti.step_count(t_final, dt, stride)
         except ValueError:
