@@ -24,12 +24,12 @@ import functools
 import itertools
 import json
 import math
+import numbers
 import os
 from statistics import median
 import sys
 from typing import NamedTuple
 
-import jsonschema
 import numpy as np
 
 from .config import (ConfigError, ExperimentConfig, apply_overrides,
@@ -64,17 +64,62 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+# jsonschema's Draft-7 types: a bool is no number, and 1.0 is an integer
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "null": type(None), "number": numbers.Number, "integer": int}
+# Draft-7 keyword -> its test, as jsonschema writes it: NaN passes `minimum`,
+# `const` tells True from 1 but not 1.0 from 1. `_check` descends the rest.
+_RULES = {
+    "type": lambda v, r: any(_is(v, t) for t in ([r] if isinstance(r, str)
+                                                 else r)),
+    "const": lambda v, r: (isinstance(v, bool), v) == (isinstance(r, bool), r),
+    "enum": lambda v, r: any(_RULES["const"](v, each) for each in r),
+    "minimum": lambda v, r: not (_is(v, "number") and v < r),
+    "exclusiveMinimum": lambda v, r: not (_is(v, "number") and v <= r),
+    "minItems": lambda v, r: not isinstance(v, list) or len(v) >= r,
+    "maxItems": lambda v, r: not isinstance(v, list) or len(v) <= r,
+    "required": lambda v, r: not isinstance(v, dict) or all(k in v for k in r),
+    **dict.fromkeys(("$schema", "title", "items", "properties",
+                     "additionalProperties"), lambda v, r: True),
+}
+
+
+def _is(value, name: str) -> bool:
+    if isinstance(value, bool):
+        return name == "boolean"
+    return isinstance(value, _TYPES[name]) or (
+        name == "integer" and isinstance(value, float) and value.is_integer())
+
+
 @functools.lru_cache(maxsize=None)
-def _summary_validator() -> jsonschema.Draft7Validator:
-    # built on first use: a missing schema is an OSError, not an import error
+def _summary_schema() -> dict:
+    # read on first use: a missing schema is an OSError, not an import error
     with open(os.path.join(os.path.dirname(__file__), "schemas",
                            "summary.schema.json"), encoding="utf-8") as fh:
-        return jsonschema.Draft7Validator(json.load(fh))
+        return json.load(fh)
+
+
+def _check(value, schema: dict, path: str = "$") -> None:
+    """Raise ValueError naming the path and the keyword where `value` breaks
+    `schema`, or naming a keyword that `_RULES` does not implement."""
+    if schema is False:  # the `additionalProperties` of a closed object
+        raise ValueError(f"summary {path} fails additionalProperties: false")
+    for keyword, rule in schema.items():
+        if keyword not in _RULES:
+            raise ValueError(f"unimplemented schema keyword {keyword} at "
+                             f"{path}")
+        if not _RULES[keyword](value, rule):
+            raise ValueError(f"summary {path} fails {keyword}: {rule!r}")
+    for i, item in enumerate(value if isinstance(value, list) else ()):
+        _check(item, schema.get("items", {}), f"{path}[{i}]")
+    for key, item in (value.items() if isinstance(value, dict) else ()):
+        _check(item, schema.get("properties", {}).get(
+            key, schema.get("additionalProperties", {})), f"{path}.{key}")
 
 
 def write_summary(path: str | None, summary: dict) -> None:
-    """Validate the summary against the schema; write it if given a path."""
-    _summary_validator().validate(summary)
+    """Check the summary against the schema; write it if given a path."""
+    _check(summary, _summary_schema())
     if path is not None:
         atomic_write_text(path, json.dumps(summary, indent=2,
                                            allow_nan=False) + "\n")

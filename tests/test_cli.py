@@ -1,9 +1,12 @@
 """Config round-trips, CLI artifacts, exit codes, and sweep behavior."""
+import copy
 from dataclasses import replace
 import json
 import math
 import os
 import statistics
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -276,7 +279,7 @@ class TestRunCommand:
         assert len(csv_lines) == 1 + 6  # t = 0.0, 0.1, ..., 0.5
 
         summary = json.loads((tmp_path / "summary.json").read_text())
-        jsonschema.validate(summary, cli._summary_validator().schema)
+        jsonschema.validate(summary, cli._summary_schema())
         assert summary["status"] == "ok"
         assert summary["command"] == "run"
         assert set(summary["identity_residuals"]) == {
@@ -316,7 +319,7 @@ class TestRunCommand:
         path = write_config(tmp_path, raw)
         assert cli.main(["run", path]) == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
-        jsonschema.validate(summary, cli._summary_validator().schema)
+        jsonschema.validate(summary, cli._summary_schema())
         assert summary["status"] == "ok" and summary["decay_fits"] == []
         assert [f.partition(":")[0] for f in summary["failures"]] == [
             "energy", "seminorm_sq_1", "seminorm_sq_2"]
@@ -360,7 +363,7 @@ class TestRunCommand:
         assert cli.main(["run", path]) == 3
         assert "blow-up" in capsys.readouterr().err
         summary = json.loads((tmp_path / "summary.json").read_text())
-        jsonschema.validate(summary, cli._summary_validator().schema)
+        jsonschema.validate(summary, cli._summary_schema())
         assert summary["status"] == "blow_up"
         assert 0.0 < summary["blow_up_time"] <= 100.0
 
@@ -449,7 +452,7 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "PASS  L2" in out and "PASS  DECAY" in out
         summary = json.loads((tmp_path / "summary.json").read_text())
-        jsonschema.validate(summary, cli._summary_validator().schema)
+        jsonschema.validate(summary, cli._summary_schema())
         assert summary["status"] == "ok"
         assert summary["failures"] == []
 
@@ -525,7 +528,7 @@ class TestSweepCommand:
         for k, rate in zip(ks, rates):
             assert rate == pytest.approx(-2.0 * k, abs=1e-3)
         summary = json.loads((tmp_path / "summary.json").read_text())
-        jsonschema.validate(summary, cli._summary_validator().schema)
+        jsonschema.validate(summary, cli._summary_schema())
         assert summary["status"] == "ok"
         assert len(summary["points"]) == 3
 
@@ -683,6 +686,28 @@ class TestExitCodes:
         assert "run.t_final" in err and "Traceback" not in err
         assert os.listdir(tmp_path) == ["config.yaml"]
 
+    @pytest.mark.parametrize("run, named, not_named", [
+        # dt divides t_final exactly, into 1e16 steps
+        ({"dt": 1e-10, "t_final": 1e6, "stride": 1},
+         "run.dt = 1e-10 over run.t_final = 1000000.0 takes 1e+16 steps",
+         "does not divide"),
+        # the stride, not t_final, sets the count of the default dt
+        ({"t_final": 0.2, "stride": 10 ** 18},
+         "in strides of run.stride = 1000000000000000000 with the default "
+         "dt takes 1e+18 steps", "too long"),
+    ], ids=["dt", "stride"])
+    def test_a_count_past_2_53_names_its_cause(self, tmp_path, capsys,
+                                               command, run, named,
+                                               not_named):
+        raw = base_config_dict(tmp_path)
+        raw["run"] = run
+        raw["checks"] = ["L2", "DECAY"]
+        assert gg(command, write_config(tmp_path, raw)) == 2
+        err = capsys.readouterr().err
+        assert named in err and "fewer than 2**53" in err
+        assert not_named not in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == ["config.yaml"]
+
     def test_coefficient_gate_precedes_the_default_dt(self, tmp_path,
                                                       capsys, command):
         # the default step of a3 = 1e300 would take 5e301 steps: the gate
@@ -763,7 +788,7 @@ class TestExitCodes:
         code = gg(command, path)
         captured = capsys.readouterr()
         summary = json.loads((tmp_path / "summary.json").read_text())
-        jsonschema.validate(summary, cli._summary_validator().schema)
+        jsonschema.validate(summary, cli._summary_schema())
         assert code == cli.EXIT_CODES[summary["status"]]
         assert f"wrote {tmp_path / 'summary.json'}" in captured.out
         if command == "verify":  # a blow-up inside a check fails the check
@@ -928,7 +953,7 @@ class TestOverflowingInputs:
                 if r is None]
         assert null and all(f"{i} relative residual nan is not finite"
                             in err for i in null)
-        jsonschema.validate(summary, cli._summary_validator().schema)
+        jsonschema.validate(summary, cli._summary_schema())
 
     @pytest.mark.parametrize("command, k, axis", [
         ("run", 1e300, []), ("run", 1e155, []),
@@ -954,19 +979,173 @@ class TestOverflowingInputs:
         load_finite_json(tmp_path / "summary.json")
 
 
+@pytest.fixture(scope="module")
+def summaries(tmp_path_factory):
+    """The summaries of a tiny `gg run`, `gg verify` and `gg sweep`."""
+    out = {}
+    for command, extra in (("run", []), ("verify", []),
+                           ("sweep", ["--axis", "k=0.5,1.0"])):
+        tmp_path = tmp_path_factory.mktemp(command)
+        raw = base_config_dict(tmp_path)
+        raw["initial"]["amplitude"] = 1e-5  # linear regime for the fits
+        if command == "verify":
+            raw["checks"] = ["L2", "GEN_N", "H1", "POINCARE", "DECAY"]
+        assert cli.main([command, write_config(tmp_path, raw), *extra]) == 0
+        out[command] = json.loads((tmp_path / "summary.json").read_text())
+    return out
+
+
+def _nodes(value, path=()):
+    """(path, value) of every node of a JSON value, the root first."""
+    yield path, value
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _nodes(item, path + (key,))
+
+
+# values of every JSON type, the enum and const values among them
+_SWAPS = [None, True, False, 0, 1, 2, -1, 8, 1.0, 0.5, -0.5, 0.0, -0.0,
+          "", "ok", "run", "blow_up", "bogus", [], [0.0, 1.0], {},
+          {"extra": 1.0}]
+
+
+def _mutate(draw, summary):
+    """Change one node of `summary` in place, or return a new root."""
+    path, value = draw(st.sampled_from(list(_nodes(summary))))
+    kinds = ["swap"]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        kinds += ["float", "bool", "non-finite"]
+    if isinstance(value, dict):
+        kinds += ["add", "drop"] if value else ["add"]
+    if isinstance(value, list):
+        kinds += ["grow", "shrink"] if value else ["grow"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "float":  # an int as a float, integral or not
+        value = float(value) + draw(st.sampled_from([0.0, 0.5]))
+    elif kind == "bool":
+        value = draw(st.booleans())
+    elif kind == "non-finite":
+        value = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind == "add":  # a key unknown, or one another node knows
+        key = draw(st.sampled_from(["extra", "n_points", "a1", "dt", "x"]))
+        value[key] = draw(st.sampled_from(_SWAPS))
+    elif kind == "drop":
+        value.pop(draw(st.sampled_from(sorted(value))))
+    elif kind == "grow":  # a window of 3, or an item of another type
+        value.append(copy.deepcopy(draw(st.sampled_from(value + _SWAPS))))
+    elif kind == "shrink":
+        value.pop(draw(st.integers(0, len(value) - 1)))
+    else:
+        value = copy.deepcopy(draw(st.sampled_from(_SWAPS)))
+    return _replace(summary, path, value)
+
+
+def _replace(summary, path, value):
+    """`summary` with its node at `path` set to `value`, in place."""
+    if not path:
+        return value
+    parent = summary
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return summary
+
+
+def checker_accepts(summary) -> bool:
+    try:
+        cli._check(summary, cli._summary_schema())
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_checker_agrees_with_draft7_on_mutated_summaries(summaries, data):
+    validator = jsonschema.Draft7Validator(cli._summary_schema())
+    summary = copy.deepcopy(summaries[data.draw(
+        st.sampled_from(sorted(summaries)))])
+    for _ in range(data.draw(st.integers(1, 3))):
+        summary = _mutate(data.draw, summary)
+    assert checker_accepts(summary) == validator.is_valid(summary)
+
+
 class TestSchema:
     def test_shipped_schema_is_valid_draft7(self):
-        schema = cli._summary_validator().schema
+        schema = cli._summary_schema()
         jsonschema.Draft7Validator.check_schema(schema)
 
     def test_summary_missing_required_fails(self):
-        with pytest.raises(jsonschema.ValidationError):
+        with pytest.raises(ValueError, match=r"summary \$ fails required"):
             cli.write_summary(None, {"schema_version": 1, "command": "run"})
 
     def test_exit_codes_cover_exactly_the_summary_statuses(self):
-        schema = cli._summary_validator().schema
+        schema = cli._summary_schema()
         statuses = schema["properties"]["status"]["enum"]
         assert sorted(cli.EXIT_CODES) == sorted(statuses)
+
+    def test_shipped_summaries_pass_both(self, summaries):
+        assert sorted(summaries) == ["run", "sweep", "verify"]
+        for summary in summaries.values():
+            jsonschema.validate(summary, cli._summary_schema())
+            assert checker_accepts(summary)
+
+    @pytest.mark.parametrize("path, value, valid", [
+        (("schema_version",), True, False),  # a bool is not the const 1
+        (("schema_version",), 1.0, True),
+        (("grid", "n_points"), 128.0, True),  # 1.0 is an integer
+        (("grid", "n_points"), True, False),  # a bool is no number
+        (("energy", "initial"), math.nan, True),  # NaN < 0 is false
+        (("run", "dt"), math.nan, True),  # so is NaN <= 0
+        (("run", "dt"), 0.0, False),
+        (("energy", "final"), -math.inf, False),
+        (("decay_fits", 0, "window"), [0.0], False),
+        (("command",), "bogus", False),
+    ])
+    def test_checker_matches_draft7_at_the_edges(self, summaries, path,
+                                                 value, valid):
+        summary = _replace(copy.deepcopy(summaries["run"]), path, value)
+        assert jsonschema.Draft7Validator(
+            cli._summary_schema()).is_valid(summary) is valid
+        assert checker_accepts(summary) is valid
+
+    def test_a_failure_names_the_path_and_the_keyword(self, summaries):
+        summary = copy.deepcopy(summaries["sweep"])
+        summary["points"][1]["status"] = "bogus"
+        with pytest.raises(ValueError, match=r"\$\.points\[1\]\.status "
+                                             "fails enum"):
+            cli.write_summary(None, summary)
+
+    @pytest.mark.parametrize("where", [
+        (), ("properties", "command"), ("properties", "grid", "properties",
+                                        "n_points")])
+    def test_checker_refuses_an_unimplemented_keyword(self, summaries,
+                                                      where):
+        schema = copy.deepcopy(cli._summary_schema())
+        node = schema
+        for key in where:
+            node = node[key]
+        node["pattern"] = "^.*$"  # Draft-7, and every value here matches it
+        for summary in summaries.values():
+            assert jsonschema.Draft7Validator(schema).is_valid(summary)
+            with pytest.raises(ValueError,
+                               match="unimplemented schema keyword pattern"):
+                cli._check(summary, schema)
+
+    def test_gg_runs_without_jsonschema(self, tmp_path):
+        path = write_config(tmp_path, base_config_dict(tmp_path))
+        script = ("import sys; sys.modules['jsonschema'] = None; "
+                  "from ggkdv import cli; sys.exit(cli.main(sys.argv[1:]))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script, "run", path],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        jsonschema.validate(summary, cli._summary_schema())
+        assert summary["status"] == "ok"
 
 
 @settings(max_examples=300, deadline=None)
