@@ -11,17 +11,17 @@ terms are folded into the nonlinear remainder, so tables depend only on
 
 The march never leaves the eigenbasis: `model.nonlinear_remainder` forms the
 flux from the products of w+ and w- and mixes it in physical space with the
-per-member matrix of `model.eigen_mixing`. On grids of up to
-`model.MATMUL_MAX_POINTS` points it moves between modes and grid by the two
-real matrices of `model.flux_transforms`, which `evolve` builds once per
-march beside its tables and drops when the march ends; larger grids use a
-pocketfft irfft/rfft pair. The route depends on the grid alone, not on the
-size of the ensemble. State and tables hold only the kept modes
-0..dealias_cutoff, since the dealiased nonlinear term is zero above the
-cutoff and so is the truncated initial state; observers get the state
-rotated back to (u, v) and padded to the full rfft length.
-The tables fold in the -i omega of the flux's derivative, and the 2 the
-final combination puts on w2.
+per-member matrix of `model.eigen_mixing`. Grids of up to
+`model.MATMUL_MAX_POINTS` points move between modes and grid by the two real
+matrices of `model.flux_transforms`, larger ones by a pocketfft irfft/rfft
+pair. `evolve` builds the matrices once per march beside its tables, and one
+`model.Workspace` of flux buffers and stage arrays: `_step` does every stage
+in place, so a step makes no array, and one np.errstate spans the march. State
+and tables hold only the kept modes 0..dealias_cutoff, since the dealiased
+nonlinear term is zero above the cutoff and so is the truncated initial state;
+observers get the state rotated back to (u, v) and padded to the full rfft
+length. The tables fold in the -i omega of the flux's derivative, and the 2
+the final combination puts on w2.
 
 `evolve` marches an ensemble: P members that share grid, dt, span and stride,
 each with its own coefficients and means. The state carries a member axis,
@@ -39,13 +39,15 @@ step of every run.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+import math
 
 import numpy as np
 
 from .model import (CoefficientError, SimState, ValidatedCoefficients,
-                    Violation, _dealiased_ddx, _rotate, eigen_mixing,
-                    flux_transforms, linear_rates, nonlinear_remainder)
+                    Violation, Workspace, _dealiased_ddx, _rotate,
+                    eigen_mixing, flux_transforms, linear_rates,
+                    nonlinear_remainder)
 from .spectral import GridSpec, SpectralField, truncate
 
 N_CONTOUR = 32  # trapezoid points on each circle of `contour_phi_means`
@@ -115,23 +117,25 @@ def step_count(span: float, dt: float, stride: int) -> int:
     return n_steps
 
 
-def _step(w: np.ndarray, tables, mix: np.ndarray, grid: GridSpec,
-          transforms) -> np.ndarray:
-    """One ETDRK4 step of the (P, 2, kept) eigenbasis state, under the six
-    (P, 2, kept) table rows, the (P, 2, 5) mixing matrices and the
-    `flux_transforms` of the grid (None for the FFT route)."""
+def _step(w: np.ndarray, tables, mix: np.ndarray, ws: Workspace) -> None:
+    """One ETDRK4 step of the (P, 2, kept) state `w`, in place, through the
+    stages of `ws`: bitwise a step by new arrays, by the same association."""
     exp_full, exp_half, q, w1, w2x2, w3 = tables
-    n0 = nonlinear_remainder(w, mix, grid, transforms)
-    half = exp_half * w
-    a = half + q * n0
-    na = nonlinear_remainder(a, mix, grid, transforms)
-    b = half + q * na
-    nb = nonlinear_remainder(b, mix, grid, transforms)
-    c = exp_half * a + q * (2.0 * nb - n0)
-    nc = nonlinear_remainder(c, mix, grid, transforms)
-    out = exp_full * w + w1 * n0 + w2x2 * (na + nb) + w3 * nc
-    out[..., 0] = 0.0  # means are conserved exactly; pin against drift
-    return out
+    n0, na, nb, nc, a, b, c, half, s = ws.stages
+    nonlinear_remainder(w, mix, ws, n0)
+    np.multiply(exp_half, w, out=half)
+    np.add(half, np.multiply(q, n0, out=a), out=a)  # half + q n0
+    nonlinear_remainder(a, mix, ws, na)
+    np.add(half, np.multiply(q, na, out=b), out=b)  # half + q na
+    nonlinear_remainder(b, mix, ws, nb)
+    np.multiply(q, np.subtract(np.multiply(2.0, nb, out=s), n0, out=s), out=s)
+    np.add(np.multiply(exp_half, a, out=c), s, out=c)  # + q (2 nb - n0)
+    nonlinear_remainder(c, mix, ws, nc)
+    # ((exp_full w + w1 n0) + w2x2 (na + nb)) + w3 nc
+    np.add(np.multiply(exp_full, w, out=w), np.multiply(w1, n0, out=s), out=w)
+    np.add(w, np.multiply(w2x2, np.add(na, nb, out=s), out=s), out=w)
+    np.add(w, np.multiply(w3, nc, out=s), out=w)
+    w[..., 0] = 0.0  # means are conserved exactly; pin against drift
 
 
 @dataclass
@@ -197,6 +201,7 @@ def evolve(states, coeffs, t_final: float, dt: float, observers=(),
                         mean_u=st.mean_u, mean_v=st.mean_v) for st in states]
     outcome = [None] * n_members
     member_steps = 0
+    caller = np.geterr()
 
     def observe(i: int, st: SimState):
         drift = max(abs(st.u.coeffs[0]), abs(st.v.coeffs[0]))
@@ -204,8 +209,9 @@ def evolve(states, coeffs, t_final: float, dt: float, observers=(),
         if drift > 1e-14:
             raise RuntimeError(f"mean drifted to {drift:.3e} at t = {st.t}")
         row = {}
-        for obs in observers:
-            row.update(obs(i, st))
+        with np.errstate(**caller):  # not the march's
+            for obs in observers:
+                row.update(obs(i, st))
         times[i].append(st.t)
         rows[i].append(row)
 
@@ -215,32 +221,32 @@ def evolve(states, coeffs, t_final: float, dt: float, observers=(),
     kept = grid.dealias_cutoff + 1
     w = _rotate(np.stack([np.stack([st.u.coeffs[:kept], st.v.coeffs[:kept]])
                           for st in current]))
-    for step in range(1, n_steps + 1):
-        # overflow is diagnosed via the finiteness check, not warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = _step(w, tables, mix, grid, transforms)
+    ws = Workspace(w, grid, transforms)
+    # overflow is diagnosed via the finiteness check, not warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, n_steps + 1):
+            _step(w, tables, mix, ws)
+            member_steps += live.size
+            t_now = t0 + step * dt
             # a finite sum proves every entry finite; only a non-finite one
             # (an overflow of finite entries included) needs the exact test
-            suspect = not np.isfinite(w.sum())
-        member_steps += live.size
-        t_now = t0 + step * dt
-        if suspect:
-            finite = np.isfinite(w).all(axis=(1, 2))
-            for i in live[~finite].tolist():
-                outcome[i] = BlowUpError(t_now)
-            live, w = live[finite], w[finite]
-            if not live.size:
-                break
-            tables, mix = tuple(row[finite] for row in tables), mix[finite]
-        if step % stride == 0:
-            uv = np.zeros((live.size, 2, grid.n_coeffs), dtype=np.complex128)
-            uv[..., :kept] = _rotate(w)
-            for row, i in enumerate(live.tolist()):
-                current[i] = SimState(u=SpectralField(grid, uv[row, 0]),
-                                      v=SpectralField(grid, uv[row, 1]),
-                                      t=t_now, mean_u=current[i].mean_u,
-                                      mean_v=current[i].mean_v)
-                observe(i, current[i])
+            if not math.isfinite(abs(w.sum())):
+                finite = np.isfinite(w).all(axis=(1, 2))
+                for i in live[~finite].tolist():
+                    outcome[i] = BlowUpError(t_now)
+                live, w = live[finite], w[finite]
+                if not live.size:
+                    break
+                tables = tuple(row[finite] for row in tables)
+                mix, ws = mix[finite], Workspace(w, grid, transforms)
+            if step % stride == 0:
+                uv = np.zeros((live.size, 2, grid.n_coeffs), np.complex128)
+                uv[..., :kept] = _rotate(w)
+                for row, i in enumerate(live.tolist()):
+                    current[i] = replace(current[i], t=t_now,
+                                         u=SpectralField(grid, uv[row, 0]),
+                                         v=SpectralField(grid, uv[row, 1]))
+                    observe(i, current[i])
 
     for i in live.tolist():
         keys = list(rows[i][0].keys())

@@ -12,16 +12,16 @@ regime in which the decay theory holds: r = 0, b1 = b2 = 1, and either a3 = 0
 with a1^2 + a2^2 = a1 + a2, or 0 < |a3| < 1 with a1 = a2 = 1.
 
 The linear part is diagonal in the eigenbasis w+- = (u +- v)/sqrt(2), and
-`_rotate` is that transform, both ways. The nonlinear terms are -d/dx of a
-flux quadratic in (u, v); written in the eigenbasis it is a fixed mix of
-the products of w+ and w- plus a mean-advection term linear in w+-, the
-one real matrix [Q | L] of `eigen_mixing`, applied in physical space.
-`nonlinear_remainder` evaluates it on the dealiased modes, for the time
-stepper and for `rhs` alike. It moves between modes and grid by one of two
-routes: a pocketfft irfft/rfft pair, or, given the matrices of
-`flux_transforms`, two small real matmuls. The stepper takes the matmul
-route on grids of up to MATMUL_MAX_POINTS points, where numpy's fixed cost
-per FFT call dominates, whatever the size of its ensemble; `rhs` always
+`_rotate` is that transform, both ways. The nonlinear terms are -d/dx of a flux
+quadratic in (u, v); written in the eigenbasis it is a fixed mix of the
+products of w+ and w- plus a mean-advection term linear in w+-, the one real
+matrix [Q | L] of `eigen_mixing`, applied in physical space.
+`nonlinear_remainder` evaluates it on the dealiased modes, for the time stepper
+and for `rhs` alike, in the reused buffers of a `Workspace`. It moves between
+modes and grid by one of two routes: a pocketfft irfft/rfft pair, or, given the
+matrices of `flux_transforms`, two small real matmuls. The stepper takes the
+matmul route on grids of up to MATMUL_MAX_POINTS points, where numpy's fixed
+cost per FFT call dominates, whatever the size of its ensemble; `rhs` always
 takes the FFT route.
 """
 from __future__ import annotations
@@ -258,40 +258,57 @@ def flux_transforms(grid: GridSpec):
     return synth.reshape(2 * kept, n), anal.reshape(n, 2 * kept)
 
 
-def nonlinear_remainder(w: np.ndarray, mix: np.ndarray, grid: GridSpec,
-                        transforms=None) -> np.ndarray:
+class Workspace:
+    """What a march of `w` (..., 2, kept) reuses every step: the flux's
+    buffers, nine `stages` like `w` for `integrator._step` (built on first
+    use), and on the matmul route the float views of `w` and the stages."""
+
+    def __init__(self, w: np.ndarray, grid: GridSpec, transforms=None):
+        self.grid, self.transforms, self.w = grid, transforms, w
+        self.buf = np.empty(w.shape[:-2] + (5, grid.n_points))
+        self.phys, self.squares = self.buf[..., 3:, :], self.buf[..., :2, :]
+        self.p, self.m, self.pm = (self.buf[..., i, :] for i in (3, 4, 2))
+        self.flux = np.empty(w.shape[:-2] + (2, grid.n_points))
+        self.reals = {} if transforms is None else {
+            id(x): x.view(np.float64) for x in (w,) + self.stages}
+
+    @functools.cached_property
+    def stages(self) -> tuple:
+        return tuple(np.empty((9,) + self.w.shape, dtype=np.complex128))
+
+
+def nonlinear_remainder(w: np.ndarray, mix: np.ndarray, ws: Workspace,
+                        out: np.ndarray) -> np.ndarray:
     """Flux of everything in the rhs except the stiff diagonal linear part.
 
-    Works in the eigenbasis on the kept modes 0..dealias_cutoff (hot path of
-    the time stepper), with any leading axes: `w` is (..., 2, kept) holding
-    (w+_hat, w-_hat), `mix` (..., 2, 5) is the [Q | L] of `eigen_mixing`.
-    Returns the flux F_hat, shaped like `w`; the nonlinear remainder itself
-    is -i omega F_hat, zero above the cutoff. The stepper folds -i omega
-    into its tables, and `rhs` applies it.
+    Works in the eigenbasis on the kept modes 0..dealias_cutoff, with any
+    leading axes: `w` is (..., 2, kept) holding (w+_hat, w-_hat), `mix`
+    (..., 2, 5) the [Q | L] of `eigen_mixing`, `ws` a `Workspace` for
+    arrays shaped like `w`. Writes the flux F_hat into `out`, shaped like
+    `w`, and returns it; the remainder itself is -i omega F_hat, which the
+    stepper folds into its tables and `rhs` applies.
 
-    Rows 3-4 of a (..., 5, n) buffer get p and m, rows 0-2 get pp, mm and
-    pm, and one real matmul by `mix` mixes the whole flux in physical space.
-    With `transforms` None, one batched irfft fills p and m and one batched
-    rfft takes the flux's two rows back. With the (synth, anal) pair of
-    `flux_transforms`, which needs `w` contiguous along its last axis, p and
-    m are `w` viewed as reals times synth, and the flux is the mixed rows
-    times anal viewed as complex: two matmuls in place of two FFT calls,
-    which agree with them to round-off of order eps n max|flux|. On either
-    route each leading index gets bitwise the numbers it would get alone.
-    The mean-advection terms ride along in L so that the exponential tables
-    depend only on (grid, a3, k, dt).
+    p and m fill rows 3-4 of the workspace's buffer, pp, mm and pm rows 0-2,
+    and one real matmul by `mix` mixes the flux in physical space. One
+    batched irfft and one rfft move between modes and grid; or, with the
+    (synth, anal) pair of `flux_transforms` in `ws`, two matmuls on the
+    float views of `w` and `out`, which must be `ws`'s state or stages.
+    The routes agree to round-off of order eps n max|flux|; on either, each
+    leading index gets bitwise what it would get alone. L carries the mean
+    advection, so the tables depend only on (grid, a3, k, dt).
     """
-    buf = np.empty(w.shape[:-2] + (5, grid.n_points))
-    phys = buf[..., 3:, :]
-    if transforms is None:
-        phys[...] = np.fft.irfft(w, n=grid.n_points, norm="forward")
+    if ws.transforms is None:
+        ws.phys[...] = np.fft.irfft(w, n=ws.grid.n_points, norm="forward")
     else:
-        np.matmul(w.view(np.float64), transforms[0], out=phys)
-    np.multiply(phys, phys, out=buf[..., :2, :])
-    np.multiply(buf[..., 3, :], buf[..., 4, :], out=buf[..., 2, :])
-    if transforms is None:
-        return np.fft.rfft(mix @ buf, norm="forward")[..., :w.shape[-1]]
-    return ((mix @ buf) @ transforms[1]).view(np.complex128)
+        np.matmul(ws.reals[id(w)], ws.transforms[0], out=ws.phys)
+    np.multiply(ws.phys, ws.phys, out=ws.squares)
+    np.multiply(ws.p, ws.m, out=ws.pm)
+    np.matmul(mix, ws.buf, out=ws.flux)
+    if ws.transforms is None:  # NumPy 1.24's rfft takes no out=
+        out[...] = np.fft.rfft(ws.flux, norm="forward")[..., :w.shape[-1]]
+    else:
+        np.matmul(ws.flux, ws.transforms[1], out=ws.reals[id(out)])
+    return out
 
 
 def linear_rates(grid: GridSpec, c: ValidatedCoefficients) -> np.ndarray:
@@ -317,7 +334,9 @@ def rhs(state: SimState, c: ValidatedCoefficients
     grid = state.grid
     kept = grid.dealias_cutoff + 1  # rhs of the truncated state: 0 above
     uv = np.stack([state.u.coeffs[:kept], state.v.coeffs[:kept]])
-    flux = nonlinear_remainder(_rotate(uv), eigen_mixing(state, c), grid)
+    w = _rotate(uv)
+    flux = nonlinear_remainder(w, eigen_mixing(state, c), Workspace(w, grid),
+                               np.empty_like(w))
     disp = (1j * (TWO_PI * np.arange(kept))) ** 3
     damp = np.full(kept, c.k)
     damp[0] = 0.0

@@ -90,7 +90,7 @@ def test_criterion_2_mean_conservation():
 def test_criterion_3_linearized_oracle(monkeypatch):
     # a zero flux leaves the linear part of each step alone
     monkeypatch.setattr(integrator, "nonlinear_remainder",
-                        lambda w, mix, grid, transforms: np.zeros_like(w))
+                        lambda w, mix, ws, out: out.fill(0.0))
     grid = make_grid(64)
     worst, cases = 0.0, []
     for a3 in (0.0, 0.5, 0.9):

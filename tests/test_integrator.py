@@ -1,5 +1,6 @@
 """Time stepper: phi-coefficient accuracy, convergence, and run mechanics."""
 import math
+import warnings
 
 from hypothesis import assume, example, given, settings, strategies as st
 import numpy as np
@@ -13,6 +14,7 @@ from etd_reference import reference_march, reference_tables
 import functionals_reference as fn
 from linear_reference import linear_exact_solution
 from step_grid_reference import loader_step_count
+import step_reference
 
 
 def random_state(grid, seed=5, amp=0.5, kmax=6):
@@ -102,7 +104,7 @@ class TestLinearEvolution:
                                                   monkeypatch):
         # a zero flux leaves the linear part of the step alone
         monkeypatch.setattr(ti, "nonlinear_remainder",
-                            lambda w, mix, grid, transforms: np.zeros_like(w))
+                            lambda w, mix, ws, out: out.fill(0.0))
         st = random_state(grid64)
         dt = 1e-3
         stepped = ti.evolve([st], [coeffs_coupled], dt,
@@ -571,3 +573,84 @@ class TestEnsembleOracle:
         run = ti.evolve(states, [coeffs_coupled] * 3, 0.01, 1e-3)
         assert run.meta["n_steps"] == 30
         assert all(run[i].meta["n_steps"] == 10 for i in range(3))
+
+
+class TestInPlaceStep:
+    """`_step` through one reused `Workspace` against the allocating step
+    of `step_reference`, and the march's workspace and error state."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(4, 128).map(lambda half: sp.make_grid(2 * half))
+           .flatmap(lambda grid: st.lists(ensemble_member(grid), min_size=1,
+                                          max_size=5)),
+           st.booleans(), st.sampled_from([1e-3, 1e-2]))
+    def test_in_place_step_equals_the_allocating_step(self, members, fft,
+                                                      dt):
+        grid = members[0][0].grid
+        kept = grid.dealias_cutoff + 1
+        tables = tuple(np.stack([ti.build_tables(grid, c, dt)
+                                 for _, c in members], axis=1))
+        mix = np.stack([model.eigen_mixing(s, c) for s, c in members])
+        transforms = None if fft else model.flux_transforms(grid)
+        want = model._rotate(np.stack([
+            np.stack([s.u.coeffs[:kept], s.v.coeffs[:kept]])
+            for s, _ in members]))
+        w = want.copy()
+        ws = model.Workspace(w, grid, transforms)
+        for _ in range(2):  # the second step reuses every stage
+            want = step_reference.step(want, tables, mix, grid, transforms)
+            ti._step(w, tables, mix, ws)
+            np.testing.assert_array_equal(w, want)
+
+    def test_a_march_builds_one_workspace_per_ensemble(
+            self, monkeypatch, grid64, coeffs_coupled):
+        built = []
+
+        def counted(w, *args):
+            built.append(len(w))
+            return model.Workspace(w, *args)
+        monkeypatch.setattr(ti, "Workspace", counted)
+        calm = random_smooth_state(grid64, seed=1, amplitude=0.3)
+        wild = make_sine_state(grid64, amp=500.0)
+        ti.evolve([calm, calm], [coeffs_coupled] * 2, 0.05, 1e-3)
+        assert built == [2]
+        built.clear()  # one member blows up: the other two march on
+        run = ti.evolve([calm, wild, calm], [coeffs_coupled] * 3, 0.05, 1e-3)
+        assert isinstance(run.members[1], ti.BlowUpError)
+        assert built == [3, 2]
+        built.clear()  # every member blows up: nothing is left to rebuild
+        run = ti.evolve([wild], [coeffs_coupled], 0.05, 1e-3)
+        assert isinstance(run.members[0], ti.BlowUpError)
+        assert built == [1]
+
+    @pytest.mark.parametrize("caller", [  # numpy's defaults, and raising
+        dict(divide="warn", over="warn", under="ignore", invalid="warn"),
+        dict(divide="raise", over="raise", under="ignore", invalid="raise")])
+    def test_evolve_restores_the_error_state(self, monkeypatch, grid64,
+                                             coeffs_coupled, caller):
+        calm = random_smooth_state(grid64, seed=1, amplitude=0.3)
+        wild = make_sine_state(grid64, amp=500.0)
+        step = ti._step
+
+        def drifting(w, *args):
+            step(w, *args)
+            w[..., 0] = 1e-3
+
+        with np.errstate(**caller):
+            before = np.geterr()
+            seen = []  # observers run under the caller's error state
+            ti.evolve([calm], [coeffs_coupled], 0.01, 1e-3, stride=5,
+                      observers=[lambda i, s: seen.append(np.geterr()) or {}])
+            assert seen == [before] * 3 and np.geterr() == before
+            # overflow in the march is neither warned of nor raised
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run = ti.evolve([wild], [coeffs_coupled], 0.05, 1e-3,
+                                stride=50)
+            assert isinstance(run.members[0], ti.BlowUpError)
+            assert not caught
+            assert np.geterr() == before
+            monkeypatch.setattr(ti, "_step", drifting)
+            with pytest.raises(RuntimeError, match="mean drifted"):
+                ti.evolve([calm], [coeffs_coupled], 0.01, 1e-3, stride=2)
+            assert np.geterr() == before

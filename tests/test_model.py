@@ -13,6 +13,7 @@ from ggkdv.model import (CoefficientSet, CoefficientError,
 
 from conftest import make_sine_state
 import etd_reference
+import step_reference
 from linear_reference import linear_symbol
 from spectral_reference import zeros
 
@@ -280,6 +281,12 @@ def term_member(draw, grid):
     return state, model.validate_coefficients(coeffs)
 
 
+def flux_of(w, mix, grid, transforms=None):
+    """`model.nonlinear_remainder` of `w` through a new `Workspace`."""
+    ws = model.Workspace(w, grid, transforms)
+    return model.nonlinear_remainder(w, mix, ws, ws.stages[0])
+
+
 class TestNonlinearRemainder:
     """The eigenbasis flux against the (u, v) term of the serial reference."""
 
@@ -300,8 +307,7 @@ class TestNonlinearRemainder:
             state.u.coeffs, state.v.coeffs, state.mean_u, state.mean_v, c,
             grid)
         w = model._rotate(np.stack([state.u.coeffs, state.v.coeffs])[:, :kept])
-        flux = model.nonlinear_remainder(w, model.eigen_mixing(state, c),
-                                         grid)
+        flux = flux_of(w, model.eigen_mixing(state, c), grid)
         omega = sp.TWO_PI * np.arange(kept)
         got = model._rotate(-1j * omega * flux)
         size = (np.max(np.abs(state.u.samples()))
@@ -336,8 +342,8 @@ class TestFluxTransforms:
                                     [:, :kept]) for s, _ in members])
         mix = np.stack([model.eigen_mixing(s, c) for s, c in members])
         transforms = model.flux_transforms(grid)
-        got = model.nonlinear_remainder(w, mix, grid, transforms)
-        want = model.nonlinear_remainder(w, mix, grid)
+        got = flux_of(w, mix, grid, transforms)
+        want = flux_of(w, mix, grid)
         p, m = np.moveaxis(np.fft.irfft(w, n=grid.n_points, norm="forward"),
                            -2, 0)
         flux = mix @ np.stack([p * p, m * m, p * m, p, m], axis=-2)
@@ -347,7 +353,7 @@ class TestFluxTransforms:
         assert np.all(np.abs(got - want) <= bound[:, None, None])
         for i in range(len(members)):
             np.testing.assert_array_equal(
-                model.nonlinear_remainder(w[i], mix[i], grid, transforms),
+                flux_of(w[i], mix[i], grid, transforms),
                 got[i])
 
     # Entries against the exact DFT, in extended precision where the
@@ -380,3 +386,38 @@ class TestFluxTransforms:
             sp.make_grid(model.MATMUL_MAX_POINTS)) is not None
         assert model.flux_transforms(
             sp.make_grid(model.MATMUL_MAX_POINTS + 2)) is None
+
+
+class TestWorkspaceFlux:
+    """The flux through one reused `Workspace` against the allocating flux
+    of `step_reference`, bitwise, on both routes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid=st.integers(4, 128).map(lambda half: sp.make_grid(2 * half)),
+           n_members=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
+           matmul=st.booleans(), poison=st.lists(
+               st.sampled_from((None, np.inf, -np.inf, np.nan)),
+               min_size=5, max_size=5))
+    def test_workspace_flux_equals_the_allocating_flux(
+            self, grid, n_members, seed, matmul, poison):
+        rng = np.random.default_rng(seed)
+        kept = grid.dealias_cutoff + 1
+        w = rng.standard_normal((n_members, 2, 2 * kept)).view(np.complex128)
+        mix = rng.standard_normal((n_members, 2, 5))
+        for i, value in enumerate(poison[:n_members]):
+            if value is not None:  # a member holding inf or NaN
+                w[i, rng.integers(2), rng.integers(kept)] = value
+        # above MATMUL_MAX_POINTS there are no matrices: the FFT route
+        transforms = model.flux_transforms(grid) if matmul else None
+        ws = model.Workspace(w, grid, transforms)
+        first, second = ws.stages[:2]
+        with np.errstate(all="ignore"):
+            want = step_reference.nonlinear_remainder(w, mix, grid,
+                                                      transforms)
+            np.testing.assert_array_equal(
+                model.nonlinear_remainder(w, mix, ws, first), want)
+            # as in a step, one stage's flux is the next call's input
+            np.testing.assert_array_equal(
+                model.nonlinear_remainder(first, mix, ws, second),
+                step_reference.nonlinear_remainder(want, mix, grid,
+                                                   transforms))
