@@ -36,8 +36,8 @@ from .config import (ConfigError, ExperimentConfig, apply_overrides,
                      atomic_write_text, build_initial_state, load_config)
 from .integrator import BlowUpError, DiagnosticSeries, evolve
 from .model import (CoefficientError, SimState, ValidatedCoefficients,
-                    check_coefficients, random_smooth_field,
-                    random_smooth_state, scale_state, validate_coefficients)
+                    random_smooth_field, random_smooth_state, scale_state,
+                    validate_coefficients)
 from .spectral import make_grid
 from .verification import (ZERO_MEAN_CHECKS, check_identities,
                            fit_decay_rate, identity_reports, observe,
@@ -198,9 +198,8 @@ def _remove_stale(path: str | None) -> None:
 
 
 def _summary(command: str, status: str, cfg: ExperimentConfig,
-             **rest) -> dict:
-    coefficients = cfg.coefficients.to_dict()
-    coefficients["branch"] = validate_coefficients(cfg.coefficients).branch
+             c: ValidatedCoefficients, **rest) -> dict:
+    coefficients = {**c.to_dict(), "branch": c.branch}
     grid = make_grid(cfg.n_points)
     return {"schema_version": 1, "command": command, "status": status,
             "grid": {"n_points": grid.n_points, "n_modes": grid.n_modes,
@@ -241,40 +240,38 @@ class RunResult:
 
 
 class _Point(NamedTuple):
-    """One config, ready to march."""
+    """One config, admitted and ready to march."""
 
     cfg: ExperimentConfig
     c: ValidatedCoefficients
+    dt: float
     state: SimState
     identity_ids: list  # exact identities tracked along the trajectory
     skipped: list       # ZERO_MEAN_CHECKS dropped: the initial means are not 0
-    dt: float
+    columns: tuple | None  # None: the whole record; ("energy",): t, energy
 
 
 def _prepare(cfg: ExperimentConfig, record: bool) -> _Point:
-    c = validate_coefficients(cfg.coefficients)
+    """Admit a config: the coefficient gate, then the step, either refusing
+    it before anything runs. With `record` False, t and energy are kept."""
+    c, dt = validate_coefficients(cfg.coefficients), cfg.resolved_dt()
     state = build_initial_state(cfg)
     checks, skipped = (cfg.checks if record else ()), []
     if state.mean_u != 0.0 or state.mean_v != 0.0:
         skipped = [check for check in ZERO_MEAN_CHECKS if check in checks]
         checks = [check for check in checks if check not in ZERO_MEAN_CHECKS]
-    return _Point(cfg, c, state, check_identities(checks, cfg.n_max)[0],
-                  skipped, cfg.resolved_dt())
+    return _Point(cfg, c, dt, state, check_identities(checks, cfg.n_max)[0],
+                  skipped, None if record else ("energy",))
 
 
-def run_experiment(cfgs, record=True) -> list:
-    """Validate, build grid and initial state, march, and fit decay rates for
-    each config, tracking the exact identities of its checks on its march.
-
-    With `record` False only t and the energy are observed (no identity),
-    and only the energy decay rate is fitted. Configs that share grid, span,
-    stride and resolved dt march as one ensemble; each gets bitwise the
-    numbers of a lone march. Returns, per config in order, its RunResult or
-    the BlowUpError naming the time at which its state first became
-    non-finite. Raises CoefficientError for an inadmissible coefficient set.
+def run_experiment(points: list) -> list:
+    """March each prepared point and fit its decay rates, tracking the exact
+    identities of its checks on its march (with `columns` set, none: only
+    the energy decay rate is fitted). Points that share grid, span, stride
+    and dt march as one ensemble; each gets bitwise the numbers of a lone
+    march. Returns, per point in order, its RunResult or the BlowUpError
+    naming the time at which its state first became non-finite.
     """
-    points = [_prepare(cfg, record) for cfg in cfgs]
-    columns = None if record else ("energy",)
     groups = {}
     for index, p in enumerate(points):
         key = (p.cfg.n_points, p.cfg.t_final, p.cfg.stride, p.dt)
@@ -292,7 +289,7 @@ def run_experiment(cfgs, record=True) -> list:
         def observer(i, st):
             p = group[i]
             row, reports = observe(st, p.c, p.identity_ids, p.cfg.n_max,
-                                   columns)
+                                   p.columns)
             for key, rep in reports.items():
                 sides[members[i]][key][0].append(abs(rep.lhs - rep.rhs))
                 sides[members[i]][key][1].append(rep.normalizer)
@@ -324,13 +321,22 @@ def _measure(p: _Point, series: DiagnosticSeries, sides: dict) -> RunResult:
                      fits=fits, fit_errors=fit_errors)
 
 
+def _energy_fit(result) -> tuple:
+    """(the energy decay fit of a march, None) or (None, why it has none)."""
+    if isinstance(result, BlowUpError):
+        return None, f"blow-up at t = {result.time:.6g}"
+    fit = result.fits.get("energy")
+    return fit, None if fit else f"fit failed: {result.fit_errors['energy']}"
+
+
 def cmd_run(cfg: ExperimentConfig) -> tuple:
-    result = run_experiment([cfg])[0]
+    p = _prepare(cfg, True)
+    result = run_experiment([p])[0]
     if isinstance(result, BlowUpError):
         _remove_stale(cfg.csv_path)
         _remove_stale(cfg.plot_path)
         write_summary(cfg.summary_path, _summary(
-            "run", "blow_up", cfg, run=None, energy=None,
+            "run", "blow_up", cfg, p.c, run=None, energy=None,
             blow_up_time=result.time))
         return "blow_up", BLOW_UP_TEXT.format(result.time)
     series, meta = result.series, result.series.meta
@@ -342,7 +348,7 @@ def cmd_run(cfg: ExperimentConfig) -> tuple:
     status = "ok" if not offenders else "identity_failure"
     energy_col = series.columns["energy"]
     summary = _summary(
-        "run", status, cfg,
+        "run", status, cfg, p.c,
         run={"dt": meta["dt"], "t_final": cfg.t_final,
              "stride": meta["stride"], "n_steps": meta["n_steps"],
              "n_observations": len(series.t),
@@ -372,8 +378,7 @@ def cmd_run(cfg: ExperimentConfig) -> tuple:
 def cmd_verify(cfg: ExperimentConfig) -> tuple:
     c = validate_coefficients(cfg.coefficients)
     grid = make_grid(cfg.n_points)
-    if "DECAY" in cfg.checks:
-        cfg.resolved_dt()  # a refused run section exits 2 up front
+    decay = _prepare(cfg, False) if "DECAY" in cfg.checks else None
     vs = cfg.verify
     states = [random_smooth_state(grid, seed=vs.seed + i,
                                   amplitude=vs.amplitude, kmax=vs.kmax)
@@ -429,23 +434,16 @@ def cmd_verify(cfg: ExperimentConfig) -> tuple:
             f"{vs.product_fields} field pairs, admissible exponents")
 
     fits = []
-    if "DECAY" in cfg.checks:
-        result = run_experiment([cfg], record=False)[0]
-        if isinstance(result, BlowUpError):
-            add("DECAY", False, None, None,
-                f"blow-up at t = {result.time:.6g}")
+    if decay is not None:
+        fit, why = _energy_fit(run_experiment([decay])[0])
+        if fit is None:
+            add("DECAY", False, None, None, why)
         else:
-            fit = result.fits.get("energy")
-            if fit is None:
-                add("DECAY", False, None, None,
-                    f"fit failed: {result.fit_errors['energy']}")
-            else:
-                fits.append(fit)
-                ok = (fit.fitted_rate <= -2.0 * 0.95 * c.k
-                      and fit.r_squared >= 0.99)
-                add("DECAY", ok, fit.fitted_rate, -2.0 * 0.95 * c.k,
-                    f"energy rate over window {fit.window}, "
-                    f"r^2 = {fit.r_squared:.6f}")
+            fits.append(fit)
+            ok = fit.fitted_rate <= -2.0 * 0.95 * c.k and fit.r_squared >= 0.99
+            add("DECAY", ok, fit.fitted_rate, -2.0 * 0.95 * c.k,
+                f"energy rate over window {fit.window}, "
+                f"r^2 = {fit.r_squared:.6f}")
 
     for entry in checks:
         tag = "PASS" if entry["passed"] else "FAIL"
@@ -454,7 +452,7 @@ def cmd_verify(cfg: ExperimentConfig) -> tuple:
     failures = [entry["check_id"] for entry in checks if not entry["passed"]]
     status = "ok" if not failures else "check_failure"
     write_summary(cfg.summary_path, _summary(
-        "verify", status, cfg, checks=checks,
+        "verify", status, cfg, c, checks=checks,
         decay_fits=[_fit_dict(f) for f in fits], failures=failures))
     return status, ("verification failed: " + ", ".join(failures)
                     if failures else "")
@@ -486,31 +484,26 @@ def cmd_sweep(cfg: ExperimentConfig, axis_args: list) -> tuple:
     axes = _parse_axes(axis_args)
     points = [dict(zip(axes, values))  # the first axis outermost
               for values in itertools.product(*axes.values())]
-    configs = [apply_overrides(cfg, point) for point in points]
-    validate_coefficients(cfg.coefficients)  # the summary reports this set
-    for point, point_cfg in zip(points, configs):
-        bad = check_coefficients(point_cfg.coefficients)
-        if bad:
-            names = ", ".join(v.constraint for v in bad)
-            raise ConfigError(f"sweep point {point} violates: {names}")
+    c = validate_coefficients(cfg.coefficients)  # the summary reports it
+    prepared = []
+    for point in points:
+        try:
+            prepared.append(_prepare(apply_overrides(cfg, point), False))
+        except CoefficientError as exc:
+            raise ConfigError(f"sweep point {point} violates: " + ", ".join(
+                v.constraint for v in exc.violations)) from None
 
     rows, blow_ups = [], []
-    results = run_experiment(configs, record=False)
-    for point_cfg, result in zip(configs, results):
-        row = {"status": "ok", "fitted_rate": None, "r_squared": None,
-               "target_rate": -2.0 * point_cfg.coefficients.k,
-               "blow_up_time": None}
-        if isinstance(result, BlowUpError):
-            blow_ups.append(result)
-            row.update(status="blow_up", blow_up_time=result.time)
-        else:
-            fit = result.fits.get("energy")
-            if fit is None:
-                row.update(status="fit_failed")
-            else:
-                row.update(fitted_rate=fit.fitted_rate,
-                           r_squared=fit.r_squared)
-        rows.append(row)
+    for p, result in zip(prepared, run_experiment(prepared)):
+        fit, _ = _energy_fit(result)
+        blown = isinstance(result, BlowUpError)
+        rows.append({"status": "blow_up" if blown else "ok" if fit
+                     else "fit_failed",
+                     "fitted_rate": fit and fit.fitted_rate,
+                     "r_squared": fit and fit.r_squared,
+                     "target_rate": -2.0 * p.c.k,
+                     "blow_up_time": result.time if blown else None})
+        blow_ups += [result] if blown else []
 
     if cfg.csv_path is not None:
         names = list(axes) + ["fitted_rate", "target_rate", "r_squared",
@@ -524,7 +517,7 @@ def cmd_sweep(cfg: ExperimentConfig, axis_args: list) -> tuple:
     status = ("ok" if not failed else "blow_up" if blow_ups
               else "check_failure")
     write_summary(cfg.summary_path, _summary(
-        "sweep", status, cfg,
+        "sweep", status, cfg, c,
         points=[{"point": point, **row} for point, row in zip(points, rows)]))
     for point, row in zip(points, rows):
         rate = ("" if row["fitted_rate"] is None

@@ -90,35 +90,32 @@ class ExperimentConfig:
         """`dt`, or else the advective step 0.4 / ((1 + |a3|) 2 pi n_modes)
         shortened so that whole strides tile [0, t_final]; either way a step
         that `integrator.step_count` accepts, else ConfigError."""
-        dt, count = self.dt, None
+        dt, t_final, stride = self.dt, self.t_final, self.stride
+        overflow = ConfigError(f"run.t_final = {t_final} is too long for the "
+                               "default dt: its step count overflows")
+        if dt is None:
+            scale = (1.0 + abs(self.coefficients.a3)) * 2.0 * math.pi
+            ratio = t_final / (0.4 / (scale * (self.n_points // 2)))
+            if not math.isfinite(ratio):
+                raise overflow
+            fewest = math.ceil(ratio)  # the count before whole strides
+            count = -(-max(stride, fewest) // stride) * stride
+            dt = t_final / count
+            head = (f"run.t_final = {t_final} in strides of run.stride = "
+                    f"{stride} with the default dt" if fewest < 2 ** 53 else
+                    f"run.t_final = {t_final} with the default dt")
+        else:
+            count = t_final / dt if dt > 0.0 else 0.0
+            head = f"run.dt = {dt} over run.t_final = {t_final}"
+        if count >= 2 ** 53:  # see step_count
+            raise ConfigError(f"{head} takes {count:.3g} steps; a run takes "
+                              "fewer than 2**53")
         try:
-            if dt is None:  # math.ceil raises OverflowError on an inf ratio
-                scale = (1.0 + abs(self.coefficients.a3)) * 2.0 * math.pi
-                ratio = self.t_final / (0.4 / (scale * (self.n_points // 2)))
-                n_steps = max(self.stride, math.ceil(ratio))
-                count = -(-n_steps // self.stride) * self.stride
-                dt = self.t_final / count
-            step_count(self.t_final, dt, self.stride)
-        except (ValueError, OverflowError):
-            if self.dt is not None:
-                count = self.t_final / dt if dt > 0.0 else 0.0
-            if count is not None and count >= 2 ** 53:  # see step_count
-                if self.dt is not None:
-                    head = f"run.dt = {dt} over run.t_final = {self.t_final}"
-                elif math.ceil(ratio) < 2 ** 53:  # the stride sets the count
-                    head = (f"run.t_final = {self.t_final} in strides of "
-                            f"run.stride = {self.stride} with the default dt")
-                else:
-                    head = f"run.t_final = {self.t_final} with the default dt"
-                raise ConfigError(f"{head} takes {count:.3g} steps; a run "
-                                  "takes fewer than 2**53") from None
-            if self.dt is None:
-                raise ConfigError(f"run.t_final = {self.t_final} is too long "
-                                  "for the default dt: its step count "
-                                  "overflows") from None
-            raise ConfigError(f"run.dt = {dt} does not divide run.t_final = "
-                              f"{self.t_final} into whole strides "
-                              f"(run.stride = {self.stride})") from None
+            step_count(t_final, dt, stride)
+        except ValueError:
+            raise (overflow if self.dt is None else ConfigError(
+                f"run.dt = {dt} does not divide run.t_final = {t_final} into "
+                f"whole strides (run.stride = {stride})")) from None
         return dt
 
 

@@ -390,7 +390,7 @@ class TestRunCommand:
         evolve([p.state], [p.c], cfg.t_final, p.dt, stride=cfg.stride,
                observers=[lambda i, st: states.append(st) or {}])
         reports = [observe(st, p.c, ids, cfg.n_max)[1] for st in states]
-        got = cli.run_experiment([cfg])[0].residuals
+        got = cli.run_experiment([p])[0].residuals
         assert len(states) == 11 and list(got) == ids
         for i in ids:
             defect = float(np.max([abs(r[i].lhs - r[i].rhs) for r in reports]))
@@ -1241,8 +1241,8 @@ class TestEnergyOnlyObservation:
                           "seed": 3}
         cfg = config_from_dict(raw)
         cfgs = [apply_overrides(cfg, {"k": k}) for k in ks]
-        full = cli.run_experiment(cfgs)
-        lean = cli.run_experiment(cfgs, record=False)
+        full = cli.run_experiment([cli._prepare(cfg, True) for cfg in cfgs])
+        lean = cli.run_experiment([cli._prepare(cfg, False) for cfg in cfgs])
         for whole, energy_only in zip(full, lean):
             series = energy_only.series
             assert list(series.columns) == ["t", "energy"]
