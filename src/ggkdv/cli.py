@@ -32,8 +32,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import (ConfigError, ExperimentConfig, apply_overrides,
-                     atomic_write_text, build_initial_state, load_config)
+from .config import (MAX_POINT_STEPS, ConfigError, ExperimentConfig,
+                     apply_overrides, atomic_write_text, build_initial_state,
+                     load_config)
 from .integrator import BlowUpError, DiagnosticSeries, evolve
 from .model import (CoefficientError, SimState, ValidatedCoefficients,
                     random_smooth_field, random_smooth_state, scale_state,
@@ -199,12 +200,11 @@ def _remove_stale(path: str | None) -> None:
 
 def _summary(command: str, status: str, cfg: ExperimentConfig,
              c: ValidatedCoefficients, **rest) -> dict:
-    coefficients = {**c.to_dict(), "branch": c.branch}
     grid = make_grid(cfg.n_points)
     return {"schema_version": 1, "command": command, "status": status,
             "grid": {"n_points": grid.n_points, "n_modes": grid.n_modes,
                      "dealias_cutoff": grid.dealias_cutoff},
-            "coefficients": coefficients, **rest}
+            "coefficients": {**c.to_dict(), "branch": c.branch}, **rest}
 
 
 def _check_summary_owner(cfg: ExperimentConfig, command: str) -> None:
@@ -253,7 +253,7 @@ class _Point(NamedTuple):
 
 def _prepare(cfg: ExperimentConfig, record: bool) -> _Point:
     """Admit a config: the coefficient gate, then the step, either refusing
-    it before anything runs. With `record` False, t and energy are kept."""
+    it before anything runs. `record` False observes only t and energy."""
     c, dt = validate_coefficients(cfg.coefficients), cfg.resolved_dt()
     state = build_initial_state(cfg)
     checks, skipped = (cfg.checks if record else ()), []
@@ -266,11 +266,11 @@ def _prepare(cfg: ExperimentConfig, record: bool) -> _Point:
 
 def run_experiment(points: list) -> list:
     """March each prepared point and fit its decay rates, tracking the exact
-    identities of its checks on its march (with `columns` set, none: only
-    the energy decay rate is fitted). Points that share grid, span, stride
-    and dt march as one ensemble; each gets bitwise the numbers of a lone
-    march. Returns, per point in order, its RunResult or the BlowUpError
-    naming the time at which its state first became non-finite.
+    identities of its checks along its march; a point whose `columns` are
+    set tracks none and fits only the energy. Points that share grid, span,
+    stride and dt march as one ensemble; each gets bitwise the numbers of a
+    lone march. Returns, per point in order, its RunResult or the
+    BlowUpError naming the time at which its state first became non-finite.
     """
     groups = {}
     for index, p in enumerate(points):
@@ -378,8 +378,13 @@ def cmd_run(cfg: ExperimentConfig) -> tuple:
 def cmd_verify(cfg: ExperimentConfig) -> tuple:
     c = validate_coefficients(cfg.coefficients)
     grid = make_grid(cfg.n_points)
-    decay = _prepare(cfg, False) if "DECAY" in cfg.checks else None
     vs = cfg.verify
+    # the cubic H1, H2 identities are exact only while 2 kmax <= the cutoff
+    limit = grid.dealias_cutoff // (1 + bool({"H1", "H2"} & set(cfg.checks)))
+    if vs.kmax > limit:
+        raise ConfigError(f"verify.kmax = {vs.kmax} > {limit}: dealiasing "
+                          f"cutoff {grid.dealias_cutoff} (halved for H1, H2)")
+    decay = _prepare(cfg, False) if "DECAY" in cfg.checks else None
     states = [random_smooth_state(grid, seed=vs.seed + i,
                                   amplitude=vs.amplitude, kmax=vs.kmax)
               for i in range(vs.n_states)]
@@ -492,6 +497,10 @@ def cmd_sweep(cfg: ExperimentConfig, axis_args: list) -> tuple:
         except CoefficientError as exc:
             raise ConfigError(f"sweep point {point} violates: " + ", ".join(
                 v.constraint for v in exc.violations)) from None
+    work = sum(p.cfg.t_final / p.dt * p.cfg.n_points for p in prepared)
+    if work >= MAX_POINT_STEPS:
+        raise ConfigError(f"the --axis points take {work:.3g} point-steps; "
+                          f"a sweep takes fewer than {MAX_POINT_STEPS:.0e}")
 
     rows, blow_ups = [], []
     for p, result in zip(prepared, run_experiment(prepared)):

@@ -29,6 +29,9 @@ PRESETS = ("single-mode", "random-smooth", "two-soliton-like")
 DEFAULT_CHECKS = ("L2", "GEN_N", "H1", "H2", "POINCARE", "PRODUCT_BOUND",
                   "DECAY")
 MAX_N_POINTS = 65536  # a larger grid is refused, not left to fail in numpy
+# Steps x grid points a run may take: at 0.12-2.2 us per point-step (N = 32 to
+# 4096) 1e12 would march for 34 h or more; the shipped runs take at most 5e6.
+MAX_POINT_STEPS = 10 ** 12
 
 
 class ConfigError(ValueError):
@@ -102,7 +105,8 @@ class ExperimentConfig:
             count = -(-max(stride, fewest) // stride) * stride
             dt = t_final / count
             head = (f"run.t_final = {t_final} in strides of run.stride = "
-                    f"{stride} with the default dt" if fewest < 2 ** 53 else
+                    f"{stride} with the default dt"  # the stride alone is over
+                    if fewest * self.n_points < MAX_POINT_STEPS else
                     f"run.t_final = {t_final} with the default dt")
         else:
             count = t_final / dt if dt > 0.0 else 0.0
@@ -110,6 +114,10 @@ class ExperimentConfig:
         if count >= 2 ** 53:  # see step_count
             raise ConfigError(f"{head} takes {count:.3g} steps; a run takes "
                               "fewer than 2**53")
+        if count * self.n_points >= MAX_POINT_STEPS:
+            raise ConfigError(f"{head} takes {count:.3g} steps; a run takes "
+                              f"fewer than {MAX_POINT_STEPS:.0e} steps x "
+                              f"grid.n_points ({self.n_points})")
         try:
             step_count(t_final, dt, stride)
         except ValueError:
@@ -150,12 +158,10 @@ def _as_float(value, where: str) -> float:
 
 
 def _as_int(value, where: str) -> int:
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    number = _as_float(value, where)
+    number = _as_float(value, where)  # also refuses an int past the floats
     if not number.is_integer():
         raise ConfigError(f"{where} must be an integer, got {value!r}")
-    return int(number)
+    return value if isinstance(value, int) else int(number)
 
 
 def _as_str(value, where: str) -> str:
@@ -264,6 +270,9 @@ def _check_ranges(cfg: ExperimentConfig) -> None:
     for where, spec in (("initial", cfg.initial), ("verify", cfg.verify)):
         require(spec.kmax >= 1, f"{where}.kmax must be >= 1, got {spec.kmax}")
         require(spec.seed >= 0, f"{where}.seed must be >= 0, got {spec.seed}")
+    kmax, cutoff = cfg.initial.kmax, cfg.n_points // 3  # read by one preset
+    require(kmax <= cutoff or cfg.initial.preset != "random-smooth",
+            f"initial.kmax = {kmax} > {cutoff}, the dealiasing cutoff")
     named = {}  # each output file -> the first key that names it
     for key, path in (("csv", cfg.csv_path), ("summary", cfg.summary_path),
                       ("plot", cfg.plot_path)):

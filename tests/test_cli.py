@@ -7,6 +7,7 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -17,9 +18,10 @@ import pytest
 import yaml
 
 from ggkdv import cli, verification
-from ggkdv.config import (ConfigError, ExperimentConfig, InitialSpec,
-                          VerifySpec, apply_overrides, atomic_write_text,
-                          build_initial_state, config_from_dict, load_config)
+from ggkdv.config import (MAX_POINT_STEPS, ConfigError, ExperimentConfig,
+                          InitialSpec, VerifySpec, apply_overrides,
+                          atomic_write_text, build_initial_state,
+                          config_from_dict, load_config)
 from ggkdv.integrator import evolve, step_count
 from ggkdv.model import CoefficientSet
 from ggkdv.spectral import make_grid
@@ -177,6 +179,10 @@ def _json_like():
         max_leaves=6)
 
 
+# built once: a recursive strategy rebuilt at every draw dominates the test
+JSON_LIKE = _json_like()
+
+
 @st.composite
 def _known_key_configs(draw):
     """Mappings over the config's own sections and keys, each value either
@@ -188,10 +194,10 @@ def _known_key_configs(draw):
         if isinstance(section, dict) and draw(st.integers(0, 3)):
             keys = draw(st.lists(st.sampled_from(sorted(section)),
                                  unique=True))
-            raw[name] = {key: draw(st.just(section[key]) | _json_like())
+            raw[name] = {key: draw(st.just(section[key]) | JSON_LIKE)
                          for key in keys}
         else:
-            raw[name] = draw(st.just(section) | _json_like())
+            raw[name] = draw(st.just(section) | JSON_LIKE)
     return raw
 
 
@@ -222,7 +228,7 @@ def test_resolved_dt_tiles_the_run_or_names_the_key(t_final, dt, stride,
                                                     n_points, a3):
     """A step that tiles [0, t_final] in whole strides, fewer than 2**53 of
     them, and bitwise the old default arithmetic; or a ConfigError naming
-    the key at fault."""
+    the key at fault, also for a run of MAX_POINT_STEPS or more."""
     cfg = ExperimentConfig(n_points=n_points, coefficients=CoefficientSet(
         a1=1.0, a2=1.0, a3=a3, k=1.0), dt=dt, t_final=t_final, stride=stride)
     want = dt if dt is not None else default_step(t_final, stride, n_points,
@@ -233,10 +239,28 @@ def test_resolved_dt_tiles_the_run_or_names_the_key(t_final, dt, stride,
     except ConfigError as exc:
         key = "run.dt = " if dt is not None else "run.t_final = "
         assert str(exc).startswith(key)
-        assert count is None or count >= 2 ** 53
+        assert (count is None or count >= 2 ** 53
+                or count * n_points >= MAX_POINT_STEPS)
         return
     assert got == want
     assert step_count(t_final, got, stride) == count < 2 ** 53
+
+
+@pytest.mark.parametrize("preset, kmax, refused", [
+    ("random-smooth", 10, False), ("random-smooth", 11, True),
+    # no other preset reads kmax
+    ("single-mode", 11, False), ("two-soliton-like", 11, False),
+])
+def test_initial_kmax_past_the_cutoff_is_refused_where_read(tmp_path, preset,
+                                                            kmax, refused):
+    raw = base_config_dict(tmp_path)  # 32 points: the cutoff is 10
+    raw["initial"] = {"preset": preset, "amplitude": 0.1, "kmax": kmax}
+    if not refused:
+        assert config_from_dict(raw).initial.kmax == kmax
+        return
+    with pytest.raises(ConfigError, match=r"^initial\.kmax = 11 > 10, the "
+                                          "dealiasing cutoff$"):
+        config_from_dict(raw)
 
 
 class TestInitialPresets:
@@ -429,6 +453,20 @@ class TestRunCommand:
         assert summary["status"] == "blow_up"
         assert summary["blow_up_time"] == pytest.approx(0.03)
 
+    @pytest.mark.parametrize("mean", [{"mean_u": 0.2}, {"mean_v": -0.1}])
+    def test_nonzero_initial_mean_skips_h1_and_h2(self, tmp_path, mean):
+        raw = base_config_dict(tmp_path)
+        raw["initial"].update(mean)
+        raw["checks"] = ["L2", "GEN_N", "H1", "H2"]
+        assert cli.main(["run", write_config(tmp_path, raw)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["status"] == "ok"
+        assert list(summary["identity_residuals"]) == [
+            "L2", "GEN_N(0)", "GEN_N(1)", "GEN_N(2)"]
+        assert summary["failures"] == [
+            f"{name}: skipped (identities require zero-mean data)"
+            for name in ("H1", "H2")]
+
     def test_nonzero_mean_run_skips_h_batteries(self, tmp_path):
         raw = base_config_dict(tmp_path)
         raw["initial"] = {"preset": "two-soliton-like", "amplitude": 0.5}
@@ -486,6 +524,59 @@ class TestVerifyCommand:
                 "step count overflows") in err
         assert "Traceback" not in err
         assert os.listdir(tmp_path) == ["config.yaml"]
+
+    def test_a_failed_decay_fit_fails_the_check(self, tmp_path, capsys):
+        raw = base_config_dict(tmp_path)
+        raw["initial"]["amplitude"] = 0.0  # zero energy: no rate to fit
+        raw["checks"] = ["L2", "DECAY"]
+        assert cli.main(["verify", write_config(tmp_path, raw)]) == 4
+        assert "FAIL  DECAY" in capsys.readouterr().out
+        summary = load_finite_json(tmp_path / "summary.json")
+        jsonschema.validate(summary, cli._summary_schema())
+        decay, = [c for c in summary["checks"] if c["check_id"] == "DECAY"]
+        assert decay["value"] is None and not decay["passed"]
+        assert decay["detail"].startswith("fit failed: ")
+        assert summary["failures"] == ["DECAY"]
+        assert summary["decay_fits"] == []
+
+    H_CHECKS = ["L2", "GEN_N", "H1", "H2"]
+
+    @pytest.mark.parametrize("n_points, kmax, checks, code", [
+        # the cubic identities are exact only while 2 kmax <= the cutoff
+        (16, 2, H_CHECKS, 0), (16, 3, H_CHECKS, 2),
+        (32, 5, H_CHECKS, 0), (32, 6, H_CHECKS, 2),
+        (32, 6, ["H2"], 2),
+        # without H1 and H2 the seeded band may fill the cutoff, not pass it
+        (16, 5, ["L2", "GEN_N", "POINCARE", "PRODUCT_BOUND"], 0),
+        (16, 6, ["L2", "GEN_N", "POINCARE", "PRODUCT_BOUND"], 2),
+    ])
+    def test_seeded_band_is_refused_past_the_exact_range(
+            self, tmp_path, capsys, monkeypatch, n_points, kmax, checks,
+            code):
+        if code == 2:
+            monkeypatch.setattr(cli, "random_smooth_state", pytest.fail)
+        raw = base_config_dict(tmp_path)
+        raw["grid"]["n_points"] = n_points
+        raw["verify"]["kmax"] = kmax
+        raw["checks"] = checks
+        assert cli.main(["verify", write_config(tmp_path, raw)]) == code
+        if code == 2:
+            cutoff = n_points // 3
+            limit = cutoff // 2 if {"H1", "H2"} & set(checks) else cutoff
+            assert (f"verify.kmax = {kmax} > {limit}: dealiasing cutoff "
+                    f"{cutoff} (halved for H1, H2)"
+                    in capsys.readouterr().err)
+            assert os.listdir(tmp_path) == ["config.yaml"]
+
+    def test_gg_run_does_not_read_the_verify_band(self, tmp_path):
+        # the benchmark's smoke test runs decay.yaml at 32 points with the
+        # default verify.kmax of 8: gg verify refuses it, gg run does not
+        raw = base_config_dict(tmp_path)
+        raw["verify"]["kmax"] = 8
+        raw["checks"] = self.H_CHECKS
+        path = write_config(tmp_path, raw)
+        assert cli.main(["verify", path]) == 2
+        assert cli.main(["run", path]) == 0
 
     def test_failed_check_exit_4_names_identity(self, tmp_path, monkeypatch,
                                                 capsys):
@@ -554,6 +645,19 @@ class TestSweepCommand:
         path = self.sweep_config(tmp_path)
         assert cli.main(["sweep", path, "--axis", "k="]) == 2
         assert cli.main(["sweep", path, "--axis", "k=a,b"]) == 2
+
+    def test_points_past_the_work_bound_together_exit_2(self, tmp_path,
+                                                        capsys, monkeypatch):
+        # each point takes 2e10 steps of 32 points, 6.4e11: within the
+        # bound alone, past it together
+        monkeypatch.setattr(cli, "evolve", pytest.fail)
+        raw = base_config_dict(tmp_path, dt=1e-3, t_final=2e7, stride=1)
+        assert config_from_dict(raw).resolved_dt() == 1e-3
+        path = write_config(tmp_path, raw)
+        assert cli.main(["sweep", path, "--axis", "k=0.5,1.0"]) == 2
+        assert ("the --axis points take 1.28e+12 point-steps; a sweep takes "
+                "fewer than 1e+12") in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["config.yaml"]
 
     def test_invalid_point_exit_2(self, tmp_path, capsys):
         path = self.sweep_config(tmp_path)
@@ -706,6 +810,46 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert named in err and "fewer than 2**53" in err
         assert not_named not in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == ["config.yaml"]
+
+    @pytest.mark.parametrize("run, named", [
+        # fewer than 2**53 steps: before the bound, marches that never ended
+        ({"t_final": 1e13, "stride": 1}, "run.t_final = 10000000000000.0 "
+         "with the default dt takes 3.77e+15 steps"),
+        ({"t_final": 1e12, "dt": 1e-3, "stride": 1}, "run.dt = 0.001 over "
+         "run.t_final = 1000000000000.0 takes 1e+15 steps"),
+    ], ids=["default-dt", "explicit-dt"])
+    def test_a_run_past_the_work_bound_exits_2_at_once(
+            self, tmp_path, capsys, monkeypatch, command, run, named):
+        for name in ("evolve", "identity_reports", "random_smooth_state"):
+            monkeypatch.setattr(cli, name, pytest.fail)
+        raw = yaml.safe_load((ROOT / "configs/decay.yaml").read_text())
+        raw["grid"]["n_points"] = 32
+        raw["run"] = run
+        raw["checks"] = ["L2", "DECAY"]
+        raw["output"] = {key: str(tmp_path / os.path.basename(path))
+                         for key, path in raw["output"].items()}
+        path = write_config(tmp_path, raw)
+        start = time.perf_counter()
+        assert gg(command, path) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert (f"{named}; a run takes fewer than 1e+12 steps x "
+                "grid.n_points (32)") in err
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == ["config.yaml"]
+
+    def test_a_stride_past_the_floats_exit_2(self, tmp_path, capsys,
+                                             command):
+        # the default step divides t_final by a count of whole strides,
+        # which no float can hold
+        raw = base_config_dict(tmp_path)
+        raw["run"] = {"t_final": 0.2, "stride": 10 ** 400}
+        raw["checks"] = ["L2", "DECAY"]
+        assert gg(command, write_config(tmp_path, raw)) == 2
+        err = capsys.readouterr().err
+        assert "run.stride must be a finite number" in err
+        assert "Traceback" not in err
         assert os.listdir(tmp_path) == ["config.yaml"]
 
     def test_coefficient_gate_precedes_the_default_dt(self, tmp_path,
