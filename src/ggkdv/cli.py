@@ -32,18 +32,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import (MAX_POINT_STEPS, ConfigError, ExperimentConfig,
-                     apply_overrides, atomic_write_text, build_initial_state,
-                     load_config)
+from .config import (MAX_BATTERY_POINTS, MAX_POINT_STEPS, ConfigError,
+                     ExperimentConfig, apply_overrides, atomic_write_text,
+                     build_initial_state, load_config)
 from .integrator import BlowUpError, DiagnosticSeries, evolve
 from .model import (CoefficientError, SimState, ValidatedCoefficients,
                     random_smooth_field, random_smooth_state, scale_state,
                     validate_coefficients)
 from .spectral import make_grid
 from .verification import (ZERO_MEAN_CHECKS, check_identities,
-                           fit_decay_rate, identity_reports, observe,
-                           poincare_holder_violations,
-                           product_bound_violations)
+                           fit_decay_rate, observe_states, poincare_sweep,
+                           product_bound_sweep)
 
 # summary status -> exit code; the schema's `status` enum names the keys
 EXIT_CODES = {"ok": 0, "blow_up": 3, "identity_failure": 4,
@@ -56,6 +55,9 @@ EXACT_RESIDUAL_TOL = 1e-8
 # residual (cubic dropped terms over a quadratic normalizer), +/- 25%.
 APPROX_RATIO_WINDOW = (0.25, 0.75)
 POINCARE_EXPONENTS = (1.0, 2.0, 4.0, math.inf)
+# States, fields or field pairs that one step of a `gg verify` battery
+# evaluates together
+BATTERY_BLOCK = 2
 
 
 def _fmt(value) -> str:
@@ -286,14 +288,15 @@ def run_experiment(points: list) -> list:
     for (_, t_final, stride, dt), members in groups.items():
         group = [points[index] for index in members]
 
-        def observer(i, st):
+        def observer(i, block):
             p = group[i]
-            row, reports = observe(st, p.c, p.identity_ids, p.cfg.n_max,
-                                   p.columns)
+            rows, reports = observe_states(block, p.c, p.identity_ids,
+                                           p.cfg.n_max, p.columns)
             for key, rep in reports.items():
-                sides[members[i]][key][0].append(abs(rep.lhs - rep.rhs))
+                with np.errstate(over="ignore", invalid="ignore"):  # floats
+                    sides[members[i]][key][0].append(abs(rep.lhs - rep.rhs))
                 sides[members[i]][key][1].append(rep.normalizer)
-            return row
+            return rows
 
         run = evolve([p.state for p in group], [p.c for p in group],
                      t_final, dt, observers=[observer], stride=stride)
@@ -306,7 +309,8 @@ def run_experiment(points: list) -> list:
 def _measure(p: _Point, series: DiagnosticSeries, sides: dict) -> RunResult:
     """Run-level identity residuals and decay fits of one marched point: the
     energy and each seminorm of order 1 and up that the series holds."""
-    residuals = {i: float(np.max(defects)) / max(float(np.max(norms)), 1e-30)
+    residuals = {i: float(np.max(np.hstack(defects)))
+                 / max(float(np.max(np.hstack(norms))), 1e-30)
                  for i, (defects, norms) in sides.items()}
     fits, fit_errors = {}, {}
     seminorms = [f"seminorm_sq_{n}" for n in range(1, p.cfg.n_max + 1)]
@@ -375,6 +379,12 @@ def cmd_run(cfg: ExperimentConfig) -> tuple:
         for i, r in offenders.items())
 
 
+def _blocks(items) -> list:
+    """`items` in slices of at most BATTERY_BLOCK, in order."""
+    return [items[i:i + BATTERY_BLOCK]
+            for i in range(0, len(items), BATTERY_BLOCK)]
+
+
 def cmd_verify(cfg: ExperimentConfig) -> tuple:
     c = validate_coefficients(cfg.coefficients)
     grid = make_grid(cfg.n_points)
@@ -384,10 +394,17 @@ def cmd_verify(cfg: ExperimentConfig) -> tuple:
     if vs.kmax > limit:
         raise ConfigError(f"verify.kmax = {vs.kmax} > {limit}: dealiasing "
                           f"cutoff {grid.dealias_cutoff} (halved for H1, H2)")
+    exact, approx = check_identities(cfg.checks, cfg.n_max)
+    for key, runs in (("n_states", exact or approx),
+                      ("poincare_fields", "POINCARE" in cfg.checks),
+                      ("product_fields", "PRODUCT_BOUND" in cfg.checks)):
+        count = getattr(vs, key)
+        if runs and count * grid.n_points >= MAX_BATTERY_POINTS:
+            raise ConfigError(
+                f"verify.{key} = {count} on grid.n_points = {grid.n_points} "
+                f"takes {count * grid.n_points:.3g} field-points; a battery "
+                f"takes fewer than {MAX_BATTERY_POINTS:.0e}")
     decay = _prepare(cfg, False) if "DECAY" in cfg.checks else None
-    states = [random_smooth_state(grid, seed=vs.seed + i,
-                                  amplitude=vs.amplitude, kmax=vs.kmax)
-              for i in range(vs.n_states)]
 
     checks = []
 
@@ -399,42 +416,54 @@ def cmd_verify(cfg: ExperimentConfig) -> tuple:
                        "value": None if value is None else float(value),
                        "threshold": threshold, "detail": detail})
 
-    exact, approx = check_identities(cfg.checks, cfg.n_max)
-    full = [identity_reports(s, c, exact + approx) for s in states]
+    # per identity, the relative residual of each seeded state, and of its
+    # copy at half the amplitude, a block of states at a time
+    full = {i: np.empty(vs.n_states) for i in exact + approx}
+    half = {i: np.empty(vs.n_states) for i in approx}
+    for block in (_blocks(range(vs.n_states)) if full else ()):
+        states = [random_smooth_state(grid, seed=vs.seed + i,
+                                      amplitude=vs.amplitude, kmax=vs.kmax)
+                  for i in block]
+        for i, rep in observe_states(states, c, exact + approx, 0,
+                                     ())[1].items():
+            full[i][block.start:block.stop] = rep.relative_residual
+        if approx:
+            halved = [scale_state(s, 0.5) for s in states]
+            for i, rep in observe_states(halved, c, approx, 0, ())[1].items():
+                half[i][block.start:block.stop] = rep.relative_residual
     for identity_id in exact:
         # np.max, not max, so that a NaN anywhere reaches `add`
-        worst = float(np.max([r[identity_id].relative_residual for r in full]))
+        worst = float(np.max(full[identity_id]))
         add(identity_id, worst <= EXACT_RESIDUAL_TOL, worst,
-            EXACT_RESIDUAL_TOL, f"max over {len(full)} states")
-    if approx:
-        half = [identity_reports(scale_state(s, 0.5), c, approx)
-                for s in states]
-        lo, hi = APPROX_RATIO_WINDOW
-        for identity_id in approx:
-            ratios = [h[identity_id].relative_residual
-                      / max(f[identity_id].relative_residual, 1e-300)
-                      for f, h in zip(full, half)]
-            # np.median's float, NaN included, without its numpy.ma import
-            med = math.nan if any(map(math.isnan, ratios)) else median(ratios)
-            add(f"{identity_id} scaling", lo <= med <= hi, med, None,
-                f"median residual ratio under amplitude halving over "
-                f"{len(half)} states; want within [{lo}, {hi}]")
+            EXACT_RESIDUAL_TOL, f"max over {vs.n_states} states")
+    lo, hi = APPROX_RATIO_WINDOW
+    for identity_id in approx:
+        with np.errstate(over="ignore", invalid="ignore"):  # as floats
+            ratios = (half[identity_id] / np.maximum(full[identity_id],
+                                                     1e-300)).tolist()
+        # np.median's float, NaN included, without its numpy.ma import
+        med = math.nan if any(map(math.isnan, ratios)) else median(ratios)
+        add(f"{identity_id} scaling", lo <= med <= hi, med, None,
+            f"median residual ratio under amplitude halving over "
+            f"{vs.n_states} states; want within [{lo}, {hi}]")
     if "POINCARE" in cfg.checks:
         rng = np.random.default_rng(vs.seed)
         bad = 0
-        for _ in range(vs.poincare_fields):
-            f = random_smooth_field(grid, rng, kmax=vs.kmax)
-            bad += len(poincare_holder_violations(f, POINCARE_EXPONENTS))
+        for block in _blocks(range(vs.poincare_fields)):
+            fields = [random_smooth_field(grid, rng, kmax=vs.kmax)
+                      for _ in block]
+            bad += sum(map(len, poincare_sweep(fields, POINCARE_EXPONENTS)))
         add("POINCARE", bad == 0, bad, 0,
             f"{vs.poincare_fields} fields x "
             f"{len(POINCARE_EXPONENTS) ** 2} (p, q) pairs")
     if "PRODUCT_BOUND" in cfg.checks:
         rng = np.random.default_rng(vs.seed + 1)
         bad = 0
-        for _ in range(vs.product_fields):
-            u = random_smooth_field(grid, rng, kmax=vs.kmax)
-            v = random_smooth_field(grid, rng, kmax=vs.kmax)
-            bad += len(product_bound_violations(u, v))
+        for block in _blocks(range(vs.product_fields)):
+            pairs = [(random_smooth_field(grid, rng, kmax=vs.kmax),
+                      random_smooth_field(grid, rng, kmax=vs.kmax))
+                     for _ in block]
+            bad += sum(map(len, product_bound_sweep(pairs)))
         add("PRODUCT_BOUND", bad == 0, bad, 0,
             f"{vs.product_fields} field pairs, admissible exponents")
 

@@ -5,9 +5,9 @@ coefficients, initial condition, stepping, which checks to evaluate, output
 paths) lives in it, and unknown keys are rejected so committed fixtures
 cannot drift silently. `LAYOUT` maps the YAML sections to the config's
 fields. `ExperimentConfig.resolved_dt` picks the step of a run and passes it
-through `integrator.step_count`, which `evolve` applies too. The loader checks
-an explicit `run.dt` (the default waits for the coefficient gate) and the
-output paths, so a bad one exits 2 before anything runs.
+through `integrator.step_count`, which `evolve` applies too; a command
+resolves it only for what it marches, after the coefficient gate. The loader
+checks the output paths, so a bad one exits 2 before anything runs.
 """
 from __future__ import annotations
 
@@ -32,6 +32,10 @@ MAX_N_POINTS = 65536  # a larger grid is refused, not left to fail in numpy
 # Steps x grid points a run may take: at 0.12-2.2 us per point-step (N = 32 to
 # 4096) 1e12 would march for 34 h or more; the shipped runs take at most 5e6.
 MAX_POINT_STEPS = 10 ** 12
+# States, fields or field pairs x grid points that one `gg verify` battery may
+# take: at 0.19-150 us per field-point (N = 8 to 4096) 1e7 would take up to
+# 25 min and keep 2.5e8 bytes of residuals; the shipped batteries take 2.6e4.
+MAX_BATTERY_POINTS = 10 ** 7
 
 
 class ConfigError(ValueError):
@@ -265,8 +269,6 @@ def _check_ranges(cfg: ExperimentConfig) -> None:
     unknown = sorted(set(cfg.checks) - set(DEFAULT_CHECKS))
     require(not unknown, f"unknown checks {unknown}; "
                          f"allowed: {sorted(DEFAULT_CHECKS)}")
-    if cfg.dt is not None:  # the default step waits for the coefficient gate
-        cfg.resolved_dt()
     for where, spec in (("initial", cfg.initial), ("verify", cfg.verify)):
         require(spec.kmax >= 1, f"{where}.kmax must be >= 1, got {spec.kmax}")
         require(spec.seed >= 0, f"{where}.seed must be >= 0, got {spec.seed}")

@@ -10,11 +10,12 @@ alias-free padded quadrature. The H1 Lyapunov pair (f1, g1) satisfies
 (f2, g2, h2) satisfies (f2 + g2)' ~= -2k f2 + h2 up to higher-order terms,
 and h2 vanishes identically on both admissible coefficient branches.
 
-The identities in `verification` reuse these lists: GEN_N(n), H1_SUB(4.2)
+The identities (`identities`) reuse these lists: GEN_N(n), H1_SUB(4.2)
 and H2_SUB(5.2) take the seminorms as their functionals, H1_MAIN and
 H2_MAIN take f1, g1, f2, g2 and h2. `verification.observation_plan` compiles
-them with the record columns `observe` is asked for into one cached
-`IntegralPlan`; the lists are built only while a plan compiles.
+them with the record columns it is asked for into one cached `IntegralPlan`,
+which evaluates a stack of states at once; the lists are built only while a
+plan compiles.
 """
 from __future__ import annotations
 
@@ -22,8 +23,8 @@ import functools
 
 import numpy as np
 
-from .model import SimState, ValidatedCoefficients, rhs
-from .spectral import _parseval_weights, derivative, sample_rows
+from .model import ValidatedCoefficients, stacked_rhs
+from .spectral import TWO_PI, _parseval_weights, _row_bands, sample_rows
 
 
 # -- monomial calculus -------------------------------------------------------
@@ -57,20 +58,27 @@ def ddt_sum(monomials) -> tuple:
                  for coeff, factors in monomials for i in range(len(factors)))
 
 
+# Samples in one chunk of products: the buffers of `IntegralPlan.values`
+# stay near the size one state's products took, whatever the stack's
+PRODUCT_CHUNK = 2 ** 13
+
+
 class IntegralPlan:
     """Sums of integrals of field products, compiled to index tables.
 
     Built once from a sequence of sums of (coefficient, keys) terms; the
     distinct key tuples (two or more keys each) are its `integrals`, their
-    keys its `fields`. Per state, `values` derives each field once (calling
-    the right-hand side only if a time-derivative key is present) and
-    evaluates each integral by the rule of `integral_of_product`, bitwise
-    equal to it: all pairings as one weighted row sum; longer products with
-    one batched resampling per padded size m, then one gather, left-to-right
-    product and row mean per (m, arity). `evaluate` adds up each sum column
-    by column, left to right from 0.0, as a `total += term` loop over its
-    terms would; overflow gives inf or NaN sums, without a warning. A plan
-    without a time-derivative key never calls `rhs` or reads coefficients.
+    keys its `fields`. `values` takes a stack of states on one grid and
+    evaluates every integral of each by the rule of `integral_of_product`,
+    bitwise equal to it: it derives each field of the stack at once
+    (calling the right-hand side once, and only if a time-derivative key is
+    present), forms all pairings as one weighted row sum, and longer
+    products with one batched resampling per padded size m, which each
+    state's bands pick, then one product of gathered rows, left to right,
+    and one row mean per m. `evaluate` adds up each sum column by column,
+    left to right from 0.0, as a `total += term` loop over its terms would;
+    overflow gives inf or NaN sums, without a warning. A plan without a
+    time-derivative key never calls `rhs` or reads coefficients.
     """
 
     def __init__(self, sums):
@@ -87,68 +95,112 @@ class IntegralPlan:
         self.integrals = tuple(index)
         self.fields = tuple(sorted({key for keys in index for key in keys}))
         self.needs_rhs = any(ddt for ddt, _, _ in self.fields)
+        # each field as a row of (u, v, du, dv) and an order of d/dx
+        self._sources = [2 * ddt + "uv".index(letter)
+                         for ddt, letter, _ in self.fields]
+        self._orders = tuple(order for _, _, order in self.fields)
         column = {key: i for i, key in enumerate(self.fields)}
-        by_arity = {}  # rows of (integral index, field of each factor)
-        for keys, i in index.items():
-            by_arity.setdefault(len(keys), []).append(
-                [i] + [column[key] for key in keys])
-        self._tables = [np.array(rows) for _, rows in sorted(by_arity.items())]
+        # rows (integral, factor fields): the pairings, and the longer
+        # products padded with field n_fields, which samples to 1.0
+        self._pairs = np.array([[i] + [column[key] for key in keys]
+                                for keys, i in index.items()
+                                if len(keys) == 2]).reshape(-1, 3)
+        longer = [[i] + [column[key] for key in keys]
+                  for keys, i in index.items() if len(keys) > 2]
+        arity = max(map(len, longer), default=1)
+        self._products = np.array([row + [len(self.fields)]
+                                   * (arity - len(row)) for row in longer]
+                                  ).reshape(len(longer), arity)
 
-    def _derived(self, state: SimState, c: ValidatedCoefficients
-                 ) -> np.ndarray:
-        """(n_fields, n_coeffs) coefficients of every keyed field."""
-        sources = {(False, "u"): state.u, (False, "v"): state.v}
+    def _derived(self, states, c: ValidatedCoefficients) -> np.ndarray:
+        """(S, n_fields, n_coeffs) coefficients of every keyed field of each
+        state, each bitwise what `spectral.derivative` gives it."""
+        sources = np.array([(st.u.coeffs, st.v.coeffs) for st in states])
         if self.needs_rhs:
-            sources[True, "u"], sources[True, "v"] = rhs(state, c)
-        return np.array([derivative(sources[ddt, letter], order).coeffs
-                         for ddt, letter, order in self.fields]
-                        ).reshape(len(self.fields), state.grid.n_coeffs)
+            sources = np.concatenate([sources, stacked_rhs(states, c)], axis=1)
+        fields = sources[:, self._sources]
+        symbols, moved, odd = _derivative_symbols(sources.shape[2],
+                                                  self._orders)
+        fields[:, moved] *= symbols
+        fields[:, odd, -1] = 0.0
+        return fields
 
-    def values(self, state: SimState, c: ValidatedCoefficients
-               ) -> np.ndarray:
-        """Every integral of the plan at one state, in `integrals` order."""
-        fields = self._derived(state, c)
-        n_coeffs = fields.shape[1]
-        if self._tables and self._tables[-1].shape[1] > 3:  # any 3+ factors
-            nonzero = fields != 0
-            bands = np.where(nonzero.any(axis=1), n_coeffs - 1
-                             - np.argmax(nonzero[:, ::-1], axis=1), 0)
-        out = np.zeros(len(self.integrals))
-        products = {}  # m -> [(integral indices, field table)]
-        for rows in self._tables:
-            index, table = rows[:, 0], rows[:, 1:]
-            if table.shape[1] == 2:
-                pairs = fields[table[:, 0]] * np.conj(fields[table[:, 1]])
-                out[index] = np.sum(_parseval_weights(n_coeffs) * pairs.real,
-                                    axis=1)
-            else:
-                b = bands[table]
-                size = np.maximum(np.maximum(b.sum(axis=1) + 1,
-                                             2 * b.max(axis=1) + 2), 8)
-                m_of = 1 << np.frexp(size - 1)[1]  # next power of two
-                for m in set(m_of.tolist()):
-                    products.setdefault(m, []).append(
-                        (index[m_of == m], table[m_of == m]))
-        for m, group in sorted(products.items()):
-            rows = sorted(set().union(*(table.ravel().tolist()
-                                        for _, table in group)))
-            sampled = np.empty((len(fields), m))  # rows not in `rows` unread
-            sampled[rows] = sample_rows(fields[rows], bands[rows], m)
-            for index, table in group:
+    def _pairings(self, fields: np.ndarray) -> np.ndarray:
+        """The pairing integrals of the plan, one row per state."""
+        _, first, second = self._pairs.T
+        pairs, conj = fields[:, first], fields[:, second]
+        pairs *= np.conjugate(conj, out=conj)
+        return np.sum(_parseval_weights(fields.shape[2]) * pairs.real, axis=2)
+
+    def values(self, states, c: ValidatedCoefficients) -> np.ndarray:
+        """Every integral of the plan at each of a stack of states on one
+        grid: one row per state, in `integrals` order."""
+        fields = self._derived(states, c)
+        n_states, n_fields, n_coeffs = fields.shape
+        out = np.zeros((n_states, len(self.integrals)))
+        out[:, self._pairs[:, 0]] = self._pairings(fields)
+        if not len(self._products):
+            return out
+        # state s's field f is row s n_fields + f of `flat`, and its
+        # integral i entry s n_integrals + i of `out`; the padding field is
+        # row len(flat), of band 0, and samples to 1.0
+        flat = fields.reshape(n_states * n_fields, n_coeffs)
+        bands = np.append(_row_bands(flat), 0)
+        index, table = self._products[:, 0], self._products[:, 1:]
+        rows = np.arange(n_states)[:, None, None] * n_fields + table
+        rows[:, table == n_fields] = len(flat)
+        entries = np.arange(n_states)[:, None] * out.shape[1] + index
+        b = bands[rows]
+        size = np.maximum(np.maximum(b.sum(axis=2) + 1,
+                                     2 * b.max(axis=2) + 2), 8)
+        m_of = 1 << np.frexp(size - 1)[1]  # next power of two
+        out_flat = out.reshape(-1)
+        for m in sorted(set(m_of.ravel().tolist())):
+            group, where = rows[m_of == m], entries[m_of == m]
+            used = np.zeros(len(flat) + 1, dtype=bool)
+            used[group] = True
+            needed = np.flatnonzero(used[:-1])
+            at = np.full(len(flat) + 1, len(needed))  # row of `sampled`
+            at[needed] = np.arange(len(needed))
+            group = at[group]
+            sampled = np.empty((len(needed) + 1, m))
+            sampled[:-1] = sample_rows(flat[needed], bands[needed], m)
+            sampled[-1] = 1.0
+            # the products a chunk of rows at a time, into reused buffers
+            step = max(1, PRODUCT_CHUNK // m)
+            factor = np.empty((min(step, len(group)), m))
+            for lo in range(0, len(group), step):
+                table = group[lo:lo + step]
                 prod = sampled[table[:, 0]]
                 for col in range(1, table.shape[1]):
-                    prod *= sampled[table[:, col]]
-                out[index] = np.mean(prod, axis=1)
+                    prod *= sampled.take(table[:, col], 0,
+                                         factor[:len(table)], "clip")
+                out_flat[where[lo:lo + step]] = np.mean(prod, axis=1)
         return out
 
-    def evaluate(self, state: SimState, c: ValidatedCoefficients) -> list:
-        """Every sum of the plan at one state, as floats in input order."""
+    def evaluate(self, states, c: ValidatedCoefficients) -> np.ndarray:
+        """Every sum of the plan at each of a stack of states: one row per
+        state, in input order."""
         with np.errstate(over="ignore", invalid="ignore"):
-            values = np.append(self.values(state, c), 0.0)
-            total = np.zeros(len(self._terms))
-            for column in (self._coeffs * values[self._terms]).T:
+            values = np.zeros((len(states), len(self.integrals) + 1))
+            values[:, :-1] = self.values(states, c)
+            total = np.zeros((len(states), len(self._terms)))
+            for column in np.moveaxis(self._coeffs * values[:, self._terms],
+                                      -1, 0):
                 total += column
-        return total.tolist()
+        return total
+
+
+@functools.lru_cache(maxsize=32)
+def _derivative_symbols(n_coeffs: int, orders: tuple) -> tuple:
+    """((1j omega)^order of each field of order >= 1, those fields, and
+    the ones of odd order), as `spectral.derivative` forms the symbol."""
+    omega = TWO_PI * np.arange(n_coeffs)
+    moved = tuple(j for j, order in enumerate(orders) if order)
+    symbols = np.array([(1j * omega) ** orders[j] for j in moved]
+                       ).reshape(len(moved), n_coeffs)
+    symbols.flags.writeable = False
+    return symbols, moved, tuple(j for j in moved if orders[j] % 2 == 1)
 
 
 def lyapunov_monomials(c: ValidatedCoefficients) -> dict:

@@ -14,9 +14,10 @@ flux from the products of w+ and w- and mixes it in physical space with the
 per-member matrix of `model.eigen_mixing`. Grids of up to
 `model.MATMUL_MAX_POINTS` points move between modes and grid by the two real
 matrices of `model.flux_transforms`, larger ones by a pocketfft irfft/rfft
-pair. `evolve` builds the matrices once per march beside its tables, and one
-`model.Workspace` of flux buffers and stage arrays: `_step` does every stage
-in place, so a step makes no array, and one np.errstate spans the march. State
+pair. `evolve` builds the matrices once per march beside its tables, one
+`model.Workspace` of flux buffers and stage arrays, and one step bound to it
+(`_bind_step`): a closure that does every stage in place, with every operand
+a local, so a step makes no array; one np.errstate spans the march. State
 and tables hold only the kept modes 0..dealias_cutoff, since the dealiased
 nonlinear term is zero above the cutoff and so is the truncated initial state;
 observers get the state rotated back to (u, v) and padded to the full rfft
@@ -31,7 +32,8 @@ or matmul) for the whole march; numpy's batched real transforms, and its
 stacked matmuls, one matrix product per member, give every member bitwise
 what a lone call gives, so each member's numbers are bitwise those of its
 lone march. A member that turns non-finite leaves the ensemble with its own
-BlowUpError; the others march on unchanged.
+BlowUpError; the others march on unchanged. Observers get each member's
+sampled states a block of OBSERVE_BLOCK at a time, to evaluate as a stack.
 
 `step_count` is the one rule by which dt and stride tile a span: `evolve`
 applies it to every march, and `config.ExperimentConfig.resolved_dt` to the
@@ -45,12 +47,14 @@ import math
 import numpy as np
 
 from .model import (CoefficientError, SimState, ValidatedCoefficients,
-                    Violation, Workspace, _dealiased_ddx, _rotate,
-                    eigen_mixing, flux_transforms, linear_rates,
-                    nonlinear_remainder)
+                    Violation, Workspace, _bind_flux, _dealiased_ddx,
+                    _rotate, eigen_mixing, flux_transforms, linear_rates)
 from .spectral import GridSpec, SpectralField, truncate
 
 N_CONTOUR = 32  # trapezoid points on each circle of `contour_phi_means`
+# Sampled states of a member that observers get at once: a stack holds its
+# states' fields and samples together, so peak RSS sets the size
+OBSERVE_BLOCK = 2
 
 
 class BlowUpError(RuntimeError):
@@ -117,25 +121,37 @@ def step_count(span: float, dt: float, stride: int) -> int:
     return n_steps
 
 
-def _step(w: np.ndarray, tables, mix: np.ndarray, ws: Workspace) -> None:
-    """One ETDRK4 step of the (P, 2, kept) state `w`, in place, through the
-    stages of `ws`: bitwise a step by new arrays, by the same association."""
+def _bind_step(w: np.ndarray, tables, mix: np.ndarray, ws: Workspace):
+    """One ETDRK4 step of the (P, 2, kept) state `w`, in place through the
+    stages of `ws`, as a callable of no arguments: bitwise a step by new
+    arrays, by the same association. Every table row, stage, float view and
+    ufunc is a local of the callable, and every `out` is positional."""
     exp_full, exp_half, q, w1, w2x2, w3 = tables
     n0, na, nb, nc, a, b, c, half, s = ws.stages
-    nonlinear_remainder(w, mix, ws, n0)
-    np.multiply(exp_half, w, out=half)
-    np.add(half, np.multiply(q, n0, out=a), out=a)  # half + q n0
-    nonlinear_remainder(a, mix, ws, na)
-    np.add(half, np.multiply(q, na, out=b), out=b)  # half + q na
-    nonlinear_remainder(b, mix, ws, nb)
-    np.multiply(q, np.subtract(np.multiply(2.0, nb, out=s), n0, out=s), out=s)
-    np.add(np.multiply(exp_half, a, out=c), s, out=c)  # + q (2 nb - n0)
-    nonlinear_remainder(c, mix, ws, nc)
-    # ((exp_full w + w1 n0) + w2x2 (na + nb)) + w3 nc
-    np.add(np.multiply(exp_full, w, out=w), np.multiply(w1, n0, out=s), out=w)
-    np.add(w, np.multiply(w2x2, np.add(na, nb, out=s), out=s), out=w)
-    np.add(w, np.multiply(w3, nc, out=s), out=w)
-    w[..., 0] = 0.0  # means are conserved exactly; pin against drift
+    flux = _bind_flux(ws, mix)
+    # the flux's operands: float views on the matmul route
+    fw, fn0, fna, fnb, fnc, fa, fb, fc = (
+        x if ws.transforms is None else x.view(np.float64)
+        for x in (w, n0, na, nb, nc, a, b, c))
+    add, multiply, subtract = np.add, np.multiply, np.subtract
+    means = w[..., 0]
+
+    def step() -> None:
+        flux(fw, fn0)
+        multiply(exp_half, w, half)
+        add(half, multiply(q, n0, a), a)  # half + q n0
+        flux(fa, fna)
+        add(half, multiply(q, na, b), b)  # half + q na
+        flux(fb, fnb)
+        multiply(q, subtract(multiply(2.0, nb, s), n0, s), s)
+        add(multiply(exp_half, a, c), s, c)  # + q (2 nb - n0)
+        flux(fc, fnc)
+        # ((exp_full w + w1 n0) + w2x2 (na + nb)) + w3 nc
+        add(multiply(exp_full, w, w), multiply(w1, n0, s), w)
+        add(w, multiply(w2x2, add(na, nb, s), s), w)
+        add(w, multiply(w3, nc, s), w)
+        means.fill(0.0)  # means are conserved exactly; pin against drift
+    return step
 
 
 @dataclass
@@ -172,12 +188,17 @@ def evolve(states, coeffs, t_final: float, dt: float, observers=(),
     `stride` steps.
 
     Member i is states[i] under coeffs[i]; all members share grid, start
-    time, dt, span and stride. Each observer is called as obs(i, state) and
-    returns a dict of named floats; a member's rows merge them in observer
-    order. A member whose state first turns non-finite leaves the ensemble
-    with a BlowUpError naming that time; the others march on unchanged.
-    Each member's final state is in its series' meta["final_state"].
-    Raises ValueError when dt and stride do not tile the span (`step_count`).
+    time, dt, span and stride. Each observer is called as obs(i, block)
+    with a list of member i's sampled states, in time order, and returns
+    one dict of named floats per state; a member's rows merge them in
+    observer order. Observers get a member's states OBSERVE_BLOCK at a time
+    as the march makes them and the rest after it, always under the
+    caller's error state; the mean drift is checked at each state as it is
+    made. A member whose state first turns non-finite leaves the ensemble
+    with a BlowUpError naming that time, its unobserved states dropped; the
+    others march on unchanged. Each member's final state is in its series'
+    meta["final_state"]. Raises ValueError when dt and stride do not tile
+    the span (`step_count`).
     """
     states, coeffs = list(states), list(coeffs)
     if not states or len(states) != len(coeffs):
@@ -196,6 +217,7 @@ def evolve(states, coeffs, t_final: float, dt: float, observers=(),
     n_members = len(states)
     times = [[] for _ in range(n_members)]
     rows = [[] for _ in range(n_members)]
+    pending = [[] for _ in range(n_members)]  # sampled, not yet observed
     drift_max = [0.0] * n_members
     current = [SimState(u=truncate(st.u), v=truncate(st.v), t=t0,
                         mean_u=st.mean_u, mean_v=st.mean_v) for st in states]
@@ -203,52 +225,65 @@ def evolve(states, coeffs, t_final: float, dt: float, observers=(),
     member_steps = 0
     caller = np.geterr()
 
-    def observe(i: int, st: SimState):
+    def flush(i: int):
+        block, pending[i] = pending[i], []
+        block_rows = [{} for _ in block]
+        with np.errstate(**caller):  # not the march's
+            for obs in observers:
+                for row, new in zip(block_rows, obs(i, block)):
+                    row.update(new)
+        times[i] += [st.t for st in block]
+        rows[i] += block_rows
+
+    def sample(i: int, st: SimState):
         drift = max(abs(st.u.coeffs[0]), abs(st.v.coeffs[0]))
         drift_max[i] = max(drift_max[i], drift)
         if drift > 1e-14:
             raise RuntimeError(f"mean drifted to {drift:.3e} at t = {st.t}")
-        row = {}
-        with np.errstate(**caller):  # not the march's
-            for obs in observers:
-                row.update(obs(i, st))
-        times[i].append(st.t)
-        rows[i].append(row)
+        pending[i].append(st)
+        if len(pending[i]) == OBSERVE_BLOCK:
+            flush(i)
 
     for i, st in enumerate(current):
-        observe(i, st)
+        sample(i, st)
     live = np.arange(n_members)  # member index of each row of w
     kept = grid.dealias_cutoff + 1
     w = _rotate(np.stack([np.stack([st.u.coeffs[:kept], st.v.coeffs[:kept]])
                           for st in current]))
-    ws = Workspace(w, grid, transforms)
+    step = _bind_step(w, tables, mix, Workspace(w, grid, transforms))
+    # a finite sum proves every entry finite; only a non-finite one (an
+    # overflow of finite entries included) needs the exact test
+    total, flat = np.add.reduce, w.view(np.float64).reshape(-1)
     # overflow is diagnosed via the finiteness check, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, n_steps + 1):
-            _step(w, tables, mix, ws)
+        for n in range(1, n_steps + 1):
+            step()
             member_steps += live.size
-            t_now = t0 + step * dt
-            # a finite sum proves every entry finite; only a non-finite one
-            # (an overflow of finite entries included) needs the exact test
-            if not math.isfinite(abs(w.sum())):
+            t_now = t0 + n * dt
+            if not math.isfinite(total(flat)):
                 finite = np.isfinite(w).all(axis=(1, 2))
                 for i in live[~finite].tolist():
-                    outcome[i] = BlowUpError(t_now)
+                    outcome[i], pending[i] = BlowUpError(t_now), []
                 live, w = live[finite], w[finite]
                 if not live.size:
                     break
                 tables = tuple(row[finite] for row in tables)
-                mix, ws = mix[finite], Workspace(w, grid, transforms)
-            if step % stride == 0:
+                mix = mix[finite]
+                step = _bind_step(w, tables, mix,
+                                  Workspace(w, grid, transforms))
+                flat = w.view(np.float64).reshape(-1)
+            if n % stride == 0:
                 uv = np.zeros((live.size, 2, grid.n_coeffs), np.complex128)
                 uv[..., :kept] = _rotate(w)
                 for row, i in enumerate(live.tolist()):
                     current[i] = replace(current[i], t=t_now,
                                          u=SpectralField(grid, uv[row, 0]),
                                          v=SpectralField(grid, uv[row, 1]))
-                    observe(i, current[i])
+                    sample(i, current[i])
 
     for i in live.tolist():
+        if pending[i]:
+            flush(i)
         keys = list(rows[i][0].keys())
         outcome[i] = DiagnosticSeries(
             t=np.array(times[i]),

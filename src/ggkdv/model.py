@@ -16,13 +16,15 @@ The linear part is diagonal in the eigenbasis w+- = (u +- v)/sqrt(2), and
 quadratic in (u, v); written in the eigenbasis it is a fixed mix of the
 products of w+ and w- plus a mean-advection term linear in w+-, the one real
 matrix [Q | L] of `eigen_mixing`, applied in physical space.
-`nonlinear_remainder` evaluates it on the dealiased modes, for the time stepper
-and for `rhs` alike, in the reused buffers of a `Workspace`. It moves between
+`_bind_flux` is its one body, bound to the reused buffers of a `Workspace`:
+the time stepper binds it once per march, and `nonlinear_remainder`, which
+`stacked_rhs` and `rhs` use, binds it per call. It moves between
 modes and grid by one of two routes: a pocketfft irfft/rfft pair, or, given the
 matrices of `flux_transforms`, two small real matmuls. The stepper takes the
 matmul route on grids of up to MATMUL_MAX_POINTS points, where numpy's fixed
-cost per FFT call dominates, whatever the size of its ensemble; `rhs` always
-takes the FFT route.
+cost per FFT call dominates, whatever the size of its ensemble; the right-hand
+side always takes the FFT route. `stacked_rhs` gives a stack of states their
+time derivatives at once, each bitwise its own; `rhs` is a stack of one.
 """
 from __future__ import annotations
 
@@ -260,21 +262,49 @@ def flux_transforms(grid: GridSpec):
 
 class Workspace:
     """What a march of `w` (..., 2, kept) reuses every step: the flux's
-    buffers, nine `stages` like `w` for `integrator._step` (built on first
-    use), and on the matmul route the float views of `w` and the stages."""
+    buffers, and nine `stages` like `w` for `integrator._bind_step` (built
+    on first use)."""
 
     def __init__(self, w: np.ndarray, grid: GridSpec, transforms=None):
         self.grid, self.transforms, self.w = grid, transforms, w
         self.buf = np.empty(w.shape[:-2] + (5, grid.n_points))
-        self.phys, self.squares = self.buf[..., 3:, :], self.buf[..., :2, :]
-        self.p, self.m, self.pm = (self.buf[..., i, :] for i in (3, 4, 2))
         self.flux = np.empty(w.shape[:-2] + (2, grid.n_points))
-        self.reals = {} if transforms is None else {
-            id(x): x.view(np.float64) for x in (w,) + self.stages}
 
     @functools.cached_property
     def stages(self) -> tuple:
         return tuple(np.empty((9,) + self.w.shape, dtype=np.complex128))
+
+
+def _bind_flux(ws: Workspace, mix: np.ndarray):
+    """The body of `nonlinear_remainder`, bound to `ws` and `mix`: a
+    callable (w, out) that writes the flux of `w` into `out`, both shaped
+    like `ws.w`, and on the matmul route given as their float views.
+
+    p and m fill rows 3-4 of the workspace's buffer, pp, mm and pm rows 0-2,
+    and one real matmul by `mix` mixes the flux in physical space. Every
+    buffer, matrix and numpy function is a local of the callable, and
+    numpy's rfft and irfft are looked up here, when a march binds it.
+    """
+    buf, flux, kept, n = ws.buf, ws.flux, ws.w.shape[-1], ws.grid.n_points
+    phys, squares = buf[..., 3:, :], buf[..., :2, :]
+    p, m, pm = (buf[..., i, :] for i in (3, 4, 2))
+    synth, anal = ws.transforms or (None, None)
+    multiply, matmul, irfft, rfft = (np.multiply, np.matmul, np.fft.irfft,
+                                     np.fft.rfft)
+
+    def remainder(w: np.ndarray, out: np.ndarray) -> None:
+        if synth is None:
+            phys[...] = irfft(w, n, -1, "forward")
+        else:
+            matmul(w, synth, phys)
+        multiply(phys, phys, squares)
+        multiply(p, m, pm)
+        matmul(mix, buf, flux)
+        if synth is None:  # NumPy 1.24's rfft takes no out=
+            out[...] = rfft(flux, None, -1, "forward")[..., :kept]
+        else:
+            matmul(flux, anal, out)
+    return remainder
 
 
 def nonlinear_remainder(w: np.ndarray, mix: np.ndarray, ws: Workspace,
@@ -288,26 +318,18 @@ def nonlinear_remainder(w: np.ndarray, mix: np.ndarray, ws: Workspace,
     `w`, and returns it; the remainder itself is -i omega F_hat, which the
     stepper folds into its tables and `rhs` applies.
 
-    p and m fill rows 3-4 of the workspace's buffer, pp, mm and pm rows 0-2,
-    and one real matmul by `mix` mixes the flux in physical space. One
-    batched irfft and one rfft move between modes and grid; or, with the
-    (synth, anal) pair of `flux_transforms` in `ws`, two matmuls on the
-    float views of `w` and `out`, which must be `ws`'s state or stages.
-    The routes agree to round-off of order eps n max|flux|; on either, each
-    leading index gets bitwise what it would get alone. L carries the mean
-    advection, so the tables depend only on (grid, a3, k, dt).
+    The flux is `_bind_flux`'s one body: one batched irfft and one rfft
+    move between modes and grid; or, with the (synth, anal) pair of
+    `flux_transforms` in `ws`, two matmuls on the float views of `w` and
+    `out`. The routes agree to round-off of order eps n max|flux|; on
+    either, each leading index gets bitwise what it would get alone. L
+    carries the mean advection, so the tables depend only on
+    (grid, a3, k, dt).
     """
     if ws.transforms is None:
-        ws.phys[...] = np.fft.irfft(w, n=ws.grid.n_points, norm="forward")
+        _bind_flux(ws, mix)(w, out)
     else:
-        np.matmul(ws.reals[id(w)], ws.transforms[0], out=ws.phys)
-    np.multiply(ws.phys, ws.phys, out=ws.squares)
-    np.multiply(ws.p, ws.m, out=ws.pm)
-    np.matmul(mix, ws.buf, out=ws.flux)
-    if ws.transforms is None:  # NumPy 1.24's rfft takes no out=
-        out[...] = np.fft.rfft(ws.flux, norm="forward")[..., :w.shape[-1]]
-    else:
-        np.matmul(ws.flux, ws.transforms[1], out=ws.reals[id(out)])
+        _bind_flux(ws, mix)(w.view(np.float64), out.view(np.float64))
     return out
 
 
@@ -325,22 +347,33 @@ def linear_rates(grid: GridSpec, c: ValidatedCoefficients) -> np.ndarray:
                      1j * omega3 * (1.0 - c.a3) - damp])
 
 
-def rhs(state: SimState, c: ValidatedCoefficients
-        ) -> tuple[SpectralField, SpectralField]:
-    """Time derivative (du, dv) of the reduced system."""
+def stacked_rhs(states, c: ValidatedCoefficients) -> np.ndarray:
+    """Time derivatives of a stack of reduced states on one grid, as an
+    (S, 2, n_coeffs) array of (du, dv) coefficients; each state's row is
+    bitwise what it would get alone."""
     _require_validated(c)
-    if abs(state.u.coeffs[0]) > 1e-12 or abs(state.v.coeffs[0]) > 1e-12:
+    if any(abs(st.u.coeffs[0]) > 1e-12 or abs(st.v.coeffs[0]) > 1e-12
+           for st in states):
         raise ValueError("state is not in reduced (zero-mean) form")
-    grid = state.grid
+    grid = states[0].grid
     kept = grid.dealias_cutoff + 1  # rhs of the truncated state: 0 above
-    uv = np.stack([state.u.coeffs[:kept], state.v.coeffs[:kept]])
+    uv = np.array([(st.u.coeffs[:kept], st.v.coeffs[:kept])
+                   for st in states])
     w = _rotate(uv)
-    flux = nonlinear_remainder(w, eigen_mixing(state, c), Workspace(w, grid),
-                               np.empty_like(w))
+    mix = np.array([eigen_mixing(st, c) for st in states])
+    flux = nonlinear_remainder(w, mix, Workspace(w, grid), np.empty_like(w))
     disp = (1j * (TWO_PI * np.arange(kept))) ** 3
     damp = np.full(kept, c.k)
     damp[0] = 0.0
-    out = np.zeros((2, grid.n_coeffs), dtype=np.complex128)
-    out[:, :kept] = (_rotate(_dealiased_ddx(grid) * flux)
-                     - disp * (uv + c.a3 * uv[::-1]) - damp * uv)
-    return SpectralField(grid, out[0]), SpectralField(grid, out[1])
+    out = np.zeros((len(uv), 2, grid.n_coeffs), dtype=np.complex128)
+    out[..., :kept] = (_rotate(_dealiased_ddx(grid) * flux)
+                       - disp * (uv + c.a3 * uv[:, ::-1]) - damp * uv)
+    return out
+
+
+def rhs(state: SimState, c: ValidatedCoefficients
+        ) -> tuple[SpectralField, SpectralField]:
+    """Time derivative (du, dv) of the reduced system: `stacked_rhs` of a
+    stack of one."""
+    du, dv = stacked_rhs([state], c)[0]
+    return SpectralField(state.grid, du), SpectralField(state.grid, dv)

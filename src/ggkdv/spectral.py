@@ -138,13 +138,21 @@ def _next_pow2(m: int) -> int:
     return 1 << (m - 1).bit_length()
 
 
+def _row_bands(coeffs: np.ndarray) -> np.ndarray:
+    """`SpectralField.band` of each row of `coeffs`."""
+    nonzero = coeffs != 0
+    return np.where(nonzero.any(axis=1), coeffs.shape[1] - 1
+                    - np.argmax(nonzero[:, ::-1], axis=1), 0)
+
+
 def sample_rows(coeffs: np.ndarray, bands: np.ndarray, m: int) -> np.ndarray:
     """Each row of `coeffs`, zeroed above its band, sampled on m points."""
     width = min(m // 2 + 1, coeffs.shape[1])
     padded = np.zeros((len(coeffs), m // 2 + 1), dtype=np.complex128)
-    padded[:, :width] = np.where(
-        np.arange(width) <= bands[:, None], coeffs[:, :width], 0.0)
-    return np.fft.irfft(padded * m, n=m)
+    np.copyto(padded[:, :width], coeffs[:, :width],
+              where=np.arange(width) <= bands[:, None])
+    padded *= m
+    return np.fft.irfft(padded, n=m)
 
 
 def padded_samples(f: SpectralField, m: int) -> np.ndarray:

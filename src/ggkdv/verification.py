@@ -8,18 +8,17 @@ by alias-free padded quadrature. Exact identities must agree to rounding error;
 approximate ones (valid modulo higher-order terms in the solution size) must
 show residuals that shrink linearly with the amplitude.
 
-Each identity's monomial lists are built from the lists the CSV record is
-evaluated from (`functionals.functional_record`): GEN_N(n), H1_SUB(4.2) and
-H2_SUB(5.2) take the seminorms as their functionals, H1_MAIN and H2_MAIN take
-f1, g1, f2, g2 and h2. `observation_plan` compiles the identities a command
-asks for, plus the record columns `observe` is asked for, into one cached
-`functionals.IntegralPlan`, so the lists are built only while a plan compiles.
-Per state the right-hand side is evaluated once and each integral once,
-bitwise equal to `integral_of_product`. Every left-side product holds a time
-derivative and no right-side product does, so the two routes of an identity
-share no integral; the record shares its value integrals with the right
-sides. The product-bound sweep is one more cached plan, evaluated once per
-field pair; the Poincare sweep samples each field once.
+The identities are monomial lists (`identities`). `observation_plan`
+compiles the identities a command asks for, plus the record columns
+`observe_states` is asked for, into one cached `functionals.IntegralPlan`.
+A stack of states is evaluated at once: the right-hand side once, each
+integral once per state, bitwise equal to `integral_of_product`, then one
+vectorized reduction gives every identity's sides over the stack
+(`Observation`). Every left-side product holds a time derivative and no
+right-side product does, so the two routes of an identity share no
+integral; the record shares its value integrals with the right sides. The
+product-bound sweep is one more cached plan, evaluated on a stack of field
+pairs; the Poincare sweep resamples a stack of fields at once.
 
 Identity ids:
     L2              exact L2 decay law (quadratic functional, any means)
@@ -41,10 +40,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .functionals import (IntegralPlan, ddt_sum, functional_record,
-                          lyapunov_monomials, mono, seminorm_monomials,
-                          value_sum)
+                          seminorm_monomials, value_sum)
+from .identities import _Damped, _identity
 from .model import SimState, ValidatedCoefficients
-from .spectral import SpectralField, derivative, sample_rows, _next_pow2
+from .spectral import (TWO_PI, SpectralField, _next_pow2, _row_bands,
+                       derivative, sample_rows)
 
 NORMALIZER_FLOOR = 1e-30
 
@@ -74,6 +74,9 @@ def check_identities(checks, n_max: int) -> tuple[list, list]:
 
 @dataclass(frozen=True)
 class IdentityReport:
+    """One identity at a state, in floats; over a stack of states
+    (`Observation.report`), each number an array with one entry per state."""
+
     identity_id: str
     lhs: float        # d/dt of the functional via the model rhs
     rhs: float        # sum of the identity's right-hand terms
@@ -82,200 +85,20 @@ class IdentityReport:
     relative_residual: float
 
 
-class _Damped(NamedTuple):
-    """Right-hand term factor * (integral of the monomials)."""
-
-    factor: float
-    monomials: tuple
-
-
-class _Identity(NamedTuple):
-    """One identity: the left side is d/dt of the functional, each right-hand
-    term a monomial list or a `_Damped` one. The normalizer of a truncated
-    identity also carries 2k times the |integral| of each `scale_by` list."""
-
-    functional: tuple
-    terms: dict
-    scale_by: tuple = ()
-
-
-# -- exact identities --------------------------------------------------------
-
-def _gen_n_identity(n: int, c: ValidatedCoefficients) -> _Identity:
-    """The order-n derivative-energy identity."""
-    fn = seminorm_monomials(n)
-    self_interaction = []
-    for j in range(n + 1):
-        w = -2.0 * math.comb(n, j)
-        self_interaction.append(mono(w, f"u{n}", f"u{1 + j}", f"u{n - j}"))
-        self_interaction.append(mono(w, f"v{n}", f"v{1 + j}", f"v{n - j}"))
-
-    a1_coupling = []
-    a2_coupling = []
-    for j in range(n + 1):
-        w = math.comb(n, j)
-        a1_coupling.append(mono(-2.0 * c.a1 * w, f"u{n}", f"v{j}",
-                                f"v{n - j + 1}"))
-        a2_coupling.append(mono(-2.0 * c.a2 * w, f"v{n}", f"u{j}",
-                                f"u{n - j + 1}"))
-    for j in range(n + 2):
-        w = math.comb(n + 1, j)
-        a1_coupling.append(mono(-2.0 * c.a1 * w, f"v{n}", f"u{j}",
-                                f"v{n + 1 - j}"))
-        a2_coupling.append(mono(-2.0 * c.a2 * w, f"u{n}", f"u{j}",
-                                f"v{n + 1 - j}"))
-    return _Identity(fn, {"damping": _Damped(-2.0 * c.k, fn),
-                          "self_interaction": self_interaction,
-                          "a1_coupling": a1_coupling,
-                          "a2_coupling": a2_coupling})
-
-
-def _damping_only(identity: _Identity) -> _Identity:
-    return _Identity(identity.functional,
-                     {"damping": identity.terms["damping"]})
-
-
-def _h1_identities(c: ValidatedCoefficients) -> dict:
-    a1, a2, a3, k = c.a1, c.a2, c.a3, c.k
-    f1, g1 = (lyapunov_monomials(c)[name] for name in ("f1", "g1"))
-    grad = seminorm_monomials(1)
-    cross = (mono(1.0, "u1", "v1"),)
-    cubes = (mono(1.0, "u", "u", "u"), mono(1.0, "v", "v", "v"))
-    mixed = (mono(a1, "u", "v", "v"), mono(a2, "u", "u", "v"))
-    return {
-        "H1_MAIN": _Identity(f1 + g1, {"-2k f1": _Damped(-2 * k, f1),
-                                       "-3k g1": _Damped(-3 * k, g1)}),
-        "H1_SUB(4.2)": _Identity(grad, {
-            "damping": _Damped(-2 * k, grad),
-            "cubic": [mono(-1.0, "u1", "u1", "u1"),
-                      mono(-1.0, "v1", "v1", "v1")],
-            "a1": [mono(-3 * a1, "u1", "v1", "v1")],
-            "a2": [mono(-3 * a2, "u1", "u1", "v1")]}),
-        "H1_SUB(4.3)": _Identity(cross, {
-            "damping": _Damped(-2 * k, cross),
-            "dispersive": [mono(1.0, "u", "u1", "v2"),
-                           mono(1.0, "v", "v1", "u2")],
-            "a1": [mono(-a1, "v2", "u1", "u"),
-                   mono(-1.5 * a1, "v1", "u1", "u1"),
-                   mono(-0.5 * a1, "v1", "v1", "v1")],
-            "a2": [mono(-a2, "u2", "v1", "v"),
-                   mono(-1.5 * a2, "u1", "v1", "v1"),
-                   mono(-0.5 * a2, "u1", "u1", "u1")]}),
-        "H1_SUB(4.4)": _Identity(cubes, {
-            "damping": _Damped(-3 * k, cubes),
-            "cubic": [mono(-3.0, "u1", "u1", "u1"),
-                      mono(-3.0, "v1", "v1", "v1")],
-            "a1": [mono(-3 * a1, "u", "u", "v", "v1"),
-                   mono(-2 * a1, "v", "v", "v", "u1")],
-            "a2": [mono(-3 * a2, "v", "v", "u", "u1"),
-                   mono(-2 * a2, "u", "u", "u", "v1")],
-            "a3": [mono(6 * a3, "u", "u1", "v2"),
-                   mono(6 * a3, "v", "v1", "u2")]}),
-        "H1_SUB(4.5)": _Identity(mixed, {
-            "damping": _Damped(-3 * k, mixed),
-            "a1": [mono(2 / 3 * a1, "v", "v", "v", "u1"),
-                   mono(a1, "u", "u", "v", "v1"),
-                   mono(-3 * a1, "v1", "v1", "u1")],
-            "a2": [mono(2 / 3 * a2, "u", "u", "u", "v1"),
-                   mono(a2, "v", "v", "u", "u1"),
-                   mono(-3 * a2, "u1", "u1", "v1")],
-            "a1 a3": [mono(-2 * a1 * a3, "v2", "u1", "u"),
-                      mono(-3 * a1 * a3, "v1", "u1", "u1"),
-                      mono(-a1 * a3, "v1", "v1", "v1")],
-            "a2 a3": [mono(-2 * a2 * a3, "u2", "v1", "v"),
-                      mono(-3 * a2 * a3, "u1", "v1", "v1"),
-                      mono(-a2 * a3, "u1", "u1", "u1")]}),
-    }
-
-
-def _h2_identities(c: ValidatedCoefficients) -> dict:
-    a1, a2, a3, k = c.a1, c.a2, c.a3, c.k
-    f2, g2, h2 = (lyapunov_monomials(c)[name] for name in ("f2", "g2", "h2"))
-    curv = seminorm_monomials(2)
-    cross2 = (mono(1.0, "u2", "v2"),)
-    # "Approximate" means accurate relative to the quadratic leading part,
-    # so that scale enters the truncations' normalizers.
-    quadratic = (curv, (mono(2 * a3, "u2", "v2"),))
-    return {
-        "H2_MAIN": _Identity(f2 + g2, {"-2k f2": _Damped(-2 * k, f2),
-                                       "h2": h2}),
-        "H2_SUB(5.2)": _Identity(curv, {
-            "damping": _Damped(-2 * k, curv),
-            "self": [mono(-5.0, "u2", "u2", "u1"),
-                     mono(-5.0, "v2", "v2", "v1")],
-            "a1": [mono(-10 * a1, "u2", "v2", "v1"),
-                   mono(-5 * a1, "v2", "v2", "u1")],
-            "a2": [mono(-10 * a2, "u2", "v2", "u1"),
-                   mono(-5 * a2, "u2", "u2", "v1")]}),
-        "H2_SUB(5.3)": _Identity(cross2, {
-            "damping": _Damped(-2 * k, cross2),
-            "cubic": [mono(-1.0, "u3", "v2", "u"),
-                      mono(-1.0, "v3", "u2", "v"),
-                      mono(-3.0, "u2", "v2", "u1"),
-                      mono(-3.0, "u2", "v2", "v1")],
-            "a1": [mono(-2.5 * a1, "u2", "u2", "v1"),
-                   mono(-2.5 * a1, "v2", "v2", "v1"),
-                   mono(-2 * a1, "u2", "v2", "u1"),
-                   mono(a1, "u3", "v2", "u")],
-            "a2": [mono(-2.5 * a2, "u2", "u2", "u1"),
-                   mono(-2.5 * a2, "v2", "v2", "u1"),
-                   mono(-2 * a2, "u2", "v2", "v1"),
-                   mono(a2, "v3", "u2", "v")]}),
-        "H2_SUB(5.4)": _Identity(
-            (mono(1.0, "u1", "u1", "u"), mono(1.0, "v1", "v1", "v")),
-            {"main": [mono(-3.0, "u2", "u2", "u1"),
-                      mono(-3.0, "v2", "v2", "v1")],
-             "a3": [mono(-2 * a3, "u3", "v2", "u"),
-                    mono(-2 * a3, "v3", "u2", "v"),
-                    mono(-4 * a3, "u2", "v2", "u1"),
-                    mono(-4 * a3, "u2", "v2", "v1")]},
-            scale_by=quadratic),
-        "H2_SUB(5.5)": _Identity(
-            (mono(2.0, "u1", "v1", "v"), mono(1.0, "v1", "v1", "u")),
-            {"main": [mono(-6.0, "u2", "v2", "v1"),
-                      mono(-3.0, "v2", "v2", "u1")],
-             "a3": [mono(-3 * a3, "u2", "u2", "v1"),
-                    mono(-3 * a3, "v2", "v2", "v1"),
-                    mono(2 * a3, "u3", "v2", "u"),
-                    mono(-2 * a3, "u2", "v2", "u1")]},
-            scale_by=quadratic),
-        "H2_SUB(5.6)": _Identity(
-            (mono(2.0, "u1", "v1", "u"), mono(1.0, "u1", "u1", "v")),
-            {"main": [mono(-6.0, "u2", "v2", "u1"),
-                      mono(-3.0, "u2", "u2", "v1")],
-             "a3": [mono(-3 * a3, "u2", "u2", "u1"),
-                    mono(-3 * a3, "v2", "v2", "u1"),
-                    mono(2 * a3, "v3", "u2", "v"),
-                    mono(-2 * a3, "u2", "v2", "v1")]},
-            scale_by=quadratic),
-    }
-
-
-def _identity(identity_id: str, c: ValidatedCoefficients) -> _Identity:
-    if identity_id == "L2":
-        return _damping_only(_gen_n_identity(0, c))
-    if identity_id.startswith("GEN_N_APPROX("):
-        return _damping_only(_gen_n_identity(int(identity_id[13:-1]), c))
-    if identity_id.startswith("GEN_N("):
-        n = int(identity_id[6:-1])
-        if n < 0:
-            raise ValueError("derivative order must be >= 0")
-        return _gen_n_identity(n, c)
-    family = _h1_identities if identity_id.startswith("H1_") else _h2_identities
-    return family(c)[identity_id]
-
-
 # -- the compiled battery ----------------------------------------------------
 
 class ObservationPlan(NamedTuple):
-    """What one state is observed for, compiled once per coefficient set."""
+    """What a stack of states is observed for, compiled once per coefficient
+    set. Sum index -1 reads a 0.0 appended to the sums."""
 
     c: ValidatedCoefficients
     sums: IntegralPlan
     columns: tuple     # (record column, sum index) of each observed column
-    identities: dict   # id -> (left-side sum index, right-hand terms as
-                       # (label, `_Damped` factor or None, sum index),
-                       # sum indices of the `scale_by` lists)
+    identities: dict   # id -> the labels of its right-hand terms, in order
+    lhs: np.ndarray    # (ids,) left-side sum index of each identity
+    terms: np.ndarray  # (ids, width) sum index of each right-hand term
+    factors: np.ndarray  # (ids, width) its `_Damped` factor, or 1.0
+    scale_by: np.ndarray  # (ids, width') sum index of each `scale_by` list
 
 
 @functools.lru_cache(maxsize=None)
@@ -290,42 +113,64 @@ def observation_plan(c: ValidatedCoefficients, ids: tuple, n_max: int = 0,
     def add(terms: tuple) -> int:
         return sums.setdefault(terms, len(sums))
 
+    def table(rows: list, fill) -> np.ndarray:
+        width = max(map(len, rows), default=0)
+        return np.array([row + [fill] * (width - len(row)) for row in rows],
+                        dtype=type(fill)).reshape(len(rows), width)
+
     record = functional_record(c, n_max)
     columns = tuple((name, add(value_sum(record[name])))
                     for name in (record if columns is None else columns))
-    identities = {}
+    identities, lhs, terms, factors, scale_by = {}, [], [], [], []
     for identity_id in ids:
         identity = _identity(identity_id, c)
-        terms = tuple(
-            (label, term.factor, add(value_sum(term.monomials)))
-            if isinstance(term, _Damped)
-            else (label, None, add(value_sum(term)))
-            for label, term in identity.terms.items())
-        identities[identity_id] = (
-            add(ddt_sum(identity.functional)), terms,
-            tuple(add(value_sum(m)) for m in identity.scale_by))
-    return ObservationPlan(c, IntegralPlan(list(sums)), columns, identities)
+        identities[identity_id] = tuple(identity.terms)
+        lhs.append(add(ddt_sum(identity.functional)))
+        right = [(term.factor, term.monomials) if isinstance(term, _Damped)
+                 else (1.0, term) for term in identity.terms.values()]
+        terms.append([add(value_sum(monomials)) for _, monomials in right])
+        factors.append([factor for factor, _ in right])
+        scale_by.append([add(value_sum(m)) for m in identity.scale_by])
+    return ObservationPlan(c, IntegralPlan(list(sums)), columns, identities,
+                           np.array(lhs, dtype=int), table(terms, -1),
+                           table(factors, 1.0), table(scale_by, -1))
 
 
-class Observation(NamedTuple):
-    """One state's evaluated plan."""
+class Observation:
+    """A stack of states' evaluated plan, `sums` one row per state, and the
+    sides and residuals of its identities over the stack, from one
+    vectorized reduction: each number of a state is summed as a report of
+    that state alone is, abs(lhs) + (0 + sum |term|), then + reference."""
 
-    plan: ObservationPlan
-    sums: list
+    def __init__(self, plan: ObservationPlan, sums: np.ndarray):
+        self.plan, self.sums = plan, sums
+        padded = np.zeros((len(sums), sums.shape[1] + 1))
+        padded[:, :-1] = sums
+        self.lhs = padded[:, plan.lhs]
+        shape = self.lhs.shape
+        self.total, magnitude, reference = (np.zeros(shape) for _ in range(3))
+        with np.errstate(over="ignore", invalid="ignore"):  # as floats do
+            # 1.0 x is x, and + 0.0 leaves a sum from 0 unchanged
+            self.terms = plan.factors * padded[:, plan.terms]
+            for column in np.moveaxis(self.terms, -1, 0):
+                self.total += column
+                magnitude += abs(column)
+            for column in np.moveaxis(padded[:, plan.scale_by], -1, 0):
+                reference += abs(column)
+            self.normalizer = np.maximum(
+                abs(self.lhs) + magnitude + 2 * plan.c.k * reference,
+                NORMALIZER_FLOOR)
+            self.residual = abs(self.lhs - self.total) / self.normalizer
 
     def report(self, identity_id: str) -> IdentityReport:
-        lhs, terms, scale_by = self.plan.identities[identity_id]
-        sums = self.sums
-        lhs = sums[lhs]
-        terms = {label: sums[i] if factor is None else factor * sums[i]
-                 for label, factor, i in terms}
-        total = sum(terms.values())
-        reference = 2 * self.plan.c.k * sum(abs(sums[i]) for i in scale_by)
-        normalizer = max(abs(lhs) + sum(abs(v) for v in terms.values())
-                         + reference, NORMALIZER_FLOOR)
-        return IdentityReport(identity_id=identity_id, lhs=lhs, rhs=total,
-                              terms=terms, normalizer=normalizer,
-                              relative_residual=abs(lhs - total) / normalizer)
+        """The identity's report over the stack."""
+        j = list(self.plan.identities).index(identity_id)
+        return IdentityReport(
+            identity_id=identity_id, lhs=self.lhs[:, j], rhs=self.total[:, j],
+            terms={label: self.terms[:, j, w] for w, label
+                   in enumerate(self.plan.identities[identity_id])},
+            normalizer=self.normalizer[:, j],
+            relative_residual=self.residual[:, j])
 
 
 # Each report is made by its family's function: L2, GEN_N (with
@@ -343,12 +188,14 @@ def residual_general_n(obs: Observation, identity_id: str) -> IdentityReport:
 
 
 def residual_h1(obs: Observation, identity_id: str) -> IdentityReport:
-    """An H1 identity; `observe` has checked the zero means it needs."""
+    """An H1 identity; `observe_states` has checked the zero means it
+    needs."""
     return obs.report(identity_id)
 
 
 def residual_h2(obs: Observation, identity_id: str) -> IdentityReport:
-    """An H2 identity; `observe` has checked the zero means it needs."""
+    """An H2 identity; `observe_states` has checked the zero means it
+    needs."""
     return obs.report(identity_id)
 
 
@@ -361,27 +208,45 @@ def _report(obs: Observation, identity_id: str) -> IdentityReport:
     return family(obs, identity_id)
 
 
+def observe_states(states, c: ValidatedCoefficients, ids, n_max: int,
+                   columns: tuple | None = None) -> tuple[list, dict]:
+    """The record rows {"t": t, column: value} of a stack of states on one
+    grid, over the `columns` of `functional_record(c, n_max)` (all of them
+    when None), and the reports of the identities `ids` over the stack (H1
+    and H2 ones need zero means), from one evaluation of one plan: the two
+    share their value integrals."""
+    if any(i.startswith(ZERO_MEAN_CHECKS) for i in ids):
+        for st in states:
+            if st.mean_u != 0.0 or st.mean_v != 0.0:
+                raise ValueError("identity requires zero means; got "
+                                 f"M = {st.mean_u}, N = {st.mean_v}")
+    plan = observation_plan(c, tuple(ids), n_max, columns)
+    obs = Observation(plan, plan.sums.evaluate(states, c))
+    names = [name for name, _ in plan.columns]
+    values = obs.sums[:, [i for _, i in plan.columns]].tolist()
+    return ([{"t": st.t, **dict(zip(names, row))}
+             for st, row in zip(states, values)],
+            {i: _report(obs, i) for i in ids})
+
+
+def observe(state: SimState, c: ValidatedCoefficients, ids, n_max: int,
+            columns: tuple | None = None) -> tuple[dict, dict]:
+    """`observe_states` of one state: its record row, and its reports with
+    float numbers."""
+    rows, reports = observe_states([state], c, ids, n_max, columns)
+    return rows[0], {i: IdentityReport(
+        identity_id=i, lhs=float(rep.lhs[0]), rhs=float(rep.rhs[0]),
+        terms={label: float(v[0]) for label, v in rep.terms.items()},
+        normalizer=float(rep.normalizer[0]),
+        relative_residual=float(rep.relative_residual[0]))
+        for i, rep in reports.items()}
+
+
 def identity_reports(state: SimState, c: ValidatedCoefficients,
                      ids) -> dict:
     """IdentityReport for each of `ids` at one state, from one evaluation
     of their compiled plan; only the requested identities are evaluated."""
     return observe(state, c, ids, 0, ())[1]
-
-
-def observe(state: SimState, c: ValidatedCoefficients, ids, n_max: int,
-            columns: tuple | None = None) -> tuple[dict, dict]:
-    """The record row {"t": t, column: value} of one state, over the
-    `columns` of `functional_record(c, n_max)` (all of them when None), and
-    the reports of the identities `ids` (H1 and H2 ones need zero means),
-    from one evaluation of one plan: the two share their value integrals."""
-    if (any(i.startswith(ZERO_MEAN_CHECKS) for i in ids)
-            and (state.mean_u != 0.0 or state.mean_v != 0.0)):
-        raise ValueError("identity requires zero means; got "
-                         f"M = {state.mean_u}, N = {state.mean_v}")
-    plan = observation_plan(c, tuple(ids), n_max, columns)
-    obs = Observation(plan, plan.sums.evaluate(state, c))
-    return ({"t": state.t, **{name: obs.sums[i] for name, i in plan.columns}},
-            {i: _report(obs, i) for i in ids})
 
 
 # -- inequalities ------------------------------------------------------------
@@ -420,22 +285,42 @@ def check_poincare_holder(f: SpectralField, p, q,
 
 def poincare_holder_violations(f: SpectralField, exponents,
                                slack: float = 1e-10) -> list:
-    """The (p, q) pairs over `exponents` that fail `check_poincare_holder`,
-    with the samples of f, of its mean-free part and of f_x taken in one
-    resampling and each of their norms once per exponent."""
-    mean_free = SpectralField(f.grid,
-                              np.concatenate([[0.0], f.coeffs[1:]]))
-    mf, dx, full = ({p: _norm_of_abs(s, p) for p in exponents}
-                    for s in _abs_samples(mean_free, derivative(f), f))
-    bad = []
+    """The (p, q) pairs over `exponents` that fail `check_poincare_holder`:
+    `poincare_sweep` of one field."""
+    return poincare_sweep([f], exponents, slack)[0]
+
+
+def poincare_sweep(fields, exponents, slack: float = 1e-10) -> list:
+    """`poincare_holder_violations` of each of a stack of fields on one
+    grid, with the samples of every field, of its mean-free part and of its
+    x-derivative taken in one resampling, and their norms for each
+    exponent in one reduction; each norm is bitwise `_norm_of_abs`'s."""
+    grid = fields[0].grid
+    full = np.array([f.coeffs for f in fields])
+    mean_free = full.copy()
+    mean_free[:, 0] = 0.0
+    dx = full * (1j * (TWO_PI * grid.wavenumbers())) ** 1  # `derivative`
+    dx[:, -1] = 0.0
+    coeffs = np.concatenate([mean_free, dx, full])
+    samples = np.abs(sample_rows(coeffs, _row_bands(coeffs),
+                                 _next_pow2(4 * grid.n_points)))
+    norms = []  # (p, row) of `samples`
     for p in exponents:
-        for q in exponents:
-            ok = mf[p] <= dx[q] + slack
-            if p <= q:
-                ok = ok and full[p] <= full[q] + slack
-            if not ok:
-                bad.append((p, q))
-    return bad
+        if p == math.inf:
+            norms.append(np.max(samples, axis=1))
+            continue
+        p = float(p)
+        if p < 1.0:
+            raise ValueError(f"p must be >= 1 or inf, got {p}")
+        norms.append(np.array([m ** (1.0 / p) for m in
+                               np.mean(samples ** p, axis=1).tolist()]))
+    mf, fx, f = np.moveaxis(np.reshape(norms, (len(norms), 3, -1)), 0, -1)
+    # fails[field, p, q]: the Poincare bound, and monotonicity where p <= q
+    fails = ~(mf[:, :, None] <= fx[:, None, :] + slack)
+    order = np.array([[p <= q for q in exponents] for p in exponents])
+    fails |= order & ~(f[:, :, None] <= f[:, None, :] + slack)
+    return [[(exponents[i], exponents[j]) for i, j in np.argwhere(bad)]
+            for bad in fails]
 
 
 def admissible_exponent_tuples(n: int, d_max: int = 4):
@@ -464,32 +349,50 @@ def admissible_exponent_tuples(n: int, d_max: int = 4):
 def _product_bound_plan(n_values: tuple, d_max: int) -> tuple:
     """The seminorms of orders 0..max(n_values), then one integral per
     admissible tuple of each n, its factors u_0^alpha_0 v_0^beta_0 u_1 ...
-    in that order, as one plan; and each tuple as (n, alphas, betas, d)."""
+    in that order, as one plan; each tuple as (n, alphas, betas); each
+    distinct power (n - 1, (d - 2) / 2) of a bound; and per tuple its n and
+    the index of its power."""
     sums = [value_sum(seminorm_monomials(j)) for j in range(max(n_values) + 1)]
-    cases = []
+    cases, powers, power_of = [], {}, []
     for n in n_values:
         for alphas, betas in admissible_exponent_tuples(n, d_max):
             sums.append(value_sum([(1.0, tuple(
                 f for j in range(n + 1)
                 for f in [("u", j)] * alphas[j] + [("v", j)] * betas[j]))]))
-            cases.append((n, alphas, betas, sum(alphas) + sum(betas)))
-    return IntegralPlan(sums), tuple(cases)
+            cases.append((n, alphas, betas))
+            d = sum(alphas) + sum(betas)
+            power_of.append(powers.setdefault((n - 1, (d - 2) / 2.0),
+                                              len(powers)))
+    return (IntegralPlan(sums), tuple(cases), tuple(powers),
+            np.array([n for n, _, _ in cases]), np.array(power_of))
 
 
 def product_bound_violations(u: SpectralField, v: SpectralField,
                              n_values=(1, 2, 3), d_max: int = 4,
                              slack: float = 1e-10) -> list:
-    """Sweep every admissible tuple; returns the violating ones. The sides
-    come from one evaluation of one cached plan per (n_values, d_max), each
-    bitwise what `integral_of_product` gives for that tuple."""
-    plan, cases = _product_bound_plan(tuple(n_values), d_max)
-    s = plan.evaluate(SimState(u, v, 0.0, 0.0, 0.0), None)
-    bad = []
-    for (n, alphas, betas, d), value in zip(cases, s[len(s) - len(cases):]):
-        bound = s[n] * s[n - 1] ** ((d - 2) / 2.0)
-        if abs(value) > bound + slack * max(1.0, bound):
-            bad.append((n, alphas, betas, abs(value), bound))
-    return bad
+    """Sweep every admissible tuple; returns the violating ones:
+    `product_bound_sweep` of one pair."""
+    return product_bound_sweep([(u, v)], n_values, d_max, slack)[0]
+
+
+def product_bound_sweep(pairs, n_values=(1, 2, 3), d_max: int = 4,
+                        slack: float = 1e-10) -> list:
+    """`product_bound_violations` of each (u, v) of a stack of pairs on one
+    grid. The sides come from one evaluation of one cached plan per
+    (n_values, d_max) over the stack, each bitwise what
+    `integral_of_product` gives for that tuple; each S_(n-1)^((d-2)/2) is a
+    Python float power, and the bounds are tested all at once."""
+    plan, cases, powers, n_of, power_of = _product_bound_plan(
+        tuple(n_values), d_max)
+    s = plan.evaluate([SimState(u, v, 0.0, 0.0, 0.0) for u, v in pairs], None)
+    seminorms = s[:, :s.shape[1] - len(cases)].tolist()
+    power = np.array([[row[j] ** e for j, e in powers] for row in seminorms])
+    lhs = np.abs(s[:, s.shape[1] - len(cases):])
+    with np.errstate(over="ignore", invalid="ignore"):  # as floats do
+        bound = s[:, n_of] * power[:, power_of]
+        fails = lhs > bound + slack * np.fmax(1.0, bound)
+    return [[(*cases[k], lhs[row, k].item(), bound[row, k].item())
+             for k in np.flatnonzero(fails[row])] for row in range(len(s))]
 
 
 # -- decay fits ---------------------------------------------------------------

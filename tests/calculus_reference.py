@@ -14,9 +14,9 @@ import numpy as np
 from ggkdv.model import SimState, ValidatedCoefficients, rhs, scale_state
 from ggkdv.spectral import (SpectralField, _next_pow2, derivative, inner,
                             integral, padded_samples)
-from ggkdv.verification import (NORMALIZER_FLOOR, IdentityReport, _Damped,
-                                _Identity, _damping_only, _gen_n_identity,
-                                _h1_identities, _h2_identities)
+from ggkdv.identities import (_Damped, _Identity, _damping_only,
+                              _gen_n_identity, _h1_identities, _h2_identities)
+from ggkdv.verification import NORMALIZER_FLOOR, IdentityReport
 
 
 class StateCalculus:

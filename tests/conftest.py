@@ -48,6 +48,12 @@ def make_sine_state(grid, amp=0.1, mean_u=0.0, mean_v=0.0):
     return model.reduce_mean(phi, psi)
 
 
+def per_state(observer):
+    """An observer of `evolve`, which gets a member's states a block at a
+    time, from one that maps (member, state) to a row."""
+    return lambda i, block: [observer(i, st) for st in block]
+
+
 @functools.lru_cache(maxsize=None)
 def seeded_or_marched_state(n_points, seed, marched):
     """A seeded state (band 8), or the same state after 20 steps, whose

@@ -1,11 +1,17 @@
-"""The allocating flux and ETDRK4 step: oracles of the in-place stepper.
+"""The allocating flux and ETDRK4 step, and the unbound in-place step:
+oracles of the bound stepper.
 
 `nonlinear_remainder` and `step` are the stepper's flux and step as they
 were before `model.Workspace`: every call allocates its buffer, slices and
-views, and every stage a new array for each intermediate result. The
-workspace flux and `integrator._step` must give bitwise their numbers.
+views, and every stage a new array for each intermediate result.
+`in_place_step` is the step as it was before `integrator._bind_step`: in
+place through a `Workspace`, but looking up every stage, table row and
+ufunc, and binding the flux, on each call. The workspace flux and the bound
+step must give bitwise their numbers.
 """
 import numpy as np
+
+from ggkdv.model import nonlinear_remainder as workspace_remainder
 
 
 def nonlinear_remainder(w, mix, grid, transforms=None):
@@ -39,3 +45,24 @@ def step(w, tables, mix, grid, transforms):
     out = exp_full * w + w1 * n0 + w2x2 * (na + nb) + w3 * nc
     out[..., 0] = 0.0
     return out
+
+
+def in_place_step(w, tables, mix, ws):
+    """One ETDRK4 step of `w` in place through the stages of the
+    `Workspace` `ws`, by `model.nonlinear_remainder`."""
+    exp_full, exp_half, q, w1, w2x2, w3 = tables
+    n0, na, nb, nc, a, b, c, half, s = ws.stages
+    workspace_remainder(w, mix, ws, n0)
+    np.multiply(exp_half, w, out=half)
+    np.add(half, np.multiply(q, n0, out=a), out=a)  # half + q n0
+    workspace_remainder(a, mix, ws, na)
+    np.add(half, np.multiply(q, na, out=b), out=b)  # half + q na
+    workspace_remainder(b, mix, ws, nb)
+    np.multiply(q, np.subtract(np.multiply(2.0, nb, out=s), n0, out=s), out=s)
+    np.add(np.multiply(exp_half, a, out=c), s, out=c)  # + q (2 nb - n0)
+    workspace_remainder(c, mix, ws, nc)
+    # ((exp_full w + w1 n0) + w2x2 (na + nb)) + w3 nc
+    np.add(np.multiply(exp_full, w, out=w), np.multiply(w1, n0, out=s), out=w)
+    np.add(w, np.multiply(w2x2, np.add(na, nb, out=s), out=s), out=w)
+    np.add(w, np.multiply(w3, nc, out=s), out=w)
+    w[..., 0] = 0.0  # means are conserved exactly; pin against drift

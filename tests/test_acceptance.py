@@ -21,6 +21,7 @@ from ggkdv.verification import (fit_decay_rate, identity_reports, observe,
                                 product_bound_violations)
 
 from calculus_reference import scaling_ratios
+from conftest import per_state
 from linear_reference import linear_exact_solution
 
 COUPLED = CoefficientSet(a1=1.0, a2=1.0, a3=0.5, k=1.0)
@@ -39,8 +40,8 @@ def test_criterion_1_energy_decay_law():
         initial=InitialSpec(preset="single-mode", amplitude=0.1))
     start = time.perf_counter()
     series = evolve([build_initial_state(cfg)], [c], 2.0, 5e-4, stride=40,
-                    observers=[lambda _, s: {
-                        "energy": observe(s, c, (), 0)[0]["energy"]}])[0]
+                    observers=[per_state(lambda _, s: {
+                        "energy": observe(s, c, (), 0)[0]["energy"]})])[0]
     runtime = time.perf_counter() - start
     t = np.asarray(series.t)
     energy = np.asarray(series.columns["energy"])
@@ -89,8 +90,8 @@ def test_criterion_2_mean_conservation():
 
 def test_criterion_3_linearized_oracle(monkeypatch):
     # a zero flux leaves the linear part of each step alone
-    monkeypatch.setattr(integrator, "nonlinear_remainder",
-                        lambda w, mix, ws, out: out.fill(0.0))
+    monkeypatch.setattr(integrator, "_bind_flux",
+                        lambda ws, mix: lambda w, out: out.fill(0.0))
     grid = make_grid(64)
     worst, cases = 0.0, []
     for a3 in (0.0, 0.5, 0.9):
@@ -172,7 +173,8 @@ def test_criterion_6_seminorm_decay_rates():
     grid = make_grid(64)
     state = random_smooth_state(grid, seed=7, amplitude=0.5, kmax=8)
     series = evolve([state], [c], 10.0, 2e-3, stride=100,
-                    observers=[lambda _, s: observe(s, c, (), 3)[0]])[0]
+                    observers=[per_state(
+                        lambda _, s: observe(s, c, (), 3)[0])])[0]
     fits = [fit_decay_rate(series, f"seminorm_sq_{n}", (5.0, 10.0),
                            target_rate=-1.0) for n in (1, 2, 3)]
     passed = all(f.fitted_rate <= -2.0 * 0.95 * c.k and f.r_squared >= 0.999

@@ -26,7 +26,7 @@ from ggkdv.integrator import evolve, step_count
 from ggkdv.model import CoefficientSet
 from ggkdv.spectral import make_grid
 from ggkdv.verification import IdentityReport, observe
-from conftest import ROOT, config_to_dict, save_config
+from conftest import ROOT, config_to_dict, per_state, save_config
 from step_grid_reference import default_step, loader_step_count
 
 
@@ -111,10 +111,12 @@ class TestConfigRoundTrip:
         (lambda d: d["run"].update(dt=0.3), "does not divide"),
     ])
     def test_malformed_configs_rejected(self, tmp_path, mutate, message):
+        # the loader refuses all but the step, which is resolved where a
+        # command marches
         raw = base_config_dict(tmp_path)
         mutate(raw)
         with pytest.raises(ConfigError, match=message):
-            config_from_dict(raw)
+            config_from_dict(raw).resolved_dt()
 
     def test_numeric_text_and_integral_values_accepted(self, tmp_path):
         raw = base_config_dict(tmp_path)
@@ -412,7 +414,7 @@ class TestRunCommand:
         p = cli._prepare(cfg, True)
         states = []
         evolve([p.state], [p.c], cfg.t_final, p.dt, stride=cfg.stride,
-               observers=[lambda i, st: states.append(st) or {}])
+               observers=[per_state(lambda i, st: states.append(st) or {})])
         reports = [observe(st, p.c, ids, cfg.n_max)[1] for st in states]
         got = cli.run_experiment([p])[0].residuals
         assert len(states) == 11 and list(got) == ids
@@ -512,8 +514,8 @@ class TestVerifyCommand:
     def test_refused_default_dt_exits_2_before_any_battery(self, tmp_path,
                                                            monkeypatch,
                                                            capsys):
-        for battery in ("identity_reports", "poincare_holder_violations",
-                        "product_bound_violations"):
+        for battery in ("observe_states", "poincare_sweep",
+                        "product_bound_sweep"):
             monkeypatch.setattr(cli, battery, pytest.fail)
         raw = base_config_dict(tmp_path)
         raw["run"] = {"t_final": 1e308}  # no dt: the default rule picks it
@@ -577,6 +579,48 @@ class TestVerifyCommand:
         path = write_config(tmp_path, raw)
         assert cli.main(["verify", path]) == 2
         assert cli.main(["run", path]) == 0
+
+    @pytest.mark.parametrize("key, check", [
+        ("n_states", "L2"), ("poincare_fields", "POINCARE"),
+        ("product_fields", "PRODUCT_BOUND")])
+    def test_a_battery_past_its_bound_exits_2_at_once(
+            self, tmp_path, capsys, monkeypatch, key, check):
+        # 1e12 states of 8 points used to be built in one list, without end
+        for name in ("observe_states", "poincare_sweep", "product_bound_sweep",
+                     "random_smooth_state", "random_smooth_field"):
+            monkeypatch.setattr(cli, name, pytest.fail)
+        raw = base_config_dict(tmp_path)
+        raw["grid"]["n_points"] = 8
+        raw["checks"] = [check]
+        raw["verify"].update({"kmax": 2, key: 10 ** 12})
+        start = time.perf_counter()
+        assert cli.main(["verify", write_config(tmp_path, raw)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert (f"verify.{key} = 1000000000000 on grid.n_points = 8 takes "
+                f"8e+12 field-points; a battery takes fewer than 1e+07"
+                in capsys.readouterr().err)
+        assert os.listdir(tmp_path) == ["config.yaml"]
+
+    def test_a_battery_not_asked_for_is_not_bounded(self, tmp_path):
+        raw = base_config_dict(tmp_path)
+        raw["checks"] = ["L2"]
+        raw["verify"].update(poincare_fields=10 ** 12,
+                             product_fields=10 ** 12)
+        assert cli.main(["verify", write_config(tmp_path, raw)]) == 0
+
+    def test_one_run_section_rule(self, tmp_path, capsys):
+        # verify marches only for DECAY: it resolves neither step below,
+        # while gg run refuses both by the work bound
+        for run, named in (({"t_final": 1.0e12, "dt": 1.0e-3}, "run.dt"),
+                           ({"t_final": 1.0e13}, "run.t_final")):
+            raw = base_config_dict(tmp_path)
+            raw["run"], raw["checks"] = run, ["L2"]
+            path = write_config(tmp_path, raw)
+            assert cli.main(["run", path]) == 2
+            err = capsys.readouterr().err
+            assert named in err and "a run takes fewer than 1e+12" in err
+            assert cli.main(["verify", path]) == 0
+            os.remove(tmp_path / "summary.json")
 
     def test_failed_check_exit_4_names_identity(self, tmp_path, monkeypatch,
                                                 capsys):
@@ -766,6 +810,8 @@ class TestExitCodes:
                                value, named):
         raw = base_config_dict(tmp_path)
         raw[section][key] = value
+        if command == "verify":  # it resolves the step for DECAY alone
+            raw["checks"] = ["L2", "GEN_N", "DECAY"]
         assert gg(command, write_config(tmp_path, raw)) == 2
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
@@ -821,7 +867,7 @@ class TestExitCodes:
     ], ids=["default-dt", "explicit-dt"])
     def test_a_run_past_the_work_bound_exits_2_at_once(
             self, tmp_path, capsys, monkeypatch, command, run, named):
-        for name in ("evolve", "identity_reports", "random_smooth_state"):
+        for name in ("evolve", "observe_states", "random_smooth_state"):
             monkeypatch.setattr(cli, name, pytest.fail)
         raw = yaml.safe_load((ROOT / "configs/decay.yaml").read_text())
         raw["grid"]["n_points"] = 32

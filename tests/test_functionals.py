@@ -222,7 +222,7 @@ class TestRecordAgainstReference:
             batches.append((m, [row.tobytes() for row in coeffs]))
             return real_rows(coeffs, bands, m)
 
-        monkeypatch.setattr(fn, "rhs", forbidden_rhs)
+        monkeypatch.setattr(fn, "stacked_rhs", forbidden_rhs)
         monkeypatch.setattr(fn, "sample_rows", counting_rows)
         assert record(state, c, cfg.n_max) == expected
         sizes = [m for m, _ in batches]

@@ -9,7 +9,7 @@ import pytest
 from ggkdv import integrator as ti, model, spectral as sp
 from ggkdv.model import random_smooth_state
 
-from conftest import COUPLED, make_sine_state
+from conftest import COUPLED, make_sine_state, per_state
 from etd_reference import reference_march, reference_tables
 import functionals_reference as fn
 from linear_reference import linear_exact_solution
@@ -103,8 +103,8 @@ class TestLinearEvolution:
     def test_one_linear_step_is_exact_exponential(self, grid64, coeffs_coupled,
                                                   monkeypatch):
         # a zero flux leaves the linear part of the step alone
-        monkeypatch.setattr(ti, "nonlinear_remainder",
-                            lambda w, mix, ws, out: out.fill(0.0))
+        monkeypatch.setattr(ti, "_bind_flux",
+                            lambda ws, mix: lambda w, out: out.fill(0.0))
         st = random_state(grid64)
         dt = 1e-3
         stepped = ti.evolve([st], [coeffs_coupled], dt,
@@ -194,8 +194,8 @@ class TestEvolveMechanics:
     def test_observer_sampling_and_stride(self, grid64, coeffs_coupled):
         st = make_sine_state(grid64, amp=0.1)
         series = ti.evolve([st], [coeffs_coupled], 0.1, dt=1e-3, stride=20,
-                           observers=[lambda _, s: {
-                               "e": fn.energy(s, coeffs_coupled)}])[0]
+                           observers=[per_state(lambda _, s: {
+                               "e": fn.energy(s, coeffs_coupled)})])[0]
         assert len(series.t) == 6  # t = 0 plus 5 interior observations
         np.testing.assert_allclose(np.diff(series.t), 0.02, atol=1e-12)
         # (1/2)(int (0.1 sin)^2 + int (0.1 cos)^2) = 0.1^2 / 2
@@ -211,7 +211,7 @@ class TestEvolveMechanics:
 
     def test_determinism(self, grid64, coeffs_coupled):
         st = random_state(grid64, seed=3)
-        obs = [lambda _, s: {"e": fn.energy(s, coeffs_coupled)}]
+        obs = [per_state(lambda _, s: {"e": fn.energy(s, coeffs_coupled)})]
         s1 = ti.evolve([st], [coeffs_coupled], 0.05, dt=1e-3, observers=obs)[0]
         s2 = ti.evolve([st], [coeffs_coupled], 0.05, dt=1e-3, observers=obs)[0]
         np.testing.assert_array_equal(s1["e"], s2["e"])
@@ -306,7 +306,7 @@ class TestDecayLaw:
         # the dealiased nonlinearity is L2-orthogonal to the state, so the
         # quadratic decay law holds to time-discretization error only
         st = random_state(grid128, seed=1, amp=0.3, kmax=8)
-        obs = [lambda _, s: {"l2": fn.hs_seminorm_sq(s, 0)}]
+        obs = [per_state(lambda _, s: {"l2": fn.hs_seminorm_sq(s, 0)})]
         series = ti.evolve([st], [coeffs_coupled], 0.5, dt=1e-4, stride=500,
                            observers=obs)[0]
         initial = series["l2"][0]
@@ -333,7 +333,8 @@ def assert_member_equals_lone_march(run, i, state, c, t_final, dt,
                                     stride=1):
     """Member i of a batched run is bitwise its lone march."""
     alone = ti.evolve([state], [c], t_final, dt, stride=stride,
-                      observers=[lambda _, s: state_observer(c)(s)])
+                      observers=[per_state(
+                          lambda _, s: state_observer(c)(s))])
     got, want = run.members[i], alone.members[0]
     if isinstance(want, ti.BlowUpError):
         assert isinstance(got, ti.BlowUpError)
@@ -384,7 +385,8 @@ def assert_ensemble_near_reference(members):
     coeffs = [m[1] for m in members]
     dt, stride, t_final = 1e-3, 4, 12e-3
     run = ti.evolve(states, coeffs, t_final, dt, stride=stride,
-                    observers=[lambda i, s: state_observer(coeffs[i])(s)])
+                    observers=[per_state(
+                        lambda i, s: state_observer(coeffs[i])(s))])
     for i, (state, c) in enumerate(members):
         assert_member_near_reference(run, i, state, c, t_final, dt, stride)
 
@@ -441,7 +443,8 @@ class TestEnsembleOracle:
         coeffs = [m[1] for m in members]
         dt, stride, t_final = 1e-3, 4, 12e-3
         run = ti.evolve(states, coeffs, t_final, dt, stride=stride,
-                        observers=[lambda i, s: state_observer(coeffs[i])(s)])
+                        observers=[per_state(
+                            lambda i, s: state_observer(coeffs[i])(s))])
         for i, (state, c) in enumerate(members):
             assert_member_equals_lone_march(run, i, state, c, t_final, dt,
                                             stride)
@@ -464,7 +467,8 @@ class TestEnsembleOracle:
         seen = []
         run = ti.evolve([m[0] for m in members], [m[1] for m in members],
                         12e-3, 1e-3, stride=3,
-                        observers=[lambda _, s: seen.append(s) or {}])
+                        observers=[per_state(
+                            lambda _, s: seen.append(s) or {})])
         assert not any(isinstance(m, ti.BlowUpError) for m in run.members)
         assert len(seen) == 5 * len(members)
         for s in seen:
@@ -531,7 +535,8 @@ class TestEnsembleOracle:
         coeffs = [m[1] for m in members]
         dt, stride, t_final = 1e-3, 4, 12e-3
         run = ti.evolve(states, coeffs, t_final, dt, stride=stride,
-                        observers=[lambda i, s: state_observer(coeffs[i])(s)])
+                        observers=[per_state(
+                            lambda i, s: state_observer(coeffs[i])(s))])
         for i, (state, c) in enumerate(members):
             assert_member_equals_lone_march(run, i, state, c, t_final, dt,
                                             stride)
@@ -549,8 +554,8 @@ class TestEnsembleOracle:
         dt, t_final = 1e-3, 0.05
         run = ti.evolve([m[0] for m in members], [m[1] for m in members],
                         t_final, dt, stride=5,
-                        observers=[lambda i, s: state_observer(
-                            members[i][1])(s)])
+                        observers=[per_state(lambda i, s: state_observer(
+                            members[i][1])(s))])
         assert isinstance(run.members[1], ti.BlowUpError)
         with pytest.raises(ti.BlowUpError):
             run[1]
@@ -576,8 +581,9 @@ class TestEnsembleOracle:
 
 
 class TestInPlaceStep:
-    """`_step` through one reused `Workspace` against the allocating step
-    of `step_reference`, and the march's workspace and error state."""
+    """The step `_bind_step` binds to one reused `Workspace` against the
+    allocating step and the unbound in-place step of `step_reference`, and
+    the march's workspace and error state."""
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(4, 128).map(lambda half: sp.make_grid(2 * half))
@@ -595,21 +601,27 @@ class TestInPlaceStep:
         want = model._rotate(np.stack([
             np.stack([s.u.coeffs[:kept], s.v.coeffs[:kept]])
             for s, _ in members]))
-        w = want.copy()
-        ws = model.Workspace(w, grid, transforms)
+        w, unbound = want.copy(), want.copy()
+        step = ti._bind_step(w, tables, mix,
+                             model.Workspace(w, grid, transforms))
+        ws = model.Workspace(unbound, grid, transforms)
         for _ in range(2):  # the second step reuses every stage
             want = step_reference.step(want, tables, mix, grid, transforms)
-            ti._step(w, tables, mix, ws)
+            step()
             np.testing.assert_array_equal(w, want)
+            step_reference.in_place_step(unbound, tables, mix, ws)
+            np.testing.assert_array_equal(unbound, want)
 
     def test_a_march_builds_one_workspace_per_ensemble(
             self, monkeypatch, grid64, coeffs_coupled):
         built = []
 
+        bind = ti._bind_step
+
         def counted(w, *args):
             built.append(len(w))
-            return model.Workspace(w, *args)
-        monkeypatch.setattr(ti, "Workspace", counted)
+            return bind(w, *args)
+        monkeypatch.setattr(ti, "_bind_step", counted)
         calm = random_smooth_state(grid64, seed=1, amplitude=0.3)
         wild = make_sine_state(grid64, amp=500.0)
         ti.evolve([calm, calm], [coeffs_coupled] * 2, 0.05, 1e-3)
@@ -623,6 +635,50 @@ class TestInPlaceStep:
         assert isinstance(run.members[0], ti.BlowUpError)
         assert built == [1]
 
+    def test_a_member_blown_up_mid_block_loses_its_pending_rows(
+            self, grid64, coeffs_coupled):
+        calm = random_smooth_state(grid64, seed=1, amplitude=0.3)
+        wild = make_sine_state(grid64, amp=500.0)
+        seen = [[], [], []]  # the times each member's observer got
+        dt, t_final = 1e-3, 0.01
+
+        def observer(i, s):
+            seen[i].append(s.t)
+            return state_observer(coeffs_coupled)(s)
+        run = ti.evolve([calm, wild, calm], [coeffs_coupled] * 3, t_final,
+                        dt, observers=[per_state(observer)])
+        sampled = round(run.members[1].time / dt)  # steps 0 .. sampled - 1
+        assert sampled % ti.OBSERVE_BLOCK  # a block was still pending
+        assert seen[1] == [n * dt for n in range(
+            sampled - sampled % ti.OBSERVE_BLOCK)]
+        for i in (0, 2):
+            assert seen[i] == [n * dt for n in range(11)]
+            assert_member_equals_lone_march(run, i, calm, coeffs_coupled,
+                                            t_final, dt)
+
+    def test_the_drift_check_fires_at_the_drifting_state(
+            self, monkeypatch, grid64, coeffs_coupled):
+        bind, steps = ti._bind_step, []
+
+        def drifting(w, *args):
+            step = bind(w, *args)
+
+            def drift():
+                step()
+                steps.append(None)
+                if len(steps) == 5:
+                    w[..., 0] = 1e-3
+            return drift
+
+        monkeypatch.setattr(ti, "_bind_step", drifting)
+        calm = random_smooth_state(grid64, seed=1, amplitude=0.3)
+        seen = []
+        with pytest.raises(RuntimeError, match=r"mean drifted to 1\.414e-03 "
+                           r"at t = 0\.005$"):
+            ti.evolve([calm], [coeffs_coupled], 0.01, 1e-3, observers=[
+                per_state(lambda i, s: seen.append(s.t) or {})])
+        assert seen == [n * 1e-3 for n in range(4)]
+
     @pytest.mark.parametrize("caller", [  # numpy's defaults, and raising
         dict(divide="warn", over="warn", under="ignore", invalid="warn"),
         dict(divide="raise", over="raise", under="ignore", invalid="raise")])
@@ -630,17 +686,22 @@ class TestInPlaceStep:
                                              coeffs_coupled, caller):
         calm = random_smooth_state(grid64, seed=1, amplitude=0.3)
         wild = make_sine_state(grid64, amp=500.0)
-        step = ti._step
+        bind = ti._bind_step
 
         def drifting(w, *args):
-            step(w, *args)
-            w[..., 0] = 1e-3
+            step = bind(w, *args)
+
+            def drift():
+                step()
+                w[..., 0] = 1e-3
+            return drift
 
         with np.errstate(**caller):
             before = np.geterr()
             seen = []  # observers run under the caller's error state
             ti.evolve([calm], [coeffs_coupled], 0.01, 1e-3, stride=5,
-                      observers=[lambda i, s: seen.append(np.geterr()) or {}])
+                      observers=[per_state(
+                          lambda i, s: seen.append(np.geterr()) or {})])
             assert seen == [before] * 3 and np.geterr() == before
             # overflow in the march is neither warned of nor raised
             with warnings.catch_warnings(record=True) as caught:
@@ -650,7 +711,7 @@ class TestInPlaceStep:
             assert isinstance(run.members[0], ti.BlowUpError)
             assert not caught
             assert np.geterr() == before
-            monkeypatch.setattr(ti, "_step", drifting)
+            monkeypatch.setattr(ti, "_bind_step", drifting)
             with pytest.raises(RuntimeError, match="mean drifted"):
                 ti.evolve([calm], [coeffs_coupled], 0.01, 1e-3, stride=2)
             assert np.geterr() == before

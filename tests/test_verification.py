@@ -10,13 +10,14 @@ from ggkdv.config import load_config
 from ggkdv.integrator import DiagnosticSeries
 from ggkdv.model import (CoefficientSet, SimState, ValidatedCoefficients,
                          random_smooth_field, random_smooth_state, rhs,
-                         scale_state, validate_coefficients)
+                         scale_state, stacked_rhs, validate_coefficients)
 from ggkdv.spectral import derivative, integral_of_product, make_grid
 from ggkdv.verification import (APPROX_IDENTITY_IDS, EXACT_IDENTITY_IDS,
                                 admissible_exponent_tuples,
                                 check_poincare_holder, fit_decay_rate,
                                 identity_reports, observation_plan,
-                                poincare_holder_violations,
+                                observe_states, poincare_holder_violations,
+                                poincare_sweep, product_bound_sweep,
                                 product_bound_violations)
 from calculus_reference import (StateCalculus, approx_residual_general_n,
                                 residual_general_n, residual_h1, residual_h2,
@@ -24,6 +25,7 @@ from calculus_reference import (StateCalculus, approx_residual_general_n,
 from conftest import (COUPLED, ROOT, decay_marched_state,
                       seeded_or_marched_state)
 import calculus_reference
+import plan_reference
 import product_bound_reference
 from product_bound_reference import (HypothesisError, check_product_bound,
                                      product_bound_sides)
@@ -166,11 +168,11 @@ class TestStateCalculus:
             self, monkeypatch):
         cfg, c, state = decay_marched_state()
         rhs_calls, batches = [], []
-        real_rhs, real_rows = functionals.rhs, functionals.sample_rows
+        real_rhs, real_rows = functionals.stacked_rhs, functionals.sample_rows
 
-        def counting_rhs(st_, c_):
-            rhs_calls.append(st_.t)
-            return real_rhs(st_, c_)
+        def counting_rhs(states_, c_):
+            rhs_calls.append([st_.t for st_ in states_])
+            return real_rhs(states_, c_)
 
         def counting_rows(coeffs, bands, m):
             batches.append((m, [row.tobytes() for row in coeffs]))
@@ -180,7 +182,7 @@ class TestStateCalculus:
             raise AssertionError("the battery samples and integrates only "
                                  "through its compiled plan")
 
-        monkeypatch.setattr(functionals, "rhs", counting_rhs)
+        monkeypatch.setattr(functionals, "stacked_rhs", counting_rhs)
         monkeypatch.setattr(functionals, "sample_rows", counting_rows)
         monkeypatch.setattr(spectral, "integral_of_product", forbidden)
         monkeypatch.setattr(spectral, "padded_samples", forbidden)
@@ -283,7 +285,7 @@ class TestObservationPlan:
         c = BRANCHES[branch]
         calc = StateCalculus(state, c)
         plan = observation_plan(c, tuple(ALL_IDS), n_max, None)
-        values = plan.sums.values(state, c)
+        values = plan.sums.values([state], c)[0]
         for i, keys in enumerate(plan.sums.integrals):
             assert float(values[i]).hex() == calc.integral(keys).hex(), keys
 
@@ -305,9 +307,10 @@ class TestObservationPlan:
     def test_observation_calls_rhs_once(self, monkeypatch):
         cfg, c, state = decay_marched_state()
         rhs_calls = []
-        real_rhs = functionals.rhs
-        monkeypatch.setattr(functionals, "rhs", lambda st_, c_: (
-            rhs_calls.append(st_.t) or real_rhs(st_, c_)))
+        real_rhs = functionals.stacked_rhs
+        monkeypatch.setattr(functionals, "stacked_rhs", lambda states_, c_: (
+            rhs_calls.append([st_.t for st_ in states_])
+            or real_rhs(states_, c_)))
         verification.observe(
             state, c, verification.check_identities(cfg.checks, cfg.n_max)[0],
             cfg.n_max)
@@ -323,6 +326,95 @@ class TestObservationPlan:
         with pytest.raises(ValueError, match="zero means"):
             verification.observe(state, COUPLED, ["H1_SUB(4.2)"], 2)
         assert identity_reports(state, COUPLED, ["L2", "GEN_N(2)"])
+
+
+def same_bits(got, want) -> bool:
+    """Equal shapes and bits, NaN matching any NaN, -0.0 not 0.0."""
+    got = np.asarray(got, dtype=np.complex128).view(np.float64)
+    want = np.asarray(want, dtype=np.complex128).view(np.float64)
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.int64),
+                               want[~nan].view(np.int64)))
+
+
+@st.composite
+def stacks(draw):
+    """1-6 states on one grid of 8-256 points, each of its own band and
+    amplitude (zero fields among them), some with a non-finite
+    coefficient; nonzero means when `zero_mean` is drawn False."""
+    grid = make_grid(2 * draw(st.integers(4, 128)))
+    zero_mean = draw(st.booleans())
+    states = []
+    for _ in range(draw(st.integers(1, 6))):
+        state = random_smooth_state(
+            grid, seed=draw(st.integers(0, 2 ** 16)),
+            amplitude=draw(st.sampled_from([0.0, 1e-3, 0.5, 4.0])),
+            kmax=draw(st.integers(1, grid.dealias_cutoff)))
+        u = state.u.coeffs.copy()
+        if draw(st.booleans()):
+            u[draw(st.integers(1, grid.n_coeffs - 1))] = draw(
+                st.sampled_from([np.inf, -np.inf, np.nan]))
+        means = (0.0, 0.0) if zero_mean else (
+            draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+        states.append(SimState(spectral.SpectralField(grid, u), state.v, 0.0,
+                               *means))
+    return states, zero_mean
+
+
+class TestStackedObservation:
+    """A stack of states evaluated at once against the per-state oracles
+    of `plan_reference`, bitwise."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(stacks(), st.sampled_from(sorted(BRANCHES)),
+           st.integers(min_value=0, max_value=4))
+    def test_stack_equals_per_state_oracles(self, stack, branch, n_max):
+        states, zero_mean = stack
+        c = BRANCHES[branch]
+        ids = ALL_IDS if zero_mean else [
+            i for i in ALL_IDS if not i.startswith(("H1", "H2"))]
+        plan = observation_plan(c, tuple(ids), n_max, None)
+        with np.errstate(all="ignore"):
+            values = plan.sums.values(states, c)
+            derivatives = stacked_rhs(states, c)
+            rows, reports = observe_states(states, c, ids, n_max)
+            for s, state in enumerate(states):
+                assert same_bits(values[s],
+                                 plan_reference.values(plan.sums, state, c))
+                assert same_bits(derivatives[s], [
+                    f.coeffs for f in plan_reference.rhs(state, c)])
+                sums = plan_reference.evaluate(plan.sums, state, c)
+                assert same_bits([rows[s][name] for name, _ in plan.columns],
+                                 [sums[i] for _, i in plan.columns])
+                for i in ids:
+                    lhs, total, terms, normalizer, residual = (
+                        plan_reference.report(plan, sums, i))
+                    rep = reports[i]
+                    assert list(rep.terms) == list(terms)
+                    assert same_bits(
+                        [rep.lhs[s], rep.rhs[s], *(v[s] for v in
+                                                   rep.terms.values()),
+                         rep.normalizer[s], rep.relative_residual[s]],
+                        [lhs, total, *terms.values(), normalizer, residual])
+
+    @settings(max_examples=15, deadline=None)
+    @given(n_points=st.sampled_from([32, 64, 256]),
+           seed=st.integers(min_value=0, max_value=10_000),
+           kmax=st.lists(st.integers(1, 10), min_size=2, max_size=5))
+    def test_stacked_sweeps_equal_one_at_a_time(self, n_points, seed, kmax):
+        # fields of different bands, so the stack holds several sizes m
+        rng = np.random.default_rng(seed)
+        fields = [random_smooth_field(make_grid(n_points), rng, kmax=k)
+                  for k in kmax]
+        pairs = list(zip(fields, fields[1:] + fields[:1]))
+        for slack in (1e-10, -0.5):  # a negative slack makes pairs fail
+            assert poincare_sweep(fields, POINCARE_EXPONENTS, slack) == [
+                poincare_holder_violations(f, POINCARE_EXPONENTS, slack)
+                for f in fields]
+        assert product_bound_sweep(pairs, (1, 2, 3), 4, -math.inf) == [
+            product_bound_violations(u, v, (1, 2, 3), 4, -math.inf)
+            for u, v in pairs]
 
 
 def _group(ids, check):
