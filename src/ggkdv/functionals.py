@@ -104,13 +104,13 @@ class IntegralPlan:
         # products padded with field n_fields, which samples to 1.0
         self._pairs = np.array([[i] + [column[key] for key in keys]
                                 for keys, i in index.items()
-                                if len(keys) == 2]).reshape(-1, 3)
+                                if len(keys) == 2], dtype=int).reshape(-1, 3)
         longer = [[i] + [column[key] for key in keys]
                   for keys, i in index.items() if len(keys) > 2]
         arity = max(map(len, longer), default=1)
         self._products = np.array([row + [len(self.fields)]
-                                   * (arity - len(row)) for row in longer]
-                                  ).reshape(len(longer), arity)
+                                   * (arity - len(row)) for row in longer],
+                                  dtype=int).reshape(len(longer), arity)
 
     def _derived(self, states, c: ValidatedCoefficients) -> np.ndarray:
         """(S, n_fields, n_coeffs) coefficients of every keyed field of each

@@ -314,10 +314,12 @@ def poincare_sweep(fields, exponents, slack: float = 1e-10) -> list:
             raise ValueError(f"p must be >= 1 or inf, got {p}")
         norms.append(np.array([m ** (1.0 / p) for m in
                                np.mean(samples ** p, axis=1).tolist()]))
-    mf, fx, f = np.moveaxis(np.reshape(norms, (len(norms), 3, -1)), 0, -1)
+    mf, fx, f = np.moveaxis(np.reshape(norms, (len(norms), 3, len(fields))),
+                            0, -1)
     # fails[field, p, q]: the Poincare bound, and monotonicity where p <= q
     fails = ~(mf[:, :, None] <= fx[:, None, :] + slack)
-    order = np.array([[p <= q for q in exponents] for p in exponents])
+    order = np.array([[p <= q for q in exponents] for p in exponents],
+                     dtype=bool).reshape(len(exponents), len(exponents))
     fails |= order & ~(f[:, :, None] <= f[:, None, :] + slack)
     return [[(exponents[i], exponents[j]) for i, j in np.argwhere(bad)]
             for bad in fails]

@@ -398,6 +398,13 @@ class TestStackedObservation:
                          rep.normalizer[s], rep.relative_residual[s]],
                         [lhs, total, *terms.values(), normalizer, residual])
 
+    def test_a_plan_of_nothing_observes_only_t(self, grid64):
+        states = [random_smooth_state(grid64, seed=i) for i in range(3)]
+        assert observe_states(states, COUPLED, (), 0, ()) == (
+            [{"t": 0.0}] * 3, {})
+        assert verification.observe(states[0], COUPLED, (), 0, ()) == (
+            {"t": 0.0}, {})
+
     @settings(max_examples=15, deadline=None)
     @given(n_points=st.sampled_from([32, 64, 256]),
            seed=st.integers(min_value=0, max_value=10_000),
@@ -412,6 +419,7 @@ class TestStackedObservation:
             assert poincare_sweep(fields, POINCARE_EXPONENTS, slack) == [
                 poincare_holder_violations(f, POINCARE_EXPONENTS, slack)
                 for f in fields]
+        assert poincare_sweep(fields, ()) == [[] for _ in fields]
         assert product_bound_sweep(pairs, (1, 2, 3), 4, -math.inf) == [
             product_bound_violations(u, v, (1, 2, 3), 4, -math.inf)
             for u, v in pairs]
