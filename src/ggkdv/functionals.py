@@ -14,8 +14,9 @@ The identities (`identities`) reuse these lists: GEN_N(n), H1_SUB(4.2)
 and H2_SUB(5.2) take the seminorms as their functionals, H1_MAIN and
 H2_MAIN take f1, g1, f2, g2 and h2. `verification.observation_plan` compiles
 them with the record columns it is asked for into one cached `IntegralPlan`,
-which evaluates a stack of states at once; the lists are built only while a
-plan compiles.
+which evaluates a stack of states at once, with one `model.rhs` of the stack
+and one `spectral.padded_samples` per padded size; the lists are built only
+while a plan compiles.
 """
 from __future__ import annotations
 
@@ -23,8 +24,8 @@ import functools
 
 import numpy as np
 
-from .model import ValidatedCoefficients, stacked_rhs
-from .spectral import TWO_PI, _parseval_weights, _row_bands, sample_rows
+from .model import ValidatedCoefficients, rhs
+from .spectral import TWO_PI, _parseval_weights, _row_bands, padded_samples
 
 
 # -- monomial calculus -------------------------------------------------------
@@ -117,7 +118,7 @@ class IntegralPlan:
         state, each bitwise what `spectral.derivative` gives it."""
         sources = np.array([(st.u.coeffs, st.v.coeffs) for st in states])
         if self.needs_rhs:
-            sources = np.concatenate([sources, stacked_rhs(states, c)], axis=1)
+            sources = np.concatenate([sources, rhs(states, c)], axis=1)
         fields = sources[:, self._sources]
         symbols, moved, odd = _derivative_symbols(sources.shape[2],
                                                   self._orders)
@@ -164,7 +165,7 @@ class IntegralPlan:
             at[needed] = np.arange(len(needed))
             group = at[group]
             sampled = np.empty((len(needed) + 1, m))
-            sampled[:-1] = sample_rows(flat[needed], bands[needed], m)
+            sampled[:-1] = padded_samples(flat[needed], bands[needed], m)
             sampled[-1] = 1.0
             # the products a chunk of rows at a time, into reused buffers
             step = max(1, PRODUCT_CHUNK // m)

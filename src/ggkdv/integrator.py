@@ -9,20 +9,21 @@ rule on an entire function is exact to machine precision. The mean-advection
 terms are folded into the nonlinear remainder, so tables depend only on
 (grid, a3, k, dt).
 
-The march never leaves the eigenbasis: `model.nonlinear_remainder` forms the
-flux from the products of w+ and w- and mixes it in physical space with the
-per-member matrix of `model.eigen_mixing`. Grids of up to
-`model.MATMUL_MAX_POINTS` points move between modes and grid by the two real
-matrices of `model.flux_transforms`, larger ones by a pocketfft irfft/rfft
-pair. `evolve` builds the matrices once per march beside its tables, one
-`model.Workspace` of flux buffers and stage arrays, and one step bound to it
-(`_bind_step`): a closure that does every stage in place, with every operand
-a local, so a step makes no array; one np.errstate spans the march. State
-and tables hold only the kept modes 0..dealias_cutoff, since the dealiased
-nonlinear term is zero above the cutoff and so is the truncated initial state;
-observers get the state rotated back to (u, v) and padded to the full rfft
-length. The tables fold in the -i omega of the flux's derivative, and the 2
-the final combination puts on w2.
+The march never leaves the eigenbasis: `model._bind_flux`, the body of
+`model.nonlinear_remainder`, forms the flux from the products of w+ and w-
+and mixes it in physical space with the per-member matrix of
+`model.eigen_mixing`. Grids of up to `model.MATMUL_MAX_POINTS` points move
+between modes and grid by the two real matrices of `model.flux_transforms`,
+larger ones by a pocketfft irfft/rfft pair. `evolve` builds the matrices
+once per march beside its tables, and one step bound to them (`_bind_step`):
+a closure that does every stage in place, in its own flux buffers and stage
+arrays, with every operand a local, so a step makes no array; one
+np.errstate spans the march. State and tables hold only the kept modes
+0..dealias_cutoff, since the dealiased nonlinear term is zero above the
+cutoff and so is the truncated initial state; the observer gets the state
+rotated back to (u, v) and padded to the full rfft length. The tables fold
+in the -i omega of the flux's derivative, and the 2 the final combination
+puts on w2.
 
 `evolve` marches an ensemble: P members that share grid, dt, span and stride,
 each with its own coefficients and means. The state carries a member axis,
@@ -32,7 +33,7 @@ or matmul) for the whole march; numpy's batched real transforms, and its
 stacked matmuls, one matrix product per member, give every member bitwise
 what a lone call gives, so each member's numbers are bitwise those of its
 lone march. A member that turns non-finite leaves the ensemble with its own
-BlowUpError; the others march on unchanged. Observers get each member's
+BlowUpError; the others march on unchanged. The observer gets each member's
 sampled states a block of OBSERVE_BLOCK at a time, to evaluate as a stack.
 
 `step_count` is the one rule by which dt and stride tile a span: `evolve`
@@ -47,12 +48,12 @@ import math
 import numpy as np
 
 from .model import (CoefficientError, SimState, ValidatedCoefficients,
-                    Violation, Workspace, _bind_flux, _dealiased_ddx,
-                    _rotate, eigen_mixing, flux_transforms, linear_rates)
+                    Violation, _bind_flux, _dealiased_ddx, _rotate,
+                    eigen_mixing, flux_transforms, linear_rates)
 from .spectral import GridSpec, SpectralField, truncate
 
 N_CONTOUR = 32  # trapezoid points on each circle of `contour_phi_means`
-# Sampled states of a member that observers get at once: a stack holds its
+# Sampled states of a member that the observer gets at once: a stack holds its
 # states' fields and samples together, so peak RSS sets the size
 OBSERVE_BLOCK = 2
 
@@ -121,17 +122,19 @@ def step_count(span: float, dt: float, stride: int) -> int:
     return n_steps
 
 
-def _bind_step(w: np.ndarray, tables, mix: np.ndarray, ws: Workspace):
-    """One ETDRK4 step of the (P, 2, kept) state `w`, in place through the
-    stages of `ws`, as a callable of no arguments: bitwise a step by new
+def _bind_step(w: np.ndarray, tables, mix: np.ndarray, grid: GridSpec,
+               transforms):
+    """One ETDRK4 step of the (P, 2, kept) state `w`, in place through nine
+    stages of its own, as a callable of no arguments: bitwise a step by new
     arrays, by the same association. Every table row, stage, float view and
     ufunc is a local of the callable, and every `out` is positional."""
     exp_full, exp_half, q, w1, w2x2, w3 = tables
-    n0, na, nb, nc, a, b, c, half, s = ws.stages
-    flux = _bind_flux(ws, mix)
+    n0, na, nb, nc, a, b, c, half, s = np.empty((9,) + w.shape,
+                                                dtype=np.complex128)
+    flux = _bind_flux(w.shape, grid, mix, transforms)
     # the flux's operands: float views on the matmul route
     fw, fn0, fna, fnb, fnc, fa, fb, fc = (
-        x if ws.transforms is None else x.view(np.float64)
+        x if transforms is None else x.view(np.float64)
         for x in (w, n0, na, nb, nc, a, b, c))
     add, multiply, subtract = np.add, np.multiply, np.subtract
     means = w[..., 0]
@@ -182,21 +185,21 @@ class EnsembleRun:
         return member
 
 
-def evolve(states, coeffs, t_final: float, dt: float, observers=(),
+def evolve(states, coeffs, t_final: float, dt: float, observer=None,
            stride: int = 1) -> EnsembleRun:
-    """March an ensemble of states to t_final, sampling observers every
+    """March an ensemble of states to t_final, sampling the observer every
     `stride` steps.
 
     Member i is states[i] under coeffs[i]; all members share grid, start
-    time, dt, span and stride. Each observer is called as obs(i, block)
+    time, dt, span and stride. The observer is called as observer(i, block)
     with a list of member i's sampled states, in time order, and returns
-    one dict of named floats per state; a member's rows merge them in
-    observer order. Observers get a member's states OBSERVE_BLOCK at a time
-    as the march makes them and the rest after it, always under the
-    caller's error state; the mean drift is checked at each state as it is
-    made. A member whose state first turns non-finite leaves the ensemble
-    with a BlowUpError naming that time, its unobserved states dropped; the
-    others march on unchanged. Each member's final state is in its series'
+    one dict of named floats per state, that state's row (empty without an
+    observer). It gets a member's states OBSERVE_BLOCK at a time as the
+    march makes them and the rest after it, always under the caller's error
+    state; the mean drift is checked at each state as it is made. A member
+    whose state first turns non-finite leaves the ensemble with a
+    BlowUpError naming that time, its unobserved states dropped; the others
+    march on unchanged. Each member's final state is in its series'
     meta["final_state"]. Raises ValueError when dt and stride do not tile
     the span (`step_count`).
     """
@@ -227,13 +230,12 @@ def evolve(states, coeffs, t_final: float, dt: float, observers=(),
 
     def flush(i: int):
         block, pending[i] = pending[i], []
-        block_rows = [{} for _ in block]
-        with np.errstate(**caller):  # not the march's
-            for obs in observers:
-                for row, new in zip(block_rows, obs(i, block)):
-                    row.update(new)
+        if observer is None:
+            rows[i] += [{} for _ in block]
+        else:
+            with np.errstate(**caller):  # not the march's
+                rows[i] += observer(i, block)
         times[i] += [st.t for st in block]
-        rows[i] += block_rows
 
     def sample(i: int, st: SimState):
         drift = max(abs(st.u.coeffs[0]), abs(st.v.coeffs[0]))
@@ -250,7 +252,7 @@ def evolve(states, coeffs, t_final: float, dt: float, observers=(),
     kept = grid.dealias_cutoff + 1
     w = _rotate(np.stack([np.stack([st.u.coeffs[:kept], st.v.coeffs[:kept]])
                           for st in current]))
-    step = _bind_step(w, tables, mix, Workspace(w, grid, transforms))
+    step = _bind_step(w, tables, mix, grid, transforms)
     # a finite sum proves every entry finite; only a non-finite one (an
     # overflow of finite entries included) needs the exact test
     total, flat = np.add.reduce, w.view(np.float64).reshape(-1)
@@ -269,8 +271,7 @@ def evolve(states, coeffs, t_final: float, dt: float, observers=(),
                     break
                 tables = tuple(row[finite] for row in tables)
                 mix = mix[finite]
-                step = _bind_step(w, tables, mix,
-                                  Workspace(w, grid, transforms))
+                step = _bind_step(w, tables, mix, grid, transforms)
                 flat = w.view(np.float64).reshape(-1)
             if n % stride == 0:
                 uv = np.zeros((live.size, 2, grid.n_coeffs), np.complex128)

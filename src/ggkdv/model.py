@@ -16,15 +16,15 @@ The linear part is diagonal in the eigenbasis w+- = (u +- v)/sqrt(2), and
 quadratic in (u, v); written in the eigenbasis it is a fixed mix of the
 products of w+ and w- plus a mean-advection term linear in w+-, the one real
 matrix [Q | L] of `eigen_mixing`, applied in physical space.
-`_bind_flux` is its one body, bound to the reused buffers of a `Workspace`:
-the time stepper binds it once per march, and `nonlinear_remainder`, which
-`stacked_rhs` and `rhs` use, binds it per call. It moves between
-modes and grid by one of two routes: a pocketfft irfft/rfft pair, or, given the
-matrices of `flux_transforms`, two small real matmuls. The stepper takes the
-matmul route on grids of up to MATMUL_MAX_POINTS points, where numpy's fixed
-cost per FFT call dominates, whatever the size of its ensemble; the right-hand
-side always takes the FFT route. `stacked_rhs` gives a stack of states their
-time derivatives at once, each bitwise its own; `rhs` is a stack of one.
+`_bind_flux` is its one body, bound to `mix` and its own buffers: the time
+stepper binds it once per march, and `nonlinear_remainder`, which `rhs`
+uses, binds it per call. It moves between modes and grid by one of two
+routes: a pocketfft irfft/rfft pair, or, given the matrices of
+`flux_transforms`, two small real matmuls. The stepper takes the matmul
+route on grids of up to MATMUL_MAX_POINTS points, where numpy's fixed cost
+per FFT call dominates, whatever the size of its ensemble; the right-hand
+side always takes the FFT route. `rhs` gives a stack of states their time
+derivatives at once, each bitwise its own.
 """
 from __future__ import annotations
 
@@ -260,35 +260,24 @@ def flux_transforms(grid: GridSpec):
     return synth.reshape(2 * kept, n), anal.reshape(n, 2 * kept)
 
 
-class Workspace:
-    """What a march of `w` (..., 2, kept) reuses every step: the flux's
-    buffers, and nine `stages` like `w` for `integrator._bind_step` (built
-    on first use)."""
+def _bind_flux(shape: tuple, grid: GridSpec, mix: np.ndarray,
+               transforms=None):
+    """The body of `nonlinear_remainder`, bound to `mix` and to new buffers
+    for states of `shape` (..., 2, kept): a callable (w, out) that writes
+    the flux of `w` into `out`, both of that shape, and on the matmul
+    route of `transforms` given as their float views.
 
-    def __init__(self, w: np.ndarray, grid: GridSpec, transforms=None):
-        self.grid, self.transforms, self.w = grid, transforms, w
-        self.buf = np.empty(w.shape[:-2] + (5, grid.n_points))
-        self.flux = np.empty(w.shape[:-2] + (2, grid.n_points))
-
-    @functools.cached_property
-    def stages(self) -> tuple:
-        return tuple(np.empty((9,) + self.w.shape, dtype=np.complex128))
-
-
-def _bind_flux(ws: Workspace, mix: np.ndarray):
-    """The body of `nonlinear_remainder`, bound to `ws` and `mix`: a
-    callable (w, out) that writes the flux of `w` into `out`, both shaped
-    like `ws.w`, and on the matmul route given as their float views.
-
-    p and m fill rows 3-4 of the workspace's buffer, pp, mm and pm rows 0-2,
+    p and m fill rows 3-4 of a (..., 5, n) buffer, pp, mm and pm rows 0-2,
     and one real matmul by `mix` mixes the flux in physical space. Every
     buffer, matrix and numpy function is a local of the callable, and
     numpy's rfft and irfft are looked up here, when a march binds it.
     """
-    buf, flux, kept, n = ws.buf, ws.flux, ws.w.shape[-1], ws.grid.n_points
+    kept, n = shape[-1], grid.n_points
+    buf = np.empty(shape[:-2] + (5, n))
+    flux = np.empty(shape[:-2] + (2, n))
     phys, squares = buf[..., 3:, :], buf[..., :2, :]
     p, m, pm = (buf[..., i, :] for i in (3, 4, 2))
-    synth, anal = ws.transforms or (None, None)
+    synth, anal = transforms or (None, None)
     multiply, matmul, irfft, rfft = (np.multiply, np.matmul, np.fft.irfft,
                                      np.fft.rfft)
 
@@ -307,29 +296,29 @@ def _bind_flux(ws: Workspace, mix: np.ndarray):
     return remainder
 
 
-def nonlinear_remainder(w: np.ndarray, mix: np.ndarray, ws: Workspace,
-                        out: np.ndarray) -> np.ndarray:
+def nonlinear_remainder(w: np.ndarray, mix: np.ndarray, grid: GridSpec,
+                        out: np.ndarray, transforms=None) -> np.ndarray:
     """Flux of everything in the rhs except the stiff diagonal linear part.
 
     Works in the eigenbasis on the kept modes 0..dealias_cutoff, with any
     leading axes: `w` is (..., 2, kept) holding (w+_hat, w-_hat), `mix`
-    (..., 2, 5) the [Q | L] of `eigen_mixing`, `ws` a `Workspace` for
-    arrays shaped like `w`. Writes the flux F_hat into `out`, shaped like
-    `w`, and returns it; the remainder itself is -i omega F_hat, which the
-    stepper folds into its tables and `rhs` applies.
+    (..., 2, 5) the [Q | L] of `eigen_mixing`. Writes the flux F_hat into
+    `out`, shaped like `w`, and returns it; the remainder itself is
+    -i omega F_hat, which the stepper folds into its tables and `rhs`
+    applies.
 
     The flux is `_bind_flux`'s one body: one batched irfft and one rfft
-    move between modes and grid; or, with the (synth, anal) pair of
-    `flux_transforms` in `ws`, two matmuls on the float views of `w` and
-    `out`. The routes agree to round-off of order eps n max|flux|; on
-    either, each leading index gets bitwise what it would get alone. L
-    carries the mean advection, so the tables depend only on
-    (grid, a3, k, dt).
+    move between modes and grid; or, given the (synth, anal) pair of
+    `flux_transforms`, two matmuls on the float views of `w` and `out`.
+    The routes agree to round-off of order eps n max|flux|; on either,
+    each leading index gets bitwise what it would get alone. L carries the
+    mean advection, so the tables depend only on (grid, a3, k, dt).
     """
-    if ws.transforms is None:
-        _bind_flux(ws, mix)(w, out)
+    flux = _bind_flux(w.shape, grid, mix, transforms)
+    if transforms is None:
+        flux(w, out)
     else:
-        _bind_flux(ws, mix)(w.view(np.float64), out.view(np.float64))
+        flux(w.view(np.float64), out.view(np.float64))
     return out
 
 
@@ -347,7 +336,7 @@ def linear_rates(grid: GridSpec, c: ValidatedCoefficients) -> np.ndarray:
                      1j * omega3 * (1.0 - c.a3) - damp])
 
 
-def stacked_rhs(states, c: ValidatedCoefficients) -> np.ndarray:
+def rhs(states, c: ValidatedCoefficients) -> np.ndarray:
     """Time derivatives of a stack of reduced states on one grid, as an
     (S, 2, n_coeffs) array of (du, dv) coefficients; each state's row is
     bitwise what it would get alone."""
@@ -361,7 +350,7 @@ def stacked_rhs(states, c: ValidatedCoefficients) -> np.ndarray:
                    for st in states])
     w = _rotate(uv)
     mix = np.array([eigen_mixing(st, c) for st in states])
-    flux = nonlinear_remainder(w, mix, Workspace(w, grid), np.empty_like(w))
+    flux = nonlinear_remainder(w, mix, grid, np.empty_like(w))
     disp = (1j * (TWO_PI * np.arange(kept))) ** 3
     damp = np.full(kept, c.k)
     damp[0] = 0.0
@@ -369,11 +358,3 @@ def stacked_rhs(states, c: ValidatedCoefficients) -> np.ndarray:
     out[..., :kept] = (_rotate(_dealiased_ddx(grid) * flux)
                        - disp * (uv + c.a3 * uv[:, ::-1]) - damp * uv)
     return out
-
-
-def rhs(state: SimState, c: ValidatedCoefficients
-        ) -> tuple[SpectralField, SpectralField]:
-    """Time derivative (du, dv) of the reduced system: `stacked_rhs` of a
-    stack of one."""
-    du, dv = stacked_rhs([state], c)[0]
-    return SpectralField(state.grid, du), SpectralField(state.grid, dv)

@@ -145,21 +145,16 @@ def _row_bands(coeffs: np.ndarray) -> np.ndarray:
                     - np.argmax(nonzero[:, ::-1], axis=1), 0)
 
 
-def sample_rows(coeffs: np.ndarray, bands: np.ndarray, m: int) -> np.ndarray:
-    """Each row of `coeffs`, zeroed above its band, sampled on m points."""
+def padded_samples(coeffs: np.ndarray, bands: np.ndarray,
+                   m: int) -> np.ndarray:
+    """Each row of `coeffs`, zeroed above its band, sampled on m points:
+    the values of each row's trig interpolant on a finer uniform grid."""
     width = min(m // 2 + 1, coeffs.shape[1])
     padded = np.zeros((len(coeffs), m // 2 + 1), dtype=np.complex128)
     np.copyto(padded[:, :width], coeffs[:, :width],
               where=np.arange(width) <= bands[:, None])
     padded *= m
     return np.fft.irfft(padded, n=m)
-
-
-def padded_samples(f: SpectralField, m: int) -> np.ndarray:
-    """Values of the trig interpolant on a finer uniform grid of m points."""
-    if m < 2 * f.band() + 2 and f.band() > 0:
-        raise ValueError("target grid too coarse for this field's band")
-    return sample_rows(f.coeffs[None], np.array([f.band()]), m)[0]
 
 
 def integral_of_product(*fields: SpectralField) -> float:
@@ -171,7 +166,6 @@ def integral_of_product(*fields: SpectralField) -> float:
     """
     if not fields:
         raise ValueError("need at least one field")
-    grid = fields[0].grid
     for f in fields[1:]:
         _require_same_grid(fields[0], f)
     if len(fields) == 1:
@@ -180,7 +174,9 @@ def integral_of_product(*fields: SpectralField) -> float:
         return inner(fields[0], fields[1])
     bands = [f.band() for f in fields]
     m = _next_pow2(max(sum(bands) + 1, 2 * max(bands) + 2, 8))
-    prod = padded_samples(fields[0], m)
-    for f in fields[1:]:
-        prod = prod * padded_samples(f, m)
+    rows = padded_samples(np.array([f.coeffs for f in fields]),
+                          np.array(bands), m)
+    prod = rows[0]
+    for row in rows[1:]:
+        prod = prod * row
     return float(np.mean(prod))

@@ -16,9 +16,10 @@ integral once per state, bitwise equal to `integral_of_product`, then one
 vectorized reduction gives every identity's sides over the stack
 (`Observation`). Every left-side product holds a time derivative and no
 right-side product does, so the two routes of an identity share no
-integral; the record shares its value integrals with the right sides. The
-product-bound sweep is one more cached plan, evaluated on a stack of field
-pairs; the Poincare sweep resamples a stack of fields at once.
+integral; the record shares its value integrals with the right sides.
+`product_bound_violations` evaluates one more cached plan on a stack of
+field pairs, and `check_poincare_holder` resamples a stack of fields at
+once; each takes the whole stack, and a lone item is a stack of one.
 
 Identity ids:
     L2              exact L2 decay law (quadratic functional, any means)
@@ -43,8 +44,7 @@ from .functionals import (IntegralPlan, ddt_sum, functional_record,
                           seminorm_monomials, value_sum)
 from .identities import _Damped, _identity
 from .model import SimState, ValidatedCoefficients
-from .spectral import (TWO_PI, SpectralField, _next_pow2, _row_bands,
-                       derivative, sample_rows)
+from .spectral import TWO_PI, _next_pow2, _row_bands, padded_samples
 
 NORMALIZER_FLOOR = 1e-30
 
@@ -229,72 +229,17 @@ def observe_states(states, c: ValidatedCoefficients, ids, n_max: int,
             {i: _report(obs, i) for i in ids})
 
 
-def observe(state: SimState, c: ValidatedCoefficients, ids, n_max: int,
-            columns: tuple | None = None) -> tuple[dict, dict]:
-    """`observe_states` of one state: its record row, and its reports with
-    float numbers."""
-    rows, reports = observe_states([state], c, ids, n_max, columns)
-    return rows[0], {i: IdentityReport(
-        identity_id=i, lhs=float(rep.lhs[0]), rhs=float(rep.rhs[0]),
-        terms={label: float(v[0]) for label, v in rep.terms.items()},
-        normalizer=float(rep.normalizer[0]),
-        relative_residual=float(rep.relative_residual[0]))
-        for i, rep in reports.items()}
-
-
-def identity_reports(state: SimState, c: ValidatedCoefficients,
-                     ids) -> dict:
-    """IdentityReport for each of `ids` at one state, from one evaluation
-    of their compiled plan; only the requested identities are evaluated."""
-    return observe(state, c, ids, 0, ())[1]
-
-
 # -- inequalities ------------------------------------------------------------
 
-def _abs_samples(*fields: SpectralField) -> np.ndarray:
-    """|f| of each field, one row each, on the grid the L^p norms use."""
-    return np.abs(sample_rows(np.array([f.coeffs for f in fields]),
-                              np.array([f.band() for f in fields]),
-                              _next_pow2(4 * fields[0].grid.n_points)))
+def check_poincare_holder(fields, exponents, slack: float = 1e-10) -> list:
+    """Per field of a stack on one grid, the (p, q) pairs over `exponents`
+    that fail the mean-free Poincare bound ||f - [f]||_p <= ||f_x||_q, or,
+    where p <= q, L^p monotonicity ||f||_p <= ||f||_q (p, q >= 1 or inf).
 
-
-def _norm_of_abs(s: np.ndarray, p) -> float:
-    """Discrete L^p norm of nonnegative samples (p >= 1 or inf)."""
-    if p == math.inf:
-        return float(np.max(s))
-    p = float(p)
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
-    return float(np.mean(s ** p) ** (1.0 / p))
-
-
-def check_poincare_holder(f: SpectralField, p, q,
-                          slack: float = 1e-10) -> bool:
-    """Mean-free Poincare bound ||f - [f]||_p <= ||f_x||_q for any p, q >= 1,
-    plus L^p monotonicity ||f||_p <= ||f||_q whenever p <= q."""
-    def norm(g, r):
-        return _norm_of_abs(_abs_samples(g)[0], r)
-
-    mean_free = SpectralField(f.grid,
-                              np.concatenate([[0.0], f.coeffs[1:]]))
-    ok = norm(mean_free, p) <= norm(derivative(f), q) + slack
-    if p <= q:
-        ok = ok and norm(f, p) <= norm(f, q) + slack
-    return ok
-
-
-def poincare_holder_violations(f: SpectralField, exponents,
-                               slack: float = 1e-10) -> list:
-    """The (p, q) pairs over `exponents` that fail `check_poincare_holder`:
-    `poincare_sweep` of one field."""
-    return poincare_sweep([f], exponents, slack)[0]
-
-
-def poincare_sweep(fields, exponents, slack: float = 1e-10) -> list:
-    """`poincare_holder_violations` of each of a stack of fields on one
-    grid, with the samples of every field, of its mean-free part and of its
-    x-derivative taken in one resampling, and their norms for each
-    exponent in one reduction; each norm is bitwise `_norm_of_abs`'s."""
+    The samples of every field, of its mean-free part and of its
+    x-derivative are taken in one resampling on 4 n points, rounded up to
+    a power of two, and their discrete L^p norms for each exponent in one
+    reduction."""
     grid = fields[0].grid
     full = np.array([f.coeffs for f in fields])
     mean_free = full.copy()
@@ -302,8 +247,8 @@ def poincare_sweep(fields, exponents, slack: float = 1e-10) -> list:
     dx = full * (1j * (TWO_PI * grid.wavenumbers())) ** 1  # `derivative`
     dx[:, -1] = 0.0
     coeffs = np.concatenate([mean_free, dx, full])
-    samples = np.abs(sample_rows(coeffs, _row_bands(coeffs),
-                                 _next_pow2(4 * grid.n_points)))
+    samples = np.abs(padded_samples(coeffs, _row_bands(coeffs),
+                                    _next_pow2(4 * grid.n_points)))
     norms = []  # (p, row) of `samples`
     for p in exponents:
         if p == math.inf:
@@ -369,18 +314,11 @@ def _product_bound_plan(n_values: tuple, d_max: int) -> tuple:
             np.array([n for n, _, _ in cases]), np.array(power_of))
 
 
-def product_bound_violations(u: SpectralField, v: SpectralField,
-                             n_values=(1, 2, 3), d_max: int = 4,
+def product_bound_violations(pairs, n_values=(1, 2, 3), d_max: int = 4,
                              slack: float = 1e-10) -> list:
-    """Sweep every admissible tuple; returns the violating ones:
-    `product_bound_sweep` of one pair."""
-    return product_bound_sweep([(u, v)], n_values, d_max, slack)[0]
-
-
-def product_bound_sweep(pairs, n_values=(1, 2, 3), d_max: int = 4,
-                        slack: float = 1e-10) -> list:
-    """`product_bound_violations` of each (u, v) of a stack of pairs on one
-    grid. The sides come from one evaluation of one cached plan per
+    """Per (u, v) of a stack of pairs on one grid, the admissible tuples
+    whose product bound fails, each as (n, alphas, betas, lhs, bound).
+    The sides come from one evaluation of one cached plan per
     (n_values, d_max) over the stack, each bitwise what
     `integral_of_product` gives for that tuple; each S_(n-1)^((d-2)/2) is a
     Python float power, and the bounds are tested all at once."""

@@ -13,10 +13,12 @@ import numpy as np
 
 from ggkdv.model import SimState, ValidatedCoefficients, rhs, scale_state
 from ggkdv.spectral import (SpectralField, _next_pow2, derivative, inner,
-                            integral, padded_samples)
+                            integral)
 from ggkdv.identities import (_Damped, _Identity, _damping_only,
                               _gen_n_identity, _h1_identities, _h2_identities)
 from ggkdv.verification import NORMALIZER_FLOOR, IdentityReport
+
+from spectral_reference import padded_samples
 
 
 class StateCalculus:
@@ -44,7 +46,8 @@ class StateCalculus:
         if key not in self._fields:
             ddt, letter, order = key
             if (ddt, letter) not in self._sources:
-                du, dv = rhs(self.state, self.c)
+                du, dv = (SpectralField(self.state.grid, d)
+                          for d in rhs([self.state], self.c)[0])
                 self._sources.update({(True, "u"): du, (True, "v"): dv})
             f = derivative(self._sources[ddt, letter], order)
             self._fields[key] = f, f.band()

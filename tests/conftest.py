@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from ggkdv import model, spectral as sp
+from ggkdv import model, spectral as sp, verification
 from ggkdv.config import (LAYOUT, atomic_write_text, build_initial_state,
                           load_config)
 from ggkdv.integrator import evolve
@@ -46,6 +46,30 @@ def make_sine_state(grid, amp=0.1, mean_u=0.0, mean_v=0.0):
     phi = sp.from_samples(grid, mean_u + amp * np.sin(2 * np.pi * x))
     psi = sp.from_samples(grid, mean_v + amp * np.cos(2 * np.pi * x))
     return model.reduce_mean(phi, psi)
+
+
+def rhs_fields(state, c):
+    """`model.rhs` of a stack of one, as the fields (du, dv)."""
+    du, dv = model.rhs([state], c)[0]
+    return sp.SpectralField(state.grid, du), sp.SpectralField(state.grid, dv)
+
+
+def observe_one(state, c, ids, n_max, columns=None):
+    """`verification.observe_states` of a stack of one: the state's record
+    row, and its reports with float numbers."""
+    rows, reports = verification.observe_states([state], c, ids, n_max,
+                                                columns)
+    return rows[0], {i: verification.IdentityReport(
+        identity_id=i, lhs=float(rep.lhs[0]), rhs=float(rep.rhs[0]),
+        terms={label: float(v[0]) for label, v in rep.terms.items()},
+        normalizer=float(rep.normalizer[0]),
+        relative_residual=float(rep.relative_residual[0]))
+        for i, rep in reports.items()}
+
+
+def reports_of(state, c, ids) -> dict:
+    """The reports of the identities `ids` at one state, and only theirs."""
+    return observe_one(state, c, ids, 0, ())[1]
 
 
 def per_state(observer):

@@ -87,7 +87,7 @@ def step_arrays(w, tables, c, mean_u, mean_v, grid):
 def reference_march(state, c, t_final, dt, observer=None, stride=1):
     """(times, observer rows, final state), or raises BlowUpError.
 
-    `observer` maps a SimState to a dict, like one member's observers.
+    `observer` maps a SimState to a dict, like the observer of one member.
     """
     n_steps = int(round((t_final - state.t) / dt))
     tables = reference_tables(state.grid, c, dt)

@@ -4,12 +4,12 @@
 `IntegralPlan.values`, `IntegralPlan.evaluate` and `Observation.report` as
 they were before they took a stack of states: one state at a time, each
 field derived by `spectral.derivative`, the products grouped by arity and
-resampled by the `sample_rows` below, the report summed in Python floats.
+resampled by the `resample_rows` below, the report summed in Python floats.
 The stacked evaluation must give each state bitwise these numbers.
 """
 import numpy as np
 
-from ggkdv.model import (Workspace, _dealiased_ddx, _rotate, eigen_mixing,
+from ggkdv.model import (_dealiased_ddx, _rotate, eigen_mixing,
                          nonlinear_remainder)
 from ggkdv.spectral import TWO_PI, SpectralField, _parseval_weights, derivative
 from ggkdv.verification import NORMALIZER_FLOOR
@@ -21,7 +21,7 @@ def rhs(state, c):
     kept = grid.dealias_cutoff + 1
     uv = np.stack([state.u.coeffs[:kept], state.v.coeffs[:kept]])
     w = _rotate(uv)
-    flux = nonlinear_remainder(w, eigen_mixing(state, c), Workspace(w, grid),
+    flux = nonlinear_remainder(w, eigen_mixing(state, c), grid,
                                np.empty_like(w))
     disp = (1j * (TWO_PI * np.arange(kept))) ** 3
     damp = np.full(kept, c.k)
@@ -32,7 +32,7 @@ def rhs(state, c):
     return SpectralField(grid, out[0]), SpectralField(grid, out[1])
 
 
-def sample_rows(coeffs, bands, m):
+def resample_rows(coeffs, bands, m):
     width = min(m // 2 + 1, coeffs.shape[1])
     padded = np.zeros((len(coeffs), m // 2 + 1), dtype=np.complex128)
     padded[:, :width] = np.where(
@@ -79,7 +79,7 @@ def values(plan, state, c):
         rows = sorted(set().union(*(table.ravel().tolist()
                                     for _, table in group)))
         sampled = np.empty((len(fields), m))
-        sampled[rows] = sample_rows(fields[rows], bands[rows], m)
+        sampled[rows] = resample_rows(fields[rows], bands[rows], m)
         for index, table in group:
             prod = sampled[table[:, 0]]
             for col in range(1, table.shape[1]):

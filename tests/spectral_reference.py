@@ -1,18 +1,22 @@
-"""Field translations, L^p norms and single-field resampling, used by tests
-only.
+"""Field translations, L^p norms, single-field resampling and the one-field
+Poincare/Holder check, used by tests only.
 
-`shift` checks translation invariance. `lp_norm` is the norm that
+`shift` checks translation invariance. `padded_samples` is the one-field
+zero-pad-and-irfft that `spectral.padded_samples` must reproduce row by
+row, bit for bit. `lp_norm` is the norm that
 `verification.check_poincare_holder` compares, one field and exponent at a
-time, on the same oversampled grid. `padded_samples` is the one-field
-zero-pad-and-irfft that `spectral.sample_rows` must reproduce row by row,
-bit for bit.
+time, on the same oversampled grid, and `poincare_holder` is that check of
+one field at one (p, q): the stacked check must fail exactly the pairs it
+fails.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ggkdv.spectral import TWO_PI, GridSpec, SpectralField
-from ggkdv.verification import _abs_samples, _norm_of_abs
+from ggkdv.spectral import (TWO_PI, GridSpec, SpectralField, _next_pow2,
+                            derivative)
 
 
 def zeros(grid: GridSpec) -> SpectralField:
@@ -25,11 +29,6 @@ def shift(f: SpectralField, s: float) -> SpectralField:
     return SpectralField(f.grid, f.coeffs * phase)
 
 
-def lp_norm(f: SpectralField, p) -> float:
-    """L^p norm of the trig interpolant on an oversampled grid (p >= 1 or inf)."""
-    return _norm_of_abs(_abs_samples(f)[0], p)
-
-
 def padded_samples(f: SpectralField, m: int) -> np.ndarray:
     """Values of the trig interpolant on a finer uniform grid of m points."""
     if m < 2 * f.band() + 2 and f.band() > 0:
@@ -38,3 +37,34 @@ def padded_samples(f: SpectralField, m: int) -> np.ndarray:
     b = f.band()
     c[:b + 1] = f.coeffs[:b + 1]
     return np.fft.irfft(c * m, n=m)
+
+
+def _abs_samples(f: SpectralField) -> np.ndarray:
+    """|f| on the grid the L^p norms use."""
+    return np.abs(padded_samples(f, _next_pow2(4 * f.grid.n_points)))
+
+
+def _norm_of_abs(s: np.ndarray, p) -> float:
+    """Discrete L^p norm of nonnegative samples (p >= 1 or inf)."""
+    if p == math.inf:
+        return float(np.max(s))
+    p = float(p)
+    if p < 1.0:
+        raise ValueError(f"p must be >= 1 or inf, got {p}")
+    return float(np.mean(s ** p) ** (1.0 / p))
+
+
+def lp_norm(f: SpectralField, p) -> float:
+    """L^p norm of the trig interpolant on an oversampled grid (p >= 1 or inf)."""
+    return _norm_of_abs(_abs_samples(f), p)
+
+
+def poincare_holder(f: SpectralField, p, q, slack: float = 1e-10) -> bool:
+    """Mean-free Poincare bound ||f - [f]||_p <= ||f_x||_q for any p, q >= 1,
+    plus L^p monotonicity ||f||_p <= ||f||_q whenever p <= q."""
+    mean_free = SpectralField(f.grid,
+                              np.concatenate([[0.0], f.coeffs[1:]]))
+    ok = lp_norm(mean_free, p) <= lp_norm(derivative(f), q) + slack
+    if p <= q:
+        ok = ok and lp_norm(f, p) <= lp_norm(f, q) + slack
+    return ok

@@ -1,17 +1,17 @@
 """The allocating flux and ETDRK4 step, and the unbound in-place step:
 oracles of the bound stepper.
 
-`nonlinear_remainder` and `step` are the stepper's flux and step as they
-were before `model.Workspace`: every call allocates its buffer, slices and
-views, and every stage a new array for each intermediate result.
-`in_place_step` is the step as it was before `integrator._bind_step`: in
-place through a `Workspace`, but looking up every stage, table row and
-ufunc, and binding the flux, on each call. The workspace flux and the bound
-step must give bitwise their numbers.
+`nonlinear_remainder` and `step` are the stepper's flux and step written
+plainly: every call allocates its buffer, slices and views, and every stage
+a new array for each intermediate result. `in_place_step` is the step as it
+was before `integrator._bind_step`: in place through given stage arrays,
+but looking up every stage, table row and ufunc, and binding the flux, on
+each call. The bound flux and the bound step must give bitwise their
+numbers.
 """
 import numpy as np
 
-from ggkdv.model import nonlinear_remainder as workspace_remainder
+from ggkdv.model import nonlinear_remainder as bound_remainder
 
 
 def nonlinear_remainder(w, mix, grid, transforms=None):
@@ -47,20 +47,20 @@ def step(w, tables, mix, grid, transforms):
     return out
 
 
-def in_place_step(w, tables, mix, ws):
-    """One ETDRK4 step of `w` in place through the stages of the
-    `Workspace` `ws`, by `model.nonlinear_remainder`."""
+def in_place_step(w, tables, mix, grid, transforms, stages):
+    """One ETDRK4 step of `w` in place through the nine arrays `stages`,
+    each shaped like `w`, by `model.nonlinear_remainder`."""
     exp_full, exp_half, q, w1, w2x2, w3 = tables
-    n0, na, nb, nc, a, b, c, half, s = ws.stages
-    workspace_remainder(w, mix, ws, n0)
+    n0, na, nb, nc, a, b, c, half, s = stages
+    bound_remainder(w, mix, grid, n0, transforms)
     np.multiply(exp_half, w, out=half)
     np.add(half, np.multiply(q, n0, out=a), out=a)  # half + q n0
-    workspace_remainder(a, mix, ws, na)
+    bound_remainder(a, mix, grid, na, transforms)
     np.add(half, np.multiply(q, na, out=b), out=b)  # half + q na
-    workspace_remainder(b, mix, ws, nb)
+    bound_remainder(b, mix, grid, nb, transforms)
     np.multiply(q, np.subtract(np.multiply(2.0, nb, out=s), n0, out=s), out=s)
     np.add(np.multiply(exp_half, a, out=c), s, out=c)  # + q (2 nb - n0)
-    workspace_remainder(c, mix, ws, nc)
+    bound_remainder(c, mix, grid, nc, transforms)
     # ((exp_full w + w1 n0) + w2x2 (na + nb)) + w3 nc
     np.add(np.multiply(exp_full, w, out=w), np.multiply(w1, n0, out=s), out=w)
     np.add(w, np.multiply(w2x2, np.add(na, nb, out=s), out=s), out=w)

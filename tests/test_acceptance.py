@@ -16,12 +16,11 @@ from ggkdv.model import (CoefficientError, CoefficientSet, SimState,
                          check_coefficients, random_smooth_field,
                          random_smooth_state, validate_coefficients)
 from ggkdv.spectral import SpectralField, make_grid
-from ggkdv.verification import (fit_decay_rate, identity_reports, observe,
-                                poincare_holder_violations,
+from ggkdv.verification import (check_poincare_holder, fit_decay_rate,
                                 product_bound_violations)
 
 from calculus_reference import scaling_ratios
-from conftest import per_state
+from conftest import observe_one, per_state, reports_of
 from linear_reference import linear_exact_solution
 
 COUPLED = CoefficientSet(a1=1.0, a2=1.0, a3=0.5, k=1.0)
@@ -40,8 +39,8 @@ def test_criterion_1_energy_decay_law():
         initial=InitialSpec(preset="single-mode", amplitude=0.1))
     start = time.perf_counter()
     series = evolve([build_initial_state(cfg)], [c], 2.0, 5e-4, stride=40,
-                    observers=[per_state(lambda _, s: {
-                        "energy": observe(s, c, (), 0)[0]["energy"]})])[0]
+                    observer=per_state(lambda _, s: {
+                        "energy": observe_one(s, c, (), 0)[0]["energy"]}))[0]
     runtime = time.perf_counter() - start
     t = np.asarray(series.t)
     energy = np.asarray(series.columns["energy"])
@@ -90,8 +89,8 @@ def test_criterion_2_mean_conservation():
 
 def test_criterion_3_linearized_oracle(monkeypatch):
     # a zero flux leaves the linear part of each step alone
-    monkeypatch.setattr(integrator, "_bind_flux",
-                        lambda ws, mix: lambda w, out: out.fill(0.0))
+    monkeypatch.setattr(integrator, "_bind_flux", lambda shape, grid, mix,
+                        transforms: lambda w, out: out.fill(0.0))
     grid = make_grid(64)
     worst, cases = 0.0, []
     for a3 in (0.0, 0.5, 0.9):
@@ -128,7 +127,7 @@ def test_criterion_4_exact_identity_battery():
         for seed in range(50):
             state = random_smooth_state(grid, seed=seed, amplitude=0.1,
                                         kmax=8)
-            reports = identity_reports(
+            reports = reports_of(
                 state, c, [f"GEN_N({n})" for n in range(5)] + list(h1_ids)
                 + list(h2_ids))
             for identity_id, rep in reports.items():
@@ -147,7 +146,7 @@ def test_criterion_5_approximate_identity_scaling():
     c = validate_coefficients(CoefficientSet(a1=1.0, a2=1.0, a3=0.5, k=4.0))
     grid = make_grid(64)
     report_fns = {
-        name: lambda s, name=name: identity_reports(s, c, [name])[name]
+        name: lambda s, name=name: reports_of(s, c, [name])[name]
         for name in ("H2_MAIN", "GEN_N_APPROX(3)")
     }
     lo, hi = 0.35, 0.65
@@ -173,8 +172,8 @@ def test_criterion_6_seminorm_decay_rates():
     grid = make_grid(64)
     state = random_smooth_state(grid, seed=7, amplitude=0.5, kmax=8)
     series = evolve([state], [c], 10.0, 2e-3, stride=100,
-                    observers=[per_state(
-                        lambda _, s: observe(s, c, (), 3)[0])])[0]
+                    observer=per_state(
+                        lambda _, s: observe_one(s, c, (), 3)[0]))[0]
     fits = [fit_decay_rate(series, f"seminorm_sq_{n}", (5.0, 10.0),
                            target_rate=-1.0) for n in (1, 2, 3)]
     passed = all(f.fitted_rate <= -2.0 * 0.95 * c.k and f.r_squared >= 0.999
@@ -194,14 +193,14 @@ def test_criterion_7_inequality_sweeps():
     poincare_bad = 0
     for _ in range(1000):
         f = random_smooth_field(grid, rng, kmax=8)
-        poincare_bad += len(poincare_holder_violations(f, exponents))
+        poincare_bad += len(check_poincare_holder([f], exponents)[0])
     rng = np.random.default_rng(1)
     product_bad = 0
     for _ in range(500):
         u = random_smooth_field(grid, rng, kmax=8)
         v = random_smooth_field(grid, rng, kmax=8)
-        product_bad += len(product_bound_violations(u, v, n_values=(1, 2, 3),
-                                                    d_max=4))
+        product_bad += len(product_bound_violations(
+            [(u, v)], n_values=(1, 2, 3), d_max=4)[0])
     passed = poincare_bad == 0 and product_bad == 0
     _report(7, "inequality property sweeps", passed,
             f"{poincare_bad} Poincare/Holder violations in 1000 x 16, "

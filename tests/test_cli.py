@@ -25,8 +25,8 @@ from ggkdv.config import (MAX_POINT_STEPS, ConfigError, ExperimentConfig,
 from ggkdv.integrator import evolve, step_count
 from ggkdv.model import CoefficientSet
 from ggkdv.spectral import make_grid
-from ggkdv.verification import IdentityReport, observe
-from conftest import ROOT, config_to_dict, per_state, save_config
+from ggkdv.verification import IdentityReport
+from conftest import ROOT, config_to_dict, observe_one, per_state, save_config
 from step_grid_reference import default_step, loader_step_count
 
 
@@ -407,15 +407,16 @@ class TestRunCommand:
 
     def test_residuals_are_the_run_maxima_of_defect_and_normalizer(self):
         # the old route: per tracked identity, the max over the observed
-        # states of |lhs - rhs| and of the normalizer, taken from `observe`
+        # states of |lhs - rhs| and of the normalizer, each state observed
+        # alone
         cfg = replace(load_config(str(ROOT / "configs/decay.yaml")),
                       t_final=0.2, stride=10)
         ids = verification.check_identities(cfg.checks, cfg.n_max)[0]
         p = cli._prepare(cfg, True)
         states = []
         evolve([p.state], [p.c], cfg.t_final, p.dt, stride=cfg.stride,
-               observers=[per_state(lambda i, st: states.append(st) or {})])
-        reports = [observe(st, p.c, ids, cfg.n_max)[1] for st in states]
+               observer=per_state(lambda i, st: states.append(st) or {}))
+        reports = [observe_one(st, p.c, ids, cfg.n_max)[1] for st in states]
         got = cli.run_experiment([p])[0].residuals
         assert len(states) == 11 and list(got) == ids
         for i in ids:
@@ -514,8 +515,8 @@ class TestVerifyCommand:
     def test_refused_default_dt_exits_2_before_any_battery(self, tmp_path,
                                                            monkeypatch,
                                                            capsys):
-        for battery in ("observe_states", "poincare_sweep",
-                        "product_bound_sweep"):
+        for battery in ("observe_states", "check_poincare_holder",
+                        "product_bound_violations"):
             monkeypatch.setattr(cli, battery, pytest.fail)
         raw = base_config_dict(tmp_path)
         raw["run"] = {"t_final": 1e308}  # no dt: the default rule picks it
@@ -586,8 +587,9 @@ class TestVerifyCommand:
     def test_a_battery_past_its_bound_exits_2_at_once(
             self, tmp_path, capsys, monkeypatch, key, check):
         # 1e12 states of 8 points used to be built in one list, without end
-        for name in ("observe_states", "poincare_sweep", "product_bound_sweep",
-                     "random_smooth_state", "random_smooth_field"):
+        for name in ("observe_states", "check_poincare_holder",
+                     "product_bound_violations", "random_smooth_state",
+                     "random_smooth_field"):
             monkeypatch.setattr(cli, name, pytest.fail)
         raw = base_config_dict(tmp_path)
         raw["grid"]["n_points"] = 8

@@ -5,14 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from ggkdv import functionals as fn, model, spectral as sp
 from ggkdv.model import CoefficientSet
-from ggkdv.verification import observe
 
-from conftest import (decay_marched_state, make_sine_state,
+from conftest import (decay_marched_state, make_sine_state, observe_one,
                       seeded_or_marched_state)
 from calculus_reference import StateCalculus
 import functionals_reference
 from functionals_reference import energy, hs_seminorm_sq
-from spectral_reference import shift, zeros
+from spectral_reference import padded_samples, shift, zeros
 
 EPS = np.finfo(float).eps
 # g1 and g2 (and h2 off the admissible branches) are summed monomial by
@@ -35,7 +34,7 @@ BRANCHES = {
 
 def record(state, c, n_max=4):
     """The record of one state, as `gg run` observes it."""
-    return observe(state, c, (), n_max)[0]
+    return observe_one(state, c, (), n_max)[0]
 
 
 def rich_state(grid, amp=1.0, seed=11):
@@ -97,8 +96,8 @@ class TestLyapunovH1:
     def test_g1_dense_quadrature_oracle(self, grid128, coeffs_coupled):
         st = rich_state(grid128)
         m = 4096
-        u = sp.padded_samples(st.u, m)
-        v = sp.padded_samples(st.v, m)
+        u = padded_samples(st.u, m)
+        v = padded_samples(st.v, m)
         c = coeffs_coupled
         expect = float(np.mean(-(u ** 3 + v ** 3) / 3
                                - c.a1 * u * v ** 2 - c.a2 * u ** 2 * v))
@@ -123,10 +122,10 @@ class TestLyapunovH2:
         st = rich_state(grid128)
         m = 4096
         c = coeffs_coupled
-        u = sp.padded_samples(st.u, m)
-        v = sp.padded_samples(st.v, m)
-        u1 = sp.padded_samples(sp.derivative(st.u), m)
-        v1 = sp.padded_samples(sp.derivative(st.v), m)
+        u = padded_samples(st.u, m)
+        v = padded_samples(st.v, m)
+        u1 = padded_samples(sp.derivative(st.u), m)
+        v1 = padded_samples(sp.derivative(st.v), m)
         expect = float(np.mean(-(5 / 3) * (
             u1 ** 2 * u + v1 ** 2 * v
             + c.a1 * (2 * u1 * v1 * v + v1 ** 2 * u)
@@ -213,7 +212,7 @@ class TestRecordAgainstReference:
         cfg, c, state = decay_marched_state()
         expected = record(state, c, cfg.n_max)
         batches = []
-        real_rows = fn.sample_rows
+        real_rows = fn.padded_samples
 
         def forbidden_rhs(*args):
             raise AssertionError("a record needs no time derivative")
@@ -222,8 +221,8 @@ class TestRecordAgainstReference:
             batches.append((m, [row.tobytes() for row in coeffs]))
             return real_rows(coeffs, bands, m)
 
-        monkeypatch.setattr(fn, "stacked_rhs", forbidden_rhs)
-        monkeypatch.setattr(fn, "sample_rows", counting_rows)
+        monkeypatch.setattr(fn, "rhs", forbidden_rhs)
+        monkeypatch.setattr(fn, "padded_samples", counting_rows)
         assert record(state, c, cfg.n_max) == expected
         sizes = [m for m, _ in batches]
         assert batches and len(sizes) == len(set(sizes))

@@ -9,7 +9,7 @@ import pytest
 from ggkdv import integrator as ti, model, spectral as sp
 from ggkdv.model import random_smooth_state
 
-from conftest import COUPLED, make_sine_state, per_state
+from conftest import COUPLED, make_sine_state, per_state, rhs_fields
 from etd_reference import reference_march, reference_tables
 import functionals_reference as fn
 from linear_reference import linear_exact_solution
@@ -103,8 +103,8 @@ class TestLinearEvolution:
     def test_one_linear_step_is_exact_exponential(self, grid64, coeffs_coupled,
                                                   monkeypatch):
         # a zero flux leaves the linear part of the step alone
-        monkeypatch.setattr(ti, "_bind_flux",
-                            lambda ws, mix: lambda w, out: out.fill(0.0))
+        monkeypatch.setattr(ti, "_bind_flux", lambda shape, grid, mix,
+                            transforms: lambda w, out: out.fill(0.0))
         st = random_state(grid64)
         dt = 1e-3
         stepped = ti.evolve([st], [coeffs_coupled], dt,
@@ -138,21 +138,21 @@ def rk4_reference(state, c, t_final, dt):
     n_steps = int(round((t_final - state.t) / dt))
     current = state
     for _ in range(n_steps):
-        k1 = model.rhs(current, c)
+        k1 = rhs_fields(current, c)
         s2 = model.SimState(u=current.u + (dt / 2) * k1[0],
                             v=current.v + (dt / 2) * k1[1],
                             t=current.t, mean_u=current.mean_u,
                             mean_v=current.mean_v)
-        k2 = model.rhs(s2, c)
+        k2 = rhs_fields(s2, c)
         s3 = model.SimState(u=current.u + (dt / 2) * k2[0],
                             v=current.v + (dt / 2) * k2[1],
                             t=current.t, mean_u=current.mean_u,
                             mean_v=current.mean_v)
-        k3 = model.rhs(s3, c)
+        k3 = rhs_fields(s3, c)
         s4 = model.SimState(u=current.u + dt * k3[0], v=current.v + dt * k3[1],
                             t=current.t, mean_u=current.mean_u,
                             mean_v=current.mean_v)
-        k4 = model.rhs(s4, c)
+        k4 = rhs_fields(s4, c)
         u = current.u + (dt / 6) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         v = current.v + (dt / 6) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         current = model.SimState(u=u, v=v, t=current.t + dt,
@@ -194,8 +194,8 @@ class TestEvolveMechanics:
     def test_observer_sampling_and_stride(self, grid64, coeffs_coupled):
         st = make_sine_state(grid64, amp=0.1)
         series = ti.evolve([st], [coeffs_coupled], 0.1, dt=1e-3, stride=20,
-                           observers=[per_state(lambda _, s: {
-                               "e": fn.energy(s, coeffs_coupled)})])[0]
+                           observer=per_state(lambda _, s: {
+                               "e": fn.energy(s, coeffs_coupled)}))[0]
         assert len(series.t) == 6  # t = 0 plus 5 interior observations
         np.testing.assert_allclose(np.diff(series.t), 0.02, atol=1e-12)
         # (1/2)(int (0.1 sin)^2 + int (0.1 cos)^2) = 0.1^2 / 2
@@ -211,9 +211,9 @@ class TestEvolveMechanics:
 
     def test_determinism(self, grid64, coeffs_coupled):
         st = random_state(grid64, seed=3)
-        obs = [per_state(lambda _, s: {"e": fn.energy(s, coeffs_coupled)})]
-        s1 = ti.evolve([st], [coeffs_coupled], 0.05, dt=1e-3, observers=obs)[0]
-        s2 = ti.evolve([st], [coeffs_coupled], 0.05, dt=1e-3, observers=obs)[0]
+        obs = per_state(lambda _, s: {"e": fn.energy(s, coeffs_coupled)})
+        s1 = ti.evolve([st], [coeffs_coupled], 0.05, dt=1e-3, observer=obs)[0]
+        s2 = ti.evolve([st], [coeffs_coupled], 0.05, dt=1e-3, observer=obs)[0]
         np.testing.assert_array_equal(s1["e"], s2["e"])
         np.testing.assert_array_equal(
             s1.meta["final_state"].u.coeffs, s2.meta["final_state"].u.coeffs)
@@ -306,9 +306,9 @@ class TestDecayLaw:
         # the dealiased nonlinearity is L2-orthogonal to the state, so the
         # quadratic decay law holds to time-discretization error only
         st = random_state(grid128, seed=1, amp=0.3, kmax=8)
-        obs = [per_state(lambda _, s: {"l2": fn.hs_seminorm_sq(s, 0)})]
+        obs = per_state(lambda _, s: {"l2": fn.hs_seminorm_sq(s, 0)})
         series = ti.evolve([st], [coeffs_coupled], 0.5, dt=1e-4, stride=500,
-                           observers=obs)[0]
+                           observer=obs)[0]
         initial = series["l2"][0]
         expect = initial * np.exp(-2 * coeffs_coupled.k * series.t)
         assert np.max(np.abs(series["l2"] - expect)) <= 1e-7 * initial
@@ -333,8 +333,8 @@ def assert_member_equals_lone_march(run, i, state, c, t_final, dt,
                                     stride=1):
     """Member i of a batched run is bitwise its lone march."""
     alone = ti.evolve([state], [c], t_final, dt, stride=stride,
-                      observers=[per_state(
-                          lambda _, s: state_observer(c)(s))])
+                      observer=per_state(
+                          lambda _, s: state_observer(c)(s)))
     got, want = run.members[i], alone.members[0]
     if isinstance(want, ti.BlowUpError):
         assert isinstance(got, ti.BlowUpError)
@@ -385,8 +385,8 @@ def assert_ensemble_near_reference(members):
     coeffs = [m[1] for m in members]
     dt, stride, t_final = 1e-3, 4, 12e-3
     run = ti.evolve(states, coeffs, t_final, dt, stride=stride,
-                    observers=[per_state(
-                        lambda i, s: state_observer(coeffs[i])(s))])
+                    observer=per_state(
+                        lambda i, s: state_observer(coeffs[i])(s)))
     for i, (state, c) in enumerate(members):
         assert_member_near_reference(run, i, state, c, t_final, dt, stride)
 
@@ -443,8 +443,8 @@ class TestEnsembleOracle:
         coeffs = [m[1] for m in members]
         dt, stride, t_final = 1e-3, 4, 12e-3
         run = ti.evolve(states, coeffs, t_final, dt, stride=stride,
-                        observers=[per_state(
-                            lambda i, s: state_observer(coeffs[i])(s))])
+                        observer=per_state(
+                            lambda i, s: state_observer(coeffs[i])(s)))
         for i, (state, c) in enumerate(members):
             assert_member_equals_lone_march(run, i, state, c, t_final, dt,
                                             stride)
@@ -467,8 +467,8 @@ class TestEnsembleOracle:
         seen = []
         run = ti.evolve([m[0] for m in members], [m[1] for m in members],
                         12e-3, 1e-3, stride=3,
-                        observers=[per_state(
-                            lambda _, s: seen.append(s) or {})])
+                        observer=per_state(
+                            lambda _, s: seen.append(s) or {}))
         assert not any(isinstance(m, ti.BlowUpError) for m in run.members)
         assert len(seen) == 5 * len(members)
         for s in seen:
@@ -535,8 +535,8 @@ class TestEnsembleOracle:
         coeffs = [m[1] for m in members]
         dt, stride, t_final = 1e-3, 4, 12e-3
         run = ti.evolve(states, coeffs, t_final, dt, stride=stride,
-                        observers=[per_state(
-                            lambda i, s: state_observer(coeffs[i])(s))])
+                        observer=per_state(
+                            lambda i, s: state_observer(coeffs[i])(s)))
         for i, (state, c) in enumerate(members):
             assert_member_equals_lone_march(run, i, state, c, t_final, dt,
                                             stride)
@@ -554,8 +554,8 @@ class TestEnsembleOracle:
         dt, t_final = 1e-3, 0.05
         run = ti.evolve([m[0] for m in members], [m[1] for m in members],
                         t_final, dt, stride=5,
-                        observers=[per_state(lambda i, s: state_observer(
-                            members[i][1])(s))])
+                        observer=per_state(lambda i, s: state_observer(
+                            members[i][1])(s)))
         assert isinstance(run.members[1], ti.BlowUpError)
         with pytest.raises(ti.BlowUpError):
             run[1]
@@ -581,9 +581,9 @@ class TestEnsembleOracle:
 
 
 class TestInPlaceStep:
-    """The step `_bind_step` binds to one reused `Workspace` against the
-    allocating step and the unbound in-place step of `step_reference`, and
-    the march's workspace and error state."""
+    """The step `_bind_step` binds, reused, against the allocating step and
+    the unbound in-place step of `step_reference`, and the march's bound
+    step and error state."""
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(4, 128).map(lambda half: sp.make_grid(2 * half))
@@ -602,17 +602,17 @@ class TestInPlaceStep:
             np.stack([s.u.coeffs[:kept], s.v.coeffs[:kept]])
             for s, _ in members]))
         w, unbound = want.copy(), want.copy()
-        step = ti._bind_step(w, tables, mix,
-                             model.Workspace(w, grid, transforms))
-        ws = model.Workspace(unbound, grid, transforms)
+        step = ti._bind_step(w, tables, mix, grid, transforms)
+        stages = np.empty((9,) + unbound.shape, dtype=np.complex128)
         for _ in range(2):  # the second step reuses every stage
             want = step_reference.step(want, tables, mix, grid, transforms)
             step()
             np.testing.assert_array_equal(w, want)
-            step_reference.in_place_step(unbound, tables, mix, ws)
+            step_reference.in_place_step(unbound, tables, mix, grid,
+                                         transforms, stages)
             np.testing.assert_array_equal(unbound, want)
 
-    def test_a_march_builds_one_workspace_per_ensemble(
+    def test_a_march_binds_one_step_per_ensemble(
             self, monkeypatch, grid64, coeffs_coupled):
         built = []
 
@@ -646,7 +646,7 @@ class TestInPlaceStep:
             seen[i].append(s.t)
             return state_observer(coeffs_coupled)(s)
         run = ti.evolve([calm, wild, calm], [coeffs_coupled] * 3, t_final,
-                        dt, observers=[per_state(observer)])
+                        dt, observer=per_state(observer))
         sampled = round(run.members[1].time / dt)  # steps 0 .. sampled - 1
         assert sampled % ti.OBSERVE_BLOCK  # a block was still pending
         assert seen[1] == [n * dt for n in range(
@@ -675,8 +675,8 @@ class TestInPlaceStep:
         seen = []
         with pytest.raises(RuntimeError, match=r"mean drifted to 1\.414e-03 "
                            r"at t = 0\.005$"):
-            ti.evolve([calm], [coeffs_coupled], 0.01, 1e-3, observers=[
-                per_state(lambda i, s: seen.append(s.t) or {})])
+            ti.evolve([calm], [coeffs_coupled], 0.01, 1e-3,
+                      observer=per_state(lambda i, s: seen.append(s.t) or {}))
         assert seen == [n * 1e-3 for n in range(4)]
 
     @pytest.mark.parametrize("caller", [  # numpy's defaults, and raising
@@ -698,10 +698,10 @@ class TestInPlaceStep:
 
         with np.errstate(**caller):
             before = np.geterr()
-            seen = []  # observers run under the caller's error state
+            seen = []  # the observer runs under the caller's error state
             ti.evolve([calm], [coeffs_coupled], 0.01, 1e-3, stride=5,
-                      observers=[per_state(
-                          lambda i, s: seen.append(np.geterr()) or {})])
+                      observer=per_state(
+                          lambda i, s: seen.append(np.geterr()) or {}))
             assert seen == [before] * 3 and np.geterr() == before
             # overflow in the march is neither warned of nor raised
             with warnings.catch_warnings(record=True) as caught:

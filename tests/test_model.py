@@ -11,7 +11,7 @@ from ggkdv import model, spectral as sp, verification
 from ggkdv.model import (CoefficientSet, CoefficientError,
                          random_smooth_state)
 
-from conftest import make_sine_state
+from conftest import make_sine_state, rhs_fields
 import etd_reference
 import step_reference
 from linear_reference import linear_symbol
@@ -86,7 +86,7 @@ class TestCoefficientGate:
     def test_unvalidated_coefficients_rejected_by_rhs(self, grid64):
         state = make_sine_state(grid64)
         with pytest.raises(TypeError):
-            model.rhs(state, CoefficientSet(a1=1, a2=1, a3=0.5, k=1))
+            model.rhs([state], CoefficientSet(a1=1, a2=1, a3=0.5, k=1))
 
     def test_roundtrip_dict(self):
         c = CoefficientSet(a1=1, a2=0, a3=0.0, k=0.25)
@@ -147,7 +147,7 @@ class TestRhs:
         x = grid128.nodes()
         st = model.reduce_mean(sp.from_samples(grid128, np.sin(2 * np.pi * x)),
                                zeros(grid128))
-        du, dv = model.rhs(st, c)
+        du, dv = rhs_fields(st, c)
         expect_du = (-np.pi * np.sin(4 * np.pi * x)
                      + (2 * np.pi) ** 3 * np.cos(2 * np.pi * x)
                      - c.k * np.sin(2 * np.pi * x))
@@ -158,7 +158,7 @@ class TestRhs:
 
     def test_mode_zero_exactly_zero(self, grid64, coeffs_coupled):
         st = make_sine_state(grid64, amp=0.8, mean_u=0.4, mean_v=-0.3)
-        du, dv = model.rhs(st, coeffs_coupled)
+        du, dv = rhs_fields(st, coeffs_coupled)
         assert du.coeffs[0] == 0.0
         assert dv.coeffs[0] == 0.0
 
@@ -169,8 +169,8 @@ class TestRhs:
         st = make_sine_state(grid64, amp=0.5, mean_u=0.2, mean_v=-0.1)
         st_swapped = model.SimState(u=st.v, v=st.u, t=st.t,
                                     mean_u=st.mean_v, mean_v=st.mean_u)
-        du, dv = model.rhs(st, c)
-        du_s, dv_s = model.rhs(st_swapped, c_swapped)
+        du, dv = rhs_fields(st, c)
+        du_s, dv_s = rhs_fields(st_swapped, c_swapped)
         np.testing.assert_allclose(du_s.coeffs, dv.coeffs, atol=1e-14)
         np.testing.assert_allclose(dv_s.coeffs, du.coeffs, atol=1e-14)
 
@@ -179,8 +179,8 @@ class TestRhs:
         c = coeffs_coupled
         st = make_sine_state(grid64, amp=0.3, mean_u=0.7, mean_v=-0.4)
         st0 = model.SimState(u=st.u, v=st.v, t=st.t, mean_u=0.0, mean_v=0.0)
-        du, dv = model.rhs(st, c)
-        du0, dv0 = model.rhs(st0, c)
+        du, dv = rhs_fields(st, c)
+        du0, dv0 = rhs_fields(st0, c)
         M, N = st.mean_u, st.mean_v
         u1, v1 = sp.derivative(st.u), sp.derivative(st.v)
         expect_u = -1.0 * (M * u1 + c.a1 * N * v1 + c.a2 * (N * u1 + M * v1))
@@ -194,7 +194,7 @@ class TestRhs:
         st = model.SimState(u=phi, v=zeros(grid64), t=0.0,
                             mean_u=0.0, mean_v=0.0)
         with pytest.raises(ValueError):
-            model.rhs(st, coeffs_coupled)
+            model.rhs([st], coeffs_coupled)
 
     def test_linearization_consistency(self, grid64, coeffs_coupled):
         # rhs(eps w) = eps L w + O(eps^2): the nonlinear defect must shrink
@@ -204,7 +204,7 @@ class TestRhs:
 
         def defect(eps):
             st = make_sine_state(grid64, amp=eps)
-            du, dv = model.rhs(st, c)
+            du, dv = rhs_fields(st, c)
             w_plus = (st.u.coeffs + st.v.coeffs) / np.sqrt(2)
             w_minus = (st.u.coeffs - st.v.coeffs) / np.sqrt(2)
             lin_u = (rates[0] * w_plus + rates[1] * w_minus) / np.sqrt(2)
@@ -282,9 +282,9 @@ def term_member(draw, grid):
 
 
 def flux_of(w, mix, grid, transforms=None):
-    """`model.nonlinear_remainder` of `w` through a new `Workspace`."""
-    ws = model.Workspace(w, grid, transforms)
-    return model.nonlinear_remainder(w, mix, ws, ws.stages[0])
+    """`model.nonlinear_remainder` of `w` into a new array."""
+    return model.nonlinear_remainder(w, mix, grid, np.empty_like(w),
+                                     transforms)
 
 
 class TestNonlinearRemainder:
@@ -388,9 +388,10 @@ class TestFluxTransforms:
             sp.make_grid(model.MATMUL_MAX_POINTS + 2)) is None
 
 
-class TestWorkspaceFlux:
-    """The flux through one reused `Workspace` against the allocating flux
-    of `step_reference`, bitwise, on both routes."""
+class TestBoundFlux:
+    """`nonlinear_remainder`, and one flux `_bind_flux` binds and reuses,
+    against the allocating flux of `step_reference`, bitwise, on both
+    routes."""
 
     @settings(max_examples=60, deadline=None)
     @given(grid=st.integers(4, 128).map(lambda half: sp.make_grid(2 * half)),
@@ -398,7 +399,7 @@ class TestWorkspaceFlux:
            matmul=st.booleans(), poison=st.lists(
                st.sampled_from((None, np.inf, -np.inf, np.nan)),
                min_size=5, max_size=5))
-    def test_workspace_flux_equals_the_allocating_flux(
+    def test_bound_flux_equals_the_allocating_flux(
             self, grid, n_members, seed, matmul, poison):
         rng = np.random.default_rng(seed)
         kept = grid.dealias_cutoff + 1
@@ -409,15 +410,21 @@ class TestWorkspaceFlux:
                 w[i, rng.integers(2), rng.integers(kept)] = value
         # above MATMUL_MAX_POINTS there are no matrices: the FFT route
         transforms = model.flux_transforms(grid) if matmul else None
-        ws = model.Workspace(w, grid, transforms)
-        first, second = ws.stages[:2]
+        flux = model._bind_flux(w.shape, grid, mix, transforms)
+        first, second = np.empty((2,) + w.shape, dtype=np.complex128)
+        view = ((lambda x: x) if transforms is None
+                else (lambda x: x.view(np.float64)))
         with np.errstate(all="ignore"):
             want = step_reference.nonlinear_remainder(w, mix, grid,
                                                       transforms)
             np.testing.assert_array_equal(
-                model.nonlinear_remainder(w, mix, ws, first), want)
-            # as in a step, one stage's flux is the next call's input
+                model.nonlinear_remainder(w, mix, grid, np.empty_like(w),
+                                          transforms), want)
+            # one bound flux, its buffers reused: as in a step, one
+            # stage's flux is the next call's input
+            flux(view(w), view(first))
+            flux(view(first), view(second))
+            np.testing.assert_array_equal(first, want)
             np.testing.assert_array_equal(
-                model.nonlinear_remainder(first, mix, ws, second),
-                step_reference.nonlinear_remainder(want, mix, grid,
-                                                   transforms))
+                second, step_reference.nonlinear_remainder(want, mix, grid,
+                                                           transforms))

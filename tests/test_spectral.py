@@ -120,7 +120,7 @@ class TestProducts:
         m = 4096
         dense = np.ones(m)
         for f in fs:
-            dense = dense * sp.padded_samples(f, m)
+            dense = dense * padded_samples(f, m)
         assert sp.integral_of_product(*fs) == pytest.approx(
             float(np.mean(dense)), abs=1e-15)
 
@@ -191,10 +191,11 @@ def test_truncation_is_projection(seed):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), n=st.sampled_from([8, 16, 32, 64, 128]),
        n_rows=st.integers(1, 8), seed=field_seed)
-def test_sample_rows_equal_the_one_field_resampling_bitwise(data, n, n_rows,
-                                                            seed):
-    # every row of the batched resampler, and padded_samples, is bitwise the
-    # one-field zero-pad-and-irfft, for any band the target grid can hold
+def test_padded_samples_equal_the_one_field_resampling_bitwise(data, n,
+                                                               n_rows, seed):
+    # every row of the batched resampler, for a stack of any size, one
+    # included, is bitwise the one-field zero-pad-and-irfft, for any band
+    # the target grid can hold
     g = sp.make_grid(n)
     m = data.draw(st.integers(8, 4 * n), label="m")
     top = min(g.n_coeffs - 1, (m - 2) // 2)
@@ -206,10 +207,11 @@ def test_sample_rows_equal_the_one_field_resampling_bitwise(data, n, n_rows,
         c[:band + 1] = (rng.standard_normal(band + 1)
                         + 1j * rng.standard_normal(band + 1))
         fields.append(sp.SpectralField(g, c))
-    rows = sp.sample_rows(np.array([f.coeffs for f in fields]),
-                          np.array([f.band() for f in fields]), m)
+    rows = sp.padded_samples(np.array([f.coeffs for f in fields]),
+                             np.array([f.band() for f in fields]), m)
     assert rows.shape == (n_rows, m)
     for f, row in zip(fields, rows):
         want = padded_samples(f, m).tobytes()
         assert row.tobytes() == want
-        assert sp.padded_samples(f, m).tobytes() == want
+        assert sp.padded_samples(f.coeffs[None], np.array([f.band()]),
+                                 m).tobytes() == want

@@ -10,26 +10,24 @@ from ggkdv.config import load_config
 from ggkdv.integrator import DiagnosticSeries
 from ggkdv.model import (CoefficientSet, SimState, ValidatedCoefficients,
                          random_smooth_field, random_smooth_state, rhs,
-                         scale_state, stacked_rhs, validate_coefficients)
+                         scale_state, validate_coefficients)
 from ggkdv.spectral import derivative, integral_of_product, make_grid
 from ggkdv.verification import (APPROX_IDENTITY_IDS, EXACT_IDENTITY_IDS,
                                 admissible_exponent_tuples,
                                 check_poincare_holder, fit_decay_rate,
-                                identity_reports, observation_plan,
-                                observe_states, poincare_holder_violations,
-                                poincare_sweep, product_bound_sweep,
+                                observation_plan, observe_states,
                                 product_bound_violations)
 from calculus_reference import (StateCalculus, approx_residual_general_n,
                                 residual_general_n, residual_h1, residual_h2,
                                 residual_l2, scaling_ratios)
-from conftest import (COUPLED, ROOT, decay_marched_state,
-                      seeded_or_marched_state)
+from conftest import (COUPLED, ROOT, decay_marched_state, observe_one,
+                      reports_of, rhs_fields, seeded_or_marched_state)
 import calculus_reference
 import plan_reference
 import product_bound_reference
 from product_bound_reference import (HypothesisError, check_product_bound,
                                      product_bound_sides)
-from spectral_reference import lp_norm, shift, zeros
+from spectral_reference import lp_norm, poincare_holder, shift, zeros
 
 EXACT_TOL = 1e-9
 POINCARE_EXPONENTS = (1.0, 2.0, 4.0, math.inf)
@@ -153,7 +151,7 @@ class TestStateCalculus:
     def test_integrals_equal_integral_of_product_bitwise(
             self, n_points, seed, marched, products):
         state = seeded_or_marched_state(n_points, seed, marched)
-        du, dv = rhs(state, COUPLED)
+        du, dv = rhs_fields(state, COUPLED)
         sources = {(False, "u"): state.u, (False, "v"): state.v,
                    (True, "u"): du, (True, "v"): dv}
         calc = StateCalculus(state, COUPLED)
@@ -168,7 +166,7 @@ class TestStateCalculus:
             self, monkeypatch):
         cfg, c, state = decay_marched_state()
         rhs_calls, batches = [], []
-        real_rhs, real_rows = functionals.stacked_rhs, functionals.sample_rows
+        real_rhs, real_rows = functionals.rhs, functionals.padded_samples
 
         def counting_rhs(states_, c_):
             rhs_calls.append([st_.t for st_ in states_])
@@ -182,12 +180,12 @@ class TestStateCalculus:
             raise AssertionError("the battery samples and integrates only "
                                  "through its compiled plan")
 
-        monkeypatch.setattr(functionals, "stacked_rhs", counting_rhs)
-        monkeypatch.setattr(functionals, "sample_rows", counting_rows)
+        monkeypatch.setattr(functionals, "rhs", counting_rhs)
+        monkeypatch.setattr(functionals, "padded_samples", counting_rows)
         monkeypatch.setattr(spectral, "integral_of_product", forbidden)
         monkeypatch.setattr(spectral, "padded_samples", forbidden)
         ids = verification.check_identities(cfg.checks, cfg.n_max)[0]
-        reports = identity_reports(state, c, ids)
+        reports = reports_of(state, c, ids)
         assert list(reports) == ids
         assert len(rhs_calls) == 1
         sizes = [m for m, _ in batches]
@@ -207,14 +205,14 @@ class TestStateCalculus:
                        .sums.integrals)
 
         sampled = []
-        real_rows = functionals.sample_rows
-        monkeypatch.setattr(functionals, "sample_rows",
+        real_rows = functionals.padded_samples
+        monkeypatch.setattr(functionals, "padded_samples",
                             lambda coeffs, bands, m: sampled.append(
                                 len(coeffs)) or real_rows(coeffs, bands, m))
 
         def n_sampled(identity_ids):
             sampled.clear()
-            identity_reports(state, c, identity_ids)
+            reports_of(state, c, identity_ids)
             return sum(sampled)
 
         tracked, everything = integrals(ids), integrals(ids + untracked)
@@ -235,7 +233,7 @@ class TestStateCalculus:
         # terms are the record's columns times the same factors, bitwise.
         c = ValidatedCoefficients(**coeffs.to_dict())
         state = random_smooth_state(grid64, seed=seed, amplitude=0.5)
-        rec = verification.observe(state, c, (), 4)[0]
+        rec = observe_one(state, c, (), 4)[0]
         calc = StateCalculus(state, c)
         h1, h2 = residual_h1(calc)["H1_MAIN"], residual_h2(calc)["H2_MAIN"]
         assert bits(h1.terms) == bits({"-2k f1": -2 * c.k * rec["f1"],
@@ -246,7 +244,7 @@ class TestStateCalculus:
     def test_reports_equal_lone_batteries(self, grid64, coeffs_coupled):
         state = random_smooth_state(grid64, seed=3, amplitude=0.5)
         ids = list(EXACT_IDENTITY_IDS + APPROX_IDENTITY_IDS)
-        shared = identity_reports(state, coeffs_coupled, ids)
+        shared = reports_of(state, coeffs_coupled, ids)
         lone = all_exact_reports(state, coeffs_coupled)
         lone.update(residual_h2(StateCalculus(state, coeffs_coupled)))
         lone["GEN_N_APPROX(3)"] = approx_residual_general_n(
@@ -291,14 +289,14 @@ class TestObservationPlan:
 
         oracle = calculus_reference.reports(state, c, ALL_IDS)
         expected = [report_bits(oracle[i]) for i in ALL_IDS]
-        shipped = identity_reports(state, c, ALL_IDS)
+        shipped = reports_of(state, c, ALL_IDS)
         assert list(shipped) == ALL_IDS
         assert [report_bits(shipped[i]) for i in ALL_IDS] == expected
 
         columns = {name: calc.value(monomials) for name, monomials
                    in functionals.functional_record(c, n_max).items()}
-        record, observed = verification.observe(state, c, ALL_IDS, n_max)
-        assert record == verification.observe(state, c, (), n_max)[0]
+        record, observed = observe_one(state, c, ALL_IDS, n_max)
+        assert record == observe_one(state, c, (), n_max)[0]
         assert list(record) == ["t", *columns]
         assert bits({name: record[name] for name in columns}) == \
             bits(columns)
@@ -307,11 +305,11 @@ class TestObservationPlan:
     def test_observation_calls_rhs_once(self, monkeypatch):
         cfg, c, state = decay_marched_state()
         rhs_calls = []
-        real_rhs = functionals.stacked_rhs
-        monkeypatch.setattr(functionals, "stacked_rhs", lambda states_, c_: (
+        real_rhs = functionals.rhs
+        monkeypatch.setattr(functionals, "rhs", lambda states_, c_: (
             rhs_calls.append([st_.t for st_ in states_])
             or real_rhs(states_, c_)))
-        verification.observe(
+        observe_one(
             state, c, verification.check_identities(cfg.checks, cfg.n_max)[0],
             cfg.n_max)
         assert len(rhs_calls) == 1
@@ -322,10 +320,10 @@ class TestObservationPlan:
         state = SimState(u=state.u, v=state.v, t=0.0, mean_u=0.8, mean_v=0.0)
         for ids in (["H1_MAIN"], ["L2", "H2_SUB(5.2)"]):
             with pytest.raises(ValueError, match="zero means"):
-                identity_reports(state, COUPLED, ids)
+                reports_of(state, COUPLED, ids)
         with pytest.raises(ValueError, match="zero means"):
-            verification.observe(state, COUPLED, ["H1_SUB(4.2)"], 2)
-        assert identity_reports(state, COUPLED, ["L2", "GEN_N(2)"])
+            observe_one(state, COUPLED, ["H1_SUB(4.2)"], 2)
+        assert reports_of(state, COUPLED, ["L2", "GEN_N(2)"])
 
 
 def same_bits(got, want) -> bool:
@@ -377,7 +375,7 @@ class TestStackedObservation:
         plan = observation_plan(c, tuple(ids), n_max, None)
         with np.errstate(all="ignore"):
             values = plan.sums.values(states, c)
-            derivatives = stacked_rhs(states, c)
+            derivatives = rhs(states, c)
             rows, reports = observe_states(states, c, ids, n_max)
             for s, state in enumerate(states):
                 assert same_bits(values[s],
@@ -402,7 +400,7 @@ class TestStackedObservation:
         states = [random_smooth_state(grid64, seed=i) for i in range(3)]
         assert observe_states(states, COUPLED, (), 0, ()) == (
             [{"t": 0.0}] * 3, {})
-        assert verification.observe(states[0], COUPLED, (), 0, ()) == (
+        assert observe_one(states[0], COUPLED, (), 0, ()) == (
             {"t": 0.0}, {})
 
     @settings(max_examples=15, deadline=None)
@@ -416,13 +414,14 @@ class TestStackedObservation:
                   for k in kmax]
         pairs = list(zip(fields, fields[1:] + fields[:1]))
         for slack in (1e-10, -0.5):  # a negative slack makes pairs fail
-            assert poincare_sweep(fields, POINCARE_EXPONENTS, slack) == [
-                poincare_holder_violations(f, POINCARE_EXPONENTS, slack)
+            assert check_poincare_holder(fields, POINCARE_EXPONENTS,
+                                         slack) == [
+                check_poincare_holder([f], POINCARE_EXPONENTS, slack)[0]
                 for f in fields]
-        assert poincare_sweep(fields, ()) == [[] for _ in fields]
-        assert product_bound_sweep(pairs, (1, 2, 3), 4, -math.inf) == [
-            product_bound_violations(u, v, (1, 2, 3), 4, -math.inf)
-            for u, v in pairs]
+        assert check_poincare_holder(fields, ()) == [[] for _ in fields]
+        assert product_bound_violations(pairs, (1, 2, 3), 4, -math.inf) == [
+            product_bound_violations([pair], (1, 2, 3), 4, -math.inf)[0]
+            for pair in pairs]
 
 
 def _group(ids, check):
@@ -479,9 +478,9 @@ class TestCheckIdentities:
         for i in EXACT_IDENTITY_IDS + APPROX_IDENTITY_IDS:
             if _group([i], "H1") or _group([i], "H2"):
                 with pytest.raises(ValueError, match="zero means"):
-                    identity_reports(state, COUPLED, [i])
+                    reports_of(state, COUPLED, [i])
             else:
-                assert list(identity_reports(state, COUPLED, [i])) == [i]
+                assert list(reports_of(state, COUPLED, [i])) == [i]
 
 
 class TestApproximateIdentityScaling:
@@ -515,19 +514,23 @@ class TestPoincareHolder:
         # ||sin||_2 = sqrt(1/2) <= ||2 pi cos||_2 = 2 pi sqrt(1/2).
         g = make_sine(grid64)
         assert lp_norm(g, 2) == pytest.approx(math.sqrt(0.5), rel=1e-12)
-        assert check_poincare_holder(g, 2, 2)
+        assert poincare_holder(g, 2, 2)
+        assert check_poincare_holder([g], (2.0,)) == [[]]
 
     def test_constant_field_trivial(self, grid64):
         f = zeros(grid64)
         coeffs = f.coeffs.copy()
         coeffs[0] = 3.0
         constant = type(f)(grid64, coeffs)
-        assert check_poincare_holder(constant, 4, 1)
+        assert poincare_holder(constant, 4, 1)
+        assert check_poincare_holder([constant], (4.0, 1.0)) == [[]]
 
     def test_infinity_norm_route(self, grid64):
         f = make_sine(grid64)
         assert lp_norm(f, math.inf) == pytest.approx(1.0, rel=1e-6)
-        assert check_poincare_holder(f, math.inf, 1)
+        assert poincare_holder(f, math.inf, 1)
+        assert (math.inf, 1.0) not in check_poincare_holder(
+            [f], (1.0, math.inf))[0]
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000),
@@ -537,7 +540,8 @@ class TestPoincareHolder:
         grid = make_grid(64)
         rng = np.random.default_rng(seed)
         f = random_smooth_field(grid, rng, kmax=8)
-        assert check_poincare_holder(f, p, q)
+        assert poincare_holder(f, p, q)
+        assert (p, q) not in check_poincare_holder([f], (p, q))[0]
 
     @settings(max_examples=25, deadline=None)
     @given(n_points=st.sampled_from([32, 64, 256]),
@@ -551,9 +555,9 @@ class TestPoincareHolder:
         f = random_smooth_field(make_grid(n_points), rng, kmax=kmax)
         expected = [(p, q) for p in POINCARE_EXPONENTS
                     for q in POINCARE_EXPONENTS
-                    if not check_poincare_holder(f, p, q, slack=slack)]
-        assert poincare_holder_violations(f, POINCARE_EXPONENTS,
-                                          slack=slack) == expected
+                    if not poincare_holder(f, p, q, slack=slack)]
+        assert check_poincare_holder([f], POINCARE_EXPONENTS,
+                                     slack=slack) == [expected]
 
 
 def make_sine(grid):
@@ -590,7 +594,7 @@ class TestProductBound:
         rng = np.random.default_rng(seed)
         u = random_smooth_field(grid64, rng, kmax=8)
         v = random_smooth_field(grid64, rng, kmax=8)
-        assert product_bound_violations(u, v) == []
+        assert product_bound_violations([(u, v)]) == [[]]
 
     @settings(max_examples=25, deadline=None)
     @given(n_points=st.sampled_from([32, 64, 256]),
@@ -604,7 +608,8 @@ class TestProductBound:
         rng = np.random.default_rng(seed)
         u = random_smooth_field(make_grid(n_points), rng, kmax=kmax)
         v = random_smooth_field(make_grid(n_points), rng, kmax=kmax)
-        swept = product_bound_violations(u, v, n_values, d_max, -math.inf)
+        swept = product_bound_violations([(u, v)], n_values, d_max,
+                                         -math.inf)[0]
         assert swept == [
             (n, alphas, betas,
              *product_bound_sides(u, v, alphas, betas))
@@ -619,7 +624,7 @@ class TestProductBound:
         for (*_, lhs, bound), (*_, lhs_m, bound_m) in zip(swept, single_m):
             tol = 8 * np.finfo(float).eps * max(1.0, bound)
             assert abs(lhs - lhs_m) <= tol and abs(bound - bound_m) <= tol
-        assert (product_bound_violations(u, v, n_values, d_max, 1e-10)
+        assert (product_bound_violations([(u, v)], n_values, d_max, 1e-10)[0]
                 == product_bound_reference.product_bound_violations(
                     u, v, n_values, d_max, 1e-10))
 
