@@ -35,7 +35,7 @@ import numpy as np
 from .config import (MAX_BATTERY_POINTS, MAX_POINT_STEPS, ConfigError,
                      ExperimentConfig, apply_overrides, atomic_write_text,
                      build_initial_state, load_config)
-from .integrator import BlowUpError, DiagnosticSeries, evolve
+from .integrator import OBSERVE_BLOCK, BlowUpError, DiagnosticSeries, evolve
 from .model import (CoefficientError, SimState, ValidatedCoefficients,
                     random_smooth_field, random_smooth_state, scale_state,
                     validate_coefficients)
@@ -48,16 +48,13 @@ from .verification import (ZERO_MEAN_CHECKS, check_identities,
 EXIT_CODES = {"ok": 0, "blow_up": 3, "identity_failure": 4,
               "check_failure": 4}
 EXIT_CONFIG = 2
-BLOW_UP_TEXT = "blow-up: first non-finite state at t = {:.6g}"
+BLOW_UP_TEXT = "blow-up: first non-finite state or energy at t = {:.6g}"
 
 EXACT_RESIDUAL_TOL = 1e-8
 # An amplitude halving must roughly halve an approximate identity's relative
 # residual (cubic dropped terms over a quadratic normalizer), +/- 25%.
 APPROX_RATIO_WINDOW = (0.25, 0.75)
 POINCARE_EXPONENTS = (1.0, 2.0, 4.0, math.inf)
-# States, fields or field pairs that one step of a `gg verify` battery
-# evaluates together
-BATTERY_BLOCK = 2
 
 
 def _fmt(value) -> str:
@@ -236,7 +233,6 @@ class RunResult:
 
     series: DiagnosticSeries  # t, then the functional_record columns
     residuals: dict   # tracked identity id -> run-level relative residual
-    skipped: list     # ZERO_MEAN_CHECKS dropped: the initial means are not 0
     fits: dict        # quantity id -> DecayFit over the fit window
     fit_errors: dict  # quantity id -> why its fit failed
 
@@ -257,7 +253,8 @@ def _prepare(cfg: ExperimentConfig, record: bool) -> _Point:
     """Admit a config: the coefficient gate, then the step, either refusing
     it before anything runs. `record` False observes only t and energy."""
     c, dt = validate_coefficients(cfg.coefficients), cfg.resolved_dt()
-    state = build_initial_state(cfg)
+    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up when run
+        state = build_initial_state(cfg)
     checks, skipped = (cfg.checks if record else ()), []
     if state.mean_u != 0.0 or state.mean_v != 0.0:
         skipped = [check for check in ZERO_MEAN_CHECKS if check in checks]
@@ -272,7 +269,7 @@ def run_experiment(points: list) -> list:
     set tracks none and fits only the energy. Points that share grid, span,
     stride and dt march as one ensemble; each gets bitwise the numbers of a
     lone march. Returns, per point in order, its RunResult or the
-    BlowUpError naming the time at which its state first became non-finite.
+    BlowUpError at the first time its state or its energy is not finite.
     """
     groups = {}
     for index, p in enumerate(points):
@@ -301,8 +298,11 @@ def run_experiment(points: list) -> list:
         run = evolve([p.state for p in group], [p.c for p in group],
                      t_final, dt, observer=observer, stride=stride)
         for index, out in zip(members, run.members):
-            outcomes[index] = (out if isinstance(out, BlowUpError)
-                               else _measure(points[index], out, sides[index]))
+            if not isinstance(out, BlowUpError):
+                overflow = np.flatnonzero(~np.isfinite(out["energy"]))
+                out = (BlowUpError(float(out.t[overflow[0]])) if overflow.size
+                       else _measure(points[index], out, sides[index]))
+            outcomes[index] = out
     return outcomes
 
 
@@ -322,8 +322,8 @@ def _measure(p: _Point, series: DiagnosticSeries, sides: dict) -> RunResult:
                                         target_rate=-2.0 * p.c.k)
         except ValueError as exc:  # zero data or window too sparse
             fit_errors[name] = str(exc)
-    return RunResult(series=series, residuals=residuals, skipped=p.skipped,
-                     fits=fits, fit_errors=fit_errors)
+    return RunResult(series=series, residuals=residuals, fits=fits,
+                     fit_errors=fit_errors)
 
 
 def _energy_fit(result) -> tuple:
@@ -365,7 +365,7 @@ def cmd_run(cfg: ExperimentConfig) -> tuple:
         decay_fits=[_fit_dict(f) for f in result.fits.values()],
         blow_up_time=None)
     failures = [f"{name}: skipped (identities require zero-mean data)"
-                for name in result.skipped]
+                for name in p.skipped]
     failures += [f"{name}: fit failed ({why})"
                  for name, why in result.fit_errors.items()]
     if failures:
@@ -381,9 +381,9 @@ def cmd_run(cfg: ExperimentConfig) -> tuple:
 
 
 def _blocks(items) -> list:
-    """`items` in slices of at most BATTERY_BLOCK, in order."""
-    return [items[i:i + BATTERY_BLOCK]
-            for i in range(0, len(items), BATTERY_BLOCK)]
+    """`items` in slices of at most OBSERVE_BLOCK, in order."""
+    return [items[i:i + OBSERVE_BLOCK]
+            for i in range(0, len(items), OBSERVE_BLOCK)]
 
 
 def cmd_verify(cfg: ExperimentConfig) -> tuple:
@@ -422,14 +422,15 @@ def cmd_verify(cfg: ExperimentConfig) -> tuple:
     full = {i: np.empty(vs.n_states) for i in exact + approx}
     half = {i: np.empty(vs.n_states) for i in approx}
     for block in (_blocks(range(vs.n_states)) if full else ()):
-        states = [random_smooth_state(grid, seed=vs.seed + i,
-                                      amplitude=vs.amplitude, kmax=vs.kmax)
-                  for i in block]
+        with np.errstate(over="ignore", invalid="ignore"):  # as floats do
+            states = [random_smooth_state(grid, seed=vs.seed + i,
+                                          amplitude=vs.amplitude,
+                                          kmax=vs.kmax) for i in block]
+            halved = [scale_state(s, 0.5) for s in states] if approx else []
         for i, rep in observe_states(states, c, exact + approx, 0,
                                      ())[1].items():
             full[i][block.start:block.stop] = rep.relative_residual
         if approx:
-            halved = [scale_state(s, 0.5) for s in states]
             for i, rep in observe_states(halved, c, approx, 0, ())[1].items():
                 half[i][block.start:block.stop] = rep.relative_residual
     for identity_id in exact:

@@ -22,7 +22,7 @@ import yaml
 from .integrator import step_count
 from .model import (CoefficientSet, SimState, random_smooth_state,
                     reduce_mean)
-from .spectral import SpectralField, from_samples, make_grid
+from .spectral import from_samples, make_grid
 
 PRESETS = ("single-mode", "random-smooth", "two-soliton-like")
 
@@ -360,19 +360,14 @@ def _periodized_sech2(x: np.ndarray, center: float, width: float
 def build_initial_state(cfg: ExperimentConfig) -> SimState:
     grid = make_grid(cfg.n_points)
     spec = cfg.initial
-
-    def exactly_zero_mean(samples):
-        # These presets have analytic mean zero; the sampled FFT mean is pure
-        # round-off and would register as spurious drift at large amplitudes.
-        coeffs = from_samples(grid, samples).coeffs.copy()
-        coeffs[0] = 0.0
-        return SpectralField(grid, coeffs)
-
     x = grid.nodes()
     if spec.preset == "single-mode":
-        u = exactly_zero_mean(spec.amplitude * np.sin(2.0 * np.pi * x))
-        v = exactly_zero_mean(spec.amplitude * np.cos(2.0 * np.pi * x))
-        state = SimState(u=u, v=v, t=0.0, mean_u=0.0, mean_v=0.0)
+        # its means are 0 analytically; the sampled ones are round-off, which
+        # would register as spurious drift at large amplitudes
+        state = replace(reduce_mean(
+            from_samples(grid, spec.amplitude * np.sin(2.0 * np.pi * x)),
+            from_samples(grid, spec.amplitude * np.cos(2.0 * np.pi * x))),
+            mean_u=0.0, mean_v=0.0)
     elif spec.preset == "random-smooth":
         state = random_smooth_state(grid, seed=spec.seed,
                                     amplitude=spec.amplitude, kmax=spec.kmax)
@@ -380,11 +375,8 @@ def build_initial_state(cfg: ExperimentConfig) -> SimState:
         u = spec.amplitude * _periodized_sech2(x, 0.35, 0.06)
         v = 0.6 * spec.amplitude * _periodized_sech2(x, 0.65, 0.08)
         state = reduce_mean(from_samples(grid, u), from_samples(grid, v))
-    if spec.mean_u or spec.mean_v:
-        state = SimState(u=state.u, v=state.v, t=state.t,
-                         mean_u=state.mean_u + spec.mean_u,
-                         mean_v=state.mean_v + spec.mean_v)
-    return state
+    return replace(state, mean_u=state.mean_u + spec.mean_u,
+                   mean_v=state.mean_v + spec.mean_v)
 
 
 SWEEP_AXES = {"a1": "coefficients", "a2": "coefficients",

@@ -13,10 +13,8 @@ and h2 vanishes identically on both admissible coefficient branches.
 The identities (`identities`) reuse these lists: GEN_N(n), H1_SUB(4.2)
 and H2_SUB(5.2) take the seminorms as their functionals, H1_MAIN and
 H2_MAIN take f1, g1, f2, g2 and h2. `verification.observation_plan` compiles
-them with the record columns it is asked for into one cached `IntegralPlan`,
-which evaluates a stack of states at once, with one `model.rhs` of the stack
-and one `spectral.padded_samples` per padded size; the lists are built only
-while a plan compiles.
+them with the record columns it is asked for into one cached `IntegralPlan`;
+the lists are built only while a plan compiles.
 """
 from __future__ import annotations
 
@@ -25,7 +23,8 @@ import functools
 import numpy as np
 
 from .model import ValidatedCoefficients, rhs
-from .spectral import TWO_PI, _parseval_weights, _row_bands, padded_samples
+from .spectral import (_parseval_weights, _row_bands, differentiate,
+                       padded_samples)
 
 
 # -- monomial calculus -------------------------------------------------------
@@ -72,14 +71,14 @@ class IntegralPlan:
     keys its `fields`. `values` takes a stack of states on one grid and
     evaluates every integral of each by the rule of `integral_of_product`,
     bitwise equal to it: it derives each field of the stack at once
-    (calling the right-hand side once, and only if a time-derivative key is
-    present), forms all pairings as one weighted row sum, and longer
-    products with one batched resampling per padded size m, which each
-    state's bands pick, then one product of gathered rows, left to right,
-    and one row mean per m. `evaluate` adds up each sum column by column,
-    left to right from 0.0, as a `total += term` loop over its terms would;
-    overflow gives inf or NaN sums, without a warning. A plan without a
-    time-derivative key never calls `rhs` or reads coefficients.
+    (`spectral.differentiate`, after one `model.rhs` of the stack if a
+    time-derivative key is present), forms all pairings as one weighted row
+    sum, and longer products with one `spectral.padded_samples` per padded
+    size m, which each state's bands pick, then one product of gathered
+    rows, left to right, and one row mean per m. `evaluate` adds up each sum
+    by `with_zero_column` and `sum_columns`, as `verification.Observation`
+    does; overflow gives inf or NaN sums, without a warning. A plan without
+    a time-derivative key never calls `rhs` or reads coefficients.
     """
 
     def __init__(self, sums):
@@ -99,7 +98,9 @@ class IntegralPlan:
         # each field as a row of (u, v, du, dv) and an order of d/dx
         self._sources = [2 * ddt + "uv".index(letter)
                          for ddt, letter, _ in self.fields]
-        self._orders = tuple(order for _, _, order in self.fields)
+        self._moved = [j for j, (_, _, order) in enumerate(self.fields)
+                       if order]
+        self._orders = tuple(self.fields[j][2] for j in self._moved)
         column = {key: i for i, key in enumerate(self.fields)}
         # rows (integral, factor fields): the pairings, and the longer
         # products padded with field n_fields, which samples to 1.0
@@ -115,15 +116,13 @@ class IntegralPlan:
 
     def _derived(self, states, c: ValidatedCoefficients) -> np.ndarray:
         """(S, n_fields, n_coeffs) coefficients of every keyed field of each
-        state, each bitwise what `spectral.derivative` gives it."""
+        state: its source, differentiated to its order."""
         sources = np.array([(st.u.coeffs, st.v.coeffs) for st in states])
         if self.needs_rhs:
             sources = np.concatenate([sources, rhs(states, c)], axis=1)
         fields = sources[:, self._sources]
-        symbols, moved, odd = _derivative_symbols(sources.shape[2],
-                                                  self._orders)
-        fields[:, moved] *= symbols
-        fields[:, odd, -1] = 0.0
+        fields[:, self._moved] = differentiate(fields[:, self._moved],
+                                               self._orders)
         return fields
 
     def _pairings(self, fields: np.ndarray) -> np.ndarray:
@@ -183,25 +182,24 @@ class IntegralPlan:
         """Every sum of the plan at each of a stack of states: one row per
         state, in input order."""
         with np.errstate(over="ignore", invalid="ignore"):
-            values = np.zeros((len(states), len(self.integrals) + 1))
-            values[:, :-1] = self.values(states, c)
-            total = np.zeros((len(states), len(self._terms)))
-            for column in np.moveaxis(self._coeffs * values[:, self._terms],
-                                      -1, 0):
-                total += column
-        return total
+            values = with_zero_column(self.values(states, c))
+            return sum_columns(self._coeffs * values[:, self._terms])
 
 
-@functools.lru_cache(maxsize=32)
-def _derivative_symbols(n_coeffs: int, orders: tuple) -> tuple:
-    """((1j omega)^order of each field of order >= 1, those fields, and
-    the ones of odd order), as `spectral.derivative` forms the symbol."""
-    omega = TWO_PI * np.arange(n_coeffs)
-    moved = tuple(j for j, order in enumerate(orders) if order)
-    symbols = np.array([(1j * omega) ** orders[j] for j in moved]
-                       ).reshape(len(moved), n_coeffs)
-    symbols.flags.writeable = False
-    return symbols, moved, tuple(j for j in moved if orders[j] % 2 == 1)
+def with_zero_column(values: np.ndarray) -> np.ndarray:
+    """`values` and a last column of 0.0, which a padding index -1 reads."""
+    padded = np.zeros(values.shape[:-1] + (values.shape[-1] + 1,))
+    padded[..., :-1] = values
+    return padded
+
+
+def sum_columns(columns: np.ndarray) -> np.ndarray:
+    """The sum over the last axis, left to right from 0.0, as a `total +=
+    term` loop adds floats; under the caller's error state."""
+    total = np.zeros(columns.shape[:-1])
+    for column in np.moveaxis(columns, -1, 0):
+        total += column
+    return total
 
 
 def lyapunov_monomials(c: ValidatedCoefficients) -> dict:

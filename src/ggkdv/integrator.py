@@ -97,9 +97,9 @@ def build_tables(grid: GridSpec, c: ValidatedCoefficients,
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    z0 = linear_rates(grid, c)[:, :grid.dealias_cutoff + 1] * dt
     ddx = _dealiased_ddx(grid)
     with np.errstate(over="ignore", invalid="ignore"):
+        z0 = linear_rates(grid, c)[:, :grid.dealias_cutoff + 1] * dt
         q, w1, w2, w3 = contour_phi_means(z0)
         tables = np.stack([np.exp(z0), np.exp(z0 / 2.0), ddx * (dt * q),
                            ddx * (dt * w1), (2.0 * ddx) * (dt * w2),
@@ -215,7 +215,6 @@ def evolve(states, coeffs, t_final: float, dt: float, observer=None,
     # unpacked once into its six rows, not on every step
     tables = tuple(np.stack([build_tables(grid, c, dt) for c in coeffs],
                             axis=1))
-    mix = np.stack([eigen_mixing(st, c) for st, c in zip(states, coeffs)])
     transforms = flux_transforms(grid)
     n_members = len(states)
     times = [[] for _ in range(n_members)]
@@ -250,14 +249,15 @@ def evolve(states, coeffs, t_final: float, dt: float, observer=None,
         sample(i, st)
     live = np.arange(n_members)  # member index of each row of w
     kept = grid.dealias_cutoff + 1
-    w = _rotate(np.stack([np.stack([st.u.coeffs[:kept], st.v.coeffs[:kept]])
-                          for st in current]))
-    step = _bind_step(w, tables, mix, grid, transforms)
-    # a finite sum proves every entry finite; only a non-finite one (an
-    # overflow of finite entries included) needs the exact test
-    total, flat = np.add.reduce, w.view(np.float64).reshape(-1)
     # overflow is diagnosed via the finiteness check, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
+        mix = np.stack([eigen_mixing(st, c) for st, c in zip(states, coeffs)])
+        w = _rotate(np.array([(st.u.coeffs[:kept], st.v.coeffs[:kept])
+                              for st in current]))
+        step = _bind_step(w, tables, mix, grid, transforms)
+        # a finite sum proves every entry finite; only a non-finite one (an
+        # overflow of finite entries included) needs the exact test
+        total, flat = np.add.reduce, w.view(np.float64).reshape(-1)
         for n in range(1, n_steps + 1):
             step()
             member_steps += live.size

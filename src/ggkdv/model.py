@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .spectral import GridSpec, SpectralField, TWO_PI
+from .spectral import GridSpec, SpectralField, TWO_PI, derivative_symbols
 
 CONSTRAINT_TOL = 1e-12
 SQRT2 = np.sqrt(2.0)
@@ -191,7 +191,8 @@ def _require_validated(c) -> None:
 @functools.lru_cache(maxsize=8)
 def _dealiased_ddx(grid: GridSpec) -> np.ndarray:
     """-i omega, the symbol of -d/dx, on the modes the dealiasing keeps."""
-    symbol = -1j * (TWO_PI * np.arange(grid.dealias_cutoff + 1))
+    kept = grid.dealias_cutoff + 1
+    symbol = np.conj(derivative_symbols(grid.n_coeffs, (1,))[0, :kept])
     symbol.flags.writeable = False
     return symbol
 
@@ -351,7 +352,7 @@ def rhs(states, c: ValidatedCoefficients) -> np.ndarray:
     w = _rotate(uv)
     mix = np.array([eigen_mixing(st, c) for st in states])
     flux = nonlinear_remainder(w, mix, grid, np.empty_like(w))
-    disp = (1j * (TWO_PI * np.arange(kept))) ** 3
+    disp = derivative_symbols(grid.n_coeffs, (3,))[0, :kept]
     damp = np.full(kept, c.k)
     damp[0] = 0.0
     out = np.zeros((len(uv), 2, grid.n_coeffs), dtype=np.complex128)

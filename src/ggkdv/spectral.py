@@ -6,10 +6,14 @@ mean and coeffs[kappa] multiplies exp(2*pi*i*kappa*x). Products are formed in
 collocation space and truncated at the two-thirds dealiasing cutoff, which makes
 every retained mode of a quadratic product exact (aliased images of a product of
 two cutoff-limited fields land at |kappa| >= n - 2*cutoff > cutoff).
+`derivative_symbols` forms the symbol (i omega)^n of d^n/dx^n, and
+`differentiate` applies it with the odd-order Nyquist zero: every derivative
+in the package is one of the two, but the real omega^3 of `linear_rates`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 
 import numpy as np
 
@@ -30,9 +34,6 @@ class GridSpec:
 
     def nodes(self) -> np.ndarray:
         return np.arange(self.n_points) / self.n_points
-
-    def wavenumbers(self) -> np.ndarray:
-        return np.arange(self.n_coeffs)
 
 
 def make_grid(n_points: int) -> GridSpec:
@@ -95,17 +96,23 @@ def from_samples(grid: GridSpec, samples: np.ndarray) -> SpectralField:
     return SpectralField(grid, np.fft.rfft(samples) / grid.n_points)
 
 
-def derivative(f: SpectralField, order: int = 1) -> SpectralField:
-    if order < 0:
-        raise ValueError("derivative order must be >= 0")
-    if order == 0:
-        return f
-    omega = TWO_PI * f.grid.wavenumbers()
-    c = f.coeffs * (1j * omega) ** order
-    if order % 2 == 1:
-        # odd derivative of a real field has no consistent Nyquist content
-        c[-1] = 0.0
-    return SpectralField(f.grid, c)
+@functools.lru_cache(maxsize=32)
+def derivative_symbols(n_coeffs: int, orders: tuple) -> np.ndarray:
+    """(i omega)^n, omega = 2 pi kappa, one read-only row per order n."""
+    omega = TWO_PI * np.arange(n_coeffs)
+    symbols = np.array([(1j * omega) ** n for n in orders]
+                       ).reshape(len(orders), n_coeffs)
+    symbols.flags.writeable = False
+    return symbols
+
+
+def differentiate(coeffs: np.ndarray, orders: tuple) -> np.ndarray:
+    """Rows (..., len(orders), n_coeffs), in place, each times the symbol of
+    its order n >= 1, then 0 at the Nyquist index for odd n: an odd
+    derivative of a real field has no consistent Nyquist content."""
+    coeffs *= derivative_symbols(coeffs.shape[-1], orders)
+    coeffs[..., [n % 2 == 1 for n in orders], -1] = 0.0
+    return coeffs
 
 
 def integral(f: SpectralField) -> float:

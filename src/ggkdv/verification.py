@@ -10,16 +10,15 @@ show residuals that shrink linearly with the amplitude.
 
 The identities are monomial lists (`identities`). `observation_plan`
 compiles the identities a command asks for, plus the record columns
-`observe_states` is asked for, into one cached `functionals.IntegralPlan`.
-A stack of states is evaluated at once: the right-hand side once, each
-integral once per state, bitwise equal to `integral_of_product`, then one
-vectorized reduction gives every identity's sides over the stack
-(`Observation`). Every left-side product holds a time derivative and no
-right-side product does, so the two routes of an identity share no
-integral; the record shares its value integrals with the right sides.
-`product_bound_violations` evaluates one more cached plan on a stack of
-field pairs, and `check_poincare_holder` resamples a stack of fields at
-once; each takes the whole stack, and a lone item is a stack of one.
+`observe_states` is asked for, into one cached `functionals.IntegralPlan`,
+which evaluates a stack of states at once; one vectorized reduction then
+gives every identity's sides over the stack (`Observation`). Every left-side
+product holds a time derivative and no right-side product does, so the two
+routes of an identity share no integral; the record shares its value
+integrals with the right sides. `product_bound_violations` evaluates one
+more cached plan on a stack of field pairs, and `check_poincare_holder`
+resamples a stack of fields at once; each takes the whole stack, and a lone
+item is a stack of one.
 
 Identity ids:
     L2              exact L2 decay law (quadratic functional, any means)
@@ -41,10 +40,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .functionals import (IntegralPlan, ddt_sum, functional_record,
-                          seminorm_monomials, value_sum)
+                          seminorm_monomials, sum_columns, value_sum,
+                          with_zero_column)
 from .identities import _Damped, _identity
 from .model import SimState, ValidatedCoefficients
-from .spectral import TWO_PI, _next_pow2, _row_bands, padded_samples
+from .spectral import _next_pow2, _row_bands, differentiate, padded_samples
 
 NORMALIZER_FLOOR = 1e-30
 
@@ -144,19 +144,14 @@ class Observation:
 
     def __init__(self, plan: ObservationPlan, sums: np.ndarray):
         self.plan, self.sums = plan, sums
-        padded = np.zeros((len(sums), sums.shape[1] + 1))
-        padded[:, :-1] = sums
+        padded = with_zero_column(sums)
         self.lhs = padded[:, plan.lhs]
-        shape = self.lhs.shape
-        self.total, magnitude, reference = (np.zeros(shape) for _ in range(3))
         with np.errstate(over="ignore", invalid="ignore"):  # as floats do
             # 1.0 x is x, and + 0.0 leaves a sum from 0 unchanged
             self.terms = plan.factors * padded[:, plan.terms]
-            for column in np.moveaxis(self.terms, -1, 0):
-                self.total += column
-                magnitude += abs(column)
-            for column in np.moveaxis(padded[:, plan.scale_by], -1, 0):
-                reference += abs(column)
+            self.total = sum_columns(self.terms)
+            magnitude = sum_columns(abs(self.terms))
+            reference = sum_columns(abs(padded[:, plan.scale_by]))
             self.normalizer = np.maximum(
                 abs(self.lhs) + magnitude + 2 * plan.c.k * reference,
                 NORMALIZER_FLOOR)
@@ -244,8 +239,7 @@ def check_poincare_holder(fields, exponents, slack: float = 1e-10) -> list:
     full = np.array([f.coeffs for f in fields])
     mean_free = full.copy()
     mean_free[:, 0] = 0.0
-    dx = full * (1j * (TWO_PI * grid.wavenumbers())) ** 1  # `derivative`
-    dx[:, -1] = 0.0
+    dx = differentiate(full[:, None].copy(), (1,))[:, 0]
     coeffs = np.concatenate([mean_free, dx, full])
     samples = np.abs(padded_samples(coeffs, _row_bands(coeffs),
                                     _next_pow2(4 * grid.n_points)))
@@ -353,21 +347,29 @@ def fit_decay_rate(series, quantity_id: str, window: tuple,
     """Least-squares slope of log(quantity) over the time window.
 
     Values that have decayed below 1e-13 of the series' initial value are
-    excluded so the fit never chases rounding noise.
+    excluded so the fit never chases rounding noise, and so are values that
+    are not finite (an overflowed seminorm).
     """
     t = np.asarray(series.t, dtype=float)
     q = np.asarray(series.columns[quantity_id], dtype=float)
     t0, t1 = window
     floor = 1e-13 * q[0]
-    keep = (t >= t0) & (t <= t1) & (q > max(floor, 0.0))
+    keep = (t >= t0) & (t <= t1) & np.isfinite(q) & (q > max(floor, 0.0))
     if int(np.sum(keep)) < 3:
         raise ValueError(f"window {window} leaves fewer than 3 usable points")
     tt, log_q = t[keep], np.log(q[keep])
-    slope, intercept = np.polyfit(tt, log_q, 1)
-    fitted = slope * tt + intercept
-    ss_res = float(np.sum((log_q - fitted) ** 2))
-    ss_tot = float(np.sum((log_q - np.mean(log_q)) ** 2))
+    with np.errstate(all="ignore"):  # a fit that is not finite fails below
+        # polyfit divides the times by their norm, which must be a normal
+        # float: else LAPACK gets a NaN, and prints a complaint to stderr
+        scalable = np.finfo(float).tiny <= np.sqrt(np.sum(tt * tt)) < np.inf
+        slope, intercept = (np.polyfit(tt, log_q, 1) if scalable
+                            else (math.nan, math.nan))
+        fitted = slope * tt + intercept
+        ss_res = float(np.sum((log_q - fitted) ** 2))
+        ss_tot = float(np.sum((log_q - np.mean(log_q)) ** 2))
     r_sq = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    if not all(map(math.isfinite, (slope, intercept, r_sq))):
+        raise ValueError(f"window {window} leaves no finite fit")
     return DecayFit(quantity_id=quantity_id, window=(float(t0), float(t1)),
                     fitted_rate=float(slope), intercept=float(intercept),
                     target_rate=float(target_rate), r_squared=r_sq,

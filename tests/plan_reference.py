@@ -3,16 +3,18 @@
 `rhs`, `values`, `evaluate` and `report` are `model.rhs`,
 `IntegralPlan.values`, `IntegralPlan.evaluate` and `Observation.report` as
 they were before they took a stack of states: one state at a time, each
-field derived by `spectral.derivative`, the products grouped by arity and
-resampled by the `resample_rows` below, the report summed in Python floats.
-The stacked evaluation must give each state bitwise these numbers.
+field derived by `spectral_reference.derivative`, the products grouped by
+arity and resampled by the `resample_rows` below, the report summed in
+Python floats. The stacked evaluation must give each state bitwise these
+numbers.
 """
 import numpy as np
 
-from ggkdv.model import (_dealiased_ddx, _rotate, eigen_mixing,
-                         nonlinear_remainder)
-from ggkdv.spectral import TWO_PI, SpectralField, _parseval_weights, derivative
+from ggkdv.model import _rotate, eigen_mixing, nonlinear_remainder
+from ggkdv.spectral import TWO_PI, SpectralField, _parseval_weights
 from ggkdv.verification import NORMALIZER_FLOOR
+
+from spectral_reference import derivative
 
 
 def rhs(state, c):
@@ -27,7 +29,8 @@ def rhs(state, c):
     damp = np.full(kept, c.k)
     damp[0] = 0.0
     out = np.zeros((2, grid.n_coeffs), dtype=np.complex128)
-    out[:, :kept] = (_rotate(_dealiased_ddx(grid) * flux)
+    ddx = -1j * (TWO_PI * np.arange(kept))
+    out[:, :kept] = (_rotate(ddx * flux)
                      - disp * (uv + c.a3 * uv[::-1]) - damp * uv)
     return SpectralField(grid, out[0]), SpectralField(grid, out[1])
 

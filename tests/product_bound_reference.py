@@ -10,10 +10,10 @@ tuple. It agrees with the plan to round-off, not bitwise.
 """
 import numpy as np
 
-from ggkdv.spectral import _next_pow2, derivative, integral_of_product
+from ggkdv.spectral import _next_pow2, integral_of_product
 from ggkdv.verification import admissible_exponent_tuples
 
-from spectral_reference import padded_samples
+from spectral_reference import derivative, padded_samples
 
 
 class HypothesisError(ValueError):

@@ -1,7 +1,9 @@
-"""Field translations, L^p norms, single-field resampling and the one-field
-Poincare/Holder check, used by tests only.
+"""Field derivatives and translations, L^p norms, single-field resampling
+and the one-field Poincare/Holder check, used by tests only.
 
-`shift` checks translation invariance. `padded_samples` is the one-field
+`derivative` is the independent oracle of `spectral.derivative_symbols`:
+every derived field of the library must match it. `shift` checks
+translation invariance. `padded_samples` is the one-field
 zero-pad-and-irfft that `spectral.padded_samples` must reproduce row by
 row, bit for bit. `lp_norm` is the norm that
 `verification.check_poincare_holder` compares, one field and exponent at a
@@ -15,8 +17,20 @@ import math
 
 import numpy as np
 
-from ggkdv.spectral import (TWO_PI, GridSpec, SpectralField, _next_pow2,
-                            derivative)
+from ggkdv.spectral import TWO_PI, GridSpec, SpectralField, _next_pow2
+
+
+def derivative(f: SpectralField, order: int = 1) -> SpectralField:
+    if order < 0:
+        raise ValueError("derivative order must be >= 0")
+    if order == 0:
+        return f
+    omega = TWO_PI * np.arange(f.grid.n_coeffs)
+    c = f.coeffs * (1j * omega) ** order
+    if order % 2 == 1:
+        # odd derivative of a real field has no consistent Nyquist content
+        c[-1] = 0.0
+    return SpectralField(f.grid, c)
 
 
 def zeros(grid: GridSpec) -> SpectralField:
@@ -25,7 +39,7 @@ def zeros(grid: GridSpec) -> SpectralField:
 
 def shift(f: SpectralField, s: float) -> SpectralField:
     """Translate: shift(f, s)(x) = f(x + s)."""
-    phase = np.exp(1j * TWO_PI * f.grid.wavenumbers() * s)
+    phase = np.exp(1j * TWO_PI * np.arange(f.grid.n_coeffs) * s)
     return SpectralField(f.grid, f.coeffs * phase)
 
 

@@ -1,12 +1,16 @@
 """Config round-trips, CLI artifacts, exit codes, and sweep behavior."""
+import contextlib
 import copy
 from dataclasses import replace
+import io
 import json
 import math
 import os
+import pathlib
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 import xml.etree.ElementTree as ET
@@ -22,7 +26,7 @@ from ggkdv.config import (MAX_POINT_STEPS, ConfigError, ExperimentConfig,
                           InitialSpec, VerifySpec, apply_overrides,
                           atomic_write_text, build_initial_state,
                           config_from_dict, load_config)
-from ggkdv.integrator import evolve, step_count
+from ggkdv.integrator import DiagnosticSeries, evolve, step_count
 from ggkdv.model import CoefficientSet
 from ggkdv.spectral import make_grid
 from ggkdv.verification import IdentityReport
@@ -1062,6 +1066,20 @@ class TestHugeCoefficients:
         assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
 
 
+def energy_overflow_config(tmp_path) -> dict:
+    """A run whose sampled state stays finite while its energy overflows:
+    a single mode of amplitude 1000 with a nonzero mean on 8 points."""
+    return {"grid": {"n_points": 8},
+            "coefficients": {"a1": 1.0, "a2": 1.0, "a3": -0.5, "k": 1.0},
+            "initial": {"preset": "single-mode", "amplitude": 1000.0,
+                        "mean_u": 0.1},
+            "run": {"dt": 0.005, "t_final": 0.01, "stride": 1,
+                    "fit_window": [0.0, 0.01]},
+            "verify": {"kmax": 2},
+            "output": {"csv": str(tmp_path / "diag.csv"),
+                       "summary": str(tmp_path / "summary.json")}}
+
+
 def load_finite_json(path):
     """The JSON at path, refusing the bare NaN and Infinity that Python's
     json module writes and reads but JSON does not allow."""
@@ -1169,6 +1187,38 @@ class TestOverflowingInputs:
         code, _ = gg_quietly(capsys, "run", write_config(tmp_path, raw))
         assert code == 0
         load_finite_json(tmp_path / "summary.json")
+
+    @pytest.mark.parametrize("command, checks, axis, code", [
+        ("run", ["L2"], [], 3), ("verify", ["DECAY"], [], 4),
+        ("sweep", ["L2"], ["--axis", "k=1.0"], 3)])
+    def test_an_overflowed_energy_is_a_blow_up(self, tmp_path, capsys,
+                                              command, checks, axis, code):
+        # the state stays finite, its energy (and the seminorms before it)
+        # overflows: the first such state is the blow-up
+        raw = energy_overflow_config(tmp_path)
+        raw["checks"] = checks
+        got, err = gg_quietly(capsys, command, write_config(tmp_path, raw),
+                              *axis)
+        assert got == code
+        summary = load_finite_json(tmp_path / "summary.json")
+        jsonschema.validate(summary, cli._summary_schema())
+        if command == "verify":
+            check, = summary["checks"]
+            assert check["detail"] == "blow-up at t = 0.01"
+        else:
+            assert err == cli.BLOW_UP_TEXT.format(0.01) + "\n"
+            assert (summary.get("blow_up_time")
+                    or summary["points"][0]["blow_up_time"]) == 0.01
+
+    def test_a_fit_drops_overflowed_samples(self):
+        series = DiagnosticSeries(t=np.arange(6.0), columns={"q": np.array(
+            [1.0, np.exp(-1.0), np.exp(-2.0), np.inf, np.exp(-4.0), np.nan])},
+                                  meta={})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = verification.fit_decay_rate(series, "q", (0.0, 5.0), -1.0)
+        assert fit.n_points == 4
+        assert fit.fitted_rate == pytest.approx(-1.0, rel=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -1445,3 +1495,138 @@ class TestEnergyOnlyObservation:
             assert repr(energy_only.fits["energy"]) == repr(
                 whole.fits["energy"])
             assert energy_only.residuals == {}
+
+
+# -- every input through the whole command -----------------------------------
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# admissible (a1, a2) of the a3 = 0 branch
+A3_ZERO_PAIRS = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.0, 0.0)]
+
+
+@st.composite
+def _commands(draw):
+    """A command line and its config on a grid of 8 to 32 points. The
+    numbers range over the finite floats, but a march stays small by
+    construction: an explicit dt tiles t_final in at most 32 steps, and the
+    default step is drawn only over a t_final of at most 0.1, or of 1e12 or
+    more, which the work bound refuses."""
+    branch = draw(st.sampled_from(["a1=a2=1", "a3=0", "any"]))
+    a1, a2, a3 = ((1.0, 1.0, draw(st.floats(-0.99, 0.99) | FINITE))
+                  if branch == "a1=a2=1" else
+                  (*draw(st.sampled_from(A3_ZERO_PAIRS)), 0.0)
+                  if branch == "a3=0" else
+                  (draw(FINITE), draw(FINITE), draw(FINITE)))
+    small = st.floats(1e-4, 1e-1)
+    stride = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        dt = draw(small | FINITE)
+        t_final = dt * stride * draw(st.integers(1, 32 // stride))
+    else:
+        dt, t_final = None, draw(small | st.floats(1e12, 1e308) | FINITE
+                                 .filter(lambda t: t <= 0.0))
+    run = {"dt": dt, "t_final": t_final, "stride": stride,
+           "n_max": draw(st.integers(0, 8))}
+    if draw(st.booleans()):
+        run["fit_window"] = sorted([draw(FINITE), draw(FINITE)])
+    raw = {"grid": {"n_points": draw(st.sampled_from([8, 16, 24, 32]))},
+           "coefficients": {"a1": a1, "a2": a2, "a3": a3,
+                            "k": draw(st.floats(1e-3, 1e3) | FINITE)},
+           "initial": {"preset": draw(st.sampled_from(
+                           ["single-mode", "random-smooth",
+                            "two-soliton-like"])),
+                       "amplitude": draw(st.floats(-10.0, 10.0) | FINITE),
+                       "seed": draw(st.integers(0, 9)),
+                       "kmax": draw(st.integers(1, 12)),
+                       "mean_u": draw(st.just(0.0) | FINITE),
+                       "mean_v": draw(st.just(0.0) | FINITE)},
+           "run": run,
+           "checks": draw(st.lists(st.sampled_from(
+               ["L2", "GEN_N", "H1", "H2", "POINCARE", "PRODUCT_BOUND",
+                "DECAY"]), unique=True)),
+           "verify": {"n_states": draw(st.integers(1, 3)),
+                      "amplitude": draw(st.floats(-10.0, 10.0) | FINITE),
+                      "seed": draw(st.integers(0, 9)),
+                      "kmax": draw(st.integers(1, 12)),
+                      "poincare_fields": draw(st.integers(0, 2)),
+                      "product_fields": draw(st.integers(0, 2))}}
+    command = draw(st.sampled_from(["run", "verify", "sweep"]))
+    axes = []
+    if command == "sweep":
+        value = (st.floats(-1.0, 2.0) | FINITE).map(repr) | st.sampled_from(
+            ["1", "x", ""])
+        for _ in range(draw(st.integers(0, 2))):
+            name = draw(st.sampled_from(["k", "k", "a3", "amplitude", "a1",
+                                         "a2", "n_points"]))
+            values = draw(st.lists(value, min_size=1, max_size=2))
+            axes += ["--axis", f"{name}={','.join(values)}"]
+    return command, raw, axes
+
+
+def _probe(command, checks, axes=(), **sections) -> tuple:
+    """A case of the property: the energy-overflow config with `checks`,
+    its sections updated by `sections`."""
+    raw = {**energy_overflow_config(pathlib.Path(".")), "checks": checks}
+    for name, values in sections.items():
+        raw[name] = {**raw[name], **values}
+    return command, raw, list(axes)
+
+
+def _gg_in(directory, command, raw, axes):
+    """Exit code, stdout and stderr of `gg` on `raw`, its outputs in
+    directory/out; no Python warning may be issued."""
+    raw = {**raw, "output": {
+        "csv": os.path.join(directory, "out", "diag.csv"),
+        "summary": os.path.join(directory, "out", "summary.json"),
+        "plot": os.path.join(directory, "out", "energy.svg")}}
+    path = os.path.join(directory, "config.yaml")
+    with open(path, "w", encoding="utf-8") as fh:
+        yaml.safe_dump(raw, fh)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main([command, path, *axes])
+    assert [str(w.message) for w in caught] == []
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_commands())
+# a finite state whose energy overflows: a blow-up, not a traceback
+@example(_probe("run", ["L2"]))
+@example(_probe("sweep", ["L2"], ["--axis", "k=1.0"]))
+@example(_probe("verify", ["DECAY"]))
+# an initial state or mean past the float range: a blow-up, no warning
+@example(_probe("run", ["L2"], initial={"amplitude": 4.5e307, "mean_u": 0.0}))
+@example(_probe("run", [], initial={"preset": "random-smooth", "kmax": 1,
+                                    "amplitude": -1.7976931348623157e308}))
+@example(_probe("run", ["L2"], initial={"preset": "two-soliton-like",
+                                        "amplitude": 1.7976931348623157e308}))
+@example(_probe("run", [], initial={"mean_u": 1.7976931348623157e308}))
+@example(_probe("verify", ["H2"], verify={"amplitude": 1e308, "kmax": 1}))
+# a step past the float range: refused by the tables, without a warning
+@example(_probe("run", [], run={"dt": 9e307, "t_final": 9e307}))
+# times whose squares underflow: a named fit failure, not a warning
+@example(_probe("run", [], initial={"amplitude": 0.1},
+                run={"dt": 6e-180, "t_final": 1.8e-178, "stride": 3,
+                     "fit_window": None}))
+def test_every_command_line_exits_by_its_table(case):
+    """Any config and --axis: exit 0, 2, 3 or 4, never a traceback or a
+    warning; a summary that passes the schema and is strict JSON on 0, 3
+    and 4, and nothing written on 2."""
+    command, raw, axes = case
+    with tempfile.TemporaryDirectory() as directory:
+        code, _, err = _gg_in(directory, command, raw, axes)
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err and "Warning" not in err
+        written = sorted(os.listdir(os.path.join(directory, "out"))
+                         if os.path.isdir(os.path.join(directory, "out"))
+                         else [])
+        if code == 2:
+            assert written == [] and err.startswith("error: ")
+            return
+        summary = load_finite_json(pathlib.Path(directory, "out",
+                                                "summary.json"))
+    jsonschema.validate(summary, cli._summary_schema())
+    assert cli.EXIT_CODES[summary["status"]] == code

@@ -11,7 +11,7 @@ from conftest import (decay_marched_state, make_sine_state, observe_one,
 from calculus_reference import StateCalculus
 import functionals_reference
 from functionals_reference import energy, hs_seminorm_sq
-from spectral_reference import padded_samples, shift, zeros
+from spectral_reference import derivative, padded_samples, shift, zeros
 
 EPS = np.finfo(float).eps
 # g1 and g2 (and h2 off the admissible branches) are summed monomial by
@@ -71,7 +71,7 @@ class TestEnergyAndSeminorms:
     def test_seminorm_agrees_with_quadrature_route(self, grid128):
         st = rich_state(grid128)
         for n in range(4):
-            un, vn = sp.derivative(st.u, n), sp.derivative(st.v, n)
+            un, vn = derivative(st.u, n), derivative(st.v, n)
             direct = sp.inner(un, un) + sp.inner(vn, vn)
             assert hs_seminorm_sq(st, n) == pytest.approx(direct, rel=1e-13)
 
@@ -124,8 +124,8 @@ class TestLyapunovH2:
         c = coeffs_coupled
         u = padded_samples(st.u, m)
         v = padded_samples(st.v, m)
-        u1 = padded_samples(sp.derivative(st.u), m)
-        v1 = padded_samples(sp.derivative(st.v), m)
+        u1 = padded_samples(derivative(st.u), m)
+        v1 = padded_samples(derivative(st.v), m)
         expect = float(np.mean(-(5 / 3) * (
             u1 ** 2 * u + v1 ** 2 * v
             + c.a1 * (2 * u1 * v1 * v + v1 ** 2 * u)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ggkdv import spectral as sp
-from spectral_reference import padded_samples, shift
+from spectral_reference import derivative, padded_samples, shift
 
 
 def sin_field(grid, kappa=1, amp=1.0):
@@ -82,14 +82,14 @@ class TestRepresentation:
 class TestCalculus:
     def test_derivative_of_sine_is_scaled_cosine(self):
         g = sp.make_grid(64)
-        df = sp.derivative(sin_field(g, kappa=3))
+        df = derivative(sin_field(g, kappa=3))
         expect = cos_field(g, kappa=3, amp=6 * np.pi)
         np.testing.assert_allclose(df.samples(), expect.samples(),
                                    atol=1e-10, rtol=0)
 
     def test_third_derivative_matches_closed_form(self):
         g = sp.make_grid(64)
-        d3 = sp.derivative(sin_field(g, kappa=2), 3)
+        d3 = derivative(sin_field(g, kappa=2), 3)
         amp = (4 * np.pi) ** 3
         expect = cos_field(g, kappa=2, amp=-amp)
         np.testing.assert_allclose(d3.samples(), expect.samples(),
@@ -98,7 +98,47 @@ class TestCalculus:
     def test_derivative_of_constant_vanishes(self):
         g = sp.make_grid(32)
         f = sp.from_samples(g, np.full(32, 2.5))
-        assert np.all(sp.derivative(f).coeffs == 0.0)
+        assert np.all(derivative(f).coeffs == 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(4, 64), st.integers(0, 2 ** 16),
+           st.lists(st.integers(1, 5), min_size=1, max_size=4),
+           st.sampled_from([None, np.inf, -np.inf, np.nan]))
+    def test_differentiate_is_the_oracle_bitwise(self, half, seed, orders,
+                                                 bad):
+        g = sp.make_grid(2 * half)
+        rows = np.array([random_band_field(g, seed + j, kmax=g.n_modes,
+                                           decay=0.1).coeffs
+                         for j in range(len(orders))])
+        if bad is not None:  # a non-finite Nyquist entry, and one below it
+            rows[:, -1], rows[0, 1] = bad, bad
+        with np.errstate(all="ignore"):
+            got = sp.differentiate(rows.copy(), tuple(orders))
+            want = np.array([derivative(sp.SpectralField(g, row), n).coeffs
+                             for row, n in zip(rows, orders)])
+        # NaN where the oracle has NaN, and every other bit equal
+        got, want = got.view(np.float64), want.view(np.float64)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.int64),
+                              want[~nan].view(np.int64))
+
+    def test_the_flux_symbol_is_minus_i_omega_bitwise(self):
+        # the stepper's tables and `rhs` fold in -i omega on the kept modes
+        from ggkdv.model import _dealiased_ddx
+        for n in (8, 32, 128, 256, 1024):
+            g = sp.make_grid(n)
+            kept = np.arange(g.dealias_cutoff + 1)
+            assert (_dealiased_ddx(g).tobytes()
+                    == (-1j * (sp.TWO_PI * kept)).tobytes())
+            assert (sp.derivative_symbols(g.n_coeffs, (3,))[0, kept].tobytes()
+                    == ((1j * (sp.TWO_PI * kept)) ** 3).tobytes())
+
+    def test_derivative_symbols_are_cached_and_read_only(self):
+        symbols = sp.derivative_symbols(17, (1, 2))
+        assert sp.derivative_symbols(17, (1, 2)) is symbols
+        with pytest.raises(ValueError):
+            symbols[0, 1] = 0.0
 
     def test_integral_of_squared_sine_is_half(self):
         g = sp.make_grid(64)
@@ -160,10 +200,10 @@ def test_integration_by_parts_and_zero_mean_derivative(seed, n):
     g = sp.make_grid(n)
     f = random_band_field(g, seed, kmax=10)
     h = random_band_field(g, seed + 1, kmax=10)
-    assert abs(sp.inner(sp.derivative(f), h)
-               + sp.inner(f, sp.derivative(h))) <= 1e-12
-    assert sp.integral(sp.derivative(f, 1)) == 0.0
-    assert sp.integral(sp.derivative(f, 3)) == 0.0
+    assert abs(sp.inner(derivative(f), h)
+               + sp.inner(f, derivative(h))) <= 1e-12
+    assert sp.integral(derivative(f, 1)) == 0.0
+    assert sp.integral(derivative(f, 3)) == 0.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -172,7 +212,7 @@ def test_powers_of_f_times_fx_integrate_to_zero(seed, n, power):
     # int f^p f_x dx = int (f^{p+1}/(p+1))_x dx = 0 for trig polynomials
     g = sp.make_grid(n)
     f = random_band_field(g, seed, kmax=8)
-    fx = sp.derivative(f)
+    fx = derivative(f)
     assert abs(sp.integral_of_product(*([f] * power + [fx]))) <= 1e-10
 
 

@@ -11,7 +11,7 @@ from ggkdv.integrator import DiagnosticSeries
 from ggkdv.model import (CoefficientSet, SimState, ValidatedCoefficients,
                          random_smooth_field, random_smooth_state, rhs,
                          scale_state, validate_coefficients)
-from ggkdv.spectral import derivative, integral_of_product, make_grid
+from ggkdv.spectral import integral_of_product, make_grid
 from ggkdv.verification import (APPROX_IDENTITY_IDS, EXACT_IDENTITY_IDS,
                                 admissible_exponent_tuples,
                                 check_poincare_holder, fit_decay_rate,
@@ -27,7 +27,8 @@ import plan_reference
 import product_bound_reference
 from product_bound_reference import (HypothesisError, check_product_bound,
                                      product_bound_sides)
-from spectral_reference import lp_norm, poincare_holder, shift, zeros
+from spectral_reference import (derivative, lp_norm, poincare_holder, shift,
+                                zeros)
 
 EXACT_TOL = 1e-9
 POINCARE_EXPONENTS = (1.0, 2.0, 4.0, math.inf)
