@@ -22,9 +22,10 @@ uses, binds it per call. It moves between modes and grid by one of two
 routes: a pocketfft irfft/rfft pair, or, given the matrices of
 `flux_transforms`, two small real matmuls. The stepper takes the matmul
 route on grids of up to MATMUL_MAX_POINTS points, where numpy's fixed cost
-per FFT call dominates, whatever the size of its ensemble; the right-hand
-side always takes the FFT route. `rhs` gives a stack of states their time
-derivatives at once, each bitwise its own.
+per FFT call dominates, whatever the size of its ensemble; the two routes
+agree to round-off of order eps n max|flux|. `nonlinear_remainder`, and so
+the right-hand side, always takes the FFT route. `rhs` gives a stack of
+states their time derivatives at once, each bitwise its own.
 """
 from __future__ import annotations
 
@@ -158,8 +159,10 @@ def reduce_mean(phi: SpectralField, psi: SpectralField) -> SimState:
 
 def random_smooth_field(grid, rng, kmax: int = 8) -> SpectralField:
     """Zero-mean field with e^{-kappa} spectrum up to kmax, random phases."""
+    if kmax > grid.dealias_cutoff:
+        raise ValueError(f"kmax = {kmax} > {grid.dealias_cutoff}, the "
+                         f"dealiasing cutoff")
     c = np.zeros(grid.n_coeffs, dtype=np.complex128)
-    kmax = min(kmax, grid.dealias_cutoff)
     kappa = np.arange(1, kmax + 1)
     c[1:kmax + 1] = (np.exp(-kappa.astype(float))
                      * (rng.standard_normal(kmax)
@@ -298,7 +301,7 @@ def _bind_flux(shape: tuple, grid: GridSpec, mix: np.ndarray,
 
 
 def nonlinear_remainder(w: np.ndarray, mix: np.ndarray, grid: GridSpec,
-                        out: np.ndarray, transforms=None) -> np.ndarray:
+                        out: np.ndarray) -> np.ndarray:
     """Flux of everything in the rhs except the stiff diagonal linear part.
 
     Works in the eigenbasis on the kept modes 0..dealias_cutoff, with any
@@ -308,18 +311,12 @@ def nonlinear_remainder(w: np.ndarray, mix: np.ndarray, grid: GridSpec,
     -i omega F_hat, which the stepper folds into its tables and `rhs`
     applies.
 
-    The flux is `_bind_flux`'s one body: one batched irfft and one rfft
-    move between modes and grid; or, given the (synth, anal) pair of
-    `flux_transforms`, two matmuls on the float views of `w` and `out`.
-    The routes agree to round-off of order eps n max|flux|; on either,
-    each leading index gets bitwise what it would get alone. L carries the
-    mean advection, so the tables depend only on (grid, a3, k, dt).
+    The flux is `_bind_flux`'s one body on its FFT route: one batched
+    irfft and one rfft move between modes and grid, and each leading index
+    gets bitwise what it would get alone. L carries the mean advection, so
+    the tables depend only on (grid, a3, k, dt).
     """
-    flux = _bind_flux(w.shape, grid, mix, transforms)
-    if transforms is None:
-        flux(w, out)
-    else:
-        flux(w.view(np.float64), out.view(np.float64))
+    _bind_flux(w.shape, grid, mix)(w, out)
     return out
 
 

@@ -9,6 +9,9 @@ two cutoff-limited fields land at |kappa| >= n - 2*cutoff > cutoff).
 `derivative_symbols` forms the symbol (i omega)^n of d^n/dx^n, and
 `differentiate` applies it with the odd-order Nyquist zero: every derivative
 in the package is one of the two, but the real omega^3 of `linear_rates`.
+`integral_of_product` integrates a product of fields exactly: one factor by
+its mean coefficient, two by the Parseval pairing, more by quadrature on a
+padded grid on which the product is alias-free.
 """
 from __future__ import annotations
 
@@ -69,14 +72,6 @@ class SpectralField:
         nz = np.nonzero(self.coeffs)[0]
         return int(nz[-1]) if nz.size else 0
 
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        _require_same_grid(self, other)
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        _require_same_grid(self, other)
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
-
     def __mul__(self, scalar) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs * float(scalar))
 
@@ -115,23 +110,11 @@ def differentiate(coeffs: np.ndarray, orders: tuple) -> np.ndarray:
     return coeffs
 
 
-def integral(f: SpectralField) -> float:
-    """Integral over [0, 1), i.e. the mean coefficient."""
-    return float(f.coeffs[0].real)
-
-
 def _parseval_weights(n_coeffs: int) -> np.ndarray:
     w = np.full(n_coeffs, 2.0)
     w[0] = 1.0
     w[-1] = 1.0  # Nyquist coefficient of an even-length rfft is unpaired
     return w
-
-
-def inner(f: SpectralField, g: SpectralField) -> float:
-    """Exact integral of f*g over [0, 1) via the coefficient pairing."""
-    _require_same_grid(f, g)
-    w = _parseval_weights(f.grid.n_coeffs)
-    return float(np.sum(w * (f.coeffs * np.conj(g.coeffs)).real))
 
 
 def truncate(f: SpectralField) -> SpectralField:
@@ -167,18 +150,21 @@ def padded_samples(coeffs: np.ndarray, bands: np.ndarray,
 def integral_of_product(*fields: SpectralField) -> float:
     """Exact integral of a pointwise product of trig interpolants.
 
-    Each factor is resampled on a grid fine enough that the full product is
-    alias-free, so the returned quadrature mean equals the true integral to
-    rounding error.
+    One factor integrates to its mean coefficient, and two to the Parseval
+    pairing of their coefficients. Three or more are resampled on a grid
+    fine enough that the full product is alias-free, so the returned
+    quadrature mean equals the true integral to rounding error.
     """
     if not fields:
         raise ValueError("need at least one field")
-    for f in fields[1:]:
-        _require_same_grid(fields[0], f)
+    f = fields[0]
+    for g in fields[1:]:
+        _require_same_grid(f, g)
     if len(fields) == 1:
-        return integral(fields[0])
+        return float(f.coeffs[0].real)
     if len(fields) == 2:
-        return inner(fields[0], fields[1])
+        w = _parseval_weights(f.grid.n_coeffs)
+        return float(np.sum(w * (f.coeffs * np.conj(fields[1].coeffs)).real))
     bands = [f.band() for f in fields]
     m = _next_pow2(max(sum(bands) + 1, 2 * max(bands) + 2, 8))
     rows = padded_samples(np.array([f.coeffs for f in fields]),

@@ -12,12 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from ggkdv.model import SimState, ValidatedCoefficients, rhs, scale_state
-from ggkdv.spectral import SpectralField, _next_pow2, inner, integral
+from ggkdv.spectral import SpectralField, _next_pow2
 from ggkdv.identities import (_Damped, _Identity, _damping_only,
                               _gen_n_identity, _h1_identities, _h2_identities)
 from ggkdv.verification import NORMALIZER_FLOOR, IdentityReport
 
-from spectral_reference import derivative, padded_samples
+from spectral_reference import derivative, inner, integral, padded_samples
 
 
 class StateCalculus:

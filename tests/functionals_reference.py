@@ -15,10 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from ggkdv.model import SimState, ValidatedCoefficients
-from ggkdv.spectral import (TWO_PI, _parseval_weights, inner,
-                            integral_of_product)
+from ggkdv.spectral import TWO_PI, _parseval_weights, integral_of_product
 
-from spectral_reference import derivative
+from spectral_reference import derivative, inner
 
 
 def energy(state: SimState, c: ValidatedCoefficients) -> float:

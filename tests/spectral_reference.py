@@ -1,15 +1,17 @@
-"""Field derivatives and translations, L^p norms, single-field resampling
-and the one-field Poincare/Holder check, used by tests only.
+"""Field derivatives and translations, integrals, L^p norms, single-field
+resampling and the one-field Poincare/Holder check, used by tests only.
 
 `derivative` is the independent oracle of `spectral.derivative_symbols`:
-every derived field of the library must match it. `shift` checks
-translation invariance. `padded_samples` is the one-field
-zero-pad-and-irfft that `spectral.padded_samples` must reproduce row by
-row, bit for bit. `lp_norm` is the norm that
-`verification.check_poincare_holder` compares, one field and exponent at a
-time, on the same oversampled grid, and `poincare_holder` is that check of
-one field at one (p, q): the stacked check must fail exactly the pairs it
-fails.
+every derived field of the library must match it. `integral` (the mean
+coefficient) and `inner` (the Parseval pairing) integrate one field and a
+product of two: `spectral.integral_of_product` must give bitwise their
+numbers for one and two factors. `shift` checks translation invariance.
+`padded_samples` is the one-field zero-pad-and-irfft that
+`spectral.padded_samples` must reproduce row by row, bit for bit.
+`lp_norm` is the norm that `verification.check_poincare_holder` compares,
+one field and exponent at a time, on the same oversampled grid, and
+`poincare_holder` is that check of one field at one (p, q): the stacked
+check must fail exactly the pairs it fails.
 """
 from __future__ import annotations
 
@@ -17,7 +19,8 @@ import math
 
 import numpy as np
 
-from ggkdv.spectral import TWO_PI, GridSpec, SpectralField, _next_pow2
+from ggkdv.spectral import (TWO_PI, GridSpec, SpectralField, _next_pow2,
+                            _parseval_weights, _require_same_grid)
 
 
 def derivative(f: SpectralField, order: int = 1) -> SpectralField:
@@ -31,6 +34,18 @@ def derivative(f: SpectralField, order: int = 1) -> SpectralField:
         # odd derivative of a real field has no consistent Nyquist content
         c[-1] = 0.0
     return SpectralField(f.grid, c)
+
+
+def integral(f: SpectralField) -> float:
+    """Integral over [0, 1), i.e. the mean coefficient."""
+    return float(f.coeffs[0].real)
+
+
+def inner(f: SpectralField, g: SpectralField) -> float:
+    """Exact integral of f*g over [0, 1) via the coefficient pairing."""
+    _require_same_grid(f, g)
+    w = _parseval_weights(f.grid.n_coeffs)
+    return float(np.sum(w * (f.coeffs * np.conj(g.coeffs)).real))
 
 
 def zeros(grid: GridSpec) -> SpectralField:

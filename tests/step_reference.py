@@ -3,15 +3,27 @@ oracles of the bound stepper.
 
 `nonlinear_remainder` and `step` are the stepper's flux and step written
 plainly: every call allocates its buffer, slices and views, and every stage
-a new array for each intermediate result. `in_place_step` is the step as it
-was before `integrator._bind_step`: in place through given stage arrays,
-but looking up every stage, table row and ufunc, and binding the flux, on
-each call. The bound flux and the bound step must give bitwise their
-numbers.
+a new array for each intermediate result. `bound_remainder` binds
+`model._bind_flux` for one call, on either route: on the FFT route it is
+`model.nonlinear_remainder`. `in_place_step` is the step as it was before
+`integrator._bind_step`: in place through given stage arrays, but looking
+up every stage, table row and ufunc, and binding the flux, on each call.
+The bound flux and the bound step must give bitwise their numbers.
 """
 import numpy as np
 
-from ggkdv.model import nonlinear_remainder as bound_remainder
+from ggkdv.model import _bind_flux, nonlinear_remainder as model_remainder
+
+
+def bound_remainder(w, mix, grid, out, transforms=None):
+    """The flux of `w` written into `out` by a flux `model._bind_flux`
+    binds for this call; on the matmul route of `transforms`, through the
+    float views of `w` and `out`."""
+    if transforms is None:
+        return model_remainder(w, mix, grid, out)
+    _bind_flux(w.shape, grid, mix, transforms)(w.view(np.float64),
+                                               out.view(np.float64))
+    return out
 
 
 def nonlinear_remainder(w, mix, grid, transforms=None):
@@ -42,14 +54,12 @@ def step(w, tables, mix, grid, transforms):
     nb = nonlinear_remainder(b, mix, grid, transforms)
     c = exp_half * a + q * (2.0 * nb - n0)
     nc = nonlinear_remainder(c, mix, grid, transforms)
-    out = exp_full * w + w1 * n0 + w2x2 * (na + nb) + w3 * nc
-    out[..., 0] = 0.0
-    return out
+    return exp_full * w + w1 * n0 + w2x2 * (na + nb) + w3 * nc
 
 
 def in_place_step(w, tables, mix, grid, transforms, stages):
     """One ETDRK4 step of `w` in place through the nine arrays `stages`,
-    each shaped like `w`, by `model.nonlinear_remainder`."""
+    each shaped like `w`, by `bound_remainder`."""
     exp_full, exp_half, q, w1, w2x2, w3 = tables
     n0, na, nb, nc, a, b, c, half, s = stages
     bound_remainder(w, mix, grid, n0, transforms)
@@ -65,4 +75,3 @@ def in_place_step(w, tables, mix, grid, transforms, stages):
     np.add(np.multiply(exp_full, w, out=w), np.multiply(w1, n0, out=s), out=w)
     np.add(w, np.multiply(w2x2, np.add(na, nb, out=s), out=s), out=w)
     np.add(w, np.multiply(w3, nc, out=s), out=w)
-    w[..., 0] = 0.0  # means are conserved exactly; pin against drift

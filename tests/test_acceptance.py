@@ -81,7 +81,7 @@ def test_criterion_2_mean_conservation():
         evolve([state], [c], 0.1, 0.01)
 
     passed = worst <= 1e-14
-    _report(2, "zero mode pinned at zero", passed,
+    _report(2, "zero mode held at zero", passed,
             f"max |coeff(0)| drift {worst:.3e} (tol 1e-14), "
             "guard raises on contaminated mean")
     assert passed

@@ -11,7 +11,8 @@ from conftest import (decay_marched_state, make_sine_state, observe_one,
 from calculus_reference import StateCalculus
 import functionals_reference
 from functionals_reference import energy, hs_seminorm_sq
-from spectral_reference import derivative, padded_samples, shift, zeros
+from spectral_reference import (derivative, inner, padded_samples, shift,
+                                zeros)
 
 EPS = np.finfo(float).eps
 # g1 and g2 (and h2 off the admissible branches) are summed monomial by
@@ -72,7 +73,7 @@ class TestEnergyAndSeminorms:
         st = rich_state(grid128)
         for n in range(4):
             un, vn = derivative(st.u, n), derivative(st.v, n)
-            direct = sp.inner(un, un) + sp.inner(vn, vn)
+            direct = inner(un, un) + inner(vn, vn)
             assert hs_seminorm_sq(st, n) == pytest.approx(direct, rel=1e-13)
 
     def test_negative_order_rejected(self, grid64):

@@ -9,7 +9,7 @@ import pytest
 from ggkdv import integrator as ti, model, spectral as sp
 from ggkdv.model import random_smooth_state
 
-from conftest import COUPLED, make_sine_state, per_state, rhs_fields
+from conftest import COUPLED, make_sine_state, per_state
 from etd_reference import reference_march, reference_tables
 import functionals_reference as fn
 from linear_reference import linear_exact_solution
@@ -136,28 +136,24 @@ class TestLinearEvolution:
 def rk4_reference(state, c, t_final, dt):
     """Classic RK4 on the full rhs; independent of the ETD machinery."""
     n_steps = int(round((t_final - state.t) / dt))
-    current = state
+    grid, t = state.grid, state.t
+    uv = np.stack([state.u.coeffs, state.v.coeffs])
+
+    def slope(x):
+        """(du, dv) coefficients of the state (u, v) = x."""
+        return model.rhs([model.SimState(
+            u=sp.SpectralField(grid, x[0]), v=sp.SpectralField(grid, x[1]),
+            t=t, mean_u=state.mean_u, mean_v=state.mean_v)], c)[0]
     for _ in range(n_steps):
-        k1 = rhs_fields(current, c)
-        s2 = model.SimState(u=current.u + (dt / 2) * k1[0],
-                            v=current.v + (dt / 2) * k1[1],
-                            t=current.t, mean_u=current.mean_u,
-                            mean_v=current.mean_v)
-        k2 = rhs_fields(s2, c)
-        s3 = model.SimState(u=current.u + (dt / 2) * k2[0],
-                            v=current.v + (dt / 2) * k2[1],
-                            t=current.t, mean_u=current.mean_u,
-                            mean_v=current.mean_v)
-        k3 = rhs_fields(s3, c)
-        s4 = model.SimState(u=current.u + dt * k3[0], v=current.v + dt * k3[1],
-                            t=current.t, mean_u=current.mean_u,
-                            mean_v=current.mean_v)
-        k4 = rhs_fields(s4, c)
-        u = current.u + (dt / 6) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        v = current.v + (dt / 6) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        current = model.SimState(u=u, v=v, t=current.t + dt,
-                                 mean_u=current.mean_u, mean_v=current.mean_v)
-    return current
+        k1 = slope(uv)
+        k2 = slope(uv + (dt / 2) * k1)
+        k3 = slope(uv + (dt / 2) * k2)
+        k4 = slope(uv + dt * k3)
+        uv = uv + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += dt
+    return model.SimState(u=sp.SpectralField(grid, uv[0]),
+                          v=sp.SpectralField(grid, uv[1]), t=t,
+                          mean_u=state.mean_u, mean_v=state.mean_v)
 
 
 class TestNonlinearAccuracy:
@@ -405,7 +401,8 @@ def ensemble_member(draw, grid):
                                       a2=0.5 + math.sin(theta) / math.sqrt(2),
                                       a3=0.0, k=k)
     state = random_smooth_state(grid, seed=draw(st.integers(0, 10 ** 6)),
-                                amplitude=draw(st.floats(0.01, 1.0)), kmax=8)
+                                amplitude=draw(st.floats(0.01, 1.0)),
+                                kmax=min(8, grid.dealias_cutoff))
     if draw(st.booleans()):
         state = model.SimState(u=state.u, v=state.v, t=0.0,
                                mean_u=draw(st.floats(-1.0, 1.0)),
@@ -678,6 +675,25 @@ class TestInPlaceStep:
             ti.evolve([calm], [coeffs_coupled], 0.01, 1e-3,
                       observer=per_state(lambda i, s: seen.append(s.t) or {}))
         assert seen == [n * 1e-3 for n in range(4)]
+
+    def test_a_table_that_leaks_into_the_mean_is_caught(
+            self, monkeypatch, grid64, coeffs_coupled):
+        # the flux's mean reaches mode 0 through the w1 row: the first
+        # sampled state after t = 0 has drifted, and the march stops there
+        build = ti.build_tables
+
+        def leaky(*args):
+            t = build(*args)
+            t[3][:, 0] += 1e-3
+            return t
+        monkeypatch.setattr(ti, "build_tables", leaky)
+        calm = random_smooth_state(grid64, seed=1, amplitude=0.3)
+        seen = []
+        with pytest.raises(RuntimeError, match=r"mean drifted to \S+ at "
+                           r"t = 0\.005$"):
+            ti.evolve([calm], [coeffs_coupled], 0.01, 1e-3, stride=5,
+                      observer=per_state(lambda i, s: seen.append(s.t) or {}))
+        assert seen == []  # t = 0 was still waiting for its block
 
     @pytest.mark.parametrize("caller", [  # numpy's defaults, and raising
         dict(divide="warn", over="warn", under="ignore", invalid="warn"),

@@ -138,6 +138,24 @@ class TestReduceMean:
                                    atol=1e-14)
 
 
+class TestRandomSmoothField:
+    def test_fills_exactly_the_modes_up_to_kmax(self):
+        grid = sp.make_grid(16)  # dealiasing cutoff 5
+        for kmax in (1, 5):
+            f = model.random_smooth_field(grid, np.random.default_rng(0), kmax)
+            assert f.coeffs[0] == 0.0 and f.band() == kmax
+
+    @pytest.mark.parametrize("n_points, kmax", [(16, 6), (16, 8), (64, 22)])
+    def test_a_kmax_past_the_cutoff_is_refused(self, n_points, kmax):
+        grid = sp.make_grid(n_points)
+        message = (rf"kmax = {kmax} > {grid.dealias_cutoff}, the dealiasing "
+                   r"cutoff")
+        with pytest.raises(ValueError, match=message):
+            model.random_smooth_field(grid, np.random.default_rng(0), kmax)
+        with pytest.raises(ValueError, match=message):
+            random_smooth_state(grid, seed=0, kmax=kmax)
+
+
 class TestRhs:
     def test_single_mode_closed_form(self, grid128, coeffs_coupled):
         # u = sin(2 pi x), v = 0:
@@ -179,14 +197,14 @@ class TestRhs:
         c = coeffs_coupled
         st = make_sine_state(grid64, amp=0.3, mean_u=0.7, mean_v=-0.4)
         st0 = model.SimState(u=st.u, v=st.v, t=st.t, mean_u=0.0, mean_v=0.0)
-        du, dv = rhs_fields(st, c)
-        du0, dv0 = rhs_fields(st0, c)
+        du, dv = model.rhs([st], c)[0]
+        du0, dv0 = model.rhs([st0], c)[0]
         M, N = st.mean_u, st.mean_v
-        u1, v1 = derivative(st.u), derivative(st.v)
+        u1, v1 = derivative(st.u).coeffs, derivative(st.v).coeffs
         expect_u = -1.0 * (M * u1 + c.a1 * N * v1 + c.a2 * (N * u1 + M * v1))
         expect_v = -1.0 * (N * v1 + c.a2 * M * u1 + c.a1 * (N * u1 + M * v1))
-        np.testing.assert_allclose((du - du0).coeffs, expect_u.coeffs, atol=1e-12)
-        np.testing.assert_allclose((dv - dv0).coeffs, expect_v.coeffs, atol=1e-12)
+        np.testing.assert_allclose(du - du0, expect_u, atol=1e-12)
+        np.testing.assert_allclose(dv - dv0, expect_v, atol=1e-12)
 
     def test_non_reduced_state_rejected(self, grid64, coeffs_coupled):
         x = grid64.nodes()
@@ -282,9 +300,10 @@ def term_member(draw, grid):
 
 
 def flux_of(w, mix, grid, transforms=None):
-    """`model.nonlinear_remainder` of `w` into a new array."""
-    return model.nonlinear_remainder(w, mix, grid, np.empty_like(w),
-                                     transforms)
+    """The flux of `w` into a new array, by `model.nonlinear_remainder` or,
+    given `transforms`, by `model._bind_flux` on the matmul route."""
+    return step_reference.bound_remainder(w, mix, grid, np.empty_like(w),
+                                          transforms)
 
 
 class TestNonlinearRemainder:
@@ -322,7 +341,7 @@ class TestNonlinearRemainder:
 
 
 class TestFluxTransforms:
-    """The matmul route of `nonlinear_remainder` against its FFT route."""
+    """The matmul route of the flux against its FFT route."""
 
     # Each matmul entry sums n (analysis) or 2 kept (synthesis) products,
     # so the two routes may differ by FLUX_ULPS * eps * n * max|flux|, with
@@ -389,9 +408,9 @@ class TestFluxTransforms:
 
 
 class TestBoundFlux:
-    """`nonlinear_remainder`, and one flux `_bind_flux` binds and reuses,
-    against the allocating flux of `step_reference`, bitwise, on both
-    routes."""
+    """A flux `_bind_flux` binds per call (on the FFT route,
+    `nonlinear_remainder`), and one it binds and reuses, against the
+    allocating flux of `step_reference`, bitwise, on both routes."""
 
     @settings(max_examples=60, deadline=None)
     @given(grid=st.integers(4, 128).map(lambda half: sp.make_grid(2 * half)),
@@ -418,8 +437,7 @@ class TestBoundFlux:
             want = step_reference.nonlinear_remainder(w, mix, grid,
                                                       transforms)
             np.testing.assert_array_equal(
-                model.nonlinear_remainder(w, mix, grid, np.empty_like(w),
-                                          transforms), want)
+                flux_of(w, mix, grid, transforms), want)
             # one bound flux, its buffers reused: as in a step, one
             # stage's flux is the next call's input
             flux(view(w), view(first))

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ggkdv import spectral as sp
-from spectral_reference import derivative, padded_samples, shift
+from spectral_reference import (derivative, inner, integral, padded_samples,
+                                shift)
 
 
 def sin_field(grid, kappa=1, amp=1.0):
@@ -143,7 +144,7 @@ class TestCalculus:
     def test_integral_of_squared_sine_is_half(self):
         g = sp.make_grid(64)
         f = sin_field(g)
-        assert sp.inner(f, f) == pytest.approx(0.5, abs=1e-14)
+        assert inner(f, f) == pytest.approx(0.5, abs=1e-14)
 
     def test_shift_translates_samples(self):
         g = sp.make_grid(64)
@@ -171,11 +172,28 @@ class TestProducts:
         assert sp.integral_of_product(f, f) == pytest.approx(0.5, abs=1e-14)
         assert sp.integral_of_product(f, h) == pytest.approx(0.0, abs=1e-16)
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.sampled_from([8, 64, 256]))
+    def test_one_and_two_factors_are_their_oracles_bitwise(self, seed, n):
+        g = sp.make_grid(n)
+        rng = np.random.default_rng(seed)
+        f, h = (sp.SpectralField(g, rng.standard_normal(g.n_coeffs)
+                                 + 1j * rng.standard_normal(g.n_coeffs))
+                for _ in range(2))
+        for got, want in ((sp.integral_of_product(f), integral(f)),
+                          (sp.integral_of_product(f, h), inner(f, h)),
+                          (sp.integral_of_product(h, f), inner(h, f)),
+                          (sp.integral_of_product(f, f), inner(f, f))):
+            assert got.hex() == want.hex()
+
     def test_grid_mismatch_rejected(self):
         f = sin_field(sp.make_grid(32))
         h = sin_field(sp.make_grid(64))
-        with pytest.raises(ValueError):
-            f + h
+        for fields in ((f, h), (f, f, h), (h, f, f)):
+            with pytest.raises(ValueError, match="different grids"):
+                sp.integral_of_product(*fields)
+        with pytest.raises(ValueError, match="different grids"):
+            inner(f, h)
 
 
 # property tests: the four core invariants on seeded band-limited fields
@@ -190,7 +208,7 @@ def test_parseval_two_routes_agree(seed, n):
     g = sp.make_grid(n)
     f = random_band_field(g, seed, kmax=g.dealias_cutoff // 2)
     quadrature = float(np.mean(f.samples() ** 2))
-    modal = sp.inner(f, f)
+    modal = inner(f, f)
     assert abs(quadrature - modal) <= 1e-12 * max(1.0, modal)
 
 
@@ -200,10 +218,10 @@ def test_integration_by_parts_and_zero_mean_derivative(seed, n):
     g = sp.make_grid(n)
     f = random_band_field(g, seed, kmax=10)
     h = random_band_field(g, seed + 1, kmax=10)
-    assert abs(sp.inner(derivative(f), h)
-               + sp.inner(f, derivative(h))) <= 1e-12
-    assert sp.integral(derivative(f, 1)) == 0.0
-    assert sp.integral(derivative(f, 3)) == 0.0
+    assert abs(inner(derivative(f), h)
+               + inner(f, derivative(h))) <= 1e-12
+    assert integral(derivative(f, 1)) == 0.0
+    assert integral(derivative(f, 3)) == 0.0
 
 
 @settings(max_examples=40, deadline=None)
