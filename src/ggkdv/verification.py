@@ -344,7 +344,9 @@ class DecayFit:
 
 def fit_decay_rate(series, quantity_id: str, window: tuple,
                    target_rate: float) -> DecayFit:
-    """Least-squares slope of log(quantity) over the time window.
+    """Least-squares slope of log(quantity) over the time window, in closed
+    form on the times centred and divided by their largest magnitude, so
+    that no sum overflows or underflows, whatever the time scale.
 
     Values that have decayed below 1e-13 of the series' initial value are
     excluded so the fit never chases rounding noise, and so are values that
@@ -359,14 +361,15 @@ def fit_decay_rate(series, quantity_id: str, window: tuple,
         raise ValueError(f"window {window} leaves fewer than 3 usable points")
     tt, log_q = t[keep], np.log(q[keep])
     with np.errstate(all="ignore"):  # a fit that is not finite fails below
-        # polyfit divides the times by their norm, which must be a normal
-        # float: else LAPACK gets a NaN, and prints a complaint to stderr
-        scalable = np.finfo(float).tiny <= np.sqrt(np.sum(tt * tt)) < np.inf
-        slope, intercept = (np.polyfit(tt, log_q, 1) if scalable
-                            else (math.nan, math.nan))
+        t_mid, log_mid = np.mean(tt), np.mean(log_q)
+        x = tt - t_mid
+        x_max = np.max(np.abs(x))
+        x = x / x_max
+        slope = np.sum(x * (log_q - log_mid)) / np.sum(x * x) / x_max
+        intercept = log_mid - slope * t_mid
         fitted = slope * tt + intercept
         ss_res = float(np.sum((log_q - fitted) ** 2))
-        ss_tot = float(np.sum((log_q - np.mean(log_q)) ** 2))
+        ss_tot = float(np.sum((log_q - log_mid) ** 2))
     r_sq = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     if not all(map(math.isfinite, (slope, intercept, r_sq))):
         raise ValueError(f"window {window} leaves no finite fit")

@@ -122,3 +122,17 @@ def config_to_dict(cfg) -> dict:
 def save_config(cfg, path: str) -> None:
     atomic_write_text(path, yaml.safe_dump(config_to_dict(cfg),
                                            sort_keys=False))
+
+
+def tiny_config(tmp_path, shipped: str, grid: int, **sections) -> str:
+    """A shipped config on `grid` points, its sections updated by
+    `sections` and its outputs moved into `tmp_path`; returns its path."""
+    raw = yaml.safe_load((ROOT / "configs" / shipped).read_text("utf-8"))
+    raw["grid"]["n_points"] = grid
+    for section, values in sections.items():
+        raw.setdefault(section, {}).update(values)
+    raw["output"] = {key: str(tmp_path / Path(value).name)
+                     for key, value in raw["output"].items()}
+    path = tmp_path / shipped
+    path.write_text(yaml.safe_dump(raw, sort_keys=False), "utf-8")
+    return str(path)

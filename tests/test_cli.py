@@ -24,13 +24,14 @@ import yaml
 from ggkdv import cli, verification
 from ggkdv.config import (MAX_POINT_STEPS, ConfigError, ExperimentConfig,
                           InitialSpec, VerifySpec, apply_overrides,
-                          atomic_write_text, build_initial_state,
-                          config_from_dict, load_config)
+                          SWEEP_AXES, atomic_write_text,
+                          build_initial_state, config_from_dict, load_config)
 from ggkdv.integrator import DiagnosticSeries, evolve, step_count
 from ggkdv.model import CoefficientSet
 from ggkdv.spectral import make_grid
 from ggkdv.verification import IdentityReport
-from conftest import ROOT, config_to_dict, observe_one, per_state, save_config
+from conftest import (ROOT, config_to_dict, observe_one, per_state,
+                      save_config, tiny_config)
 from step_grid_reference import default_step, loader_step_count
 
 
@@ -1497,6 +1498,34 @@ class TestEnergyOnlyObservation:
             assert energy_only.residuals == {}
 
 
+# -- no LAPACK at run time ----------------------------------------------------
+
+# numpy's routines that call LAPACK; the first call adds about 1.1 MB of
+# resident memory to a process, so no command may reach one
+LAPACK_ROUTINES = ("lstsq", "solve", "inv", "pinv", "svd", "qr", "eig",
+                   "eigh", "eigvals", "det", "cholesky")
+
+
+def test_no_command_calls_lapack(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command called LAPACK")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    for name in LAPACK_ROUTINES:
+        monkeypatch.setattr(np.linalg, name, refuse)
+    run = tiny_config(tmp_path, "decay.yaml", 32,
+                      run={"dt": 0.002, "t_final": 0.2, "stride": 10,
+                           "fit_window": [0.1, 0.2]})
+    verify = tiny_config(tmp_path, "verify.yaml", 64,
+                         run={"dt": 0.001, "t_final": 0.1, "stride": 10},
+                         verify={"poincare_fields": 2, "product_fields": 2})
+    sweep = tiny_config(tmp_path, "sweep_linear.yaml", 32,
+                        run={"t_final": 0.2, "stride": 10})
+    for argv in (["run", run], ["verify", verify],
+                 ["sweep", sweep, "--axis", "k=0.5,1.0"]):
+        assert cli.main(argv) == 0, capsys.readouterr()
+
+
 # -- every input through the whole command -----------------------------------
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -1563,6 +1592,71 @@ def _commands(draw):
     return command, raw, axes
 
 
+@st.composite
+def _admissible_commands(draw):
+    """A command line and its config that every admission rule passes: the
+    coefficients inside the gate, an explicit dt and stride that tile
+    t_final in at most 32 steps or the default step over a t_final of at
+    most 0.1, kmax within the cutoff (within half of it for the battery),
+    a fit window inside the run, and for `gg sweep` one or two axes of two
+    or three admissible values each. So every draw marches or runs its
+    battery, and a sweep marches two to nine points."""
+    n_points = draw(st.sampled_from([8, 16, 24, 32]))
+    cutoff = n_points // 3
+    if draw(st.booleans()):
+        (a1, a2), a3 = (1.0, 1.0), draw(st.floats(-0.99, 0.99))
+    else:
+        (a1, a2), a3 = draw(st.sampled_from(A3_ZERO_PAIRS)), 0.0
+    stride = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        dt = draw(st.floats(1e-4, 1e-2))
+        count = draw(st.sampled_from(range(1, 32 // stride + 1)))
+        t_final = dt * stride * count
+    else:
+        dt, t_final = None, draw(st.floats(1e-3, 0.1))
+    run = {"dt": dt, "t_final": t_final, "stride": stride,
+           "n_max": draw(st.integers(0, 4))}
+    if draw(st.booleans()):
+        run["fit_window"] = [t_final * draw(st.sampled_from([0.0, 0.25, 0.5])),
+                             t_final * draw(st.sampled_from([0.75, 1.0]))]
+    amplitude = st.floats(-2.0, 2.0) | st.floats(-1e4, 1e4)
+    raw = {"grid": {"n_points": n_points},
+           "coefficients": {"a1": a1, "a2": a2, "a3": a3,
+                            "k": draw(st.floats(0.05, 5.0))},
+           "initial": {"preset": draw(st.sampled_from(
+                           ["single-mode", "random-smooth",
+                            "two-soliton-like"])),
+                       "amplitude": draw(amplitude),
+                       "seed": draw(st.integers(0, 9)),
+                       "kmax": draw(st.integers(1, cutoff)),
+                       "mean_u": draw(st.just(0.0) | st.floats(-1.0, 1.0)),
+                       "mean_v": draw(st.just(0.0) | st.floats(-1.0, 1.0))},
+           "run": run,
+           "checks": draw(st.lists(st.sampled_from(
+               ["L2", "GEN_N", "H1", "H2", "POINCARE", "PRODUCT_BOUND",
+                "DECAY"]), unique=True)),
+           "verify": {"n_states": draw(st.integers(1, 3)),
+                      "amplitude": draw(st.floats(-1.0, 1.0)),
+                      "seed": draw(st.integers(0, 9)),
+                      "kmax": draw(st.integers(1, max(1, cutoff // 2))),
+                      "poincare_fields": draw(st.integers(0, 2)),
+                      "product_fields": draw(st.integers(0, 2))}}
+    command = draw(st.sampled_from(["run", "verify", "sweep"]))
+    axes = []
+    if command == "sweep":
+        # a1 and a2 only on the a3 = 0 branch, where any pair of 0 and 1 is
+        # admissible; a3 only on the a1 = a2 = 1 branch
+        values = {"k": st.floats(0.05, 5.0), "amplitude": amplitude,
+                  **({"a1": st.sampled_from([0.0, 1.0]),
+                      "a2": st.sampled_from([0.0, 1.0])} if a3 == 0.0
+                     else {"a3": st.floats(-0.99, 0.99)})}
+        for name in draw(st.lists(st.sampled_from(sorted(values)),
+                                  min_size=1, max_size=2, unique=True)):
+            spec = draw(st.lists(values[name], min_size=2, max_size=3))
+            axes += ["--axis", f"{name}={','.join(map(repr, spec))}"]
+    return command, raw, axes
+
+
 def _probe(command, checks, axes=(), **sections) -> tuple:
     """A case of the property: the energy-overflow config with `checks`,
     its sections updated by `sections`."""
@@ -1591,6 +1685,25 @@ def _gg_in(directory, command, raw, axes):
     return code, out.getvalue(), err.getvalue()
 
 
+def _exits_by_its_table(directory, command, raw, axes) -> tuple:
+    """`gg` on `raw` in `directory`: exit 0, 2, 3 or 4, never a traceback
+    or a warning; a summary that passes the schema and is strict JSON on 0,
+    3 and 4, and nothing written on 2. Returns the exit code and the
+    summary, None on 2."""
+    code, _, err = _gg_in(directory, command, raw, axes)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err and "Warning" not in err
+    out = os.path.join(directory, "out")
+    written = sorted(os.listdir(out) if os.path.isdir(out) else [])
+    if code == 2:
+        assert written == [] and err.startswith("error: ")
+        return code, None
+    summary = load_finite_json(pathlib.Path(out, "summary.json"))
+    jsonschema.validate(summary, cli._summary_schema())
+    assert cli.EXIT_CODES[summary["status"]] == code
+    return code, summary
+
+
 @settings(max_examples=100, deadline=None)
 @given(_commands())
 # a finite state whose energy overflows: a blow-up, not a traceback
@@ -1607,7 +1720,8 @@ def _gg_in(directory, command, raw, axes):
 @example(_probe("verify", ["H2"], verify={"amplitude": 1e308, "kmax": 1}))
 # a step past the float range: refused by the tables, without a warning
 @example(_probe("run", [], run={"dt": 9e307, "t_final": 9e307}))
-# times whose squares underflow: a named fit failure, not a warning
+# a run shorter than rounding, whose times' squares underflow: each fit is
+# finite, of data constant to rounding, and there is no warning
 @example(_probe("run", [], initial={"amplitude": 0.1},
                 run={"dt": 6e-180, "t_final": 1.8e-178, "stride": 3,
                      "fit_window": None}))
@@ -1615,18 +1729,35 @@ def test_every_command_line_exits_by_its_table(case):
     """Any config and --axis: exit 0, 2, 3 or 4, never a traceback or a
     warning; a summary that passes the schema and is strict JSON on 0, 3
     and 4, and nothing written on 2."""
+    with tempfile.TemporaryDirectory() as directory:
+        _exits_by_its_table(directory, *case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_admissible_commands())
+def test_admissible_command_lines_march_and_sweep_rows_equal_runs(case):
+    """An admissible config and --axis: exit 0, 3 or 4 by the table, and
+    each row of a sweep holds bitwise the energy fit, or the blow-up, of a
+    `gg run` of its point alone."""
     command, raw, axes = case
     with tempfile.TemporaryDirectory() as directory:
-        code, _, err = _gg_in(directory, command, raw, axes)
-        assert code in (0, 2, 3, 4)
-        assert "Traceback" not in err and "Warning" not in err
-        written = sorted(os.listdir(os.path.join(directory, "out"))
-                         if os.path.isdir(os.path.join(directory, "out"))
-                         else [])
-        if code == 2:
-            assert written == [] and err.startswith("error: ")
-            return
-        summary = load_finite_json(pathlib.Path(directory, "out",
-                                                "summary.json"))
-    jsonschema.validate(summary, cli._summary_schema())
-    assert cli.EXIT_CODES[summary["status"]] == code
+        code, summary = _exits_by_its_table(directory, command, raw, axes)
+        assert code != 2
+        for i, row in enumerate(summary.get("points", [])):
+            point = copy.deepcopy(raw)
+            for name, value in row["point"].items():
+                point[SWEEP_AXES[name]][name] = value
+            alone = os.path.join(directory, f"point-{i}")
+            os.mkdir(alone)
+            run_code, run = _exits_by_its_table(alone, "run", point, [])
+            fit = {f["quantity_id"]: f
+                   for f in run.get("decay_fits", [])}.get("energy")
+            if row["status"] == "blow_up":
+                assert run_code == 3
+                assert run["blow_up_time"] == row["blow_up_time"]
+            elif row["status"] == "ok":
+                assert fit is not None
+                for key in ("fitted_rate", "r_squared"):
+                    assert float(fit[key]).hex() == float(row[key]).hex()
+            else:
+                assert run_code != 3 and fit is None

@@ -10,14 +10,11 @@ import functools
 import importlib
 import inspect
 import json
-from pathlib import Path
 import sys
-
-import yaml
 
 from ggkdv import cli
 
-from conftest import ROOT
+from conftest import ROOT, tiny_config
 
 # the statistics the tracer keeps per span; the other metrics are counters
 SPAN_STATS = {"calls", "busy_s", "wait_s", "p50_us", "p99_us"}
@@ -65,18 +62,6 @@ def _count_calls(monkeypatch, names) -> dict:
     return calls
 
 
-def _tiny_config(tmp_path, shipped: str, grid: int, **sections) -> str:
-    raw = yaml.safe_load((ROOT / "configs" / shipped).read_text("utf-8"))
-    raw["grid"]["n_points"] = grid
-    for section, values in sections.items():
-        raw.setdefault(section, {}).update(values)
-    raw["output"] = {key: str(tmp_path / Path(value).name)
-                     for key, value in raw["output"].items()}
-    path = tmp_path / shipped
-    path.write_text(yaml.safe_dump(raw, sort_keys=False), "utf-8")
-    return str(path)
-
-
 def test_every_traced_span_is_public_and_the_stacked_paths_run(
         tmp_path, monkeypatch, capsys):
     spans = _traced_spans()
@@ -93,12 +78,12 @@ def test_every_traced_span_is_public_and_the_stacked_paths_run(
             assert obj.__module__ == module.__name__, span
 
     calls = _count_calls(monkeypatch, MUST_RUN)
-    run = _tiny_config(tmp_path, "decay.yaml", 32,
-                       run={"dt": 0.002, "t_final": 0.2, "stride": 10,
-                            "fit_window": [0.1, 0.2]})
+    run = tiny_config(tmp_path, "decay.yaml", 32,
+                      run={"dt": 0.002, "t_final": 0.2, "stride": 10,
+                           "fit_window": [0.1, 0.2]})
     assert cli.main(["run", run]) == 0
-    verify = _tiny_config(tmp_path, "verify.yaml", 64,
-                          run={"dt": 0.001, "t_final": 0.1, "stride": 10},
-                          verify={"poincare_fields": 2, "product_fields": 2})
+    verify = tiny_config(tmp_path, "verify.yaml", 64,
+                         run={"dt": 0.001, "t_final": 0.1, "stride": 10},
+                         verify={"poincare_fields": 2, "product_fields": 2})
     assert cli.main(["verify", verify]) == 0, capsys.readouterr().out
     assert {name: n for name, n in calls.items() if n < 1} == {}
