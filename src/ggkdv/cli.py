@@ -26,7 +26,6 @@ import json
 import math
 import numbers
 import os
-from statistics import median
 import sys
 from typing import NamedTuple
 
@@ -35,13 +34,13 @@ import numpy as np
 from .config import (MAX_BATTERY_POINTS, MAX_POINT_STEPS, ConfigError,
                      ExperimentConfig, apply_overrides, atomic_write_text,
                      build_initial_state, load_config)
+from .identities import ZERO_MEAN_CHECKS, check_identities
 from .integrator import OBSERVE_BLOCK, BlowUpError, DiagnosticSeries, evolve
 from .model import (CoefficientError, SimState, ValidatedCoefficients,
                     random_smooth_field, random_smooth_state, scale_state,
                     validate_coefficients)
 from .spectral import make_grid
-from .verification import (ZERO_MEAN_CHECKS, check_identities,
-                           check_poincare_holder, fit_decay_rate,
+from .verification import (check_poincare_holder, fit_decay_rate,
                            observe_states, product_bound_violations)
 
 # summary status -> exit code; the schema's `status` enum names the keys
@@ -259,8 +258,9 @@ def _prepare(cfg: ExperimentConfig, record: bool) -> _Point:
     if state.mean_u != 0.0 or state.mean_v != 0.0:
         skipped = [check for check in ZERO_MEAN_CHECKS if check in checks]
         checks = [check for check in checks if check not in ZERO_MEAN_CHECKS]
-    return _Point(cfg, c, dt, state, check_identities(checks, cfg.n_max)[0],
-                  skipped, None if record else ("energy",))
+    return _Point(cfg, c, dt, state,
+                  check_identities(checks, cfg.n_max, c)[0], skipped,
+                  None if record else ("energy",))
 
 
 def run_experiment(points: list) -> list:
@@ -380,6 +380,14 @@ def cmd_run(cfg: ExperimentConfig) -> tuple:
         for i, r in offenders.items())
 
 
+def _median(values: list) -> float:
+    """The middle of the sorted values, as `statistics.median` takes it."""
+    ordered, middle = sorted(values), len(values) // 2
+    if len(values) % 2:
+        return ordered[middle]
+    return (ordered[middle - 1] + ordered[middle]) / 2
+
+
 def _blocks(items) -> list:
     """`items` in slices of at most OBSERVE_BLOCK, in order."""
     return [items[i:i + OBSERVE_BLOCK]
@@ -395,7 +403,7 @@ def cmd_verify(cfg: ExperimentConfig) -> tuple:
     if vs.kmax > limit:
         raise ConfigError(f"verify.kmax = {vs.kmax} > {limit}: dealiasing "
                           f"cutoff {grid.dealias_cutoff} (halved for H1, H2)")
-    exact, approx = check_identities(cfg.checks, cfg.n_max)
+    exact, approx = check_identities(cfg.checks, cfg.n_max, c)
     for key, runs in (("n_states", exact or approx),
                       ("poincare_fields", "POINCARE" in cfg.checks),
                       ("product_fields", "PRODUCT_BOUND" in cfg.checks)):
@@ -444,7 +452,7 @@ def cmd_verify(cfg: ExperimentConfig) -> tuple:
             ratios = (half[identity_id] / np.maximum(full[identity_id],
                                                      1e-300)).tolist()
         # np.median's float, NaN included, without its numpy.ma import
-        med = math.nan if any(map(math.isnan, ratios)) else median(ratios)
+        med = math.nan if any(map(math.isnan, ratios)) else _median(ratios)
         add(f"{identity_id} scaling", lo <= med <= hi, med, None,
             f"median residual ratio under amplitude halving over "
             f"{vs.n_states} states; want within [{lo}, {hi}]")

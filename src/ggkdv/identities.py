@@ -3,8 +3,17 @@
 Each identity's lists are built from the lists the CSV record is evaluated
 from (`functionals.functional_record`): GEN_N(n), H1_SUB(4.2) and
 H2_SUB(5.2) take the seminorms as their functionals, H1_MAIN and H2_MAIN
-take f1, g1, f2, g2 and h2. The ids are listed in `verification`, which
-compiles and evaluates them.
+take f1, g1, f2, g2 and h2. `verification` compiles and evaluates them.
+
+Identity ids, each the key of its definition here:
+    L2              exact L2 decay law (quadratic functional, any means)
+    GEN_N(n)        exact derivative-energy identity at order n >= 0
+    GEN_N_APPROX(n) its damping-only truncation (residual is the cubic part)
+    H1_MAIN         (f1 + g1)' = -2k f1 - 3k g1
+    H1_SUB(4.2..5)  the four sub-identities behind H1_MAIN
+    H2_MAIN         (f2 + g2)' ~= -2k f2 + h2
+    H2_SUB(5.2..6)  the five sub-identities behind H2_MAIN; 5.2 and 5.3 are
+                    exact, 5.4-5.6 hold modulo cubic damping and quartic terms
 """
 from __future__ import annotations
 
@@ -13,6 +22,8 @@ from typing import NamedTuple
 
 from .functionals import lyapunov_monomials, mono, seminorm_monomials
 from .model import ValidatedCoefficients
+
+ZERO_MEAN_CHECKS = ("H1", "H2")  # their identities assume M = N = 0
 
 
 class _Damped(NamedTuple):
@@ -24,15 +35,15 @@ class _Damped(NamedTuple):
 
 class _Identity(NamedTuple):
     """One identity: the left side is d/dt of the functional, each right-hand
-    term a monomial list or a `_Damped` one. The normalizer of a truncated
-    identity also carries 2k times the |integral| of each `scale_by` list."""
+    term a monomial list or a `_Damped` one. One not `exact` holds modulo
+    higher-order terms, and the normalizer of a truncated one also carries
+    2k times the |integral| of each `scale_by` list."""
 
     functional: tuple
     terms: dict
     scale_by: tuple = ()
+    exact: bool = True
 
-
-# -- exact identities --------------------------------------------------------
 
 def _gen_n_identity(n: int, c: ValidatedCoefficients) -> _Identity:
     """The order-n derivative-energy identity."""
@@ -64,8 +75,9 @@ def _gen_n_identity(n: int, c: ValidatedCoefficients) -> _Identity:
 
 
 def _damping_only(identity: _Identity) -> _Identity:
+    """The damping term alone; the residual is the dropped cubic part."""
     return _Identity(identity.functional,
-                     {"damping": identity.terms["damping"]})
+                     {"damping": identity.terms["damping"]}, exact=False)
 
 
 def _h1_identities(c: ValidatedCoefficients) -> dict:
@@ -131,7 +143,7 @@ def _h2_identities(c: ValidatedCoefficients) -> dict:
     quadratic = (curv, (mono(2 * a3, "u2", "v2"),))
     return {
         "H2_MAIN": _Identity(f2 + g2, {"-2k f2": _Damped(-2 * k, f2),
-                                       "h2": h2}),
+                                       "h2": h2}, exact=False),
         "H2_SUB(5.2)": _Identity(curv, {
             "damping": _Damped(-2 * k, curv),
             "self": [mono(-5.0, "u2", "u2", "u1"),
@@ -162,7 +174,7 @@ def _h2_identities(c: ValidatedCoefficients) -> dict:
                     mono(-2 * a3, "v3", "u2", "v"),
                     mono(-4 * a3, "u2", "v2", "u1"),
                     mono(-4 * a3, "u2", "v2", "v1")]},
-            scale_by=quadratic),
+            scale_by=quadratic, exact=False),
         "H2_SUB(5.5)": _Identity(
             (mono(2.0, "u1", "v1", "v"), mono(1.0, "v1", "v1", "u")),
             {"main": [mono(-6.0, "u2", "v2", "v1"),
@@ -171,7 +183,7 @@ def _h2_identities(c: ValidatedCoefficients) -> dict:
                     mono(-3 * a3, "v2", "v2", "v1"),
                     mono(2 * a3, "u3", "v2", "u"),
                     mono(-2 * a3, "u2", "v2", "u1")]},
-            scale_by=quadratic),
+            scale_by=quadratic, exact=False),
         "H2_SUB(5.6)": _Identity(
             (mono(2.0, "u1", "v1", "u"), mono(1.0, "u1", "u1", "v")),
             {"main": [mono(-6.0, "u2", "v2", "u1"),
@@ -180,13 +192,13 @@ def _h2_identities(c: ValidatedCoefficients) -> dict:
                     mono(-3 * a3, "v2", "v2", "u1"),
                     mono(2 * a3, "v3", "u2", "v"),
                     mono(-2 * a3, "u2", "v2", "v1")]},
-            scale_by=quadratic),
+            scale_by=quadratic, exact=False),
     }
 
 
 def _identity(identity_id: str, c: ValidatedCoefficients) -> _Identity:
-    if identity_id == "L2":
-        return _damping_only(_gen_n_identity(0, c))
+    if identity_id == "L2":  # GEN_N(0)'s cubic terms integrate to zero
+        return _damping_only(_gen_n_identity(0, c))._replace(exact=True)
     if identity_id.startswith("GEN_N_APPROX("):
         return _damping_only(_gen_n_identity(int(identity_id[13:-1]), c))
     if identity_id.startswith("GEN_N("):
@@ -196,3 +208,21 @@ def _identity(identity_id: str, c: ValidatedCoefficients) -> _Identity:
         return _gen_n_identity(n, c)
     family = _h1_identities if identity_id.startswith("H1_") else _h2_identities
     return family(c)[identity_id]
+
+
+def check_identities(checks, n_max: int,
+                     c: ValidatedCoefficients) -> tuple[list, list]:
+    """The exact and the approximate identity ids behind the named checks,
+    in the order L2, GEN_N(0..n_max), H1, H2, split by `_Identity.exact`."""
+    named = {}
+    if "L2" in checks:
+        named["L2"] = _identity("L2", c)
+    if "GEN_N" in checks:
+        named.update((f"GEN_N({n})", _gen_n_identity(n, c))
+                     for n in range(n_max + 1))
+    if "H1" in checks:
+        named.update(_h1_identities(c))
+    if "H2" in checks:
+        named.update(_h2_identities(c))
+    return ([i for i, identity in named.items() if identity.exact],
+            [i for i, identity in named.items() if not identity.exact])

@@ -19,16 +19,6 @@ integrals with the right sides. `product_bound_violations` evaluates one
 more cached plan on a stack of field pairs, and `check_poincare_holder`
 resamples a stack of fields at once; each takes the whole stack, and a lone
 item is a stack of one.
-
-Identity ids:
-    L2              exact L2 decay law (quadratic functional, any means)
-    GEN_N(n)        exact derivative-energy identity at order n >= 0
-    GEN_N_APPROX(n) its damping-only truncation (residual is the cubic part)
-    H1_MAIN         (f1 + g1)' = -2k f1 - 3k g1
-    H1_SUB(4.2..5)  the four sub-identities behind H1_MAIN
-    H2_MAIN         (f2 + g2)' ~= -2k f2 + h2
-    H2_SUB(5.2..6)  the five sub-identities behind H2_MAIN; 5.2 and 5.3 are
-                    exact, 5.4-5.6 hold modulo cubic damping and quartic terms
 """
 from __future__ import annotations
 
@@ -42,34 +32,11 @@ import numpy as np
 from .functionals import (IntegralPlan, ddt_sum, functional_record,
                           seminorm_monomials, sum_columns, value_sum,
                           with_zero_column)
-from .identities import _Damped, _identity
+from .identities import ZERO_MEAN_CHECKS, _Damped, _identity
 from .model import SimState, ValidatedCoefficients
 from .spectral import _next_pow2, _row_bands, differentiate, padded_samples
 
 NORMALIZER_FLOOR = 1e-30
-
-EXACT_IDENTITY_IDS = ("L2", "GEN_N(0)", "GEN_N(1)", "GEN_N(2)", "GEN_N(3)",
-                      "GEN_N(4)", "H1_MAIN", "H1_SUB(4.2)", "H1_SUB(4.3)",
-                      "H1_SUB(4.4)", "H1_SUB(4.5)", "H2_SUB(5.2)",
-                      "H2_SUB(5.3)")
-APPROX_IDENTITY_IDS = ("H2_MAIN", "H2_SUB(5.4)", "H2_SUB(5.5)", "H2_SUB(5.6)",
-                       "GEN_N_APPROX(3)")
-ZERO_MEAN_CHECKS = ("H1", "H2")  # their identities assume M = N = 0
-
-
-def check_identities(checks, n_max: int) -> tuple[list, list]:
-    """The exact and the approximate identity ids behind the named checks,
-    in the order L2, GEN_N(0..n_max), H1, H2; L2, H1 and H2 stand for the
-    ids they prefix (H1 -> H1_MAIN, H1_SUB(4.2), ...)."""
-    exact = []
-    for check in ("L2", "GEN_N", "H1", "H2"):
-        if check == "GEN_N" and check in checks:
-            exact += [f"GEN_N({n})" for n in range(n_max + 1)]
-        elif check in checks:
-            exact += [i for i in EXACT_IDENTITY_IDS if i.startswith(check)]
-    approx = ([i for i in APPROX_IDENTITY_IDS if i.startswith("H2")]
-              if "H2" in checks else [])
-    return exact, approx
 
 
 @dataclass(frozen=True)
@@ -350,7 +317,10 @@ def fit_decay_rate(series, quantity_id: str, window: tuple,
 
     Values that have decayed below 1e-13 of the series' initial value are
     excluded so the fit never chases rounding noise, and so are values that
-    are not finite (an overflowed seminorm).
+    are not finite (an overflowed seminorm). A window whose kept values
+    differ by no more than 16 eps of the largest is refused: rounding alone
+    makes such a spread. Far from 1, a wider spread can still vanish in the
+    logarithms, and such a window leaves no finite fit.
     """
     t = np.asarray(series.t, dtype=float)
     q = np.asarray(series.columns[quantity_id], dtype=float)
@@ -359,7 +329,12 @@ def fit_decay_rate(series, quantity_id: str, window: tuple,
     keep = (t >= t0) & (t <= t1) & np.isfinite(q) & (q > max(floor, 0.0))
     if int(np.sum(keep)) < 3:
         raise ValueError(f"window {window} leaves fewer than 3 usable points")
-    tt, log_q = t[keep], np.log(q[keep])
+    tt, kept = t[keep], q[keep]
+    top = np.max(kept)
+    if top - np.min(kept) <= 16 * np.finfo(float).eps * top:
+        raise ValueError(f"window {window} leaves no resolved fit: its "
+                         "values agree to rounding")
+    log_q = np.log(kept)
     with np.errstate(all="ignore"):  # a fit that is not finite fails below
         t_mid, log_mid = np.mean(tt), np.mean(log_q)
         x = tt - t_mid
@@ -368,12 +343,11 @@ def fit_decay_rate(series, quantity_id: str, window: tuple,
         slope = np.sum(x * (log_q - log_mid)) / np.sum(x * x) / x_max
         intercept = log_mid - slope * t_mid
         fitted = slope * tt + intercept
-        ss_res = float(np.sum((log_q - fitted) ** 2))
-        ss_tot = float(np.sum((log_q - log_mid) ** 2))
-    r_sq = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+        r_sq = 1.0 - (np.sum((log_q - fitted) ** 2)
+                      / np.sum((log_q - log_mid) ** 2))
     if not all(map(math.isfinite, (slope, intercept, r_sq))):
         raise ValueError(f"window {window} leaves no finite fit")
     return DecayFit(quantity_id=quantity_id, window=(float(t0), float(t1)),
                     fitted_rate=float(slope), intercept=float(intercept),
-                    target_rate=float(target_rate), r_squared=r_sq,
+                    target_rate=float(target_rate), r_squared=float(r_sq),
                     n_points=int(np.sum(keep)))

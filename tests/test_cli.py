@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 import yaml
 
-from ggkdv import cli, verification
+from ggkdv import cli, identities, verification
 from ggkdv.config import (MAX_POINT_STEPS, ConfigError, ExperimentConfig,
                           InitialSpec, VerifySpec, apply_overrides,
                           SWEEP_AXES, atomic_write_text,
@@ -416,8 +416,8 @@ class TestRunCommand:
         # alone
         cfg = replace(load_config(str(ROOT / "configs/decay.yaml")),
                       t_final=0.2, stride=10)
-        ids = verification.check_identities(cfg.checks, cfg.n_max)[0]
         p = cli._prepare(cfg, True)
+        ids = identities.check_identities(cfg.checks, cfg.n_max, p.c)[0]
         states = []
         evolve([p.state], [p.c], cfg.t_final, p.dt, stride=cfg.stride,
                observer=per_state(lambda i, st: states.append(st) or {}))
@@ -686,6 +686,34 @@ class TestSweepCommand:
         for p in summary["points"]:
             assert p["fitted_rate"] == pytest.approx(-2.0 * p["point"]["k"],
                                                      abs=1e-3)
+
+    def test_a_window_within_rounding_fails_its_fit(self, tmp_path, capsys):
+        # 30 steps of 6e-180 move no observed value by more than rounding:
+        # the window holds no rate, so the row fails its fit
+        raw = yaml.safe_load((ROOT / "configs/decay.yaml").read_text())
+        raw["grid"]["n_points"] = 32
+        raw["run"] = {"dt": 6e-180, "t_final": 1.8e-178, "stride": 3}
+        for command in ("sweep", "run", "verify"):
+            raw["output"] = {"csv": str(tmp_path / f"{command}.csv"),
+                             "summary": str(tmp_path / f"{command}.json")}
+            raw["checks"] = ["DECAY"] if command == "verify" else ["L2"]
+            write_config(tmp_path, raw, f"{command}.yaml")
+        code, _ = gg_quietly(capsys, "sweep", str(tmp_path / "sweep.yaml"),
+                             "--axis", "k=0.5")
+        assert code == 4
+        row, = load_finite_json(tmp_path / "sweep.json")["points"]
+        assert row["status"] == "fit_failed" and row["fitted_rate"] is None
+        # the fits are information to `gg run`: named, and still exit 0
+        assert gg_quietly(capsys, "run", str(tmp_path / "run.yaml"))[0] == 0
+        summary = load_finite_json(tmp_path / "run.json")
+        assert summary["decay_fits"] == []
+        assert [f.partition(":")[0] for f in summary["failures"]] == [
+            "energy", *(f"seminorm_sq_{n}" for n in range(1, 5))]
+        assert all("leaves no resolved fit" in f for f in summary["failures"])
+        code, _ = gg_quietly(capsys, "verify", str(tmp_path / "verify.yaml"))
+        assert code == 4
+        decay, = load_finite_json(tmp_path / "verify.json")["checks"]
+        assert not decay["passed"] and "no resolved fit" in decay["detail"]
 
     def test_empty_axis_exit_2(self, tmp_path, capsys):
         path = self.sweep_config(tmp_path)
@@ -1081,6 +1109,16 @@ def energy_overflow_config(tmp_path) -> dict:
                        "summary": str(tmp_path / "summary.json")}}
 
 
+def fresh_python(script: str, *argv):
+    """The finished run of `script` in a new interpreter that imports
+    `ggkdv` from this tree."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
 def load_finite_json(path):
     """The JSON at path, refusing the bare NaN and Infinity that Python's
     json module writes and reads but JSON does not allow."""
@@ -1378,13 +1416,10 @@ class TestSchema:
 
     def test_gg_runs_without_jsonschema(self, tmp_path):
         path = write_config(tmp_path, base_config_dict(tmp_path))
-        script = ("import sys; sys.modules['jsonschema'] = None; "
-                  "from ggkdv import cli; sys.exit(cli.main(sys.argv[1:]))")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", script, "run", path],
-                              capture_output=True, text=True, env=env,
-                              timeout=120)
+        done = fresh_python(
+            "import sys; sys.modules['jsonschema'] = None; "
+            "from ggkdv import cli; sys.exit(cli.main(sys.argv[1:]))",
+            "run", path)
         assert done.returncode == 0, done.stderr
         summary = json.loads((tmp_path / "summary.json").read_text())
         jsonschema.validate(summary, cli._summary_schema())
@@ -1395,7 +1430,8 @@ class TestSchema:
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                 min_size=1, max_size=40))
 def test_median_is_np_median_bitwise(values):
-    # the verify summary's scaling medians are statistics.median's
+    # the verify summary's scaling medians are statistics.median's, as
+    # `cli._median` takes them
     with np.errstate(over="ignore"):  # both overflow alike, to inf
         ref = float(np.median(values))
     ours = statistics.median(values)
@@ -1404,6 +1440,15 @@ def test_median_is_np_median_bitwise(values):
     # amplitude-halving ratios it takes are never -0.0
     if ref != 0.0:
         assert np.float64(ours).tobytes() == np.float64(ref).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False), min_size=2, max_size=41))
+def test_median_is_statistics_median_bitwise(values):
+    # a list and the list less its last value: one of odd, one of even length
+    for sample in (values, values[:-1]):
+        assert (np.float64(cli._median(sample)).tobytes()
+                == np.float64(statistics.median(sample)).tobytes())
 
 
 class TestAtomicWrite:
@@ -1506,13 +1551,9 @@ LAPACK_ROUTINES = ("lstsq", "solve", "inv", "pinv", "svd", "qr", "eig",
                    "eigh", "eigvals", "det", "cholesky")
 
 
-def test_no_command_calls_lapack(tmp_path, monkeypatch, capsys):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a command called LAPACK")
-
-    monkeypatch.setattr(np, "polyfit", refuse)
-    for name in LAPACK_ROUTINES:
-        monkeypatch.setattr(np.linalg, name, refuse)
+def test_no_command_calls_lapack(tmp_path):
+    """In a new interpreter, no command calls LAPACK or imports `statistics`
+    (which loads `fractions` and `decimal`, about 0.5 MB resident)."""
     run = tiny_config(tmp_path, "decay.yaml", 32,
                       run={"dt": 0.002, "t_final": 0.2, "stride": 10,
                            "fit_window": [0.1, 0.2]})
@@ -1521,9 +1562,25 @@ def test_no_command_calls_lapack(tmp_path, monkeypatch, capsys):
                          verify={"poincare_fields": 2, "product_fields": 2})
     sweep = tiny_config(tmp_path, "sweep_linear.yaml", 32,
                         run={"t_final": 0.2, "stride": 10})
-    for argv in (["run", run], ["verify", verify],
-                 ["sweep", sweep, "--axis", "k=0.5,1.0"]):
-        assert cli.main(argv) == 0, capsys.readouterr()
+    script = f"""if True:
+        import json, sys
+        import numpy as np
+        from ggkdv import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a command called LAPACK")
+
+        np.polyfit = refuse
+        for name in {LAPACK_ROUTINES!r}:
+            setattr(np.linalg, name, refuse)
+        for argv in json.loads(sys.argv[1]):
+            assert cli.main(argv) == 0, argv
+        assert "statistics" not in sys.modules, "statistics was imported"
+    """
+    done = fresh_python(script, json.dumps(
+        [["run", run], ["verify", verify],
+         ["sweep", sweep, "--axis", "k=0.5,1.0"]]))
+    assert done.returncode == 0, done.stderr
 
 
 # -- every input through the whole command -----------------------------------
@@ -1720,8 +1777,8 @@ def _exits_by_its_table(directory, command, raw, axes) -> tuple:
 @example(_probe("verify", ["H2"], verify={"amplitude": 1e308, "kmax": 1}))
 # a step past the float range: refused by the tables, without a warning
 @example(_probe("run", [], run={"dt": 9e307, "t_final": 9e307}))
-# a run shorter than rounding, whose times' squares underflow: each fit is
-# finite, of data constant to rounding, and there is no warning
+# a run shorter than rounding, whose times' squares underflow: each fit
+# fails by name, its data constant to rounding, and there is no warning
 @example(_probe("run", [], initial={"amplitude": 0.1},
                 run={"dt": 6e-180, "t_final": 1.8e-178, "stride": 3,
                      "fit_window": None}))

@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ggkdv import functionals, spectral, verification
+from ggkdv import functionals, identities, spectral, verification
 from ggkdv.config import load_config
 from ggkdv.integrator import DiagnosticSeries
 from ggkdv.model import (CoefficientSet, SimState, ValidatedCoefficients,
                          random_smooth_field, random_smooth_state, rhs,
                          scale_state, validate_coefficients)
 from ggkdv.spectral import integral_of_product, make_grid
-from ggkdv.verification import (APPROX_IDENTITY_IDS, EXACT_IDENTITY_IDS,
-                                admissible_exponent_tuples,
+from ggkdv.verification import (admissible_exponent_tuples,
                                 check_poincare_holder, fit_decay_rate,
                                 observation_plan, observe_states,
                                 product_bound_violations)
@@ -32,6 +31,14 @@ from spectral_reference import (derivative, lp_norm, poincare_holder, shift,
                                 zeros)
 
 EXACT_TOL = 1e-9
+# every identity the battery defines, with GEN_N(n) at n = 0..4 and
+# GEN_N_APPROX(n) at n = 3
+EXACT_IDENTITY_IDS = ("L2", "GEN_N(0)", "GEN_N(1)", "GEN_N(2)", "GEN_N(3)",
+                      "GEN_N(4)", "H1_MAIN", "H1_SUB(4.2)", "H1_SUB(4.3)",
+                      "H1_SUB(4.4)", "H1_SUB(4.5)", "H2_SUB(5.2)",
+                      "H2_SUB(5.3)")
+APPROX_IDENTITY_IDS = ("H2_MAIN", "H2_SUB(5.4)", "H2_SUB(5.5)", "H2_SUB(5.6)",
+                       "GEN_N_APPROX(3)")
 POINCARE_EXPONENTS = (1.0, 2.0, 4.0, math.inf)
 
 
@@ -186,7 +193,7 @@ class TestStateCalculus:
         monkeypatch.setattr(functionals, "padded_samples", counting_rows)
         monkeypatch.setattr(spectral, "integral_of_product", forbidden)
         monkeypatch.setattr(spectral, "padded_samples", forbidden)
-        ids = verification.check_identities(cfg.checks, cfg.n_max)[0]
+        ids = identities.check_identities(cfg.checks, cfg.n_max, c)[0]
         reports = reports_of(state, c, ids)
         assert list(reports) == ids
         assert len(rhs_calls) == 1
@@ -199,7 +206,7 @@ class TestStateCalculus:
         # gg run tracks H2_SUB(5.2) and 5.3 only; H2_MAIN and 5.4-5.6 must
         # add nothing to its plan.
         cfg, c, state = decay_marched_state()
-        ids = verification.check_identities(cfg.checks, cfg.n_max)[0]
+        ids = identities.check_identities(cfg.checks, cfg.n_max, c)[0]
         untracked = [i for i in APPROX_IDENTITY_IDS if i.startswith("H2_")]
 
         def integrals(identity_ids):
@@ -311,9 +318,9 @@ class TestObservationPlan:
         monkeypatch.setattr(functionals, "rhs", lambda states_, c_: (
             rhs_calls.append([st_.t for st_ in states_])
             or real_rhs(states_, c_)))
-        observe_one(
-            state, c, verification.check_identities(cfg.checks, cfg.n_max)[0],
-            cfg.n_max)
+        observe_one(state, c,
+                    identities.check_identities(cfg.checks, cfg.n_max, c)[0],
+                    cfg.n_max)
         assert len(rhs_calls) == 1
         assert not observation_plan(c, (), cfg.n_max, None).sums.needs_rhs
 
@@ -454,7 +461,7 @@ class TestCheckIdentities:
         for checks in self.SUBSETS:
             # other checks name no identity, and the order given is moot
             named = list(reversed(checks)) + ["POINCARE", "DECAY"]
-            exact, _ = verification.check_identities(named, n_max)
+            exact, _ = identities.check_identities(named, n_max, COUPLED)
             assert exact == _exact_ids(checks, n_max), (checks, n_max)
 
     def test_approx_ids_are_the_h2_ones_exactly_when_h2_is_named(self):
@@ -462,12 +469,30 @@ class TestCheckIdentities:
         assert h2 == ["H2_MAIN", "H2_SUB(5.4)", "H2_SUB(5.5)", "H2_SUB(5.6)"]
         for checks in self.SUBSETS:
             for n_max in range(9):
-                _, approx = verification.check_identities(checks, n_max)
+                _, approx = identities.check_identities(checks, n_max,
+                                                        COUPLED)
                 assert approx == (h2 if "H2" in checks else []), checks
+
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    def test_exactness_is_the_flag_of_each_definition(self, branch):
+        for i in EXACT_IDENTITY_IDS + APPROX_IDENTITY_IDS:
+            exact = identities._identity(i, BRANCHES[branch]).exact
+            assert exact == (i in EXACT_IDENTITY_IDS), i
+
+    def test_no_check_builds_no_definition(self, monkeypatch):
+        # a sweep point observes the energy alone and names no check
+        def forbidden(*args):
+            raise AssertionError("a definition was built")
+
+        for name in ("_identity", "_gen_n_identity", "_h1_identities",
+                     "_h2_identities"):
+            monkeypatch.setattr(identities, name, forbidden)
+        assert identities.check_identities((), 4, COUPLED) == ([], [])
 
     def test_verify_config_ids(self):
         cfg = load_config(str(ROOT / "configs/verify.yaml"))
-        exact, approx = verification.check_identities(cfg.checks, cfg.n_max)
+        exact, approx = identities.check_identities(cfg.checks, cfg.n_max,
+                                                    COUPLED)
         assert exact == ["L2", *(f"GEN_N({n})" for n in range(5)), "H1_MAIN",
                          *(f"H1_SUB(4.{j})" for j in range(2, 6)),
                          "H2_SUB(5.2)", "H2_SUB(5.3)"]
@@ -476,7 +501,7 @@ class TestCheckIdentities:
     def test_observe_guards_the_ids_of_the_zero_mean_checks(self, grid64):
         state = random_smooth_state(grid64, seed=5, amplitude=0.5)
         state = SimState(u=state.u, v=state.v, t=0.0, mean_u=0.0, mean_v=0.3)
-        assert verification.ZERO_MEAN_CHECKS == ("H1", "H2")
+        assert identities.ZERO_MEAN_CHECKS == ("H1", "H2")
         for i in EXACT_IDENTITY_IDS + APPROX_IDENTITY_IDS:
             if _group([i], "H1") or _group([i], "H2"):
                 with pytest.raises(ValueError, match="zero means"):
@@ -671,6 +696,31 @@ class TestDecayFit:
         t = np.linspace(0.0, 1.0, 10)
         series = self.make_series(t, np.zeros(10))
         with pytest.raises(ValueError, match="fewer than 3"):
+            fit_decay_rate(series, "q", (0.0, 1.0), target_rate=-1.0)
+
+    @pytest.mark.parametrize("scale", [2.0 ** -1000, 1.0, 2.0 ** 1000])
+    def test_a_window_within_rounding_is_refused(self, scale):
+        # C = 16: kept values that differ by at most 16 eps of the largest
+        # leave no resolved fit, whatever their scale
+        eps = np.finfo(float).eps
+        t = np.linspace(0.0, 1.0, 5)
+        for spread in (0.0, 1.0, 16.0):
+            series = self.make_series(t, scale * (1.0 - eps * spread * t))
+            with pytest.raises(ValueError, match=r"window \(0\.0, 1\.0\) "
+                               "leaves no resolved fit"):
+                fit_decay_rate(series, "q", (0.0, 1.0), target_rate=-1.0)
+
+    def test_a_window_past_rounding_is_fitted(self):
+        eps = np.finfo(float).eps
+        t = np.linspace(0.0, 1.0, 5)
+        series = self.make_series(t, 1.0 - eps * 17.0 * t)
+        fit = fit_decay_rate(series, "q", (0.0, 1.0), target_rate=-1.0)
+        assert fit.fitted_rate == pytest.approx(-17.0 * eps, rel=0.1)
+        # 2**-1000 (1 - 17 eps t): the values differ by 17 eps of the
+        # largest, but their logarithms, near -693, take one value
+        series = self.make_series(t, 2.0 ** -1000 * (1.0 - eps * 17.0 * t))
+        assert len(set(np.log(series.columns["q"]).tolist())) == 1
+        with pytest.raises(ValueError, match="leaves no finite fit"):
             fit_decay_rate(series, "q", (0.0, 1.0), target_rate=-1.0)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e300])
