@@ -14,7 +14,9 @@ The march never leaves the eigenbasis: `model._bind_flux`, the body of
 and mixes it in physical space with the per-member matrix of
 `model.eigen_mixing`. Grids of up to `model.MATMUL_MAX_POINTS` points move
 between modes and grid by the two real matrices of `model.flux_transforms`,
-larger ones by a pocketfft irfft/rfft pair. `evolve` builds the matrices
+larger ones by pocketfft's irfft and rfft gufuncs, which the flux binds
+once and calls into its own buffers, without numpy's per-call wrapper
+around them. `evolve` builds the matrices
 once per march beside its tables, and one step bound to them (`_bind_step`):
 a closure that does every stage in place, in its own flux buffers and stage
 arrays, with every operand a local, so a step makes no array; one

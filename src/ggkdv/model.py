@@ -19,10 +19,11 @@ matrix [Q | L] of `eigen_mixing`, applied in physical space.
 `_bind_flux` is its one body, bound to `mix` and its own buffers: the time
 stepper binds it once per march, and `nonlinear_remainder`, which `rhs`
 uses, binds it per call. It moves between modes and grid by one of two
-routes: a pocketfft irfft/rfft pair, or, given the matrices of
-`flux_transforms`, two small real matmuls. The stepper takes the matmul
-route on grids of up to MATMUL_MAX_POINTS points, where numpy's fixed cost
-per FFT call dominates, whatever the size of its ensemble; the two routes
+routes: pocketfft's irfft and rfft gufuncs, bound once and called without
+numpy's per-call wrapper, or, given the matrices of `flux_transforms`, two
+small real matmuls. The stepper takes the matmul route on grids of up to
+MATMUL_MAX_POINTS points, where a transform's fixed cost per call
+dominates, whatever the size of its ensemble; the two routes
 agree to round-off of order eps n max|flux|. `nonlinear_remainder`, and so
 the right-hand side, always takes the FFT route. `rhs` gives a stack of
 states their time derivatives at once, each bitwise its own.
@@ -40,7 +41,7 @@ from .spectral import GridSpec, SpectralField, TWO_PI, derivative_symbols
 CONSTRAINT_TOL = 1e-12
 SQRT2 = np.sqrt(2.0)
 # Largest grid the stepper transforms by matmul: at 256 points the two
-# matmuls are no faster than the FFT pair, and at 512 about 5x slower.
+# matmuls take about 2x the time of the bound FFT pair, and at 512 about 8x.
 MATMUL_MAX_POINTS = 128
 
 
@@ -273,8 +274,13 @@ def _bind_flux(shape: tuple, grid: GridSpec, mix: np.ndarray,
 
     p and m fill rows 3-4 of a (..., 5, n) buffer, pp, mm and pm rows 0-2,
     and one real matmul by `mix` mixes the flux in physical space. Every
-    buffer, matrix and numpy function is a local of the callable, and
-    numpy's rfft and irfft are looked up here, when a march binds it.
+    buffer, matrix and numpy function is a local of the callable. The FFT
+    route calls the pocketfft gufuncs irfft and rfft_n_even (`make_grid`
+    makes every n even), looked up here, when a march binds it: the calls
+    that `np.fft.irfft` and `rfft` make with norm="forward", factors 1 and
+    1/n, but into the flux's own buffers and without numpy's wrapper, so
+    each call gives bitwise their numbers. The rfft fills all n/2 + 1 modes
+    of one buffer, and `out` gets the kept ones.
     """
     kept, n = shape[-1], grid.n_points
     buf = np.empty(shape[:-2] + (5, n))
@@ -282,19 +288,25 @@ def _bind_flux(shape: tuple, grid: GridSpec, mix: np.ndarray,
     phys, squares = buf[..., 3:, :], buf[..., :2, :]
     p, m, pm = (buf[..., i, :] for i in (3, 4, 2))
     synth, anal = transforms or (None, None)
-    multiply, matmul, irfft, rfft = (np.multiply, np.matmul, np.fft.irfft,
-                                     np.fft.rfft)
+    multiply, matmul = np.multiply, np.matmul
+    if synth is None:
+        pocketfft = np.fft._pocketfft_umath  # what np.fft calls on NumPy 2
+        irfft, rfft, scale = (pocketfft.irfft, pocketfft.rfft_n_even,
+                              1.0 / n)
+        modes = np.empty(shape[:-2] + (2, n // 2 + 1), dtype=np.complex128)
+        head = modes[..., :kept]
 
     def remainder(w: np.ndarray, out: np.ndarray) -> None:
         if synth is None:
-            phys[...] = irfft(w, n, -1, "forward")
+            irfft(w, 1.0, phys)
         else:
             matmul(w, synth, phys)
         multiply(phys, phys, squares)
         multiply(p, m, pm)
         matmul(mix, buf, flux)
-        if synth is None:  # NumPy 1.24's rfft takes no out=
-            out[...] = rfft(flux, None, -1, "forward")[..., :kept]
+        if synth is None:
+            rfft(flux, scale, modes)
+            out[...] = head
         else:
             matmul(flux, anal, out)
     return remainder

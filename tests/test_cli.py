@@ -1583,6 +1583,22 @@ def test_no_command_calls_lapack(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def test_setup_leaves_numpy_fft_unloaded():
+    """In a new interpreter, importing the CLI and loading a config leave
+    `numpy.fft` unloaded: the flux looks pocketfft up when a march binds
+    it, so no transform's import moves from the run into setup."""
+    script = """if True:
+        import sys
+        import ggkdv.cli
+        from ggkdv.config import load_config
+
+        load_config(sys.argv[1])
+        assert "numpy.fft" not in sys.modules, "numpy.fft was imported"
+    """
+    done = fresh_python(script, str(ROOT / "configs" / "verify.yaml"))
+    assert done.returncode == 0, done.stderr
+
+
 # -- every input through the whole command -----------------------------------
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

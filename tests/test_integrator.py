@@ -418,15 +418,18 @@ def ensembles(draw, sizes=(16, 32, 64), max_members=4):
 
 
 def count_fft_calls(monkeypatch) -> dict:
-    """Counts of numpy's rfft and irfft calls from here on."""
+    """Counts of pocketfft's rfft and irfft calls from here on: the gufuncs
+    that `model._bind_flux` binds on its FFT route, and that numpy's rfft
+    and irfft call, patched where a flux bound from here on looks them up."""
+    pocketfft = np.fft._pocketfft_umath
     calls = {"rfft": 0, "irfft": 0}
-    for name in calls:
-        original = getattr(np.fft, name)
+    for name, attr in (("rfft", "rfft_n_even"), ("irfft", "irfft")):
+        original = getattr(pocketfft, attr)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
+        monkeypatch.setattr(pocketfft, attr, counted)
     return calls
 
 
@@ -483,6 +486,39 @@ class TestEnsembleOracle:
         calls = count_fft_calls(monkeypatch)
         ti.evolve(states, [coeffs_coupled] * n_members, 1e-3, 1e-3)
         assert calls == {"rfft": 4, "irfft": 4}
+
+    @pytest.mark.parametrize("n_members", [1, 3])
+    def test_the_fft_route_calls_no_numpy_fft_wrapper(
+            self, monkeypatch, coeffs_coupled, coeffs_uncoupled, n_members):
+        # the bound flux calls pocketfft's gufuncs itself: with np.fft's
+        # rfft and irfft refusing every call, a flux and a march at N=256
+        # still run, bitwise as before
+        grid = sp.make_grid(256)
+        kept = grid.dealias_cutoff + 1
+        members = [(random_smooth_state(grid, seed=i, amplitude=0.3),
+                    (coeffs_coupled, coeffs_uncoupled)[i % 2])
+                   for i in range(n_members)]
+        states = [m[0] for m in members]
+        coeffs = [m[1] for m in members]
+        w = np.stack([model._rotate(np.stack([s.u.coeffs, s.v.coeffs])
+                                    [:, :kept]) for s in states])
+        mix = np.stack([model.eigen_mixing(s, c) for s, c in members])
+        want = step_reference.nonlinear_remainder(w, mix, grid)
+        lone = ti.evolve(states, coeffs, 4e-3, 1e-3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the flux called np.fft's wrapper")
+        monkeypatch.setattr(np.fft, "rfft", refuse)
+        monkeypatch.setattr(np.fft, "irfft", refuse)
+        got = np.empty_like(w)
+        model._bind_flux(w.shape, grid, mix)(w, got)
+        np.testing.assert_array_equal(got, want)
+        run = ti.evolve(states, coeffs, 4e-3, 1e-3)
+        for series, alone in zip(run.members, lone.members):
+            for name in ("u", "v"):
+                np.testing.assert_array_equal(
+                    getattr(series.meta["final_state"], name).coeffs,
+                    getattr(alone.meta["final_state"], name).coeffs)
 
     @pytest.mark.parametrize("n_members", [1, 3, 5])
     def test_one_step_is_one_matmul_pair_per_stage_on_small_grids(

@@ -410,10 +410,11 @@ class TestFluxTransforms:
 class TestBoundFlux:
     """A flux `_bind_flux` binds per call (on the FFT route,
     `nonlinear_remainder`), and one it binds and reuses, against the
-    allocating flux of `step_reference`, bitwise, on both routes."""
+    allocating flux of `step_reference`, which calls the public `np.fft`,
+    bitwise, on both routes and on grids of up to 512 points."""
 
     @settings(max_examples=60, deadline=None)
-    @given(grid=st.integers(4, 128).map(lambda half: sp.make_grid(2 * half)),
+    @given(grid=st.integers(4, 256).map(lambda half: sp.make_grid(2 * half)),
            n_members=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
            matmul=st.booleans(), poison=st.lists(
                st.sampled_from((None, np.inf, -np.inf, np.nan)),
