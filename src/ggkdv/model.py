@@ -22,8 +22,8 @@ uses, binds it per call. It moves between modes and grid by one of two
 routes: pocketfft's irfft and rfft gufuncs, bound once and called without
 numpy's per-call wrapper, or, given the matrices of `flux_transforms`, two
 small real matmuls. The stepper takes the matmul route on grids of up to
-MATMUL_MAX_POINTS points, where a transform's fixed cost per call
-dominates, whatever the size of its ensemble; the two routes
+MATMUL_MAX_POINTS points, whatever the size of its ensemble, so that
+every member stays bitwise its lone march; the two routes
 agree to round-off of order eps n max|flux|. `nonlinear_remainder`, and so
 the right-hand side, always takes the FFT route. `rhs` gives a stack of
 states their time derivatives at once, each bitwise its own.
@@ -40,9 +40,9 @@ from .spectral import GridSpec, SpectralField, TWO_PI, derivative_symbols
 
 CONSTRAINT_TOL = 1e-12
 SQRT2 = np.sqrt(2.0)
-# Largest grid the stepper transforms by matmul: at 256 points the two
-# matmuls take about 2x the time of the bound FFT pair, and at 512 about 8x.
-MATMUL_MAX_POINTS = 128
+# Largest grid the stepper transforms by matmul: a matmul step takes 0.9x
+# the bound FFT pair's time at 96 points and 1.15-1.3x at 128 for 3 or 9.
+MATMUL_MAX_POINTS = 96
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Config round-trips, CLI artifacts, exit codes, and sweep behavior."""
 import contextlib
 import copy
+import csv
 from dataclasses import replace
 import io
 import json
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 import yaml
 
-from ggkdv import cli, identities, verification
+from ggkdv import cli, identities, integrator, model, verification
 from ggkdv.config import (MAX_POINT_STEPS, ConfigError, ExperimentConfig,
                           InitialSpec, VerifySpec, apply_overrides,
                           SWEEP_AXES, atomic_write_text,
@@ -788,8 +789,7 @@ class TestSweepCommand:
 
     def test_a_sweep_past_eight_points_at_128_matches_lone_points(
             self, tmp_path, ensemble_sizes):
-        # 12 members at 128 points: a load of 12 x 128^2, which is past
-        # where a route chosen by load would leave the matmuls
+        # 12 members at 128 points, on the FFT route that grid takes
         raw = base_config_dict(tmp_path, dt=0.01, t_final=0.5, stride=10)
         raw["grid"]["n_points"] = 128
         raw["initial"] = {"preset": "random-smooth", "amplitude": 0.5,
@@ -802,6 +802,59 @@ class TestSweepCommand:
             alone, alone_code = self.sweep_rows(tmp_path, raw, f"k={k}")
             assert alone_code == 0
             assert alone == [row]
+
+
+class TestRouteOracle:
+    """`gg run configs/decay.yaml` on the FFT route its 128-point grid takes,
+    against the same run by 128-point matmul matrices, which the test
+    builds by raising the threshold around `flux_transforms`."""
+
+    # The routes agree to round-off: measured, every column within 1.6e-15
+    # of its largest magnitude and every fitted rate within 4.4e-16
+    # relative.
+    COLUMN_TOL = 1e-13
+    RATE_RTOL = 1e-12
+
+    @staticmethod
+    def run_decay(directory, monkeypatch, max_points):
+        """The routes `evolve` took, the CSV columns and the decay fits of
+        `gg run configs/decay.yaml` with `MATMUL_MAX_POINTS = max_points`."""
+        routes = []
+
+        def recorded(grid):
+            transforms = model.flux_transforms(grid)
+            routes.append("fft" if transforms is None else "matmul")
+            return transforms
+        directory.mkdir()
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "MATMUL_MAX_POINTS", max_points)
+            patch.setattr(integrator, "flux_transforms", recorded)
+            assert cli.main(
+                ["run", tiny_config(directory, "decay.yaml", 128)]) == 0
+        with open(directory / "decay.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        columns = dict(zip(header, np.array(rows, dtype=float).T))
+        summary = json.loads((directory / "decay.json").read_text("utf-8"))
+        return routes, columns, summary["decay_fits"]
+
+    def test_fft_route_matches_the_matmul_route_within_bound(
+            self, tmp_path, monkeypatch):
+        routes, got, got_fits = self.run_decay(
+            tmp_path / "fft", monkeypatch, model.MATMUL_MAX_POINTS)
+        oracle, want, want_fits = self.run_decay(
+            tmp_path / "matmul", monkeypatch, 128)
+        assert (routes, oracle) == (["fft"], ["matmul"])
+        assert list(got) == list(want)
+        assert len(got["t"]) == 51
+        for name, column in want.items():
+            assert (np.max(np.abs(got[name] - column))
+                    <= self.COLUMN_TOL * np.max(np.abs(column))), name
+        assert want_fits
+        assert ([f["quantity_id"] for f in got_fits]
+                == [f["quantity_id"] for f in want_fits])
+        for fit, oracle_fit in zip(got_fits, want_fits):
+            assert (abs(fit["fitted_rate"] - oracle_fit["fitted_rate"])
+                    <= self.RATE_RTOL * abs(oracle_fit["fitted_rate"]))
 
 
 def _broken_l2(calc):

@@ -9,7 +9,8 @@ import yaml
 
 from ggkdv import cli
 from ggkdv.config import load_config
-from ggkdv.model import validate_coefficients
+from ggkdv.model import flux_transforms, validate_coefficients
+from ggkdv.spectral import make_grid
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
@@ -23,6 +24,18 @@ def test_configs_are_shipped():
 def test_shipped_config_loads(path):
     cfg = load_config(str(path))
     validate_coefficients(cfg.coefficients)
+
+
+# The route each shipped config's stepper takes, by its grid alone: a move
+# of model.MATMUL_MAX_POINTS that flips one fails here by name.
+ROUTES = {"decay.yaml": "fft", "sweep_linear.yaml": "matmul",
+          "verify.yaml": "fft"}
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_takes_its_route(path):
+    transforms = flux_transforms(make_grid(load_config(str(path)).n_points))
+    assert ("fft" if transforms is None else "matmul") == ROUTES[path.name]
 
 
 def test_readme_paths_exist():

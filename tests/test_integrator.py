@@ -1,4 +1,5 @@
 """Time stepper: phi-coefficient accuracy, convergence, and run mechanics."""
+from dataclasses import replace
 import math
 import warnings
 
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 
 from ggkdv import integrator as ti, model, spectral as sp
+from ggkdv.config import build_initial_state, load_config
 from ggkdv.model import random_smooth_state
 
-from conftest import COUPLED, make_sine_state, per_state
+from conftest import COUPLED, ROOT, make_sine_state, per_state
 from etd_reference import reference_march, reference_tables
 import functionals_reference as fn
 from linear_reference import linear_exact_solution
@@ -455,9 +457,10 @@ class TestEnsembleOracle:
         assert_ensemble_near_reference(members)
 
     @settings(max_examples=10, deadline=None)
-    @given(ensembles(sizes=(model.MATMUL_MAX_POINTS + 2, 256)))
+    @given(ensembles(sizes=(model.MATMUL_MAX_POINTS + 2, 128, 256)))
     def test_fft_route_matches_serial_reference_within_bound(self, members):
-        # grids above the matmul route's threshold
+        # grids above the matmul route's threshold, and 128, the grid of
+        # configs/decay.yaml
         assert_ensemble_near_reference(members)
 
     @settings(max_examples=25, deadline=None)
@@ -543,8 +546,9 @@ class TestEnsembleOracle:
         ti.evolve(states, [coeffs_coupled] * n_members, 1e-3, 1e-3)
         assert calls == {"rfft": 0, "irfft": 0, "synth": 4, "anal": 4}
 
-    # Ensembles whose members times n^2 exceeds 8 x 128^2, where a route
-    # chosen by load would leave the matmuls: the grid alone picks it.
+    # Ensembles whose members times n^2 exceed 8 x MATMUL_MAX_POINTS^2,
+    # where a route chosen by load would leave the matmuls: the grid alone
+    # picks it.
     LARGE_ENSEMBLES = [(64, 33), (model.MATMUL_MAX_POINTS, 9)]
 
     @pytest.mark.parametrize("n_points, n_members", LARGE_ENSEMBLES)
@@ -575,6 +579,22 @@ class TestEnsembleOracle:
                                             stride)
             assert_member_near_reference(run, i, state, c, t_final, dt,
                                          stride)
+
+    def test_decay_sweep_members_equal_lone_marches_bitwise(self):
+        # the ensemble of `gg sweep configs/decay.yaml --axis
+        # k=0.25,0.5,1.0`, on the FFT route its 128-point grid takes
+        cfg = load_config(str(ROOT / "configs/decay.yaml"))
+        assert model.flux_transforms(sp.make_grid(cfg.n_points)) is None
+        state = build_initial_state(cfg)
+        coeffs = [model.validate_coefficients(replace(cfg.coefficients, k=k))
+                  for k in (0.25, 0.5, 1.0)]
+        dt, stride, t_final = cfg.resolved_dt(), 50, 1.0
+        run = ti.evolve([state] * 3, coeffs, t_final, dt, stride=stride,
+                        observer=per_state(
+                            lambda i, s: state_observer(coeffs[i])(s)))
+        for i, c in enumerate(coeffs):
+            assert_member_equals_lone_march(run, i, state, c, t_final, dt,
+                                            stride)
 
     def test_blown_up_member_leaves_the_others_unchanged(self, grid64,
                                                         coeffs_coupled):
