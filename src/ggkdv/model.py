@@ -40,8 +40,8 @@ from .spectral import GridSpec, SpectralField, TWO_PI, derivative_symbols
 
 CONSTRAINT_TOL = 1e-12
 SQRT2 = np.sqrt(2.0)
-# Largest grid the stepper transforms by matmul: a matmul step takes 0.9x
-# the bound FFT pair's time at 96 points and 1.15-1.3x at 128 for 3 or 9.
+# Largest grid the stepper transforms by matmul: a matmul step takes 0.8-1.0x
+# the bound FFT pair's time at 96 points and 1.1-1.3x at 128 for 3 or 9.
 MATMUL_MAX_POINTS = 96
 
 
@@ -272,10 +272,11 @@ def _bind_flux(shape: tuple, grid: GridSpec, mix: np.ndarray,
     the flux of `w` into `out`, both of that shape, and on the matmul
     route of `transforms` given as their float views.
 
-    p and m fill rows 3-4 of a (..., 5, n) buffer, pp, mm and pm rows 0-2,
-    and one real matmul by `mix` mixes the flux in physical space. Every
-    buffer, matrix and numpy function is a local of the callable. The FFT
-    route calls the pocketfft gufuncs irfft and rfft_n_even (`make_grid`
+    p and m fill rows 3-4 of a (5, ..., n) buffer, pp, mm and pm rows 0-2,
+    whole rows that numpy's overlap check tells apart, and one real matmul
+    by `mix`, reading it as (..., 5, n), mixes the flux in physical space.
+    Every buffer, matrix and numpy function is a local of the callable. The
+    FFT route calls the pocketfft gufuncs irfft and rfft_n_even (`make_grid`
     makes every n even), looked up here, when a march binds it: the calls
     that `np.fft.irfft` and `rfft` make with norm="forward", factors 1 and
     1/n, but into the flux's own buffers and without numpy's wrapper, so
@@ -283,10 +284,11 @@ def _bind_flux(shape: tuple, grid: GridSpec, mix: np.ndarray,
     of one buffer, and `out` gets the kept ones.
     """
     kept, n = shape[-1], grid.n_points
-    buf = np.empty(shape[:-2] + (5, n))
+    rows = np.empty((5,) + shape[:-2] + (n,))
+    buf = np.moveaxis(rows, 0, -2)
     flux = np.empty(shape[:-2] + (2, n))
-    phys, squares = buf[..., 3:, :], buf[..., :2, :]
-    p, m, pm = (buf[..., i, :] for i in (3, 4, 2))
+    phys, pair, squares = buf[..., 3:, :], rows[3:], rows[:2]
+    p, m, pm = rows[3], rows[4], rows[2]
     synth, anal = transforms or (None, None)
     multiply, matmul = np.multiply, np.matmul
     if synth is None:
@@ -301,7 +303,7 @@ def _bind_flux(shape: tuple, grid: GridSpec, mix: np.ndarray,
             irfft(w, 1.0, phys)
         else:
             matmul(w, synth, phys)
-        multiply(phys, phys, squares)
+        multiply(pair, pair, squares)
         multiply(p, m, pm)
         matmul(mix, buf, flux)
         if synth is None:

@@ -665,6 +665,56 @@ class TestInPlaceStep:
                                          transforms, stages)
             np.testing.assert_array_equal(unbound, want)
 
+    @pytest.mark.parametrize("n_points", [64, 128])  # matmul, FFT route
+    @pytest.mark.parametrize("n_members", [1, 3])
+    def test_no_input_of_a_step_overlaps_its_output_but_in_place(
+            self, monkeypatch, coeffs_coupled, n_points, n_members):
+        # an input whose bounds meet the output's (np.may_share_memory),
+        # unless it is the output itself, sends numpy down its slower
+        # overlap-safe path; a bound step makes no such call
+        grid = sp.make_grid(n_points)
+        kept = grid.dealias_cutoff + 1
+        states = [random_smooth_state(grid, seed=i, amplitude=0.3)
+                  for i in range(n_members)]
+        w = np.stack([model._rotate(np.stack([s.u.coeffs, s.v.coeffs])
+                                    [:, :kept]) for s in states])
+        tables = tuple(np.stack([ti.build_tables(grid, coeffs_coupled, 1e-3)]
+                                * n_members, axis=1))
+        mix = np.stack([model.eigen_mixing(s, coeffs_coupled)
+                        for s in states])
+        transforms = model.flux_transforms(grid)
+        calls = dict.fromkeys(("add", "multiply", "subtract", "matmul",
+                               "irfft", "rfft_n_even"), 0)
+        overlaps = []
+
+        def is_out(x, out):
+            return (isinstance(x, np.ndarray) and x.shape == out.shape
+                    and x.strides == out.strides
+                    and x.__array_interface__["data"]
+                    == out.__array_interface__["data"])
+
+        def guarded(name, ufunc):
+            def call(*args):  # every `out` of a bound step is positional
+                inputs, out = args[:ufunc.nin], args[ufunc.nin]
+                calls[name] += 1
+                overlaps.extend(name for x in inputs if not is_out(x, out)
+                                and np.may_share_memory(x, out))
+                return ufunc(*args)
+            return call
+
+        pocketfft = np.fft._pocketfft_umath
+        for module, names in ((np, ("add", "multiply", "subtract", "matmul")),
+                              (pocketfft, ("irfft", "rfft_n_even"))):
+            for name in names:
+                monkeypatch.setattr(module, name,
+                                    guarded(name, getattr(module, name)))
+        step = ti._bind_step(w, tables, mix, grid, transforms)
+        step()
+        fft = 0 if transforms else 4
+        assert (calls["matmul"], calls["irfft"],
+                calls["rfft_n_even"]) == (12 - 2 * fft, fft, fft)
+        assert overlaps == []
+
     def test_a_march_binds_one_step_per_ensemble(
             self, monkeypatch, grid64, coeffs_coupled):
         built = []
