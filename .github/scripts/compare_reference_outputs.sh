@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Run the five reference commands from two source trees and compare what
+# Run the six reference commands from two source trees and compare what
 # they leave: every CSV, JSON and SVG they write, their stdout, stderr and
 # exit code.
 #
@@ -22,14 +22,17 @@ work=$3
 mkdir -p "$(dirname "$work")" && mkdir "$work" || exit 2
 
 # the sweeps of sweep_linear.yaml march 64 points, by the matmul route, and
-# the sweep of decay.yaml its 128 points as one ensemble, by the FFT route
-names=(run verify sweep-k sweep-k-a3 sweep-decay-k)
+# the sweeps of decay.yaml their 128 points as one ensemble, by the FFT route:
+# over k every member is coupled (a1 = a2 = 1) and only w+ is transformed,
+# over (a1, a2) on the a3 = 0 circle the members mix and both branches are
+names=(run verify sweep-k sweep-k-a3 sweep-decay-k sweep-decay-mixed)
 commands=(
   "run configs/decay.yaml"
   "verify configs/verify.yaml"
   "sweep configs/sweep_linear.yaml --axis k=0.25,0.5,1.0"
   "sweep configs/sweep_linear.yaml --axis k=0.25,0.5,0.75,1.0,1.25 --axis a3=0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8"
   "sweep configs/decay.yaml --axis k=0.25,0.5,1.0"
+  "sweep configs/decay.yaml --axis a3=0 --axis a1=0,1 --axis a2=0,1"
 )
 
 for side in base head; do

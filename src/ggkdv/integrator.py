@@ -10,35 +10,34 @@ terms are folded into the nonlinear remainder, so tables depend only on
 (grid, a3, k, dt).
 
 The march never leaves the eigenbasis: `model._bind_flux`, the body of
-`model.nonlinear_remainder`, forms the flux from the products of w+ and w-
-and mixes it in physical space with the per-member matrix of
-`model.eigen_mixing`. Grids of up to `model.MATMUL_MAX_POINTS` points move
-between modes and grid by the two real matrices of `model.flux_transforms`,
-larger ones by pocketfft's irfft and rfft gufuncs, which the flux binds
-once and calls into its own buffers, without numpy's per-call wrapper
-around them. `evolve` builds the matrices
-once per march beside its tables, and one step bound to them (`_bind_step`):
-a closure that does every stage in place, in its own flux buffers and stage
-arrays, with every operand a local, so a step makes no array; one
-np.errstate spans the march. State and tables hold only the kept modes
-0..dealias_cutoff, since the dealiased nonlinear term is zero above the
-cutoff and so is the truncated initial state; the observer gets the state
-rotated back to (u, v) and padded to the full rfft length. The tables fold
-in the -i omega of the flux's derivative, and the 2 the final combination
-puts on w2. At mode 0 the six rows are exactly (1, 1, 0, 0, 0, 0), so a
-step keeps each zero mean exactly; `evolve` checks the mean at each
-sampled state and raises if it ever drifts.
+`model.nonlinear_remainder`, mixes the products of w+ and w- in physical
+space by the per-member matrix of `model.eigen_mixing`. Grids of up to
+`model.MATMUL_MAX_POINTS` points move between modes and grid by the two real
+matrices of `model.flux_transforms`, larger ones by pocketfft's irfft and
+rfft gufuncs, bound once, on w+ alone where no member's mix reads w-
+(a1 = a2 = 1, zero means: F- is exactly zero, and w- marches as the exact
+exp_full w-). `evolve` builds the matrices once per march beside its
+tables, and one step bound to them (`_bind_step`): a closure that does
+every stage in place, in its own buffers, with every operand a local, so a
+step makes no array; one np.errstate spans the march. State and tables hold
+only the kept modes 0..dealias_cutoff, since the dealiased nonlinear term is
+zero above the cutoff and so is the truncated initial state; the observer
+gets the state rotated back to (u, v) and padded to the full rfft length.
+The tables fold in the -i omega of the flux's derivative, and the 2 the
+final combination puts on w2. At mode 0 the six rows are exactly
+(1, 1, 0, 0, 0, 0), so a step keeps each zero mean exactly; `evolve` checks
+the mean at each sampled state and raises if it ever drifts.
 
 `evolve` marches an ensemble: P members that share grid, dt, span and stride,
 each with its own coefficients and means. The state carries a member axis,
 (P, 2, kept), and so do the tables, stacked to (6, P, 2, kept). Each stage
-makes one batched synthesis (irfft or matmul) and one batched analysis (rfft
-or matmul) for the whole march; numpy's batched real transforms, and its
-stacked matmuls, one matrix product per member, give every member bitwise
-what a lone call gives, so each member's numbers are bitwise those of its
-lone march. A member that turns non-finite leaves the ensemble with its own
-BlowUpError; the others march on unchanged. The observer gets each member's
-sampled states a block of OBSERVE_BLOCK at a time, to evaluate as a stack.
+makes one batched synthesis and one batched analysis for the ensemble;
+numpy's batched transforms and stacked matmuls give every member bitwise
+what a lone call gives, and one branch or two give F+ the same bits, so
+each member is bitwise its lone march. A member that turns non-finite
+leaves the ensemble with its own BlowUpError; the others march on
+unchanged. The observer gets each member's sampled states a block of
+OBSERVE_BLOCK at a time, to evaluate as a stack.
 
 `step_count` is the one rule by which dt and stride tile a span: `evolve`
 applies it to every march, and `config.ExperimentConfig.resolved_dt` to the
@@ -52,8 +51,8 @@ import math
 import numpy as np
 
 from .model import (CoefficientError, SimState, ValidatedCoefficients,
-                    Violation, _bind_flux, _dealiased_ddx, _rotate,
-                    eigen_mixing, flux_transforms, linear_rates)
+                    Violation, _bind_flux, _branches, _dealiased_ddx,
+                    _rotate, eigen_mixing, flux_transforms, linear_rates)
 from .spectral import GridSpec, SpectralField, truncate
 
 N_CONTOUR = 32  # trapezoid points on each circle of `contour_phi_means`
@@ -133,12 +132,14 @@ def _bind_step(w: np.ndarray, tables, mix: np.ndarray, grid: GridSpec,
     arrays, by the same association. Every table row, stage, float view and
     ufunc is a local of the callable, and every `out` is positional."""
     exp_full, exp_half, q, w1, w2x2, w3 = tables
-    n0, na, nb, nc, a, b, c, half, s = np.empty((9,) + w.shape,
-                                                dtype=np.complex128)
+    stages = np.empty((9,) + w.shape, dtype=np.complex128)
     flux = _bind_flux(w.shape, grid, mix, transforms)
-    # the flux's operands: float views on the matmul route
+    branches = _branches(mix, transforms)
+    stages[:4, ..., branches:, :] = 0.0  # the F- rows the flux skips
+    n0, na, nb, nc, a, b, c, half, s = stages
+    # the flux's operands: its branches' rows, or float views (matmul route)
     fw, fn0, fna, fnb, fnc, fa, fb, fc = (
-        x if transforms is None else x.view(np.float64)
+        x[..., :branches, :] if transforms is None else x.view(np.float64)
         for x in (w, n0, na, nb, nc, a, b, c))
     add, multiply, subtract = np.add, np.multiply, np.subtract
 

@@ -13,19 +13,18 @@ with a1^2 + a2^2 = a1 + a2, or 0 < |a3| < 1 with a1 = a2 = 1.
 
 The linear part is diagonal in the eigenbasis w+- = (u +- v)/sqrt(2), and
 `_rotate` is that transform, both ways. The nonlinear terms are -d/dx of a flux
-quadratic in (u, v); written in the eigenbasis it is a fixed mix of the
-products of w+ and w- plus a mean-advection term linear in w+-, the one real
-matrix [Q | L] of `eigen_mixing`, applied in physical space.
-`_bind_flux` is its one body, bound to `mix` and its own buffers: the time
-stepper binds it once per march, and `nonlinear_remainder`, which `rhs`
-uses, binds it per call. It moves between modes and grid by one of two
-routes: pocketfft's irfft and rfft gufuncs, bound once and called without
-numpy's per-call wrapper, or, given the matrices of `flux_transforms`, two
-small real matmuls. The stepper takes the matmul route on grids of up to
-MATMUL_MAX_POINTS points, whatever the size of its ensemble, so that
-every member stays bitwise its lone march; the two routes
-agree to round-off of order eps n max|flux|. `nonlinear_remainder`, and so
-the right-hand side, always takes the FFT route. `rhs` gives a stack of
+quadratic in (u, v): in the eigenbasis, the one real matrix [Q | L] of
+`eigen_mixing` applied in physical space to the products of w+ and w- and,
+for mean advection, to w+-. On a1 = a2 = 1 with zero means it reads w+
+alone: F_u = F_v = (u + v)^2 / 2, so F- = 0 and w- is linear.
+`_bind_flux` is its one body, bound to `mix` and its own buffers: the stepper
+binds it once per march, and `nonlinear_remainder` (so `rhs`) per call. It
+moves between modes and grid by pocketfft's irfft and rfft gufuncs, bound
+once and called without numpy's wrapper, on the branches `mix` reads, or,
+given the matrices of `flux_transforms`, by two small real matmuls. The
+stepper takes the matmul route on grids of up to MATMUL_MAX_POINTS points,
+whatever its ensemble, so each member stays bitwise its lone march; the
+routes agree to round-off of order eps n max|flux|. `rhs` gives a stack of
 states their time derivatives at once, each bitwise its own.
 """
 from __future__ import annotations
@@ -40,8 +39,7 @@ from .spectral import GridSpec, SpectralField, TWO_PI, derivative_symbols
 
 CONSTRAINT_TOL = 1e-12
 SQRT2 = np.sqrt(2.0)
-# Largest grid the stepper transforms by matmul: a matmul step takes 0.8-1.0x
-# the bound FFT pair's time at 96 points and 1.1-1.3x at 128 for 3 or 9.
+# Largest grid the stepper transforms by matmul (README's route table)
 MATMUL_MAX_POINTS = 96
 
 
@@ -265,37 +263,50 @@ def flux_transforms(grid: GridSpec):
     return synth.reshape(2 * kept, n), anal.reshape(n, 2 * kept)
 
 
+def _branches(mix: np.ndarray, transforms=None) -> int:
+    """Eigenbranches the flux transforms, w+ first: 1 on the FFT route where
+    every member's `mix` is exactly zero in its F- row and its mm, pm and m
+    columns, else 2 (a smaller matmul would round differently)."""
+    return 1 if (transforms is None and not mix[..., 1, :].any()
+                 and not mix[..., 0, [1, 2, 4]].any()) else 2
+
+
 def _bind_flux(shape: tuple, grid: GridSpec, mix: np.ndarray,
                transforms=None):
     """The body of `nonlinear_remainder`, bound to `mix` and to new buffers
     for states of `shape` (..., 2, kept): a callable (w, out) that writes
-    the flux of `w` into `out`, both of that shape, and on the matmul
-    route of `transforms` given as their float views.
+    the flux of `w` into `out`, the first `_branches(mix, transforms)` rows
+    of two arrays of that shape, as float views on the matmul route.
 
     p and m fill rows 3-4 of a (5, ..., n) buffer, pp, mm and pm rows 0-2,
     whole rows that numpy's overlap check tells apart, and one real matmul
-    by `mix`, reading it as (..., 5, n), mixes the flux in physical space.
-    Every buffer, matrix and numpy function is a local of the callable. The
-    FFT route calls the pocketfft gufuncs irfft and rfft_n_even (`make_grid`
-    makes every n even), looked up here, when a march binds it: the calls
-    that `np.fft.irfft` and `rfft` make with norm="forward", factors 1 and
-    1/n, but into the flux's own buffers and without numpy's wrapper, so
-    each call gives bitwise their numbers. The rfft fills all n/2 + 1 modes
-    of one buffer, and `out` gets the kept ones.
+    by `mix`, reading it as (..., 5, n), mixes the flux. With one branch
+    only p and pp are formed, the exact zeros of `mix` meet zero rows, and
+    only F+ is transformed: bitwise as with two. Every buffer, matrix and
+    numpy function is a local of the callable. The FFT route calls the
+    pocketfft gufuncs irfft and rfft_n_even (`make_grid` makes every n even)
+    as `np.fft.irfft` and `rfft` do with norm="forward", factors 1 and 1/n,
+    but into its own buffers and without numpy's wrapper, so bitwise; `out`
+    gets the kept modes.
     """
     kept, n = shape[-1], grid.n_points
+    branches = _branches(mix, transforms)
     rows = np.empty((5,) + shape[:-2] + (n,))
+    rows[[1, 2, 4]] = 0.0  # mm, pm and m, which one branch never writes
     buf = np.moveaxis(rows, 0, -2)
     flux = np.empty(shape[:-2] + (2, n))
-    phys, pair, squares = buf[..., 3:, :], rows[3:], rows[:2]
-    p, m, pm = rows[3], rows[4], rows[2]
+    phys = buf[..., 3:3 + branches, :]
+    pair, squares = rows[3:3 + branches], rows[:branches]
+    p, m, pm, cross = rows[3], rows[4], rows[2], branches == 2
     synth, anal = transforms or (None, None)
     multiply, matmul = np.multiply, np.matmul
     if synth is None:
         pocketfft = np.fft._pocketfft_umath  # what np.fft calls on NumPy 2
         irfft, rfft, scale = (pocketfft.irfft, pocketfft.rfft_n_even,
                               1.0 / n)
-        modes = np.empty(shape[:-2] + (2, n // 2 + 1), dtype=np.complex128)
+        spectra = flux[..., :branches, :]
+        modes = np.empty(spectra.shape[:-1] + (n // 2 + 1,),
+                         dtype=np.complex128)
         head = modes[..., :kept]
 
     def remainder(w: np.ndarray, out: np.ndarray) -> None:
@@ -304,10 +315,11 @@ def _bind_flux(shape: tuple, grid: GridSpec, mix: np.ndarray,
         else:
             matmul(w, synth, phys)
         multiply(pair, pair, squares)
-        multiply(p, m, pm)
+        if cross:
+            multiply(p, m, pm)
         matmul(mix, buf, flux)
         if synth is None:
-            rfft(flux, scale, modes)
+            rfft(spectra, scale, modes)
             out[...] = head
         else:
             matmul(flux, anal, out)
@@ -325,12 +337,15 @@ def nonlinear_remainder(w: np.ndarray, mix: np.ndarray, grid: GridSpec,
     -i omega F_hat, which the stepper folds into its tables and `rhs`
     applies.
 
-    The flux is `_bind_flux`'s one body on its FFT route: one batched
-    irfft and one rfft move between modes and grid, and each leading index
-    gets bitwise what it would get alone. L carries the mean advection, so
-    the tables depend only on (grid, a3, k, dt).
+    The flux is `_bind_flux`'s one body on its FFT route, on the branches
+    `mix` reads (the F- rows it skips are zeroed); each leading index gets
+    bitwise what it would get alone. L carries the mean advection, so the
+    tables depend only on (grid, a3, k, dt).
     """
-    _bind_flux(w.shape, grid, mix)(w, out)
+    branches = _branches(mix)
+    out[..., branches:, :] = 0.0
+    _bind_flux(w.shape, grid, mix)(w[..., :branches, :],
+                                   out[..., :branches, :])
     return out
 
 

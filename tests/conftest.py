@@ -15,6 +15,8 @@ from ggkdv.model import random_smooth_state
 ROOT = Path(__file__).resolve().parents[1]
 COUPLED = model.validate_coefficients(
     model.CoefficientSet(a1=1.0, a2=1.0, a3=0.5, k=1.0))
+UNCOUPLED = model.validate_coefficients(
+    model.CoefficientSet(a1=1.0, a2=0.0, a3=0.0, k=1.0))
 
 
 @pytest.fixture
@@ -30,15 +32,13 @@ def grid64():
 @pytest.fixture
 def coeffs_coupled():
     """Dispersively coupled branch: 0 < |a3| < 1 forces a1 = a2 = 1."""
-    return model.validate_coefficients(
-        model.CoefficientSet(a1=1.0, a2=1.0, a3=0.5, k=1.0))
+    return COUPLED
 
 
 @pytest.fixture
 def coeffs_uncoupled():
     """a3 = 0 branch with an asymmetric admissible pair (a1, a2) = (1, 0)."""
-    return model.validate_coefficients(
-        model.CoefficientSet(a1=1.0, a2=0.0, a3=0.0, k=1.0))
+    return UNCOUPLED
 
 
 def make_sine_state(grid, amp=0.1, mean_u=0.0, mean_v=0.0):

@@ -8,7 +8,9 @@ a new array for each intermediate result. `bound_remainder` binds
 `model.nonlinear_remainder`. `in_place_step` is the step as it was before
 `integrator._bind_step`: in place through given stage arrays, but looking
 up every stage, table row and ufunc, and binding the flux, on each call.
-The bound flux and the bound step must give bitwise their numbers.
+`bind_two_branch_flux` is `model._bind_flux` as it was before it learned
+to transform w+ alone: both branches on every mix. The bound flux and the
+bound step must give bitwise their numbers.
 """
 import numpy as np
 
@@ -75,3 +77,38 @@ def in_place_step(w, tables, mix, grid, transforms, stages):
     np.add(np.multiply(exp_full, w, out=w), np.multiply(w1, n0, out=s), out=w)
     np.add(w, np.multiply(w2x2, np.add(na, nb, out=s), out=s), out=w)
     np.add(w, np.multiply(w3, nc, out=s), out=w)
+
+
+def bind_two_branch_flux(shape, grid, mix, transforms=None):
+    """`model._bind_flux` transforming both branches whatever `mix` reads:
+    a callable (w, out) on whole states of `shape` (..., 2, kept), and on
+    the matmul route of `transforms` on their float views."""
+    kept, n = shape[-1], grid.n_points
+    rows = np.empty((5,) + shape[:-2] + (n,))
+    buf = np.moveaxis(rows, 0, -2)
+    flux = np.empty(shape[:-2] + (2, n))
+    phys, pair, squares = buf[..., 3:, :], rows[3:], rows[:2]
+    p, m, pm = rows[3], rows[4], rows[2]
+    synth, anal = transforms or (None, None)
+    multiply, matmul = np.multiply, np.matmul
+    if synth is None:
+        pocketfft = np.fft._pocketfft_umath
+        irfft, rfft, scale = (pocketfft.irfft, pocketfft.rfft_n_even,
+                              1.0 / n)
+        modes = np.empty(shape[:-2] + (2, n // 2 + 1), dtype=np.complex128)
+        head = modes[..., :kept]
+
+    def remainder(w, out):
+        if synth is None:
+            irfft(w, 1.0, phys)
+        else:
+            matmul(w, synth, phys)
+        multiply(pair, pair, squares)
+        multiply(p, m, pm)
+        matmul(mix, buf, flux)
+        if synth is None:
+            rfft(flux, scale, modes)
+            out[...] = head
+        else:
+            matmul(flux, anal, out)
+    return remainder

@@ -11,7 +11,7 @@ from ggkdv import integrator as ti, model, spectral as sp
 from ggkdv.config import build_initial_state, load_config
 from ggkdv.model import random_smooth_state
 
-from conftest import COUPLED, ROOT, make_sine_state, per_state
+from conftest import COUPLED, ROOT, UNCOUPLED, make_sine_state, per_state
 from etd_reference import reference_march, reference_tables
 import functionals_reference as fn
 from linear_reference import linear_exact_solution
@@ -438,6 +438,10 @@ def count_fft_calls(monkeypatch) -> dict:
 class TestEnsembleOracle:
     """The batched march against lone marches and the serial reference."""
 
+    # a mixed ensemble on the FFT route: its uncoupled member reads w-, so
+    # the coupled one marches both branches, and alone w+ only
+    @example([(random_smooth_state(sp.make_grid(128), seed=i, amplitude=0.5),
+               c) for i, c in enumerate((COUPLED, UNCOUPLED))])
     @settings(max_examples=40, deadline=None)
     @given(ensembles(sizes=(16, 32, 64, 128, 256), max_members=5))
     def test_members_equal_lone_marches_bitwise(self, members):
@@ -513,8 +517,13 @@ class TestEnsembleOracle:
             raise AssertionError("the flux called np.fft's wrapper")
         monkeypatch.setattr(np.fft, "rfft", refuse)
         monkeypatch.setattr(np.fft, "irfft", refuse)
-        got = np.empty_like(w)
-        model._bind_flux(w.shape, grid, mix)(w, got)
+        # the flux takes the rows of the branches it transforms, and leaves
+        # the others alone: a lone coupled member transforms w+ only
+        branches = model._branches(mix)
+        assert branches == (1 if n_members == 1 else 2)
+        got = np.zeros_like(w)
+        model._bind_flux(w.shape, grid, mix)(w[:, :branches],
+                                             got[:, :branches])
         np.testing.assert_array_equal(got, want)
         run = ti.evolve(states, coeffs, 4e-3, 1e-3)
         for series, alone in zip(run.members, lone.members):
@@ -837,3 +846,65 @@ class TestInPlaceStep:
             with pytest.raises(RuntimeError, match="mean drifted"):
                 ti.evolve([calm], [coeffs_coupled], 0.01, 1e-3, stride=2)
             assert np.geterr() == before
+
+
+class TestLinearMinusBranch:
+    """On a1 = a2 = 1 with zero means F- is exactly zero, so w- marches as
+    the exact linear w-: n steps multiply it by exp_full n times."""
+
+    N_STEPS = 20
+
+    @staticmethod
+    def coupled_ensemble(n_points, minus_scale=1.0):
+        """Grid, state w, tables and mix of two coupled zero-mean members,
+        their w- scaled by `minus_scale`."""
+        grid = sp.make_grid(n_points)
+        kept = grid.dealias_cutoff + 1
+        coeffs = [COUPLED, model.validate_coefficients(
+            model.CoefficientSet(a1=1.0, a2=1.0, a3=-0.7, k=0.25))]
+        states = [random_smooth_state(grid, seed=i, amplitude=0.5)
+                  for i in range(2)]
+        w = np.stack([model._rotate(np.stack([s.u.coeffs, s.v.coeffs])
+                                    [:, :kept]) for s in states])
+        w[:, 1] *= minus_scale
+        tables = tuple(np.stack([ti.build_tables(grid, c, 1e-3)
+                                 for c in coeffs], axis=1))
+        mix = np.stack([model.eigen_mixing(s, c)
+                        for s, c in zip(states, coeffs)])
+        return grid, w, tables, mix
+
+    def march(self, w, tables, mix, grid, transforms):
+        """w marched N_STEPS in place, and w multiplied N_STEPS times by
+        exp_full, whole, as the step multiplies it."""
+        linear = w.copy()
+        step = ti._bind_step(w, tables, mix, grid, transforms)
+        for _ in range(self.N_STEPS):
+            step()
+            np.multiply(tables[0], linear, linear)
+        return linear
+
+    # both routes: the matmul route transforms both branches, and its F-
+    # is exactly zero too
+    @pytest.mark.parametrize("n_points", [64, model.MATMUL_MAX_POINTS + 2,
+                                          128, 256])
+    def test_w_minus_is_exp_full_applied_n_times_bitwise(self, n_points):
+        grid, w, tables, mix = self.coupled_ensemble(n_points)
+        transforms = model.flux_transforms(grid)
+        assert model._branches(mix, transforms) == (2 if transforms else 1)
+        linear = self.march(w, tables, mix, grid, transforms)
+        np.testing.assert_array_equal(w[:, 1], linear[:, 1])
+        assert not np.array_equal(w[:, 0], linear[:, 0])  # w+ is not linear
+
+    def test_a_w_minus_past_overflow_marches_on_as_the_linear_w_minus(self):
+        # m^2 overflows: a two-branch flux times it by an exact zero, which
+        # gives NaN, and blows up; the one-branch flux never forms it, and
+        # w+ marches bitwise as beside a small w-
+        grid, w, tables, mix = self.coupled_ensemble(128, minus_scale=1e160)
+        calm = self.coupled_ensemble(128)[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(
+                step_reference.step(w, tables, mix, grid, None)).all()
+            linear = self.march(w, tables, mix, grid, None)
+            self.march(calm, tables, mix, grid, None)
+        np.testing.assert_array_equal(w[:, 1], linear[:, 1])
+        np.testing.assert_array_equal(w[:, 0], calm[:, 0])

@@ -11,7 +11,7 @@ from ggkdv import model, spectral as sp, verification
 from ggkdv.model import (CoefficientSet, CoefficientError,
                          random_smooth_state)
 
-from conftest import make_sine_state, rhs_fields
+from conftest import COUPLED, make_sine_state, rhs_fields
 import etd_reference
 import step_reference
 from linear_reference import linear_symbol
@@ -447,3 +447,108 @@ class TestBoundFlux:
             np.testing.assert_array_equal(
                 second, step_reference.nonlinear_remainder(want, mix, grid,
                                                            transforms))
+
+
+def eigen_members(members):
+    """The state w (P, 2, kept) and mix (P, 2, 5) of (state, coefficients)
+    members on one grid."""
+    kept = members[0][0].grid.dealias_cutoff + 1
+    w = np.stack([model._rotate(np.stack([s.u.coeffs, s.v.coeffs])[:, :kept])
+                  for s, _ in members])
+    return w, np.stack([model.eigen_mixing(s, c) for s, c in members])
+
+
+@st.composite
+def coupled_member(draw, grid):
+    """A zero-mean state on `grid` under a1 = a2 = 1, a3 in (-1, 1)."""
+    c = CoefficientSet(a1=1.0, a2=1.0, a3=draw(st.floats(-0.99, 0.99)),
+                       k=draw(st.floats(0.1, 2.0)))
+    state = random_smooth_state(grid, seed=draw(st.integers(0, 10 ** 6)),
+                                amplitude=draw(st.floats(1e-3, 10.0)),
+                                kmax=draw(st.integers(1, 8)))
+    return state, model.validate_coefficients(c)
+
+
+def two_branch_flux(w, mix, grid):
+    """The flux of `w` by the two-branch oracle, into a new array."""
+    out = np.empty_like(w)
+    step_reference.bind_two_branch_flux(w.shape, grid, mix)(w, out)
+    return out
+
+
+class TestOneBranchFlux:
+    """Where `mix` reads neither w- nor F- (a1 = a2 = 1, zero means), the
+    FFT route transforms w+ alone, bitwise the two-branch flux; every other
+    mix keeps both branches."""
+
+    # 98 points is the smallest grid on the FFT route
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from((98, 128, 256)).map(sp.make_grid).flatmap(
+        lambda grid: st.lists(coupled_member(grid), min_size=1,
+                              max_size=5)))
+    def test_one_branch_flux_equals_the_two_branch_flux_bitwise(
+            self, members):
+        grid = members[0][0].grid
+        w, mix = eigen_members(members)
+        assert model._branches(mix) == 1
+        want = two_branch_flux(w, mix, grid)
+        assert not want[:, 1].any()  # F- is exactly zero
+        np.testing.assert_array_equal(flux_of(w, mix, grid), want)
+        # bound once and reused, as in a step, on the rows of w+ alone
+        flux = model._bind_flux(w.shape, grid, mix)
+        first, second = np.zeros((2,) + w.shape, dtype=np.complex128)
+        flux(w[:, :1], first[:, :1])
+        flux(first[:, :1], second[:, :1])
+        np.testing.assert_array_equal(first, want)
+        np.testing.assert_array_equal(second,
+                                      two_branch_flux(want, mix, grid))
+
+    # (a1, a2, a3, mean_u, mean_v): nonzero means, where eigen_mixing's
+    # 2x2 matmuls leave about 1e-17 of round-off in the F- row and the m
+    # column; a1 off 1 by 1e-13, which the gate admits; the a3 = 0 circle
+    TWO_BRANCH_CASES = [
+        (1.0, 1.0, 0.5, 0.5, -0.25),
+        (1.0, 1.0, -0.3, 0.3, 0.1),
+        (1.0 + 1e-13, 1.0, 0.5, 0.0, 0.0),
+        (1.0, 0.0, 0.0, 0.0, 0.0),
+        (0.0, 1.0, 0.0, 0.0, 0.0),
+        (0.0, 0.0, 0.0, 0.0, 0.0),
+        (0.5 + math.cos(1.0) / math.sqrt(2),
+         0.5 + math.sin(1.0) / math.sqrt(2), 0.0, 0.0, 0.0),
+    ]
+
+    @pytest.mark.parametrize("a1, a2, a3, mean_u, mean_v", TWO_BRANCH_CASES)
+    def test_every_other_mix_keeps_two_branches(self, a1, a2, a3, mean_u,
+                                                mean_v):
+        grid = sp.make_grid(128)
+        c = model.validate_coefficients(CoefficientSet(a1, a2, a3, k=1.0))
+        state = dataclasses.replace(
+            random_smooth_state(grid, seed=3, amplitude=0.5),
+            mean_u=mean_u, mean_v=mean_v)
+        w, mix = eigen_members([(state, c)])
+        assert model._branches(mix) == 2
+        np.testing.assert_array_equal(flux_of(w, mix, grid),
+                                      two_branch_flux(w, mix, grid))
+
+    def test_any_entry_that_reads_w_minus_keeps_two_branches(self):
+        grid = sp.make_grid(128)
+        state = random_smooth_state(grid, seed=4, amplitude=0.5)
+        w, mix = eigen_members([(state, COUPLED)] * 2)
+        # the matmul route keeps both, whatever the mix
+        assert model._branches(mix, model.flux_transforms(
+            sp.make_grid(model.MATMUL_MAX_POINTS))) == 2
+        # the F- row and the mm, pm and m columns of F+, in either member
+        for index in [(1, 1, j) for j in range(5)] + [(0, 0, 1), (0, 0, 2),
+                                                     (0, 0, 4)]:
+            read = mix.copy()
+            read[index] = 1e-17
+            assert model._branches(read) == 2
+            np.testing.assert_array_equal(flux_of(w, read, grid),
+                                          two_branch_flux(w, read, grid))
+        # the p column alone, mean advection with exact zeros beside it,
+        # reads w+ only: one branch, and the mixing matmul keeps its shape
+        advected = mix.copy()
+        advected[:, 0, 3] = 0.7
+        assert model._branches(advected) == 1
+        np.testing.assert_array_equal(flux_of(w, advected, grid),
+                                      two_branch_flux(w, advected, grid))
