@@ -21,10 +21,11 @@ head=$(cd "$2" && pwd) || exit 2
 work=$3
 mkdir -p "$(dirname "$work")" && mkdir "$work" || exit 2
 
-# the sweeps of sweep_linear.yaml march 64 points, by the matmul route, and
-# the sweeps of decay.yaml their 128 points as one ensemble, by the FFT route:
-# over k every member is coupled (a1 = a2 = 1) and only w+ is transformed,
+# the sweeps of sweep_linear.yaml march 64-point ensembles, by the FFT route,
+# and the sweeps of decay.yaml 128-point ones, by the same route: over k
+# every member is coupled (a1 = a2 = 1) and only w+ is transformed,
 # over (a1, a2) on the a3 = 0 circle the members mix and both branches are
+# transformed
 names=(run verify sweep-k sweep-k-a3 sweep-decay-k sweep-decay-mixed)
 commands=(
   "run configs/decay.yaml"

@@ -542,9 +542,10 @@ def cmd_sweep(cfg: ExperimentConfig, axis_args: list) -> tuple:
         raise ConfigError(f"the --axis points take {work:.3g} point-steps; "
                           f"a sweep takes fewer than {MAX_POINT_STEPS:.0e}")
 
-    rows, blow_ups = [], []
-    for p, result in zip(prepared, run_experiment(prepared)):
-        fit, _ = _energy_fit(result)
+    rows, blow_ups, reasons = [], [], []
+    for point, p, result in zip(points, prepared, run_experiment(prepared)):
+        fit, why = _energy_fit(result)
+        reasons += [f"{point}: {why}"] if why else []
         blown = isinstance(result, BlowUpError)
         rows.append({"status": "blow_up" if blown else "ok" if fit
                      else "fit_failed",
@@ -575,8 +576,8 @@ def cmd_sweep(cfg: ExperimentConfig, axis_args: list) -> tuple:
         print(f"{row['status']:>10}  {point}{rate}")
     if blow_ups:
         return status, BLOW_UP_TEXT.format(blow_ups[0].time)
-    return status, (f"decay fit failed at sweep points {failed}"
-                    if failed else "")
+    return status, "\n".join([f"decay fit failed at sweep points {failed}"]
+                             + reasons if failed else [])
 
 
 def main(argv=None) -> int:

@@ -11,22 +11,20 @@ terms are folded into the nonlinear remainder, so tables depend only on
 
 The march never leaves the eigenbasis: `model._bind_flux`, the body of
 `model.nonlinear_remainder`, mixes the products of w+ and w- in physical
-space by the per-member matrix of `model.eigen_mixing`. Grids of up to
-`model.MATMUL_MAX_POINTS` points move between modes and grid by the two real
-matrices of `model.flux_transforms`, larger ones by pocketfft's irfft and
-rfft gufuncs, bound once, on w+ alone where no member's mix reads w-
-(a1 = a2 = 1, zero means: F- is exactly zero, and w- marches as the exact
-exp_full w-). `evolve` builds the matrices once per march beside its
-tables, and one step bound to them (`_bind_step`): a closure that does
-every stage in place, in its own buffers, with every operand a local, so a
-step makes no array; one np.errstate spans the march. State and tables hold
-only the kept modes 0..dealias_cutoff, since the dealiased nonlinear term is
-zero above the cutoff and so is the truncated initial state; the observer
-gets the state rotated back to (u, v) and padded to the full rfft length.
-The tables fold in the -i omega of the flux's derivative, and the 2 the
-final combination puts on w2. At mode 0 the six rows are exactly
-(1, 1, 0, 0, 0, 0), so a step keeps each zero mean exactly; `evolve` checks
-the mean at each sampled state and raises if it ever drifts.
+space by the per-member matrix of `model.eigen_mixing`, and moves between
+modes and grid by pocketfft's irfft and rfft gufuncs, bound once, on w+
+alone where no member's mix reads w- (a1 = a2 = 1, zero means: F- is
+exactly zero, and w- marches as the exact exp_full w-). `evolve` builds
+its tables once per march, and one step bound to them (`_bind_step`): a
+closure that does every stage in place, in its own buffers, with every
+operand a local, so a step makes no array; one np.errstate spans the march.
+State and tables hold only the kept modes 0..dealias_cutoff, since the
+dealiased nonlinear term is zero above the cutoff and so is the truncated
+initial state; the observer gets the state rotated back to (u, v) and padded to
+the full rfft length. The tables fold in the -i omega of the flux's derivative,
+and the 2 the final combination puts on w2. At mode 0 the six rows are exactly
+(1, 1, 0, 0, 0, 0), so a step keeps each zero mean exactly; `evolve` checks the
+mean at each sampled state and raises if it ever drifts.
 
 `evolve` marches an ensemble: P members that share grid, dt, span and stride,
 each with its own coefficients and means. The state carries a member axis,
@@ -52,7 +50,7 @@ import numpy as np
 
 from .model import (CoefficientError, SimState, ValidatedCoefficients,
                     Violation, _bind_flux, _branches, _dealiased_ddx,
-                    _rotate, eigen_mixing, flux_transforms, linear_rates)
+                    _rotate, eigen_mixing, linear_rates)
 from .spectral import GridSpec, SpectralField, truncate
 
 N_CONTOUR = 32  # trapezoid points on each circle of `contour_phi_means`
@@ -125,22 +123,20 @@ def step_count(span: float, dt: float, stride: int) -> int:
     return n_steps
 
 
-def _bind_step(w: np.ndarray, tables, mix: np.ndarray, grid: GridSpec,
-               transforms):
+def _bind_step(w: np.ndarray, tables, mix: np.ndarray, grid: GridSpec):
     """One ETDRK4 step of the (P, 2, kept) state `w`, in place through nine
     stages of its own, as a callable of no arguments: bitwise a step by new
-    arrays, by the same association. Every table row, stage, float view and
-    ufunc is a local of the callable, and every `out` is positional."""
+    arrays, by the same association. Every table row, stage, flux operand
+    and ufunc is a local of the callable, and every `out` is positional."""
     exp_full, exp_half, q, w1, w2x2, w3 = tables
     stages = np.empty((9,) + w.shape, dtype=np.complex128)
-    flux = _bind_flux(w.shape, grid, mix, transforms)
-    branches = _branches(mix, transforms)
+    flux = _bind_flux(w.shape, grid, mix)
+    branches = _branches(mix)
     stages[:4, ..., branches:, :] = 0.0  # the F- rows the flux skips
     n0, na, nb, nc, a, b, c, half, s = stages
-    # the flux's operands: its branches' rows, or float views (matmul route)
+    # the flux's operands: the rows of its branches
     fw, fn0, fna, fnb, fnc, fa, fb, fc = (
-        x[..., :branches, :] if transforms is None else x.view(np.float64)
-        for x in (w, n0, na, nb, nc, a, b, c))
+        x[..., :branches, :] for x in (w, n0, na, nb, nc, a, b, c))
     add, multiply, subtract = np.add, np.multiply, np.subtract
 
     def step() -> None:
@@ -218,7 +214,6 @@ def evolve(states, coeffs, t_final: float, dt: float, observer=None,
     # unpacked once into its six rows, not on every step
     tables = tuple(np.stack([build_tables(grid, c, dt) for c in coeffs],
                             axis=1))
-    transforms = flux_transforms(grid)
     n_members = len(states)
     times = [[] for _ in range(n_members)]
     rows = [[] for _ in range(n_members)]
@@ -257,7 +252,7 @@ def evolve(states, coeffs, t_final: float, dt: float, observer=None,
         mix = np.stack([eigen_mixing(st, c) for st, c in zip(states, coeffs)])
         w = _rotate(np.array([(st.u.coeffs[:kept], st.v.coeffs[:kept])
                               for st in current]))
-        step = _bind_step(w, tables, mix, grid, transforms)
+        step = _bind_step(w, tables, mix, grid)
         # a finite sum proves every entry finite; only a non-finite one (an
         # overflow of finite entries included) needs the exact test
         total, flat = np.add.reduce, w.view(np.float64).reshape(-1)
@@ -274,7 +269,7 @@ def evolve(states, coeffs, t_final: float, dt: float, observer=None,
                     break
                 tables = tuple(row[finite] for row in tables)
                 mix = mix[finite]
-                step = _bind_step(w, tables, mix, grid, transforms)
+                step = _bind_step(w, tables, mix, grid)
                 flat = w.view(np.float64).reshape(-1)
             if n % stride == 0:
                 uv = np.zeros((live.size, 2, grid.n_coeffs), np.complex128)

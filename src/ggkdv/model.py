@@ -20,12 +20,9 @@ alone: F_u = F_v = (u + v)^2 / 2, so F- = 0 and w- is linear.
 `_bind_flux` is its one body, bound to `mix` and its own buffers: the stepper
 binds it once per march, and `nonlinear_remainder` (so `rhs`) per call. It
 moves between modes and grid by pocketfft's irfft and rfft gufuncs, bound
-once and called without numpy's wrapper, on the branches `mix` reads, or,
-given the matrices of `flux_transforms`, by two small real matmuls. The
-stepper takes the matmul route on grids of up to MATMUL_MAX_POINTS points,
-whatever its ensemble, so each member stays bitwise its lone march; the
-routes agree to round-off of order eps n max|flux|. `rhs` gives a stack of
-states their time derivatives at once, each bitwise its own.
+once and called without numpy's wrapper, on the branches `mix` reads, on
+every grid. `rhs` gives a stack of states their time derivatives at once,
+each bitwise its own.
 """
 from __future__ import annotations
 
@@ -39,8 +36,6 @@ from .spectral import GridSpec, SpectralField, TWO_PI, derivative_symbols
 
 CONSTRAINT_TOL = 1e-12
 SQRT2 = np.sqrt(2.0)
-# Largest grid the stepper transforms by matmul (README's route table)
-MATMUL_MAX_POINTS = 96
 
 
 @dataclass(frozen=True)
@@ -237,60 +232,33 @@ def eigen_mixing(state: SimState, c: ValidatedCoefficients) -> np.ndarray:
                       _ROTATION @ linear @ _ROTATION))
 
 
-def flux_transforms(grid: GridSpec):
-    """The real matrices of `nonlinear_remainder`'s matmul route on `grid`,
-    or None above MATMUL_MAX_POINTS points.
-
-    `synth` (2 kept, n) maps the kept modes, as interleaved (re, im) pairs,
-    to the n grid values, which is irfft with norm="forward"; `anal`
-    (n, 2 kept) maps grid values back to those pairs, which is rfft with
-    norm="forward". The angles 2 pi ((kappa j) mod n) / n are reduced before
-    cos and sin, so each entry is as accurate as the sample it stands for.
-    """
-    n = grid.n_points
-    if n > MATMUL_MAX_POINTS:
-        return None
-    kept = grid.dealias_cutoff + 1
-    theta = (TWO_PI / n) * (np.outer(np.arange(kept), np.arange(n)) % n)
-    cos, sin = np.cos(theta), np.sin(theta)
-    synth = np.empty((kept, 2, n))
-    synth[:, 0] = 2.0 * cos  # a mode and its conjugate
-    synth[:, 1] = -2.0 * sin
-    synth[0, 0], synth[0, 1] = 1.0, 0.0  # the mean: no conjugate, no im
-    anal = np.empty((n, kept, 2))
-    anal[..., 0] = cos.T / n
-    anal[..., 1] = -sin.T / n
-    return synth.reshape(2 * kept, n), anal.reshape(n, 2 * kept)
-
-
-def _branches(mix: np.ndarray, transforms=None) -> int:
-    """Eigenbranches the flux transforms, w+ first: 1 on the FFT route where
-    every member's `mix` is exactly zero in its F- row and its mm, pm and m
-    columns, else 2 (a smaller matmul would round differently)."""
-    return 1 if (transforms is None and not mix[..., 1, :].any()
+def _branches(mix: np.ndarray) -> int:
+    """Eigenbranches the flux transforms, w+ first: 1 where every member's
+    `mix` is exactly zero in its F- row and its mm, pm and m columns, else
+    2."""
+    return 1 if (not mix[..., 1, :].any()
                  and not mix[..., 0, [1, 2, 4]].any()) else 2
 
 
-def _bind_flux(shape: tuple, grid: GridSpec, mix: np.ndarray,
-               transforms=None):
+def _bind_flux(shape: tuple, grid: GridSpec, mix: np.ndarray):
     """The body of `nonlinear_remainder`, bound to `mix` and to new buffers
     for states of `shape` (..., 2, kept): a callable (w, out) that writes
-    the flux of `w` into `out`, the first `_branches(mix, transforms)` rows
-    of two arrays of that shape, as float views on the matmul route.
+    the flux of `w` into `out`, the first `_branches(mix)` rows of two
+    arrays of that shape.
 
     p and m fill rows 3-4 of a (5, ..., n) buffer, pp, mm and pm rows 0-2,
     whole rows that numpy's overlap check tells apart, and one real matmul
     by `mix`, reading it as (..., 5, n), mixes the flux. With one branch
     only p and pp are formed, the exact zeros of `mix` meet zero rows, and
-    only F+ is transformed: bitwise as with two. Every buffer, matrix and
-    numpy function is a local of the callable. The FFT route calls the
-    pocketfft gufuncs irfft and rfft_n_even (`make_grid` makes every n even)
-    as `np.fft.irfft` and `rfft` do with norm="forward", factors 1 and 1/n,
+    only F+ is transformed: bitwise as with two. Every buffer and numpy
+    function is a local of the callable. It calls the pocketfft gufuncs
+    irfft and rfft_n_even (`make_grid` makes every n even) as
+    `np.fft.irfft` and `rfft` do with norm="forward", factors 1 and 1/n,
     but into its own buffers and without numpy's wrapper, so bitwise; `out`
     gets the kept modes.
     """
     kept, n = shape[-1], grid.n_points
-    branches = _branches(mix, transforms)
+    branches = _branches(mix)
     rows = np.empty((5,) + shape[:-2] + (n,))
     rows[[1, 2, 4]] = 0.0  # mm, pm and m, which one branch never writes
     buf = np.moveaxis(rows, 0, -2)
@@ -298,31 +266,21 @@ def _bind_flux(shape: tuple, grid: GridSpec, mix: np.ndarray,
     phys = buf[..., 3:3 + branches, :]
     pair, squares = rows[3:3 + branches], rows[:branches]
     p, m, pm, cross = rows[3], rows[4], rows[2], branches == 2
-    synth, anal = transforms or (None, None)
     multiply, matmul = np.multiply, np.matmul
-    if synth is None:
-        pocketfft = np.fft._pocketfft_umath  # what np.fft calls on NumPy 2
-        irfft, rfft, scale = (pocketfft.irfft, pocketfft.rfft_n_even,
-                              1.0 / n)
-        spectra = flux[..., :branches, :]
-        modes = np.empty(spectra.shape[:-1] + (n // 2 + 1,),
-                         dtype=np.complex128)
-        head = modes[..., :kept]
+    pocketfft = np.fft._pocketfft_umath  # what np.fft calls on NumPy 2
+    irfft, rfft, scale = pocketfft.irfft, pocketfft.rfft_n_even, 1.0 / n
+    spectra = flux[..., :branches, :]
+    modes = np.empty(spectra.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
+    head = modes[..., :kept]
 
     def remainder(w: np.ndarray, out: np.ndarray) -> None:
-        if synth is None:
-            irfft(w, 1.0, phys)
-        else:
-            matmul(w, synth, phys)
+        irfft(w, 1.0, phys)
         multiply(pair, pair, squares)
         if cross:
             multiply(p, m, pm)
         matmul(mix, buf, flux)
-        if synth is None:
-            rfft(spectra, scale, modes)
-            out[...] = head
-        else:
-            matmul(flux, anal, out)
+        rfft(spectra, scale, modes)
+        out[...] = head
     return remainder
 
 
@@ -337,10 +295,10 @@ def nonlinear_remainder(w: np.ndarray, mix: np.ndarray, grid: GridSpec,
     -i omega F_hat, which the stepper folds into its tables and `rhs`
     applies.
 
-    The flux is `_bind_flux`'s one body on its FFT route, on the branches
-    `mix` reads (the F- rows it skips are zeroed); each leading index gets
-    bitwise what it would get alone. L carries the mean advection, so the
-    tables depend only on (grid, a3, k, dt).
+    The flux is `_bind_flux`'s one body, on the branches `mix` reads (the
+    F- rows it skips are zeroed); each leading index gets bitwise what it
+    would get alone. L carries the mean advection, so the tables depend
+    only on (grid, a3, k, dt).
     """
     branches = _branches(mix)
     out[..., branches:, :] = 0.0

@@ -34,6 +34,7 @@ from ggkdv.verification import IdentityReport
 from conftest import (ROOT, config_to_dict, observe_one, per_state,
                       save_config, tiny_config)
 from step_grid_reference import default_step, loader_step_count
+import step_reference
 
 
 def base_config_dict(tmp_path, **run_overrides):
@@ -716,6 +717,17 @@ class TestSweepCommand:
         decay, = load_finite_json(tmp_path / "verify.json")["checks"]
         assert not decay["passed"] and "no resolved fit" in decay["detail"]
 
+    def test_a_failed_fit_names_its_reason_on_stderr(self, tmp_path, capsys):
+        # at k = 10 the energy falls past resolution before the fit window
+        # (2, 4) opens: the point fails its fit, and stderr says why
+        path = tiny_config(tmp_path, "sweep_linear.yaml", 64)
+        code, err = gg_quietly(capsys, "sweep", path, "--axis", "k=10")
+        assert code == 4
+        assert err.splitlines() == [
+            "decay fit failed at sweep points [{'k': 10.0}]",
+            "{'k': 10.0}: fit failed: window (2.0, 4.0) leaves fewer than "
+            "3 usable points"]
+
     def test_empty_axis_exit_2(self, tmp_path, capsys):
         path = self.sweep_config(tmp_path)
         assert cli.main(["sweep", path]) == 2
@@ -789,7 +801,7 @@ class TestSweepCommand:
 
     def test_a_sweep_past_eight_points_at_128_matches_lone_points(
             self, tmp_path, ensemble_sizes):
-        # 12 members at 128 points, on the FFT route that grid takes
+        # 12 members at 128 points
         raw = base_config_dict(tmp_path, dt=0.01, t_final=0.5, stride=10)
         raw["grid"]["n_points"] = 128
         raw["initial"] = {"preset": "random-smooth", "amplitude": 0.5,
@@ -805,9 +817,9 @@ class TestSweepCommand:
 
 
 class TestRouteOracle:
-    """`gg run configs/decay.yaml` on the FFT route its 128-point grid takes,
-    against the same run by 128-point matmul matrices, which the test
-    builds by raising the threshold around `flux_transforms`."""
+    """`gg run configs/decay.yaml` at 128 points on the FFT route, against
+    the same run by the 128-point matmul flux of `step_reference`, which
+    the test binds into the march on both branches."""
 
     # The routes agree to round-off: measured, every column within 1.6e-15
     # of its largest magnitude and every fitted rate within 4.4e-16
@@ -816,19 +828,21 @@ class TestRouteOracle:
     RATE_RTOL = 1e-12
 
     @staticmethod
-    def run_decay(directory, monkeypatch, max_points):
-        """The routes `evolve` took, the CSV columns and the decay fits of
-        `gg run configs/decay.yaml` with `MATMUL_MAX_POINTS = max_points`."""
+    def run_decay(directory, monkeypatch, matmul):
+        """The routes the march's fluxes took, the CSV columns and the decay
+        fits of `gg run configs/decay.yaml`, by the matmul flux if
+        `matmul`."""
         routes = []
 
-        def recorded(grid):
-            transforms = model.flux_transforms(grid)
-            routes.append("fft" if transforms is None else "matmul")
-            return transforms
+        def recorded(shape, grid, mix):
+            routes.append("matmul" if matmul else "fft")
+            return (step_reference.bind_matmul_flux if matmul
+                    else model._bind_flux)(shape, grid, mix)
         directory.mkdir()
         with monkeypatch.context() as patch:
-            patch.setattr(model, "MATMUL_MAX_POINTS", max_points)
-            patch.setattr(integrator, "flux_transforms", recorded)
+            patch.setattr(integrator, "_bind_flux", recorded)
+            if matmul:  # the matmul flux transforms both branches
+                patch.setattr(integrator, "_branches", lambda mix: 2)
             assert cli.main(
                 ["run", tiny_config(directory, "decay.yaml", 128)]) == 0
         with open(directory / "decay.csv", newline="", encoding="utf-8") as fh:
@@ -840,9 +854,9 @@ class TestRouteOracle:
     def test_fft_route_matches_the_matmul_route_within_bound(
             self, tmp_path, monkeypatch):
         routes, got, got_fits = self.run_decay(
-            tmp_path / "fft", monkeypatch, model.MATMUL_MAX_POINTS)
+            tmp_path / "fft", monkeypatch, False)
         oracle, want, want_fits = self.run_decay(
-            tmp_path / "matmul", monkeypatch, 128)
+            tmp_path / "matmul", monkeypatch, True)
         assert (routes, oracle) == (["fft"], ["matmul"])
         assert list(got) == list(want)
         assert len(got["t"]) == 51

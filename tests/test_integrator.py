@@ -105,8 +105,8 @@ class TestLinearEvolution:
     def test_one_linear_step_is_exact_exponential(self, grid64, coeffs_coupled,
                                                   monkeypatch):
         # a zero flux leaves the linear part of the step alone
-        monkeypatch.setattr(ti, "_bind_flux", lambda shape, grid, mix,
-                            transforms: lambda w, out: out.fill(0.0))
+        monkeypatch.setattr(ti, "_bind_flux", lambda shape, grid, mix:
+                            lambda w, out: out.fill(0.0))
         st = random_state(grid64)
         dt = 1e-3
         stepped = ti.evolve([st], [coeffs_coupled], dt,
@@ -421,8 +421,8 @@ def ensembles(draw, sizes=(16, 32, 64), max_members=4):
 
 def count_fft_calls(monkeypatch) -> dict:
     """Counts of pocketfft's rfft and irfft calls from here on: the gufuncs
-    that `model._bind_flux` binds on its FFT route, and that numpy's rfft
-    and irfft call, patched where a flux bound from here on looks them up."""
+    that `model._bind_flux` binds, and that numpy's rfft and irfft call,
+    patched where a flux bound from here on looks them up."""
     pocketfft = np.fft._pocketfft_umath
     calls = {"rfft": 0, "irfft": 0}
     for name, attr in (("rfft", "rfft_n_even"), ("irfft", "irfft")):
@@ -438,7 +438,7 @@ def count_fft_calls(monkeypatch) -> dict:
 class TestEnsembleOracle:
     """The batched march against lone marches and the serial reference."""
 
-    # a mixed ensemble on the FFT route: its uncoupled member reads w-, so
+    # a mixed ensemble at 128 points: its uncoupled member reads w-, so
     # the coupled one marches both branches, and alone w+ only
     @example([(random_smooth_state(sp.make_grid(128), seed=i, amplitude=0.5),
                c) for i, c in enumerate((COUPLED, UNCOUPLED))])
@@ -461,10 +461,9 @@ class TestEnsembleOracle:
         assert_ensemble_near_reference(members)
 
     @settings(max_examples=10, deadline=None)
-    @given(ensembles(sizes=(model.MATMUL_MAX_POINTS + 2, 128, 256)))
+    @given(ensembles(sizes=(98, 128, 256)))
     def test_fft_route_matches_serial_reference_within_bound(self, members):
-        # grids above the matmul route's threshold, and 128, the grid of
-        # configs/decay.yaml
+        # larger grids, and 128, the grid of configs/decay.yaml
         assert_ensemble_near_reference(members)
 
     @settings(max_examples=25, deadline=None)
@@ -483,11 +482,16 @@ class TestEnsembleOracle:
                 assert coeffs[0] == 0.0
                 assert not np.any(coeffs[kept:])
 
-    @pytest.mark.parametrize("n_members", [1, 3, 5])
-    def test_one_step_is_one_fft_pair_per_stage(self, monkeypatch,
-                                                coeffs_coupled, n_members):
-        # the smallest grid above the matmul route's threshold
-        grid = sp.make_grid(model.MATMUL_MAX_POINTS + 2)
+    # Ensembles whose members times n^2 exceed 8 x 96^2, beside small ones
+    # at 64 points (the grid of configs/sweep_linear.yaml) and at 98: the
+    # step is one batched FFT pair per stage, however many members share it.
+    LARGE_ENSEMBLES = [(64, 33), (96, 9)]
+
+    @pytest.mark.parametrize("n_points, n_members", [
+        (n, p) for n in (64, 98) for p in (1, 3, 5)] + LARGE_ENSEMBLES)
+    def test_one_step_is_one_fft_pair_per_stage(
+            self, monkeypatch, coeffs_coupled, n_points, n_members):
+        grid = sp.make_grid(n_points)
         states = [random_smooth_state(grid, seed=i, amplitude=0.3)
                   for i in range(n_members)]
         calls = count_fft_calls(monkeypatch)
@@ -532,44 +536,6 @@ class TestEnsembleOracle:
                     getattr(series.meta["final_state"], name).coeffs,
                     getattr(alone.meta["final_state"], name).coeffs)
 
-    @pytest.mark.parametrize("n_members", [1, 3, 5])
-    def test_one_step_is_one_matmul_pair_per_stage_on_small_grids(
-            self, monkeypatch, grid64, coeffs_coupled, n_members):
-        states = [random_smooth_state(grid64, seed=i, amplitude=0.3)
-                  for i in range(n_members)]
-        calls = count_fft_calls(monkeypatch)
-        calls.update(synth=0, anal=0)
-
-        def counted(matrix, name):
-            class Counted(np.ndarray):
-                def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-                    calls[name] += ufunc is np.matmul
-                    return getattr(ufunc, method)(
-                        *(np.asarray(x) for x in inputs), **kwargs)
-            return matrix.view(Counted)
-
-        monkeypatch.setattr(
-            ti, "flux_transforms", lambda grid: tuple(
-                counted(matrix, name) for matrix, name in zip(
-                    model.flux_transforms(grid), ("synth", "anal"))))
-        ti.evolve(states, [coeffs_coupled] * n_members, 1e-3, 1e-3)
-        assert calls == {"rfft": 0, "irfft": 0, "synth": 4, "anal": 4}
-
-    # Ensembles whose members times n^2 exceed 8 x MATMUL_MAX_POINTS^2,
-    # where a route chosen by load would leave the matmuls: the grid alone
-    # picks it.
-    LARGE_ENSEMBLES = [(64, 33), (model.MATMUL_MAX_POINTS, 9)]
-
-    @pytest.mark.parametrize("n_points, n_members", LARGE_ENSEMBLES)
-    def test_large_ensemble_on_a_small_grid_makes_no_fft_call(
-            self, monkeypatch, coeffs_coupled, n_points, n_members):
-        grid = sp.make_grid(n_points)
-        states = [random_smooth_state(grid, seed=i, amplitude=0.3)
-                  for i in range(n_members)]
-        calls = count_fft_calls(monkeypatch)
-        ti.evolve(states, [coeffs_coupled] * n_members, 1e-3, 1e-3)
-        assert calls == {"rfft": 0, "irfft": 0}
-
     @pytest.mark.parametrize("n_points, n_members", LARGE_ENSEMBLES)
     def test_large_ensemble_members_equal_lone_marches_bitwise(
             self, coeffs_coupled, coeffs_uncoupled, n_points, n_members):
@@ -591,9 +557,8 @@ class TestEnsembleOracle:
 
     def test_decay_sweep_members_equal_lone_marches_bitwise(self):
         # the ensemble of `gg sweep configs/decay.yaml --axis
-        # k=0.25,0.5,1.0`, on the FFT route its 128-point grid takes
+        # k=0.25,0.5,1.0`, on its 128-point grid
         cfg = load_config(str(ROOT / "configs/decay.yaml"))
-        assert model.flux_transforms(sp.make_grid(cfg.n_points)) is None
         state = build_initial_state(cfg)
         coeffs = [model.validate_coefficients(replace(cfg.coefficients, k=k))
                   for k in (0.25, 0.5, 1.0)]
@@ -651,30 +616,27 @@ class TestInPlaceStep:
     @given(st.integers(4, 128).map(lambda half: sp.make_grid(2 * half))
            .flatmap(lambda grid: st.lists(ensemble_member(grid), min_size=1,
                                           max_size=5)),
-           st.booleans(), st.sampled_from([1e-3, 1e-2]))
-    def test_in_place_step_equals_the_allocating_step(self, members, fft,
-                                                      dt):
+           st.sampled_from([1e-3, 1e-2]))
+    def test_in_place_step_equals_the_allocating_step(self, members, dt):
         grid = members[0][0].grid
         kept = grid.dealias_cutoff + 1
         tables = tuple(np.stack([ti.build_tables(grid, c, dt)
                                  for _, c in members], axis=1))
         mix = np.stack([model.eigen_mixing(s, c) for s, c in members])
-        transforms = None if fft else model.flux_transforms(grid)
         want = model._rotate(np.stack([
             np.stack([s.u.coeffs[:kept], s.v.coeffs[:kept]])
             for s, _ in members]))
         w, unbound = want.copy(), want.copy()
-        step = ti._bind_step(w, tables, mix, grid, transforms)
+        step = ti._bind_step(w, tables, mix, grid)
         stages = np.empty((9,) + unbound.shape, dtype=np.complex128)
         for _ in range(2):  # the second step reuses every stage
-            want = step_reference.step(want, tables, mix, grid, transforms)
+            want = step_reference.step(want, tables, mix, grid)
             step()
             np.testing.assert_array_equal(w, want)
-            step_reference.in_place_step(unbound, tables, mix, grid,
-                                         transforms, stages)
+            step_reference.in_place_step(unbound, tables, mix, grid, stages)
             np.testing.assert_array_equal(unbound, want)
 
-    @pytest.mark.parametrize("n_points", [64, 128])  # matmul, FFT route
+    @pytest.mark.parametrize("n_points", [64, 128])
     @pytest.mark.parametrize("n_members", [1, 3])
     def test_no_input_of_a_step_overlaps_its_output_but_in_place(
             self, monkeypatch, coeffs_coupled, n_points, n_members):
@@ -691,7 +653,6 @@ class TestInPlaceStep:
                                 * n_members, axis=1))
         mix = np.stack([model.eigen_mixing(s, coeffs_coupled)
                         for s in states])
-        transforms = model.flux_transforms(grid)
         calls = dict.fromkeys(("add", "multiply", "subtract", "matmul",
                                "irfft", "rfft_n_even"), 0)
         overlaps = []
@@ -717,11 +678,10 @@ class TestInPlaceStep:
             for name in names:
                 monkeypatch.setattr(module, name,
                                     guarded(name, getattr(module, name)))
-        step = ti._bind_step(w, tables, mix, grid, transforms)
+        step = ti._bind_step(w, tables, mix, grid)
         step()
-        fft = 0 if transforms else 4
         assert (calls["matmul"], calls["irfft"],
-                calls["rfft_n_even"]) == (12 - 2 * fft, fft, fft)
+                calls["rfft_n_even"]) == (4, 4, 4)
         assert overlaps == []
 
     def test_a_march_binds_one_step_per_ensemble(
@@ -873,25 +833,21 @@ class TestLinearMinusBranch:
                         for s, c in zip(states, coeffs)])
         return grid, w, tables, mix
 
-    def march(self, w, tables, mix, grid, transforms):
+    def march(self, w, tables, mix, grid):
         """w marched N_STEPS in place, and w multiplied N_STEPS times by
         exp_full, whole, as the step multiplies it."""
         linear = w.copy()
-        step = ti._bind_step(w, tables, mix, grid, transforms)
+        step = ti._bind_step(w, tables, mix, grid)
         for _ in range(self.N_STEPS):
             step()
             np.multiply(tables[0], linear, linear)
         return linear
 
-    # both routes: the matmul route transforms both branches, and its F-
-    # is exactly zero too
-    @pytest.mark.parametrize("n_points", [64, model.MATMUL_MAX_POINTS + 2,
-                                          128, 256])
+    @pytest.mark.parametrize("n_points", [64, 98, 128, 256])
     def test_w_minus_is_exp_full_applied_n_times_bitwise(self, n_points):
         grid, w, tables, mix = self.coupled_ensemble(n_points)
-        transforms = model.flux_transforms(grid)
-        assert model._branches(mix, transforms) == (2 if transforms else 1)
-        linear = self.march(w, tables, mix, grid, transforms)
+        assert model._branches(mix) == 1
+        linear = self.march(w, tables, mix, grid)
         np.testing.assert_array_equal(w[:, 1], linear[:, 1])
         assert not np.array_equal(w[:, 0], linear[:, 0])  # w+ is not linear
 
@@ -903,8 +859,8 @@ class TestLinearMinusBranch:
         calm = self.coupled_ensemble(128)[1]
         with np.errstate(over="ignore", invalid="ignore"):
             assert not np.isfinite(
-                step_reference.step(w, tables, mix, grid, None)).all()
-            linear = self.march(w, tables, mix, grid, None)
-            self.march(calm, tables, mix, grid, None)
+                step_reference.step(w, tables, mix, grid)).all()
+            linear = self.march(w, tables, mix, grid)
+            self.march(calm, tables, mix, grid)
         np.testing.assert_array_equal(w[:, 1], linear[:, 1])
         np.testing.assert_array_equal(w[:, 0], calm[:, 0])

@@ -301,7 +301,7 @@ def term_member(draw, grid):
 
 def flux_of(w, mix, grid, transforms=None):
     """The flux of `w` into a new array, by `model.nonlinear_remainder` or,
-    given `transforms`, by `model._bind_flux` on the matmul route."""
+    given `transforms`, by the bound matmul flux of `step_reference`."""
     return step_reference.bound_remainder(w, mix, grid, np.empty_like(w),
                                           transforms)
 
@@ -341,7 +341,7 @@ class TestNonlinearRemainder:
 
 
 class TestFluxTransforms:
-    """The matmul route of the flux against its FFT route."""
+    """The matmul route of `step_reference` against the flux's FFT route."""
 
     # Each matmul entry sums n (analysis) or 2 kept (synthesis) products,
     # so the two routes may differ by FLUX_ULPS * eps * n * max|flux|, with
@@ -350,7 +350,7 @@ class TestFluxTransforms:
     FLUX_ULPS = 1.0
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(4, model.MATMUL_MAX_POINTS // 2)
+    @given(st.integers(4, 48)
            .map(lambda half: sp.make_grid(2 * half))
            .flatmap(lambda grid: st.lists(term_member(grid), min_size=1,
                                           max_size=5)))
@@ -360,7 +360,7 @@ class TestFluxTransforms:
         w = np.stack([model._rotate(np.stack([s.u.coeffs, s.v.coeffs])
                                     [:, :kept]) for s, _ in members])
         mix = np.stack([model.eigen_mixing(s, c) for s, c in members])
-        transforms = model.flux_transforms(grid)
+        transforms = step_reference.flux_transforms(grid)
         got = flux_of(w, mix, grid, transforms)
         want = flux_of(w, mix, grid)
         p, m = np.moveaxis(np.fft.irfft(w, n=grid.n_points, norm="forward"),
@@ -384,7 +384,7 @@ class TestFluxTransforms:
 
     def test_entries_match_the_exact_dft(self):
         two_pi = 2.0 * np.arccos(np.longdouble(-1.0))
-        for n in range(8, model.MATMUL_MAX_POINTS + 1, 2):
+        for n in range(8, 97, 2):
             grid = sp.make_grid(n)
             kept = grid.dealias_cutoff + 1
             theta = two_pi * np.outer(np.arange(kept), np.arange(n)) / n
@@ -393,25 +393,19 @@ class TestFluxTransforms:
             want_synth = np.stack([2 * cos, -2 * sin], axis=1)
             want_synth[0] = [[1.0], [0.0]]
             want_anal = np.stack([cos.T, -sin.T], axis=-1)
-            synth, anal = model.flux_transforms(grid)
+            synth, anal = step_reference.flux_transforms(grid)
             tol = self.ENTRY_ULPS * np.finfo(float).eps
             assert np.all(np.abs(synth - want_synth.reshape(2 * kept, n))
                           <= tol)
             assert np.all(np.abs(n * anal - want_anal.reshape(n, 2 * kept))
                           <= tol)
 
-    def test_no_matrices_above_the_threshold(self):
-        assert model.flux_transforms(
-            sp.make_grid(model.MATMUL_MAX_POINTS)) is not None
-        assert model.flux_transforms(
-            sp.make_grid(model.MATMUL_MAX_POINTS + 2)) is None
-
 
 class TestBoundFlux:
-    """A flux `_bind_flux` binds per call (on the FFT route,
-    `nonlinear_remainder`), and one it binds and reuses, against the
-    allocating flux of `step_reference`, which calls the public `np.fft`,
-    bitwise, on both routes and on grids of up to 512 points."""
+    """A flux `_bind_flux` binds per call (`nonlinear_remainder`), and one
+    it binds and reuses, against the allocating flux of `step_reference`,
+    which calls the public `np.fft`, bitwise, on grids of up to 512 points;
+    and the same for the matmul route of `step_reference`."""
 
     @settings(max_examples=60, deadline=None)
     @given(grid=st.integers(4, 256).map(lambda half: sp.make_grid(2 * half)),
@@ -428,12 +422,12 @@ class TestBoundFlux:
         for i, value in enumerate(poison[:n_members]):
             if value is not None:  # a member holding inf or NaN
                 w[i, rng.integers(2), rng.integers(kept)] = value
-        # above MATMUL_MAX_POINTS there are no matrices: the FFT route
-        transforms = model.flux_transforms(grid) if matmul else None
-        flux = model._bind_flux(w.shape, grid, mix, transforms)
+        # the matmul oracle on the grids its route once marched, FFT above
+        transforms = (step_reference.flux_transforms(grid)
+                      if matmul and grid.n_points <= 96 else None)
+        flux = (model._bind_flux if transforms is None
+                else step_reference.bind_matmul_flux)(w.shape, grid, mix)
         first, second = np.empty((2,) + w.shape, dtype=np.complex128)
-        view = ((lambda x: x) if transforms is None
-                else (lambda x: x.view(np.float64)))
         with np.errstate(all="ignore"):
             want = step_reference.nonlinear_remainder(w, mix, grid,
                                                       transforms)
@@ -441,8 +435,8 @@ class TestBoundFlux:
                 flux_of(w, mix, grid, transforms), want)
             # one bound flux, its buffers reused: as in a step, one
             # stage's flux is the next call's input
-            flux(view(w), view(first))
-            flux(view(first), view(second))
+            flux(w, first)
+            flux(first, second)
             np.testing.assert_array_equal(first, want)
             np.testing.assert_array_equal(
                 second, step_reference.nonlinear_remainder(want, mix, grid,
@@ -478,12 +472,11 @@ def two_branch_flux(w, mix, grid):
 
 class TestOneBranchFlux:
     """Where `mix` reads neither w- nor F- (a1 = a2 = 1, zero means), the
-    FFT route transforms w+ alone, bitwise the two-branch flux; every other
-    mix keeps both branches."""
+    flux transforms w+ alone, bitwise the two-branch flux; every other mix
+    keeps both branches."""
 
-    # 98 points is the smallest grid on the FFT route
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from((98, 128, 256)).map(sp.make_grid).flatmap(
+    @given(st.sampled_from((64, 98, 128, 256)).map(sp.make_grid).flatmap(
         lambda grid: st.lists(coupled_member(grid), min_size=1,
                               max_size=5)))
     def test_one_branch_flux_equals_the_two_branch_flux_bitwise(
@@ -534,9 +527,6 @@ class TestOneBranchFlux:
         grid = sp.make_grid(128)
         state = random_smooth_state(grid, seed=4, amplitude=0.5)
         w, mix = eigen_members([(state, COUPLED)] * 2)
-        # the matmul route keeps both, whatever the mix
-        assert model._branches(mix, model.flux_transforms(
-            sp.make_grid(model.MATMUL_MAX_POINTS))) == 2
         # the F- row and the mm, pm and m columns of F+, in either member
         for index in [(1, 1, j) for j in range(5)] + [(0, 0, 1), (0, 0, 2),
                                                      (0, 0, 4)]:
