@@ -8,8 +8,8 @@ import pytest
 import yaml
 
 from ggkdv import cli
-from ggkdv.config import load_config
-from ggkdv.model import validate_coefficients
+from ggkdv.config import build_initial_state, load_config
+from ggkdv.model import _branches, eigen_mixing, validate_coefficients
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
@@ -23,6 +23,20 @@ def test_configs_are_shipped():
 def test_shipped_config_loads(path):
     cfg = load_config(str(path))
     validate_coefficients(cfg.coefficients)
+
+
+# The eigenbranches each shipped config's flux transforms: one where w- is
+# an exactly linear mode (a1 = a2 = 1, zero means), so round-off that flips
+# one to two fails here by name.
+ROUTES = {"decay.yaml": 1, "sweep_linear.yaml": 1, "verify.yaml": 1}
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_takes_its_route(path):
+    cfg = load_config(str(path))
+    mix = eigen_mixing(build_initial_state(cfg),
+                       validate_coefficients(cfg.coefficients))
+    assert _branches(mix) == ROUTES[path.name]
 
 
 def test_readme_paths_exist():
