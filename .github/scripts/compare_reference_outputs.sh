@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Run the six reference commands from two source trees and compare what
+# Run the seven reference commands from two source trees and compare what
 # they leave: every CSV, JSON and SVG they write, their stdout, stderr and
 # exit code.
 #
@@ -21,12 +21,14 @@ head=$(cd "$2" && pwd) || exit 2
 work=$3
 mkdir -p "$(dirname "$work")" && mkdir "$work" || exit 2
 
-# the sweeps of sweep_linear.yaml march 64-point ensembles, by the FFT route,
-# and the sweeps of decay.yaml 128-point ones, by the same route: over k
-# every member is coupled (a1 = a2 = 1) and only w+ is transformed,
-# over (a1, a2) on the a3 = 0 circle the members mix and both branches are
-# transformed
-names=(run verify sweep-k sweep-k-a3 sweep-decay-k sweep-decay-mixed)
+# the sweeps of sweep_linear.yaml march 64-point ensembles, and the sweeps
+# of decay.yaml 128-point ones: over k every member is coupled (a1 = a2 = 1)
+# and only w+ is transformed, over (a1, a2) on the a3 = 0 circle the
+# members mix and both branches are transformed. Over the amplitude the
+# third member blows up at t = 0.006, with its t = 0 sample still pending:
+# the march drops it, rebinds for two members, and the sweep exits 3
+names=(run verify sweep-k sweep-k-a3 sweep-decay-k sweep-decay-mixed
+       sweep-decay-blowup)
 commands=(
   "run configs/decay.yaml"
   "verify configs/verify.yaml"
@@ -34,6 +36,7 @@ commands=(
   "sweep configs/sweep_linear.yaml --axis k=0.25,0.5,0.75,1.0,1.25 --axis a3=0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8"
   "sweep configs/decay.yaml --axis k=0.25,0.5,1.0"
   "sweep configs/decay.yaml --axis a3=0 --axis a1=0,1 --axis a2=0,1"
+  "sweep configs/decay.yaml --axis amplitude=0.5,20,500"
 )
 
 for side in base head; do

@@ -37,8 +37,8 @@ from .config import (MAX_BATTERY_POINTS, MAX_POINT_STEPS, ConfigError,
 from .identities import ZERO_MEAN_CHECKS, check_identities
 from .integrator import OBSERVE_BLOCK, BlowUpError, DiagnosticSeries, evolve
 from .model import (CoefficientError, SimState, ValidatedCoefficients,
-                    random_smooth_field, random_smooth_state, scale_state,
-                    validate_coefficients)
+                    check_coefficients, random_smooth_field,
+                    random_smooth_state, scale_state, validate_coefficients)
 from .spectral import make_grid
 from .verification import (check_poincare_holder, fit_decay_rate,
                            observe_states, product_bound_violations)
@@ -525,22 +525,28 @@ def _parse_axes(axis_args: list) -> dict:
     return axes
 
 
+def _sweep_points(cfg: ExperimentConfig, axes: dict):
+    """Each sweep point, the first axis outermost, and its gated config."""
+    for values in itertools.product(*axes.values()):
+        point = dict(zip(axes, values))
+        point_cfg = apply_overrides(cfg, point)
+        bad = check_coefficients(point_cfg.coefficients)
+        if bad:
+            raise ConfigError(f"sweep point {point} violates: " + ", ".join(
+                v.constraint for v in bad))
+        yield point, point_cfg
+
+
 def cmd_sweep(cfg: ExperimentConfig, axis_args: list) -> tuple:
     axes = _parse_axes(axis_args)
-    points = [dict(zip(axes, values))  # the first axis outermost
-              for values in itertools.product(*axes.values())]
     c = validate_coefficients(cfg.coefficients)  # the summary reports it
-    prepared = []
-    for point in points:
-        try:
-            prepared.append(_prepare(apply_overrides(cfg, point), False))
-        except CoefficientError as exc:
-            raise ConfigError(f"sweep point {point} violates: " + ", ".join(
-                v.constraint for v in exc.violations)) from None
-    work = sum(p.cfg.t_final / p.dt * p.cfg.n_points for p in prepared)
+    work = sum(point_cfg.t_final / point_cfg.resolved_dt() * point_cfg.n_points
+               for _, point_cfg in _sweep_points(cfg, axes))
     if work >= MAX_POINT_STEPS:
         raise ConfigError(f"the --axis points take {work:.3g} point-steps; "
                           f"a sweep takes fewer than {MAX_POINT_STEPS:.0e}")
+    points, prepared = zip(*[(point, _prepare(point_cfg, False))
+                             for point, point_cfg in _sweep_points(cfg, axes)])
 
     rows, blow_ups, reasons = [], [], []
     for point, p, result in zip(points, prepared, run_experiment(prepared)):

@@ -9,33 +9,30 @@ rule on an entire function is exact to machine precision. The mean-advection
 terms are folded into the nonlinear remainder, so tables depend only on
 (grid, a3, k, dt).
 
-The march never leaves the eigenbasis: `model._bind_flux`, the body of
+The march never leaves the eigenbasis. `model._bind_flux`, the body of
 `model.nonlinear_remainder`, mixes the products of w+ and w- in physical
-space by the per-member matrix of `model.eigen_mixing`, and moves between
-modes and grid by pocketfft's irfft and rfft gufuncs, bound once, on w+
-alone where no member's mix reads w- (a1 = a2 = 1, zero means: F- is
-exactly zero, and w- marches as the exact exp_full w-). `evolve` builds
-its tables once per march, and one step bound to them (`_bind_step`): a
-closure that does every stage in place, in its own buffers, with every
-operand a local, so a step makes no array; one np.errstate spans the march.
-State and tables hold only the kept modes 0..dealias_cutoff, since the
-dealiased nonlinear term is zero above the cutoff and so is the truncated
-initial state; the observer gets the state rotated back to (u, v) and padded to
-the full rfft length. The tables fold in the -i omega of the flux's derivative,
-and the 2 the final combination puts on w2. At mode 0 the six rows are exactly
-(1, 1, 0, 0, 0, 0), so a step keeps each zero mean exactly; `evolve` checks the
-mean at each sampled state and raises if it ever drifts.
+space by the per-member matrix of `model.eigen_mixing`; it picks the
+branches it transforms (w+ alone where no member's mix reads w-) and zeroes
+the F- rows it skips. `evolve` builds its tables once per march, and one
+step bound to them (`_bind_step`): a closure that does every stage in place,
+in its own buffers, through fluxes bound to each stage's rows, so a step
+makes no array; one np.errstate spans the march. State and tables hold only
+the kept modes 0..dealias_cutoff, since the dealiased nonlinear term is zero
+above the cutoff. The tables fold in the -i omega of the flux's derivative,
+and the 2 the final combination puts on w2. At mode 0 the six rows are
+exactly (1, 1, 0, 0, 0, 0), so a step keeps each zero mean exactly; `evolve`
+checks the means of each sampled stack and raises if one ever drifts.
 
 `evolve` marches an ensemble: P members that share grid, dt, span and stride,
 each with its own coefficients and means. The state carries a member axis,
-(P, 2, kept), and so do the tables, stacked to (6, P, 2, kept). Each stage
-makes one batched synthesis and one batched analysis for the ensemble;
-numpy's batched transforms and stacked matmuls give every member bitwise
-what a lone call gives, and one branch or two give F+ the same bits, so
-each member is bitwise its lone march. A member that turns non-finite
-leaves the ensemble with its own BlowUpError; the others march on
-unchanged. The observer gets each member's sampled states a block of
-OBSERVE_BLOCK at a time, to evaluate as a stack.
+(P, 2, kept), and so do the tables, stacked to (6, P, 2, kept). Numpy's
+batched transforms and stacked matmuls give every member bitwise what a lone
+call gives, and one branch or two give F+ the same bits, so each member is
+bitwise its lone march. A member that turns non-finite leaves the ensemble
+with its own BlowUpError; the others march on unchanged. The live members
+are sampled at the same steps, as one (u, v) stack padded to the full rfft
+length, at t = 0 the initial kept modes; a member's SimStates are made only
+as the observer gets them, OBSERVE_BLOCK at a time.
 
 `step_count` is the one rule by which dt and stride tile a span: `evolve`
 applies it to every march, and `config.ExperimentConfig.resolved_dt` to the
@@ -48,10 +45,10 @@ import math
 
 import numpy as np
 
-from .model import (CoefficientError, SimState, ValidatedCoefficients,
-                    Violation, _bind_flux, _branches, _dealiased_ddx,
-                    _rotate, eigen_mixing, linear_rates)
-from .spectral import GridSpec, SpectralField, truncate
+from .model import (CoefficientError, ValidatedCoefficients, Violation,
+                    _bind_flux, _dealiased_ddx, _rotate, eigen_mixing,
+                    linear_rates)
+from .spectral import GridSpec, SpectralField
 
 N_CONTOUR = 32  # trapezoid points on each circle of `contour_phi_means`
 # Sampled states of a member that the observer gets at once: a stack holds its
@@ -126,29 +123,25 @@ def step_count(span: float, dt: float, stride: int) -> int:
 def _bind_step(w: np.ndarray, tables, mix: np.ndarray, grid: GridSpec):
     """One ETDRK4 step of the (P, 2, kept) state `w`, in place through nine
     stages of its own, as a callable of no arguments: bitwise a step by new
-    arrays, by the same association. Every table row, stage, flux operand
+    arrays, by the same association. Every table row, stage, bound flux
     and ufunc is a local of the callable, and every `out` is positional."""
     exp_full, exp_half, q, w1, w2x2, w3 = tables
     stages = np.empty((9,) + w.shape, dtype=np.complex128)
-    flux = _bind_flux(w.shape, grid, mix)
-    branches = _branches(mix)
-    stages[:4, ..., branches:, :] = 0.0  # the F- rows the flux skips
     n0, na, nb, nc, a, b, c, half, s = stages
-    # the flux's operands: the rows of its branches
-    fw, fn0, fna, fnb, fnc, fa, fb, fc = (
-        x[..., :branches, :] for x in (w, n0, na, nb, nc, a, b, c))
+    flux_w, flux_a, flux_b, flux_c = _bind_flux(
+        grid, mix, (w, n0), (a, na), (b, nb), (c, nc))
     add, multiply, subtract = np.add, np.multiply, np.subtract
 
     def step() -> None:
-        flux(fw, fn0)
+        flux_w()
         multiply(exp_half, w, half)
         add(half, multiply(q, n0, a), a)  # half + q n0
-        flux(fa, fna)
+        flux_a()
         add(half, multiply(q, na, b), b)  # half + q na
-        flux(fb, fnb)
+        flux_b()
         multiply(q, subtract(multiply(2.0, nb, s), n0, s), s)
         add(multiply(exp_half, a, c), s, c)  # + q (2 nb - n0)
-        flux(fc, fnc)
+        flux_c()
         # ((exp_full w + w1 n0) + w2x2 (na + nb)) + w3 nc
         add(multiply(exp_full, w, w), multiply(w1, n0, s), w)
         add(w, multiply(w2x2, add(na, nb, s), s), w)
@@ -195,10 +188,10 @@ def evolve(states, coeffs, t_final: float, dt: float, observer=None,
     one dict of named floats per state, that state's row (empty without an
     observer). It gets a member's states OBSERVE_BLOCK at a time as the
     march makes them and the rest after it, always under the caller's error
-    state; the mean drift is checked at each state as it is made. A member
-    whose state first turns non-finite leaves the ensemble with a
-    BlowUpError naming that time, its unobserved states dropped; the others
-    march on unchanged. Each member's final state is in its series'
+    state; the means are checked at each sampled step. A member whose state
+    first turns non-finite leaves the ensemble with a BlowUpError naming
+    that time, its unobserved states dropped; the others march on
+    unchanged. Each member's last sampled state is its series'
     meta["final_state"]. Raises ValueError when dt and stride do not tile
     the span (`step_count`).
     """
@@ -214,44 +207,49 @@ def evolve(states, coeffs, t_final: float, dt: float, observer=None,
     # unpacked once into its six rows, not on every step
     tables = tuple(np.stack([build_tables(grid, c, dt) for c in coeffs],
                             axis=1))
-    n_members = len(states)
-    times = [[] for _ in range(n_members)]
+    n_members, kept = len(states), grid.dealias_cutoff + 1
+    live = np.arange(n_members)  # member index of each row of w
+    times, pending = [], []  # each sampled t; (t, uv) stacks not observed
     rows = [[] for _ in range(n_members)]
-    pending = [[] for _ in range(n_members)]  # sampled, not yet observed
-    drift_max = [0.0] * n_members
-    current = [SimState(u=truncate(st.u), v=truncate(st.v), t=t0,
-                        mean_u=st.mean_u, mean_v=st.mean_v) for st in states]
+    drift_max = np.zeros(n_members)
     outcome = [None] * n_members
     member_steps = 0
     caller = np.geterr()
 
-    def flush(i: int):
-        block, pending[i] = pending[i], []
-        if observer is None:
-            rows[i] += [{} for _ in block]
-        else:
-            with np.errstate(**caller):  # not the march's
-                rows[i] += observer(i, block)
-        times[i] += [st.t for st in block]
+    def sample(t: float, uv: np.ndarray):
+        """Hold the live members' (u, v) stack at t, if no mean drifted."""
+        drift = np.abs(uv[..., 0]).max(axis=1)
+        over = drift[drift > 1e-14]
+        if over.size:
+            raise RuntimeError(f"mean drifted to {over[0]:.3e} at t = {t}")
+        drift_max[live] = np.maximum(drift_max[live], drift)
+        times.append(t)
+        pending.append((t, uv))
 
-    def sample(i: int, st: SimState):
-        drift = max(abs(st.u.coeffs[0]), abs(st.v.coeffs[0]))
-        drift_max[i] = max(drift_max[i], drift)
-        if drift > 1e-14:
-            raise RuntimeError(f"mean drifted to {drift:.3e} at t = {st.t}")
-        pending[i].append(st)
-        if len(pending[i]) == OBSERVE_BLOCK:
-            flush(i)
+    def observe() -> list:
+        """Hand each live member its pending states; the last of each."""
+        last = []
+        for row, i in enumerate(live.tolist()):
+            block = [replace(states[i], t=t, u=SpectralField(grid, uv[row, 0]),
+                             v=SpectralField(grid, uv[row, 1]))
+                     for t, uv in pending]
+            if observer is None:
+                rows[i] += [{} for _ in block]
+            else:
+                with np.errstate(**caller):  # not the march's
+                    rows[i] += observer(i, block)
+            last.append(block[-1])
+        pending.clear()
+        return last
 
-    for i, st in enumerate(current):
-        sample(i, st)
-    live = np.arange(n_members)  # member index of each row of w
-    kept = grid.dealias_cutoff + 1
+    uv = np.zeros((n_members, 2, grid.n_coeffs), np.complex128)
+    uv[..., :kept] = [(st.u.coeffs[:kept], st.v.coeffs[:kept])
+                      for st in states]
+    sample(t0, uv)
     # overflow is diagnosed via the finiteness check, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
         mix = np.stack([eigen_mixing(st, c) for st, c in zip(states, coeffs)])
-        w = _rotate(np.array([(st.u.coeffs[:kept], st.v.coeffs[:kept])
-                              for st in current]))
+        w = _rotate(uv[..., :kept])
         step = _bind_step(w, tables, mix, grid)
         # a finite sum proves every entry finite; only a non-finite one (an
         # overflow of finite entries included) needs the exact test
@@ -263,10 +261,11 @@ def evolve(states, coeffs, t_final: float, dt: float, observer=None,
             if not math.isfinite(total(flat)):
                 finite = np.isfinite(w).all(axis=(1, 2))
                 for i in live[~finite].tolist():
-                    outcome[i], pending[i] = BlowUpError(t_now), []
+                    outcome[i] = BlowUpError(t_now)
                 live, w = live[finite], w[finite]
                 if not live.size:
                     break
+                pending[:] = [(t, uv[finite]) for t, uv in pending]
                 tables = tuple(row[finite] for row in tables)
                 mix = mix[finite]
                 step = _bind_step(w, tables, mix, grid)
@@ -274,20 +273,16 @@ def evolve(states, coeffs, t_final: float, dt: float, observer=None,
             if n % stride == 0:
                 uv = np.zeros((live.size, 2, grid.n_coeffs), np.complex128)
                 uv[..., :kept] = _rotate(w)
-                for row, i in enumerate(live.tolist()):
-                    current[i] = replace(current[i], t=t_now,
-                                         u=SpectralField(grid, uv[row, 0]),
-                                         v=SpectralField(grid, uv[row, 1]))
-                    sample(i, current[i])
+                sample(t_now, uv)
+                # the last block waits, to give each member its final state
+                if len(pending) == OBSERVE_BLOCK and n < n_steps:
+                    observe()
 
-    for i in live.tolist():
-        if pending[i]:
-            flush(i)
-        keys = list(rows[i][0].keys())
+    for i, final in zip(live.tolist(), observe()):
         outcome[i] = DiagnosticSeries(
-            t=np.array(times[i]),
-            columns={key: np.array([row[key] for row in rows[i]])
-                     for key in keys},
-            meta={"final_state": current[i], "dt": dt, "stride": stride,
-                  "n_steps": n_steps, "max_mean_drift": drift_max[i]})
+            t=np.array(times), columns={
+                key: np.array([row[key] for row in rows[i]])
+                for key in rows[i][0]},
+            meta={"final_state": final, "dt": dt, "stride": stride,
+                  "n_steps": n_steps, "max_mean_drift": float(drift_max[i])})
     return EnsembleRun(members=outcome, meta={"n_steps": member_steps})

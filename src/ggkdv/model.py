@@ -17,12 +17,12 @@ quadratic in (u, v): in the eigenbasis, the one real matrix [Q | L] of
 `eigen_mixing` applied in physical space to the products of w+ and w- and,
 for mean advection, to w+-. On a1 = a2 = 1 with zero means it reads w+
 alone: F_u = F_v = (u + v)^2 / 2, so F- = 0 and w- is linear.
-`_bind_flux` is its one body, bound to `mix` and its own buffers: the stepper
-binds it once per march, and `nonlinear_remainder` (so `rhs`) per call. It
-moves between modes and grid by pocketfft's irfft and rfft gufuncs, bound
-once and called without numpy's wrapper, on the branches `mix` reads, on
-every grid. `rhs` gives a stack of states their time derivatives at once,
-each bitwise its own.
+`_bind_flux` is its one body, bound to `mix`, its own buffers and the rows
+it reads and writes, once per march by the stepper and per call by
+`nonlinear_remainder` (so `rhs`). It picks the branches `mix` reads, zeroes
+the F- rows it skips, and calls pocketfft's irfft and rfft gufuncs without
+numpy's wrapper. `rhs` gives a stack of states their time derivatives at
+once, each bitwise its own.
 """
 from __future__ import annotations
 
@@ -240,23 +240,23 @@ def _branches(mix: np.ndarray) -> int:
                  and not mix[..., 0, [1, 2, 4]].any()) else 2
 
 
-def _bind_flux(shape: tuple, grid: GridSpec, mix: np.ndarray):
-    """The body of `nonlinear_remainder`, bound to `mix` and to new buffers
-    for states of `shape` (..., 2, kept): a callable (w, out) that writes
-    the flux of `w` into `out`, the first `_branches(mix)` rows of two
-    arrays of that shape.
+def _bind_flux(grid: GridSpec, mix: np.ndarray, *pairs):
+    """The body of `nonlinear_remainder`, bound to `mix`, to new buffers and
+    to each (w, out) of `pairs`, arrays of one shape (..., 2, kept): per
+    pair a callable of no arguments that writes the flux of `w` into `out`,
+    whose F- rows it zeroes here if it transforms w+ alone.
 
     p and m fill rows 3-4 of a (5, ..., n) buffer, pp, mm and pm rows 0-2,
     whole rows that numpy's overlap check tells apart, and one real matmul
     by `mix`, reading it as (..., 5, n), mixes the flux. With one branch
     only p and pp are formed, the exact zeros of `mix` meet zero rows, and
     only F+ is transformed: bitwise as with two. Every buffer and numpy
-    function is a local of the callable. It calls the pocketfft gufuncs
+    function is a local of the callables. They call the pocketfft gufuncs
     irfft and rfft_n_even (`make_grid` makes every n even) as
     `np.fft.irfft` and `rfft` do with norm="forward", factors 1 and 1/n,
-    but into its own buffers and without numpy's wrapper, so bitwise; `out`
-    gets the kept modes.
+    but into their own buffers and without numpy's wrapper, so bitwise.
     """
+    shape = pairs[0][0].shape
     kept, n = shape[-1], grid.n_points
     branches = _branches(mix)
     rows = np.empty((5,) + shape[:-2] + (n,))
@@ -273,15 +273,20 @@ def _bind_flux(shape: tuple, grid: GridSpec, mix: np.ndarray):
     modes = np.empty(spectra.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
     head = modes[..., :kept]
 
-    def remainder(w: np.ndarray, out: np.ndarray) -> None:
-        irfft(w, 1.0, phys)
-        multiply(pair, pair, squares)
-        if cross:
-            multiply(p, m, pm)
-        matmul(mix, buf, flux)
-        rfft(spectra, scale, modes)
-        out[...] = head
-    return remainder
+    def bind(w: np.ndarray, out: np.ndarray):
+        out[..., branches:, :] = 0.0
+        w, out = w[..., :branches, :], out[..., :branches, :]
+
+        def remainder() -> None:
+            irfft(w, 1.0, phys)
+            multiply(pair, pair, squares)
+            if cross:
+                multiply(p, m, pm)
+            matmul(mix, buf, flux)
+            rfft(spectra, scale, modes)
+            out[...] = head
+        return remainder
+    return tuple(bind(w, out) for w, out in pairs)
 
 
 def nonlinear_remainder(w: np.ndarray, mix: np.ndarray, grid: GridSpec,
@@ -295,15 +300,11 @@ def nonlinear_remainder(w: np.ndarray, mix: np.ndarray, grid: GridSpec,
     -i omega F_hat, which the stepper folds into its tables and `rhs`
     applies.
 
-    The flux is `_bind_flux`'s one body, on the branches `mix` reads (the
-    F- rows it skips are zeroed); each leading index gets bitwise what it
-    would get alone. L carries the mean advection, so the tables depend
-    only on (grid, a3, k, dt).
+    The flux is `_bind_flux`'s one body, bound for this one call; each
+    leading index gets bitwise what it would get alone. L carries the mean
+    advection, so the tables depend only on (grid, a3, k, dt).
     """
-    branches = _branches(mix)
-    out[..., branches:, :] = 0.0
-    _bind_flux(w.shape, grid, mix)(w[..., :branches, :],
-                                   out[..., :branches, :])
+    _bind_flux(grid, mix, (w, out))[0]()
     return out
 
 

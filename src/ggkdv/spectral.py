@@ -29,7 +29,7 @@ class GridSpec:
 
     n_points: int
     n_modes: int         # Nyquist index n_points // 2
-    dealias_cutoff: int  # highest mode kept by truncate and the nonlinear term
+    dealias_cutoff: int  # highest mode the march and its flux keep
 
     @property
     def n_coeffs(self) -> int:
@@ -115,13 +115,6 @@ def _parseval_weights(n_coeffs: int) -> np.ndarray:
     w[0] = 1.0
     w[-1] = 1.0  # Nyquist coefficient of an even-length rfft is unpaired
     return w
-
-
-def truncate(f: SpectralField) -> SpectralField:
-    """Zero every mode above the grid's dealiasing cutoff."""
-    c = f.coeffs.copy()
-    c[f.grid.dealias_cutoff + 1:] = 0.0
-    return SpectralField(f.grid, c)
 
 
 def _next_pow2(m: int) -> int:

@@ -11,7 +11,9 @@ import numpy as np
 
 from ggkdv.integrator import BlowUpError, contour_phi_means
 from ggkdv.model import SimState, linear_rates
-from ggkdv.spectral import TWO_PI, SpectralField, truncate
+from ggkdv.spectral import TWO_PI, SpectralField
+
+from spectral_reference import truncate
 
 SQRT2 = np.sqrt(2.0)
 

@@ -6,8 +6,10 @@ every derived field of the library must match it. `integral` (the mean
 coefficient) and `inner` (the Parseval pairing) integrate one field and a
 product of two: `spectral.integral_of_product` must give bitwise their
 numbers for one and two factors. `shift` checks translation invariance.
-`padded_samples` is the one-field zero-pad-and-irfft that
-`spectral.padded_samples` must reproduce row by row, bit for bit.
+`truncate` zeroes a field above the dealiasing cutoff, as the serial
+march of `etd_reference` starts. `padded_samples` is the one-field
+zero-pad-and-irfft that `spectral.padded_samples` must reproduce row by
+row, bit for bit.
 `lp_norm` is the norm that `verification.check_poincare_holder` compares,
 one field and exponent at a time, on the same oversampled grid, and
 `poincare_holder` is that check of one field at one (p, q): the stacked
@@ -21,6 +23,13 @@ import numpy as np
 
 from ggkdv.spectral import (TWO_PI, GridSpec, SpectralField, _next_pow2,
                             _parseval_weights, _require_same_grid)
+
+
+def truncate(f: SpectralField) -> SpectralField:
+    """Zero every mode above the grid's dealiasing cutoff."""
+    c = f.coeffs.copy()
+    c[f.grid.dealias_cutoff + 1:] = 0.0
+    return SpectralField(f.grid, c)
 
 
 def derivative(f: SpectralField, order: int = 1) -> SpectralField:

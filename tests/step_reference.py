@@ -15,6 +15,8 @@ bound flux and the bound step must give bitwise their numbers; the matmul
 route, which rounds differently, agrees with the FFT route within a stated
 bound.
 """
+import functools
+
 import numpy as np
 
 from ggkdv.model import nonlinear_remainder as model_remainder
@@ -44,15 +46,16 @@ def flux_transforms(grid):
     return synth.reshape(2 * kept, n), anal.reshape(n, 2 * kept)
 
 
-def bind_matmul_flux(shape, grid, mix):
-    """`bind_two_branch_flux` by the matrices of `flux_transforms(grid)`, as
-    a callable (w, out) on whole complex states of `shape` (..., 2, kept):
-    the matmul route as the stepper bound it."""
-    flux = bind_two_branch_flux(shape, grid, mix, flux_transforms(grid))
-
-    def remainder(w, out):
-        flux(w.view(np.float64), out.view(np.float64))
-    return remainder
+def bind_matmul_flux(grid, mix, *pairs):
+    """`bind_two_branch_flux` by the matrices of `flux_transforms(grid)`,
+    bound as `model._bind_flux` binds: per (w, out) of `pairs`, whole
+    complex states of one shape (..., 2, kept), a callable of no arguments
+    that writes the flux of `w` into `out`. The matmul route as the stepper
+    bound it."""
+    flux = bind_two_branch_flux(pairs[0][0].shape, grid, mix,
+                                flux_transforms(grid))
+    return tuple(functools.partial(flux, w.view(np.float64),
+                                   out.view(np.float64)) for w, out in pairs)
 
 
 def bound_remainder(w, mix, grid, out, transforms=None):

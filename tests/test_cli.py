@@ -751,6 +751,20 @@ class TestSweepCommand:
                 "fewer than 1e+12") in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["config.yaml"]
 
+    def test_the_work_bound_holds_before_any_point_is_built(
+            self, tmp_path, capsys, monkeypatch):
+        # the work is read from each point's gate and dt alone: a sweep
+        # past the bound builds no initial state and prepares no point
+        def refuse(*args):
+            pytest.fail("a point was built before the work bound held")
+        monkeypatch.setattr(cli, "build_initial_state", refuse)
+        monkeypatch.setattr(cli, "_prepare", refuse)
+        raw = base_config_dict(tmp_path, dt=1e-3, t_final=2e7, stride=1)
+        path = write_config(tmp_path, raw)
+        assert cli.main(["sweep", path, "--axis", "k=0.5,1.0"]) == 2
+        assert ("the --axis points take 1.28e+12 point-steps; a sweep takes "
+                "fewer than 1e+12") in capsys.readouterr().err
+
     def test_invalid_point_exit_2(self, tmp_path, capsys):
         path = self.sweep_config(tmp_path)
         assert cli.main(["sweep", path, "--axis", "k=0.5,0.0"]) == 2
@@ -834,15 +848,14 @@ class TestRouteOracle:
         `matmul`."""
         routes = []
 
-        def recorded(shape, grid, mix):
+        def recorded(grid, mix, *pairs):
             routes.append("matmul" if matmul else "fft")
+            # the matmul flux transforms both branches
             return (step_reference.bind_matmul_flux if matmul
-                    else model._bind_flux)(shape, grid, mix)
+                    else model._bind_flux)(grid, mix, *pairs)
         directory.mkdir()
         with monkeypatch.context() as patch:
             patch.setattr(integrator, "_bind_flux", recorded)
-            if matmul:  # the matmul flux transforms both branches
-                patch.setattr(integrator, "_branches", lambda mix: 2)
             assert cli.main(
                 ["run", tiny_config(directory, "decay.yaml", 128)]) == 0
         with open(directory / "decay.csv", newline="", encoding="utf-8") as fh:

@@ -28,15 +28,15 @@ def test_shipped_config_loads(path):
 # The eigenbranches each shipped config's flux transforms: one where w- is
 # an exactly linear mode (a1 = a2 = 1, zero means), so round-off that flips
 # one to two fails here by name.
-ROUTES = {"decay.yaml": 1, "sweep_linear.yaml": 1, "verify.yaml": 1}
+BRANCHES = {"decay.yaml": 1, "sweep_linear.yaml": 1, "verify.yaml": 1}
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
-def test_shipped_config_takes_its_route(path):
+def test_shipped_config_transforms_its_branches(path):
     cfg = load_config(str(path))
     mix = eigen_mixing(build_initial_state(cfg),
                        validate_coefficients(cfg.coefficients))
-    assert _branches(mix) == ROUTES[path.name]
+    assert _branches(mix) == BRANCHES[path.name]
 
 
 def test_readme_paths_exist():

@@ -1,5 +1,6 @@
 """Time stepper: phi-coefficient accuracy, convergence, and run mechanics."""
 from dataclasses import replace
+import functools
 import math
 import warnings
 
@@ -105,8 +106,8 @@ class TestLinearEvolution:
     def test_one_linear_step_is_exact_exponential(self, grid64, coeffs_coupled,
                                                   monkeypatch):
         # a zero flux leaves the linear part of the step alone
-        monkeypatch.setattr(ti, "_bind_flux", lambda shape, grid, mix:
-                            lambda w, out: out.fill(0.0))
+        monkeypatch.setattr(ti, "_bind_flux", lambda grid, mix, *pairs: tuple(
+            functools.partial(out.fill, 0.0) for _, out in pairs))
         st = random_state(grid64)
         dt = 1e-3
         stepped = ti.evolve([st], [coeffs_coupled], dt,
@@ -521,13 +522,12 @@ class TestEnsembleOracle:
             raise AssertionError("the flux called np.fft's wrapper")
         monkeypatch.setattr(np.fft, "rfft", refuse)
         monkeypatch.setattr(np.fft, "irfft", refuse)
-        # the flux takes the rows of the branches it transforms, and leaves
-        # the others alone: a lone coupled member transforms w+ only
-        branches = model._branches(mix)
-        assert branches == (1 if n_members == 1 else 2)
-        got = np.zeros_like(w)
-        model._bind_flux(w.shape, grid, mix)(w[:, :branches],
-                                             got[:, :branches])
+        # the flux transforms the rows of the branches `mix` reads, and
+        # zeroes the others' F- rows as it binds: a lone coupled member
+        # transforms w+ only
+        assert model._branches(mix) == (1 if n_members == 1 else 2)
+        got = np.full_like(w, np.nan)
+        model._bind_flux(grid, mix, (w, got))[0]()
         np.testing.assert_array_equal(got, want)
         run = ti.evolve(states, coeffs, 4e-3, 1e-3)
         for series, alone in zip(run.members, lone.members):
@@ -750,6 +750,35 @@ class TestInPlaceStep:
             ti.evolve([calm], [coeffs_coupled], 0.01, 1e-3,
                       observer=per_state(lambda i, s: seen.append(s.t) or {}))
         assert seen == [n * 1e-3 for n in range(4)]
+
+    def test_the_ensemble_drift_check_fires_at_the_drifting_member(
+            self, monkeypatch, grid64, coeffs_coupled):
+        # member 1's mean drifts at step 5: the check reads the whole
+        # sampled stack before any member is handed its block, so member
+        # 0's block (t4, t5) is not observed either
+        bind, steps = ti._bind_step, []
+
+        def drifting(w, *args):
+            step = bind(w, *args)
+
+            def drift():
+                step()
+                steps.append(None)
+                if len(steps) == 5:
+                    w[1, ..., 0] = 1e-3
+            return drift
+
+        monkeypatch.setattr(ti, "_bind_step", drifting)
+        calm = [random_smooth_state(grid64, seed=i, amplitude=0.3)
+                for i in (1, 2)]
+        seen = []
+        with pytest.raises(RuntimeError, match=r"mean drifted to 1\.414e-03 "
+                           r"at t = 0\.005$"):
+            ti.evolve(calm, [coeffs_coupled] * 2, 0.01, 1e-3,
+                      observer=lambda i, block: [
+                          seen.append((i, s.t)) or {} for s in block])
+        assert seen == [(i, n * 1e-3) for pair in ((0, 1), (2, 3))
+                        for i in (0, 1) for n in pair]
 
     def test_a_table_that_leaks_into_the_mean_is_caught(
             self, monkeypatch, grid64, coeffs_coupled):

@@ -425,18 +425,20 @@ class TestBoundFlux:
         # the matmul oracle on the grids its route once marched, FFT above
         transforms = (step_reference.flux_transforms(grid)
                       if matmul and grid.n_points <= 96 else None)
-        flux = (model._bind_flux if transforms is None
-                else step_reference.bind_matmul_flux)(w.shape, grid, mix)
         first, second = np.empty((2,) + w.shape, dtype=np.complex128)
+        # one stage's flux is the next one's input, as in a step
+        flux_w, flux_first = (
+            model._bind_flux if transforms is None
+            else step_reference.bind_matmul_flux)(grid, mix, (w, first),
+                                                  (first, second))
         with np.errstate(all="ignore"):
             want = step_reference.nonlinear_remainder(w, mix, grid,
                                                       transforms)
             np.testing.assert_array_equal(
                 flux_of(w, mix, grid, transforms), want)
-            # one bound flux, its buffers reused: as in a step, one
-            # stage's flux is the next call's input
-            flux(w, first)
-            flux(first, second)
+            # one bound flux, its buffers reused
+            flux_w()
+            flux_first()
             np.testing.assert_array_equal(first, want)
             np.testing.assert_array_equal(
                 second, step_reference.nonlinear_remainder(want, mix, grid,
@@ -487,11 +489,13 @@ class TestOneBranchFlux:
         want = two_branch_flux(w, mix, grid)
         assert not want[:, 1].any()  # F- is exactly zero
         np.testing.assert_array_equal(flux_of(w, mix, grid), want)
-        # bound once and reused, as in a step, on the rows of w+ alone
-        flux = model._bind_flux(w.shape, grid, mix)
-        first, second = np.zeros((2,) + w.shape, dtype=np.complex128)
-        flux(w[:, :1], first[:, :1])
-        flux(first[:, :1], second[:, :1])
+        # bound once and reused, as in a step: it transforms the rows of
+        # w+ alone, and zeroes the F- rows of its outputs as it binds
+        first, second = np.full((2,) + w.shape, np.nan, dtype=np.complex128)
+        flux_w, flux_first = model._bind_flux(grid, mix, (w, first),
+                                              (first, second))
+        flux_w()
+        flux_first()
         np.testing.assert_array_equal(first, want)
         np.testing.assert_array_equal(second,
                                       two_branch_flux(want, mix, grid))
