@@ -11,10 +11,11 @@ Commands (console script ``gg``):
                        the energy decay rate at every point; points that
                        share a resolved dt march together as one ensemble
 
-All three march through one pipeline, `run_experiment`. Each returns its
-summary's `status`, with the stderr text that explains any status but ok, and
-`main` maps the status to the exit code through `EXIT_CODES`: 0 success,
-3 blow-up, 4 verification failure. A bad config or coefficient set exits 2.
+All three march through one pipeline, `run_experiment`: a `RunResult` per
+point. Each returns its summary's `status`, with the stderr text that explains
+any status but ok, and `main` maps the status to the exit code through
+`EXIT_CODES`: 0 success, 3 blow-up, 4 verification failure. A bad config or
+coefficient set exits 2.
 """
 from __future__ import annotations
 
@@ -57,7 +58,6 @@ POINCARE_EXPONENTS = (1.0, 2.0, 4.0, math.inf)
 
 
 def _fmt(value) -> str:
-    """A CSV cell: 17 significant digits, text as is, None as blank."""
     if value is None or isinstance(value, str):
         return value or ""
     return format(float(value), ".17g")
@@ -98,11 +98,18 @@ def _summary_schema() -> dict:
         return json.load(fh)
 
 
-def _check(value, schema: dict, path: str = "$") -> None:
+def _check(value, schema: dict, path: str = "$", root=None) -> None:
     """Raise ValueError naming the path and the keyword where `value` breaks
     `schema`, or naming a keyword that `_RULES` does not implement."""
+    root = root or schema
     if schema is False:  # the `additionalProperties` of a closed object
         raise ValueError(f"summary {path} fails additionalProperties: false")
+    if "$ref" in schema:  # a pointer into root; Draft 7 ignores its siblings
+        ref = schema["$ref"]
+        if not ref.startswith("#/") or "~" in ref:  # an unescaped local one
+            raise ValueError(f"unimplemented schema $ref {ref!r} at {path}")
+        return _check(value, functools.reduce(
+            dict.__getitem__, ref[2:].split("/"), root), path, root)
     for keyword, rule in schema.items():
         if keyword not in _RULES:
             raise ValueError(f"unimplemented schema keyword {keyword} at "
@@ -110,14 +117,14 @@ def _check(value, schema: dict, path: str = "$") -> None:
         if not _RULES[keyword](value, rule):
             raise ValueError(f"summary {path} fails {keyword}: {rule!r}")
     for i, item in enumerate(value if isinstance(value, list) else ()):
-        _check(item, schema.get("items", {}), f"{path}[{i}]")
+        _check(item, schema.get("items", {}), f"{path}[{i}]", root)
     for key, item in (value.items() if isinstance(value, dict) else ()):
         _check(item, schema.get("properties", {}).get(
-            key, schema.get("additionalProperties", {})), f"{path}.{key}")
+            key, schema.get("additionalProperties", {})), f"{path}.{key}",
+            root)
 
 
 def write_summary(path: str | None, summary: dict) -> None:
-    """Check the summary against the schema; write it if given a path."""
     _check(summary, _summary_schema())
     if path is not None:
         atomic_write_text(path, json.dumps(summary, indent=2,
@@ -190,7 +197,6 @@ def render_energy_svg(path: str, t, energy) -> bool:
 
 
 def _remove_stale(path: str | None) -> None:
-    """Remove an earlier file at an output path this run does not rewrite."""
     if path is not None and os.path.exists(path):
         os.remove(path)
         print(f"removed {path}")
@@ -223,17 +229,20 @@ def _check_summary_owner(cfg: ExperimentConfig, command: str) -> None:
 
 def _fit_dict(fit) -> dict:
     # the schema's `array` type rejects a tuple
-    return {**dataclasses.asdict(fit), "window": list(fit.window)}
+    return {**vars(fit), "window": list(fit.window)}
 
 
 @dataclasses.dataclass(frozen=True)
 class RunResult:
-    """One march of a configured experiment and what was measured on it."""
+    """One march's report; after a blow-up, only its time and why."""
 
-    series: DiagnosticSeries  # t, then the functional_record columns
+    series: DiagnosticSeries | None  # t, then the functional_record columns
+    run: dict | None  # the summary's `run` block; None after a blow-up
     residuals: dict   # tracked identity id -> run-level relative residual
     fits: dict        # quantity id -> DecayFit over the fit window
     fit_errors: dict  # quantity id -> why its fit failed
+    blow_up_time: float | None
+    no_fit: str | None  # why the energy has no fit; None if it has one
 
 
 class _Point(NamedTuple):
@@ -268,83 +277,83 @@ def run_experiment(points: list) -> list:
     identities of its checks along its march; a point whose `columns` are
     set tracks none and fits only the energy. Points that share grid, span,
     stride and dt march as one ensemble; each gets bitwise the numbers of a
-    lone march. Returns, per point in order, its RunResult or the
-    BlowUpError at the first time its state or its energy is not finite.
+    lone march. Returns the RunResult of each point, in order.
     """
     groups = {}
     for index, p in enumerate(points):
         key = (p.cfg.n_points, p.cfg.t_final, p.cfg.stride, p.dt)
         groups.setdefault(key, []).append(index)
     outcomes = [None] * len(points)
-    # Per point and identity, the defect and the normalizer of each state,
-    # aggregated separately over the run: at isolated degenerate states
-    # (e.g. a pure mode at t = 0) both sides of a cross-term identity vanish
-    # to round-off, so the instantaneous ratio is 0/0 noise; the run-level
-    # residual divides the worst defect by the run's own scale instead.
-    sides = [{i: ([], []) for i in p.identity_ids} for p in points]
+    # Per point and identity, the worst defect and the worst normalizer so
+    # far: at isolated degenerate states (e.g. a pure mode at t = 0) both
+    # sides of a cross-term identity vanish to round-off, so the
+    # instantaneous ratio is 0/0 noise; the run-level residual divides the
+    # worst defect by the run's own scale instead. np.maximum, as np.max,
+    # carries a NaN through.
+    sides = [dict.fromkeys(p.identity_ids, (0.0, 0.0)) for p in points]
     for (_, t_final, stride, dt), members in groups.items():
         group = [points[index] for index in members]
 
         def observer(i, block):
-            p = group[i]
+            p, worst = group[i], sides[members[i]]
             rows, reports = observe_states(block, p.c, p.identity_ids,
                                            p.cfg.n_max, p.columns)
             for key, rep in reports.items():
+                defect, norm = worst[key]
                 with np.errstate(over="ignore", invalid="ignore"):  # floats
-                    sides[members[i]][key][0].append(abs(rep.lhs - rep.rhs))
-                sides[members[i]][key][1].append(rep.normalizer)
+                    worst[key] = (
+                        np.maximum(defect, np.max(abs(rep.lhs - rep.rhs))),
+                        np.maximum(norm, np.max(rep.normalizer)))
             return rows
 
         run = evolve([p.state for p in group], [p.c for p in group],
                      t_final, dt, observer=observer, stride=stride)
         for index, out in zip(members, run.members):
-            if not isinstance(out, BlowUpError):
-                overflow = np.flatnonzero(~np.isfinite(out["energy"]))
-                out = (BlowUpError(float(out.t[overflow[0]])) if overflow.size
-                       else _measure(points[index], out, sides[index]))
-            outcomes[index] = out
+            outcomes[index] = _measure(points[index], out, sides[index])
     return outcomes
 
 
-def _measure(p: _Point, series: DiagnosticSeries, sides: dict) -> RunResult:
-    """Run-level identity residuals and decay fits of one marched point: the
-    energy and each seminorm of order 1 and up that the series holds.
+def _measure(p: _Point, out, sides: dict) -> RunResult:
+    """The RunResult of a point's series or BlowUpError: its decay fits are
+    of the energy and each seminorm of order 1 and up that the series holds.
     Every normalizer is at least NORMALIZER_FLOOR, or NaN."""
-    residuals = {i: float(np.max(np.hstack(defects)))
-                 / float(np.max(np.hstack(norms)))
-                 for i, (defects, norms) in sides.items()}
+    if not isinstance(out, BlowUpError):
+        overflow = np.flatnonzero(~np.isfinite(out["energy"]))
+        out = BlowUpError(float(out.t[overflow[0]])) if overflow.size else out
+    if isinstance(out, BlowUpError):
+        return RunResult(None, None, {}, {}, {}, out.time,
+                         f"blow-up at t = {out.time:.6g}")
     fits, fit_errors = {}, {}
     seminorms = [f"seminorm_sq_{n}" for n in range(1, p.cfg.n_max + 1)]
-    for name in ["energy"] + [s for s in seminorms if s in series.columns]:
+    for name in ["energy"] + [s for s in seminorms if s in out.columns]:
         try:
-            fits[name] = fit_decay_rate(series, name,
+            fits[name] = fit_decay_rate(out, name,
                                         p.cfg.resolved_fit_window(),
                                         target_rate=-2.0 * p.c.k)
         except ValueError as exc:  # zero data or window too sparse
             fit_errors[name] = str(exc)
-    return RunResult(series=series, residuals=residuals, fits=fits,
-                     fit_errors=fit_errors)
-
-
-def _energy_fit(result) -> tuple:
-    """(the energy decay fit of a march, None) or (None, why it has none)."""
-    if isinstance(result, BlowUpError):
-        return None, f"blow-up at t = {result.time:.6g}"
-    fit = result.fits.get("energy")
-    return fit, None if fit else f"fit failed: {result.fit_errors['energy']}"
+    meta = out.meta
+    return RunResult(
+        out, {"dt": meta["dt"], "t_final": p.cfg.t_final,
+              "stride": meta["stride"], "n_steps": meta["n_steps"],
+              "n_observations": len(out.t),
+              "max_mean_drift": meta["max_mean_drift"]},
+        {i: float(d) / float(n) for i, (d, n) in sides.items()},
+        fits, fit_errors, None,
+        None if "energy" in fits else f"fit failed: {fit_errors['energy']}")
 
 
 def cmd_run(cfg: ExperimentConfig) -> tuple:
     p = _prepare(cfg, True)
     result = run_experiment([p])[0]
-    if isinstance(result, BlowUpError):
+    if result.run is None:
         _remove_stale(cfg.csv_path)
         _remove_stale(cfg.plot_path)
         write_summary(cfg.summary_path, _summary(
             "run", "blow_up", cfg, p.c, run=None, energy=None,
-            blow_up_time=result.time))
-        return "blow_up", BLOW_UP_TEXT.format(result.time)
-    series, meta = result.series, result.series.meta
+            blow_up_time=result.blow_up_time))
+        return "blow_up", BLOW_UP_TEXT.format(result.blow_up_time)
+    series = result.series
     if cfg.csv_path is not None:
         write_csv(cfg.csv_path, list(series.columns), series.columns)
 
@@ -353,11 +362,7 @@ def cmd_run(cfg: ExperimentConfig) -> tuple:
     status = "ok" if not offenders else "identity_failure"
     energy_col = series.columns["energy"]
     summary = _summary(
-        "run", status, cfg, p.c,
-        run={"dt": meta["dt"], "t_final": cfg.t_final,
-             "stride": meta["stride"], "n_steps": meta["n_steps"],
-             "n_observations": len(series.t),
-             "max_mean_drift": meta["max_mean_drift"]},
+        "run", status, cfg, p.c, run=result.run,
         energy={"initial": float(energy_col[0]),
                 "final": float(energy_col[-1])},
         identity_residuals={i: r if math.isfinite(r) else None
@@ -389,7 +394,6 @@ def _median(values: list) -> float:
 
 
 def _blocks(items) -> list:
-    """`items` in slices of at most OBSERVE_BLOCK, in order."""
     return [items[i:i + OBSERVE_BLOCK]
             for i in range(0, len(items), OBSERVE_BLOCK)]
 
@@ -413,7 +417,9 @@ def cmd_verify(cfg: ExperimentConfig) -> tuple:
                 f"verify.{key} = {count} on grid.n_points = {grid.n_points} "
                 f"takes {count * grid.n_points:.3g} field-points; a battery "
                 f"takes fewer than {MAX_BATTERY_POINTS:.0e}")
-    decay = _prepare(cfg, False) if "DECAY" in cfg.checks else None
+    # DECAY marches first: its tables may refuse the config, before the battery
+    decay = (run_experiment([_prepare(cfg, False)])[0]
+             if "DECAY" in cfg.checks else None)
 
     checks = []
 
@@ -478,13 +484,12 @@ def cmd_verify(cfg: ExperimentConfig) -> tuple:
         add("PRODUCT_BOUND", bad == 0, bad, 0,
             f"{vs.product_fields} field pairs, admissible exponents")
 
-    fits = []
-    if decay is not None:
-        fit, why = _energy_fit(run_experiment([decay])[0])
+    fits = decay.fits.values() if decay else ()
+    if decay:
+        fit = decay.fits.get("energy")
         if fit is None:
-            add("DECAY", False, None, None, why)
+            add("DECAY", False, None, None, decay.no_fit)
         else:
-            fits.append(fit)
             ok = fit.fitted_rate <= -2.0 * 0.95 * c.k and fit.r_squared >= 0.99
             add("DECAY", ok, fit.fitted_rate, -2.0 * 0.95 * c.k,
                 f"energy rate over window {fit.window}, "
@@ -497,14 +502,14 @@ def cmd_verify(cfg: ExperimentConfig) -> tuple:
     failures = [entry["check_id"] for entry in checks if not entry["passed"]]
     status = "ok" if not failures else "check_failure"
     write_summary(cfg.summary_path, _summary(
-        "verify", status, cfg, c, checks=checks,
+        "verify", status, cfg, c, **{"run": decay.run} if decay else {},
+        checks=checks,
         decay_fits=[_fit_dict(f) for f in fits], failures=failures))
     return status, ("verification failed: " + ", ".join(failures)
                     if failures else "")
 
 
 def _parse_axes(axis_args: list) -> dict:
-    """Each axis name -> its values, in the order given."""
     axes = {}
     for spec in axis_args:
         name, _, values = spec.partition("=")
@@ -526,7 +531,6 @@ def _parse_axes(axis_args: list) -> dict:
 
 
 def _sweep_points(cfg: ExperimentConfig, axes: dict):
-    """Each sweep point, the first axis outermost, and its gated config."""
     for values in itertools.product(*axes.values()):
         point = dict(zip(axes, values))
         point_cfg = apply_overrides(cfg, point)
@@ -548,18 +552,17 @@ def cmd_sweep(cfg: ExperimentConfig, axis_args: list) -> tuple:
     points, prepared = zip(*[(point, _prepare(point_cfg, False))
                              for point, point_cfg in _sweep_points(cfg, axes)])
 
-    rows, blow_ups, reasons = [], [], []
+    rows, reasons = [], []
     for point, p, result in zip(points, prepared, run_experiment(prepared)):
-        fit, why = _energy_fit(result)
-        reasons += [f"{point}: {why}"] if why else []
-        blown = isinstance(result, BlowUpError)
-        rows.append({"status": "blow_up" if blown else "ok" if fit
-                     else "fit_failed",
+        fit = result.fits.get("energy")
+        reasons += [f"{point}: {result.no_fit}"] if result.no_fit else []
+        rows.append({"status": "blow_up" if result.run is None else "ok"
+                     if fit else "fit_failed",
                      "fitted_rate": fit and fit.fitted_rate,
                      "r_squared": fit and fit.r_squared,
                      "target_rate": -2.0 * p.c.k,
-                     "blow_up_time": result.time if blown else None})
-        blow_ups += [result] if blown else []
+                     "blow_up_time": result.blow_up_time, "run": result.run})
+    blow_ups = [row["blow_up_time"] for row in rows if row["run"] is None]
 
     if cfg.csv_path is not None:
         names = list(axes) + ["fitted_rate", "target_rate", "r_squared",
@@ -581,7 +584,7 @@ def cmd_sweep(cfg: ExperimentConfig, axis_args: list) -> tuple:
                      f"(target {row['target_rate']:+.6f})")
         print(f"{row['status']:>10}  {point}{rate}")
     if blow_ups:
-        return status, BLOW_UP_TEXT.format(blow_ups[0].time)
+        return status, BLOW_UP_TEXT.format(blow_ups[0])
     return status, "\n".join([f"decay fit failed at sweep points {failed}"]
                              + reasons if failed else [])
 

@@ -26,7 +26,7 @@ once, each bitwise its own.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 import functools
 import math
 
@@ -51,7 +51,7 @@ class CoefficientSet:
     b2: float = 1.0
 
     def to_dict(self) -> dict:
-        return {key: float(val) for key, val in asdict(self).items()}
+        return {k: float(v) for k, v in vars(self).items()}
 
 
 @dataclass(frozen=True)
@@ -72,13 +72,11 @@ class CoefficientError(ValueError):
 
 
 def check_coefficients(c: CoefficientSet) -> list[Violation]:
-    """All constraint violations, empty when the set is admissible."""
     bad = []
-    values = asdict(c)
-    if not all(math.isfinite(v) for v in values.values()):
+    if not all(math.isfinite(v) for v in vars(c).values()):
         # NaN fails no `abs(...) > tol` test below, so it is named here
         bad.append(Violation("finite", f"coefficients must be finite, "
-                                       f"got {values}"))
+                                       f"got {vars(c)}"))
     if abs(c.r) > CONSTRAINT_TOL:
         bad.append(Violation("r_zero", f"transport coefficient r must be 0, got {c.r}"))
     if abs(c.b1 - 1.0) > CONSTRAINT_TOL:
@@ -119,7 +117,7 @@ def validate_coefficients(c: CoefficientSet) -> ValidatedCoefficients:
     bad = check_coefficients(c)
     if bad:
         raise CoefficientError(bad)
-    return ValidatedCoefficients(**asdict(c))
+    return ValidatedCoefficients(**vars(c))
 
 
 @dataclass(frozen=True)

@@ -511,6 +511,7 @@ class TestVerifyCommand:
         assert cli.main(["verify", path]) == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert [c["check_id"] for c in summary["checks"]] == ["L2"]
+        assert "run" not in summary  # no DECAY, no march
 
     def test_invalid_coefficients_exit_2(self, tmp_path, capsys):
         raw = base_config_dict(tmp_path)
@@ -534,6 +535,20 @@ class TestVerifyCommand:
                 "step count overflows") in err
         assert "Traceback" not in err
         assert os.listdir(tmp_path) == ["config.yaml"]
+
+    def test_the_decay_run_block_is_gg_runs(self, tmp_path, capsys):
+        blocks = {}
+        for command in ("verify", "run"):
+            (tmp_path / command).mkdir()
+            raw = base_config_dict(tmp_path / command)
+            raw["initial"]["amplitude"] = 1e-5  # linear: DECAY passes
+            raw["checks"] = ["L2", "DECAY"]
+            assert cli.main([command,
+                             write_config(tmp_path / command, raw)]) == 0
+            blocks[command] = load_finite_json(
+                tmp_path / command / "summary.json")["run"]
+        assert blocks["verify"] == blocks["run"]
+        assert blocks["run"]["n_steps"] == 50
 
     def test_a_failed_decay_fit_fails_the_check(self, tmp_path, capsys):
         raw = base_config_dict(tmp_path)
@@ -1289,10 +1304,17 @@ class TestOverflowingInputs:
         ("verify", 1e300, []), ("sweep", 1.0, ["--axis", "k=0.5,1e300"]),
     ])
     def test_huge_damping_exit_2_naming_k_and_dt(self, tmp_path, capsys,
-                                                 command, k, axis):
+                                                 monkeypatch, command, k,
+                                                 axis):
+        # gg verify marches DECAY first, so its tables refuse the config
+        # before the battery spends its time
+        for battery in ("observe_states", "check_poincare_holder",
+                        "product_bound_violations"):
+            monkeypatch.setattr(cli, battery, pytest.fail)
         raw = base_config_dict(tmp_path)
         raw["coefficients"]["k"] = k
-        raw["checks"] = ["L2", "DECAY"] if command == "verify" else ["L2"]
+        raw["checks"] = (["L2", "H2", "POINCARE", "PRODUCT_BOUND", "DECAY"]
+                         if command == "verify" else ["L2"])
         code, err = gg_quietly(capsys, command, write_config(tmp_path, raw),
                                *axis)
         assert code == 2
@@ -1324,7 +1346,9 @@ class TestOverflowingInputs:
         if command == "verify":
             check, = summary["checks"]
             assert check["detail"] == "blow-up at t = 0.01"
+            assert summary["run"] is None
         else:
+            assert (summary.get("points") or [summary])[0]["run"] is None
             assert err == cli.BLOW_UP_TEXT.format(0.01) + "\n"
             assert (summary.get("blow_up_time")
                     or summary["points"][0]["blow_up_time"]) == 0.01
@@ -1436,6 +1460,9 @@ class TestSchema:
     def test_shipped_schema_is_valid_draft7(self):
         schema = cli._summary_schema()
         jsonschema.Draft7Validator.check_schema(schema)
+        # the `run` block is defined once
+        assert schema["properties"]["points"]["items"]["properties"][
+            "run"] == {"$ref": "#/properties/run"}
 
     def test_summary_missing_required_fails(self):
         with pytest.raises(ValueError, match=r"summary \$ fails required"):
@@ -1463,13 +1490,43 @@ class TestSchema:
         (("energy", "final"), -math.inf, False),
         (("decay_fits", 0, "window"), [0.0], False),
         (("command",), "bogus", False),
+        # a sweep row's `run` block, the summary's by `$ref`
+        (("points", 0, "run", "dt"), 0.0, False),
+        (("points", 0, "run"), None, True),  # a blow-up row
+        (("points", 0, "run", "extra"), 1.0, False),
+        (("points", 0, "run"), [], False),
     ])
     def test_checker_matches_draft7_at_the_edges(self, summaries, path,
                                                  value, valid):
-        summary = _replace(copy.deepcopy(summaries["run"]), path, value)
+        summary = _replace(copy.deepcopy(
+            summaries["sweep" if path[0] == "points" else "run"]), path, value)
         assert jsonschema.Draft7Validator(
             cli._summary_schema()).is_valid(summary) is valid
         assert checker_accepts(summary) is valid
+
+    @pytest.mark.parametrize("siblings", [{"type": "string"},
+                                          {"pattern": "^x$"}])
+    def test_checker_ignores_the_keywords_beside_a_ref(self, summaries,
+                                                       siblings):
+        # as Draft 7 does, an unimplemented keyword among them included
+        schema = copy.deepcopy(cli._summary_schema())
+        schema["properties"]["points"]["items"]["properties"]["run"].update(
+            siblings)
+        assert jsonschema.Draft7Validator(schema).is_valid(summaries["sweep"])
+        cli._check(summaries["sweep"], schema)
+
+    @pytest.mark.parametrize("ref", [
+        "summary.schema.json#/properties/run", "#run", "#",
+        "#/properties/r~0un"])
+    def test_checker_refuses_a_ref_but_an_unescaped_local_pointer(
+            self, summaries, ref):
+        schema = copy.deepcopy(cli._summary_schema())
+        schema["properties"]["points"]["items"]["properties"]["run"] = {
+            "$ref": ref}
+        with pytest.raises(ValueError) as refused:
+            cli._check(summaries["sweep"], schema)
+        assert str(refused.value) == (f"unimplemented schema $ref {ref!r} "
+                                      "at $.points[0].run")
 
     def test_a_failure_names_the_path_and_the_keyword(self, summaries):
         summary = copy.deepcopy(summaries["sweep"])
@@ -1903,10 +1960,11 @@ def test_admissible_command_lines_march_and_sweep_rows_equal_runs(case):
             alone = os.path.join(directory, f"point-{i}")
             os.mkdir(alone)
             run_code, run = _exits_by_its_table(alone, "run", point, [])
+            assert row["run"] == run["run"]  # None on a blow-up
             fit = {f["quantity_id"]: f
                    for f in run.get("decay_fits", [])}.get("energy")
             if row["status"] == "blow_up":
-                assert run_code == 3
+                assert run_code == 3 and row["run"] is None
                 assert run["blow_up_time"] == row["blow_up_time"]
             elif row["status"] == "ok":
                 assert fit is not None
